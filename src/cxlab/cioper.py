@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .exactla import Field, Mat
-from .gmod import Module, direct_sum, quotient_by_span
+from .gmod import Module, direct_sum, quotient_by_span, realize_algebra_matrix
 from .gralg import Algebra, AlgebraElement, Polynomial, build_algebra, codimension
 from .resol import ComplexityEstimate, estimate_complexity, resolve
 from .yoneda import (
@@ -204,8 +204,6 @@ class EisenbudOperatorSet:
         self._check(j, n)
         got = self._chi_real.get((j - 1, n))
         if got is None:
-            from .gmod import realize_algebra_matrix
-
             got = realize_algebra_matrix(self.resolution.free(n), self.resolution.free(n - 2),
                                          self._chi_alg[(j - 1, n)])
             self._chi_real[(j - 1, n)] = got
@@ -268,15 +266,7 @@ def chi_self_extension(ops: EisenbudOperatorSet, j: int) -> ExtElement:
     if ops.max_degree < 2:
         raise InputError("operators not computed to degree 2")
     phi = res.augmentation @ ops.chi_realized(j, 2)
-    M = ops.module
-    F2 = res.free(2)
-    dA = M.algebra.dim
-    dN = M.dim
-    rep = np.zeros(F2.rank * dN, dtype=np.int64)
-    for g in range(F2.rank):
-        rep[g * dN : (g + 1) * dN] = phi.a[:, g * dA]
-    shift_val = -ops.ci.exponents[j - 1]
-    return ExtElement(res, M, 2, rep, shift_val)
+    return ExtElement.from_realized(res, ops.module, 2, phi, -ops.ci.exponents[j - 1])
 
 
 def cut_by_chi(ops: EisenbudOperatorSet, j: int) -> PushoutExtension:

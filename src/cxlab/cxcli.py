@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from .errors import InputError, ScenarioError
 from .exactla import Field
-from .gralg import Algebra, Polynomial, build_algebra
+from .gralg import Algebra, Polynomial, Token, TokenStream, build_algebra, parse_poly_tokens
 from .gmod import Module, coker_presentation, direct_sum, residue_field
 from .resol import estimate_complexity, resolve, syzygy, verify_complex
 from .yoneda import (
@@ -55,14 +55,6 @@ TASK_KINDS = {
 # -- tokens -------------------------------------------------------------------
 
 _SYMBOLS = ("..", "[", "]", "(", ")", ",", "=", "/", "^", "*", "+", "-")
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str   # IDENT, INT, SYM, NEWLINE, EOF
-    value: str
-    line: int
-    col: int
 
 
 def _tokenize(text: str) -> List[Token]:
@@ -170,70 +162,60 @@ class Scenario:
 # -- parser -------------------------------------------------------------------
 
 
-class _Parser:
+class _Parser(TokenStream):
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(_tokenize(text))  # kinds IDENT, INT, SYM, NEWLINE, EOF
         self.fp: Optional[Field] = None
         self.rings: Dict[str, RingDecl] = {}
         self.modules: Dict[str, ModuleDecl] = {}
         self.module_ring: Dict[str, str] = {}
 
     # token helpers
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def err(self, message: str, tok: Optional[Token] = None):
+    def fail(self, message: str, tok: Optional[Token] = None):
         tok = tok or self.peek()
         raise ScenarioError(message, tok.line, tok.col)
 
     def expect_sym(self, sym: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "SYM" or tok.value != sym:
-            self.err(f"expected '{sym}'")
-        return self.next()
+        if not self.at(sym):
+            self.fail(f"expected '{sym}'")
+        return self.take()
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.peek()
         if tok.kind != "IDENT":
-            self.err(f"expected {what}")
-        return self.next()
+            self.fail(f"expected {what}")
+        return self.take()
 
     def expect_int(self, what: str = "integer") -> int:
         tok = self.peek()
         if tok.kind != "INT":
-            self.err(f"expected {what}")
-        return int(self.next().value)
+            self.fail(f"expected {what}")
+        return int(self.take().value)
 
     def expect_keyword(self, word: str):
         tok = self.peek()
         if tok.kind != "IDENT" or tok.value != word:
-            self.err(f"expected '{word}'")
-        return self.next()
+            self.fail(f"expected '{word}'")
+        return self.take()
 
     def skip_newlines(self):
         while self.peek().kind == "NEWLINE":
-            self.next()
+            self.take()
 
     def end_statement(self):
         tok = self.peek()
         if tok.kind == "EOF":
             return
         if tok.kind != "NEWLINE":
-            self.err("expected end of line")
-        self.next()
+            self.fail("expected end of line")
+        self.take()
 
     # grammar
     def parse(self) -> Scenario:
         self.skip_newlines()
         tok = self.peek()
         if tok.kind != "IDENT" or tok.value != "field":
-            self.err("expected 'field'")
+            self.fail("expected 'field'")
         field_decl = self.parse_field()
         decls: List[object] = []
         tasks: List[TaskDecl] = []
@@ -243,7 +225,7 @@ class _Parser:
             if tok.kind == "EOF":
                 break
             if tok.kind != "IDENT":
-                self.err("expected 'ring', 'module' or 'task'")
+                self.fail("expected 'ring', 'module' or 'task'")
             if tok.value == "ring":
                 decl = self.parse_ring()
             elif tok.value == "module":
@@ -252,9 +234,9 @@ class _Parser:
                 decl = self.parse_task()
                 tasks.append(decl)
             elif tok.value == "field":
-                self.err("duplicate 'field' declaration")
+                self.fail("duplicate 'field' declaration")
             else:
-                self.err("expected 'ring', 'module' or 'task'")
+                self.fail("expected 'ring', 'module' or 'task'")
             decls.append(decl)
         return Scenario(field_decl, tuple(decls), dict(self.rings), dict(self.modules), tuple(tasks))
 
@@ -276,32 +258,32 @@ class _Parser:
         name_tok = self.expect_ident("ring name")
         name = name_tok.value
         if name in self.rings or name in self.modules:
-            self.err(f"name {name!r} already defined", name_tok)
+            self.fail(f"name {name!r} already defined", name_tok)
         self.expect_sym("=")
         self.expect_sym("[")
         varnames: List[str] = []
-        if not (self.peek().kind == "SYM" and self.peek().value == "]"):
+        if not self.at("]"):
             while True:
                 varnames.append(self.expect_ident("variable name").value)
-                if self.peek().kind == "SYM" and self.peek().value == ",":
-                    self.next()
+                if self.at(","):
+                    self.take()
                     continue
                 break
         self.expect_sym("]")
         if len(set(varnames)) != len(varnames):
-            self.err("duplicate variable name", name_tok)
+            self.fail("duplicate variable name", name_tok)
         self.expect_sym("/")
         self.expect_sym("(")
         relations: List[Polynomial] = []
-        if not (self.peek().kind == "SYM" and self.peek().value == ")"):
+        if not self.at(")"):
             while True:
                 ptok = self.peek()
-                poly = self.parse_poly(tuple(varnames))
+                poly = parse_poly_tokens(self, varnames, self.fp)
                 if not poly.is_homogeneous() or poly.is_zero() or poly.degree() < 1:
                     raise ScenarioError("relation must be homogeneous of degree >= 1", ptok.line, ptok.col)
                 relations.append(poly)
-                if self.peek().kind == "SYM" and self.peek().value == ",":
-                    self.next()
+                if self.at(","):
+                    self.take()
                     continue
                 break
         self.expect_sym(")")
@@ -315,7 +297,7 @@ class _Parser:
         name_tok = self.expect_ident("module name")
         name = name_tok.value
         if name in self.rings or name in self.modules:
-            self.err(f"name {name!r} already defined", name_tok)
+            self.fail(f"name {name!r} already defined", name_tok)
         self.expect_sym("=")
         kind_tok = self.expect_ident("module builder")
         kind = kind_tok.value
@@ -326,7 +308,7 @@ class _Parser:
             self.expect_keyword("degrees")
             degrees = self.parse_int_list()
             if len(degrees) != len(matrix):
-                self.err("degree count does not match matrix rows", name_tok)
+                self.fail("degree count does not match matrix rows", name_tok)
             decl = ModuleDecl(name, "coker", ring=ring, matrix=matrix, degrees=degrees, loc=loc)
         elif kind == "k":
             ring = self.ref_ring()
@@ -335,29 +317,29 @@ class _Parser:
             ring = self.ref_ring()
             j = self.parse_kv_int("j")
             if not 1 <= j <= len(self.rings[ring].varnames):
-                self.err(f"j={j} out of range for ring {ring!r}", name_tok)
+                self.fail(f"j={j} out of range for ring {ring!r}", name_tok)
             decl = ModuleDecl(name, "kchi", ring=ring, j=j, loc=loc)
         elif kind == "cut":
             arg = self.ref_module()
             j = self.parse_kv_int("j")
             ring = self.module_ring[arg]
             if not 1 <= j <= len(self.rings[ring].varnames):
-                self.err(f"j={j} out of range", name_tok)
+                self.fail(f"j={j} out of range", name_tok)
             decl = ModuleDecl(name, "cut", arg=arg, ring=ring, j=j, loc=loc)
         elif kind == "syzygy":
             arg = self.ref_module()
             i = self.parse_kv_int("i")
             if i < 0:
-                self.err("syzygy index must be nonnegative", name_tok)
+                self.fail("syzygy index must be nonnegative", name_tok)
             decl = ModuleDecl(name, "syzygy", arg=arg, ring=self.module_ring[arg], i=i, loc=loc)
         elif kind == "sum":
             arg = self.ref_module()
             arg2 = self.ref_module()
             if self.module_ring[arg] != self.module_ring[arg2]:
-                self.err("sum of modules over different rings", name_tok)
+                self.fail("sum of modules over different rings", name_tok)
             decl = ModuleDecl(name, "sum", arg=arg, arg2=arg2, ring=self.module_ring[arg], loc=loc)
         else:
-            self.err("expected one of: coker, k, kchi, cut, syzygy, sum", kind_tok)
+            self.fail("expected one of: coker, k, kchi, cut, syzygy, sum", kind_tok)
         self.end_statement()
         self.modules[name] = decl
         self.module_ring[name] = decl.ring
@@ -388,9 +370,9 @@ class _Parser:
             self.expect_sym("..")
             b = self.expect_int("range end")
             if b < a:
-                self.err("empty range")
+                self.fail("empty range")
             if b - a + 1 != len(args["matrices"]):
-                self.err(f"range {a}..{b} needs {b - a + 1} matrices, got {len(args['matrices'])}")
+                self.fail(f"range {a}..{b} needs {b - a + 1} matrices, got {len(args['matrices'])}")
             args["range"] = (a, b)
         elif kind == "reduce":
             args["module"] = self.ref_module()
@@ -415,36 +397,36 @@ class _Parser:
             self.expect_sym("=")
             args["tests"] = self.parse_module_list()
         else:
-            self.err(f"unknown task {kind!r}")
+            self.fail(f"unknown task {kind!r}")
         self.end_statement()
         return TaskDecl(kind, args, loc)
 
     def parse_task_name(self) -> str:
         parts = [self.expect_ident("task name").value]
-        while self.peek().kind == "SYM" and self.peek().value == "-":
-            self.next()
+        while self.at("-"):
+            self.take()
             parts.append(self.expect_ident("task name").value)
         name = "-".join(parts)
         if name not in TASK_KINDS:
-            self.err(f"unknown task {name!r}")
+            self.fail(f"unknown task {name!r}")
         return name
 
     def ref_ring(self) -> str:
         tok = self.expect_ident("ring name")
         if tok.value not in self.rings:
-            self.err(f"unknown ring {tok.value!r}", tok)
+            self.fail(f"unknown ring {tok.value!r}", tok)
         return tok.value
 
     def ref_module(self) -> str:
         tok = self.expect_ident("module name")
         if tok.value not in self.modules:
-            self.err(f"unknown module {tok.value!r}", tok)
+            self.fail(f"unknown module {tok.value!r}", tok)
         return tok.value
 
     def parse_module_list(self) -> Tuple[str, ...]:
         names = [self.ref_module()]
-        while self.peek().kind == "SYM" and self.peek().value == ",":
-            self.next()
+        while self.at(","):
+            self.take()
             names.append(self.ref_module())
         return tuple(names)
 
@@ -456,16 +438,16 @@ class _Parser:
     def parse_int_list(self) -> Tuple[int, ...]:
         self.expect_sym("[")
         vals = []
-        if not (self.peek().kind == "SYM" and self.peek().value == "]"):
+        if not self.at("]"):
             while True:
                 neg = False
-                if self.peek().kind == "SYM" and self.peek().value == "-":
-                    self.next()
+                if self.at("-"):
+                    self.take()
                     neg = True
                 v = self.expect_int()
                 vals.append(-v if neg else v)
-                if self.peek().kind == "SYM" and self.peek().value == ",":
-                    self.next()
+                if self.at(","):
+                    self.take()
                     continue
                 break
         self.expect_sym("]")
@@ -477,76 +459,32 @@ class _Parser:
         while True:
             self.expect_sym("[")
             row = []
-            if not (self.peek().kind == "SYM" and self.peek().value == "]"):
+            if not self.at("]"):
                 while True:
-                    row.append(self.parse_poly(varnames))
-                    if self.peek().kind == "SYM" and self.peek().value == ",":
-                        self.next()
+                    row.append(parse_poly_tokens(self, varnames, self.fp))
+                    if self.at(","):
+                        self.take()
                         continue
                     break
             self.expect_sym("]")
             rows.append(tuple(row))
-            if self.peek().kind == "SYM" and self.peek().value == ",":
-                self.next()
+            if self.at(","):
+                self.take()
                 continue
             break
         self.expect_sym("]")
         if len({len(r) for r in rows}) > 1:
-            self.err("ragged matrix")
+            self.fail("ragged matrix")
         return tuple(rows)
 
     def parse_matrix_list(self, varnames: Tuple[str, ...]) -> tuple:
         self.expect_sym("[")
         mats = [self.parse_matrix(varnames)]
-        while self.peek().kind == "SYM" and self.peek().value == ",":
-            self.next()
+        while self.at(","):
+            self.take()
             mats.append(self.parse_matrix(varnames))
         self.expect_sym("]")
         return tuple(mats)
-
-    def parse_poly(self, varnames: Tuple[str, ...]) -> Polynomial:
-        fp = self.fp
-        nvars = len(varnames)
-        var_index = {v: i for i, v in enumerate(varnames)}
-        acc: Dict[Tuple[int, ...], int] = {}
-        sign = 1
-        if self.peek().kind == "SYM" and self.peek().value in ("+", "-"):
-            sign = -1 if self.next().value == "-" else 1
-        while True:
-            coeff = 1
-            exps = [0] * nvars
-            saw = False
-            while True:
-                tok = self.peek()
-                if tok.kind == "INT":
-                    coeff = (coeff * int(self.next().value)) % fp.p
-                    saw = True
-                elif tok.kind == "IDENT":
-                    if tok.value not in var_index:
-                        self.err(f"unknown variable {tok.value!r}", tok)
-                    self.next()
-                    power = 1
-                    if self.peek().kind == "SYM" and self.peek().value == "^":
-                        self.next()
-                        power = self.expect_int("exponent")
-                    exps[var_index[tok.value]] += power
-                    saw = True
-                else:
-                    self.err("expected a coefficient or a variable", tok)
-                if self.peek().kind == "SYM" and self.peek().value == "*":
-                    self.next()
-                    continue
-                break
-            if not saw:
-                self.err("empty term")
-            e = tuple(exps)
-            acc[e] = (acc.get(e, 0) + sign * coeff) % fp.p
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.value in ("+", "-"):
-                sign = -1 if self.next().value == "-" else 1
-                continue
-            break
-        return Polynomial(fp, nvars, acc)
 
 
 def parse_scenario(text: str) -> Scenario:

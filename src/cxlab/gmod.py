@@ -24,6 +24,8 @@ __all__ = [
     "ModuleMap",
     "IsoVerdict",
     "free_module",
+    "extend_linearly",
+    "block_action",
     "coker_presentation",
     "residue_field",
     "direct_sum",
@@ -130,18 +132,12 @@ class FreeModule(Module):
 
     def __init__(self, algebra: Algebra, gen_degrees: Sequence[int]):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
-        dA = algebra.dim
         degrees = []
         for g in self.gen_degrees:
             degrees.extend(d + g for d in algebra.basis_degrees)
-        actions = []
-        for i in range(algebra.nvars):
-            blk = algebra.variable_action(i).a
-            n = dA * len(self.gen_degrees)
-            arr = np.zeros((n, n), dtype=np.int64)
-            for g in range(len(self.gen_degrees)):
-                arr[g * dA : (g + 1) * dA, g * dA : (g + 1) * dA] = blk
-            actions.append(Mat(algebra.field, arr))
+        identity = np.eye(len(self.gen_degrees), dtype=np.int64)
+        actions = [Mat(algebra.field, np.kron(identity, algebra.variable_action(i).a))
+                   for i in range(algebra.nvars)]
         # the blocks are the regular representation; verifying it once per
         # algebra certifies every block-diagonal power of it
         certified = getattr(algebra, "_regular_rep_ok", False)
@@ -154,23 +150,43 @@ class FreeModule(Module):
     def rank(self) -> int:
         return len(self.gen_degrees)
 
-    def gen_vector(self, g: int) -> np.ndarray:
-        """Basis vector of the g-th generator (the monomial 1 in block g)."""
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[g * self.algebra.dim] = 1
-        return v
-
-    def block(self, vec: np.ndarray, g: int) -> np.ndarray:
+    def generator_columns(self) -> List[int]:
+        """Coordinate of each generator: the monomial 1 in its block."""
         dA = self.algebra.dim
-        return np.asarray(vec[g * dA : (g + 1) * dA], dtype=np.int64)
+        return [g * dA for g in range(self.rank)]
 
     def to_algebra_entries(self, vec: np.ndarray) -> List[AlgebraElement]:
         """Split a coordinate vector into one algebra element per generator."""
-        return [AlgebraElement(self.algebra, self.block(vec, g)) for g in range(self.rank)]
+        return [AlgebraElement(self.algebra, b) for b in np.reshape(vec, (self.rank, self.algebra.dim))]
 
 
 def free_module(algebra: Algebra, gen_degrees: Sequence[int]) -> FreeModule:
     return FreeModule(algebra, gen_degrees)
+
+
+def extend_linearly(target: Module, gen_images: Mat) -> Mat:
+    """Matrix of the A-linear map from a free module into target that sends
+    generator g to column g of gen_images; column (g, m) is m times it."""
+    A = target.algebra
+    rank = gen_images.cols
+    out = np.zeros((target.dim, rank, A.dim), dtype=np.int64)
+    for mi, mono in enumerate(A.basis):
+        out[:, :, mi] = target.monomial_action(mono).a @ gen_images.a % A.field.p
+    return Mat(A.field, out.reshape(target.dim, rank * A.dim))
+
+
+def block_action(n: Module, entries: Sequence[Sequence[AlgebraElement]],
+                 rows: int, cols: int) -> Mat:
+    """Field matrix of a rows x cols matrix over A acting on N^cols -> N^rows:
+    block (i, j) is the action of entries[i][j] on N."""
+    dN = n.dim
+    out = np.zeros((rows * dN, cols * dN), dtype=np.int64)
+    for i in range(rows):
+        for j in range(cols):
+            a = entries[i][j]
+            if not a.is_zero():
+                out[i * dN : (i + 1) * dN, j * dN : (j + 1) * dN] = n.element_action(a).a
+    return Mat(n.field, out)
 
 
 def realize_algebra_matrix(src: FreeModule, tgt: FreeModule,
@@ -178,23 +194,12 @@ def realize_algebra_matrix(src: FreeModule, tgt: FreeModule,
     """Field-linear matrix of the map src -> tgt given by a matrix over A.
 
     entries[i][j] is the coefficient of generator i of tgt on generator j of
-    src; basis column (g, m) maps to the coordinates of entries[.][g] * m.
+    src; basis column (g, m) maps to the coordinates of entries[.][g] * m,
+    which is the action of the entries on the rank-one free module A.
     """
-    A = src.algebra
     if len(entries) != tgt.rank or any(len(r) != src.rank for r in entries):
         raise InputError("entry matrix shape does not match generator counts")
-    out = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-    dA = A.dim
-    for j in range(src.rank):
-        col_elts = [entries[i][j] for i in range(tgt.rank)]
-        for mi, mono in enumerate(A.basis):
-            col = j * dA + mi
-            for i, a in enumerate(col_elts):
-                if a.is_zero():
-                    continue
-                prod = a * A.basis_element(mi)
-                out[i * dA : (i + 1) * dA, col] = prod.vec
-    return Mat(A.field, out)
+    return block_action(free_module(src.algebra, [0]), entries, tgt.rank, src.rank)
 
 
 def residue_field(algebra: Algebra) -> Module:
@@ -489,13 +494,8 @@ def coker_presentation(algebra: Algebra, entries: Sequence[Sequence[AlgebraEleme
             col_degs.add(d + row_degrees[i])
         if len(col_degs) != 1:
             raise InputError(f"column {j} has ambiguous degree {sorted(col_degs)}")
-    dA = algebra.dim
-    span = []
+    columns = np.zeros((F.dim, ncols), dtype=np.int64)
     for j in range(ncols):
-        col = np.zeros(F.dim, dtype=np.int64)
-        for i in range(rows):
-            col[i * dA : (i + 1) * dA] = entries[i][j].vec
-        for e in algebra.basis:
-            span.append(F.monomial_action(e).a @ col % algebra.field.p)
-    span_rows = Mat.from_rows(algebra.field, span, cols=F.dim) if span else Mat.zeros(algebra.field, 0, F.dim)
+        columns[:, j] = np.concatenate([entries[i][j].vec for i in range(rows)])
+    span_rows = extend_linearly(F, Mat(algebra.field, columns)).transpose()
     return quotient_by_span(F, span_rows, provenance="coker").module

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .exactla import Field, Mat, rref
 __all__ = [
     "Polynomial",
     "parse_polynomial",
+    "parse_poly_tokens",
+    "Token",
+    "TokenStream",
     "Algebra",
     "AlgebraElement",
     "build_algebra",
@@ -178,76 +181,102 @@ class Polynomial:
         return f"Polynomial({self.text(names)} over F_{self.field.p})"
 
 
-_TERM_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|[\^\*\+\-])")
+class Token(NamedTuple):
+    kind: str   # INT, IDENT, SYM; any other kind ends a polynomial
+    value: str
+    line: int
+    col: int
+
+
+class TokenStream:
+    """Tokens read with peek() and take(); fail() raises an error at a token."""
+
+    def __init__(self, tokens: List[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def take(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def at(self, *symbols: str) -> bool:
+        """True when the next token is one of the given symbols."""
+        tok = self.peek()
+        return tok.kind == "SYM" and tok.value in symbols
+
+    def fail(self, message: str, tok: Token):
+        raise InputError(f"column {tok.col}: {message}")
+
+
+_POLY_TOKEN = re.compile(r"\s*(?:(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)|(?P<INT>\d+)|(?P<SYM>[\^\*\+\-]))")
+
+
+def _poly_tokens(text: str) -> List[Token]:
+    tokens: List[Token] = []
+    pos = 0
+    while (m := _POLY_TOKEN.match(text, pos)) is not None:
+        tokens.append(Token(m.lastgroup, m.group(m.lastgroup), 1, m.start(m.lastgroup) + 1))
+        pos = m.end()
+    if text[pos:].strip():
+        raise InputError(f"bad polynomial syntax near {text[pos:pos+10]!r}")
+    return tokens + [Token("END", "", 1, len(text) + 1)]
+
+
+def parse_poly_tokens(stream: TokenStream, varnames: Sequence[str], field: Field) -> Polynomial:
+    """The polynomial grammar: terms like ``c*x1^2*x3`` joined by +/-, with an
+    optional leading sign.
+
+    Parsing stops before the first token that cannot continue the
+    polynomial; errors are raised by stream.fail at the offending token.
+    Coefficients are integer literals reduced mod p; a bare monomial has
+    coefficient 1.
+    """
+    var_index = {name: i for i, name in enumerate(varnames)}
+    acc: Dict[Monomial, int] = {}
+    sign = 1
+    if stream.at("+", "-"):
+        sign = -1 if stream.take().value == "-" else 1
+    while True:
+        coeff = 1
+        exps = [0] * len(varnames)
+        while True:
+            tok = stream.take()
+            if tok.kind == "INT":
+                coeff = (coeff * int(tok.value)) % field.p
+            elif tok.kind == "IDENT":
+                if tok.value not in var_index:
+                    stream.fail(f"unknown variable {tok.value!r}", tok)
+                power = 1
+                if stream.at("^"):
+                    stream.take()
+                    if stream.peek().kind != "INT":
+                        stream.fail("expected an integer exponent after '^'", stream.peek())
+                    power = int(stream.take().value)
+                exps[var_index[tok.value]] += power
+            else:
+                stream.fail("expected a coefficient or a variable", tok)
+            if not stream.at("*"):
+                break
+            stream.take()
+        e = tuple(exps)
+        acc[e] = (acc.get(e, 0) + sign * coeff) % field.p
+        if not stream.at("+", "-"):
+            return Polynomial(field, len(varnames), acc)
+        sign = -1 if stream.take().value == "-" else 1
 
 
 def parse_polynomial(text: str, varnames: Sequence[str], field: Field) -> Polynomial:
-    """Parse the shared polynomial syntax: terms like ``c*x1^2*x3`` joined by +/-.
-
-    Coefficients are integer literals reduced mod p; whitespace is
-    insignificant; a bare monomial has coefficient 1.
-    """
-    var_index = {name: i for i, name in enumerate(varnames)}
-    nvars = len(varnames)
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TERM_TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise InputError(f"bad polynomial syntax near {text[pos:pos+10]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    if not tokens:
-        raise InputError("empty polynomial")
-
-    acc: Dict[Monomial, int] = {}
-    i = 0
-    sign = 1
-    if tokens[0] in "+-":
-        sign = -1 if tokens[0] == "-" else 1
-        i = 1
-    while i < len(tokens):
-        coeff = 1
-        exps = [0] * nvars
-        expect_factor = True
-        saw_factor = False
-        while i < len(tokens) and tokens[i] not in "+-":
-            tok = tokens[i]
-            if tok == "*":
-                if expect_factor:
-                    raise InputError("unexpected '*' in polynomial")
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                raise InputError(f"missing '*' before {tok!r} in polynomial")
-            if tok.isdigit():
-                coeff = (coeff * int(tok)) % field.p
-            else:
-                if tok not in var_index:
-                    raise InputError(f"unknown variable {tok!r}")
-                power = 1
-                if i + 1 < len(tokens) and tokens[i + 1] == "^":
-                    if i + 2 >= len(tokens) or not tokens[i + 2].isdigit():
-                        raise InputError("expected integer exponent after '^'")
-                    power = int(tokens[i + 2])
-                    i += 2
-                exps[var_index[tok]] += power
-            expect_factor = False
-            saw_factor = True
-            i += 1
-        if not saw_factor:
-            raise InputError("empty term in polynomial")
-        e = tuple(exps)
-        acc[e] = (acc.get(e, 0) + sign * coeff) % field.p
-        if i < len(tokens):
-            sign = -1 if tokens[i] == "-" else 1
-            i += 1
-            if i == len(tokens):
-                raise InputError("dangling sign at end of polynomial")
-    return Polynomial(field, nvars, acc)
+    """Parse one polynomial in the shared syntax (see parse_poly_tokens);
+    whitespace is insignificant."""
+    stream = TokenStream(_poly_tokens(text))
+    poly = parse_poly_tokens(stream, varnames, field)
+    if stream.peek().kind != "END":
+        stream.fail(f"unexpected {stream.peek().value!r} after the polynomial", stream.peek())
+    return poly
 
 
 class _DegreeSlice:
@@ -499,7 +528,9 @@ class AlgebraElement:
         for i in nz1:
             ci = int(self.vec[i])
             for j in nz2:
-                acc = (acc + ci * int(other.vec[j]) * self.algebra.product_of_basis(int(i), int(j))) % p
+                # reduce the scalar first so each term stays below p^2 < 2^62
+                c = ci * int(other.vec[j]) % p
+                acc = (acc + c * self.algebra.product_of_basis(int(i), int(j))) % p
         return AlgebraElement(self.algebra, acc)
 
     def to_polynomial(self) -> Polynomial:

@@ -16,7 +16,15 @@ import numpy as np
 from .errors import InputError
 from .exactla import Mat, kernel_basis
 from .gralg import Algebra, AlgebraElement
-from .gmod import FreeModule, Module, free_module, min_generators, submodule_from_span
+from .gmod import (
+    FreeModule,
+    Module,
+    extend_linearly,
+    free_module,
+    min_generators,
+    realize_algebra_matrix,
+    submodule_from_span,
+)
 
 __all__ = [
     "MinimalFreeResolution",
@@ -61,25 +69,18 @@ class MinimalFreeResolution:
         K = self._syz[i]
         gens = min_generators(K)
         F = free_module(A, [d for _, d in gens])
-        # realized map F -> K: column (g, m) is the action of m on the g-th lift
-        eps = np.zeros((K.dim, F.dim), dtype=np.int64)
-        dA = A.dim
-        for g, (vec, _) in enumerate(gens):
-            for mi, mono in enumerate(A.basis):
-                eps[:, g * dA + mi] = K.monomial_action(mono).a @ vec % A.field.p
-        eps_mat = Mat(A.field, eps)
+        # realized map F -> K, sending the g-th generator to the g-th lift
+        lifts = np.array([vec for vec, _ in gens], dtype=np.int64).reshape(len(gens), K.dim)
+        eps_mat = extend_linearly(K, Mat(A.field, lifts.T))
         self.frees.append(F)
         if i == 0:
             self.augmentation = eps_mat
         else:
-            inc = self._syz_inc[i]
-            d_real = inc @ eps_mat
+            d_real = self._syz_inc[i] @ eps_mat
             prev_free = self.frees[i - 1]
             d_alg = [[None] * F.rank for _ in range(prev_free.rank)]
-            for g in range(F.rank):
-                w = (inc.a @ gens[g][0]) % A.field.p
-                col_entries = prev_free.to_algebra_entries(w)
-                for r, a in enumerate(col_entries):
+            for g, col in enumerate(F.generator_columns()):
+                for r, a in enumerate(prev_free.to_algebra_entries(d_real.a[:, col])):
                     # minimality: constructive generator choice keeps entries in m
                     assert a.constant_term() == 0, "differential entry has a unit component"
                     d_alg[r][g] = a
@@ -312,8 +313,6 @@ def verify_complex(algebra: Algebra, matrices: Sequence[Sequence[Sequence[Algebr
             if len(degs) != 1:
                 raise InputError(f"column {j} of matrix {start_index + idx} has ambiguous degree")
             col_degrees.append(degs.pop())
-        from .gmod import realize_algebra_matrix
-
         F_next = free_module(algebra, col_degrees)
         realized.append(realize_algebra_matrix(F_next, frees[-1], mat))
         frees.append(F_next)

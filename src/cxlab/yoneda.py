@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .exactla import Mat, kernel_basis, rref, solve_matrix
-from .gmod import Module, direct_sum, quotient_by_span, shift
+from .gmod import Module, block_action, direct_sum, extend_linearly, quotient_by_span, shift
 from .gralg import is_gorenstein
 from .resol import ComplexityEstimate, MinimalFreeResolution, estimate_complexity, resolve
 
@@ -81,34 +81,15 @@ def _hom_shifts(res: MinimalFreeResolution, n: Module, i: int) -> np.ndarray:
 
 def _hom_differential(res: MinimalFreeResolution, n: Module, i: int) -> Mat:
     """delta^i : Hom(F_i, N) -> Hom(F_{i+1}, N), phi -> phi o d_{i+1}."""
-    A = res.module.algebra
     d = res.diff_algebra(i + 1)
     Fi, Fi1 = res.free(i), res.free(i + 1)
-    dN = n.dim
-    out = np.zeros((Fi1.rank * dN, Fi.rank * dN), dtype=np.int64)
-    for h in range(Fi1.rank):
-        for g in range(Fi.rank):
-            a = d[g][h]
-            if a.is_zero():
-                continue
-            out[h * dN : (h + 1) * dN, g * dN : (g + 1) * dN] = n.element_action(a).a
-    return Mat(A.field, out)
+    transposed = [[d[g][h] for g in range(Fi.rank)] for h in range(Fi1.rank)]
+    return block_action(n, transposed, Fi1.rank, Fi.rank)
 
 
 def _tensor_differential(res: MinimalFreeResolution, n: Module, i: int) -> Mat:
     """d_i (x) 1 : F_i (x) N -> F_{i-1} (x) N."""
-    A = res.module.algebra
-    d = res.diff_algebra(i)
-    Fi, Fi_1 = res.free(i), res.free(i - 1)
-    dN = n.dim
-    out = np.zeros((Fi_1.rank * dN, Fi.rank * dN), dtype=np.int64)
-    for h in range(Fi_1.rank):
-        for g in range(Fi.rank):
-            a = d[h][g]
-            if a.is_zero():
-                continue
-            out[h * dN : (h + 1) * dN, g * dN : (g + 1) * dN] = n.element_action(a).a
-    return Mat(A.field, out)
+    return block_action(n, res.diff_algebra(i), res.free(i - 1).rank, res.free(i).rank)
 
 
 def ext_table(m: Module, n: Module, max_degree: int) -> List[int]:
@@ -151,6 +132,17 @@ def tor_table(m: Module, n: Module, max_degree: int) -> List[int]:
 # -- cocycles -----------------------------------------------------------------
 
 
+def _reduce_mod_rows(v: np.ndarray, echelon, p: int) -> np.ndarray:
+    """v reduced modulo the row space of a reduced echelon form (R, pivots, rank)."""
+    R, pivots, _ = echelon
+    v = v.copy()
+    for r, pc in enumerate(pivots):
+        c = int(v[pc])
+        if c:
+            v = (v - c * R.a[r]) % p
+    return v
+
+
 @dataclass
 class ExtElement:
     """A class in Ext^t(M, N) held as a cocycle F_t -> N.
@@ -178,24 +170,23 @@ class ExtElement:
     def source(self) -> Module:
         return self.resolution.module
 
+    @classmethod
+    def from_realized(cls, resolution: MinimalFreeResolution, target: Module, degree: int,
+                      phi: Mat, shift: int) -> "ExtElement":
+        """The element whose realized map F_t -> N is phi; inverse of realized()."""
+        gens = resolution.free(degree).generator_columns()
+        return cls(resolution, target, degree, phi.a[:, gens].T.reshape(-1), shift)
+
     def realized(self) -> Mat:
         """The representing map as a matrix on realized coordinates F_t -> N."""
         F = self.resolution.free(self.degree)
-        dN = self.target.dim
-        gen_images = Mat(self.target.field, self.rep.reshape(F.rank, dN).T)
-        return _extend_a_linearly(F, self.target, gen_images)
+        gen_images = Mat(self.target.field, self.rep.reshape(F.rank, self.target.dim).T)
+        return extend_linearly(self.target, gen_images)
 
     def class_residual(self) -> np.ndarray:
         """Canonical coset representative: rep reduced modulo coboundaries."""
         prev = _hom_differential(self.resolution, self.target, self.degree - 1)
-        R, piv, _ = rref(prev.transpose())
-        p = self.target.field.p
-        v = self.rep.copy()
-        for r, pc in enumerate(piv):
-            c = int(v[pc])
-            if c:
-                v = (v - c * R.a[r]) % p
-        return v
+        return _reduce_mod_rows(self.rep, rref(prev.transpose()), self.target.field.p)
 
     def is_zero_class(self) -> bool:
         return not self.class_residual().any()
@@ -234,15 +225,8 @@ def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
             continue
         src = np.nonzero(in_shifts == s)[0]
         img_rows = (delta_prev.a[np.ix_(cols, src)]).T if src.size else np.zeros((0, cols.size), dtype=np.int64)
-        R_img, piv_img, rank_img = rref(Mat(m.field, img_rows))
-        reduced = []
-        for j in range(ker.cols):
-            v = ker.a[:, j].copy()
-            for r, pc in enumerate(piv_img):
-                c = int(v[pc])
-                if c:
-                    v = (v - c * R_img.a[r]) % p
-            reduced.append(v)
+        img_rref = rref(Mat(m.field, img_rows))
+        reduced = [_reduce_mod_rows(ker.a[:, j], img_rref, p) for j in range(ker.cols)]
         R_cls, _, rank_cls = rref(Mat(m.field, np.array(reduced, dtype=np.int64).reshape(len(reduced), cols.size)))
         for r in range(rank_cls):
             rep = np.zeros(delta_t.cols, dtype=np.int64)
@@ -254,23 +238,6 @@ def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
 
 
 # -- chain lifting and Yoneda powers ------------------------------------------
-
-
-def _extend_a_linearly(src_free, target: Module, gen_images: Mat) -> Mat:
-    """The A-linear map src_free -> target sending generator g to column g."""
-    A = src_free.algebra
-    dA = A.dim
-    out = np.zeros((target.dim, src_free.dim), dtype=np.int64)
-    for g in range(src_free.rank):
-        u = gen_images.a[:, g]
-        for mi, mono in enumerate(A.basis):
-            out[:, g * dA + mi] = target.monomial_action(mono).a @ u % A.field.p
-    return Mat(A.field, out)
-
-
-def _gen_columns(free) -> List[int]:
-    dA = free.algebra.dim
-    return [g * dA for g in range(free.rank)]
 
 
 def _lift_chain_map(eta: ExtElement, upto: int) -> List[Mat]:
@@ -286,17 +253,16 @@ def _lift_chain_map(eta: ExtElement, upto: int) -> List[Mat]:
     t = eta.degree
     res.extend(t + upto + 1)
     phi = eta.realized()
-    p = eta.target.field.p
-    gen_rhs = Mat(eta.target.field, phi.a[:, _gen_columns(res.free(t))])
+    gen_rhs = Mat(eta.target.field, phi.a[:, res.free(t).generator_columns()])
     U = solve_matrix(res.augmentation, gen_rhs)
     assert U is not None, "augmentation is surjective, lift must exist"
-    thetas = [_extend_a_linearly(res.free(t), res.free(0), U)]
+    thetas = [extend_linearly(res.free(0), U)]
     for i in range(1, upto + 1):
         rhs_full = thetas[i - 1] @ res.diff_realized(t + i)
-        gen_rhs = Mat(eta.target.field, rhs_full.a[:, _gen_columns(res.free(t + i))])
+        gen_rhs = Mat(eta.target.field, rhs_full.a[:, res.free(t + i).generator_columns()])
         U = solve_matrix(res.diff_realized(i), gen_rhs)
         assert U is not None, "chain lift failed below an exact step"
-        thetas.append(_extend_a_linearly(res.free(t + i), res.free(i), U))
+        thetas.append(extend_linearly(res.free(i), U))
     return thetas
 
 
@@ -319,13 +285,7 @@ def yoneda_power(eta: ExtElement, s: int) -> ExtElement:
     comp = eta.realized()
     for j in range(1, s):
         comp = comp @ thetas[j * t]  # theta_{jt}: F_{(j+1)t} -> F_{jt}
-    F_st = res.free(s * t)
-    dN = eta.target.dim
-    dA = eta.source.algebra.dim
-    rep = np.zeros(F_st.rank * dN, dtype=np.int64)
-    for g in range(F_st.rank):
-        rep[g * dN : (g + 1) * dN] = comp.a[:, g * dA]
-    return ExtElement(res, eta.target, s * t, rep, eta.shift * s)
+    return ExtElement.from_realized(res, eta.target, s * t, comp, eta.shift * s)
 
 
 def pushout(eta: ExtElement) -> "PushoutExtension":

@@ -8,6 +8,7 @@ from conftest import SCENARIO_DIR
 
 GASHAROV = (SCENARIO_DIR / "gasharov.cx").read_text()
 QUADRIC = (SCENARIO_DIR / "quadric_ci.cx").read_text()
+GOLDEN_DIR = SCENARIO_DIR.parent / "perfbench" / "golden"
 
 
 def test_parse_gasharov_scenario():
@@ -43,6 +44,13 @@ def test_parse_semantic_errors():
         parse_scenario("field p = 5\nring A = [x] / (y^2)\n")
     with pytest.raises(ScenarioError, match="out of range"):
         parse_scenario("field p = 5\nring A = [x,y] / (x^2,y^2)\nmodule T = kchi A j=3\n")
+
+
+def test_parse_error_points_at_unknown_variable():
+    text = "field p = 5\nring A = [x, y] / (x^2, x*y + 2*z*x)\n"
+    with pytest.raises(ScenarioError, match="unknown variable 'z'") as exc:
+        parse_scenario(text)
+    assert (exc.value.line, exc.value.col) == (2, 33)
 
 
 def test_parse_roundtrip_shipped_scenarios():
@@ -145,3 +153,10 @@ def test_main_json_output(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["tasks"][0]["result"]["betti"] == [1, 1, 1, 1, 1]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["quadric_ci", "gasharov"])
+def test_shipped_scenario_json_matches_golden(name):
+    text = (SCENARIO_DIR / f"{name}.cx").read_text()
+    golden = (GOLDEN_DIR / f"{name}.json").read_text()
+    assert run(parse_scenario(text), RunOptions()).to_json() == golden

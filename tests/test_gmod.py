@@ -12,6 +12,7 @@ from cxlab.gmod import (
     hom_space,
     is_isomorphic,
     min_generators,
+    realize_algebra_matrix,
     residue_field,
     shift,
 )
@@ -60,6 +61,21 @@ def test_coker_gasharov_dimension(gasharov, gasharov_module):
         for mono in gasharov.basis:
             cols.append((F.monomial_action(mono).a @ col % 5).tolist())
     assert F.dim - gauss_rank(cols, 5) == gasharov_module.dim
+
+
+def test_realize_algebra_matrix_entrywise(gasharov):
+    from cxlab.gralg import parse_polynomial
+    from conftest import GASHAROV_VARS
+
+    pe = lambda s: gasharov.nf_polynomial(parse_polynomial(s, GASHAROV_VARS, F5))
+    entries = [[pe("x1"), pe("0")], [pe("2*x3+x4"), pe("x2*x5")], [pe("1+x3"), pe("3*x4^2")]]
+    got = realize_algebra_matrix(free_module(gasharov, [0, 0]), free_module(gasharov, [0, 0, 0]), entries).a
+    dA = gasharov.dim
+    for i, row in enumerate(entries):
+        for j, a in enumerate(row):
+            for m in range(dA):
+                assert np.array_equal(got[i * dA : (i + 1) * dA, j * dA + m],
+                                      (a * gasharov.basis_element(m)).vec)
 
 
 def test_residue_sum_shift(A, k):

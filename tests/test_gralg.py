@@ -174,9 +174,19 @@ def test_polynomial_parse_and_text_roundtrip():
 
 
 def test_polynomial_parse_errors():
-    with pytest.raises(InputError):
-        parse_polynomial("z^2", ["x"], F5)
+    with pytest.raises(InputError, match="column 5: unknown variable 'z'"):
+        parse_polynomial("x + z^2", ["x"], F5)
     with pytest.raises(InputError):
         parse_polynomial("x^", ["x"], F5)
     with pytest.raises(InputError):
         parse_polynomial("", ["x"], F5)
+    with pytest.raises(InputError):
+        parse_polynomial("x*", ["x"], F5)
+
+
+def test_product_near_the_largest_prime():
+    # each term c_i * c_j * (basis product) must be reduced before it can overflow int64
+    F = Field(2**31 - 1)
+    A = build_algebra(F, 2, [parse_polynomial(s, XY, F) for s in ["x^2+7*y^2", "x*y"]], varnames=XY)
+    pe = lambda s: A.nf_polynomial(parse_polynomial(s, XY, F))
+    assert multiply(pe("-2*x-3*y"), pe("-5*x-11*y")) == pe("-37*y^2")
