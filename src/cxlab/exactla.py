@@ -1,10 +1,15 @@
 """Exact dense linear algebra over prime fields F_p.
 
 This is the sole arithmetic substrate of the engine.  Matrices are int64
-arrays with entries normalized to [0, p); every operation is exact modular
-arithmetic, no floating point anywhere.  Pivoting is deterministic (first
-nonzero entry in column order), so all derived bases are reproducible
-across runs and platforms.
+arrays with entries normalized to [0, p); every operation returns the exact
+residues.  Products run through float64 BLAS only where that is exact: a
+sum of k products of residues is at most k(p-1)^2, and while that is below
+2^53 every partial sum is an integer that float64 represents exactly, in
+any summation order and with or without fused multiply-add (the bound of
+FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Larger
+primes split each operand into 16-bit limbs first.  Pivoting is
+deterministic (first nonzero entry in column order), so all derived bases
+are reproducible across runs and platforms.
 """
 from __future__ import annotations
 
@@ -53,19 +58,48 @@ class Field:
         return np.asarray(arr, dtype=np.int64) % self.p
 
 
+# Below this many multiply-adds an int64 product beats BLAS with its float64
+# conversions; the int64 path is taken only where it cannot overflow.
+_INT64_MAX_MADDS = 4096
+_LIMB_BITS = 16
+# Limb products are below 2^32, so fewer than 2^21 of them sum exactly in float64.
+_LIMB_CHUNK = 2**21
+
+
+def _f64_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through float64 BLAS; exact while every sum stays below 2^53."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+
+
+def _limb_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for p < 2^31 and fewer than 2^21 inner terms.
+
+    With a = a1·2^16 + a0 and b likewise, a1, b1 < 2^15 and a0, b0 < 2^16,
+    so each limb sum is below 2^21·2^32 = 2^53 and exact in float64.
+    """
+    a1, a0 = np.divmod(a, 1 << _LIMB_BITS)
+    b1, b0 = np.divmod(b, 1 << _LIMB_BITS)
+    hi = _f64_product(a1, b1) % p
+    mid = (_f64_product(a1, b0) + _f64_product(a0, b1)) % p
+    lo = _f64_product(a0, b0)
+    # each term stays below 2^62, so the sum fits in int64
+    return (hi * (2 ** (2 * _LIMB_BITS) % p) + (mid << _LIMB_BITS) + lo) % p
+
+
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p without int64 overflow (entries of a, b lie in [0, p))."""
-    k = a.shape[1]
-    if k == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    # at most `chunk` products of size < p^2 may be summed before reducing
-    chunk = max(1, (2**62) // max(1, (p - 1) ** 2))
-    if k <= chunk:
+    """a @ b mod p, exact (entries of a, b lie in [0, p))."""
+    m, k = a.shape
+    n = b.shape[1]
+    bound = k * (p - 1) ** 2  # the largest possible entry of a @ b
+    if m * k * n < _INT64_MAX_MADDS and bound < 2**63:
         return (a @ b) % p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, k, chunk):
-        acc = (acc + a[:, s : s + chunk] @ b[s : s + chunk, :]) % p
-    return acc
+    if bound < 2**53:
+        return _f64_product(a, b) % p
+    out = np.zeros((m, n), dtype=np.int64)
+    for s in range(0, k, _LIMB_CHUNK):
+        out += _limb_product(a[:, s : s + _LIMB_CHUNK], b[s : s + _LIMB_CHUNK], p)
+        out %= p
+    return out
 
 
 class Mat:
@@ -185,9 +219,14 @@ class Mat:
             raise InputError("matrices over different fields")
 
 
-def _rref_array(a: np.ndarray, p: int):
-    """In-place style RREF on a copy; returns (array, pivot column list)."""
-    A = a.copy()
+# Below this many cells the whole matrix is eliminated at once: finding the
+# blocks and eliminating them one by one costs more than it saves (measured
+# on the matrices the engine builds, the crossover is near 4096 cells).
+_BLOCK_MIN_CELLS = 4096
+
+
+def _eliminate(A: np.ndarray, p: int):
+    """RREF of A in place; returns (A, pivot column list)."""
     rows, cols = A.shape
     pivots = []
     r = 0
@@ -212,6 +251,60 @@ def _rref_array(a: np.ndarray, p: int):
     return A, pivots
 
 
+def _blocks(a: np.ndarray):
+    """(rows, columns) index arrays of each connected component of the
+    bipartite graph joining row i to column j where a[i, j] != 0.
+
+    Permuted that way, a is block-diagonal.  Every column is labelled by the
+    smallest column of its component, found by min-label propagation through
+    the rows with pointer jumping; zero rows and columns belong to no block.
+    """
+    r, c = np.nonzero(a)
+    nrows, ncols = a.shape
+    label = np.arange(ncols)
+    while True:
+        row_label = np.full(nrows, ncols)
+        np.minimum.at(row_label, r, label[c])
+        new = label.copy()
+        np.minimum.at(new, c, row_label[r])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    rows = np.flatnonzero(row_label < ncols)
+    used = np.zeros(ncols, dtype=bool)
+    used[c] = True
+    cols = np.flatnonzero(used)
+    # sorted by label, rows and columns list the components in the same order
+    rows = rows[np.argsort(row_label[rows], kind="stable")]
+    cols = cols[np.argsort(label[cols], kind="stable")]
+    row_cuts = np.flatnonzero(np.diff(row_label[rows])) + 1
+    col_cuts = np.flatnonzero(np.diff(label[cols])) + 1
+    return list(zip(np.split(rows, row_cuts), np.split(cols, col_cuts)))
+
+
+def _rref_array(a: np.ndarray, p: int):
+    """RREF of a copy of a; returns (array, pivot column list).
+
+    A large matrix is eliminated one block of its nonzero pattern at a time.
+    For a fixed column order the RREF of a row space is unique, and the row
+    space of a block-diagonal matrix is the direct sum of its blocks' row
+    spaces, so the reduced blocks, merged by pivot column, are exactly the
+    RREF of the whole matrix.
+    """
+    if a.size < _BLOCK_MIN_CELLS:
+        return _eliminate(a.copy(), p)
+    reduced = []
+    for rows, cols in _blocks(a):
+        B, piv = _eliminate(a[np.ix_(rows, cols)], p)
+        reduced.extend((int(cols[j]), cols, B[i]) for i, j in enumerate(piv))
+    reduced.sort(key=lambda t: t[0])
+    out = np.zeros_like(a)
+    for i, (_, cols, row) in enumerate(reduced):
+        out[i, cols] = row
+    return out, [pc for pc, _, _ in reduced]
+
+
 def rref(m: Mat):
     """Reduced row-echelon form.
 
@@ -230,13 +323,10 @@ def kernel_basis(m: Mat) -> Mat:
     column, so the basis is canonical for a given input.
     """
     R, pivots, rank = rref(m)
-    p = m.field.p
-    free = [j for j in range(m.cols) if j not in set(pivots)]
+    free = np.setdiff1d(np.arange(m.cols), pivots)
     K = np.zeros((m.cols, len(free)), dtype=np.int64)
-    for idx, f in enumerate(free):
-        K[f, idx] = 1
-        for r, pc in enumerate(pivots):
-            K[pc, idx] = (-int(R.a[r, f])) % p
+    K[free, np.arange(len(free))] = 1
+    K[list(pivots)] = -R.a[:rank, free]
     return Mat(m.field, K)
 
 
@@ -258,6 +348,5 @@ def solve_matrix(m: Mat, B: Mat) -> Optional[Mat]:
     if any(pc >= m.cols for pc in pivots):
         return None
     X = np.zeros((m.cols, B.cols), dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        X[pc, :] = R[r, m.cols :]
+    X[pivots] = R[: len(pivots), m.cols :]
     return Mat(m.field, X)

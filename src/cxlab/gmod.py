@@ -171,7 +171,7 @@ def extend_linearly(target: Module, gen_images: Mat) -> Mat:
     rank = gen_images.cols
     out = np.zeros((target.dim, rank, A.dim), dtype=np.int64)
     for mi, mono in enumerate(A.basis):
-        out[:, :, mi] = target.monomial_action(mono).a @ gen_images.a % A.field.p
+        out[:, :, mi] = (target.monomial_action(mono) @ gen_images).a
     return Mat(A.field, out.reshape(target.dim, rank * A.dim))
 
 
@@ -406,24 +406,15 @@ def quotient_by_span(m: Module, span_rows: Mat, provenance: str = "quotient",
     """
     if span_rows.cols != m.dim:
         raise InputError("span vectors have the wrong length")
-    p = m.field.p
     R, pivots, rank = rref(span_rows)
-    nonpivot = [j for j in range(m.dim) if j not in set(pivots)]
+    nonpivot = np.setdiff1d(np.arange(m.dim), pivots)
     for r in range(rank):
         _row_degree(m, R.a[r])
-    proj = np.zeros((len(nonpivot), m.dim), dtype=np.int64)
-    pos = {j: q for q, j in enumerate(nonpivot)}
-    for j in nonpivot:
-        proj[pos[j], j] = 1
-    for r, pc in enumerate(pivots):
-        for j in nonpivot:
-            c = int(R.a[r, j])
-            if c:
-                proj[pos[j], pc] = (-c) % p
-    P = Mat(m.field, proj)
     lift = np.zeros((m.dim, len(nonpivot)), dtype=np.int64)
-    for q, j in enumerate(nonpivot):
-        lift[j, q] = 1
+    lift[nonpivot, np.arange(len(nonpivot))] = 1
+    proj = lift.T.copy()
+    proj[:, list(pivots)] = -R.a[:rank, nonpivot].T
+    P = Mat(m.field, proj)
     L = Mat(m.field, lift)
     # invariance of the span: the induced actions are well defined
     Rt = R.transpose()
@@ -455,10 +446,10 @@ def submodule_from_span(m: Module, span_rows: Mat, provenance: str = "submodule"
     actions = []
     for i in range(m.algebra.nvars):
         img = m.actions[i] @ inc  # ambient coords of X_i applied to each basis row
-        coords = img.a[list(pivots), :] if rank else np.zeros((0, rank), dtype=np.int64)
+        coords = Mat(m.field, img.a[list(pivots)])
         # reconstruction check: the span is closed under the action
-        assert np.array_equal((inc.a @ coords) % m.field.p, img.a), "span is not closed under the action"
-        actions.append(Mat(m.field, coords))
+        assert inc @ coords == img, "span is not closed under the action"
+        actions.append(coords)
     sub = Module(m.algebra, degrees, actions, provenance=provenance)
     return Submodule(sub, inc)
 

@@ -164,7 +164,7 @@ class ExtElement:
             raise InputError("Ext elements live in positive degrees")
         self.rep = np.asarray(self.rep, dtype=np.int64) % self.target.field.p
         delta = _hom_differential(self.resolution, self.target, self.degree)
-        assert not ((delta.a @ self.rep) % self.target.field.p).any(), "not a cocycle"
+        assert (delta @ Mat(self.target.field, self.rep.reshape(-1, 1))).is_zero(), "not a cocycle"
 
     @property
     def source(self) -> Module:

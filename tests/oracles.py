@@ -11,58 +11,41 @@ from itertools import product
 from math import comb
 
 
-def gauss_rank(rows, p):
-    """Row-reduce a list of row lists over F_p and return the rank."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+def gauss_rref(rows, p, ncols):
+    """Reduced row-echelon form of a list-of-rows matrix over F_p.
+
+    Returns (reduced rows, pivot columns); zero rows end up last.
+    """
+    rows = [[v % p for v in r] for r in rows]
+    pivots = []
     for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col] % p, p - 2, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col] % p
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
+        rank = len(pivots)
         if rank == len(rows):
             break
-    return rank
-
-
-def gauss_nullspace(matrix, p):
-    """Null space basis (list of column vectors) of a list-of-rows matrix."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col] % p:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col] % p, p - 2, p)
+        inv = pow(rows[rank][col], p - 2, p)
         rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col] % p
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
                 rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
         pivots.append(col)
-        rank += 1
+    return rows, pivots
+
+
+def gauss_rank(rows, p):
+    """Row-reduce a list of row lists over F_p and return the rank."""
+    return len(_pivot_cols(rows, p))
+
+
+def gauss_nullspace(matrix, p, ncols=None):
+    """Null space basis (list of column vectors) of a list-of-rows matrix."""
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
+    rows, pivots = gauss_rref(matrix, p, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -72,6 +55,29 @@ def gauss_nullspace(matrix, p):
             vec[pc] = (-rows[r][f]) % p
         basis.append(vec)
     return basis
+
+
+def matmul_mod(rows, cols, p):
+    """Product over F_p of the matrix with the given rows and the matrix with
+    the given columns, entry by entry in Python integers."""
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in rows]
+
+
+def solve_matrix(matrix, rhs_cols, p, ncols):
+    """The solution X of matrix @ X = rhs whose free coordinates are zero,
+    or None when some column of rhs is not in the column space.
+
+    matrix is a list of rows with ncols entries, rhs is given by columns.
+    """
+    nrhs = len(rhs_cols)
+    aug = [row + [col[i] for col in rhs_cols] for i, row in enumerate(matrix)]
+    rows, pivots = gauss_rref(aug, p, ncols + nrhs)
+    if any(pc >= ncols for pc in pivots):
+        return None
+    X = [[0] * nrhs for _ in range(ncols)]
+    for r, pc in enumerate(pivots):
+        X[pc] = rows[r][ncols:]
+    return X
 
 
 def poly_mul(a, b, p):
@@ -215,30 +221,7 @@ def naive_betti_sequence(p, basis, mult, module_actions, steps):
 
 
 def _pivot_cols(rows, p):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col] % p, p - 2, p)
-        rows[rank] = [(v * inv) % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col] % p
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return pivots
+    return gauss_rref(rows, p, len(rows[0]) if rows else 0)[1]
 
 
 def _solve_in_span(span_rows, target, p):

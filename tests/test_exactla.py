@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from cxlab.errors import InputError
 from cxlab.exactla import Field, Mat, kernel_basis, rref, solve, solve_matrix
 
@@ -70,7 +71,8 @@ def test_solve_matrix_multi_rhs():
 
 
 def test_matmul_overflow_safe():
-    # large prime: products approach 2^62, chunked reduction must stay exact
+    # large prime: each product is near 2^62 and their sum overflows int64 and
+    # float64, so only the 16-bit limb split keeps it exact
     p = Field(2147483647)
     a = Mat(p, [[p.p - 1] * 3])
     b = Mat(p, [[p.p - 1]] * 3)
@@ -131,3 +133,112 @@ def test_rref_deterministic():
     r1 = rref(m)
     r2 = rref(Mat(F5, [[1, 2, 3], [4, 0, 1], [2, 2, 2]]))
     assert r1[0] == r2[0] and r1[1] == r2[1]
+
+
+# -- differential tests against the pure-Python oracle ------------------------
+
+PRIMES = [2, 3, 5, 65521, 2**31 - 1]
+
+
+def _pair(rng, p, shape):
+    """A random pair of operands and the all-(p-1) pair, which maximizes every sum."""
+    m, k, n = shape
+    yield rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n))
+    yield np.full((m, k), p - 1), np.full((k, n), p - 1)
+
+
+# m*k*n on both sides of the int64 cut-off (4096), empty shapes, and k = 1,
+# where (p-1)^2 alone passes 2^53 for the largest primes
+@pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (3, 3, 3),
+                                   (15, 16, 17), (16, 16, 16), (17, 16, 16), (40, 50, 30),
+                                   (70, 1, 70)])
+@pytest.mark.parametrize("p", PRIMES)
+def test_product_matches_oracle(p, shape):
+    F = Field(p)
+    for a, b in _pair(np.random.default_rng(shape), p, shape):
+        expected = oracles.matmul_mod(a.tolist(), b.T.tolist(), p)
+        assert (Mat(F, a) @ Mat(F, b)).a.tolist() == expected
+
+
+def test_product_beyond_limb_chunk():
+    # more than 2^21 inner terms whose low 16-bit limbs are odd and near 2^16:
+    # the sum of the low-limb products is odd and above 2^53, so float64
+    # cannot hold it, and the product is exact only if it is cut into chunks
+    p = 2**31 - 1
+    F = Field(p)
+    rng = np.random.default_rng(21)
+    k = 2**21 + 2**19 + 3
+
+    def operand(shape):
+        low = 2 * rng.integers(2**15 - 8, 2**15, shape) + 1
+        return rng.integers(0, 2**15 - 1, shape) * 2**16 + low
+
+    a, b = operand((1, k)), operand((k, 1))
+    # the oracle runs on slices, whose products sum to the whole one
+    parts = [oracles.matmul_mod(a[:, s : s + 2**16].tolist(), b[s : s + 2**16].T.tolist(), p)
+             for s in range(0, k, 2**16)]
+    assert (Mat(F, a) @ Mat(F, b)).a.tolist() == [[sum(x[0][0] for x in parts) % p]]
+
+
+def _block_diagonal(rng, p, blocks, zero_rows, zero_cols):
+    """Random blocks of the given shapes down the diagonal, some rank-deficient,
+    padded by zero rows and columns, then rows and columns permuted."""
+    rows = sum(r for r, _ in blocks) + zero_rows
+    cols = sum(c for _, c in blocks) + zero_cols
+    a = np.zeros((rows, cols), dtype=np.int64)
+    r0 = c0 = 0
+    for i, (r, c) in enumerate(blocks):
+        blk = rng.integers(0, p, (r, c)) * (rng.random((r, c)) < 0.7)
+        if i % 2 and r > 1:
+            blk[-1] = blk[0] * 3 % p
+        a[r0 : r0 + r, c0 : c0 + c] = blk
+        r0, c0 = r0 + r, c0 + c
+    return a[rng.permutation(rows)][:, rng.permutation(cols)]
+
+
+# dense matrices on both sides of the block-detection cut-off (4096 cells),
+# empty and zero ones, and permuted block-diagonal ones (blocks, zero rows,
+# zero columns)
+_MATRICES = [
+    ("dense", (5, 7)), ("dense", (63, 65)), ("dense", (64, 64)), ("dense", (50, 90)),
+    ("dense", (0, 5)), ("dense", (5, 0)), ("zero", (40, 120)),
+    ("blocks", ([(12, 18), (20, 8), (1, 1), (24, 24), (6, 16)], 2, 3)),
+    ("blocks", ([(40, 50), (30, 60)], 0, 0)),
+    ("blocks", ([(6, 6)] * 12, 5, 1)),
+    ("blocks", ([(3, 5), (2, 2)], 1, 1)),
+]
+
+
+def _matrix(kind, spec, p, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return rng.integers(0, p, spec)
+    if kind == "zero":
+        return np.zeros(spec, dtype=np.int64)
+    return _block_diagonal(rng, p, *spec)
+
+
+@pytest.mark.parametrize("case", range(len(_MATRICES)))
+@pytest.mark.parametrize("p", PRIMES)
+def test_rref_kernel_solve_match_oracle(p, case):
+    F = Field(p)
+    a = _matrix(*_MATRICES[case], p, seed=case)
+    rows, cols = a.shape
+    m = Mat(F, a)
+
+    R, pivots, rank = rref(m)
+    expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
+    assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
+    assert rank == len(expected_pivots)
+
+    assert kernel_basis(m).a.T.tolist() == oracles.gauss_nullspace(a.tolist(), p, cols)
+
+    rng = np.random.default_rng(100 + case)
+    x = rng.integers(0, p, (cols, 3))
+    solvable = oracles.matmul_mod(a.tolist(), x.T.tolist(), p)  # rows of a @ x
+    for B in (np.array(solvable, dtype=np.int64).reshape(rows, 3), rng.integers(0, p, (rows, 2))):
+        expected = oracles.solve_matrix(a.tolist(), B.T.tolist(), p, cols)
+        X = solve_matrix(m, Mat(F, B))
+        assert (X is None) == (expected is None)
+        if X is not None:
+            assert X.a.tolist() == expected

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import oracles
+from cxlab.cioper import MonomialCI
 from cxlab.errors import InputError
-from cxlab.exactla import Field, Mat
+from cxlab.exactla import Field, Mat, solve_matrix
 from cxlab.gmod import (
     Module,
     coker_presentation,
     direct_sum,
     depth,
+    extend_linearly,
     free_module,
     hom_space,
     is_isomorphic,
@@ -190,3 +193,32 @@ def test_coker_rejects_ambiguous_column(A):
         coker_presentation(A, [[A.zero()]], [0])
     with pytest.raises(InputError, match="homogeneous"):
         coker_presentation(A, [[x + one]], [0])
+
+
+def test_extend_linearly_exact_at_large_prime():
+    # residues near 2^31: a raw int64 product of an action and the images overflows
+    p = 2**31 - 1
+    F = Field(p)
+    A = MonomialCI.build(F, [2, 2, 2]).algebra
+    free = free_module(A, [0, 0])
+    # conjugate the free actions by a random graded change of basis, so that
+    # they have large entries
+    rng = np.random.default_rng(7)
+    P = np.zeros((free.dim, free.dim), dtype=np.int64)
+    for d in set(free.degrees):
+        idx = [j for j, e in enumerate(free.degrees) if e == d]
+        P[np.ix_(idx, idx)] = rng.integers(0, p, (len(idx), len(idx)))
+    P = Mat(F, P)
+    P_inv = solve_matrix(P, Mat.identity(F, free.dim))
+    assert P_inv is not None
+    M = Module(A, free.degrees, [P @ X @ P_inv for X in free.actions])
+    images = rng.integers(0, p, (M.dim, 3))
+    expected = []
+    for g in range(3):
+        for e in A.basis:
+            v = images[:, g].tolist()
+            for X, n in zip(M.actions, e):
+                for _ in range(n):
+                    v = [row[0] for row in oracles.matmul_mod(X.a.tolist(), [v], p)]
+            expected.append(v)
+    assert extend_linearly(M, Mat(F, images)).a.T.tolist() == expected
