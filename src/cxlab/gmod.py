@@ -26,6 +26,7 @@ __all__ = [
     "free_module",
     "extend_linearly",
     "block_action",
+    "column_degrees",
     "coker_presentation",
     "residue_field",
     "direct_sum",
@@ -170,8 +171,13 @@ def extend_linearly(target: Module, gen_images: Mat) -> Mat:
     A = target.algebra
     rank = gen_images.cols
     out = np.zeros((target.dim, rank, A.dim), dtype=np.int64)
-    for mi, mono in enumerate(A.basis):
-        out[:, :, mi] = (target.monomial_action(mono) @ gen_images).a
+    out[:, :, 0] = gen_images.a  # basis[0] is the monomial 1
+    # column (g, x_v m') is X_v times column (g, m'): standard monomials are
+    # closed under division and listed degree by degree, so m' comes first
+    for mi, mono in enumerate(A.basis[1:], 1):
+        v = next(j for j, a in enumerate(mono) if a)
+        below = A.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
+        out[:, :, mi] = (target.actions[v] @ Mat(A.field, out[:, :, below])).a
     return Mat(A.field, out.reshape(target.dim, rank * A.dim))
 
 
@@ -227,28 +233,25 @@ def shift(m: Module, s: int) -> Module:
                   provenance=m.provenance or "shift", chi_cuts=m.chi_cuts)
 
 
-def min_generators(m: Module) -> List[Tuple[np.ndarray, int]]:
-    """A basis of M/mM lifted to homogeneous elements of M, with degrees.
+def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarray, int]]:
+    """A basis of N/mN lifted to homogeneous elements of M, with degrees.
 
-    Lifts are unit coordinate vectors at the non-pivot positions of the
-    reduced echelon form of mM, so the choice is canonical.
-    """
-    if m.dim == 0:
+    N is M, or the span of the rows of span, a reduced echelon form whose
+    pivot columns are coordinates on N.  Lifts are the rows of span (unit
+    vectors for N = M) at the non-pivot positions of the reduced echelon
+    form of mN in those coordinates, so the choice is canonical."""
+    if span is None:
+        span = Mat.identity(m.field, m.dim)
+    if span.rows == 0:
         return []
-    if m.algebra.nvars == 0:
-        span_rows = Mat.zeros(m.field, 0, m.dim)
-    else:
-        # mM is spanned by the images of the basis under each variable
-        span_rows = Mat(m.field, np.vstack([X.a.T for X in m.actions]))
-    _, pivots, _ = rref(span_rows)
-    pivot_set = set(pivots)
-    gens = []
-    for q in range(m.dim):
-        if q not in pivot_set:
-            v = np.zeros(m.dim, dtype=np.int64)
-            v[q] = 1
-            gens.append((v, m.degrees[q]))
-    return gens
+    pivots = np.argmax(span.a != 0, axis=1)
+    assert np.array_equal(span.a[:, pivots], np.eye(span.rows)), "span is not in reduced echelon form"
+    # mN is spanned by the images of the basis rows under each variable
+    images = [(X @ span.transpose()).a[pivots].T for X in m.actions]
+    span_rows = Mat(m.field, np.vstack(images)) if images else Mat.zeros(m.field, 0, span.rows)
+    _, mn_pivots, _ = rref(span_rows)
+    return [(span.a[q].copy(), _row_degree(m, span.a[q]))
+            for q in np.setdiff1d(np.arange(span.rows), mn_pivots)]
 
 
 def depth(m: Module) -> int:
@@ -454,37 +457,46 @@ def submodule_from_span(m: Module, span_rows: Mat, provenance: str = "submodule"
     return Submodule(sub, inc)
 
 
+def column_degrees(algebra: Algebra, entries: Sequence[Sequence[AlgebraElement]],
+                   row_degrees: Sequence[int], what: str) -> List[int]:
+    """Degree of each column of the matrix `what` over A, whose row i has
+    degree row_degrees[i]: every nonzero entry of a column must be
+    homogeneous and give it the same degree, else InputError."""
+    rows = len(row_degrees)
+    if len(entries) != rows:
+        raise InputError(f"{what} has {len(entries)} rows, expected {rows}")
+    ncols = len(entries[0]) if rows else 0
+    if any(len(r) != ncols for r in entries):
+        raise InputError(f"ragged {what}")
+    out = []
+    for j in range(ncols):
+        degs = set()
+        for i in range(rows):
+            a = entries[i][j]
+            if a.algebra is not algebra:
+                raise InputError(f"{what} entry ({i},{j}) is over the wrong algebra")
+            if a.is_zero():
+                continue
+            d = a.degree()
+            if d is None:
+                raise InputError(f"{what} entry ({i},{j}) is not homogeneous")
+            degs.add(d + row_degrees[i])
+        if len(degs) != 1:
+            raise InputError(f"column {j} of {what} has ambiguous degree {sorted(degs)}")
+        out.append(degs.pop())
+    return out
+
+
 def coker_presentation(algebra: Algebra, entries: Sequence[Sequence[AlgebraElement]],
                        row_degrees: Sequence[int]) -> Module:
     """Cokernel of the map of free modules presented by a homogeneous matrix.
 
     entries[i][j] sits in row i (generator of degree row_degrees[i]) and
-    column j; every nonzero entry of a column must yield the same total
-    degree (generator degree plus entry degree), otherwise the column degree
-    would be ambiguous and the presentation is rejected.
+    column j; a column without one degree (see column_degrees) is rejected.
     """
     rows = len(row_degrees)
-    if len(entries) != rows:
-        raise InputError(f"presentation has {len(entries)} rows, degrees give {rows}")
-    ncols = len(entries[0]) if rows else 0
-    for r in entries:
-        if len(r) != ncols:
-            raise InputError("ragged presentation matrix")
+    ncols = len(column_degrees(algebra, entries, row_degrees, "presentation"))
     F = free_module(algebra, row_degrees)
-    for j in range(ncols):
-        col_degs = set()
-        for i in range(rows):
-            a = entries[i][j]
-            if a.algebra is not algebra:
-                raise InputError("presentation entry over the wrong algebra")
-            if a.is_zero():
-                continue
-            d = a.degree()
-            if d is None:
-                raise InputError(f"presentation entry ({i},{j}) is not homogeneous")
-            col_degs.add(d + row_degrees[i])
-        if len(col_degs) != 1:
-            raise InputError(f"column {j} has ambiguous degree {sorted(col_degs)}")
     columns = np.zeros((F.dim, ncols), dtype=np.int64)
     for j in range(ncols):
         columns[:, j] = np.concatenate([entries[i][j].vec for i in range(rows)])

@@ -1,10 +1,12 @@
 """Minimal free resolutions, Betti numbers and complexity estimation.
 
-Resolutions are built constructively: generators are lifted from M/mM, so
-minimality (all differential entries in the maximal ideal) holds by
-construction and is asserted at every step together with d o d = 0 and
-exactness of the realized complexes.  A resolution is cached on its module
-and extended incrementally; previously computed steps never change.
+Resolutions are built constructively in free-module coordinates: each
+kernel ker d_i is an echelon span of F_i whose generators modulo m are
+lifted, so minimality (all differential entries in the maximal ideal)
+holds by construction and is asserted at every step together with
+d o d = 0 and exactness.  Syzygy modules are built only when asked for.
+A resolution is cached on its module and extended incrementally;
+previously computed steps never change.
 """
 from __future__ import annotations
 
@@ -14,11 +16,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .exactla import Mat, kernel_basis
+from .exactla import Mat, kernel_basis, rref
 from .gralg import Algebra, AlgebraElement
 from .gmod import (
     FreeModule,
     Module,
+    column_degrees,
     extend_linearly,
     free_module,
     min_generators,
@@ -40,6 +43,10 @@ __all__ = [
 class MinimalFreeResolution:
     """... -> F_2 -> F_1 -> F_0 -> M -> 0, minimal, computed step by step.
 
+    Step i maps F_i onto an echelon span: ker d_{i-1} in F_{i-1}, or the
+    identity rows of M for i = 0.  The syzygy module a span stands for is
+    built, verified and cached on the first request.
+
     Completed prefixes are immutable; extending the resolution only appends.
     Concurrent extension of the same resolution needs external locking.
     """
@@ -47,15 +54,19 @@ class MinimalFreeResolution:
     def __init__(self, module: Module):
         self.module = module
         self.frees: List[FreeModule] = []
-        self.augmentation: Optional[Mat] = None       # F_0 coords -> M coords
-        self._diff_real: List[Optional[Mat]] = [None]  # index i >= 1: d_i realized
+        self._diff_real: List[Mat] = []                # index 0: augmentation F_0 -> M; i >= 1: d_i
         self._diff_alg: List[Optional[list]] = [None]  # index i >= 1: entries over A
-        self._syz: List[Module] = [module]             # syzygy modules, syz[0] = M
-        self._syz_inc: List[Optional[Mat]] = [None]    # inclusion of syz[i] into F_{i-1}
+        # index i: (RREF rows spanning ker d_{i-1} in F_{i-1}, or M at 0; their pivots)
+        self._spans = [(Mat.identity(module.field, module.dim), np.arange(module.dim))]
+        self._syz = {}  # i >= 1: the gmod.Submodule of syzygy i, built on request
 
     @property
     def computed_to(self) -> int:
         return len(self.frees) - 1
+
+    @property
+    def augmentation(self) -> Optional[Mat]:
+        return self._diff_real[0] if self._diff_real else None
 
     def extend(self, n: int):
         if n < 0:
@@ -66,36 +77,31 @@ class MinimalFreeResolution:
     def _step(self):
         i = len(self.frees)
         A = self.module.algebra
-        K = self._syz[i]
-        gens = min_generators(K)
+        target = self.frees[i - 1] if i else self.module
+        span, pivots = self._spans[i]
+        gens = min_generators(target, span)
         F = free_module(A, [d for _, d in gens])
-        # realized map F -> K, sending the g-th generator to the g-th lift
-        lifts = np.array([vec for vec, _ in gens], dtype=np.int64).reshape(len(gens), K.dim)
-        eps_mat = extend_linearly(K, Mat(A.field, lifts.T))
+        # realized map F -> target, sending the g-th generator to the g-th lift
+        lifts = np.array([vec for vec, _ in gens], dtype=np.int64).reshape(len(gens), target.dim)
+        d_real = extend_linearly(target, Mat(A.field, lifts.T))
         self.frees.append(F)
-        if i == 0:
-            self.augmentation = eps_mat
-        else:
-            d_real = self._syz_inc[i] @ eps_mat
-            prev_free = self.frees[i - 1]
-            d_alg = [[None] * F.rank for _ in range(prev_free.rank)]
+        if i:
+            d_alg = [[None] * F.rank for _ in range(target.rank)]
             for g, col in enumerate(F.generator_columns()):
-                for r, a in enumerate(prev_free.to_algebra_entries(d_real.a[:, col])):
+                for r, a in enumerate(target.to_algebra_entries(d_real.a[:, col])):
                     # minimality: constructive generator choice keeps entries in m
                     assert a.constant_term() == 0, "differential entry has a unit component"
                     d_alg[r][g] = a
-            self._diff_real.append(d_real)
             self._diff_alg.append(d_alg)
             # complex and exactness bookkeeping
-            if i == 1:
-                assert (self.augmentation @ d_real).is_zero(), "eps o d_1 != 0"
-            else:
-                assert (self._diff_real[i - 1] @ d_real).is_zero(), f"d_{i-1} o d_{i} != 0"
-            assert d_real.rank() == K.dim, f"image of d_{i} does not fill the syzygy"
-        ker = kernel_basis(eps_mat)
-        sub = submodule_from_span(F, ker.transpose(), provenance=f"syzygy({i + 1})")
-        self._syz.append(sub.module)
-        self._syz_inc.append(sub.inclusion)
+            assert (self._diff_real[i - 1] @ d_real).is_zero(), f"d_{i-1} o d_{i} != 0"
+            assert d_real.rank() == span.rows, f"image of d_{i} does not fill ker d_{i-1}"
+        self._diff_real.append(d_real)
+        # the pivot columns of the span are coordinates on it, so these rows
+        # of d_i are the map onto the span, whose kernel is ker d_i
+        ker = kernel_basis(Mat(A.field, d_real.a[pivots]))
+        R, ker_pivots, _ = rref(ker.transpose())
+        self._spans.append((R, np.array(ker_pivots, dtype=np.intp)))
 
     # -- accessors ---------------------------------------------------------
 
@@ -127,15 +133,18 @@ class MinimalFreeResolution:
         if i < 0:
             raise InputError("syzygy index must be nonnegative")
         self.extend(max(i - 1, 0))
-        if i >= len(self._syz):
-            self.extend(i)
-        return self._syz[i]
+        if i == 0:
+            return self.module
+        if i not in self._syz:
+            self._syz[i] = submodule_from_span(self.frees[i - 1], self._spans[i][0],
+                                               provenance=f"syzygy({i})")
+        return self._syz[i].module
 
     def syzygy_inclusion(self, i: int) -> Mat:
         if i < 1:
             raise InputError("only positive syzygies embed into a free module")
         self.syzygy_module(i)
-        return self._syz_inc[i]
+        return self._syz[i].inclusion
 
     def generator_degrees(self, n: int) -> Tuple[int, ...]:
         self.extend(n)
@@ -287,36 +296,14 @@ def verify_complex(algebra: Algebra, matrices: Sequence[Sequence[Sequence[Algebr
     if not matrices:
         raise InputError("no matrices to verify")
     failures: List[dict] = []
-    rows0 = len(matrices[0])
-    degrees = list(target_degrees) if target_degrees is not None else [0] * rows0
-    if len(degrees) != rows0:
-        raise InputError("target degree count does not match the first matrix")
+    degrees = list(target_degrees) if target_degrees is not None else [0] * len(matrices[0])
     frees = [free_module(algebra, degrees)]
     realized = []
-    cur_degrees = degrees
     for idx, mat in enumerate(matrices):
-        rows = len(mat)
-        if rows != len(cur_degrees):
-            raise InputError(f"matrix {start_index + idx} has {rows} rows, expected {len(cur_degrees)}")
-        ncols = len(mat[0]) if rows else 0
-        col_degrees = []
-        for j in range(ncols):
-            degs = set()
-            for i in range(rows):
-                a = mat[i][j]
-                if a.is_zero():
-                    continue
-                d = a.degree()
-                if d is None:
-                    raise InputError(f"entry ({i},{j}) of matrix {start_index + idx} is not homogeneous")
-                degs.add(d + cur_degrees[i])
-            if len(degs) != 1:
-                raise InputError(f"column {j} of matrix {start_index + idx} has ambiguous degree")
-            col_degrees.append(degs.pop())
-        F_next = free_module(algebra, col_degrees)
+        what = f"matrix {start_index + idx}"
+        F_next = free_module(algebra, column_degrees(algebra, mat, frees[-1].gen_degrees, what))
         realized.append(realize_algebra_matrix(F_next, frees[-1], mat))
         frees.append(F_next)
-        cur_degrees = col_degrees
 
     d2_ok = True
     for n in range(len(matrices) - 1):

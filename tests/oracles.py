@@ -4,11 +4,16 @@ Everything here is deliberately naive: plain Python integers and lists, a
 separate Gaussian elimination, and a resolution built by raw kernel
 iteration over structure constants.  None of it imports the engine's
 linear algebra or resolution code, so agreement is a real cross-check.
+The one exception is eager_resolution, a reference for the resolution's
+bookkeeping rather than its arithmetic: it builds every syzygy as an
+explicit module from the engine's gmod constructors.
 """
 from __future__ import annotations
 
 from itertools import product
 from math import comb
+
+import numpy as np
 
 
 def gauss_rref(rows, p, ncols):
@@ -262,3 +267,52 @@ def _solve_in_span(span_rows, target, p):
 def quadric_ci_betti_closed_form(n, codim=2):
     """Coefficient of t^n in (1-t)^{-codim}."""
     return comb(n + codim - 1, codim - 1)
+
+
+def eager_resolution(module, n):
+    """Minimal resolution to step n, one explicit syzygy module per step.
+
+    Step i takes min_generators of the syzygy K = Omega^i M, built as a
+    verified Module by submodule_from_span, and covers it entrywise: column
+    (g, m) is K.monomial_action(m) @ images[:, g].  Returns (frees, maps,
+    syzygies): maps[0] is the augmentation F_0 -> M and maps[i] the
+    realized d_i; syzygies[i] (i >= 1) is the Submodule of F_{i-1}.
+    """
+    from cxlab.exactla import Mat, kernel_basis
+    from cxlab.gmod import free_module, min_generators, submodule_from_span
+
+    A = module.algebra
+    K, inc = module, None
+    frees, maps, syzygies = [], [], [None]
+    for i in range(n + 1):
+        gens = min_generators(K)
+        images = Mat(A.field, np.array([v for v, _ in gens], dtype=np.int64).reshape(len(gens), K.dim).T)
+        cover = np.zeros((K.dim, len(gens), A.dim), dtype=np.int64)
+        for mi, mono in enumerate(A.basis):
+            cover[:, :, mi] = (K.monomial_action(mono) @ images).a
+        eps = Mat(A.field, cover.reshape(K.dim, len(gens) * A.dim))
+        frees.append(free_module(A, [d for _, d in gens]))
+        maps.append(eps if i == 0 else inc @ eps)
+        sub = submodule_from_span(frees[-1], kernel_basis(eps).transpose(), provenance=f"syzygy({i + 1})")
+        syzygies.append(sub)
+        K, inc = sub.module, sub.inclusion
+    return frees, maps, syzygies
+
+
+def assert_matches_eager(module, n):
+    """The engine's resolution of module agrees with eager_resolution to step n:
+    augmentation, differentials (realized and over A), syzygies and inclusions."""
+    from cxlab.gmod import realize_algebra_matrix
+    from cxlab.resol import resolve, syzygy
+
+    res = resolve(module, n)
+    frees, maps, syzygies = eager_resolution(module, n)
+    assert res.augmentation == maps[0]
+    for i in range(1, n + 1):
+        assert res.free(i).gen_degrees == frees[i].gen_degrees, i
+        assert res.diff_realized(i) == maps[i], i
+        assert realize_algebra_matrix(frees[i], frees[i - 1], res.diff_algebra(i)) == maps[i], i
+        S, ref = syzygy(module, i), syzygies[i]
+        assert S.degrees == ref.module.degrees, i
+        assert S.actions == ref.module.actions, i
+        assert res.syzygy_inclusion(i) == ref.inclusion, i

@@ -5,6 +5,7 @@ import oracles
 from cxlab.cioper import MonomialCI
 from cxlab.errors import InputError
 from cxlab.exactla import Field, Mat, solve_matrix
+from cxlab.gralg import build_algebra, parse_polynomial
 from cxlab.gmod import (
     Module,
     coker_presentation,
@@ -19,7 +20,8 @@ from cxlab.gmod import (
     residue_field,
     shift,
 )
-from cxlab.resol import syzygy
+from cxlab.resol import syzygy, verify_complex
+from conftest import GASHAROV_RELATIONS, GASHAROV_VARS
 from oracles import gauss_rank
 
 F5 = Field(5)
@@ -193,6 +195,51 @@ def test_coker_rejects_ambiguous_column(A):
         coker_presentation(A, [[A.zero()]], [0])
     with pytest.raises(InputError, match="homogeneous"):
         coker_presentation(A, [[x + one]], [0])
+
+
+@pytest.mark.parametrize("entry_point", ["coker_presentation", "verify_complex"])
+@pytest.mark.parametrize("case, match", [
+    ("ambiguous", "ambiguous"),
+    ("zero", "ambiguous"),
+    ("inhomogeneous", "homogeneous"),
+    ("wrong algebra", "wrong algebra"),
+])
+def test_bad_columns_rejected_by_both_entry_points(A, cubic, entry_point, case, match):
+    x = A.variable(0)
+    entries, degrees = {
+        "ambiguous": ([[x], [x]], [0, 1]),
+        "zero": ([[A.zero()]], [0]),
+        "inhomogeneous": ([[x + A.one()]], [0]),
+        "wrong algebra": ([[cubic.algebra.variable(0)]], [0]),
+    }[case]
+    with pytest.raises(InputError, match=match):
+        if entry_point == "coker_presentation":
+            coker_presentation(A, entries, degrees)
+        else:
+            verify_complex(A, [entries], target_degrees=degrees)
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_extend_linearly_matches_entrywise_definition(p):
+    # the Gasharov algebra's standard monomials are echelon pivots, not the
+    # complement of a monomial ideal
+    F = Field(p)
+    G = build_algebra(F, 5, [parse_polynomial(s, GASHAROV_VARS, F) for s in GASHAROV_RELATIONS],
+                      varnames=GASHAROV_VARS)
+    pe = lambda s: G.nf_polynomial(parse_polynomial(s, GASHAROV_VARS, F))
+    M = coker_presentation(G, [[pe("x1"), pe("2*x3+x4")], [pe("0"), pe("x2")]], [0, 0])
+    free_module(G, [0])  # verified once per algebra; later free modules start with empty caches
+    rng = np.random.default_rng(p % 1000)
+    for target in (M, free_module(G, [0, 1]), free_module(G, [])):
+        for rank in (0, 1, 3):
+            images = Mat(F, rng.integers(0, p, (target.dim, rank)))
+            cached = len(target._monomial_actions)
+            got = extend_linearly(target, images)
+            assert len(target._monomial_actions) == cached  # no monomial actions built
+            assert got.shape == (target.dim, rank * G.dim)
+            for mi, mono in enumerate(G.basis):
+                expected = target.monomial_action(mono) @ images
+                assert np.array_equal(got.a[:, mi::G.dim], expected.a), (target, rank, mono)
 
 
 def test_extend_linearly_exact_at_large_prime():

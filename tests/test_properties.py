@@ -9,6 +9,7 @@ from cxlab.gmod import coker_presentation, direct_sum, is_isomorphic, residue_fi
 from cxlab.gralg import Algebra
 from cxlab.resol import resolve, syzygy
 from cxlab.yoneda import ExtElement, ext_table, pushout, tor_table
+from oracles import assert_matches_eager
 
 F5 = Field(5)
 
@@ -73,6 +74,13 @@ def test_resolutions_d2_and_minimality(random_modules):
             for row in res.diff_algebra(i):
                 for a in row:
                     assert a.constant_term() == 0
+
+
+def test_resolutions_match_eager_reference_random(random_modules):
+    for M in random_modules:
+        if M.dim == 0:
+            continue
+        assert_matches_eager(M, 5)
 
 
 def test_syzygy_betti_shift_random(random_modules):

@@ -1,12 +1,14 @@
 import pytest
 
+from cxlab.cioper import MonomialCI
 from cxlab.errors import InputError
 from cxlab.exactla import Field
 from cxlab.gralg import build_algebra, parse_polynomial
-from cxlab.gmod import coker_presentation, free_module, residue_field
+from cxlab.gmod import ModuleMap, coker_presentation, free_module, residue_field
 from cxlab.resol import estimate_complexity, resolve, syzygy, verify_complex
 from conftest import GASHAROV_VARS
 from oracles import (
+    assert_matches_eager,
     monomial_ci_structure,
     naive_betti_sequence,
     quadric_ci_betti_closed_form,
@@ -160,3 +162,28 @@ def test_verify_complex_exact_pair(A):
     rep = verify_complex(A, [[[xy]], [[x, y]]])
     assert rep.d2_ok and rep.minimal
     assert rep.exact_at == [1]
+
+
+@pytest.mark.parametrize("name", ["k", "Ax", "gasharov_module"])
+def test_resolution_matches_eager_reference(request, name):
+    assert_matches_eager(request.getfixturevalue(name), 8)
+
+
+def test_resolution_matches_eager_reference_large_prime():
+    A = MonomialCI.build(Field(2**31 - 1), [2, 2, 2]).algebra
+    assert_matches_eager(residue_field(A), 6)
+
+
+def test_syzygy_modules_built_on_request(A):
+    M = residue_field(A)
+    res = resolve(M, 3)
+    S = res.syzygy_module(4)
+    assert res.computed_to == 3
+    assert res.syzygy_module(4) is S
+    assert syzygy(M, 2) is res.syzygy_module(2)
+    for i in range(1, 5):
+        F, inc = res.free(i - 1), res.syzygy_inclusion(i)
+        assert ModuleMap(res.syzygy_module(i), F, inc).is_equivariant()
+        d_prev = res.augmentation if i == 1 else res.diff_realized(i - 1)
+        assert inc.rank() == F.dim - d_prev.rank()
+    assert res.computed_to == 3
