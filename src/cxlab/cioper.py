@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InvariantError, check
 from .exactla import Field, Mat
 from .gmod import Module, direct_sum, quotient_by_span, realize_algebra_matrix
 from .gralg import Algebra, AlgebraElement, Polynomial, build_algebra, codimension
@@ -67,8 +67,8 @@ class MonomialCI:
         expected = 1
         for n in exps:
             expected *= n
-        assert alg.dim == expected, "monomial CI dimension must be the product of the exponents"
-        assert codimension(alg) == c
+        check(alg.dim == expected, "monomial CI dimension must be the product of the exponents")
+        check(codimension(alg) == c, "monomial CI codimension must be the number of exponents")
         return cls(field, exps, alg)
 
     @classmethod
@@ -132,7 +132,8 @@ def _greedy_decompose(poly: Polynomial, exponents: Tuple[int, ...]) -> Dict[int,
                 break
         else:
             residue[e] = c
-    assert not residue, f"monomial outside the relation ideal: {residue}"
+    if residue:
+        raise InvariantError(f"monomial outside the relation ideal: {residue}")
     return {j: Polynomial(poly.field, poly.nvars, terms) for j, terms in parts.items()}
 
 
@@ -186,14 +187,14 @@ class EisenbudOperatorSet:
             for n in range(3, self.max_degree + 1):
                 left = res.diff_realized(n - 2) @ self.chi_realized(j, n)
                 right = self.chi_realized(j, n - 1) @ res.diff_realized(n)
-                assert left == right, f"chain identity fails for operator {j} at degree {n}"
+                check(left == right, f"chain identity fails for operator {j} at degree {n}")
         # induced actions on Ext^*(M, k) must commute pairwise
         for j in range(1, c + 1):
             for l in range(j + 1, c + 1):
                 for n in range(0, self.max_degree - 3):
                     lhs = self.ext_action(l, n + 2) @ self.ext_action(j, n)
                     rhs = self.ext_action(j, n + 2) @ self.ext_action(l, n)
-                    assert lhs == rhs, f"Ext actions of operators {j} and {l} do not commute"
+                    check(lhs == rhs, f"Ext actions of operators {j} and {l} do not commute")
 
     def chi_algebra(self, j: int, n: int) -> List[List[AlgebraElement]]:
         """Matrix over A of the j-th operator (j is 1-based) at source degree n."""
@@ -321,7 +322,7 @@ def build_kchi(ci: MonomialCI, j: int) -> Module:
         span[i, 1 + len(nonconst) + i] = (-1) % p
     quot = quotient_by_span(D, Mat(ci.field, span), provenance=f"kchi_{j}", chi_cuts=1)
     K = quot.module
-    assert K.dim == A.dim, "glued test module must have the dimension of the algebra"
+    check(K.dim == A.dim, "glued test module must have the dimension of the algebra")
     # four-term exactness 0 -> k -> K -> A -> k -> 0, checked by ranks
     first = quot.projection @ Mat(ci.field, np.eye(D.dim, dtype=np.int64)[:, :1])
     FA = np.zeros((A.dim, D.dim), dtype=np.int64)
@@ -331,12 +332,12 @@ def build_kchi(ci: MonomialCI, j: int) -> Module:
     aug = np.zeros((1, A.dim), dtype=np.int64)
     aug[0, 0] = 1
     h = Mat(ci.field, aug)
-    assert first.rank() == 1, "k does not embed into the glued module"
-    assert (g @ first).is_zero(), "composite k -> A is nonzero"
-    assert K.dim - g.rank() == 1, "exactness fails at the glued module"
-    assert (h @ g).is_zero(), "composite K -> k is nonzero"
-    assert g.rank() == A.dim - 1, "exactness fails at the free slot"
-    assert h.rank() == 1
+    check(first.rank() == 1, "k does not embed into the glued module")
+    check((g @ first).is_zero(), "composite k -> A is nonzero")
+    check(K.dim - g.rank() == 1, "exactness fails at the glued module")
+    check((h @ g).is_zero(), "composite K -> k is nonzero")
+    check(g.rank() == A.dim - 1, "exactness fails at the free slot")
+    check(h.rank() == 1, "A does not surject onto k")
     return K
 
 

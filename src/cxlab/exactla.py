@@ -160,19 +160,20 @@ class Mat:
         self._check_field(other)
         if self.shape != other.shape:
             raise InputError(f"shape mismatch in sum: {self.shape} + {other.shape}")
-        return Mat(self.field, (self.a + other.a) % self.field.p)
+        return Mat(self.field, self.a + other.a)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_field(other)
         if self.shape != other.shape:
             raise InputError(f"shape mismatch in difference: {self.shape} - {other.shape}")
-        return Mat(self.field, (self.a - other.a) % self.field.p)
+        return Mat(self.field, self.a - other.a)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.field, (-self.a) % self.field.p)
+        return Mat(self.field, -self.a)
 
     def scale(self, c: int) -> "Mat":
-        return Mat(self.field, (self.a * (c % self.field.p)) % self.field.p)
+        # both factors are below p < 2^31, so the product fits in int64
+        return Mat(self.field, self.a * (c % self.field.p))
 
     def transpose(self) -> "Mat":
         return Mat(self.field, self.a.T)

@@ -1,20 +1,26 @@
 """Finitely generated graded modules over a graded Artinian algebra.
 
 A module is a graded vector space with one commuting action matrix per
-algebra variable.  Every constructor verifies the module axioms at build
-time (commutativity, vanishing of the relations, degree shifts): the
-engine asserts, it never assumes.
+algebra variable.  The module axioms (commutativity, vanishing of the
+relations, degree shifts) are verified where actions enter the program: a
+direct `Module(...)` call, including `residue_field` and the regular
+module of each algebra.  A module built from verified ones (`shift`,
+`direct_sum`, `quotient_by_span`, `submodule_from_span`, `FreeModule`)
+inherits the axioms; each such construction checks the one fact its
+inheritance rests on.  Failed checks raise InvariantError, also under
+`python -O`: the engine checks, it never assumes.
 """
 from __future__ import annotations
 
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InvariantError, check
 from .exactla import Field, Mat, kernel_basis, rref
 from .gralg import Algebra, AlgebraElement
 
@@ -24,6 +30,7 @@ __all__ = [
     "ModuleMap",
     "IsoVerdict",
     "free_module",
+    "regular_module",
     "extend_linearly",
     "block_action",
     "column_degrees",
@@ -75,25 +82,26 @@ class Module:
             if X.field != A.field:
                 raise InputError("action matrix over the wrong field")
         # degree shift: x_i maps the degree-d slice into the degree-(d+1) slice
+        degrees = np.array(self.degrees, dtype=np.int64)
         for X in self.actions:
             rr, cc = np.nonzero(X.a)
-            for r, c in zip(rr, cc):
-                assert self.degrees[r] == self.degrees[c] + 1, (
-                    f"action entry ({r},{c}) violates grading: "
-                    f"{self.degrees[c]} -> {self.degrees[r]}"
-                )
+            bad = np.flatnonzero(degrees[rr] != degrees[cc] + 1)
+            if bad.size:
+                r, c = rr[bad[0]], cc[bad[0]]
+                raise InvariantError(f"action entry ({r},{c}) violates grading: "
+                                     f"{self.degrees[c]} -> {self.degrees[r]}")
         # commutativity
         for i in range(A.nvars):
             for j in range(i + 1, A.nvars):
-                assert self.actions[i] @ self.actions[j] == self.actions[j] @ self.actions[i], (
-                    f"actions of variables {i} and {j} do not commute"
-                )
+                check(self.actions[i] @ self.actions[j] == self.actions[j] @ self.actions[i],
+                      f"actions of variables {i} and {j} do not commute")
         # every algebra relation must act as zero
         for g in A.relations:
             acc = Mat.zeros(A.field, n, n)
             for e, c in g.terms:
                 acc = acc + self.monomial_action(e).scale(c)
-            assert acc.is_zero(), f"relation {g!r} does not annihilate the module"
+            if not acc.is_zero():
+                raise InvariantError(f"relation {g!r} does not annihilate the module")
 
     def monomial_action(self, e: Tuple[int, ...]) -> Mat:
         """Action of the monomial x^e (product of the commuting variable actions)."""
@@ -129,23 +137,19 @@ class Module:
 
 class FreeModule(Module):
     """Free module on homogeneous generators; basis is generator-major blocks
-    (generator g, standard monomial m) with degree deg(m) + deg(g)."""
+    (generator g, standard monomial m) with degree deg(m) + deg(g).  Each
+    block is a copy of `regular`, the algebra as a module over itself."""
 
     def __init__(self, algebra: Algebra, gen_degrees: Sequence[int]):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
+        self.regular = regular_module(algebra)
         degrees = []
         for g in self.gen_degrees:
             degrees.extend(d + g for d in algebra.basis_degrees)
         identity = np.eye(len(self.gen_degrees), dtype=np.int64)
-        actions = [Mat(algebra.field, np.kron(identity, algebra.variable_action(i).a))
-                   for i in range(algebra.nvars)]
-        # the blocks are the regular representation; verifying it once per
-        # algebra certifies every block-diagonal power of it
-        certified = getattr(algebra, "_regular_rep_ok", False)
-        super().__init__(algebra, degrees, actions, provenance="free",
-                         _skip_verify=certified)
-        if not certified:
-            algebra._regular_rep_ok = True
+        actions = [Mat(algebra.field, np.kron(identity, X.a)) for X in self.regular.actions]
+        # inherited: the actions are kron(I_r, X_i) of the verified regular representation
+        super().__init__(algebra, degrees, actions, provenance="free", _skip_verify=True)
 
     @property
     def rank(self) -> int:
@@ -163,6 +167,26 @@ class FreeModule(Module):
 
 def free_module(algebra: Algebra, gen_degrees: Sequence[int]) -> FreeModule:
     return FreeModule(algebra, gen_degrees)
+
+
+# A as a module over itself, shared while some module holds it (each free
+# module does).  A module refers to its algebra, so strong values would keep
+# every algebra alive; the weak set remembers, for each live algebra, that
+# the axioms were verified, so a rebuilt regular module is not verified again.
+_REGULAR: "weakref.WeakValueDictionary[Algebra, Module]" = weakref.WeakValueDictionary()
+_REGULAR_VERIFIED: "weakref.WeakSet[Algebra]" = weakref.WeakSet()
+
+
+def regular_module(algebra: Algebra) -> Module:
+    """A as a module over itself; its axioms are verified once per algebra."""
+    got = _REGULAR.get(algebra)
+    if got is None:
+        got = Module(algebra, algebra.basis_degrees,
+                     [algebra.variable_action(i) for i in range(algebra.nvars)],
+                     provenance="regular", _skip_verify=algebra in _REGULAR_VERIFIED)
+        _REGULAR[algebra] = got
+        _REGULAR_VERIFIED.add(algebra)
+    return got
 
 
 def extend_linearly(target: Module, gen_images: Mat) -> Mat:
@@ -201,11 +225,11 @@ def realize_algebra_matrix(src: FreeModule, tgt: FreeModule,
 
     entries[i][j] is the coefficient of generator i of tgt on generator j of
     src; basis column (g, m) maps to the coordinates of entries[.][g] * m,
-    which is the action of the entries on the rank-one free module A.
+    which is the action of the entries on the regular module A.
     """
     if len(entries) != tgt.rank or any(len(r) != src.rank for r in entries):
         raise InputError("entry matrix shape does not match generator counts")
-    return block_action(free_module(src.algebra, [0]), entries, tgt.rank, src.rank)
+    return block_action(src.regular, entries, tgt.rank, src.rank)
 
 
 def residue_field(algebra: Algebra) -> Module:
@@ -224,13 +248,15 @@ def direct_sum(m: Module, n: Module) -> Module:
         arr[: m.dim, : m.dim] = m.actions[i].a
         arr[m.dim :, m.dim :] = n.actions[i].a
         actions.append(Mat(m.field, arr))
-    return Module(m.algebra, degrees, actions, provenance="sum")
+    # inherited: the actions are block-diagonal copies of verified actions
+    return Module(m.algebra, degrees, actions, provenance="sum", _skip_verify=True)
 
 
 def shift(m: Module, s: int) -> Module:
     """Relabel every degree by +s; nothing else changes."""
+    # inherited: the actions are the same verified matrices
     return Module(m.algebra, [d + s for d in m.degrees], m.actions,
-                  provenance=m.provenance or "shift", chi_cuts=m.chi_cuts)
+                  provenance=m.provenance or "shift", chi_cuts=m.chi_cuts, _skip_verify=True)
 
 
 def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarray, int]]:
@@ -245,7 +271,7 @@ def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarr
     if span.rows == 0:
         return []
     pivots = np.argmax(span.a != 0, axis=1)
-    assert np.array_equal(span.a[:, pivots], np.eye(span.rows)), "span is not in reduced echelon form"
+    check(np.array_equal(span.a[:, pivots], np.eye(span.rows)), "span is not in reduced echelon form")
     # mN is spanned by the images of the basis rows under each variable
     images = [(X @ span.transpose()).a[pivots].T for X in m.actions]
     span_rows = Mat(m.field, np.vstack(images)) if images else Mat.zeros(m.field, 0, span.rows)
@@ -321,7 +347,7 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
     for j in range(K.cols):
         phi = Mat(m.field, K.a[:, j].reshape(dN, dM))
         mm = ModuleMap(m, n, phi)
-        assert mm.is_equivariant()
+        check(mm.is_equivariant(), "Hom basis element is not equivariant")
         maps.append(mm)
     return maps
 
@@ -378,7 +404,7 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0, attempts: int = 64) -> Is
                 acc = acc + bm.matrix.scale(c)
         cand = ModuleMap(m, n, acc)
         if cand.is_invertible():
-            assert cand.is_equivariant()
+            check(cand.is_equivariant(), "isomorphism witness is not equivariant")
             return IsoVerdict("yes", witness=cand)
     return IsoVerdict("no_witness_found", reason=f"no invertible combination in {attempts} attempts")
 
@@ -388,7 +414,8 @@ def is_isomorphic(m: Module, n: Module, seed: int = 0, attempts: int = 64) -> Is
 
 def _row_degree(m: Module, row: np.ndarray) -> int:
     degs = {m.degrees[j] for j in np.nonzero(row)[0]}
-    assert len(degs) == 1, f"inhomogeneous vector with degrees {degs}"
+    if len(degs) != 1:
+        raise InvariantError(f"inhomogeneous vector with degrees {degs}")
     return degs.pop()
 
 
@@ -422,10 +449,13 @@ def quotient_by_span(m: Module, span_rows: Mat, provenance: str = "quotient",
     # invariance of the span: the induced actions are well defined
     Rt = R.transpose()
     for i in range(m.algebra.nvars):
-        assert (P @ (m.actions[i] @ Rt)).is_zero(), "span is not an A-submodule"
+        check((P @ (m.actions[i] @ Rt)).is_zero(), "span is not an A-submodule")
     actions = [P @ m.actions[i] @ L for i in range(m.algebra.nvars)]
     degrees = [m.degrees[j] for j in nonpivot]
-    q = Module(m.algebra, degrees, actions, provenance=provenance, chi_cuts=chi_cuts)
+    # inherited: the rows are homogeneous and P X_i R^T = 0, so P X_i = X'_i P
+    # with P onto; commutation, the relations and the grading pass down
+    q = Module(m.algebra, degrees, actions, provenance=provenance, chi_cuts=chi_cuts,
+               _skip_verify=True)
     return Quotient(q, P, L)
 
 
@@ -451,9 +481,10 @@ def submodule_from_span(m: Module, span_rows: Mat, provenance: str = "submodule"
         img = m.actions[i] @ inc  # ambient coords of X_i applied to each basis row
         coords = Mat(m.field, img.a[list(pivots)])
         # reconstruction check: the span is closed under the action
-        assert inc @ coords == img, "span is not closed under the action"
+        check(inc @ coords == img, "span is not closed under the action")
         actions.append(coords)
-    sub = Module(m.algebra, degrees, actions, provenance=provenance)
+    # inherited: inc X'_i = X_i inc holds exactly and inc is injective
+    sub = Module(m.algebra, degrees, actions, provenance=provenance, _skip_verify=True)
     return Submodule(sub, inc)
 
 

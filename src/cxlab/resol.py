@@ -3,8 +3,8 @@
 Resolutions are built constructively in free-module coordinates: each
 kernel ker d_i is an echelon span of F_i whose generators modulo m are
 lifted, so minimality (all differential entries in the maximal ideal)
-holds by construction and is asserted at every step together with
-d o d = 0 and exactness.  Syzygy modules are built only when asked for.
+holds by construction and is checked at every step together with
+d o d = 0 and exactness (at step 0: F_0 -> M is onto).  Syzygy modules are built only when asked for.
 A resolution is cached on its module and extended incrementally;
 previously computed steps never change.
 """
@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check
 from .exactla import Mat, kernel_basis, rref
 from .gralg import Algebra, AlgebraElement
 from .gmod import (
@@ -90,12 +90,13 @@ class MinimalFreeResolution:
             for g, col in enumerate(F.generator_columns()):
                 for r, a in enumerate(target.to_algebra_entries(d_real.a[:, col])):
                     # minimality: constructive generator choice keeps entries in m
-                    assert a.constant_term() == 0, "differential entry has a unit component"
+                    check(a.constant_term() == 0, "differential entry has a unit component")
                     d_alg[r][g] = a
             self._diff_alg.append(d_alg)
-            # complex and exactness bookkeeping
-            assert (self._diff_real[i - 1] @ d_real).is_zero(), f"d_{i-1} o d_{i} != 0"
-            assert d_real.rank() == span.rows, f"image of d_{i} does not fill ker d_{i-1}"
+            check((self._diff_real[i - 1] @ d_real).is_zero(), f"d_{i-1} o d_{i} != 0")
+        # exactness: the image of d_i (the augmentation at i = 0) fills the span
+        check(d_real.rank() == span.rows,
+              f"image of d_{i} does not fill ker d_{i-1}" if i else "augmentation F_0 -> M is not onto")
         self._diff_real.append(d_real)
         # the pivot columns of the span are coordinates on it, so these rows
         # of d_i are the map onto the span, whose kernel is ker d_i
@@ -238,7 +239,7 @@ def estimate_complexity(betti: Sequence[int], s: int = 4) -> ComplexityEstimate:
         )
     if any(b == 0 for b in seq):
         first = seq.index(0)
-        assert all(b == 0 for b in seq[first:]), "Betti numbers revive after a zero"
+        check(all(b == 0 for b in seq[first:]), "Betti numbers revive after a zero")
         return ComplexityEstimate(tuple(seq), s, None, None, 0, True)
     even, odd = seq[0::2], seq[1::2]
     ev, ev_max = _stabilization_order(even, s)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check
 from .exactla import Mat, kernel_basis, rref, solve_matrix
 from .gmod import Module, block_action, direct_sum, extend_linearly, quotient_by_span, shift
 from .gralg import is_gorenstein
@@ -164,7 +164,7 @@ class ExtElement:
             raise InputError("Ext elements live in positive degrees")
         self.rep = np.asarray(self.rep, dtype=np.int64) % self.target.field.p
         delta = _hom_differential(self.resolution, self.target, self.degree)
-        assert (delta @ Mat(self.target.field, self.rep.reshape(-1, 1))).is_zero(), "not a cocycle"
+        check((delta @ Mat(self.target.field, self.rep.reshape(-1, 1))).is_zero(), "not a cocycle")
 
     @property
     def source(self) -> Module:
@@ -233,7 +233,7 @@ def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
             rep[cols] = R_cls.a[r]
             elements.append(ExtElement(res, n, t, rep, s))
     expected = ext_table(m, n, t)[t]
-    assert len(elements) == expected, f"cocycle count {len(elements)} != ext dimension {expected}"
+    check(len(elements) == expected, f"cocycle count {len(elements)} != ext dimension {expected}")
     return elements
 
 
@@ -255,13 +255,13 @@ def _lift_chain_map(eta: ExtElement, upto: int) -> List[Mat]:
     phi = eta.realized()
     gen_rhs = Mat(eta.target.field, phi.a[:, res.free(t).generator_columns()])
     U = solve_matrix(res.augmentation, gen_rhs)
-    assert U is not None, "augmentation is surjective, lift must exist"
+    check(U is not None, "augmentation is surjective, lift must exist")
     thetas = [extend_linearly(res.free(0), U)]
     for i in range(1, upto + 1):
         rhs_full = thetas[i - 1] @ res.diff_realized(t + i)
         gen_rhs = Mat(eta.target.field, rhs_full.a[:, res.free(t + i).generator_columns()])
         U = solve_matrix(res.diff_realized(i), gen_rhs)
-        assert U is not None, "chain lift failed below an exact step"
+        check(U is not None, "chain lift failed below an exact step")
         thetas.append(extend_linearly(res.free(i), U))
     return thetas
 
@@ -321,10 +321,10 @@ def pushout(eta: ExtElement) -> "PushoutExtension":
     to_om[:, N.dim :] = cosz.projection.a
     surjection = Mat(N.field, to_om) @ quot.lift
     # rank bookkeeping for exactness of 0 -> N -> K -> Omega^{t-1} -> 0
-    assert injection.rank() == N.dim, "N does not embed"
-    assert surjection.rank() == Om.dim, "K does not surject onto the cosyzygy"
-    assert (surjection @ injection).is_zero(), "composite N -> Omega is nonzero"
-    assert K.dim == N.dim + F_prev.dim - d_t.rank(), "pushout dimension identity fails"
+    check(injection.rank() == N.dim, "N does not embed")
+    check(surjection.rank() == Om.dim, "K does not surject onto the cosyzygy")
+    check((surjection @ injection).is_zero(), "composite N -> Omega is nonzero")
+    check(K.dim == N.dim + F_prev.dim - d_t.rank(), "pushout dimension identity fails")
     return PushoutExtension(eta, K, injection, surjection, Om)
 
 

@@ -147,6 +147,19 @@ def _pair(rng, p, shape):
     yield np.full((m, k), p - 1), np.full((k, n), p - 1)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_entrywise_ops_match_oracle(p):
+    F = Field(p)
+    rng = np.random.default_rng(p)
+    for a, b in _pair(rng, p, (4, 5, 4)):
+        A, B = Mat(F, a), Mat(F, b.T)
+        assert (A + B).a.tolist() == [[(x + y) % p for x, y in zip(r, s)] for r, s in zip(a.tolist(), b.T.tolist())]
+        assert (A - B).a.tolist() == [[(x - y) % p for x, y in zip(r, s)] for r, s in zip(a.tolist(), b.T.tolist())]
+        assert (-A).a.tolist() == [[-x % p for x in r] for r in a.tolist()]
+        for c in (0, 1, -1, p - 1, -(2**40) + 3):
+            assert A.scale(c).a.tolist() == [[x * c % p for x in r] for r in a.tolist()]
+
+
 # m*k*n on both sides of the int64 cut-off (4096), empty shapes, and k = 1,
 # where (p-1)^2 alone passes 2^53 for the largest primes
 @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (3, 3, 3),

@@ -1,9 +1,16 @@
+import gc
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 from cxlab.cioper import MonomialCI
-from cxlab.errors import InputError
+from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat, solve_matrix
 from cxlab.gralg import build_algebra, parse_polynomial
 from cxlab.gmod import (
@@ -16,11 +23,14 @@ from cxlab.gmod import (
     hom_space,
     is_isomorphic,
     min_generators,
+    quotient_by_span,
     realize_algebra_matrix,
+    regular_module,
     residue_field,
     shift,
+    submodule_from_span,
 )
-from cxlab.resol import syzygy, verify_complex
+from cxlab.resol import resolve, syzygy, verify_complex
 from conftest import GASHAROV_RELATIONS, GASHAROV_VARS
 from oracles import gauss_rank
 
@@ -269,3 +279,98 @@ def test_extend_linearly_exact_at_large_prime():
                     v = [row[0] for row in oracles.matmul_mod(X.a.tolist(), [v], p)]
             expected.append(v)
     assert extend_linearly(M, Mat(F, images)).a.T.tolist() == expected
+
+
+def _unit_row(M, idx):
+    row = np.zeros((1, M.dim), dtype=np.int64)
+    row[0, idx] = 1
+    return Mat(M.field, row)
+
+
+def test_span_not_closed_under_action_rejected(A):
+    # the span of x in A: y*x = xy is nonzero and outside it
+    F = free_module(A, [0])
+    x = _unit_row(F, A.basis_index[(1, 0)])
+    with pytest.raises(InvariantError, match="not an A-submodule"):
+        quotient_by_span(F, x)
+    with pytest.raises(InvariantError, match="not closed"):
+        submodule_from_span(F, x)
+
+
+def _fresh_algebra():
+    return build_algebra(F5, 2, [parse_polynomial(r, ["x", "y"], F5) for r in ("x^2", "x*y", "y^3")],
+                         varnames=["x", "y"])
+
+
+def test_derived_modules_inherit_axioms(monkeypatch):
+    calls = []
+    verify = Module._verify
+    monkeypatch.setattr(Module, "_verify", lambda self: (calls.append(self.provenance), verify(self)))
+    B = _fresh_algebra()
+    attributes = set(vars(B))
+    F = free_module(B, [0, 1])
+    assert calls == ["regular"]
+    G = free_module(B, [0])
+    assert F.regular is G.regular is regular_module(B)
+    assert calls == ["regular"]
+    k = residue_field(B)
+    assert calls == ["regular", "k"]
+    del calls[:]
+    shift(k, 2)
+    direct_sum(F, k)
+    socle = _unit_row(F, B.basis_index[(0, 2)])  # y^2 on the first generator
+    quotient_by_span(F, socle)
+    submodule_from_span(F, socle)
+    realize_algebra_matrix(G, F, [[B.variable(0)], [B.zero()]])
+    assert calls == []
+    Module(B, [0], [Mat.zeros(F5, 1, 1)] * 2)
+    assert calls == [""]
+    # verified once per algebra, also after every module over it is gone
+    del F, G, k
+    gc.collect()
+    free_module(B, [0])
+    assert calls == [""]
+    assert set(vars(B)) == attributes and not hasattr(B, "_regular_rep_ok")
+
+
+def test_regular_module_cache_keeps_no_algebra_alive():
+    B = _fresh_algebra()
+    assert resolve(residue_field(B), 3).betti_list(3)[0] == 1
+    gone = weakref.ref(B)
+    del B
+    gc.collect()
+    assert gone() is None
+
+
+_UNDER_O = """
+import numpy as np
+from cxlab.cioper import MonomialCI
+from cxlab.errors import InvariantError
+from cxlab.exactla import Field, Mat
+from cxlab.gmod import Module, free_module, quotient_by_span
+
+print("debug", __debug__)
+F = Field(5)
+A = MonomialCI.build(F, [2, 2]).algebra
+bad = np.zeros((2, 2), dtype=np.int64)
+bad[0, 1] = 1
+x = np.zeros((1, A.dim), dtype=np.int64)
+x[0, A.basis_index[(1, 0)]] = 1
+for build in (lambda: Module(A, [0, 1], [Mat(F, bad), Mat.zeros(F, 2, 2)]),
+              lambda: quotient_by_span(free_module(A, [0]), Mat(F, x))):
+    try:
+        build()
+        print("accepted")
+    except InvariantError as exc:
+        print("rejected:", exc)
+"""
+
+
+def test_invariants_hold_under_python_O():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.splitlines()
+    assert out[0] == "debug False"
+    assert out[1].startswith("rejected:") and "violates grading" in out[1]
+    assert out[2] == "rejected: span is not an A-submodule"

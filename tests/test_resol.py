@@ -1,10 +1,11 @@
 import pytest
 
 from cxlab.cioper import MonomialCI
-from cxlab.errors import InputError
+from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field
 from cxlab.gralg import build_algebra, parse_polynomial
-from cxlab.gmod import ModuleMap, coker_presentation, free_module, residue_field
+from cxlab import resol
+from cxlab.gmod import ModuleMap, coker_presentation, direct_sum, free_module, residue_field, shift
 from cxlab.resol import estimate_complexity, resolve, syzygy, verify_complex
 from conftest import GASHAROV_VARS
 from oracles import (
@@ -187,3 +188,11 @@ def test_syzygy_modules_built_on_request(A):
         d_prev = res.augmentation if i == 1 else res.diff_realized(i - 1)
         assert inc.rank() == F.dim - d_prev.rank()
     assert res.computed_to == 3
+
+
+def test_step_zero_checks_augmentation_onto(k, monkeypatch):
+    # a generator choice that misses one generator of M leaves F_0 -> M not onto
+    choose = resol.min_generators
+    monkeypatch.setattr(resol, "min_generators", lambda m, span=None: choose(m, span)[:-1])
+    with pytest.raises(InvariantError, match="augmentation F_0 -> M is not onto"):
+        resolve(direct_sum(k, shift(k, 1)), 0)
