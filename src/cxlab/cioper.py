@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, InvariantError, check
 from .exactla import Field, Mat
-from .gmod import Module, direct_sum, quotient_by_span, realize_algebra_matrix
+from .gmod import Module, algebra_coefficients, direct_sum, quotient_by_span, realize_algebra_matrix
 from .gralg import Algebra, AlgebraElement, Polynomial, build_algebra, codimension
 from .resol import ComplexityEstimate, estimate_complexity, resolve
 from .yoneda import (
@@ -212,15 +212,9 @@ class EisenbudOperatorSet:
 
     def ext_action(self, j: int, n: int) -> Mat:
         """Induced map Ext^n(M, k) -> Ext^{n+2}(M, k), j 1-based."""
-        self._check(j, n + 2)
-        entries = self._chi_alg[(j - 1, n + 2)]
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        arr = np.zeros((cols, rows), dtype=np.int64)
-        for i in range(rows):
-            for jc in range(cols):
-                arr[jc, i] = entries[i][jc].constant_term()
-        return Mat(self.ci.field, arr)
+        res = self.resolution
+        units = algebra_coefficients(self.chi_realized(j, n + 2), res.free(n + 2), res.free(n))[0]
+        return Mat(self.ci.field, units.T)
 
     def ext_module(self, max_degree: Optional[int] = None) -> "ExtHModule":
         n_max = self.max_degree if max_degree is None else max_degree
@@ -264,8 +258,6 @@ def chi_self_extension(ops: EisenbudOperatorSet, j: int) -> ExtElement:
     """The class of the j-th operator (1-based) in Ext^2(M, M): compose it with F_0 -> M."""
     res = ops.resolution
     res.extend(3)
-    if ops.max_degree < 2:
-        raise InputError("operators not computed to degree 2")
     phi = res.augmentation @ ops.chi_realized(j, 2)
     return ExtElement.from_realized(res, ops.module, 2, phi, -ops.ci.exponents[j - 1])
 
@@ -389,7 +381,6 @@ def vartest_check(m: Module, tests: Sequence[Tuple[Module, int]],
 
 
 def testci_run(m: Module, t: int, q: int, n: int, tests: Sequence[Module],
-               max_shifts: Optional[int] = None,
                test_names: Optional[Sequence[str]] = None) -> Verdict:
     """Finite-window complexity test over a monomial complete intersection.
 
@@ -409,8 +400,7 @@ def testci_run(m: Module, t: int, q: int, n: int, tests: Sequence[Module],
         raise InputError("n must be a positive even number")
     if not tests:
         raise InputError("need at least one test module")
-    shifts = c - t if max_shifts is None else int(max_shifts)
-    degrees = [n + i * q for i in range(shifts + 1)]
+    degrees = [n + i * q for i in range(c - t + 1)]
     params = {"t": t, "q": q, "n": n, "checked_degrees": degrees,
               "caveat": "finite test family only; the bound is relative to it"}
     names = list(test_names) if test_names else [f"test_{i}" for i in range(len(tests))]

@@ -495,14 +495,10 @@ def parse_scenario(text: str) -> Scenario:
 # -- canonical printer --------------------------------------------------------
 
 
-def _poly_text(poly: Polynomial, varnames: Tuple[str, ...]) -> str:
-    return poly.text(varnames)
-
-
 def _matrix_text(matrix: tuple, varnames: Tuple[str, ...]) -> str:
     rows = []
     for row in matrix:
-        rows.append("[" + ",".join(_poly_text(e, varnames) for e in row) + "]")
+        rows.append("[" + ",".join(e.text(varnames) for e in row) + "]")
     return "[" + ",".join(rows) + "]"
 
 
@@ -511,7 +507,7 @@ def print_scenario(scenario: Scenario) -> str:
     out = [f"field p = {scenario.field_decl.p}"]
     for decl in scenario.decls:
         if isinstance(decl, RingDecl):
-            rels = ", ".join(_poly_text(g, decl.varnames) for g in decl.relations)
+            rels = ", ".join(g.text(decl.varnames) for g in decl.relations)
             out.append(f"ring {decl.name} = [{','.join(decl.varnames)}] / ({rels})")
         elif isinstance(decl, ModuleDecl):
             names = scenario.rings[decl.ring].varnames if decl.ring else ()
@@ -569,7 +565,6 @@ def _task_text(scenario: Scenario, task: TaskDecl) -> str:
 class RunOptions:
     max_degree: int = 20
     seed: int = 0
-    json: bool = False
 
 
 @dataclass
@@ -795,7 +790,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"{len(scenario.modules)} modules")
         return 0
 
-    options = RunOptions(max_degree=args.max_degree, seed=args.seed, json=args.json)
+    options = RunOptions(max_degree=args.max_degree, seed=args.seed)
     try:
         report = run(scenario, options)
     except InputError as exc:

@@ -32,6 +32,7 @@ __all__ = [
     "free_module",
     "regular_module",
     "extend_linearly",
+    "algebra_coefficients",
     "block_action",
     "column_degrees",
     "coker_presentation",
@@ -116,14 +117,6 @@ class Module:
         self._monomial_actions[e] = out
         return out
 
-    def element_action(self, a: AlgebraElement) -> Mat:
-        if a.algebra is not self.algebra:
-            raise InputError("element of a different algebra")
-        out = Mat.zeros(self.field, self.dim, self.dim)
-        for j in np.nonzero(a.vec)[0]:
-            out = out + self.monomial_action(self.algebra.basis[int(j)]).scale(int(a.vec[j]))
-        return out
-
     def hilbert(self) -> Dict[int, int]:
         return dict(sorted(Counter(self.degrees).items()))
 
@@ -159,10 +152,6 @@ class FreeModule(Module):
         """Coordinate of each generator: the monomial 1 in its block."""
         dA = self.algebra.dim
         return [g * dA for g in range(self.rank)]
-
-    def to_algebra_entries(self, vec: np.ndarray) -> List[AlgebraElement]:
-        """Split a coordinate vector into one algebra element per generator."""
-        return [AlgebraElement(self.algebra, b) for b in np.reshape(vec, (self.rank, self.algebra.dim))]
 
 
 def free_module(algebra: Algebra, gen_degrees: Sequence[int]) -> FreeModule:
@@ -205,17 +194,31 @@ def extend_linearly(target: Module, gen_images: Mat) -> Mat:
     return Mat(A.field, out.reshape(target.dim, rank * A.dim))
 
 
-def block_action(n: Module, entries: Sequence[Sequence[AlgebraElement]],
-                 rows: int, cols: int) -> Mat:
-    """Field matrix of a rows x cols matrix over A acting on N^cols -> N^rows:
-    block (i, j) is the action of entries[i][j] on N."""
-    dN = n.dim
-    out = np.zeros((rows * dN, cols * dN), dtype=np.int64)
-    for i in range(rows):
-        for j in range(cols):
-            a = entries[i][j]
-            if not a.is_zero():
-                out[i * dN : (i + 1) * dN, j * dN : (j + 1) * dN] = n.element_action(a).a
+def algebra_coefficients(d: Mat, src: FreeModule, tgt: FreeModule) -> np.ndarray:
+    """Matrix over A of the A-linear map src -> tgt whose field matrix is d,
+    as an array C of shape (dim A, tgt.rank, src.rank): C[m, r, g] is the
+    coefficient of basis monomial m in entry (r, g).  Column (g, 1) of d,
+    the image of generator g, holds the entries (., g), so C is a view of
+    d's generator columns."""
+    if d.shape != (tgt.dim, src.dim):
+        raise InputError(f"matrix of shape {d.shape} is not a map of free modules "
+                         f"of dimensions {src.dim} -> {tgt.dim}")
+    dA = src.algebra.dim
+    return d.a[:, ::dA].reshape(tgt.rank, dA, src.rank).transpose(1, 0, 2)
+
+
+def block_action(n: Module, coeffs: np.ndarray) -> Mat:
+    """Field matrix of a rows x cols matrix over A acting on N^cols -> N^rows,
+    given by its coefficient array (see algebra_coefficients): block (i, j)
+    is the action of entry (i, j) on N, so the matrix is the sum over the
+    basis monomials m that occur of kron(coeffs[m], x^m acting on N)."""
+    _, rows, cols = coeffs.shape
+    p = n.field.p
+    out = np.zeros((rows * n.dim, cols * n.dim), dtype=np.int64)
+    for m in np.flatnonzero(coeffs.any(axis=(1, 2))):
+        # a term is below p^2 < 2^62, so reduce before adding the next one
+        out += np.kron(coeffs[m], n.monomial_action(n.algebra.basis[m]).a)
+        out %= p
     return Mat(n.field, out)
 
 
@@ -229,7 +232,11 @@ def realize_algebra_matrix(src: FreeModule, tgt: FreeModule,
     """
     if len(entries) != tgt.rank or any(len(r) != src.rank for r in entries):
         raise InputError("entry matrix shape does not match generator counts")
-    return block_action(src.regular, entries, tgt.rank, src.rank)
+    if any(a.algebra is not src.algebra for row in entries for a in row):
+        raise InputError("entry over a different algebra")
+    vecs = np.array([[a.vec for a in row] for row in entries], dtype=np.int64)
+    coeffs = vecs.reshape(tgt.rank, src.rank, src.algebra.dim).transpose(2, 0, 1)
+    return block_action(src.regular, coeffs)
 
 
 def residue_field(algebra: Algebra) -> Module:

@@ -279,19 +279,6 @@ def parse_polynomial(text: str, varnames: Sequence[str], field: Field) -> Polyno
     return poly
 
 
-class _DegreeSlice:
-    """Degree-d data: monomial list, ideal-slice RREF, standard monomials."""
-
-    __slots__ = ("monos", "mono_index", "std", "std_index", "nf_matrix")
-
-    def __init__(self, monos, std, nf_matrix):
-        self.monos = monos
-        self.mono_index = {e: j for j, e in enumerate(monos)}
-        self.std = std
-        self.std_index = {e: j for j, e in enumerate(std)}
-        self.nf_matrix = nf_matrix  # len(std) x len(monos): NF of each monomial
-
-
 class Algebra:
     """A graded Artinian local F_p-algebra with fully materialized degree tables.
 
@@ -315,110 +302,89 @@ class Algebra:
             rels.append(g)
         self.relations = tuple(rels)
         self.degree_cap = degree_cap
-        self._slices: List[_DegreeSlice] = []
+        self._std: List[List[Monomial]] = []  # standard monomials of each degree
+        self._nf: Dict[Monomial, np.ndarray] = {}  # nonzero normal forms of the others
         self._build_slices()
-        self.top_degree = len(self._slices) - 1
+        self.top_degree = len(self._std) - 1
         # flat quotient basis: standard monomials listed degree by degree
-        self.basis: List[Monomial] = []
-        self.basis_degrees: List[int] = []
-        self.basis_index: Dict[Monomial, int] = {}
-        for d, sl in enumerate(self._slices):
-            for e in sl.std:
-                self.basis_index[e] = len(self.basis)
-                self.basis.append(e)
-                self.basis_degrees.append(d)
+        self.basis: List[Monomial] = [e for std in self._std for e in std]
+        self.basis_degrees: List[int] = [d for d, std in enumerate(self._std) for _ in std]
+        self.basis_index: Dict[Monomial, int] = {e: j for j, e in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self._degree_offsets = {}
-        off = 0
-        for d, sl in enumerate(self._slices):
-            self._degree_offsets[d] = off
-            off += len(sl.std)
         self._var_actions: List[Optional[Mat]] = [None] * nvars
         self._product_cache: Dict[Tuple[int, int], np.ndarray] = {}
 
     def _build_slices(self):
-        p = self.field.p
-        # pure-monomial ideals admit a direct slice computation whose result
-        # is identical to the dense echelon path: the ideal slice is spanned
-        # by monomials, so the standard monomials are exactly the
-        # non-divisible ones and every normal form is 0 or the monomial itself
+        """Standard monomials degree by degree, until a degree has none (then
+        A_e = 0 for every e above it, A being standard graded)."""
+        # a monomial ideal's standard monomials are the ones no leading
+        # exponent divides; they form an order ideal, so degree d consists
+        # of degree d-1 times one variable, and every other normal form is 0
         monomial_ideal = all(len(g.terms) == 1 for g in self.relations)
-        lead_exps = [g.terms[0][0] for g in self.relations] if monomial_ideal else []
+        lead_exps = [g.terms[0][0] for g in self.relations]
         for d in range(self.degree_cap + 1):
-            monos = monomials_of_degree(self.nvars, d)
-            if monomial_ideal:
-                std = [
-                    e for e in monos
-                    if not any(all(a >= b for a, b in zip(e, le)) for le in lead_exps)
-                ]
-                if not std:
-                    return
-                nf = np.zeros((len(std), len(monos)), dtype=np.int64)
-                std_pos = {e: j for j, e in enumerate(std)}
-                for j, e in enumerate(monos):
-                    if e in std_pos:
-                        nf[std_pos[e], j] = 1
-                self._slices.append(_DegreeSlice(monos, std, nf))
-                continue
-            mono_pos = {e: j for j, e in enumerate(monos)}
-            rows = []
-            for g in self.relations:
-                e = g.degree()
-                if e > d:
-                    continue
-                for m in monomials_of_degree(self.nvars, d - e):
-                    prod = g.shift_by_monomial(m)
-                    row = np.zeros(len(monos), dtype=np.int64)
-                    for em, c in prod.terms:
-                        row[mono_pos[em]] = c
-                    rows.append(row)
-            if rows:
-                R, pivots, _ = rref(Mat.from_rows(self.field, rows, cols=len(monos)))
-                pivot_set = set(pivots)
+            if monomial_ideal and d:
+                ups = {s[:v] + (s[v] + 1,) + s[v + 1:] for s in self._std[-1] for v in range(self.nvars)}
+                std = sorted((e for e in ups if not any(all(a >= b for a, b in zip(e, le)) for le in lead_exps)),
+                             key=_drl_pos_key)
             else:
-                R, pivots, pivot_set = None, (), set()
-            std = [e for j, e in enumerate(monos) if j not in pivot_set]
+                # degree 0 is the monomial 1 either way: relations have degree >= 1
+                std = self._echelon_slice(d)
             if not std:
-                # A_d = 0 forces A_e = 0 for all e > d (standard graded)
                 return
-            nf = np.zeros((len(std), len(monos)), dtype=np.int64)
-            std_pos = {e: j for j, e in enumerate(std)}
-            for j, e in enumerate(monos):
-                if e in std_pos:
-                    nf[std_pos[e], j] = 1
-            if R is not None:
-                nonpivot_cols = [j for j in range(len(monos)) if j not in pivot_set]
-                for r, pc in enumerate(pivots):
-                    for jj in nonpivot_cols:
-                        c = int(R.a[r, jj])
-                        if c:
-                            nf[std_pos[monos[jj]], pc] = (-c) % p
-            self._slices.append(_DegreeSlice(monos, std, nf))
+            self._std.append(std)
         raise InputError(
             f"quotient still nonzero at degree {self.degree_cap}: possibly non-Artinian "
             "(raise degree_cap only if the quotient really is finite dimensional)"
         )
 
+    def _echelon_slice(self, d: int) -> List[Monomial]:
+        """Standard monomials of degree d: the non-pivot columns of the RREF of
+        the ideal's degree-d slice.  Modulo the ideal a pivot monomial equals
+        minus the rest of its row; that normal form is stored when nonzero."""
+        monos = monomials_of_degree(self.nvars, d)
+        mono_pos = {e: j for j, e in enumerate(monos)}
+        rows = []
+        for g in self.relations:
+            e = g.degree()
+            if e > d:
+                continue
+            for m in monomials_of_degree(self.nvars, d - e):
+                row = np.zeros(len(monos), dtype=np.int64)
+                for em, c in g.shift_by_monomial(m).terms:
+                    row[mono_pos[em]] = c
+                rows.append(row)
+        R, pivots, _ = rref(Mat.from_rows(self.field, rows, cols=len(monos)))
+        nonpivot = np.setdiff1d(np.arange(len(monos)), pivots)
+        for r, pc in enumerate(pivots):
+            nf = (-R.a[r, nonpivot]) % self.field.p
+            if nf.any():
+                self._nf[monos[pc]] = nf
+        return [monos[j] for j in nonpivot]
+
     # -- basis bookkeeping ------------------------------------------------
 
     def slice_std(self, d: int) -> List[Monomial]:
         if 0 <= d <= self.top_degree:
-            return self._slices[d].std
+            return self._std[d]
         return []
 
     def hilbert_function(self) -> Tuple[int, ...]:
-        return tuple(len(self._slices[d].std) for d in range(self.top_degree + 1))
+        return tuple(len(std) for std in self._std)
 
     def nf_monomial(self, e: Monomial) -> np.ndarray:
         """Normal form of a single monomial as a vector over the flat basis."""
-        d = _mono_degree(e)
+        e = tuple(e)
+        if len(e) != self.nvars:
+            raise InputError(f"exponent tuple {e} has wrong length, expected {self.nvars}")
         vec = np.zeros(self.dim, dtype=np.int64)
-        if d > self.top_degree:
-            return vec
-        sl = self._slices[d]
-        col = sl.mono_index[tuple(e)]
-        off = self._degree_offsets[d]
-        vec[off : off + len(sl.std)] = sl.nf_matrix[:, col]
+        j = self.basis_index.get(e)
+        if j is not None:
+            vec[j] = 1
+        elif e in self._nf:
+            # stored over the standard monomials of its degree
+            off = self.basis_index[self._std[_mono_degree(e)][0]]
+            vec[off : off + len(self._nf[e])] = self._nf[e]
         return vec
 
     def nf_polynomial(self, poly: Polynomial) -> "AlgebraElement":

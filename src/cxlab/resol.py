@@ -21,6 +21,7 @@ from .gralg import Algebra, AlgebraElement
 from .gmod import (
     FreeModule,
     Module,
+    algebra_coefficients,
     column_degrees,
     extend_linearly,
     free_module,
@@ -54,8 +55,7 @@ class MinimalFreeResolution:
     def __init__(self, module: Module):
         self.module = module
         self.frees: List[FreeModule] = []
-        self._diff_real: List[Mat] = []                # index 0: augmentation F_0 -> M; i >= 1: d_i
-        self._diff_alg: List[Optional[list]] = [None]  # index i >= 1: entries over A
+        self._diff_real: List[Mat] = []  # index 0: augmentation F_0 -> M; i >= 1: d_i
         # index i: (RREF rows spanning ker d_{i-1} in F_{i-1}, or M at 0; their pivots)
         self._spans = [(Mat.identity(module.field, module.dim), np.arange(module.dim))]
         self._syz = {}  # i >= 1: the gmod.Submodule of syzygy i, built on request
@@ -86,13 +86,10 @@ class MinimalFreeResolution:
         d_real = extend_linearly(target, Mat(A.field, lifts.T))
         self.frees.append(F)
         if i:
-            d_alg = [[None] * F.rank for _ in range(target.rank)]
-            for g, col in enumerate(F.generator_columns()):
-                for r, a in enumerate(target.to_algebra_entries(d_real.a[:, col])):
-                    # minimality: constructive generator choice keeps entries in m
-                    check(a.constant_term() == 0, "differential entry has a unit component")
-                    d_alg[r][g] = a
-            self._diff_alg.append(d_alg)
+            # minimality: constructive generator choice keeps entries in m,
+            # so d_i vanishes at generator rows and generator columns
+            check(not algebra_coefficients(d_real, F, target)[0].any(),
+                  "differential entry has a unit component")
             check((self._diff_real[i - 1] @ d_real).is_zero(), f"d_{i-1} o d_{i} != 0")
         # exactness: the image of d_i (the augmentation at i = 0) fills the span
         check(d_real.rank() == span.rows,
@@ -124,11 +121,16 @@ class MinimalFreeResolution:
         self.extend(n)
         return self._diff_real[n]
 
-    def diff_algebra(self, n: int) -> list:
-        if n < 1:
-            raise InputError("differentials are indexed from 1")
-        self.extend(n)
-        return self._diff_alg[n]
+    def diff_coefficients(self, n: int) -> np.ndarray:
+        """d_n over A as a coefficient array (gmod.algebra_coefficients),
+        read off the realized matrix."""
+        return algebra_coefficients(self.diff_realized(n), self.frees[n], self.frees[n - 1])
+
+    def diff_algebra(self, n: int) -> List[List[AlgebraElement]]:
+        """d_n as a matrix of algebra elements, built on each call."""
+        C = self.diff_coefficients(n)
+        A = self.module.algebra
+        return [[AlgebraElement(A, C[:, r, g]) for g in range(C.shape[2])] for r in range(C.shape[1])]
 
     def syzygy_module(self, i: int) -> Module:
         if i < 0:
@@ -312,12 +314,11 @@ def verify_complex(algebra: Algebra, matrices: Sequence[Sequence[Sequence[Algebr
             d2_ok = False
             failures.append({"kind": "d2_nonzero", "at": start_index + n})
     minimal = True
-    for idx, mat in enumerate(matrices):
-        for i, row in enumerate(mat):
-            for j, a in enumerate(row):
-                if a.constant_term() != 0:
-                    minimal = False
-                    failures.append({"kind": "unit_entry", "matrix": start_index + idx, "row": i, "col": j})
+    for idx in range(len(matrices)):
+        units = algebra_coefficients(realized[idx], frees[idx + 1], frees[idx])[0]
+        for i, j in zip(*np.nonzero(units)):
+            minimal = False
+            failures.append({"kind": "unit_entry", "matrix": start_index + idx, "row": int(i), "col": int(j)})
     exact_at = []
     for n in range(1, len(matrices)):
         nullity = frees[n].dim - realized[n - 1].rank()

@@ -81,15 +81,12 @@ def _hom_shifts(res: MinimalFreeResolution, n: Module, i: int) -> np.ndarray:
 
 def _hom_differential(res: MinimalFreeResolution, n: Module, i: int) -> Mat:
     """delta^i : Hom(F_i, N) -> Hom(F_{i+1}, N), phi -> phi o d_{i+1}."""
-    d = res.diff_algebra(i + 1)
-    Fi, Fi1 = res.free(i), res.free(i + 1)
-    transposed = [[d[g][h] for g in range(Fi.rank)] for h in range(Fi1.rank)]
-    return block_action(n, transposed, Fi1.rank, Fi.rank)
+    return block_action(n, res.diff_coefficients(i + 1).transpose(0, 2, 1))
 
 
 def _tensor_differential(res: MinimalFreeResolution, n: Module, i: int) -> Mat:
     """d_i (x) 1 : F_i (x) N -> F_{i-1} (x) N."""
-    return block_action(n, res.diff_algebra(i), res.free(i - 1).rank, res.free(i).rank)
+    return block_action(n, res.diff_coefficients(i))
 
 
 def ext_table(m: Module, n: Module, max_degree: int) -> List[int]:
@@ -298,14 +295,13 @@ def pushout(eta: ExtElement) -> "PushoutExtension":
     """
     res = eta.resolution
     t = eta.degree
-    res.extend(max(t, 1))
     N = eta.target
     p = N.field.p
     Nsh = shift(N, -eta.shift)
     F_prev = res.free(t - 1)
     D = direct_sum(Nsh, F_prev)
     phi = eta.realized()
-    d_t = res.diff_realized(t) if t >= 1 else None
+    d_t = res.diff_realized(t)
     F_t = res.free(t)
     span = np.zeros((F_t.dim, D.dim), dtype=np.int64)
     span[:, : N.dim] = phi.a.T

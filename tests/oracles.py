@@ -68,6 +68,40 @@ def matmul_mod(rows, cols, p):
     return [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in rows]
 
 
+def element_action(module, a, powers=None):
+    """Rows of the matrix by which the algebra element a acts on the module:
+    the sum over a's monomials x^e of its coefficient times the product of
+    the variable actions, in Python integers.  powers caches x^e by the
+    basis index of e."""
+    p = module.field.p
+    n = module.dim
+    powers = {} if powers is None else powers
+    out = [[0] * n for _ in range(n)]
+    for j, c in enumerate(a.vec.tolist()):
+        if not c:
+            continue
+        if j not in powers:
+            power = [[int(r == s) for s in range(n)] for r in range(n)]
+            for X, k in zip(module.actions, a.algebra.basis[j]):
+                for _ in range(k):
+                    power = matmul_mod(X.a.tolist(), [list(col) for col in zip(*power)], p)
+            powers[j] = power
+        out = [[(o + c * x) % p for o, x in zip(orow, xrow)] for orow, xrow in zip(out, powers[j])]
+    return out
+
+
+def block_action(module, entries, rows, cols):
+    """A rows x cols matrix over A acting on N^cols -> N^rows, entry by
+    entry: block (i, j) is element_action(module, entries[i][j])."""
+    n = module.dim
+    out = np.zeros((rows * n, cols * n), dtype=np.int64)
+    powers = {}
+    for i, row in enumerate(entries):
+        for j, a in enumerate(row):
+            out[i * n : (i + 1) * n, j * n : (j + 1) * n] = element_action(module, a, powers)
+    return out
+
+
 def solve_matrix(matrix, rhs_cols, p, ncols):
     """The solution X of matrix @ X = rhs whose free coordinates are zero,
     or None when some column of rhs is not in the column space.

@@ -15,6 +15,7 @@ from cxlab.exactla import Field, Mat, solve_matrix
 from cxlab.gralg import build_algebra, parse_polynomial
 from cxlab.gmod import (
     Module,
+    block_action,
     coker_presentation,
     direct_sum,
     depth,
@@ -31,6 +32,7 @@ from cxlab.gmod import (
     submodule_from_span,
 )
 from cxlab.resol import resolve, syzygy, verify_complex
+from cxlab.yoneda import _hom_differential, _tensor_differential
 from conftest import GASHAROV_RELATIONS, GASHAROV_VARS
 from oracles import gauss_rank
 
@@ -252,23 +254,28 @@ def test_extend_linearly_matches_entrywise_definition(p):
                 assert np.array_equal(got.a[:, mi::G.dim], expected.a), (target, rank, mono)
 
 
+def _dense_free_module(A, rng):
+    """A rank-2 free module with its actions conjugated by a random graded
+    change of basis, so that they have large entries."""
+    F = A.field
+    free = free_module(A, [0, 0])
+    P = np.zeros((free.dim, free.dim), dtype=np.int64)
+    for d in set(free.degrees):
+        idx = [j for j, e in enumerate(free.degrees) if e == d]
+        P[np.ix_(idx, idx)] = rng.integers(0, F.p, (len(idx), len(idx)))
+    P = Mat(F, P)
+    P_inv = solve_matrix(P, Mat.identity(F, free.dim))
+    assert P_inv is not None
+    return Module(A, free.degrees, [P @ X @ P_inv for X in free.actions])
+
+
 def test_extend_linearly_exact_at_large_prime():
     # residues near 2^31: a raw int64 product of an action and the images overflows
     p = 2**31 - 1
     F = Field(p)
     A = MonomialCI.build(F, [2, 2, 2]).algebra
-    free = free_module(A, [0, 0])
-    # conjugate the free actions by a random graded change of basis, so that
-    # they have large entries
     rng = np.random.default_rng(7)
-    P = np.zeros((free.dim, free.dim), dtype=np.int64)
-    for d in set(free.degrees):
-        idx = [j for j, e in enumerate(free.degrees) if e == d]
-        P[np.ix_(idx, idx)] = rng.integers(0, p, (len(idx), len(idx)))
-    P = Mat(F, P)
-    P_inv = solve_matrix(P, Mat.identity(F, free.dim))
-    assert P_inv is not None
-    M = Module(A, free.degrees, [P @ X @ P_inv for X in free.actions])
+    M = _dense_free_module(A, rng)
     images = rng.integers(0, p, (M.dim, 3))
     expected = []
     for g in range(3):
@@ -279,6 +286,34 @@ def test_extend_linearly_exact_at_large_prime():
                     v = [row[0] for row in oracles.matmul_mod(X.a.tolist(), [v], p)]
             expected.append(v)
     assert extend_linearly(M, Mat(F, images)).a.T.tolist() == expected
+
+
+def test_block_actions_exact_at_large_prime():
+    # dense actions and entries with every monomial, each coefficient a small
+    # negative: a kron term is below p^2 < 2^62, and the three terms that
+    # meet in an entry of a degree-1 or degree-2 block overflow int64 unless
+    # each is reduced
+    p = 2**31 - 1
+    F = Field(p)
+    A = MonomialCI.build(F, [2, 2, 2]).algebra
+    rng = np.random.default_rng(3)
+    M = _dense_free_module(A, rng)
+    coeffs = p - rng.integers(1, 100, (A.dim, 2, 3))
+    entries = [[A.element(coeffs[:, i, j]) for j in range(3)] for i in range(2)]
+    assert np.array_equal(block_action(M, coeffs).a, oracles.block_action(M, entries, 2, 3))
+    G = free_module(A, [0, 0, 0])
+    assert np.array_equal(realize_algebra_matrix(G, free_module(A, [0, 0]), entries).a,
+                          oracles.block_action(G.regular, entries, 2, 3))
+    # a resolution whose differentials have dense linear entries
+    form = A.element(np.concatenate([[0], rng.integers(1, p, 3), np.zeros(A.dim - 4, dtype=np.int64)]))
+    res = resolve(coker_presentation(A, [[form]], [0]), 3)
+    assert max(np.count_nonzero(a.vec) for i in (1, 2, 3) for row in res.diff_algebra(i) for a in row) >= 3
+    for i in (1, 2, 3):
+        d = res.diff_algebra(i)
+        r, c = res.free(i - 1).rank, res.free(i).rank
+        assert np.array_equal(_tensor_differential(res, M, i).a, oracles.block_action(M, d, r, c))
+        transposed = [[d[h][g] for h in range(r)] for g in range(c)]
+        assert np.array_equal(_hom_differential(res, M, i - 1).a, oracles.block_action(M, transposed, c, r))
 
 
 def _unit_row(M, idx):

@@ -9,6 +9,7 @@ from cxlab.gralg import (
     build_algebra,
     codimension,
     is_gorenstein,
+    monomials_of_degree,
     multiply,
     parse_polynomial,
 )
@@ -144,16 +145,23 @@ def test_monomial_ci_hilbert_product_formula():
 
 def test_monomial_fast_path_matches_dense_path():
     # same ideal, one presentation forcing the generic echelon route
-    fast = _quadric()
-    dense = build_algebra(
-        F5, 2,
-        [parse_polynomial(s, XY, F5) for s in ["x^2", "x^2+y^2", "y^2"]],
-        varnames=XY,
-    )
-    assert fast.hilbert_function() == dense.hilbert_function()
-    assert fast.basis == dense.basis
-    for e in [(1, 1), (2, 0), (0, 2), (2, 1)]:
-        assert fast.nf_monomial(e).tolist() == dense.nf_monomial(e).tolist()
+    for p in (2, 5, 2**31 - 1):
+        F = Field(p)
+
+        def build(rels):
+            return build_algebra(F, 2, [parse_polynomial(s, XY, F) for s in rels], varnames=XY)
+
+        fast, dense = build(["x^2", "y^2"]), build(["x^2", "x^2+y^2", "y^2"])
+        assert fast.hilbert_function() == dense.hilbert_function()
+        assert fast.basis == dense.basis
+        for d in range(fast.top_degree + 2):
+            for e in monomials_of_degree(2, d):
+                assert fast.nf_monomial(e).tolist() == dense.nf_monomial(e).tolist(), (p, e)
+        # a tuple of the wrong length is an error, not the zero normal form
+        for A in (fast, dense):
+            for e in [(1,), (1, 0, 0), (2, 1, 1)]:
+                with pytest.raises(InputError, match="wrong length"):
+                    A.nf_monomial(e)
 
 
 def test_variable_action_nilpotent():

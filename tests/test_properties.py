@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from cxlab.exactla import Field
-from cxlab.gmod import coker_presentation, direct_sum, is_isomorphic, residue_field
+from cxlab.gmod import coker_presentation, direct_sum, is_isomorphic, realize_algebra_matrix, residue_field
 from cxlab.gralg import Algebra
 from cxlab.resol import resolve, syzygy
-from cxlab.yoneda import ExtElement, ext_table, pushout, tor_table
+from cxlab.yoneda import ExtElement, _hom_differential, _tensor_differential, ext_table, pushout, tor_table
+import oracles
 from oracles import assert_matches_eager
 
 F5 = Field(5)
@@ -81,6 +82,26 @@ def test_resolutions_match_eager_reference_random(random_modules):
         if M.dim == 0:
             continue
         assert_matches_eager(M, 5)
+
+
+def test_block_actions_match_entrywise_reference(random_modules):
+    # each differential over A acts on the regular module and on another
+    # random module exactly as its entries do, one entry at a time
+    for M, N in zip(random_modules[0::3], random_modules[2::3]):
+        assert M.algebra is N.algebra
+        if M.dim == 0:
+            continue
+        res = resolve(M, 3)
+        for i in range(1, 4):
+            d = res.diff_algebra(i)
+            r, c = res.free(i - 1).rank, res.free(i).rank
+            regular = res.free(i).regular
+            assert np.array_equal(realize_algebra_matrix(res.free(i), res.free(i - 1), d).a,
+                                  oracles.block_action(regular, d, r, c))
+            assert np.array_equal(_tensor_differential(res, N, i).a, oracles.block_action(N, d, r, c))
+            transposed = [[d[h][g] for h in range(r)] for g in range(c)]
+            assert np.array_equal(_hom_differential(res, N, i - 1).a,
+                                  oracles.block_action(N, transposed, c, r))
 
 
 def test_syzygy_betti_shift_random(random_modules):

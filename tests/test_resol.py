@@ -3,7 +3,7 @@ import pytest
 from cxlab.cioper import MonomialCI
 from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field
-from cxlab.gralg import build_algebra, parse_polynomial
+from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
 from cxlab import resol
 from cxlab.gmod import ModuleMap, coker_presentation, direct_sum, free_module, residue_field, shift
 from cxlab.resol import estimate_complexity, resolve, syzygy, verify_complex
@@ -27,6 +27,25 @@ def test_resolve_k_quadric(k):
     betti = resolve(k, 12).betti_list(12)
     assert betti == [n + 1 for n in range(13)]
     assert betti == [quadric_ci_betti_closed_form(n) for n in range(13)]
+
+
+def test_resolve_builds_no_algebra_elements(monkeypatch):
+    # each differential is stored once, as its realized matrix
+    A = MonomialCI.build(F5, [2, 2, 2]).algebra
+    M = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
+    built = []
+    init = AlgebraElement.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counting_init)
+    assert resolve(residue_field(A), 12).betti_list(12)[12] == 91
+    resolve(M, 8)
+    assert built == []
+    assert len(resolve(M, 8).diff_algebra(2)) == resolve(M, 8).betti(1)
+    assert built
 
 
 def test_resolve_k_against_naive_kernel_iteration(A, k):
