@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InputError, check
 from .exactla import Mat, kernel_basis, rref, solve_matrix
-from .gmod import Module, block_action, direct_sum, extend_linearly, quotient_by_span, shift
+from .gmod import (Module, algebra_coefficients, block_action, direct_sum, extend_linearly,
+                   quotient_by_span, shift)
 from .gralg import is_gorenstein
 from .resol import ComplexityEstimate, MinimalFreeResolution, estimate_complexity, resolve
 
@@ -229,7 +230,7 @@ def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
             rep = np.zeros(delta_t.cols, dtype=np.int64)
             rep[cols] = R_cls.a[r]
             elements.append(ExtElement(res, n, t, rep, s))
-    expected = ext_table(m, n, t)[t]
+    expected = delta_t.cols - delta_t.rank() - delta_prev.rank()
     check(len(elements) == expected, f"cocycle count {len(elements)} != ext dimension {expected}")
     return elements
 
@@ -248,7 +249,7 @@ def _lift_chain_map(eta: ExtElement, upto: int) -> List[Mat]:
     if eta.target is not res.module:
         raise InputError("chain lifting needs source = target")
     t = eta.degree
-    res.extend(t + upto + 1)
+    res.extend(t + upto)
     phi = eta.realized()
     gen_rhs = Mat(eta.target.field, phi.a[:, res.free(t).generator_columns()])
     U = solve_matrix(res.augmentation, gen_rhs)
@@ -348,6 +349,28 @@ def _estimate(module: Module, window: int, s: int) -> ComplexityEstimate:
     return estimate_complexity(resolve(module, window).betti_list(window), s)
 
 
+def _pushout_betti(eta: ExtElement, window: int) -> List[int]:
+    """beta_0..beta_window of the pushout of eta in Ext^t(M, M), without
+    building it.
+
+    The pushout K sits in 0 -> M -> K -> Omega^{t-1}(M) -> 0, whose
+    connecting map Tor_{n+1}(Omega^{t-1}M, k) = Tor_{n+t}(M, k) -> Tor_n(M, k)
+    is eta itself, i.e. theta_n (x) k for the chain lift theta_n: F_{n+t} -> F_n
+    (P. A. Bergh, "Modules with reducible complexity", J. Algebra 2007).
+    With minimal resolutions the long exact sequence gives
+    beta_n(K) = beta_n(M) + beta_{n+t-1}(M) - rk(theta_n (x) k) - rk(theta_{n-1} (x) k),
+    with theta_{-1} = 0.
+    """
+    res = eta.resolution
+    t = eta.degree
+    thetas = _lift_chain_map(eta, window)
+    # theta_n (x) k: the constant coefficients of theta_n over A
+    ranks = [0] + [Mat(eta.target.field, algebra_coefficients(th, res.free(n + t), res.free(n))[0]).rank()
+                   for n, th in enumerate(thetas)]
+    betti = res.betti_list(t + window - 1)
+    return [betti[n] + betti[n + t - 1] - ranks[n + 1] - ranks[n] for n in range(window + 1)]
+
+
 QUICK_WINDOW = 8
 QUICK_STAB = 3
 
@@ -361,10 +384,13 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
     Basis representatives are tried first, then seeded random combinations
     within one internal shift (a per-degree budget applies).  Scalar multiples
     and cohomologous candidates are deduplicated through canonical class
-    residues.  Candidates are screened on a short Betti window and only
-    confirmed on the full one, so the returned estimate always uses the full
-    window.  Returns None when nothing is found within the budget; that is a
-    statement about the search, never about the module.
+    residues.  Candidates are screened on a short Betti window of their
+    pushout, read off the resolution of M through the long exact Tor sequence
+    (_pushout_betti) without building the pushout.  Only a candidate that
+    passes is pushed out and confirmed on the full window, so the returned
+    estimate always uses the full window; its resolution also re-checks the
+    screen's Betti numbers.  Returns None when nothing is found within the
+    budget; that is a statement about the search, never about the module.
     """
     est_m = _estimate(m, window, stab)
     if not est_m.stabilized or est_m.value < 1:
@@ -374,11 +400,14 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
     p = m.field.p
 
     def evaluate(eta: ExtElement) -> Optional[Tuple[ExtElement, PushoutExtension, ComplexityEstimate]]:
-        push = pushout(eta)
-        quick = _estimate(push.module, QUICK_WINDOW, QUICK_STAB)
+        screen = _pushout_betti(eta, QUICK_WINDOW)
+        quick = estimate_complexity(screen, QUICK_STAB)
         if quick.stabilized and quick.value != target:
             return None
+        push = pushout(eta)
         full = _estimate(push.module, window, stab)
+        check(resolve(push.module, QUICK_WINDOW).betti_list(QUICK_WINDOW) == screen,
+              "pushout Betti numbers differ from the long exact Tor sequence")
         if full.stabilized and full.value == target:
             return eta, push, full
         return None

@@ -4,9 +4,9 @@ Everything here is deliberately naive: plain Python integers and lists, a
 separate Gaussian elimination, and a resolution built by raw kernel
 iteration over structure constants.  None of it imports the engine's
 linear algebra or resolution code, so agreement is a real cross-check.
-The one exception is eager_resolution, a reference for the resolution's
-bookkeeping rather than its arithmetic: it builds every syzygy as an
-explicit module from the engine's gmod constructors.
+The two exceptions are references for bookkeeping rather than arithmetic:
+eager_resolution builds every syzygy as an explicit module from the
+engine's gmod constructors, and pushout_betti builds and resolves a pushout.
 """
 from __future__ import annotations
 
@@ -350,3 +350,13 @@ def assert_matches_eager(module, n):
         assert S.degrees == ref.module.degrees, i
         assert S.actions == ref.module.actions, i
         assert res.syzygy_inclusion(i) == ref.inclusion, i
+
+
+def pushout_betti(eta, window):
+    """beta_0..beta_window of the pushout of eta, by building the pushout
+    module and resolving it: the reference for yoneda._pushout_betti, which
+    reads them off the long exact Tor sequence."""
+    from cxlab.resol import resolve
+    from cxlab.yoneda import pushout
+
+    return resolve(pushout(eta).module, window).betti_list(window)

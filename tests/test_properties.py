@@ -8,7 +8,8 @@ from cxlab.exactla import Field
 from cxlab.gmod import coker_presentation, direct_sum, is_isomorphic, realize_algebra_matrix, residue_field
 from cxlab.gralg import Algebra
 from cxlab.resol import resolve, syzygy
-from cxlab.yoneda import ExtElement, _hom_differential, _tensor_differential, ext_table, pushout, tor_table
+from cxlab.yoneda import (ExtElement, _hom_differential, _pushout_betti, _tensor_differential, cocycle_basis,
+                          ext_table, pushout, tor_table)
 import oracles
 from oracles import assert_matches_eager
 
@@ -134,6 +135,20 @@ def test_pushout_dimension_and_split(random_modules):
         assert P.module.dim == M.dim + res.free(t - 1).dim - omega_rank
         target = direct_sum(M, syzygy(M, t - 1))
         assert is_isomorphic(P.module, target, seed=3).kind == "yes"
+
+
+def test_pushout_betti_random(random_modules):
+    # the long exact Tor sequence against the resolved pushout, on every
+    # basis class and on the split (zero) class
+    rng = random.Random(17)
+    for M in random_modules:
+        if M.dim == 0:
+            continue
+        t = rng.choice([1, 2])
+        res = resolve(M, t + 1)
+        zero = ExtElement(res, M, t, np.zeros(res.free(t).rank * M.dim, dtype=np.int64), 0)
+        for eta in cocycle_basis(M, M, t) + [zero]:
+            assert _pushout_betti(eta, 6) == oracles.pushout_betti(eta, 6)
 
 
 def test_tor_symmetry_random(random_modules):

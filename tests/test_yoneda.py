@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from cxlab.errors import InputError
+import oracles
+from cxlab import yoneda
+from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field
 from cxlab.gmod import (
     direct_sum,
@@ -13,9 +15,12 @@ from cxlab.gmod import (
     residue_field,
     shift,
 )
+from cxlab.gralg import build_algebra, parse_polynomial
 from cxlab.resol import estimate_complexity, resolve, syzygy
 from cxlab.yoneda import (
     ExtElement,
+    _lift_chain_map,
+    _pushout_betti,
     cocycle_basis,
     ext_table,
     find_reducing_element,
@@ -30,6 +35,7 @@ from cxlab.yoneda import (
 from cxlab.yoneda import test_against as bound_test
 
 F5 = Field(5)
+P31 = Field(2**31 - 1)
 
 
 def test_ext_table_free(A, k):
@@ -66,6 +72,21 @@ def test_cocycle_basis_counts(A, k):
     assert len(cocycle_basis(k, k, 2)) == 3
     for t in (1, 2, 3):
         assert len(cocycle_basis(k, k, t)) == ext_table(k, k, t)[t]
+
+
+def test_cocycle_basis_builds_each_hom_differential_once(monkeypatch, gasharov_module):
+    # the class count comes from the delta_5 and delta_6 it already holds;
+    # every other delta_6 is a cocycle check of one ExtElement
+    built = []
+    hom_differential = yoneda._hom_differential
+
+    def counting(res, n, i):
+        built.append(i)
+        return hom_differential(res, n, i)
+
+    monkeypatch.setattr(yoneda, "_hom_differential", counting)
+    basis = cocycle_basis(gasharov_module, gasharov_module, 6)
+    assert sorted(built) == [5] + [6] * (1 + len(basis))
 
 
 def test_cocycle_representatives_are_homogeneous(k):
@@ -171,6 +192,78 @@ def test_pushout_power_complexity_monotone(quadric, k):
     assert est2.value <= est1.value
 
 
+def test_lift_chain_map_resolves_only_what_it_reads(A):
+    M = residue_field(A)  # a new module, so its resolution starts empty
+    eta = cocycle_basis(M, M, 2)[0]
+    assert eta.resolution.computed_to == 3
+    _lift_chain_map(eta, 3)  # theta_3: F_5 -> F_3 reads d_5 and F_5
+    assert eta.resolution.computed_to == 5
+
+
+def _assert_screen_matches_pushouts(m, degrees, window):
+    """The Tor-sequence Betti numbers of each basis class's pushout equal
+    those of the resolved pushout; returns the number of classes checked."""
+    checked = 0
+    for t in degrees:
+        for eta in cocycle_basis(m, m, t):
+            assert _pushout_betti(eta, window) == oracles.pushout_betti(eta, window), (t, eta.shift)
+            checked += 1
+    return checked
+
+
+def test_pushout_betti_matches_resolved_pushout_gasharov(gasharov_module):
+    assert _assert_screen_matches_pushouts(gasharov_module, range(1, 6), 8) == 45
+
+
+@pytest.mark.parametrize("field, relations, varnames, top_t, window", [
+    (F5, ["x^2", "y^2", "z^3"], ["x", "y", "z"], 3, 8),
+    (P31, ["x^2", "y^2", "z^2"], ["x", "y", "z"], 2, 8),
+    (P31, ["x^2", "y^3"], ["x", "y"], 3, 8),
+    (Field(3), ["x^2", "y^2", "x*y"], ["x", "y"], 2, 6),  # not a complete intersection
+    (Field(2), ["x^2", "y^2"], ["x", "y"], 3, 8),
+], ids=["F5-x2y2z3", "P31-x2y2z2", "P31-x2y3", "F3-x2y2xy", "F2-x2y2"])
+def test_pushout_betti_matches_resolved_pushout_residue_fields(field, relations, varnames, top_t, window):
+    B = build_algebra(field, len(varnames), [parse_polynomial(r, varnames, field) for r in relations],
+                      varnames=varnames)
+    assert _assert_screen_matches_pushouts(residue_field(B), range(1, top_t + 1), window) > 0
+
+
+def _search_summary(found):
+    eta, push, est = found
+    return eta.degree, eta.shift, eta.rep.tolist(), push.module.dim, est
+
+
+def test_find_reducing_element_same_with_resolved_screen(monkeypatch, gasharov_module, cubic, k):
+    # the screen only decides which candidates get pushed out, so screening
+    # on resolved pushouts must give the same search
+    k3 = residue_field(cubic.algebra)
+    searches = [(gasharov_module, 8, seed, 3) for seed in range(4)] + [(k3, 4, 0, 200), (k, 4, 0, 200)]
+    ours = [_search_summary(find_reducing_element(m, d, seed=s, budget=b)) for m, d, s, b in searches]
+    monkeypatch.setattr(yoneda, "_pushout_betti", oracles.pushout_betti)
+    resolved = [_search_summary(find_reducing_element(m, d, seed=s, budget=b)) for m, d, s, b in searches]
+    assert ours == resolved
+
+
+def test_find_reducing_element_builds_one_pushout(monkeypatch, gasharov_module):
+    built = []
+
+    def counting(eta):
+        built.append(eta.degree)
+        return pushout(eta)
+
+    monkeypatch.setattr(yoneda, "pushout", counting)
+    find_reducing_element(gasharov_module, 8, seed=0, budget=3)
+    assert built == [4]  # only the class that passes the screen
+
+
+def test_find_reducing_element_rechecks_the_screen(monkeypatch, gasharov_module):
+    # a screen that claims a free pushout for the first candidate is caught
+    # by the resolution of that pushout
+    monkeypatch.setattr(yoneda, "_pushout_betti", lambda eta, window: [2] + [0] * window)
+    with pytest.raises(InvariantError, match="long exact Tor sequence"):
+        find_reducing_element(gasharov_module, 8, seed=0, budget=3)
+
+
 def test_find_reducing_element_cubic(cubic):
     # over F_5[x]/(x^3) no degree-one class reduces; degree two is the first
     k3 = residue_field(cubic.algebra)
@@ -214,8 +307,6 @@ def test_reduction_sequence_free(A):
 
 
 def test_reduction_sequence_failure_branch(F5):
-    from cxlab.gralg import build_algebra, parse_polynomial
-
     B = build_algebra(
         F5, 2, [parse_polynomial(s, ["x", "y"], F5) for s in ["x^2", "x*y", "y^2"]],
         varnames=["x", "y"],
@@ -269,7 +360,6 @@ def test_bound_test_against(A, k, Ax, quadric):
 
 def test_symmetry_check(A, k, quadric, gasharov_module):
     from cxlab.cioper import build_kchi
-    from cxlab.gralg import build_algebra, parse_polynomial
 
     T1 = build_kchi(quadric, 1)
     assert symmetry_check(k, T1, 14).kind == "co_occurrence"
