@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["Field", "Mat", "rref", "kernel_basis", "solve", "solve_matrix"]
+__all__ = ["Field", "Mat", "rref", "kernel_basis", "kernel_rref", "solve", "solve_matrix"]
 
 
 def _is_prime(n: int) -> bool:
@@ -329,6 +329,29 @@ def kernel_basis(m: Mat) -> Mat:
     K[free, np.arange(len(free))] = 1
     K[list(pivots)] = -R.a[:rank, free]
     return Mat(m.field, K)
+
+
+def kernel_rref(m: Mat):
+    """Rank of m and the reduced row-echelon basis of its null space, from
+    one elimination.
+
+    Returns (rank, K, pivots): the rows of K span {x : m x = 0} in reduced
+    echelon form, with pivot columns pivots.  m is eliminated with its
+    columns reversed, so each non-pivot column f gives a kernel vector with
+    a 1 at f, zeros at the other non-pivot columns and nonzeros only at
+    pivot columns before f.  Reversed back, its 1 is its first nonzero entry
+    and every other row vanishes there: the rows are the kernel's reduced
+    echelon form, which is unique, so K equals rref(kernel_basis(m).T).
+    """
+    n = m.cols
+    R, piv = _rref_array(m.a[:, ::-1], m.field.p)
+    rank = len(piv)
+    free = np.setdiff1d(np.arange(n), piv)
+    K = np.zeros((len(free), n), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, piv] = -R[:rank, free].T
+    # reversed columns put the last free column first; reverse both axes
+    return rank, Mat(m.field, K[::-1, ::-1]), (n - 1 - free)[::-1]
 
 
 def solve(m: Mat, b) -> Optional[np.ndarray]:

@@ -9,6 +9,12 @@ module of each algebra.  A module built from verified ones (`shift`,
 inherits the axioms; each such construction checks the one fact its
 inheritance rests on.  Failed checks raise InvariantError, also under
 `python -O`: the engine checks, it never assumes.
+
+Readers apply a variable from the left through `Module.act`.  A free module
+keeps only its rank and the regular module, and acts block by block; its
+dense matrices kron(I_r, X_v) are built on request, for the readers that
+need them (`shift`, `direct_sum`, `hom_space`, `monomial_action` and the
+source side of `ModuleMap.is_equivariant`), and never kept.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InvariantError, check
-from .exactla import Field, Mat, kernel_basis, rref
+from .exactla import Field, Mat, _matmul_mod, kernel_basis, rref
 from .gralg import Algebra, AlgebraElement
 
 __all__ = [
@@ -56,7 +62,7 @@ class Module:
                  _skip_verify: bool = False):
         self.algebra = algebra
         self.degrees = tuple(int(d) for d in degrees)
-        self.actions = tuple(actions)
+        self._actions = tuple(actions)
         self.provenance = provenance
         self.chi_cuts = chi_cuts
         self._monomial_actions: Dict[Tuple[int, ...], Mat] = {}
@@ -65,8 +71,18 @@ class Module:
             self._verify()
 
     @property
+    def actions(self) -> Tuple[Mat, ...]:
+        """The matrix X_v of each variable on this module's basis."""
+        return self._actions
+
+    @property
     def dim(self) -> int:
         return len(self.degrees)
+
+    def act(self, v: int, cols: Mat) -> Mat:
+        """X_v applied to each column of cols, a matrix of coordinates on
+        this module; the one way readers apply a variable from the left."""
+        return self.actions[v] @ cols
 
     @property
     def field(self) -> Field:
@@ -131,7 +147,9 @@ class Module:
 class FreeModule(Module):
     """Free module on homogeneous generators; basis is generator-major blocks
     (generator g, standard monomial m) with degree deg(m) + deg(g).  Each
-    block is a copy of `regular`, the algebra as a module over itself."""
+    block is a copy of `regular`, the algebra as a module over itself, and a
+    variable acts block by block through the regular action: the dense
+    matrices kron(I_r, X_v) are built only on request and never kept."""
 
     def __init__(self, algebra: Algebra, gen_degrees: Sequence[int]):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
@@ -139,14 +157,35 @@ class FreeModule(Module):
         degrees = []
         for g in self.gen_degrees:
             degrees.extend(d + g for d in algebra.basis_degrees)
-        identity = np.eye(len(self.gen_degrees), dtype=np.int64)
-        actions = [Mat(algebra.field, np.kron(identity, X.a)) for X in self.regular.actions]
-        # inherited: the actions are kron(I_r, X_i) of the verified regular representation
-        super().__init__(algebra, degrees, actions, provenance="free", _skip_verify=True)
+        # inherited: every block carries the verified regular representation
+        super().__init__(algebra, degrees, (), provenance="free", _skip_verify=True)
 
     @property
     def rank(self) -> int:
         return len(self.gen_degrees)
+
+    def act(self, v: int, cols: Mat) -> Mat:
+        # side by side, the generator blocks of the columns form a
+        # dim A x (rank * k) matrix that the regular X_v multiplies at once
+        if cols.rows != self.dim:
+            raise InputError(f"{cols.rows} coordinates on a free module of dimension {self.dim}")
+        dA, r, k = self.algebra.dim, self.rank, cols.cols
+        blocks = cols.a.reshape(r, dA, k).transpose(1, 0, 2).reshape(dA, r * k)
+        # the exact product of Mat @, without wrapping the reshaped operands
+        # in Mats: extend_linearly acts once per basis monomial
+        out = _matmul_mod(self.regular.actions[v].a, blocks, self.field.p)
+        return Mat(self.field, out.reshape(dA, r, k).transpose(1, 0, 2).reshape(self.dim, k))
+
+    def _dense(self, X: Mat) -> Mat:
+        """kron(I_r, X): the regular matrix X on every generator block."""
+        return Mat(self.field, np.kron(np.eye(self.rank, dtype=np.int64), X.a))
+
+    @property
+    def actions(self) -> Tuple[Mat, ...]:
+        return tuple(self._dense(X) for X in self.regular.actions)
+
+    def monomial_action(self, e: Tuple[int, ...]) -> Mat:
+        return self._dense(self.regular.monomial_action(e))
 
     def generator_columns(self) -> List[int]:
         """Coordinate of each generator: the monomial 1 in its block."""
@@ -182,16 +221,17 @@ def extend_linearly(target: Module, gen_images: Mat) -> Mat:
     """Matrix of the A-linear map from a free module into target that sends
     generator g to column g of gen_images; column (g, m) is m times it."""
     A = target.algebra
-    rank = gen_images.cols
-    out = np.zeros((target.dim, rank, A.dim), dtype=np.int64)
-    out[:, :, 0] = gen_images.a  # basis[0] is the monomial 1
+    if gen_images.rows != target.dim:
+        raise InputError(f"{gen_images.rows} coordinates on a module of dimension {target.dim}")
+    columns = [gen_images]  # columns[m]: the columns (g, m) for every g; basis[0] is 1
     # column (g, x_v m') is X_v times column (g, m'): standard monomials are
     # closed under division and listed degree by degree, so m' comes first
-    for mi, mono in enumerate(A.basis[1:], 1):
+    for mono in A.basis[1:]:
         v = next(j for j, a in enumerate(mono) if a)
         below = A.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
-        out[:, :, mi] = (target.actions[v] @ Mat(A.field, out[:, :, below])).a
-    return Mat(A.field, out.reshape(target.dim, rank * A.dim))
+        columns.append(target.act(v, columns[below]))
+    out = np.stack([c.a for c in columns], axis=2)
+    return Mat(A.field, out.reshape(target.dim, gen_images.cols * A.dim))
 
 
 def algebra_coefficients(d: Mat, src: FreeModule, tgt: FreeModule) -> np.ndarray:
@@ -250,10 +290,10 @@ def direct_sum(m: Module, n: Module) -> Module:
         raise InputError("direct sum of modules over different algebras")
     degrees = m.degrees + n.degrees
     actions = []
-    for i in range(m.algebra.nvars):
+    for X, Y in zip(m.actions, n.actions):
         arr = np.zeros((m.dim + n.dim, m.dim + n.dim), dtype=np.int64)
-        arr[: m.dim, : m.dim] = m.actions[i].a
-        arr[m.dim :, m.dim :] = n.actions[i].a
+        arr[: m.dim, : m.dim] = X.a
+        arr[m.dim :, m.dim :] = Y.a
         actions.append(Mat(m.field, arr))
     # inherited: the actions are block-diagonal copies of verified actions
     return Module(m.algebra, degrees, actions, provenance="sum", _skip_verify=True)
@@ -280,7 +320,8 @@ def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarr
     pivots = np.argmax(span.a != 0, axis=1)
     check(np.array_equal(span.a[:, pivots], np.eye(span.rows)), "span is not in reduced echelon form")
     # mN is spanned by the images of the basis rows under each variable
-    images = [(X @ span.transpose()).a[pivots].T for X in m.actions]
+    cols = span.transpose()
+    images = [m.act(v, cols).a[pivots].T for v in range(m.algebra.nvars)]
     span_rows = Mat(m.field, np.vstack(images)) if images else Mat.zeros(m.field, 0, span.rows)
     _, mn_pivots, _ = rref(span_rows)
     return [(span.a[q].copy(), _row_degree(m, span.a[q]))
@@ -303,8 +344,8 @@ class ModuleMap:
     matrix: Mat
 
     def is_equivariant(self) -> bool:
-        for i in range(self.source.algebra.nvars):
-            if self.matrix @ self.source.actions[i] != self.target.actions[i] @ self.matrix:
+        for i, X in enumerate(self.source.actions):
+            if self.matrix @ X != self.target.act(i, self.matrix):
                 return False
         return True
 
@@ -344,10 +385,9 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
         rows = []
         I_N = np.eye(dN, dtype=np.int64)
         I_M = np.eye(dM, dtype=np.int64)
-        for i in range(nv):
-            # row-major vec(phi): vec(phi X) = (I (x) X^T) v, vec(X phi) = (X (x) I) v
-            block = (np.kron(I_N, m.actions[i].a.T) - np.kron(n.actions[i].a, I_M)) % p
-            rows.append(block)
+        for X, Y in zip(m.actions, n.actions):
+            # row-major vec(phi): vec(phi X) = (I (x) X^T) v, vec(Y phi) = (Y (x) I) v
+            rows.append((np.kron(I_N, X.a.T) - np.kron(Y.a, I_M)) % p)
         blocks = np.vstack(rows)
     K = kernel_basis(Mat(m.field, blocks))
     maps = []
@@ -456,8 +496,8 @@ def quotient_by_span(m: Module, span_rows: Mat, provenance: str = "quotient",
     # invariance of the span: the induced actions are well defined
     Rt = R.transpose()
     for i in range(m.algebra.nvars):
-        check((P @ (m.actions[i] @ Rt)).is_zero(), "span is not an A-submodule")
-    actions = [P @ m.actions[i] @ L for i in range(m.algebra.nvars)]
+        check((P @ m.act(i, Rt)).is_zero(), "span is not an A-submodule")
+    actions = [P @ m.act(i, L) for i in range(m.algebra.nvars)]
     degrees = [m.degrees[j] for j in nonpivot]
     # inherited: the rows are homogeneous and P X_i R^T = 0, so P X_i = X'_i P
     # with P onto; commutation, the relations and the grading pass down
@@ -485,7 +525,7 @@ def submodule_from_span(m: Module, span_rows: Mat, provenance: str = "submodule"
     inc = Mat(m.field, R.a[:rank].T)
     actions = []
     for i in range(m.algebra.nvars):
-        img = m.actions[i] @ inc  # ambient coords of X_i applied to each basis row
+        img = m.act(i, inc)  # ambient coords of X_i applied to each basis row
         coords = Mat(m.field, img.a[list(pivots)])
         # reconstruction check: the span is closed under the action
         check(inc @ coords == img, "span is not closed under the action")

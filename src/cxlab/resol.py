@@ -4,7 +4,10 @@ Resolutions are built constructively in free-module coordinates: each
 kernel ker d_i is an echelon span of F_i whose generators modulo m are
 lifted, so minimality (all differential entries in the maximal ideal)
 holds by construction and is checked at every step together with
-d o d = 0 and exactness (at step 0: F_0 -> M is onto).  Syzygy modules are built only when asked for.
+d o d = 0 and exactness (at step 0: F_0 -> M is onto).  A step eliminates
+once: d_i read in the coordinates of its span gives, in one kernel_rref,
+the rank that proves exactness and the echelon span of ker d_i that the
+next step covers.  Syzygy modules are built only when asked for.
 A resolution is cached on its module and extended incrementally;
 previously computed steps never change.
 """
@@ -16,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, check
-from .exactla import Mat, kernel_basis, rref
+from .exactla import Mat, kernel_rref
 from .gralg import Algebra, AlgebraElement
 from .gmod import (
     FreeModule,
@@ -85,21 +88,32 @@ class MinimalFreeResolution:
         lifts = np.array([vec for vec, _ in gens], dtype=np.int64).reshape(len(gens), target.dim)
         d_real = extend_linearly(target, Mat(A.field, lifts.T))
         self.frees.append(F)
+        # the span is in reduced echelon form, so its pivot columns are
+        # coordinates on it: Z, the pivot rows of d_i, is d_i read in them
+        Z = Mat(A.field, d_real.a[pivots])
         if i:
             # minimality: constructive generator choice keeps entries in m,
             # so d_i vanishes at generator rows and generator columns
             check(not algebra_coefficients(d_real, F, target)[0].any(),
                   "differential entry has a unit component")
             check((self._diff_real[i - 1] @ d_real).is_zero(), f"d_{i-1} o d_{i} != 0")
-        # exactness: the image of d_i (the augmentation at i = 0) fills the span
-        check(d_real.rank() == span.rows,
+            # the image of d_i lies in the span: a column lies in it exactly
+            # when it equals the span rows combined by its coordinates Z.  The
+            # span is the identity at its pivot columns (kernel_rref writes it
+            # so), so the pivot rows agree by definition of Z and only the
+            # other rows need the product.  At i = 0 the span is all of M.
+            rest = np.setdiff1d(np.arange(span.cols), pivots)
+            check(Mat(A.field, span.a[:, rest].T) @ Z == Mat(A.field, d_real.a[rest]),
+                  f"image of d_{i} leaves the span of ker d_{i-1}")
+        # One elimination of Z gives its rank and ker Z.  Reading coordinates
+        # is injective on the span, which holds the image, so rank Z = rank
+        # d_i and ker Z = ker d_i.  Exactness: the image of d_i (the
+        # augmentation at i = 0) fills the span.
+        rank, R, ker_pivots = kernel_rref(Z)
+        check(rank == span.rows,
               f"image of d_{i} does not fill ker d_{i-1}" if i else "augmentation F_0 -> M is not onto")
         self._diff_real.append(d_real)
-        # the pivot columns of the span are coordinates on it, so these rows
-        # of d_i are the map onto the span, whose kernel is ker d_i
-        ker = kernel_basis(Mat(A.field, d_real.a[pivots]))
-        R, ker_pivots, _ = rref(ker.transpose())
-        self._spans.append((R, np.array(ker_pivots, dtype=np.intp)))
+        self._spans.append((R, ker_pivots))
 
     # -- accessors ---------------------------------------------------------
 

@@ -58,15 +58,22 @@ def cubic(F5):
     return MonomialCI.build(F5, [3], varnames=["x"])
 
 
+def gasharov_algebra(field):
+    rels = [parse_polynomial(s, GASHAROV_VARS, field) for s in GASHAROV_RELATIONS]
+    return build_algebra(field, 5, rels, varnames=GASHAROV_VARS)
+
+
+def gasharov_presentation(G):
+    """The rank-two module of the worked example over the Gasharov algebra G."""
+    pe = lambda s: G.nf_polynomial(parse_polynomial(s, GASHAROV_VARS, G.field))
+    return coker_presentation(G, [[pe("x1"), pe("2*x3+x4")], [pe("0"), pe("x2")]], [0, 0])
+
+
 @pytest.fixture(scope="session")
 def gasharov(F5):
-    rels = [parse_polynomial(s, GASHAROV_VARS, F5) for s in GASHAROV_RELATIONS]
-    return build_algebra(F5, 5, rels, varnames=GASHAROV_VARS)
+    return gasharov_algebra(F5)
 
 
 @pytest.fixture(scope="session")
-def gasharov_module(F5, gasharov):
-    pe = lambda s: gasharov.nf_polynomial(parse_polynomial(s, GASHAROV_VARS, F5))
-    return coker_presentation(
-        gasharov, [[pe("x1"), pe("2*x3+x4")], [pe("0"), pe("x2")]], [0, 0]
-    )
+def gasharov_module(gasharov):
+    return gasharov_presentation(gasharov)

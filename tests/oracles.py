@@ -4,9 +4,12 @@ Everything here is deliberately naive: plain Python integers and lists, a
 separate Gaussian elimination, and a resolution built by raw kernel
 iteration over structure constants.  None of it imports the engine's
 linear algebra or resolution code, so agreement is a real cross-check.
-The two exceptions are references for bookkeeping rather than arithmetic:
+The exceptions are references for bookkeeping rather than arithmetic:
 eager_resolution builds every syzygy as an explicit module from the
-engine's gmod constructors, and pushout_betti builds and resolves a pushout.
+engine's gmod constructors, pushout_betti builds and resolves a pushout,
+and tensor_algebra and tensor_module build the inputs of the Kunneth
+checks, whose expected values are convolutions of sequences the engine
+computes for each factor alone.
 """
 from __future__ import annotations
 
@@ -360,3 +363,45 @@ def pushout_betti(eta, window):
     from cxlab.yoneda import pushout
 
     return resolve(pushout(eta).module, window).betti_list(window)
+
+
+# -- Kunneth: tensor products over disjoint sets of variables -----------------
+#
+# For M over A and N over B, the tensor product of minimal resolutions of M
+# and N is a minimal resolution of M (x)_k N over A (x)_k B, so its Betti
+# numbers are the convolution of theirs, and Ext_{A(x)B}(M (x) N, M' (x) N')
+# is the convolution of the two Ext tables (L. L. Avramov, "Infinite free
+# resolutions", 1998).
+
+
+def tensor_algebra(A, B):
+    """A (x)_k B: the variables of A, then those of B, renamed apart, and the
+    relations of both, each padded with zero exponents on the other side."""
+    from cxlab.gralg import Polynomial, build_algebra
+
+    nA, nB = A.nvars, B.nvars
+    rels = [Polynomial(A.field, nA + nB, {e + (0,) * nB: c for e, c in g.terms}) for g in A.relations]
+    rels += [Polynomial(A.field, nA + nB, {(0,) * nA + e: c for e, c in g.terms}) for g in B.relations]
+    names = [f"{v}_a" for v in A.varnames] + [f"{v}_b" for v in B.varnames]
+    return build_algebra(A.field, nA + nB, rels, varnames=names)
+
+
+def tensor_module(M, N, AB):
+    """M (x)_k N over AB = tensor_algebra(M.algebra, N.algebra), basis
+    (i, j) in kron order: A's variables act as kron(X, I), B's as kron(I, Y).
+    Built as a verified Module, so the axioms are checked, not assumed."""
+    from cxlab.exactla import Mat
+    from cxlab.gmod import Module
+
+    I_M = np.eye(M.dim, dtype=np.int64)
+    I_N = np.eye(N.dim, dtype=np.int64)
+    actions = [Mat(AB.field, np.kron(X.a, I_N)) for X in M.actions]
+    actions += [Mat(AB.field, np.kron(I_M, Y.a)) for Y in N.actions]
+    degrees = [dm + dn for dm in M.degrees for dn in N.degrees]
+    return Module(AB, degrees, actions, provenance="tensor")
+
+
+def convolve(a, b):
+    """c_n = sum over i + j = n of a_i b_j, for n < min(len(a), len(b))."""
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n)]

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cxlab.errors import InputError
-from cxlab.exactla import Field, Mat, kernel_basis, rref, solve, solve_matrix
+from cxlab.exactla import Field, Mat, kernel_basis, kernel_rref, rref, solve, solve_matrix
 
 F5 = Field(5)
 
@@ -210,8 +210,9 @@ def _block_diagonal(rng, p, blocks, zero_rows, zero_cols):
 
 
 # dense matrices on both sides of the block-detection cut-off (4096 cells),
-# empty and zero ones, and permuted block-diagonal ones (blocks, zero rows,
-# zero columns)
+# empty and zero ones, permuted block-diagonal ones (blocks, zero rows, zero
+# columns), dense ones with zero columns among the others, and ones of full
+# column rank (a trivial kernel)
 _MATRICES = [
     ("dense", (5, 7)), ("dense", (63, 65)), ("dense", (64, 64)), ("dense", (50, 90)),
     ("dense", (0, 5)), ("dense", (5, 0)), ("zero", (40, 120)),
@@ -219,6 +220,8 @@ _MATRICES = [
     ("blocks", ([(40, 50), (30, 60)], 0, 0)),
     ("blocks", ([(6, 6)] * 12, 5, 1)),
     ("blocks", ([(3, 5), (2, 2)], 1, 1)),
+    ("zero_columns", (9, 14)), ("zero_columns", (70, 90)),
+    ("full_column_rank", (12, 7)), ("full_column_rank", (100, 60)),
 ]
 
 
@@ -228,6 +231,15 @@ def _matrix(kind, spec, p, seed):
         return rng.integers(0, p, spec)
     if kind == "zero":
         return np.zeros(spec, dtype=np.int64)
+    if kind == "zero_columns":
+        a = rng.integers(0, p, spec)
+        a[:, rng.permutation(spec[1])[: spec[1] // 3]] = 0
+        return a
+    if kind == "full_column_rank":
+        # an identity on top of random rows keeps the rank, rows permuted
+        rows, cols = spec
+        a = np.vstack([np.eye(cols, dtype=np.int64), rng.integers(0, p, (rows - cols, cols))])
+        return a[rng.permutation(rows)]
     return _block_diagonal(rng, p, *spec)
 
 
@@ -244,7 +256,14 @@ def test_rref_kernel_solve_match_oracle(p, case):
     assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
     assert rank == len(expected_pivots)
 
-    assert kernel_basis(m).a.T.tolist() == oracles.gauss_nullspace(a.tolist(), p, cols)
+    null = oracles.gauss_nullspace(a.tolist(), p, cols)
+    assert kernel_basis(m).a.T.tolist() == null
+
+    k_rank, K, k_pivots = kernel_rref(m)
+    expected_rows, expected_pivots = oracles.gauss_rref(null, p, cols)
+    assert K.shape == (len(null), cols) and K.a.tolist() == expected_rows
+    assert list(k_pivots) == expected_pivots
+    assert k_rank == oracles.gauss_rank(a.tolist(), p)
 
     rng = np.random.default_rng(100 + case)
     x = rng.integers(0, p, (cols, 3))

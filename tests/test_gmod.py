@@ -11,10 +11,11 @@ import pytest
 import oracles
 from cxlab.cioper import MonomialCI
 from cxlab.errors import InputError, InvariantError
-from cxlab.exactla import Field, Mat, solve_matrix
+from cxlab.exactla import Field, Mat, rref, solve_matrix
 from cxlab.gralg import build_algebra, parse_polynomial
 from cxlab.gmod import (
     Module,
+    ModuleMap,
     block_action,
     coker_presentation,
     direct_sum,
@@ -33,7 +34,7 @@ from cxlab.gmod import (
 )
 from cxlab.resol import resolve, syzygy, verify_complex
 from cxlab.yoneda import _hom_differential, _tensor_differential
-from conftest import GASHAROV_RELATIONS, GASHAROV_VARS
+from conftest import GASHAROV_RELATIONS, GASHAROV_VARS, gasharov_presentation
 from oracles import gauss_rank
 
 F5 = Field(5)
@@ -409,3 +410,80 @@ def test_invariants_hold_under_python_O():
     assert out[0] == "debug False"
     assert out[1].startswith("rejected:") and "violates grading" in out[1]
     assert out[2] == "rejected: span is not an A-submodule"
+
+
+def _dense_twin(F):
+    """The free module F as a verified module with the dense actions
+    kron(I_r, X_v) of the regular representation."""
+    I = np.eye(F.rank, dtype=np.int64)
+    return Module(F.algebra, F.degrees,
+                  [Mat(F.field, np.kron(I, X.a)) for X in regular_module(F.algebra).actions])
+
+
+def _same_module(a, b):
+    return a.degrees == b.degrees and a.actions == b.actions
+
+
+@pytest.mark.parametrize("gen_degrees", [(), (2,), (0, 1, 3)])
+@pytest.mark.parametrize("ring", ["gasharov", "cubes_big_p"])
+def test_free_module_matches_dense_twin(ring, gen_degrees, gasharov):
+    from cxlab.yoneda import ext_table, tor_table
+
+    if ring == "gasharov":
+        A = gasharov
+        N = gasharov_presentation(A)
+    else:
+        A = MonomialCI.build(Field(2**31 - 1), [2, 2, 2]).algebra
+        N = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
+    p = A.field.p
+    F = free_module(A, list(gen_degrees))
+    T = _dense_twin(F)
+    rng = np.random.default_rng(len(gen_degrees))
+    cols = Mat(A.field, rng.integers(0, p, (F.dim, 4)))
+
+    assert F.actions == T.actions
+    for v in range(A.nvars):
+        assert F.act(v, cols) == T.act(v, cols)
+    for mono in A.basis:
+        assert F.monomial_action(mono) == T.monomial_action(mono)
+    for rank in (0, 2):
+        images = Mat(A.field, rng.integers(0, p, (F.dim, rank)))
+        assert extend_linearly(F, images) == extend_linearly(T, images)
+
+    def gens(m, span=None):
+        return [(v.tolist(), d) for v, d in min_generators(m, span)]
+
+    # mF, a graded submodule in reduced echelon form
+    mF = Mat(A.field, np.vstack([X.a.T for X in T.actions]))
+    span = rref(mF)[0]
+    span = Mat(A.field, span.a[: span.rank()])
+    assert gens(F) == gens(T) and gens(F, span) == gens(T, span)
+    assert _same_module(shift(F, 2), shift(T, 2))
+    for pair in ((F, N), (N, F)):
+        twin = tuple(T if x is F else x for x in pair)
+        assert _same_module(direct_sum(*pair), direct_sum(*twin))
+    qF, qT = quotient_by_span(F, mF), quotient_by_span(T, mF)
+    assert _same_module(qF.module, qT.module)
+    assert qF.projection == qT.projection and qF.lift == qT.lift
+    sF, sT = submodule_from_span(F, mF), submodule_from_span(T, mF)
+    assert _same_module(sF.module, sT.module) and sF.inclusion == sT.inclusion
+
+    k = residue_field(A)
+    for other in (k, N):
+        for hF, hT in ((hom_space(F, other), hom_space(T, other)),
+                       (hom_space(other, F), hom_space(other, T))):
+            assert [h.matrix for h in hF] == [h.matrix for h in hT]
+        # a random matrix (almost surely not equivariant) and the Hom basis
+        for src, tgt, twin_src, twin_tgt in ((F, other, T, other), (other, F, other, T)):
+            phi = Mat(A.field, rng.integers(0, p, (tgt.dim, src.dim)))
+            maps = [phi] + [h.matrix for h in hom_space(src, tgt)]
+            for m in maps:
+                assert ModuleMap(src, tgt, m).is_equivariant() == \
+                    ModuleMap(twin_src, twin_tgt, m).is_equivariant()
+    # N has small Betti numbers over both rings (k has not over Gasharov's)
+    assert ext_table(N, F, 4) == ext_table(N, T, 4)
+    assert tor_table(N, F, 4) == tor_table(N, T, 4)
+    res = resolve(N, 4)
+    for i in range(1, 4):
+        assert _hom_differential(res, F, i) == _hom_differential(res, T, i)
+        assert _tensor_differential(res, F, i) == _tensor_differential(res, T, i)

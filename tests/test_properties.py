@@ -181,3 +181,15 @@ def test_tor_against_k_equals_betti(random_modules):
     for M in random_modules[:60]:
         kk = residue_field(M.algebra)
         assert tor_table(M, kk, 4) == resolve(M, 4).betti_list(4)
+
+
+def test_kunneth_betti_numbers_convolve_random(random_modules):
+    # M over F_5[x,y]/(x^2,y^2) and N over F_5[x]/(x^3): M (x) N over their
+    # tensor product has the convolved Betti numbers
+    quadric, cubic = random_modules[0].algebra, random_modules[1].algebra
+    AB = oracles.tensor_algebra(quadric, cubic)
+    pairs = [(M, N) for M, N in zip(random_modules[0::2], random_modules[1::2]) if M.dim and N.dim]
+    for M, N in pairs[:20]:
+        assert M.algebra is quadric and N.algebra is cubic
+        expected = oracles.convolve(resolve(M, 7).betti_list(7), resolve(N, 7).betti_list(7))
+        assert resolve(oracles.tensor_module(M, N, AB), 7).betti_list(7) == expected

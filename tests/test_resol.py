@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cxlab.cioper import MonomialCI
@@ -7,7 +8,8 @@ from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
 from cxlab import resol
 from cxlab.gmod import ModuleMap, coker_presentation, direct_sum, free_module, residue_field, shift
 from cxlab.resol import estimate_complexity, resolve, syzygy, verify_complex
-from conftest import GASHAROV_VARS
+from conftest import GASHAROV_VARS, gasharov_algebra, gasharov_presentation
+import oracles
 from oracles import (
     assert_matches_eager,
     monomial_ci_structure,
@@ -46,6 +48,42 @@ def test_resolve_builds_no_algebra_elements(monkeypatch):
     assert built == []
     assert len(resolve(M, 8).diff_algebra(2)) == resolve(M, 8).betti(1)
     assert built
+
+
+def test_resolve_builds_no_dense_free_module_action(monkeypatch):
+    # free modules act block by block; their dense kron(I_r, X_v) matrices
+    # are built only on request, and the resolution never asks
+    A = MonomialCI.build(F5, [2, 2, 2]).algebra
+    k = residue_field(A)
+    kron = np.kron
+    built = []
+
+    def counting_kron(*args):
+        built.append(args[0].shape)
+        return kron(*args)
+
+    monkeypatch.setattr(np, "kron", counting_kron)
+    assert resolve(k, 9).betti_list(9) == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
+    assert built == []
+    resolve(k, 9).free(1).actions
+    assert built
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("pair", ["four_variables", "gasharov"])
+def test_kunneth_betti_numbers_convolve(p, pair):
+    # the Betti window beta_0..beta_7 of M (x) N over A (x) B
+    if pair == "four_variables":
+        A = MonomialCI.build(Field(p), [2, 2], varnames=["x", "y"]).algebra
+        B = MonomialCI.build(Field(p), [2, 3], varnames=["z", "w"]).algebra
+        M, N = residue_field(A), residue_field(B)
+    else:
+        # not over a complete intersection
+        M = gasharov_presentation(gasharov_algebra(Field(p)))
+        N = residue_field(MonomialCI.build(Field(p), [3], varnames=["z"]).algebra)
+    MN = oracles.tensor_module(M, N, oracles.tensor_algebra(M.algebra, N.algebra))
+    expected = oracles.convolve(resolve(M, 7).betti_list(7), resolve(N, 7).betti_list(7))
+    assert resolve(MN, 7).betti_list(7) == expected
 
 
 def test_resolve_k_against_naive_kernel_iteration(A, k):

@@ -372,3 +372,18 @@ def test_symmetry_check(A, k, quadric, gasharov_module):
     )
     with pytest.raises(InputError, match="Gorenstein"):
         symmetry_check(residue_field(B), residue_field(B))
+
+
+def test_kunneth_ext_tables_convolve(gasharov_module):
+    # Ext over G (x) B, B = F_5[z]/(z^3), from M (x) k to M (x) B/(z^2), with
+    # M the Gasharov module: the convolution of Ext_G(M, M) and Ext_B(k, B/(z^2))
+    from cxlab.gmod import coker_presentation
+    from cxlab.cioper import MonomialCI
+
+    M = gasharov_module
+    B = MonomialCI.build(M.field, [3], varnames=["z"]).algebra
+    z2 = coker_presentation(B, [[B.variable(0) * B.variable(0)]], [0])
+    k = residue_field(B)
+    GB = oracles.tensor_algebra(M.algebra, B)
+    got = ext_table(oracles.tensor_module(M, k, GB), oracles.tensor_module(M, z2, GB), 6)
+    assert got == oracles.convolve(ext_table(M, M, 6), ext_table(k, z2, 6))
