@@ -1,12 +1,15 @@
 """Degree-two cohomology operators over monomial complete intersections.
 
 For A = k[x_1..x_c]/(x_1^{n_1}, .., x_c^{n_c}) the differential of a minimal
-free resolution lifts canonically to the polynomial ring (every entry is a
-combination of standard monomials, which are ordinary monomials); the square
-of the lift factors through the relations, and since the relation ideal is
-generated by pure powers every monomial of the square is claimed by the
-lowest variable index whose exponent reaches its power.  That greedy
-decomposition is unique, so the resulting chain operators are deterministic.
+free resolution lifts canonically to the polynomial ring: its coefficient
+array (gmod.algebra_coefficients) lists each entry over the standard
+monomials, which are ordinary monomials.  The square of the lift factors
+through the relations, and since the relation ideal is generated by pure
+powers every monomial of the square is claimed by the lowest variable index
+whose exponent reaches its power.  That decomposition is unique, so the
+chain operators are deterministic.  They are computed and kept as
+coefficient arrays: one exact product of coefficient slices per pair of
+basis monomials, and no polynomial or AlgebraElement on the way.
 """
 from __future__ import annotations
 
@@ -15,10 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError, InvariantError, check
+from .errors import InputError, check
 from .exactla import Field, Mat
-from .gmod import Module, algebra_coefficients, direct_sum, quotient_by_span, realize_algebra_matrix
-from .gralg import Algebra, AlgebraElement, Polynomial, build_algebra, codimension
+from .gmod import Module, block_action, direct_sum, quotient_by_span
+from .gralg import Algebra, Polynomial, build_algebra, codimension
 from .resol import ComplexityEstimate, estimate_complexity, resolve
 from .yoneda import (
     DEFAULT_STAB,
@@ -98,51 +101,47 @@ class MonomialCI:
         return len(self.exponents)
 
 
-def _poly_matrix_product(a: List[List[Polynomial]], b: List[List[Polynomial]],
-                         field: Field, nvars: int) -> List[List[Polynomial]]:
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = Polynomial.zero(field, nvars)
-            for s in range(mid):
-                acc = acc + a[i][s] * b[s][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def _chi_coefficients(ci: MonomialCI, c_prev: np.ndarray, c_cur: np.ndarray) -> List[np.ndarray]:
+    """Coefficient arrays (see gmod.algebra_coefficients) of chi_1..chi_c at
+    source degree n, from those of d_{n-1} and d_n.
 
-
-def _greedy_decompose(poly: Polynomial, exponents: Tuple[int, ...]) -> Dict[int, Polynomial]:
-    """Write poly = sum_j x_j^{n_j} * part_j by the lowest-index greedy rule.
-
-    Every monomial of a member of the relation ideal is divisible by some
-    pure power, so the residue is empty; this is asserted by the caller.
+    The lifted square is the sum of C_{n-1}[m1] C_n[m2] x^(m1 + m2) over
+    pairs of basis monomials.  Its part at a monomial e goes to the lowest j
+    with e_j >= n_j, at e - n_j e_j when that is standard (otherwise it is
+    zero in A); the parts no pure power claims must cancel.  When two pure
+    powers divide e, e - n_j e_j is not standard for either j, so the
+    operators do not depend on which index claims e.
     """
-    parts: Dict[int, Dict[Tuple[int, ...], int]] = {}
-    residue: Dict[Tuple[int, ...], int] = {}
-    for e, c in poly.terms:
-        for j, n in enumerate(exponents):
-            if e[j] >= n:
-                ee = list(e)
-                ee[j] -= n
-                parts.setdefault(j, {})
-                key = tuple(ee)
-                parts[j][key] = (parts[j].get(key, 0) + c) % poly.field.p
-                break
-        else:
-            residue[e] = c
-    if residue:
-        raise InvariantError(f"monomial outside the relation ideal: {residue}")
-    return {j: Polynomial(poly.field, poly.nvars, terms) for j, terms in parts.items()}
+    A = ci.algebra
+    field = ci.field
+    lefts = [(m, Mat(field, c_prev[m])) for m in np.flatnonzero(c_prev.any(axis=(1, 2)))]
+    rights = [(m, Mat(field, c_cur[m])) for m in np.flatnonzero(c_cur.any(axis=(1, 2)))]
+    square: Dict[Tuple[int, ...], Mat] = {}
+    for m1, left in lefts:
+        for m2, right in rights:
+            e = tuple(a + b for a, b in zip(A.basis[m1], A.basis[m2]))
+            prod = left @ right
+            square[e] = square[e] + prod if e in square else prod
+    chi = [np.zeros((A.dim, c_prev.shape[1], c_cur.shape[2]), dtype=np.int64) for _ in ci.exponents]
+    for e, block in square.items():
+        j = next((j for j, n in enumerate(ci.exponents) if e[j] >= n), None)
+        if j is None:
+            check(block.is_zero(), f"monomial {e} of the lifted square lies outside the relation ideal")
+            continue
+        # distinct monomials claimed by one j give distinct quotients
+        idx = A.basis_index.get(e[:j] + (e[j] - ci.exponents[j],) + e[j + 1:])
+        if idx is not None:
+            chi[j][idx] = block.a
+    return chi
 
 
 class EisenbudOperatorSet:
     """Chain operators chi_j: F_n -> F_{n-2} for one module's resolution.
 
-    chi(j, n) is the matrix over A at source degree n (2 <= n <= max_degree);
-    the chain identity d o chi = chi o d is asserted exactly, and the induced
-    actions on Ext^*(M, k) commute (also asserted).
+    chi(j, n) is the matrix over A at source degree n (2 <= n <= max_degree),
+    kept as a coefficient array; the chain identity d o chi = chi o d is
+    checked exactly, and the induced actions on Ext^*(M, k) commute (also
+    checked).
     """
 
     def __init__(self, ci: MonomialCI, module: Module, max_degree: int):
@@ -154,67 +153,38 @@ class EisenbudOperatorSet:
         self.module = module
         self.max_degree = max_degree
         self.resolution = resolve(module, max_degree)
-        self._chi_alg: Dict[Tuple[int, int], List[List[AlgebraElement]]] = {}
-        self._chi_real: Dict[Tuple[int, int], Mat] = {}
+        self._chi: Dict[int, List[np.ndarray]] = {}  # n: the arrays of chi_1..chi_c
         self._build()
 
     def _build(self):
-        A = self.ci.algebra
         res = self.resolution
-        lifts: List[List[List[Polynomial]]] = [None]  # lift of d_i, index i
-        for i in range(1, self.max_degree + 1):
-            d = res.diff_algebra(i)
-            lifts.append([[a.to_polynomial() for a in row] for row in d])
-        c = self.ci.codim
         for n in range(2, self.max_degree + 1):
-            # d~_{n-1} o d~_n lands in the relation ideal entrywise
-            prod = _poly_matrix_product(lifts[n - 1], lifts[n], A.field, A.nvars)
-            rows = len(prod)
-            cols = len(prod[0]) if prod else 0
-            per_j: Dict[int, List[List[Polynomial]]] = {
-                j: [[Polynomial.zero(A.field, A.nvars) for _ in range(cols)] for _ in range(rows)]
-                for j in range(c)
-            }
-            for i in range(rows):
-                for jcol in range(cols):
-                    for j, part in _greedy_decompose(prod[i][jcol], self.ci.exponents).items():
-                        per_j[j][i][jcol] = part
-            for j in range(c):
-                entries = [[A.nf_polynomial(per_j[j][i][jc]) for jc in range(cols)] for i in range(rows)]
-                self._chi_alg[(j, n)] = entries
+            self._chi[n] = _chi_coefficients(self.ci, res.diff_coefficients(n - 1), res.diff_coefficients(n))
         # chain identity: d_{n-2} chi(n) = chi(n-1) d_n
-        for j in range(1, c + 1):
+        for j in range(1, self.ci.codim + 1):
+            below = self.chi_realized(j, 2)
             for n in range(3, self.max_degree + 1):
-                left = res.diff_realized(n - 2) @ self.chi_realized(j, n)
-                right = self.chi_realized(j, n - 1) @ res.diff_realized(n)
-                check(left == right, f"chain identity fails for operator {j} at degree {n}")
+                chi_n = self.chi_realized(j, n)
+                check(res.diff_realized(n - 2) @ chi_n == below @ res.diff_realized(n),
+                      f"chain identity fails for operator {j} at degree {n}")
+                below = chi_n
         # induced actions on Ext^*(M, k) must commute pairwise
-        for j in range(1, c + 1):
-            for l in range(j + 1, c + 1):
+        for j in range(1, self.ci.codim + 1):
+            for l in range(j + 1, self.ci.codim + 1):
                 for n in range(0, self.max_degree - 3):
                     lhs = self.ext_action(l, n + 2) @ self.ext_action(j, n)
                     rhs = self.ext_action(j, n + 2) @ self.ext_action(l, n)
                     check(lhs == rhs, f"Ext actions of operators {j} and {l} do not commute")
 
-    def chi_algebra(self, j: int, n: int) -> List[List[AlgebraElement]]:
-        """Matrix over A of the j-th operator (j is 1-based) at source degree n."""
-        self._check(j, n)
-        return self._chi_alg[(j - 1, n)]
-
     def chi_realized(self, j: int, n: int) -> Mat:
+        """Field matrix F_n -> F_{n-2} of the j-th operator (j is 1-based)."""
         self._check(j, n)
-        got = self._chi_real.get((j - 1, n))
-        if got is None:
-            got = realize_algebra_matrix(self.resolution.free(n), self.resolution.free(n - 2),
-                                         self._chi_alg[(j - 1, n)])
-            self._chi_real[(j - 1, n)] = got
-        return got
+        return block_action(self.resolution.free(n).regular, self._chi[n][j - 1])
 
     def ext_action(self, j: int, n: int) -> Mat:
         """Induced map Ext^n(M, k) -> Ext^{n+2}(M, k), j 1-based."""
-        res = self.resolution
-        units = algebra_coefficients(self.chi_realized(j, n + 2), res.free(n + 2), res.free(n))[0]
-        return Mat(self.ci.field, units.T)
+        self._check(j, n + 2)
+        return Mat(self.ci.field, self._chi[n + 2][j - 1][0].T)
 
     def ext_module(self, max_degree: Optional[int] = None) -> "ExtHModule":
         n_max = self.max_degree if max_degree is None else max_degree

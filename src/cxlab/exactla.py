@@ -54,9 +54,6 @@ class Field:
             raise ZeroDivisionError("0 has no inverse")
         return pow(a, self.p - 2, self.p)
 
-    def reduce(self, arr) -> np.ndarray:
-        return np.asarray(arr, dtype=np.int64) % self.p
-
 
 # Below this many multiply-adds an int64 product beats BLAS with its float64
 # conversions; the int64 path is taken only where it cannot overflow.
@@ -197,9 +194,6 @@ class Mat:
         if self._rank is None:
             self._rank = rref(self)[2]
         return self._rank
-
-    def column(self, j: int) -> np.ndarray:
-        return self.a[:, j].copy()
 
     def __eq__(self, other) -> bool:
         return (

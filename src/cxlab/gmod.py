@@ -136,9 +136,6 @@ class Module:
     def hilbert(self) -> Dict[int, int]:
         return dict(sorted(Counter(self.degrees).items()))
 
-    def is_zero_module(self) -> bool:
-        return self.dim == 0
-
     def __repr__(self):
         tag = f" {self.provenance}" if self.provenance else ""
         return f"Module(dim {self.dim} over F_{self.field.p},{tag} degrees {sorted(set(self.degrees))})"
@@ -344,26 +341,16 @@ class ModuleMap:
     matrix: Mat
 
     def is_equivariant(self) -> bool:
-        for i, X in enumerate(self.source.actions):
-            if self.matrix @ X != self.target.act(i, self.matrix):
-                return False
-        return True
-
-    def degree_shift(self) -> Optional[int]:
-        """Common degree shift when the map is homogeneous, else None."""
-        rr, cc = np.nonzero(self.matrix.a)
-        shifts = {self.target.degrees[r] - self.source.degrees[c] for r, c in zip(rr, cc)}
-        if len(shifts) > 1:
-            return None
-        return shifts.pop() if shifts else 0
+        return _commutes(self.matrix, self.source.actions, self.target)
 
     def is_invertible(self) -> bool:
         return self.source.dim == self.target.dim and self.matrix.rank() == self.source.dim
 
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        if other.target is not self.source:
-            raise InputError("maps do not compose")
-        return ModuleMap(other.source, self.target, self.matrix @ other.matrix)
+
+def _commutes(matrix: Mat, source_actions: Sequence[Mat], target: Module) -> bool:
+    """True when matrix X_i = X_i matrix for every variable, X_i acting on
+    the source by source_actions[i] and on the target by target.act."""
+    return all(matrix @ X == target.act(i, matrix) for i, X in enumerate(source_actions))
 
 
 def hom_space(m: Module, n: Module) -> List[ModuleMap]:
@@ -379,13 +366,15 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
     if dM == 0 or dN == 0:
         return []
     nv = m.algebra.nvars
+    # built once: a free source's dense actions serve the system and every check
+    m_actions = m.actions
     if nv == 0:
         blocks = np.zeros((0, dN * dM), dtype=np.int64)
     else:
         rows = []
         I_N = np.eye(dN, dtype=np.int64)
         I_M = np.eye(dM, dtype=np.int64)
-        for X, Y in zip(m.actions, n.actions):
+        for X, Y in zip(m_actions, n.actions):
             # row-major vec(phi): vec(phi X) = (I (x) X^T) v, vec(Y phi) = (Y (x) I) v
             rows.append((np.kron(I_N, X.a.T) - np.kron(Y.a, I_M)) % p)
         blocks = np.vstack(rows)
@@ -393,9 +382,8 @@ def hom_space(m: Module, n: Module) -> List[ModuleMap]:
     maps = []
     for j in range(K.cols):
         phi = Mat(m.field, K.a[:, j].reshape(dN, dM))
-        mm = ModuleMap(m, n, phi)
-        check(mm.is_equivariant(), "Hom basis element is not equivariant")
-        maps.append(mm)
+        check(_commutes(phi, m_actions, n), "Hom basis element is not equivariant")
+        maps.append(ModuleMap(m, n, phi))
     return maps
 
 

@@ -89,18 +89,10 @@ class Polynomial:
         return cls(field, nvars, {})
 
     @classmethod
-    def constant(cls, field: Field, nvars: int, c: int) -> "Polynomial":
-        return cls(field, nvars, {tuple([0] * nvars): c})
-
-    @classmethod
     def variable(cls, field: Field, nvars: int, i: int, power: int = 1) -> "Polynomial":
         e = [0] * nvars
         e[i] = power
         return cls(field, nvars, {tuple(e): 1})
-
-    @classmethod
-    def monomial(cls, field: Field, e: Monomial, c: int = 1) -> "Polynomial":
-        return cls(field, len(e), {tuple(e): c})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -114,29 +106,6 @@ class Polynomial:
 
     def is_homogeneous(self) -> bool:
         return len({_mono_degree(e) for e, _ in self.terms}) <= 1
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = (acc.get(e, 0) + c) % self.field.p
-        return Polynomial(self.field, self.nvars, acc)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, self.nvars, {e: -c for e, c in self.terms})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        acc: Dict[Monomial, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = (acc.get(e, 0) + c1 * c2) % self.field.p
-        return Polynomial(self.field, self.nvars, acc)
-
-    def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.field, self.nvars, {e: cc * c for e, cc in self.terms})
 
     def shift_by_monomial(self, e: Monomial) -> "Polynomial":
         return Polynomial(

@@ -163,10 +163,6 @@ class MinimalFreeResolution:
         self.syzygy_module(i)
         return self._syz[i].inclusion
 
-    def generator_degrees(self, n: int) -> Tuple[int, ...]:
-        self.extend(n)
-        return self.frees[n].gen_degrees
-
     def __repr__(self):
         return f"MinimalFreeResolution(to {self.computed_to}, betti {[f.rank for f in self.frees]})"
 

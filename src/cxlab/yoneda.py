@@ -115,15 +115,13 @@ def tor_table(m: Module, n: Module, max_degree: int) -> List[int]:
     if n.dim == 0 or m.dim == 0:
         return [0] * (max_degree + 1)
     dims = []
-    dN = n.dim
+    nullity = res.free(0).rank * n.dim
     for i in range(max_degree + 1):
-        if i == 0:
-            nullity = res.free(0).rank * dN
-        else:
-            d_i = _tensor_differential(res, n, i)
-            nullity = d_i.cols - d_i.rank()
+        # d_{i+1} (x) 1 gives the boundaries in degree i and the cycles in i + 1
         d_next = _tensor_differential(res, n, i + 1)
-        dims.append(nullity - d_next.rank())
+        rank = d_next.rank()
+        dims.append(nullity - rank)
+        nullity = d_next.cols - rank
     return dims
 
 

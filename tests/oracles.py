@@ -7,7 +7,8 @@ linear algebra or resolution code, so agreement is a real cross-check.
 The exceptions are references for bookkeeping rather than arithmetic:
 eager_resolution builds every syzygy as an explicit module from the
 engine's gmod constructors, pushout_betti builds and resolves a pushout,
-and tensor_algebra and tensor_module build the inputs of the Kunneth
+eisenbud_chi computes the chain operators from polynomial lifts of the
+engine's differentials, and tensor_algebra and tensor_module build the inputs of the Kunneth
 checks, whose expected values are convolutions of sequences the engine
 computes for each factor alone.
 """
@@ -363,6 +364,46 @@ def pushout_betti(eta, window):
     from cxlab.yoneda import pushout
 
     return resolve(pushout(eta).module, window).betti_list(window)
+
+
+def eisenbud_chi(ci, res, max_degree):
+    """The degree-two chain operators over the monomial complete intersection
+    ci, computed entry by entry from polynomials: the reference for
+    cioper._chi_coefficients, which works on coefficient arrays.
+
+    Each d_i lifts to {exponent: coefficient} dicts over the standard
+    monomials; each entry of the product of the lifts of d_{n-1} and d_n is
+    split monomial by monomial, x^e going to the lowest j with e_j >= n_j
+    as x^(e - n_j e_j), whose normal form (nf_monomial) is the entry's part
+    of chi_j.  Returns {(j, n): realized matrix F_n -> F_{n-2}}, j 1-based.
+    """
+    from cxlab.gmod import realize_algebra_matrix
+    from cxlab.gralg import AlgebraElement
+
+    A, p, exps = ci.algebra, ci.field.p, ci.exponents
+    lifts = {i: [[{A.basis[m]: int(c) for m, c in enumerate(a.vec) if c} for a in row]
+                 for row in res.diff_algebra(i)] for i in range(1, max_degree + 1)}
+    out = {}
+    for n in range(2, max_degree + 1):
+        rows, mid, cols = res.betti(n - 2), res.betti(n - 1), res.betti(n)
+        parts = [[[np.zeros(A.dim, dtype=np.int64) for _ in range(cols)] for _ in range(rows)] for _ in exps]
+        for r in range(rows):
+            for g in range(cols):
+                square = {}
+                for s in range(mid):
+                    for e, c in poly_mul(lifts[n - 1][r][s], lifts[n][s][g], p).items():
+                        square[e] = (square.get(e, 0) + c) % p
+                for e, c in square.items():
+                    if not c:
+                        continue
+                    j = next((j for j, nj in enumerate(exps) if e[j] >= nj), None)
+                    assert j is not None, f"monomial {e} outside the relation ideal"
+                    quotient = e[:j] + (e[j] - exps[j],) + e[j + 1:]
+                    parts[j][r][g] = (parts[j][r][g] + c * A.nf_monomial(quotient)) % p
+        for j, part in enumerate(parts):
+            entries = [[AlgebraElement(A, v) for v in row] for row in part]
+            out[(j + 1, n)] = realize_algebra_matrix(res.free(n), res.free(n - 2), entries)
+    return out
 
 
 # -- Kunneth: tensor products over disjoint sets of variables -----------------

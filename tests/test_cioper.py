@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from cxlab.errors import InputError
+from cxlab import cioper
+from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat
-from cxlab.gralg import build_algebra, parse_polynomial
-from cxlab.gmod import free_module, is_isomorphic, residue_field
+from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
+from cxlab.gmod import algebra_coefficients, coker_presentation, free_module, is_isomorphic, residue_field
 from cxlab.resol import estimate_complexity, resolve
-from cxlab.yoneda import ext_table
+from cxlab.yoneda import ExtElement, ext_table, pushout
+import oracles
+from conftest import gasharov_algebra, gasharov_presentation
 from cxlab.cioper import (
     MonomialCI,
     build_kchi,
@@ -58,6 +61,78 @@ def test_operators_quadric_ext_structure(quadric, k):
     assert E.generated_in_degrees(2)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1])
+@pytest.mark.parametrize("exps", [(2,), (3,), (2, 2), (2, 3), (3, 3), (4, 2), (2, 2, 2), (3, 2, 2)])
+def test_operators_match_polynomial_reference(p, exps):
+    # the coefficient-array operators equal the polynomial computation they
+    # replace: realized chi, the Ext actions and the cut modules
+    ci = MonomialCI.build(Field(p), exps)
+    A = ci.algebra
+    linear = A.variable(0)
+    for i in range(1, ci.codim):
+        linear = linear + A.variable(i)
+    modules = [residue_field(A), build_kchi(ci, 1), free_module(A, [0]),
+               coker_presentation(A, [[linear]], [0])]
+    top = 6 if ci.codim == 3 else 8
+    for M in modules:
+        ops = eisenbud_operators(ci, M, top)
+        res = ops.resolution
+        ref = oracles.eisenbud_chi(ci, res, top)
+        for j in range(1, ci.codim + 1):
+            for n in range(2, top + 1):
+                assert ops.chi_realized(j, n) == ref[(j, n)], (M, j, n)
+                if n >= 4:
+                    ref_ext = algebra_coefficients(ref[(j, n)], res.free(n), res.free(n - 2))[0].T
+                    assert ops.ext_action(j, n - 2) == Mat(ci.field, ref_ext), (M, j, n)
+            res.extend(3)
+            eta = ExtElement.from_realized(res, M, 2, res.augmentation @ ref[(j, 2)], -exps[j - 1])
+            want, got = pushout(eta).module, cut_by_chi(ops, j).module
+            assert (got.degrees, got.actions) == (want.degrees, want.actions), (M, j)
+
+
+def test_operators_build_no_algebra_elements(quadric, monkeypatch):
+    # the operators are computed on coefficient arrays, never entry by entry
+    built = []
+    init = AlgebraElement.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counting_init)
+    ops = eisenbud_operators(quadric, residue_field(quadric.algebra), 12)
+    assert ops.ext_module(12).dims[12] == 13
+    assert built == []
+
+
+def test_operator_checks_raise(quadric, monkeypatch):
+    A = quadric.algebra
+    x, y = (np.eye(A.dim, dtype=np.int64)[:, A.basis_index[e]].reshape(A.dim, 1, 1) for e in [(1, 0), (0, 1)])
+    # residue: the square x*y of these 1x1 "differentials" is outside (x^2, y^2)
+    with pytest.raises(InvariantError, match="outside the relation ideal"):
+        cioper._chi_coefficients(quadric, x, y)
+    # chain identity: a unit added to chi_1 at degree 3 breaks d o chi = chi o d
+    build = cioper._chi_coefficients
+
+    def broken(ci, c_prev, c_cur):
+        chi = build(ci, c_prev, c_cur)
+        if c_cur.shape[2] == 4:  # n = 3, where F_3 of k has rank 4
+            chi[0][0, 0, 0] += 1
+        return chi
+
+    monkeypatch.setattr(cioper, "_chi_coefficients", broken)
+    with pytest.raises(InvariantError, match="chain identity fails for operator 1 at degree 3"):
+        eisenbud_operators(quadric, residue_field(A), 6)
+    monkeypatch.undo()
+    # Ext commutation: actions that do not commute are refused
+    rng = np.random.default_rng(0)
+    dims = resolve(residue_field(A), 8).betti_list(8)
+    monkeypatch.setattr(cioper.EisenbudOperatorSet, "ext_action",
+                        lambda self, j, n: Mat(F5, rng.integers(0, 5, (dims[n + 2], dims[n]))))
+    with pytest.raises(InvariantError, match="do not commute"):
+        eisenbud_operators(quadric, residue_field(A), 6)
+
+
 def test_ext_dims_eventually_polynomial(quadric, cubic):
     # over a codim-c monomial CI the parity tails of dim Ext^n(k, k) are
     # polynomials of degree c - 1: order-c differences vanish
@@ -102,6 +177,30 @@ def test_cut_by_chi_chain(quadric, k):
     K_same = cut_by_chi(ops1, 1).module
     est_same = _est(K_same)
     assert est_same.stabilized and est_same.value == 1
+
+
+def test_complexities_add(quadric, k, cubic):
+    # cx_{A(x)B}(M (x) N) = cx_A M + cx_B N (L. L. Avramov, "Infinite free
+    # resolutions", 1998), each estimate stabilized
+    def est(M, window):
+        e = _est(M, window)
+        assert e.stabilized
+        return e.value
+
+    kz = residue_field(cubic.algebra)
+    AB = oracles.tensor_algebra(quadric.algebra, cubic.algebra)
+    kk = oracles.tensor_module(k, kz, AB)
+    assert est(kk, 14) == est(k, 14) + est(kz, 14) == 3
+    kchi = build_kchi(quadric, 1)
+    assert est(oracles.tensor_module(kchi, kz, AB), 12) == est(kchi, 12) + 1 == 2
+    # a ring that is not a complete intersection
+    G = gasharov_algebra(F5)
+    gasharov = gasharov_presentation(G)
+    GZ = oracles.tensor_algebra(G, cubic.algebra)
+    assert est(oracles.tensor_module(gasharov, kz, GZ), 12) == est(gasharov, 12) + 1 == 2
+    # an operator cut in codimension 3 drops the sum by one
+    ops = eisenbud_operators(MonomialCI.from_algebra(AB), kk, 6)
+    assert est(cut_by_chi(ops, 1).module, 12) == 2
 
 
 def test_build_kchi_quadric(quadric, k):

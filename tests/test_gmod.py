@@ -129,6 +129,24 @@ def test_hom_space_dimensions(A, k):
         assert phi.is_equivariant()
 
 
+def test_hom_space_builds_free_source_actions_once(monkeypatch, gasharov, gasharov_module):
+    # kron(I_r, X_v) for each of the 5 variables once, plus the two kron
+    # terms per variable of the linear system; none for the 36 checks
+    F = free_module(gasharov, [0, 0, 1])
+    kron = np.kron
+    built = []
+
+    def counting_kron(*args):
+        built.append(args[0].shape)
+        return kron(*args)
+
+    monkeypatch.setattr(np, "kron", counting_kron)
+    maps = hom_space(F, gasharov_module)
+    assert len(maps) == 36
+    assert len(built) == 3 * gasharov.nvars
+    assert all(phi.is_equivariant() for phi in maps)
+
+
 def test_hom_dimension_invariant_under_basis_reorder(A, Ax):
     # conjugating by a permutation must not change hom dimensions
     perm = [1, 0]

@@ -66,6 +66,19 @@ def test_tor_tables(A, k, Ax):
         assert tor_table(m, n, 6) == tor_table(n, m, 6)
 
 
+def test_tor_table_builds_each_tensor_differential_once(monkeypatch, k):
+    built = []
+    tensor_differential = yoneda._tensor_differential
+
+    def counting(res, n, i):
+        built.append(i)
+        return tensor_differential(res, n, i)
+
+    monkeypatch.setattr(yoneda, "_tensor_differential", counting)
+    assert tor_table(k, k, 12) == [i + 1 for i in range(13)]
+    assert built == list(range(1, 14))
+
+
 def test_cocycle_basis_counts(A, k):
     F = free_module(A, [0])
     assert cocycle_basis(F, k, 1) == []
