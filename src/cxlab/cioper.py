@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError, check
 from .exactla import Field, Mat
-from .gmod import Module, block_action, direct_sum, quotient_by_span
+from .gmod import Module, block_action, compose_on_generators, direct_sum, generator_images, quotient_by_span
 from .gralg import Algebra, Polynomial, build_algebra, codimension
 from .resol import ComplexityEstimate, estimate_complexity, resolve
 from .yoneda import (
@@ -160,14 +160,17 @@ class EisenbudOperatorSet:
         res = self.resolution
         for n in range(2, self.max_degree + 1):
             self._chi[n] = _chi_coefficients(self.ci, res.diff_coefficients(n - 1), res.diff_coefficients(n))
-        # chain identity: d_{n-2} chi(n) = chi(n-1) d_n
+        # chain identity: d_{n-2} chi(n) = chi(n-1) d_n; both sides are
+        # A-linear, so they agree when they agree on the generators of F_n
+        field = self.ci.field
         for j in range(1, self.ci.codim + 1):
-            below = self.chi_realized(j, 2)
             for n in range(3, self.max_degree + 1):
-                chi_n = self.chi_realized(j, n)
-                check(res.diff_realized(n - 2) @ chi_n == below @ res.diff_realized(n),
-                      f"chain identity fails for operator {j} at degree {n}")
-                below = chi_n
+                F = res.free(n - 3)
+                lhs = compose_on_generators(F, generator_images(field, res.diff_coefficients(n - 2)),
+                                            self._chi[n][j - 1])
+                rhs = compose_on_generators(F, generator_images(field, self._chi[n - 1][j - 1]),
+                                            res.diff_coefficients(n))
+                check(lhs == rhs, f"chain identity fails for operator {j} at degree {n}")
         # induced actions on Ext^*(M, k) must commute pairwise
         for j in range(1, self.ci.codim + 1):
             for l in range(j + 1, self.ci.codim + 1):

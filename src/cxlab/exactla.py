@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["Field", "Mat", "rref", "kernel_basis", "kernel_rref", "solve", "solve_matrix"]
+__all__ = ["Field", "Mat", "rref", "kernel_basis", "kernel_rref", "pivot_inverse", "solve", "solve_matrix"]
 
 
 def _is_prime(n: int) -> bool:
@@ -346,6 +346,23 @@ def kernel_rref(m: Mat):
     K[:, piv] = -R[:rank, free].T
     # reversed columns put the last free column first; reverse both axes
     return rank, Mat(m.field, K[::-1, ::-1]), (n - 1 - free)[::-1]
+
+
+def pivot_inverse(m: Mat):
+    """Factor m, of full row rank r, for repeated solves of m x = b.
+
+    Returns (Q, E): the pivot columns Q of rref(m) and E = m[:, Q]^-1, from
+    one elimination of [m | I_r].  The row operations that bring m to
+    rref(m) = E m bring I_r to E, and rref(m) is the identity at Q.  For b
+    in the column space, x with x[Q] = E b and zeros elsewhere solves m x = b:
+    it is the solution solve_matrix returns, whose free coordinates are zero.
+    """
+    r = m.rows
+    R, pivots = _rref_array(np.hstack([m.a, np.eye(r, dtype=np.int64)]), m.field.p)
+    # [m | I_r] has rank r; m has it too exactly when no pivot falls in I_r
+    if len(pivots) != r or (r and pivots[-1] >= m.cols):
+        raise InputError("pivot_inverse needs a matrix of full row rank")
+    return np.array(pivots, dtype=np.int64), Mat(m.field, R[:, m.cols :])
 
 
 def solve(m: Mat, b) -> Optional[np.ndarray]:

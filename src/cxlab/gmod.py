@@ -39,6 +39,8 @@ __all__ = [
     "regular_module",
     "extend_linearly",
     "algebra_coefficients",
+    "generator_images",
+    "compose_on_generators",
     "block_action",
     "column_degrees",
     "coker_presentation",
@@ -162,15 +164,28 @@ class FreeModule(Module):
         return len(self.gen_degrees)
 
     def act(self, v: int, cols: Mat) -> Mat:
-        # side by side, the generator blocks of the columns form a
-        # dim A x (rank * k) matrix that the regular X_v multiplies at once
+        return self._blockwise([self.regular.actions[v]], cols)
+
+    def act_sum(self, monomials: Sequence[Tuple[int, ...]], cols: Mat) -> Mat:
+        """The sum over j of x^monomials[j] applied to the j-th of
+        len(monomials) equal blocks of columns of cols."""
+        return self._blockwise([self.regular.monomial_action(e) for e in monomials], cols)
+
+    def _blockwise(self, Xs: Sequence[Mat], cols: Mat) -> Mat:
+        """The sum over j of Xs[j], a matrix on the regular module, applied
+        to every generator block of the j-th of len(Xs) equal blocks of
+        columns of cols."""
         if cols.rows != self.dim:
             raise InputError(f"{cols.rows} coordinates on a free module of dimension {self.dim}")
-        dA, r, k = self.algebra.dim, self.rank, cols.cols
-        blocks = cols.a.reshape(r, dA, k).transpose(1, 0, 2).reshape(dA, r * k)
+        dA, r, s = self.algebra.dim, self.rank, len(Xs)
+        k = cols.cols // s
+        # the generator blocks of the j-th column block, side by side, form a
+        # dim A x (rank * k) matrix; stacked for j = 0..s-1, [Xs[0] | Xs[1] | ..]
+        # multiplies them all at once
+        blocks = cols.a.reshape(r, dA, s, k).transpose(2, 1, 0, 3).reshape(s * dA, r * k)
         # the exact product of Mat @, without wrapping the reshaped operands
         # in Mats: extend_linearly acts once per basis monomial
-        out = _matmul_mod(self.regular.actions[v].a, blocks, self.field.p)
+        out = _matmul_mod(np.hstack([X.a for X in Xs]), blocks, self.field.p)
         return Mat(self.field, out.reshape(dA, r, k).transpose(1, 0, 2).reshape(self.dim, k))
 
     def _dense(self, X: Mat) -> Mat:
@@ -242,6 +257,37 @@ def algebra_coefficients(d: Mat, src: FreeModule, tgt: FreeModule) -> np.ndarray
                          f"of dimensions {src.dim} -> {tgt.dim}")
     dA = src.algebra.dim
     return d.a[:, ::dA].reshape(tgt.rank, dA, src.rank).transpose(1, 0, 2)
+
+
+def generator_images(field: Field, coeffs: np.ndarray) -> Mat:
+    """Inverse of algebra_coefficients: the images of the source generators
+    (one column each) of the map over A with coefficient array coeffs,
+    entry (r, g) in the rows of block r."""
+    dA, rows, cols = coeffs.shape
+    return Mat(field, coeffs.transpose(1, 0, 2).reshape(rows * dA, cols))
+
+
+def compose_on_generators(target: FreeModule, images: Mat, coeffs: np.ndarray) -> Mat:
+    """Generator images of phi o d, where phi: F -> target is the A-linear
+    map sending generator r of F to column r of images, and d: F' -> F is
+    the matrix over A with coefficient array coeffs (see algebra_coefficients).
+
+    d sends generator g of F' to the sum of coeffs[m, r, g] x^m e_r, so
+    phi(d(e_g)) is column g of the sum over m of x^m (images @ coeffs[m]).
+    Over the basis monomials m that occur in d, that is one exact product
+    by the slices coeffs[m] side by side and one act_sum.  Neither map is
+    realized.
+    """
+    _, rows, cols = coeffs.shape
+    if images.rows != target.dim or images.cols != rows:
+        raise InputError(f"generator images of shape {images.shape} do not compose with "
+                         f"{rows} x {cols} over A into dimension {target.dim}")
+    occurring = np.flatnonzero(coeffs.any(axis=(1, 2)))
+    if occurring.size == 0:
+        return Mat.zeros(target.field, target.dim, cols)
+    slices = coeffs[occurring].transpose(1, 0, 2).reshape(rows, occurring.size * cols)
+    products = images @ Mat(target.field, slices)
+    return target.act_sum([target.algebra.basis[m] for m in occurring], products)
 
 
 def block_action(n: Module, coeffs: np.ndarray) -> Mat:

@@ -7,7 +7,9 @@ holds by construction and is checked at every step together with
 d o d = 0 and exactness (at step 0: F_0 -> M is onto).  A step eliminates
 once: d_i read in the coordinates of its span gives, in one kernel_rref,
 the rank that proves exactness and the echelon span of ker d_i that the
-next step covers.  Syzygy modules are built only when asked for.
+next step covers.  Chain lifts solve d_i X = B through a factorization of
+d_i made once, on the first lift through it, and each solution is checked.
+Syzygy modules are built only when asked for.
 A resolution is cached on its module and extended incrementally;
 previously computed steps never change.
 """
@@ -19,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, check
-from .exactla import Mat, kernel_rref
+from .exactla import Mat, kernel_rref, pivot_inverse
 from .gralg import Algebra, AlgebraElement
 from .gmod import (
     FreeModule,
@@ -62,6 +64,7 @@ class MinimalFreeResolution:
         # index i: (RREF rows spanning ker d_{i-1} in F_{i-1}, or M at 0; their pivots)
         self._spans = [(Mat.identity(module.field, module.dim), np.arange(module.dim))]
         self._syz = {}  # i >= 1: the gmod.Submodule of syzygy i, built on request
+        self._solvers = {}  # i: pivot_inverse of Z_i, d_i read in its span, built on request
 
     @property
     def computed_to(self) -> int:
@@ -96,7 +99,10 @@ class MinimalFreeResolution:
             # so d_i vanishes at generator rows and generator columns
             check(not algebra_coefficients(d_real, F, target)[0].any(),
                   "differential entry has a unit component")
-            check((self._diff_real[i - 1] @ d_real).is_zero(), f"d_{i-1} o d_{i} != 0")
+            # both maps are A-linear, so d_{i-1} o d_i vanishes when it
+            # vanishes on the generators of F_i
+            gens = Mat(A.field, d_real.a[:, F.generator_columns()])
+            check((self._diff_real[i - 1] @ gens).is_zero(), f"d_{i-1} o d_{i} != 0")
             # the image of d_i lies in the span: a column lies in it exactly
             # when it equals the span rows combined by its coordinates Z.  The
             # span is the identity at its pivot columns (kernel_rref writes it
@@ -134,6 +140,33 @@ class MinimalFreeResolution:
             raise InputError("differentials are indexed from 1")
         self.extend(n)
         return self._diff_real[n]
+
+    def solve(self, i: int, B: Mat) -> Mat:
+        """X with d_i X = B, d_0 being the augmentation F_0 -> M: the
+        solution of solve_matrix, whose coordinates off the pivot columns of
+        d_i are zero.  InvariantError when some column of B is not in the
+        image of d_i.
+
+        The image lies in the span that step i covers, and Z, the span's
+        pivot rows of d_i, is d_i read in the span's coordinates, of full
+        row rank (the exactness check proves it), with the row space of
+        d_i.  pivot_inverse factors Z once per step, on the first solve
+        through d_i; each solve is then one product, X[Q] = E B[pivots],
+        proven by the product d_i X = B.
+        """
+        self.extend(i)
+        d = self._diff_real[i]
+        if B.rows != d.rows:
+            raise InputError(f"right-hand side has {B.rows} rows, expected {d.rows}")
+        pivots = self._spans[i][1]
+        if i not in self._solvers:
+            self._solvers[i] = pivot_inverse(Mat(d.field, d.a[pivots]))
+        Q, E = self._solvers[i]
+        X = np.zeros((d.cols, B.cols), dtype=np.int64)
+        X[Q] = (E @ Mat(d.field, B.a[pivots])).a
+        X = Mat(d.field, X)
+        check(d @ X == B, f"right-hand side outside the image of d_{i}")
+        return X
 
     def diff_coefficients(self, n: int) -> np.ndarray:
         """d_n over A as a coefficient array (gmod.algebra_coefficients),

@@ -16,8 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, check
-from .exactla import Mat, kernel_basis, rref, solve_matrix
-from .gmod import (Module, algebra_coefficients, block_action, direct_sum, extend_linearly,
+from .exactla import Mat, kernel_basis, rref
+from .gmod import (Module, block_action, compose_on_generators, direct_sum, extend_linearly,
                    quotient_by_span, shift)
 from .gralg import is_gorenstein
 from .resol import ComplexityEstimate, MinimalFreeResolution, estimate_complexity, resolve
@@ -173,22 +173,31 @@ class ExtElement:
         gens = resolution.free(degree).generator_columns()
         return cls(resolution, target, degree, phi.a[:, gens].T.reshape(-1), shift)
 
+    def generator_images(self) -> Mat:
+        """The representing map on the generators of F_t, one column each."""
+        F = self.resolution.free(self.degree)
+        return Mat(self.target.field, self.rep.reshape(F.rank, self.target.dim).T)
+
     def realized(self) -> Mat:
         """The representing map as a matrix on realized coordinates F_t -> N."""
-        F = self.resolution.free(self.degree)
-        gen_images = Mat(self.target.field, self.rep.reshape(F.rank, self.target.dim).T)
-        return extend_linearly(self.target, gen_images)
+        return extend_linearly(self.target, self.generator_images())
 
     def class_residual(self) -> np.ndarray:
         """Canonical coset representative: rep reduced modulo coboundaries."""
-        prev = _hom_differential(self.resolution, self.target, self.degree - 1)
-        return _reduce_mod_rows(self.rep, rref(prev.transpose()), self.target.field.p)
+        return _reduce_mod_rows(self.rep, _coboundary_echelon(self.resolution, self.target, self.degree),
+                                self.target.field.p)
 
     def is_zero_class(self) -> bool:
         return not self.class_residual().any()
 
     def describe(self) -> dict:
         return {"degree": self.degree, "shift": self.shift}
+
+
+def _coboundary_echelon(res: MinimalFreeResolution, n: Module, t: int):
+    """Reduced echelon form (R, pivots, rank) of the coboundaries in
+    Hom(F_t, N), the image of delta^{t-1}."""
+    return rref(_hom_differential(res, n, t - 1).transpose())
 
 
 def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
@@ -237,29 +246,26 @@ def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
 
 
 def _lift_chain_map(eta: ExtElement, upto: int) -> List[Mat]:
-    """Lift the cocycle of eta in Ext^t(M, M) to chain maps theta_i: F_{t+i} -> F_i.
+    """Lift the cocycle of eta in Ext^t(M, M) to chain maps theta_i: F_{t+i} -> F_i,
+    i = 0..upto, each given by its generator images U_i (one column per
+    generator of F_{t+i}).
 
-    Lifting happens on free-module generators only and is extended
-    A-linearly, so every theta_i is a module map; the chain identity then
-    holds because both sides agree on generators.
+    theta_i is the A-linear map with those images, so it is a module map,
+    and the chain identity d_i theta_i = theta_{i-1} d_{t+i} (eps theta_0 =
+    eta at i = 0) holds because both sides agree on generators: U_i solves
+    d_i U_i = theta_{i-1} d_{t+i} on generators, which compose_on_generators
+    reads off U_{i-1} and d_{t+i} over A.  No theta is realized.
     """
     res = eta.resolution
     if eta.target is not res.module:
         raise InputError("chain lifting needs source = target")
     t = eta.degree
     res.extend(t + upto)
-    phi = eta.realized()
-    gen_rhs = Mat(eta.target.field, phi.a[:, res.free(t).generator_columns()])
-    U = solve_matrix(res.augmentation, gen_rhs)
-    check(U is not None, "augmentation is surjective, lift must exist")
-    thetas = [extend_linearly(res.free(0), U)]
+    images = [res.solve(0, eta.generator_images())]
     for i in range(1, upto + 1):
-        rhs_full = thetas[i - 1] @ res.diff_realized(t + i)
-        gen_rhs = Mat(eta.target.field, rhs_full.a[:, res.free(t + i).generator_columns()])
-        U = solve_matrix(res.diff_realized(i), gen_rhs)
-        check(U is not None, "chain lift failed below an exact step")
-        thetas.append(extend_linearly(res.free(i), U))
-    return thetas
+        rhs = compose_on_generators(res.free(i - 1), images[i - 1], res.diff_coefficients(t + i))
+        images.append(res.solve(i, rhs))
+    return images
 
 
 def yoneda_power(eta: ExtElement, s: int) -> ExtElement:
@@ -277,10 +283,10 @@ def yoneda_power(eta: ExtElement, s: int) -> ExtElement:
     res = eta.resolution
     t = eta.degree
     res.extend(s * t + 1)
-    thetas = _lift_chain_map(eta, (s - 1) * t)
+    images = _lift_chain_map(eta, (s - 1) * t)
     comp = eta.realized()
     for j in range(1, s):
-        comp = comp @ thetas[j * t]  # theta_{jt}: F_{(j+1)t} -> F_{jt}
+        comp = comp @ extend_linearly(res.free(j * t), images[j * t])  # theta_{jt}: F_{(j+1)t} -> F_{jt}
     return ExtElement.from_realized(res, eta.target, s * t, comp, eta.shift * s)
 
 
@@ -361,10 +367,11 @@ def _pushout_betti(eta: ExtElement, window: int) -> List[int]:
     """
     res = eta.resolution
     t = eta.degree
-    thetas = _lift_chain_map(eta, window)
-    # theta_n (x) k: the constant coefficients of theta_n over A
-    ranks = [0] + [Mat(eta.target.field, algebra_coefficients(th, res.free(n + t), res.free(n))[0]).rank()
-                   for n, th in enumerate(thetas)]
+    images = _lift_chain_map(eta, window)
+    # theta_n (x) k: the constant coefficients of theta_n over A, which are
+    # the generator rows of its generator images
+    ranks = [0] + [Mat(eta.target.field, U.a[res.free(n).generator_columns()]).rank()
+                   for n, U in enumerate(images)]
     betti = res.betti_list(t + window - 1)
     return [betti[n] + betti[n + t - 1] - ranks[n + 1] - ranks[n] for n in range(window + 1)]
 
@@ -413,9 +420,11 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
     for t in range(1, max_search_degree + 1):
         basis = cocycle_basis(m, m, t)
         seen = set()
+        # every candidate of degree t is reduced modulo the same coboundaries
+        coboundaries = _coboundary_echelon(resolve(m, t + 1), m, t)
 
         def fresh(eta: ExtElement) -> bool:
-            v = eta.class_residual()
+            v = _reduce_mod_rows(eta.rep, coboundaries, p)
             nz = np.nonzero(v)[0]
             if nz.size == 0:
                 return False

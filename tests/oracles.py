@@ -8,7 +8,8 @@ The exceptions are references for bookkeeping rather than arithmetic:
 eager_resolution builds every syzygy as an explicit module from the
 engine's gmod constructors, pushout_betti builds and resolves a pushout,
 eisenbud_chi computes the chain operators from polynomial lifts of the
-engine's differentials, and tensor_algebra and tensor_module build the inputs of the Kunneth
+engine's differentials, reference_lift lifts a class with the engine's
+solve_matrix and extend_linearly, and tensor_algebra and tensor_module build the inputs of the Kunneth
 checks, whose expected values are convolutions of sequences the engine
 computes for each factor alone.
 """
@@ -364,6 +365,31 @@ def pushout_betti(eta, window):
     from cxlab.yoneda import pushout
 
     return resolve(pushout(eta).module, window).betti_list(window)
+
+
+def reference_lift(eta, upto):
+    """The realized chain lift theta_i: F_{t+i} -> F_i (i = 0..upto) of eta in
+    Ext^t(M, M), each step solved from scratch: the reference for
+    yoneda._lift_chain_map, which solves through factorizations cached on
+    the resolution and composes on generators.
+
+    theta_0 solves eps U = eta on the generators of F_t, theta_i solves
+    d_i U = theta_{i-1} d_{t+i} on the generators of F_{t+i}, each with
+    solve_matrix on the realized matrices, and extend_linearly realizes U.
+    """
+    from cxlab.exactla import Mat, solve_matrix
+    from cxlab.gmod import extend_linearly
+
+    res, t, field = eta.resolution, eta.degree, eta.target.field
+    res.extend(t + upto)
+    thetas = []
+    for i in range(upto + 1):
+        rhs = eta.realized() if i == 0 else thetas[-1] @ res.diff_realized(t + i)
+        d = res.augmentation if i == 0 else res.diff_realized(i)
+        U = solve_matrix(d, Mat(field, rhs.a[:, res.free(t + i).generator_columns()]))
+        assert U is not None, f"no lift through step {i}"
+        thetas.append(extend_linearly(res.free(i), U))
+    return thetas
 
 
 def eisenbud_chi(ci, res, max_degree):

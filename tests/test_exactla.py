@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cxlab.errors import InputError
-from cxlab.exactla import Field, Mat, kernel_basis, kernel_rref, rref, solve, solve_matrix
+from cxlab.exactla import Field, Mat, kernel_basis, kernel_rref, pivot_inverse, rref, solve, solve_matrix
 
 F5 = Field(5)
 
@@ -274,3 +274,20 @@ def test_rref_kernel_solve_match_oracle(p, case):
         assert (X is None) == (expected is None)
         if X is not None:
             assert X.a.tolist() == expected
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_pivot_inverse_solves_like_solve_matrix(p):
+    F = Field(p)
+    rng = np.random.default_rng(p % 997)
+    for rows in (0, 1, 4):
+        # full row rank, with pivots after a dense lead-in
+        m = Mat(F, np.hstack([rng.integers(0, p, (rows, 2)), np.eye(rows, dtype=np.int64),
+                              rng.integers(0, p, (rows, 3))]))
+        B = m @ Mat(F, rng.integers(0, p, (m.cols, 3)))
+        Q, E = pivot_inverse(m)
+        X = np.zeros((m.cols, 3), dtype=np.int64)
+        X[Q] = (E @ Mat(F, B.a)).a
+        assert np.array_equal(X, solve_matrix(m, B).a)
+    with pytest.raises(InputError, match="full row rank"):
+        pivot_inverse(Mat(F, [[1, 2, 3], [2, 4, 6]]))

@@ -16,12 +16,15 @@ from cxlab.gralg import build_algebra, parse_polynomial
 from cxlab.gmod import (
     Module,
     ModuleMap,
+    algebra_coefficients,
     block_action,
     coker_presentation,
+    compose_on_generators,
     direct_sum,
     depth,
     extend_linearly,
     free_module,
+    generator_images,
     hom_space,
     is_isomorphic,
     min_generators,
@@ -333,6 +336,29 @@ def test_block_actions_exact_at_large_prime():
         assert np.array_equal(_tensor_differential(res, M, i).a, oracles.block_action(M, d, r, c))
         transposed = [[d[h][g] for h in range(r)] for g in range(c)]
         assert np.array_equal(_hom_differential(res, M, i - 1).a, oracles.block_action(M, transposed, c, r))
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_compose_on_generators_matches_realized_product(p):
+    # phi o d on generators, read off the generator images of phi and the
+    # coefficient array of d, is the realized product on the generator
+    # columns; with dense coefficients every basis monomial occurs in d
+    F = Field(p)
+    A = MonomialCI.build(F, [2, 2, 2]).algebra
+    rng = np.random.default_rng(p % 1000)
+    src, mid, tgt = free_module(A, [0, 0, 0]), free_module(A, [0, 0]), free_module(A, [0, 1])
+    images = Mat(F, rng.integers(0, p, (tgt.dim, mid.rank)))
+    phi = extend_linearly(tgt, images)
+    gens = src.generator_columns()
+    for coeffs in (rng.integers(0, p, (A.dim, mid.rank, src.rank)),
+                   np.zeros((A.dim, mid.rank, src.rank), dtype=np.int64)):
+        d = block_action(mid.regular, coeffs)
+        assert np.array_equal(algebra_coefficients(d, src, mid), coeffs)
+        assert generator_images(F, coeffs) == Mat(F, d.a[:, gens])
+        got = compose_on_generators(tgt, images, coeffs)
+        assert got.a.tobytes() == (phi @ d).a[:, gens].tobytes()
+    with pytest.raises(InputError, match="do not compose"):
+        compose_on_generators(src, images, coeffs)
 
 
 def _unit_row(M, idx):

@@ -3,7 +3,7 @@ import pytest
 
 from cxlab.cioper import MonomialCI
 from cxlab.errors import InputError, InvariantError
-from cxlab.exactla import Field
+from cxlab.exactla import Field, Mat, solve_matrix
 from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
 from cxlab import resol
 from cxlab.gmod import ModuleMap, coker_presentation, direct_sum, free_module, residue_field, shift
@@ -253,3 +253,60 @@ def test_step_zero_checks_augmentation_onto(k, monkeypatch):
     monkeypatch.setattr(resol, "min_generators", lambda m, span=None: choose(m, span)[:-1])
     with pytest.raises(InvariantError, match="augmentation F_0 -> M is not onto"):
         resolve(direct_sum(k, shift(k, 1)), 0)
+
+
+def _residue_field_over(p, relations):
+    names = ["x", "y", "z"]
+    B = build_algebra(Field(p), 3, [parse_polynomial(r, names, Field(p)) for r in relations], varnames=names)
+    return residue_field(B)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 65521, 2**31 - 1])
+@pytest.mark.parametrize("relations", [["x^2", "y^2", "z^2"], ["x^2", "y^2", "z^3", "x*y"]],
+                         ids=["x2y2z2", "x2y2z3xy"])
+def test_solve_matches_solve_matrix(p, relations):
+    # the factored solve gives the particular solution of solve_matrix,
+    # byte for byte, on images of random columns and on d_i's own columns
+    res = resolve(_residue_field_over(p, relations), 7)
+    rng = np.random.default_rng(p % 1000)
+    for i in range(8):
+        d = res.augmentation if i == 0 else res.diff_realized(i)
+        X = Mat(d.field, rng.integers(0, p, (d.cols, 3)))
+        B = (d @ X).hstack(Mat(d.field, d.a[:, :: max(1, d.cols // 5)]))
+        got = res.solve(i, B)
+        assert got.a.tobytes() == solve_matrix(d, B).a.tobytes(), (p, i)
+        assert d @ got == B
+
+
+def test_solve_rejects_rhs_outside_image(k):
+    res = resolve(k, 3)
+    # generator 0 of F_1 is not a cycle (d_1 maps it to a variable), so it
+    # lies outside the image of d_2
+    d2 = res.diff_realized(2)
+    outside = Mat(d2.field, np.eye(d2.rows, dtype=np.int64)[:, :1])
+    assert solve_matrix(d2, outside) is None
+    with pytest.raises(InvariantError, match="outside the image of d_2"):
+        res.solve(2, outside)
+    with pytest.raises(InputError, match="rows"):
+        res.solve(1, outside)
+
+
+def test_step_checks_d2_on_generator_columns(A, monkeypatch):
+    # d_2 corrupted at one generator column only: a unit added at a row of
+    # F_1 that d_1 does not kill makes d_1 o d_2 nonzero on that generator
+    res = resolve(residue_field(A), 1)  # a new module, so its resolution stops at 1
+    d1 = res.diff_realized(1)
+    row = next(r for r in range(d1.cols) if r % A.dim and d1.a[:, r].any())
+    extend = resol.extend_linearly
+
+    def corrupt(target, gen_images):
+        d = extend(target, gen_images)
+        if target is res.free(1):
+            a = d.a.copy()
+            a[row, 0] = (a[row, 0] + 1) % d.field.p
+            d = Mat(d.field, a)
+        return d
+
+    monkeypatch.setattr(resol, "extend_linearly", corrupt)
+    with pytest.raises(InvariantError, match="d_1 o d_2 != 0"):
+        res.extend(2)

@@ -6,8 +6,9 @@ import pytest
 import oracles
 from cxlab import yoneda
 from cxlab.errors import InputError, InvariantError
-from cxlab.exactla import Field
+from cxlab.exactla import Field, Mat
 from cxlab.gmod import (
+    algebra_coefficients,
     direct_sum,
     free_module,
     hom_space,
@@ -33,6 +34,7 @@ from cxlab.yoneda import (
     yoneda_power,
 )
 from cxlab.yoneda import test_against as bound_test
+from conftest import gasharov_algebra, gasharov_presentation
 
 F5 = Field(5)
 P31 = Field(2**31 - 1)
@@ -239,6 +241,102 @@ def test_pushout_betti_matches_resolved_pushout_residue_fields(field, relations,
     B = build_algebra(field, len(varnames), [parse_polynomial(r, varnames, field) for r in relations],
                       varnames=varnames)
     assert _assert_screen_matches_pushouts(residue_field(B), range(1, top_t + 1), window) > 0
+
+
+def _reference_screen(eta, window, thetas):
+    """The screen's formula on realized reference lifts, the constant
+    coefficients read through algebra_coefficients."""
+    res, t = eta.resolution, eta.degree
+    ranks = [0] + [Mat(eta.target.field, algebra_coefficients(th, res.free(n + t), res.free(n))[0]).rank()
+                   for n, th in enumerate(thetas)]
+    betti = res.betti_list(t + window - 1)
+    return [betti[n] + betti[n + t - 1] - ranks[n + 1] - ranks[n] for n in range(window + 1)]
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("case", ["gasharov", "x2y2z3"])
+def test_lifts_match_reference_lift(p, case):
+    # generator images, screens and Yoneda squares from the cached solves
+    # are byte for byte those of lifts solved and realized from scratch
+    field = Field(p)
+    if case == "gasharov":
+        M, degrees, window = gasharov_presentation(gasharov_algebra(field)), range(1, 5), 8
+    else:
+        names = ["x", "y", "z"]
+        B = build_algebra(field, 3, [parse_polynomial(r, names, field) for r in ["x^2", "y^2", "z^3"]],
+                          varnames=names)
+        M, degrees, window = residue_field(B), range(1, 4), 5
+    checked = 0
+    for t in degrees:
+        for eta in cocycle_basis(M, M, t):
+            res = eta.resolution
+            ref = oracles.reference_lift(eta, window)
+            for n, (U, theta) in enumerate(zip(_lift_chain_map(eta, window), ref)):
+                want = theta.a[:, res.free(t + n).generator_columns()]
+                assert U.a.tobytes() == want.tobytes(), (t, eta.shift, n)
+            assert _pushout_betti(eta, window) == _reference_screen(eta, window, ref), (t, eta.shift)
+            square = ExtElement.from_realized(res, M, 2 * t, eta.realized() @ ref[t], 2 * eta.shift)
+            assert yoneda_power(eta, 2).rep.tobytes() == square.rep.tobytes(), (t, eta.shift)
+            if t == 1:
+                cube = eta.realized() @ ref[1] @ ref[2]
+                want = ExtElement.from_realized(res, M, 3, cube, 3 * eta.shift)
+                assert yoneda_power(eta, 3).rep.tobytes() == want.rep.tobytes(), eta.shift
+            checked += 1
+    assert checked >= 6
+
+
+def test_find_reducing_element_eliminates_once_per_lifted_step(monkeypatch, gasharov):
+    # every lift of a search solves through a factorization of d_i made on
+    # the first lift through it, and never calls solve_matrix
+    from cxlab import exactla, resol
+
+    eliminations = []
+    rref_array = exactla._rref_array
+
+    def counting_rref(a, p):
+        eliminations.append(a.shape)
+        return rref_array(a, p)
+
+    solves = []
+    solve = resol.MinimalFreeResolution.solve
+
+    def counting_solve(self, i, B):
+        before = len(eliminations)
+        out = solve(self, i, B)
+        solves.append((id(self), i, len(eliminations) - before))
+        return out
+
+    solve_matrix_calls = []
+    for module in (exactla, resol, yoneda):
+        if hasattr(module, "solve_matrix"):
+            monkeypatch.setattr(module, "solve_matrix", lambda *args: solve_matrix_calls.append(args))
+    monkeypatch.setattr(exactla, "_rref_array", counting_rref)
+    monkeypatch.setattr(resol.MinimalFreeResolution, "solve", counting_solve)
+    found = find_reducing_element(gasharov_presentation(gasharov), 8, seed=0, budget=3)
+    assert found[0].degree == 4
+    assert solve_matrix_calls == []
+    steps = sorted({(res, i) for res, i, _ in solves})
+    assert [i for _, i in steps] == list(range(yoneda.QUICK_WINDOW + 1))  # one resolution, steps 0..8
+    for step in steps:
+        assert sum(n for res, i, n in solves if (res, i) == step) == 1, step
+    assert len(solves) > 10 * len(steps)
+
+
+def test_find_reducing_element_reduces_by_one_coboundary_echelon_per_degree(monkeypatch, gasharov):
+    residuals = []
+    monkeypatch.setattr(ExtElement, "class_residual", lambda self: residuals.append(self))
+    echelons = []
+    build = yoneda._coboundary_echelon
+
+    def counting(res, n, t):
+        echelons.append(t)
+        return build(res, n, t)
+
+    monkeypatch.setattr(yoneda, "_coboundary_echelon", counting)
+    found = find_reducing_element(gasharov_presentation(gasharov), 8, seed=0, budget=3)
+    assert found[0].degree == 4
+    assert residuals == []
+    assert echelons == [1, 2, 3, 4]
 
 
 def _search_summary(found):
