@@ -10,6 +10,15 @@ FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Larger
 primes split each operand into 16-bit limbs first.  Pivoting is
 deterministic (first nonzero entry in column order), so all derived bases
 are reproducible across runs and platforms.
+
+A Mat has two constructors.  The public Mat(field, array) reduces its input
+mod p (a copy), and so do +, -, negation and scale.  The private
+Mat._trusted wraps an array that is reduced by construction (a product, an
+echelon form, a transpose, a stack or slice of reduced arrays) without a
+copy.  Elimination clears each pivot column only in the rows where it is
+nonzero while those are fewer than a quarter of the rows, and with one
+rank-1 update of the whole block otherwise; the reduced echelon form of a
+row space is unique, so both give the same result.
 """
 from __future__ import annotations
 
@@ -20,7 +29,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["Field", "Mat", "rref", "kernel_basis", "kernel_rref", "pivot_inverse", "solve", "solve_matrix"]
+__all__ = ["Field", "Mat", "rref", "kernel_basis", "kernel_rref", "pivot_inverse"]
 
 
 def _is_prime(n: int) -> bool:
@@ -111,7 +120,18 @@ class Mat:
         arr = np.asarray(array, dtype=np.int64)
         if arr.ndim != 2:
             raise InputError(f"matrix must be 2-dimensional, got shape {arr.shape}")
-        arr = arr % field.p
+        self._wrap(field, arr % field.p)
+
+    @classmethod
+    def _trusted(cls, field: Field, arr: np.ndarray) -> "Mat":
+        """Wrap arr, a 2-D int64 array already reduced mod p, as it is: no
+        copy and no reduction.  Only for results that are reduced by
+        construction; every other array goes through Mat(...), which reduces."""
+        m = object.__new__(cls)
+        m._wrap(field, arr)
+        return m
+
+    def _wrap(self, field: Field, arr: np.ndarray):
         arr.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "a", arr)
@@ -133,11 +153,11 @@ class Mat:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Mat":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls._trusted(field, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls._trusted(field, np.eye(n, dtype=np.int64))
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "Mat":
@@ -151,7 +171,7 @@ class Mat:
         self._check_field(other)
         if self.cols != other.rows:
             raise InputError(f"shape mismatch in product: {self.shape} @ {other.shape}")
-        return Mat(self.field, _matmul_mod(self.a, other.a, self.field.p))
+        return Mat._trusted(self.field, _matmul_mod(self.a, other.a, self.field.p))
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_field(other)
@@ -173,15 +193,15 @@ class Mat:
         return Mat(self.field, self.a * (c % self.field.p))
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, self.a.T)
+        return Mat._trusted(self.field, self.a.T)
 
     def hstack(self, other: "Mat") -> "Mat":
         self._check_field(other)
-        return Mat(self.field, np.hstack([self.a, other.a]))
+        return Mat._trusted(self.field, np.hstack([self.a, other.a]))
 
     def vstack(self, other: "Mat") -> "Mat":
         self._check_field(other)
-        return Mat(self.field, np.vstack([self.a, other.a]))
+        return Mat._trusted(self.field, np.vstack([self.a, other.a]))
 
     @property
     def shape(self) -> tuple:
@@ -221,7 +241,15 @@ _BLOCK_MIN_CELLS = 4096
 
 
 def _eliminate(A: np.ndarray, p: int):
-    """RREF of A in place; returns (A, pivot column list)."""
+    """RREF of A in place; returns (A, pivot column list).
+
+    Each pivot clears its column in the rows where that column is nonzero.
+    When they are few (fewer than a quarter of the rows), only those rows
+    are updated, so the work follows the fill rather than the size of A
+    (cf. LaMacchia and Odlyzko, "Solving large sparse linear systems over
+    finite fields", CRYPTO '90); otherwise one rank-1 update covers all
+    rows.  Both give the same array.
+    """
     rows, cols = A.shape
     pivots = []
     r = 0
@@ -236,11 +264,16 @@ def _eliminate(A: np.ndarray, p: int):
             A[[r, i]] = A[[i, r]]
         inv = pow(int(A[r, c]), p - 2, p)
         A[r] = (A[r] * inv) % p
-        f = A[:, c].copy()
-        f[r] = 0
-        if f.any():
-            A -= np.outer(f, A[r])
-            A %= p
+        hit = np.flatnonzero(A[:, c])
+        if hit.size > 1:
+            if 4 * hit.size < rows:
+                others = hit[hit != r]
+                A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
+            else:
+                f = A[:, c].copy()
+                f[r] = 0
+                A -= np.outer(f, A[r])
+                A %= p
         pivots.append(c)
         r += 1
     return A, pivots
@@ -308,7 +341,7 @@ def rref(m: Mat):
     column order, each pivot is normalized to 1 and cleared above and below.
     """
     A, pivots = _rref_array(m.a, m.field.p)
-    return Mat(m.field, A), tuple(pivots), len(pivots)
+    return Mat._trusted(m.field, A), tuple(pivots), len(pivots)
 
 
 def kernel_basis(m: Mat) -> Mat:
@@ -321,8 +354,8 @@ def kernel_basis(m: Mat) -> Mat:
     free = np.setdiff1d(np.arange(m.cols), pivots)
     K = np.zeros((m.cols, len(free)), dtype=np.int64)
     K[free, np.arange(len(free))] = 1
-    K[list(pivots)] = -R.a[:rank, free]
-    return Mat(m.field, K)
+    K[list(pivots)] = -R.a[:rank, free] % m.field.p
+    return Mat._trusted(m.field, K)
 
 
 def kernel_rref(m: Mat):
@@ -343,9 +376,9 @@ def kernel_rref(m: Mat):
     free = np.setdiff1d(np.arange(n), piv)
     K = np.zeros((len(free), n), dtype=np.int64)
     K[np.arange(len(free)), free] = 1
-    K[:, piv] = -R[:rank, free].T
+    K[:, piv] = -R[:rank, free].T % m.field.p
     # reversed columns put the last free column first; reverse both axes
-    return rank, Mat(m.field, K[::-1, ::-1]), (n - 1 - free)[::-1]
+    return rank, Mat._trusted(m.field, K[::-1, ::-1]), (n - 1 - free)[::-1]
 
 
 def pivot_inverse(m: Mat):
@@ -355,33 +388,11 @@ def pivot_inverse(m: Mat):
     one elimination of [m | I_r].  The row operations that bring m to
     rref(m) = E m bring I_r to E, and rref(m) is the identity at Q.  For b
     in the column space, x with x[Q] = E b and zeros elsewhere solves m x = b:
-    it is the solution solve_matrix returns, whose free coordinates are zero.
+    it is the solution whose free coordinates (those off Q) are zero.
     """
     r = m.rows
     R, pivots = _rref_array(np.hstack([m.a, np.eye(r, dtype=np.int64)]), m.field.p)
     # [m | I_r] has rank r; m has it too exactly when no pivot falls in I_r
     if len(pivots) != r or (r and pivots[-1] >= m.cols):
         raise InputError("pivot_inverse needs a matrix of full row rank")
-    return np.array(pivots, dtype=np.int64), Mat(m.field, R[:, m.cols :])
-
-
-def solve(m: Mat, b) -> Optional[np.ndarray]:
-    """One exact solution x of m x = b, or None when b is not in the column space."""
-    bv = np.asarray(b, dtype=np.int64) % m.field.p
-    if bv.ndim != 1 or bv.shape[0] != m.rows:
-        raise InputError(f"right-hand side has {bv.shape} entries, expected {m.rows}")
-    X = solve_matrix(m, Mat(m.field, bv.reshape(-1, 1)))
-    return None if X is None else X.a[:, 0].copy()
-
-
-def solve_matrix(m: Mat, B: Mat) -> Optional[Mat]:
-    """Solve m X = B for all columns at once; None when any column is unsolvable."""
-    if B.rows != m.rows:
-        raise InputError(f"right-hand side has {B.rows} rows, expected {m.rows}")
-    aug = np.hstack([m.a, B.a])
-    R, pivots = _rref_array(aug, m.field.p)
-    if any(pc >= m.cols for pc in pivots):
-        return None
-    X = np.zeros((m.cols, B.cols), dtype=np.int64)
-    X[pivots] = R[: len(pivots), m.cols :]
-    return Mat(m.field, X)
+    return np.array(pivots, dtype=np.int64), Mat._trusted(m.field, R[:, m.cols :].copy())

@@ -48,7 +48,6 @@ __all__ = [
     "direct_sum",
     "shift",
     "min_generators",
-    "depth",
     "hom_space",
     "is_isomorphic",
     "quotient_by_span",
@@ -85,6 +84,16 @@ class Module:
         """X_v applied to each column of cols, a matrix of coordinates on
         this module; the one way readers apply a variable from the left."""
         return self.actions[v] @ cols
+
+    def act_sum(self, monomials: Sequence[Tuple[int, ...]], cols: Mat) -> Mat:
+        """The sum over j of x^monomials[j] applied to the j-th of
+        len(monomials) equal blocks of columns of cols."""
+        s = len(monomials)
+        k = cols.cols // s
+        # [X_0 | X_1 | ..] times the blocks stacked is the sum of the products
+        blocks = cols.a.reshape(self.dim, s, k).transpose(1, 0, 2).reshape(s * self.dim, k)
+        Xs = np.hstack([self.monomial_action(e).a for e in monomials])
+        return Mat._trusted(self.field, _matmul_mod(Xs, blocks, self.field.p))
 
     @property
     def field(self) -> Field:
@@ -167,8 +176,6 @@ class FreeModule(Module):
         return self._blockwise([self.regular.actions[v]], cols)
 
     def act_sum(self, monomials: Sequence[Tuple[int, ...]], cols: Mat) -> Mat:
-        """The sum over j of x^monomials[j] applied to the j-th of
-        len(monomials) equal blocks of columns of cols."""
         return self._blockwise([self.regular.monomial_action(e) for e in monomials], cols)
 
     def _blockwise(self, Xs: Sequence[Mat], cols: Mat) -> Mat:
@@ -186,11 +193,11 @@ class FreeModule(Module):
         # the exact product of Mat @, without wrapping the reshaped operands
         # in Mats: extend_linearly acts once per basis monomial
         out = _matmul_mod(np.hstack([X.a for X in Xs]), blocks, self.field.p)
-        return Mat(self.field, out.reshape(dA, r, k).transpose(1, 0, 2).reshape(self.dim, k))
+        return Mat._trusted(self.field, out.reshape(dA, r, k).transpose(1, 0, 2).reshape(self.dim, k))
 
     def _dense(self, X: Mat) -> Mat:
         """kron(I_r, X): the regular matrix X on every generator block."""
-        return Mat(self.field, np.kron(np.eye(self.rank, dtype=np.int64), X.a))
+        return Mat._trusted(self.field, np.kron(np.eye(self.rank, dtype=np.int64), X.a))
 
     @property
     def actions(self) -> Tuple[Mat, ...]:
@@ -243,7 +250,7 @@ def extend_linearly(target: Module, gen_images: Mat) -> Mat:
         below = A.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
         columns.append(target.act(v, columns[below]))
     out = np.stack([c.a for c in columns], axis=2)
-    return Mat(A.field, out.reshape(target.dim, gen_images.cols * A.dim))
+    return Mat._trusted(A.field, out.reshape(target.dim, gen_images.cols * A.dim))
 
 
 def algebra_coefficients(d: Mat, src: FreeModule, tgt: FreeModule) -> np.ndarray:
@@ -267,7 +274,7 @@ def generator_images(field: Field, coeffs: np.ndarray) -> Mat:
     return Mat(field, coeffs.transpose(1, 0, 2).reshape(rows * dA, cols))
 
 
-def compose_on_generators(target: FreeModule, images: Mat, coeffs: np.ndarray) -> Mat:
+def compose_on_generators(target: Module, images: Mat, coeffs: np.ndarray) -> Mat:
     """Generator images of phi o d, where phi: F -> target is the A-linear
     map sending generator r of F to column r of images, and d: F' -> F is
     the matrix over A with coefficient array coeffs (see algebra_coefficients).
@@ -302,7 +309,7 @@ def block_action(n: Module, coeffs: np.ndarray) -> Mat:
         # a term is below p^2 < 2^62, so reduce before adding the next one
         out += np.kron(coeffs[m], n.monomial_action(n.algebra.basis[m]).a)
         out %= p
-    return Mat(n.field, out)
+    return Mat._trusted(n.field, out)
 
 
 def realize_algebra_matrix(src: FreeModule, tgt: FreeModule,
@@ -365,17 +372,10 @@ def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarr
     # mN is spanned by the images of the basis rows under each variable
     cols = span.transpose()
     images = [m.act(v, cols).a[pivots].T for v in range(m.algebra.nvars)]
-    span_rows = Mat(m.field, np.vstack(images)) if images else Mat.zeros(m.field, 0, span.rows)
+    span_rows = Mat._trusted(m.field, np.vstack(images)) if images else Mat.zeros(m.field, 0, span.rows)
     _, mn_pivots, _ = rref(span_rows)
     return [(span.a[q].copy(), _row_degree(m, span.a[q]))
             for q in np.setdiff1d(np.arange(span.rows), mn_pivots)]
-
-
-def depth(m: Module) -> int:
-    """Depth over an Artinian local ring: always 0 for a nonzero module."""
-    if m.dim == 0:
-        raise InputError("depth of the zero module is undefined")
-    return 0
 
 
 @dataclass

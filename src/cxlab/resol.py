@@ -89,11 +89,11 @@ class MinimalFreeResolution:
         F = free_module(A, [d for _, d in gens])
         # realized map F -> target, sending the g-th generator to the g-th lift
         lifts = np.array([vec for vec, _ in gens], dtype=np.int64).reshape(len(gens), target.dim)
-        d_real = extend_linearly(target, Mat(A.field, lifts.T))
+        d_real = extend_linearly(target, Mat._trusted(A.field, lifts.T))
         self.frees.append(F)
         # the span is in reduced echelon form, so its pivot columns are
         # coordinates on it: Z, the pivot rows of d_i, is d_i read in them
-        Z = Mat(A.field, d_real.a[pivots])
+        Z = Mat._trusted(A.field, d_real.a[pivots])
         if i:
             # minimality: constructive generator choice keeps entries in m,
             # so d_i vanishes at generator rows and generator columns
@@ -101,7 +101,7 @@ class MinimalFreeResolution:
                   "differential entry has a unit component")
             # both maps are A-linear, so d_{i-1} o d_i vanishes when it
             # vanishes on the generators of F_i
-            gens = Mat(A.field, d_real.a[:, F.generator_columns()])
+            gens = Mat._trusted(A.field, d_real.a[:, F.generator_columns()])
             check((self._diff_real[i - 1] @ gens).is_zero(), f"d_{i-1} o d_{i} != 0")
             # the image of d_i lies in the span: a column lies in it exactly
             # when it equals the span rows combined by its coordinates Z.  The
@@ -109,7 +109,7 @@ class MinimalFreeResolution:
             # so), so the pivot rows agree by definition of Z and only the
             # other rows need the product.  At i = 0 the span is all of M.
             rest = np.setdiff1d(np.arange(span.cols), pivots)
-            check(Mat(A.field, span.a[:, rest].T) @ Z == Mat(A.field, d_real.a[rest]),
+            check(Mat._trusted(A.field, span.a[:, rest].T) @ Z == Mat._trusted(A.field, d_real.a[rest]),
                   f"image of d_{i} leaves the span of ker d_{i-1}")
         # One elimination of Z gives its rank and ker Z.  Reading coordinates
         # is injective on the span, which holds the image, so rank Z = rank
@@ -143,8 +143,8 @@ class MinimalFreeResolution:
 
     def solve(self, i: int, B: Mat) -> Mat:
         """X with d_i X = B, d_0 being the augmentation F_0 -> M: the
-        solution of solve_matrix, whose coordinates off the pivot columns of
-        d_i are zero.  InvariantError when some column of B is not in the
+        particular solution whose coordinates off the pivot columns of d_i
+        are zero.  InvariantError when some column of B is not in the
         image of d_i.
 
         The image lies in the span that step i covers, and Z, the span's
@@ -160,11 +160,11 @@ class MinimalFreeResolution:
             raise InputError(f"right-hand side has {B.rows} rows, expected {d.rows}")
         pivots = self._spans[i][1]
         if i not in self._solvers:
-            self._solvers[i] = pivot_inverse(Mat(d.field, d.a[pivots]))
+            self._solvers[i] = pivot_inverse(Mat._trusted(d.field, d.a[pivots]))
         Q, E = self._solvers[i]
         X = np.zeros((d.cols, B.cols), dtype=np.int64)
-        X[Q] = (E @ Mat(d.field, B.a[pivots])).a
-        X = Mat(d.field, X)
+        X[Q] = (E @ Mat._trusted(d.field, B.a[pivots])).a
+        X = Mat._trusted(d.field, X)
         check(d @ X == B, f"right-hand side outside the image of d_{i}")
         return X
 
@@ -172,12 +172,6 @@ class MinimalFreeResolution:
         """d_n over A as a coefficient array (gmod.algebra_coefficients),
         read off the realized matrix."""
         return algebra_coefficients(self.diff_realized(n), self.frees[n], self.frees[n - 1])
-
-    def diff_algebra(self, n: int) -> List[List[AlgebraElement]]:
-        """d_n as a matrix of algebra elements, built on each call."""
-        C = self.diff_coefficients(n)
-        A = self.module.algebra
-        return [[AlgebraElement(A, C[:, r, g]) for g in range(C.shape[2])] for r in range(C.shape[1])]
 
     def syzygy_module(self, i: int) -> Module:
         if i < 0:

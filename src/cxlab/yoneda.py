@@ -146,7 +146,8 @@ class ExtElement:
     rep is the coordinate vector of the representing map on the generators
     of F_t (one block of N-coordinates per generator); shift is its internal
     degree as a graded map.  The cocycle condition rep o d_{t+1} = 0 is
-    asserted at construction.
+    checked at construction, on the generators of F_{t+1}: both maps are
+    A-linear, so the composite vanishes when its generator images do.
     """
 
     resolution: MinimalFreeResolution
@@ -159,8 +160,14 @@ class ExtElement:
         if self.degree < 1:
             raise InputError("Ext elements live in positive degrees")
         self.rep = np.asarray(self.rep, dtype=np.int64) % self.target.field.p
-        delta = _hom_differential(self.resolution, self.target, self.degree)
-        check((delta @ Mat(self.target.field, self.rep.reshape(-1, 1))).is_zero(), "not a cocycle")
+        size = self.resolution.free(self.degree).rank * self.target.dim
+        if self.rep.shape != (size,):
+            raise InputError(f"cocycle vector of shape {self.rep.shape}, expected ({size},)")
+        # the images are one sum over the monomials of d_{t+1}; its terms
+        # need not vanish one by one
+        images = compose_on_generators(self.target, self.generator_images(),
+                                       self.resolution.diff_coefficients(self.degree + 1))
+        check(images.is_zero(), "not a cocycle")
 
     @property
     def source(self) -> Module:
@@ -176,7 +183,7 @@ class ExtElement:
     def generator_images(self) -> Mat:
         """The representing map on the generators of F_t, one column each."""
         F = self.resolution.free(self.degree)
-        return Mat(self.target.field, self.rep.reshape(F.rank, self.target.dim).T)
+        return Mat._trusted(self.target.field, self.rep.reshape(F.rank, self.target.dim).T)
 
     def realized(self) -> Mat:
         """The representing map as a matrix on realized coordinates F_t -> N."""

@@ -1,11 +1,12 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cxlab.exactla import Field
+from cxlab.exactla import Field, Mat
 from cxlab.gralg import build_algebra, parse_polynomial
 from cxlab.gmod import coker_presentation, free_module, residue_field
 from cxlab.cioper import MonomialCI
@@ -18,6 +19,22 @@ GASHAROV_RELATIONS = [
     "x1*x4+x2*x4", "2*x1*x3+x2*x3",
     "x3^2-x2*x5+2*x1*x5", "x4^2-x2*x5+x1*x5",
 ]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def trusted_mats_are_reduced():
+    """Mat._trusted wraps its array without reducing it; throughout the suite
+    every such array must be a 2-D int64 array with entries in [0, p)."""
+    trusted = Mat._trusted.__func__
+
+    def checked(cls, field, arr):
+        assert arr.dtype == np.int64 and arr.ndim == 2, (arr.dtype, arr.shape)
+        assert arr.size == 0 or (arr.min() >= 0 and arr.max() < field.p), (arr.min(), arr.max(), field.p)
+        return trusted(cls, field, arr)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Mat, "_trusted", classmethod(checked))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -8,10 +8,13 @@ The exceptions are references for bookkeeping rather than arithmetic:
 eager_resolution builds every syzygy as an explicit module from the
 engine's gmod constructors, pushout_betti builds and resolves a pushout,
 eisenbud_chi computes the chain operators from polynomial lifts of the
-engine's differentials, reference_lift lifts a class with the engine's
-solve_matrix and extend_linearly, and tensor_algebra and tensor_module build the inputs of the Kunneth
+engine's differentials, reference_lift lifts a class with solve_matrix and
+the engine's extend_linearly, and tensor_algebra and tensor_module build the inputs of the Kunneth
 checks, whose expected values are convolutions of sequences the engine
-computes for each factor alone.
+computes for each factor alone.  solve and solve_matrix solve through the
+engine's rref; their particular solution is the one MinimalFreeResolution.solve
+must reproduce.  diff_algebra reads a differential of an engine resolution as
+a matrix of algebra elements.
 """
 from __future__ import annotations
 
@@ -107,7 +110,7 @@ def block_action(module, entries, rows, cols):
     return out
 
 
-def solve_matrix(matrix, rhs_cols, p, ncols):
+def gauss_solve(matrix, rhs_cols, p, ncols):
     """The solution X of matrix @ X = rhs whose free coordinates are zero,
     or None when some column of rhs is not in the column space.
 
@@ -122,6 +125,45 @@ def solve_matrix(matrix, rhs_cols, p, ncols):
     for r, pc in enumerate(pivots):
         X[pc] = rows[r][ncols:]
     return X
+
+
+def solve(m, b):
+    """One exact solution x of m x = b (m a Mat), or None when b is not in
+    the column space."""
+    from cxlab.errors import InputError
+    from cxlab.exactla import Mat
+
+    bv = np.asarray(b, dtype=np.int64) % m.field.p
+    if bv.ndim != 1 or bv.shape[0] != m.rows:
+        raise InputError(f"right-hand side has {bv.shape} entries, expected {m.rows}")
+    X = solve_matrix(m, Mat(m.field, bv.reshape(-1, 1)))
+    return None if X is None else X.a[:, 0].copy()
+
+
+def solve_matrix(m, B):
+    """Solve m X = B (Mats) for all columns at once by one rref of [m | B]:
+    the solution whose free coordinates are zero, or None when any column
+    is unsolvable."""
+    from cxlab.errors import InputError
+    from cxlab.exactla import Mat, rref
+
+    if B.rows != m.rows:
+        raise InputError(f"right-hand side has {B.rows} rows, expected {m.rows}")
+    R, pivots, rank = rref(m.hstack(B))
+    if any(pc >= m.cols for pc in pivots):
+        return None
+    X = np.zeros((m.cols, B.cols), dtype=np.int64)
+    X[list(pivots)] = R.a[:rank, m.cols :]
+    return Mat(m.field, X)
+
+
+def diff_algebra(res, n):
+    """d_n of the resolution res as a matrix of algebra elements."""
+    from cxlab.gralg import AlgebraElement
+
+    C = res.diff_coefficients(n)
+    A = res.module.algebra
+    return [[AlgebraElement(A, C[:, r, g]) for g in range(C.shape[2])] for r in range(C.shape[1])]
 
 
 def poly_mul(a, b, p):
@@ -350,7 +392,7 @@ def assert_matches_eager(module, n):
     for i in range(1, n + 1):
         assert res.free(i).gen_degrees == frees[i].gen_degrees, i
         assert res.diff_realized(i) == maps[i], i
-        assert realize_algebra_matrix(frees[i], frees[i - 1], res.diff_algebra(i)) == maps[i], i
+        assert realize_algebra_matrix(frees[i], frees[i - 1], diff_algebra(res, i)) == maps[i], i
         S, ref = syzygy(module, i), syzygies[i]
         assert S.degrees == ref.module.degrees, i
         assert S.actions == ref.module.actions, i
@@ -377,7 +419,7 @@ def reference_lift(eta, upto):
     d_i U = theta_{i-1} d_{t+i} on the generators of F_{t+i}, each with
     solve_matrix on the realized matrices, and extend_linearly realizes U.
     """
-    from cxlab.exactla import Mat, solve_matrix
+    from cxlab.exactla import Mat
     from cxlab.gmod import extend_linearly
 
     res, t, field = eta.resolution, eta.degree, eta.target.field
@@ -408,7 +450,7 @@ def eisenbud_chi(ci, res, max_degree):
 
     A, p, exps = ci.algebra, ci.field.p, ci.exponents
     lifts = {i: [[{A.basis[m]: int(c) for m, c in enumerate(a.vec) if c} for a in row]
-                 for row in res.diff_algebra(i)] for i in range(1, max_degree + 1)}
+                 for row in diff_algebra(res, i)] for i in range(1, max_degree + 1)}
     out = {}
     for n in range(2, max_degree + 1):
         rows, mid, cols = res.betti(n - 2), res.betti(n - 1), res.betti(n)

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cxlab.errors import InputError
-from cxlab.exactla import Field, Mat, kernel_basis, kernel_rref, pivot_inverse, rref, solve, solve_matrix
+from cxlab.exactla import Field, Mat, kernel_basis, kernel_rref, pivot_inverse, rref
+from oracles import solve, solve_matrix
 
 F5 = Field(5)
 
@@ -84,6 +85,20 @@ def test_mat_immutable():
     m = Mat.identity(F5, 2)
     with pytest.raises(ValueError):
         m.a[0, 0] = 3
+
+
+def test_public_constructor_and_arithmetic_reduce():
+    # only Mat(...) sees arbitrary integers; it reduces them into [0, p)
+    assert Mat(F5, [[-1, 5, 7], [-10, 4, 12]]).a.tolist() == [[4, 0, 2], [0, 4, 2]]
+    big = Field(2**31 - 1)
+    assert Mat(big, [[-(2**40), 2**31 - 1, 2**62]]).a.tolist() == [
+        [-(2**40) % big.p, 0, 2**62 % big.p]]
+    a, b = Mat(F5, [[4, 1]]), Mat(F5, [[3, 4]])
+    assert (a + b).a.tolist() == [[2, 0]]
+    assert (b - a).a.tolist() == [[4, 3]]
+    assert (-a).a.tolist() == [[1, 4]]
+    assert a.scale(-1).a.tolist() == [[1, 4]]
+    assert a.scale(7).a.tolist() == [[3, 2]]
 
 
 _matrix = st.integers(1, 7).flatmap(
@@ -269,7 +284,7 @@ def test_rref_kernel_solve_match_oracle(p, case):
     x = rng.integers(0, p, (cols, 3))
     solvable = oracles.matmul_mod(a.tolist(), x.T.tolist(), p)  # rows of a @ x
     for B in (np.array(solvable, dtype=np.int64).reshape(rows, 3), rng.integers(0, p, (rows, 2))):
-        expected = oracles.solve_matrix(a.tolist(), B.T.tolist(), p, cols)
+        expected = oracles.gauss_solve(a.tolist(), B.T.tolist(), p, cols)
         X = solve_matrix(m, Mat(F, B))
         assert (X is None) == (expected is None)
         if X is not None:
@@ -291,3 +306,28 @@ def test_pivot_inverse_solves_like_solve_matrix(p):
         assert np.array_equal(X, solve_matrix(m, B).a)
     with pytest.raises(InputError, match="full row rank"):
         pivot_inverse(Mat(F, [[1, 2, 3], [2, 4, 6]]))
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
+def test_sparse_rref_matches_oracle(monkeypatch, p):
+    # sparse matrices, where a pivot column is nonzero in a few rows (only
+    # those rows are updated) or in many (one update covers every row).  The
+    # row-restricted update multiplies only nonzero coefficients; the full
+    # one also the zero it puts at the pivot row
+    F = Field(p)
+    rng = np.random.default_rng(p % 1009)
+    restricted = []
+    outer = np.outer
+
+    def recording(f, row):
+        restricted.append(bool(np.all(f != 0)))
+        return outer(f, row)
+
+    monkeypatch.setattr(np, "outer", recording)
+    for density in (0.005, 0.02, 0.08, 0.3):
+        rows, cols = int(rng.integers(32, 161)), int(rng.integers(8, 49))
+        a = rng.integers(1, p, (rows, cols)) * (rng.random((rows, cols)) < density)
+        R, pivots, rank = rref(Mat(F, a))
+        expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
+        assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots, (density, rows, cols)
+    assert True in restricted and False in restricted

@@ -91,7 +91,7 @@ def test_cocycle_basis_counts(A, k):
 
 def test_cocycle_basis_builds_each_hom_differential_once(monkeypatch, gasharov_module):
     # the class count comes from the delta_5 and delta_6 it already holds;
-    # every other delta_6 is a cocycle check of one ExtElement
+    # an ExtElement checks its cocycle on generators and builds none
     built = []
     hom_differential = yoneda._hom_differential
 
@@ -101,7 +101,40 @@ def test_cocycle_basis_builds_each_hom_differential_once(monkeypatch, gasharov_m
 
     monkeypatch.setattr(yoneda, "_hom_differential", counting)
     basis = cocycle_basis(gasharov_module, gasharov_module, 6)
-    assert sorted(built) == [5] + [6] * (1 + len(basis))
+    assert basis and sorted(built) == [5, 6]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_cocycle_check_agrees_with_hom_differential(gasharov_module, k, t):
+    # ExtElement checks rep o d_{t+1} = 0 on generator images, as one sum
+    # over the monomials of d_{t+1} whose terms cancel on the Gasharov ring;
+    # it must accept exactly the vectors that delta^t sends to zero
+    for M in (gasharov_module, k):
+        res = resolve(M, t + 1)
+        delta = yoneda._hom_differential(res, M, t)
+        cocycles = [eta.rep for eta in cocycle_basis(M, M, t)]
+        rng = np.random.default_rng(t)
+        for trial in range(6):
+            rep = sum((int(rng.integers(5)) * c for c in cocycles), np.zeros(delta.cols, dtype=np.int64))
+            if trial % 2:
+                rep = rep + np.eye(delta.cols, dtype=np.int64)[int(rng.integers(delta.cols))]
+            if (delta @ Mat(M.field, rep.reshape(-1, 1))).is_zero():
+                ExtElement(res, M, t, rep, 0)
+            else:
+                with pytest.raises(InvariantError, match="not a cocycle"):
+                    ExtElement(res, M, t, rep, 0)
+
+
+def test_non_cocycle_rep_raises(gasharov_module):
+    res = resolve(gasharov_module, 3)
+    delta = yoneda._hom_differential(res, gasharov_module, 2)
+    j = int(np.flatnonzero(delta.a.any(axis=0))[0])  # a coordinate delta^2 does not kill
+    rep = np.zeros(delta.cols, dtype=np.int64)
+    rep[j] = 1
+    with pytest.raises(InvariantError, match="not a cocycle"):
+        ExtElement(res, gasharov_module, 2, rep, 0)
+    with pytest.raises(InputError, match="cocycle vector"):
+        ExtElement(res, gasharov_module, 2, rep[1:], 0)
 
 
 def test_cocycle_representatives_are_homogeneous(k):
@@ -287,8 +320,15 @@ def test_lifts_match_reference_lift(p, case):
 
 def test_find_reducing_element_eliminates_once_per_lifted_step(monkeypatch, gasharov):
     # every lift of a search solves through a factorization of d_i made on
-    # the first lift through it, and never calls solve_matrix
+    # the first lift through it; the library has no solve_matrix to call
+    import importlib
+    import pkgutil
+
+    import cxlab
     from cxlab import exactla, resol
+
+    for info in pkgutil.iter_modules(cxlab.__path__):
+        assert not hasattr(importlib.import_module(f"cxlab.{info.name}"), "solve_matrix"), info.name
 
     eliminations = []
     rref_array = exactla._rref_array
@@ -306,15 +346,10 @@ def test_find_reducing_element_eliminates_once_per_lifted_step(monkeypatch, gash
         solves.append((id(self), i, len(eliminations) - before))
         return out
 
-    solve_matrix_calls = []
-    for module in (exactla, resol, yoneda):
-        if hasattr(module, "solve_matrix"):
-            monkeypatch.setattr(module, "solve_matrix", lambda *args: solve_matrix_calls.append(args))
     monkeypatch.setattr(exactla, "_rref_array", counting_rref)
     monkeypatch.setattr(resol.MinimalFreeResolution, "solve", counting_solve)
     found = find_reducing_element(gasharov_presentation(gasharov), 8, seed=0, budget=3)
     assert found[0].degree == 4
-    assert solve_matrix_calls == []
     steps = sorted({(res, i) for res, i, _ in solves})
     assert [i for _, i in steps] == list(range(yoneda.QUICK_WINDOW + 1))  # one resolution, steps 0..8
     for step in steps:
