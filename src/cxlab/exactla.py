@@ -17,8 +17,12 @@ Mat._trusted wraps an array that is reduced by construction (a product, an
 echelon form, a transpose, a stack or slice of reduced arrays) without a
 copy.  Elimination clears each pivot column only in the rows where it is
 nonzero while those are fewer than a quarter of the rows, and with one
-rank-1 update of the whole block otherwise; the reduced echelon form of a
-row space is unique, so both give the same result.
+rank-1 update of the whole block otherwise.  A large matrix is split into
+the blocks of its nonzero pattern (over a monomial complete intersection,
+many tiny blocks of a few shapes), and the blocks of each shape are
+stacked and eliminated together, column by column, by one batched kernel.
+The reduced echelon form of a row space is unique, so every path gives the
+same result.
 """
 from __future__ import annotations
 
@@ -234,10 +238,13 @@ class Mat:
             raise InputError("matrices over different fields")
 
 
-# Below this many cells the whole matrix is eliminated at once: finding the
-# blocks and eliminating them one by one costs more than it saves (measured
-# on the matrices the engine builds, the crossover is near 4096 cells).
-_BLOCK_MIN_CELLS = 4096
+# Below this many cells the whole matrix is eliminated at once: finding and
+# grouping the blocks costs more than it saves.  Measured with the batched
+# path on the 3016 RREF inputs of one pass of each benchmark workload (seed
+# 0; 2 vCPUs, one BLAS thread), whole against blocked, summed by size:
+# 1024-2048 cells 87 against 99 ms, 2048-4096 cells 127 against 106 ms;
+# all inputs take 582, 569 and 591 ms with the cut at 1024, 2048 and 4096.
+_BLOCK_MIN_CELLS = 2048
 
 
 def _eliminate(A: np.ndarray, p: int):
@@ -279,13 +286,72 @@ def _eliminate(A: np.ndarray, p: int):
     return A, pivots
 
 
-def _blocks(a: np.ndarray):
-    """(rows, columns) index arrays of each connected component of the
-    bipartite graph joining row i to column j where a[i, j] != 0.
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Entrywise x^(p-2) mod p, the inverses of nonzero residues x < p < 2^31."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
 
-    Permuted that way, a is block-diagonal.  Every column is labelled by the
-    smallest column of its component, found by min-label propagation through
-    the rows with pointer jumping; zero rows and columns belong to no block.
+
+def _eliminate_batch(B: np.ndarray, p: int):
+    """RREF of every matrix of the stack B, shape (n, rows, cols), in place.
+
+    Returns (B, P): P[k, i] is the pivot column of row i of matrix k, or -1
+    below its rank.  The rules are those of _eliminate, applied to all n
+    matrices at once, so each column costs a fixed number of array
+    operations whatever n is (batched factorization: Haidar, Dong,
+    Luszczek, Tomov and Dongarra, IJHPCA 29(2), 2015).  Each matrix keeps
+    its own current row; its pivot is the first nonzero entry at or below
+    it, swapped up.  Every row j is replaced by v·A_j - f_j·A_r, with v the
+    pivot and f_j the column's entry in row j (f_r = 0): a row operation
+    that needs no inverse, which keeps every term below 2^62.  A matrix
+    without a pivot in the column gets v = 1 and f = 0.  The pivot rows are
+    normalized once at the end.
+    """
+    n, rows, cols = B.shape
+    k = np.arange(n)
+    row = np.arange(rows)
+    r = np.zeros(n, dtype=np.intp)
+    P = np.full((n, rows), -1, dtype=np.intp)
+    for c in range(cols):
+        top = np.minimum(r, rows - 1)
+        below = (B[:, :, c] != 0) & (row >= r[:, None])
+        has = below.any(axis=1)
+        if not has.any():
+            continue
+        i = np.where(has, below.argmax(axis=1), top)
+        if (i != top).any():
+            B[k, top], B[k, i] = B[k, i], B[k, top]
+        pivot_row = B[k, top]
+        v = np.where(has, pivot_row[:, c], 1)
+        f = B[:, :, c] * has[:, None]
+        f[k, top] = 0
+        B *= v[:, None, None]
+        B -= f[:, :, None] * pivot_row[:, None, :]
+        B %= p
+        P[k[has], r[has]] = c
+        r += has
+        if (r == rows).all():
+            break
+    kk, ii = np.nonzero(P >= 0)
+    B[kk, ii] = B[kk, ii] * _inverse_mod(B[kk, ii, P[kk, ii]], p)[:, None] % p
+    return B, P
+
+
+def _blocks(a: np.ndarray):
+    """Component labels (row_label, col_label) of the bipartite graph joining
+    row i to column j where a[i, j] != 0.
+
+    Permuted by component, a is block-diagonal.  Every column is labelled by
+    the smallest column of its component, found by min-label propagation
+    through the rows with pointer jumping, and every row by the label of its
+    columns; zero rows and columns belong to no block and get the label
+    a.shape[1].
     """
     r, c = np.nonzero(a)
     nrows, ncols = a.shape
@@ -299,38 +365,63 @@ def _blocks(a: np.ndarray):
         if np.array_equal(new, label):
             break
         label = new
-    rows = np.flatnonzero(row_label < ncols)
     used = np.zeros(ncols, dtype=bool)
     used[c] = True
-    cols = np.flatnonzero(used)
-    # sorted by label, rows and columns list the components in the same order
-    rows = rows[np.argsort(row_label[rows], kind="stable")]
-    cols = cols[np.argsort(label[cols], kind="stable")]
-    row_cuts = np.flatnonzero(np.diff(row_label[rows])) + 1
-    col_cuts = np.flatnonzero(np.diff(label[cols])) + 1
-    return list(zip(np.split(rows, row_cuts), np.split(cols, col_cuts)))
+    return row_label, np.where(used, label, ncols)
 
 
 def _rref_array(a: np.ndarray, p: int):
     """RREF of a copy of a; returns (array, pivot column list).
 
-    A large matrix is eliminated one block of its nonzero pattern at a time.
-    For a fixed column order the RREF of a row space is unique, and the row
+    A large matrix is eliminated block by block of its nonzero pattern.  For
+    a fixed column order the RREF of a row space is unique, and the row
     space of a block-diagonal matrix is the direct sum of its blocks' row
     spaces, so the reduced blocks, merged by pivot column, are exactly the
-    RREF of the whole matrix.
+    RREF of the whole matrix.  The blocks are grouped by shape, and each
+    group is gathered into one (n, rows, cols) stack: _eliminate_batch
+    reduces a stack of two or more at once, _eliminate a block whose shape
+    occurs once.  One sort of all pivot columns places the reduced rows, and
+    each group is scattered into place in one step, so Python loops only
+    over the shapes.
     """
     if a.size < _BLOCK_MIN_CELLS:
         return _eliminate(a.copy(), p)
-    reduced = []
-    for rows, cols in _blocks(a):
-        B, piv = _eliminate(a[np.ix_(rows, cols)], p)
-        reduced.extend((int(cols[j]), cols, B[i]) for i, j in enumerate(piv))
-    reduced.sort(key=lambda t: t[0])
+    ncols = a.shape[1]
+    row_label, col_label = _blocks(a)
+    rows = np.flatnonzero(row_label < ncols)
+    cols = np.flatnonzero(col_label < ncols)
+    # components are numbered in the order of their labels; rows and columns
+    # sorted by component list the components in that order
+    comps = np.unique(col_label[cols])
+    row_comp = np.searchsorted(comps, row_label[rows])
+    col_comp = np.searchsorted(comps, col_label[cols])
+    rows = rows[np.argsort(row_comp, kind="stable")]
+    cols = cols[np.argsort(col_comp, kind="stable")]
+    row_count = np.bincount(row_comp, minlength=comps.size)
+    col_count = np.bincount(col_comp, minlength=comps.size)
+    row_start = np.cumsum(row_count) - row_count
+    col_start = np.cumsum(col_count) - col_count
+    shapes, group = np.unique(row_count * (ncols + 1) + col_count, return_inverse=True)
+    pieces = []  # per shape: (pivot columns, reduced rows, their columns)
+    for g in range(shapes.size):
+        members = np.flatnonzero(group == g)
+        nr, nc = row_count[members[0]], col_count[members[0]]
+        C = cols[col_start[members][:, None] + np.arange(nc)]
+        stack = a[rows[row_start[members][:, None] + np.arange(nr)][:, :, None], C[:, None, :]]
+        if members.size > 1:
+            B, P = _eliminate_batch(stack, p)
+        else:
+            B, piv = _eliminate(stack[0], p)
+            B, P = B[None], np.full((1, nr), -1, dtype=np.intp)
+            P[0, : len(piv)] = piv
+        k, i = np.nonzero(P >= 0)
+        pieces.append((C[k, P[k, i]], B[k, i], C[k]))
+    # pivot columns are distinct; a reduced row goes to the rank of its own
+    pivots = np.sort(np.concatenate([pc for pc, _, _ in pieces] + [np.zeros(0, dtype=np.intp)]))
     out = np.zeros_like(a)
-    for i, (_, cols, row) in enumerate(reduced):
-        out[i, cols] = row
-    return out, [pc for pc, _, _ in reduced]
+    for pc, reduced, where in pieces:
+        out[np.searchsorted(pivots, pc)[:, None], where] = reduced
+    return out, pivots.tolist()
 
 
 def rref(m: Mat):

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, check
-from .exactla import Mat, kernel_basis, rref
+from .exactla import Mat, kernel_rref, rref
 from .gmod import (Module, block_action, compose_on_generators, direct_sum, extend_linearly,
                    quotient_by_span, shift)
 from .gralg import is_gorenstein
@@ -128,15 +128,17 @@ def tor_table(m: Module, n: Module, max_degree: int) -> List[int]:
 # -- cocycles -----------------------------------------------------------------
 
 
-def _reduce_mod_rows(v: np.ndarray, echelon, p: int) -> np.ndarray:
-    """v reduced modulo the row space of a reduced echelon form (R, pivots, rank)."""
-    R, pivots, _ = echelon
-    v = v.copy()
-    for r, pc in enumerate(pivots):
-        c = int(v[pc])
-        if c:
-            v = (v - c * R.a[r]) % p
-    return v
+def _reduce_mod_rows(v: np.ndarray, echelon) -> np.ndarray:
+    """v, a reduced vector or a matrix of reduced rows, reduced modulo the
+    row space of a reduced echelon form (R, pivots, rank): v - v[pivots]·R.
+
+    R is the identity at its pivot columns, so this is what clearing the
+    pivot columns of v one row of R at a time gives.
+    """
+    R, pivots, rank = echelon
+    V = np.atleast_2d(v)
+    coefficients = Mat._trusted(R.field, V[:, list(pivots)])
+    return ((V - (coefficients @ Mat._trusted(R.field, R.a[:rank])).a) % R.field.p).reshape(v.shape)
 
 
 @dataclass
@@ -191,8 +193,7 @@ class ExtElement:
 
     def class_residual(self) -> np.ndarray:
         """Canonical coset representative: rep reduced modulo coboundaries."""
-        return _reduce_mod_rows(self.rep, _coboundary_echelon(self.resolution, self.target, self.degree),
-                                self.target.field.p)
+        return _reduce_mod_rows(self.rep, _coboundary_echelon(self.resolution, self.target, self.degree))
 
     def is_zero_class(self) -> bool:
         return not self.class_residual().any()
@@ -208,11 +209,23 @@ def _coboundary_echelon(res: MinimalFreeResolution, n: Module, t: int):
 
 
 def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
-    """Canonical representatives of a basis of Ext^t(M, N).
+    """Canonical representatives of a basis of Ext^t(M, N); see _cocycle_classes."""
+    return _cocycle_classes(m, n, t)[0]
 
-    Computed shift by shift (the Hom differentials preserve the internal
-    degree), so every representative is a homogeneous graded map; this is
-    what allows pushout modules to stay graded.
+
+def _cocycle_classes(m: Module, n: Module, t: int):
+    """Canonical representatives of a basis of Ext^t(M, N), and the reduced
+    echelon form of the coboundaries they were reduced by (None when M or N
+    is zero).
+
+    The reduced echelon basis of the cocycles (the kernel of delta^t),
+    reduced modulo the coboundaries, spans a complement of them; its own
+    reduced echelon basis gives the representatives, ordered by shift and,
+    within a shift, by pivot column.  The Hom differentials preserve the
+    internal degree, and the reduced echelon basis of a graded subspace
+    consists of homogeneous vectors, so every representative is a
+    homogeneous graded map; this is what allows pushout modules to stay
+    graded.
     """
     if t < 1:
         raise InputError("cocycle_basis needs t >= 1")
@@ -220,33 +233,16 @@ def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
         raise InputError("modules over different algebras")
     res = resolve(m, t + 1)
     if m.dim == 0 or n.dim == 0:
-        return []
-    p = m.field.p
+        return [], None
     delta_t = _hom_differential(res, n, t)
-    delta_prev = _hom_differential(res, n, t - 1)
-    shifts = _hom_shifts(res, n, t)
-    out_shifts = _hom_shifts(res, n, t + 1)
-    in_shifts = _hom_shifts(res, n, t - 1)
-    elements: List[ExtElement] = []
-    for s in sorted(set(int(x) for x in shifts)):
-        cols = np.nonzero(shifts == s)[0]
-        rows = np.nonzero(out_shifts == s)[0]
-        sub = Mat(m.field, delta_t.a[np.ix_(rows, cols)]) if rows.size else Mat(m.field, np.zeros((0, cols.size), dtype=np.int64))
-        ker = kernel_basis(sub)
-        if ker.cols == 0:
-            continue
-        src = np.nonzero(in_shifts == s)[0]
-        img_rows = (delta_prev.a[np.ix_(cols, src)]).T if src.size else np.zeros((0, cols.size), dtype=np.int64)
-        img_rref = rref(Mat(m.field, img_rows))
-        reduced = [_reduce_mod_rows(ker.a[:, j], img_rref, p) for j in range(ker.cols)]
-        R_cls, _, rank_cls = rref(Mat(m.field, np.array(reduced, dtype=np.int64).reshape(len(reduced), cols.size)))
-        for r in range(rank_cls):
-            rep = np.zeros(delta_t.cols, dtype=np.int64)
-            rep[cols] = R_cls.a[r]
-            elements.append(ExtElement(res, n, t, rep, s))
-    expected = delta_t.cols - delta_t.rank() - delta_prev.rank()
+    rank_t, cocycles, _ = kernel_rref(delta_t)
+    coboundaries = _coboundary_echelon(res, n, t)
+    R, pivots, _ = rref(Mat._trusted(m.field, _reduce_mod_rows(cocycles.a, coboundaries)))
+    shifts = _hom_shifts(res, n, t)[list(pivots)]
+    elements = [ExtElement(res, n, t, R.a[j], int(shifts[j])) for j in np.argsort(shifts, kind="stable")]
+    expected = delta_t.cols - rank_t - coboundaries[2]
     check(len(elements) == expected, f"cocycle count {len(elements)} != ext dimension {expected}")
-    return elements
+    return elements, coboundaries
 
 
 # -- chain lifting and Yoneda powers ------------------------------------------
@@ -425,13 +421,13 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
         return None
 
     for t in range(1, max_search_degree + 1):
-        basis = cocycle_basis(m, m, t)
+        # every candidate of degree t is reduced modulo the coboundaries
+        # that reduced the basis
+        basis, coboundaries = _cocycle_classes(m, m, t)
         seen = set()
-        # every candidate of degree t is reduced modulo the same coboundaries
-        coboundaries = _coboundary_echelon(resolve(m, t + 1), m, t)
 
         def fresh(eta: ExtElement) -> bool:
-            v = _reduce_mod_rows(eta.rep, coboundaries, p)
+            v = _reduce_mod_rows(eta.rep, coboundaries)
             nz = np.nonzero(v)[0]
             if nz.size == 0:
                 return False

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cxlab.errors import InputError
+from cxlab import exactla
 from cxlab.exactla import Field, Mat, kernel_basis, kernel_rref, pivot_inverse, rref
 from oracles import solve, solve_matrix
 
@@ -331,3 +332,129 @@ def test_sparse_rref_matches_oracle(monkeypatch, p):
         expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
         assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots, (density, rows, cols)
     assert True in restricted and False in restricted
+
+
+def _block(rng, p, shape, kind):
+    """One connected block with entries in 1..p-1 where not zeroed: generic;
+    rank-deficient (its last row a multiple of its first); "swap", whose
+    first row is zero in the first column; or "triangular", an upper
+    triangular block with its rows reversed (full row rank for rows <=
+    columns, and a swap in the first column too)."""
+    r, c = shape
+    blk = rng.integers(1, p, (r, c))
+    if kind == "deficient" and r > 1:
+        blk[-1] = blk[0] * max(1, p - 2) % p
+    elif kind == "swap":
+        blk[0, 0] = 0
+    elif kind == "triangular":
+        blk = np.triu(blk)[::-1]
+    return blk
+
+
+def _interleaved_blocks(rng, p, blocks, zero_rows, zero_cols):
+    """The blocks, each a (shape, kind) pair, placed block-diagonally with
+    zero rows and columns, then interleaved: rows and columns are permuted,
+    but each block keeps the order of its own rows and columns, so the
+    blocks found in the matrix are the ones built here."""
+    built = [_block(rng, p, shape, kind) for shape, kind in blocks]
+    rows = sum(b.shape[0] for b in built) + zero_rows
+    cols = sum(b.shape[1] for b in built) + zero_cols
+    row_at, col_at = rng.permutation(rows), rng.permutation(cols)
+    a = np.zeros((rows, cols), dtype=np.int64)
+    r0 = c0 = 0
+    for b in built:
+        r, c = b.shape
+        a[np.ix_(np.sort(row_at[r0 : r0 + r]), np.sort(col_at[c0 : c0 + c]))] = b
+        r0, c0 = r0 + r, c0 + c
+    return a
+
+
+_KINDS = ("generic", "deficient", "swap")
+# many blocks of a few shapes, two shapes that occur once, zero rows and
+# columns; the second list has full row rank (for pivot_inverse)
+_BATCHED = {
+    "mixed": ([((2, 3), _KINDS[i % 3]) for i in range(30)] + [((3, 2), _KINDS[i % 3]) for i in range(24)]
+              + [((1, 1), "generic")] * 20 + [((1, 3), "generic")] * 12 + [((2, 1), "generic")] * 10
+              + [((5, 4), "swap"), ((4, 7), "deficient")], 4, 3),
+    "full_row_rank": ([((2, 3), "triangular")] * 40 + [((1, 2), "generic")] * 30
+                      + [((3, 3), "triangular")] * 8 + [((4, 6), "triangular")], 0, 2),
+}
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Records the shape of every stack the batched kernel reduces and of
+    every matrix _eliminate reduces."""
+    calls = []
+    for name in ("_eliminate", "_eliminate_batch"):
+        kernel = getattr(exactla, name)
+
+        def recording(A, p, kernel=kernel, name=name):
+            calls.append((name, A.shape))
+            return kernel(A, p)
+
+        monkeypatch.setattr(exactla, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
+def test_batched_rref_matches_oracle(eliminations, p):
+    F = Field(p)
+    rng = np.random.default_rng(p % 7919)
+    a = _interleaved_blocks(rng, p, *_BATCHED["mixed"])
+    assert a.size >= exactla._BLOCK_MIN_CELLS
+    rows, cols = a.shape
+    m = Mat(F, a)
+
+    R, pivots, rank = rref(m)
+    expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
+    assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
+    assert rank < rows  # zero rows and rank-deficient blocks
+
+    null = oracles.gauss_nullspace(a.tolist(), p, cols)
+    k_rank, K, k_pivots = kernel_rref(m)
+    expected_rows, expected_pivots = oracles.gauss_rref(null, p, cols)
+    assert k_rank == rank and K.a.tolist() == expected_rows and list(k_pivots) == expected_pivots
+
+    # every repeated shape went through the batched kernel, in both calls;
+    # only the shapes that occur once reached _eliminate
+    batched = [shape for name, shape in eliminations if name == "_eliminate_batch"]
+    single = sorted(shape for name, shape in eliminations if name == "_eliminate")
+    assert sorted(shape[1:] for shape in batched) == sorted(2 * [(2, 3), (3, 2), (1, 1), (1, 3), (2, 1)])
+    assert sum(shape[0] for shape in batched) == 2 * (30 + 24 + 20 + 12 + 10)
+    assert single == [(4, 7), (4, 7), (5, 4), (5, 4)]  # m, and m with its columns reversed
+
+    eliminations.clear()
+    b = _interleaved_blocks(rng, p, *_BATCHED["full_row_rank"])
+    m = Mat(F, b)
+    Q, E = pivot_inverse(m)
+    assert any(name == "_eliminate_batch" for name, _ in eliminations)
+    B = m @ Mat(F, rng.integers(0, p, (m.cols, 3)))
+    X = np.zeros((m.cols, 3), dtype=np.int64)
+    X[Q] = (E @ Mat(F, B.a[: m.rows])).a
+    assert np.array_equal(X, solve_matrix(m, B).a)
+
+
+def test_equal_blocks_take_one_batched_elimination(eliminations):
+    # 64 blocks of one shape: one call of the batched kernel, none of _eliminate
+    rng = np.random.default_rng(64)
+    a = _interleaved_blocks(rng, 5, [((4, 6), _KINDS[i % 3]) for i in range(64)], 0, 0)
+    R, pivots, rank = rref(Mat(F5, a))
+    assert eliminations == [("_eliminate_batch", (64, 4, 6))]
+    expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), 5, a.shape[1])
+    assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 2**31 - 1]), st.integers(1, 6), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_eliminate_batch_matches_eliminate(p, n, rows, cols, seed):
+    # each matrix of the stack reduced on its own, including zero matrices,
+    # sparse ones that need row swaps and ones that are full early
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, p, (n, rows, cols)) * (rng.random((n, rows, cols)) < rng.random((n, 1, 1)))
+    B, P = exactla._eliminate_batch(stack.copy(), p)
+    for k in range(n):
+        A, piv = exactla._eliminate(stack[k].copy(), p)
+        assert B[k].tolist() == A.tolist()
+        assert P[k].tolist() == piv + [-1] * (rows - len(piv))

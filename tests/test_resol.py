@@ -74,6 +74,26 @@ def test_resolve_builds_no_dense_free_module_action(monkeypatch):
     assert built
 
 
+def test_resolve_eliminates_blocks_in_batches(monkeypatch):
+    # each step's matrices split into many small blocks of a few shapes; the
+    # blocks of one shape are eliminated by one call, so the whole resolution
+    # makes a few dozen Python-level eliminations (985 block by block)
+    from cxlab import exactla
+
+    calls = []
+    for name in ("_eliminate", "_eliminate_batch"):
+        kernel = getattr(exactla, name)
+
+        def counting(A, p, kernel=kernel, name=name):
+            calls.append(name)
+            return kernel(A, p)
+
+        monkeypatch.setattr(exactla, name, counting)
+    A = MonomialCI.build(F5, [2, 2, 2]).algebra
+    assert resolve(residue_field(A), 9).betti_list(9) == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
+    assert "_eliminate_batch" in calls and len(calls) < 200
+
+
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
 @pytest.mark.parametrize("pair", ["four_variables", "gasharov"])
 def test_kunneth_betti_numbers_convolve(p, pair):

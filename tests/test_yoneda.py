@@ -146,6 +146,25 @@ def test_cocycle_representatives_are_homogeneous(k):
         assert shifts <= {eta.shift}
 
 
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_reduce_mod_rows_clears_pivots_one_row_at_a_time(p):
+    # v - v[pivots]·R, one exact product, against clearing each pivot
+    # column of v with its row of R in turn
+    from cxlab.exactla import rref
+
+    F = Field(p)
+    rng = np.random.default_rng(p % 101)
+    echelon = rref(Mat(F, rng.integers(0, p, (5, 12)) * (rng.random((5, 12)) < 0.6)))
+    R, pivots, _ = echelon
+    V = rng.integers(0, p, (7, 12))
+    for v in list(V) + [V]:
+        expected = np.atleast_2d(v).copy()
+        for row in expected:
+            for r, pc in enumerate(pivots):
+                row[:] = (row - int(row[pc]) * R.a[r]) % p
+        assert yoneda._reduce_mod_rows(v, echelon).tolist() == expected.reshape(v.shape).tolist()
+
+
 def test_yoneda_power_degree_bookkeeping(k):
     eta = cocycle_basis(k, k, 1)[0]
     for s in (1, 2, 3):
