@@ -6,10 +6,13 @@ residues.  Products run through float64 BLAS only where that is exact: a
 sum of k products of residues is at most k(p-1)^2, and while that is below
 2^53 every partial sum is an integer that float64 represents exactly, in
 any summation order and with or without fused multiply-add (the bound of
-FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Larger
-primes split each operand into 16-bit limbs first.  Pivoting is
-deterministic (first nonzero entry in column order), so all derived bases
-are reproducible across runs and platforms.
+FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Past that
+bound the operands are lifted to balanced residues in (-p/2, p/2], and
+while k max|a| max|b| stays below 2^53 one product is still exact (entries
+of +-1 at p = 2^31 - 1 take this path); otherwise each operand is split
+into 16-bit limbs.  Pivoting is deterministic (first nonzero entry in
+column order), so all derived bases are reproducible across runs and
+platforms.
 
 A Mat has two constructors.  The public Mat(field, array) reduces its input
 mod p (a copy), and so do +, -, negation and scale.  The private
@@ -20,9 +23,10 @@ nonzero while those are fewer than a quarter of the rows, and with one
 rank-1 update of the whole block otherwise.  A large matrix is split into
 the blocks of its nonzero pattern (over a monomial complete intersection,
 many tiny blocks of a few shapes), and the blocks of each shape are
-stacked and eliminated together, column by column, by one batched kernel.
-The reduced echelon form of a row space is unique, so every path gives the
-same result.
+stacked and eliminated together, column by column, by one batched kernel,
+and their pivot rows are normalized with one inverse per distinct pivot
+value.  The reduced echelon form of a row space is unique, so every path
+gives the same result.
 """
 from __future__ import annotations
 
@@ -96,11 +100,24 @@ def _limb_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (hi * (2 ** (2 * _LIMB_BITS) % p) + (mid << _LIMB_BITS) + lo) % p
 
 
+def _balanced(a: np.ndarray, p: int):
+    """a with its residues lifted to (-p/2, p/2], and the largest |entry|."""
+    b = np.where(a > p // 2, a - p, a)
+    return b, max(int(b.max(initial=0)), -int(b.min(initial=0)))
+
+
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p, exact (entries of a, b lie in [0, p))."""
     m, k = a.shape
     n = b.shape[1]
     bound = k * (p - 1) ** 2  # the largest possible entry of a @ b
+    if bound >= 2**53:
+        # the worst case needs limbs; operands of small balanced residues
+        # (such as +-1) bound every partial sum by k max|a| max|b| instead
+        sa, ma = _balanced(a, p)
+        sb, mb = _balanced(b, p)
+        if k * ma * mb < 2**53:
+            a, b, bound = sa, sb, k * ma * mb
     if m * k * n < _INT64_MAX_MADDS and bound < 2**63:
         return (a @ b) % p
     if bound < 2**53:
@@ -287,15 +304,10 @@ def _eliminate(A: np.ndarray, p: int):
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Entrywise x^(p-2) mod p, the inverses of nonzero residues x < p < 2^31."""
-    out = np.ones_like(x)
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * x % p
-        x = x * x % p
-        e >>= 1
-    return out
+    """Entrywise inverses of the nonzero residues x, a vector: one pow per
+    distinct value (pivots take few)."""
+    values, where = np.unique(x, return_inverse=True)
+    return np.array([pow(int(v), -1, p) for v in values], dtype=np.int64)[where]
 
 
 def _eliminate_batch(B: np.ndarray, p: int):

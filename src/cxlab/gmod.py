@@ -15,6 +15,12 @@ keeps only its rank and the regular module, and acts block by block; its
 dense matrices kron(I_r, X_v) are built on request, for the readers that
 need them (`shift`, `direct_sum`, `hom_space`, `monomial_action` and the
 source side of `ModuleMap.is_equivariant`), and never kept.
+`Module.multiples` applies every monomial of a fixed list (the basis of A
+or its variables) to a whole coordinate matrix; `extend_linearly` and
+`min_generators` go through it.  A free module reads it off the structure
+constants of A, kept once per algebra: one exact int64 gather per term
+slot, and a single gather over a monomial algebra, whose regular action
+is a partial permutation.
 """
 from __future__ import annotations
 
@@ -94,6 +100,29 @@ class Module:
         blocks = cols.a.reshape(self.dim, s, k).transpose(1, 0, 2).reshape(s * self.dim, k)
         Xs = np.hstack([self.monomial_action(e).a for e in monomials])
         return Mat._trusted(self.field, _matmul_mod(Xs, blocks, self.field.p))
+
+    def multiples(self, cols: Mat, which: str) -> Mat:
+        """Every column of cols, a matrix of coordinates on this module,
+        times every monomial x^e of a list: `which` is "basis" (the basis
+        monomials of A, in order) or "variables".  The s products of
+        column c sit side by side, at columns c*s .. c*s + s - 1."""
+        monomials = _monomial_list(self.algebra, which)
+        if cols.rows != self.dim:
+            raise InputError(f"{cols.rows} coordinates on a module of dimension {self.dim}")
+        out = np.empty((self.dim, cols.cols, len(monomials)), dtype=np.int64)
+        if which == "variables":
+            for v in range(len(monomials)):
+                out[:, :, v] = self.act(v, cols).a
+        elif monomials:
+            out[:, :, 0] = cols.a  # basis[0] is 1
+            # x_v m' times a column is X_v times x^m' times it: standard
+            # monomials are closed under division and listed degree by
+            # degree, so m' comes first
+            for j, mono in enumerate(monomials[1:], 1):
+                v = next(i for i, a in enumerate(mono) if a)
+                below = self.algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
+                out[:, :, j] = self.act(v, Mat._trusted(self.field, out[:, :, below])).a
+        return Mat._trusted(self.field, out.reshape(self.dim, cols.cols * len(monomials)))
 
     @property
     def field(self) -> Field:
@@ -190,10 +219,43 @@ class FreeModule(Module):
         # dim A x (rank * k) matrix; stacked for j = 0..s-1, [Xs[0] | Xs[1] | ..]
         # multiplies them all at once
         blocks = cols.a.reshape(r, dA, s, k).transpose(2, 1, 0, 3).reshape(s * dA, r * k)
-        # the exact product of Mat @, without wrapping the reshaped operands
-        # in Mats: extend_linearly acts once per basis monomial
+        # the exact product of Mat @, without wrapping the reshaped operands in Mats
         out = _matmul_mod(np.hstack([X.a for X in Xs]), blocks, self.field.p)
         return Mat._trusted(self.field, out.reshape(dA, r, k).transpose(1, 0, 2).reshape(self.dim, k))
+
+    def multiples(self, cols: Mat, which: str) -> Mat:
+        """Module.multiples, read off the structure constants of A: entry
+        (g, a) of column c times x^e_j is the sum of v * cols[(g, src), c]
+        over the terms (src, v) of (a, j) (see _structure_terms), so the
+        result is one gather per term slot, exact in int64 at every p.  Over
+        a monomial algebra every term is 1, one slot holds them all, and the
+        gather is the whole product."""
+        if cols.rows != self.dim:
+            raise InputError(f"{cols.rows} coordinates on a free module of dimension {self.dim}")
+        src, coef = _structure_terms(self.algebra, which)
+        dA, r, k = self.algebra.dim, self.rank, cols.cols
+        # V[g, c, m]: coordinate m of block g of column c, and a zero at
+        # m = dim A, which padding terms read
+        V = np.zeros((r, k, dA + 1), dtype=np.int64)
+        V[:, :, :dA] = cols.a.reshape(r, dA, k).transpose(0, 2, 1)
+        V = V.reshape(r, k * (dA + 1))
+        # slot t of entry (g, a) of column c times x^e_j reads V[g, c, src[t, a, j]]:
+        # one take per slot writes the products in place, (g, a) by (c, j)
+        at = src[:, :, None, :] + (dA + 1) * np.arange(k)[:, None]
+        out = np.take(V, at[0], axis=1)
+        if coef is not None:
+            p = self.field.p
+            out *= coef[0][:, None, :]
+            out %= p
+            for t in range(1, len(src)):
+                # each term is below p^2 < 2^62 until reduced; the sum of the
+                # reduced terms stays below dim A * p
+                term = np.take(V, at[t], axis=1)
+                term *= coef[t][:, None, :]
+                term %= p
+                out += term
+            out %= p
+        return Mat._trusted(self.field, out.reshape(self.dim, k * src.shape[2]))
 
     def _dense(self, X: Mat) -> Mat:
         """kron(I_r, X): the regular matrix X on every generator block."""
@@ -236,21 +298,56 @@ def regular_module(algebra: Algebra) -> Module:
     return got
 
 
+def _monomial_list(algebra: Algebra, which: str) -> List[Tuple[int, ...]]:
+    """The monomials Module.multiples applies: A's basis or its variables."""
+    if which == "basis":
+        return algebra.basis
+    if which == "variables":
+        return [tuple(int(i == v) for i in range(algebra.nvars)) for v in range(algebra.nvars)]
+    raise InputError(f"no monomial list named {which!r}: expected 'basis' or 'variables'")
+
+
+# The terms of A's structure constants for each monomial list, built once
+# per algebra from its verified regular module; arrays only, so no algebra
+# is kept alive by its entry.
+_STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, tuple]]" = weakref.WeakKeyDictionary()
+
+
+def _structure_terms(algebra: Algebra, which: str):
+    """The structure constants x^e_j * basis[c] = sum over a of S[a, c, j]
+    basis[a], for the monomials e_j of the list `which` (see
+    _monomial_list), as two arrays (src, coef) of shape (slots, dim A, s).
+
+    The nonzero S[a, c, j] of each output (a, j) fill its slots t = 0, 1,
+    ..: src[t, a, j] = c and coef[t, a, j] = S[a, c, j].  An unused slot
+    reads source dim A, a zero the reader appends.  coef is None when one
+    slot holds every term and each term is 1, as over a monomial algebra,
+    whose regular action is a partial permutation."""
+    cache = _STRUCTURE.setdefault(algebra, {})
+    got = cache.get(which)
+    if got is not None:
+        return got
+    monomials = _monomial_list(algebra, which)
+    dA, s = algebra.dim, len(monomials)
+    # S[a, c, j] is column c of the identity times x^e_j in the regular module
+    regular = regular_module(algebra)
+    S = regular.multiples(Mat.identity(algebra.field, dA), which).a.reshape(dA, dA, s)
+    a, j, c = np.nonzero(S.transpose(0, 2, 1))  # ordered by (a, j)
+    key = a * s + j
+    slot = np.arange(key.size) - np.searchsorted(key, key)
+    slots = int(slot.max()) + 1 if key.size else 1
+    src = np.full((slots, dA, s), dA, dtype=np.intp)
+    coef = np.ones((slots, dA, s), dtype=np.int64)
+    src[slot, a, j] = c
+    coef[slot, a, j] = S[a, c, j]
+    got = cache[which] = (src, None if slots == 1 and (coef == 1).all() else coef)
+    return got
+
+
 def extend_linearly(target: Module, gen_images: Mat) -> Mat:
     """Matrix of the A-linear map from a free module into target that sends
     generator g to column g of gen_images; column (g, m) is m times it."""
-    A = target.algebra
-    if gen_images.rows != target.dim:
-        raise InputError(f"{gen_images.rows} coordinates on a module of dimension {target.dim}")
-    columns = [gen_images]  # columns[m]: the columns (g, m) for every g; basis[0] is 1
-    # column (g, x_v m') is X_v times column (g, m'): standard monomials are
-    # closed under division and listed degree by degree, so m' comes first
-    for mono in A.basis[1:]:
-        v = next(j for j, a in enumerate(mono) if a)
-        below = A.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
-        columns.append(target.act(v, columns[below]))
-    out = np.stack([c.a for c in columns], axis=2)
-    return Mat._trusted(A.field, out.reshape(target.dim, gen_images.cols * A.dim))
+    return target.multiples(gen_images, "basis")
 
 
 def algebra_coefficients(d: Mat, src: FreeModule, tgt: FreeModule) -> np.ndarray:
@@ -369,11 +466,10 @@ def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarr
         return []
     pivots = np.argmax(span.a != 0, axis=1)
     check(np.array_equal(span.a[:, pivots], np.eye(span.rows)), "span is not in reduced echelon form")
-    # mN is spanned by the images of the basis rows under each variable
-    cols = span.transpose()
-    images = [m.act(v, cols).a[pivots].T for v in range(m.algebra.nvars)]
-    span_rows = Mat._trusted(m.field, np.vstack(images)) if images else Mat.zeros(m.field, 0, span.rows)
-    _, mn_pivots, _ = rref(span_rows)
+    # mN is spanned by the images of the basis rows under each variable; the
+    # order of the rows does not change the pivots of their echelon form
+    images = m.multiples(span.transpose(), "variables").a[pivots]
+    _, mn_pivots, _ = rref(Mat._trusted(m.field, images.T))
     return [(span.a[q].copy(), _row_degree(m, span.a[q]))
             for q in np.setdiff1d(np.arange(span.rows), mn_pivots)]
 

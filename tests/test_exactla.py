@@ -209,6 +209,58 @@ def test_product_beyond_limb_chunk():
     assert (Mat(F, a) @ Mat(F, b)).a.tolist() == [[sum(x[0][0] for x in parts) % p]]
 
 
+def _counting_limbs(monkeypatch):
+    calls = []
+    limbs = exactla._limb_product
+    monkeypatch.setattr(exactla, "_limb_product", lambda a, b, p: (calls.append(a.shape), limbs(a, b, p))[1])
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (40, 50, 30)])
+def test_small_balanced_operands_skip_the_limbs(monkeypatch, shape):
+    # at p = 2^31 - 1 the worst case k(p-1)^2 needs limbs, but entries in
+    # {0, 1, p-1} are balanced residues of size 1; on both sides of the int64
+    # cut-off the product takes one product, and full-range operands still
+    # take the limbs
+    p = 2**31 - 1
+    F = Field(p)
+    calls = _counting_limbs(monkeypatch)
+    rng = np.random.default_rng(shape)
+    m, k, n = shape
+    signs = np.array([0, 1, p - 1])
+    a, b = signs[rng.integers(0, 3, (m, k))], signs[rng.integers(0, 3, (k, n))]
+    assert (Mat(F, a) @ Mat(F, b)).a.tolist() == oracles.matmul_mod(a.tolist(), b.T.tolist(), p)
+    assert calls == []
+    a, b = rng.integers(0, p, (m, k)), rng.integers(0, p, (k, n))
+    assert (Mat(F, a) @ Mat(F, b)).a.tolist() == oracles.matmul_mod(a.tolist(), b.T.tolist(), p)
+    assert calls
+
+
+def test_balanced_bound_is_strict(monkeypatch):
+    # k max|a| max|b| = 8 * 2^25 * 2^25 = 2^53 exactly: a sum may reach 2^53,
+    # so the product takes the limbs; one less in max|b| takes one product
+    p = 2**31 - 1
+    F = Field(p)
+    rng = np.random.default_rng(53)
+    calls = _counting_limbs(monkeypatch)
+    for mb, limbs in ((2**25, True), (2**25 - 1, False)):
+        calls.clear()
+        a = np.where(rng.integers(0, 2, (6, 8)), 2**25, p - 2**25)
+        b = rng.integers(-mb, mb + 1, (8, 7))
+        b[0, 0] = -mb
+        assert (Mat(F, a) @ Mat(F, b)).a.tolist() == oracles.matmul_mod(a.tolist(), (b % p).T.tolist(), p)
+        assert bool(calls) == limbs
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_inverse_mod_matches_field_inverse(p):
+    F = Field(p)
+    rng = np.random.default_rng(p)
+    x = np.concatenate([rng.integers(1, p, 50), [1, p - 1, p - 1, 1], np.arange(1, min(p, 40))])
+    assert exactla._inverse_mod(x, p).tolist() == [F.inv(int(v)) for v in x]
+    assert exactla._inverse_mod(np.zeros(0, dtype=np.int64), p).shape == (0,)
+
+
 def _block_diagonal(rng, p, blocks, zero_rows, zero_cols):
     """Random blocks of the given shapes down the diagonal, some rank-deficient,
     padded by zero rows and columns, then rows and columns permuted."""

@@ -33,6 +33,7 @@ from cxlab.gmod import (
     residue_field,
     shift,
     submodule_from_span,
+    _structure_terms,
 )
 from cxlab.resol import resolve, syzygy, verify_complex
 from cxlab.yoneda import _hom_differential, _tensor_differential
@@ -265,6 +266,48 @@ def test_extend_linearly_matches_entrywise_definition(p):
             for mi, mono in enumerate(G.basis):
                 expected = target.monomial_action(mono) @ images
                 assert np.array_equal(got.a[:, mi::G.dim], expected.a), (target, rank, mono)
+
+
+_RINGS = {
+    # name: (variables, relations, several terms per output entry, constants all 1)
+    "monomial_ci": ("xyz", ["x^2", "y^3", "z^2"], False, True),
+    "gasharov": (GASHAROV_VARS, GASHAROV_RELATIONS, True, False),
+    "quadrics": ("xyz", ["x^2+3*y*z+2*z^2", "y^2+2*x*z+4*x*y", "z^2+x*y+3*x*z", "x*y+y*z+2*x^2"],
+                 True, False),
+    "scaled": ("xy", ["x^2-2*y^2", "x*y", "y^3"], False, False),  # x * x = 2 y^2, one term
+}
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+def test_multiples_match_monomial_actions(ring, p):
+    # column c times the j-th monomial of a list sits at column c*s + j;
+    # outside a monomial algebra, x^e * m can have several standard
+    # monomials, so an output entry sums several structure constants
+    F = Field(p)
+    names, relations, several, ones = _RINGS[ring]
+    A = build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=names)
+    variables = [tuple(int(i == v) for i in range(A.nvars)) for v in range(A.nvars)]
+    for which in ("basis", "variables"):
+        src, coef = _structure_terms(A, which)
+        if p > 2:
+            assert (src.shape[0] > 1) == several and (coef is None) == ones
+    rng = np.random.default_rng(p % 1000)
+    N = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
+    for target in (free_module(A, []), free_module(A, [0]), free_module(A, [0, 1, 1]), N):
+        for k in (0, 1, 4):
+            cols = Mat(F, rng.integers(0, p, (target.dim, k)))
+            for which, monomials in (("basis", A.basis), ("variables", variables)):
+                got = target.multiples(cols, which)
+                s = len(monomials)
+                assert got.shape == (target.dim, k * s)
+                for j, e in enumerate(monomials):
+                    assert np.array_equal(got.a[:, j::s], (target.monomial_action(e) @ cols).a), (target, which, e)
+    with pytest.raises(InputError, match="no monomial list"):
+        free_module(A, [0]).multiples(Mat.zeros(F, A.dim, 1), "monomials")
+    for target in (free_module(A, [0]), N):
+        with pytest.raises(InputError, match="coordinates"):
+            target.multiples(Mat.zeros(F, target.dim + 1, 1), "basis")
 
 
 def _dense_free_module(A, rng):

@@ -74,6 +74,24 @@ def test_resolve_builds_no_dense_free_module_action(monkeypatch):
     assert built
 
 
+def test_resolve_multiplies_through_structure_constants(monkeypatch):
+    # every differential and every generator test of a resolution comes from
+    # FreeModule.multiples, which reads A's structure constants: the
+    # resolution makes no block-by-block product through the regular action
+    from cxlab.gmod import FreeModule
+
+    calls = []
+    blockwise = FreeModule._blockwise
+    monkeypatch.setattr(FreeModule, "_blockwise",
+                        lambda self, Xs, cols: (calls.append(len(Xs)), blockwise(self, Xs, cols))[1])
+    A = MonomialCI.build(F5, [2, 2, 2]).algebra
+    res = resolve(residue_field(A), 9)
+    assert res.betti_list(9) == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
+    assert calls == []
+    res.free(2).act(0, Mat.identity(F5, res.free(2).dim))
+    assert calls == [1]
+
+
 def test_resolve_eliminates_blocks_in_batches(monkeypatch):
     # each step's matrices split into many small blocks of a few shapes; the
     # blocks of one shape are eliminated by one call, so the whole resolution
