@@ -9,7 +9,10 @@ powers every monomial of the square is claimed by the lowest variable index
 whose exponent reaches its power.  That decomposition is unique, so the
 chain operators are deterministic.  They are computed and kept as
 coefficient arrays: one exact product of coefficient slices per pair of
-basis monomials, and no polynomial or AlgebraElement on the way.
+basis monomials, and no polynomial or AlgebraElement on the way.  The chain
+identity is checked on generator images (gmod.compose_on_generators), and
+an operator is realized as a field matrix only on request, as the A-linear
+extension of its generator images.
 """
 from __future__ import annotations
 
@@ -20,7 +23,8 @@ import numpy as np
 
 from .errors import InputError, check
 from .exactla import Field, Mat
-from .gmod import Module, block_action, compose_on_generators, direct_sum, generator_images, quotient_by_span
+from .gmod import (Module, compose_on_generators, direct_sum, extend_linearly, generator_images,
+                   quotient_by_span)
 from .gralg import Algebra, Polynomial, build_algebra, codimension
 from .resol import ComplexityEstimate, estimate_complexity, resolve
 from .yoneda import (
@@ -180,9 +184,11 @@ class EisenbudOperatorSet:
                     check(lhs == rhs, f"Ext actions of operators {j} and {l} do not commute")
 
     def chi_realized(self, j: int, n: int) -> Mat:
-        """Field matrix F_n -> F_{n-2} of the j-th operator (j is 1-based)."""
+        """Field matrix F_n -> F_{n-2} of the j-th operator (j is 1-based):
+        the A-linear extension of its generator images."""
         self._check(j, n)
-        return block_action(self.resolution.free(n).regular, self._chi[n][j - 1])
+        return extend_linearly(self.resolution.free(n - 2),
+                               generator_images(self.ci.field, self._chi[n][j - 1]))
 
     def ext_action(self, j: int, n: int) -> Mat:
         """Induced map Ext^n(M, k) -> Ext^{n+2}(M, k), j 1-based."""

@@ -30,6 +30,7 @@ gives the same result.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -40,7 +41,9 @@ from .errors import InputError
 __all__ = ["Field", "Mat", "rref", "kernel_basis", "kernel_rref", "pivot_inverse"]
 
 
+@functools.lru_cache
 def _is_prime(n: int) -> bool:
+    """Trial division, once per n: each Field construction asks again."""
     if n < 2:
         return False
     if n % 2 == 0:

@@ -10,17 +10,20 @@ inherits the axioms; each such construction checks the one fact its
 inheritance rests on.  Failed checks raise InvariantError, also under
 `python -O`: the engine checks, it never assumes.
 
-Readers apply a variable from the left through `Module.act`.  A free module
-keeps only its rank and the regular module, and acts block by block; its
-dense matrices kron(I_r, X_v) are built on request, for the readers that
-need them (`shift`, `direct_sum`, `hom_space`, `monomial_action` and the
-source side of `ModuleMap.is_equivariant`), and never kept.
-`Module.multiples` applies every monomial of a fixed list (the basis of A
-or its variables) to a whole coordinate matrix; `extend_linearly` and
-`min_generators` go through it.  A free module reads it off the structure
-constants of A, kept once per algebra: one exact int64 gather per term
-slot, and a single gather over a monomial algebra, whose regular action
-is a partial permutation.
+A module applies A to coordinates in one way: `Module.multiples` multiplies
+every column of a coordinate matrix by every monomial of a fixed list (the
+basis of A or its variables).  A module that is not free does it with one
+exact product by its monomial actions, stacked and kept once per module.  A
+free module keeps only its rank and the regular module, and reads the
+products off the structure constants of A, kept once per algebra: one exact
+int64 gather per term slot, and a single gather over a monomial algebra,
+whose regular action is a partial permutation.  Its dense matrices
+kron(I_r, X_v) are built on request, for the readers that need them
+(`shift`, `direct_sum`, `hom_space`, `monomial_action` and the source side
+of `ModuleMap.is_equivariant`), and never kept.  `extend_linearly`,
+`compose_on_generators`, `realize_algebra_matrix`, `min_generators`, the
+subquotients and the equivariance check go through `multiples`;
+`block_action` is one product by the same stacked actions.
 """
 from __future__ import annotations
 
@@ -73,6 +76,7 @@ class Module:
         self.provenance = provenance
         self.chi_cuts = chi_cuts
         self._monomial_actions: Dict[Tuple[int, ...], Mat] = {}
+        self._stacks: Dict[str, np.ndarray] = {}
         self._resolution = None
         if not _skip_verify:
             self._verify()
@@ -86,43 +90,42 @@ class Module:
     def dim(self) -> int:
         return len(self.degrees)
 
-    def act(self, v: int, cols: Mat) -> Mat:
-        """X_v applied to each column of cols, a matrix of coordinates on
-        this module; the one way readers apply a variable from the left."""
-        return self.actions[v] @ cols
-
-    def act_sum(self, monomials: Sequence[Tuple[int, ...]], cols: Mat) -> Mat:
-        """The sum over j of x^monomials[j] applied to the j-th of
-        len(monomials) equal blocks of columns of cols."""
-        s = len(monomials)
-        k = cols.cols // s
-        # [X_0 | X_1 | ..] times the blocks stacked is the sum of the products
-        blocks = cols.a.reshape(self.dim, s, k).transpose(1, 0, 2).reshape(s * self.dim, k)
-        Xs = np.hstack([self.monomial_action(e).a for e in monomials])
-        return Mat._trusted(self.field, _matmul_mod(Xs, blocks, self.field.p))
-
     def multiples(self, cols: Mat, which: str) -> Mat:
         """Every column of cols, a matrix of coordinates on this module,
         times every monomial x^e of a list: `which` is "basis" (the basis
         monomials of A, in order) or "variables".  The s products of
         column c sit side by side, at columns c*s .. c*s + s - 1."""
-        monomials = _monomial_list(self.algebra, which)
         if cols.rows != self.dim:
             raise InputError(f"{cols.rows} coordinates on a module of dimension {self.dim}")
-        out = np.empty((self.dim, cols.cols, len(monomials)), dtype=np.int64)
+        X = self._stacked(which)
+        s, n, k = X.shape[0], self.dim, cols.cols
+        # one product by the actions stacked on top of each other
+        out = _matmul_mod(X.reshape(s * n, n), cols.a, self.field.p).reshape(s, n, k)
+        return Mat._trusted(self.field, out.transpose(1, 2, 0).reshape(n, k * s))
+
+    def _stacked(self, which: str) -> np.ndarray:
+        """The actions of the monomials of the list `which` (see
+        _monomial_list), an s x dim x dim array; built once per module."""
+        got = self._stacks.get(which)
+        if got is not None:
+            return got
+        monomials = _monomial_list(self.algebra, which)
+        p, n, actions = self.field.p, self.dim, self.actions
+        out = np.empty((len(monomials), n, n), dtype=np.int64)
         if which == "variables":
-            for v in range(len(monomials)):
-                out[:, :, v] = self.act(v, cols).a
+            for v, X in enumerate(actions):
+                out[v] = X.a
         elif monomials:
-            out[:, :, 0] = cols.a  # basis[0] is 1
-            # x_v m' times a column is X_v times x^m' times it: standard
-            # monomials are closed under division and listed degree by
-            # degree, so m' comes first
+            out[0] = np.eye(n, dtype=np.int64)  # basis[0] is 1
+            # x_v m' is X_v times x^m': standard monomials are closed under
+            # division and listed degree by degree, so m' comes first
             for j, mono in enumerate(monomials[1:], 1):
                 v = next(i for i, a in enumerate(mono) if a)
                 below = self.algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
-                out[:, :, j] = self.act(v, Mat._trusted(self.field, out[:, :, below])).a
-        return Mat._trusted(self.field, out.reshape(self.dim, cols.cols * len(monomials)))
+                out[j] = _matmul_mod(actions[v].a, out[below], p)
+        out.setflags(write=False)
+        self._stacks[which] = out
+        return out
 
     @property
     def field(self) -> Field:
@@ -184,8 +187,8 @@ class Module:
 class FreeModule(Module):
     """Free module on homogeneous generators; basis is generator-major blocks
     (generator g, standard monomial m) with degree deg(m) + deg(g).  Each
-    block is a copy of `regular`, the algebra as a module over itself, and a
-    variable acts block by block through the regular action: the dense
+    block is a copy of `regular`, the algebra as a module over itself.  A
+    free module multiplies through the structure constants of A; the dense
     matrices kron(I_r, X_v) are built only on request and never kept."""
 
     def __init__(self, algebra: Algebra, gen_degrees: Sequence[int]):
@@ -200,28 +203,6 @@ class FreeModule(Module):
     @property
     def rank(self) -> int:
         return len(self.gen_degrees)
-
-    def act(self, v: int, cols: Mat) -> Mat:
-        return self._blockwise([self.regular.actions[v]], cols)
-
-    def act_sum(self, monomials: Sequence[Tuple[int, ...]], cols: Mat) -> Mat:
-        return self._blockwise([self.regular.monomial_action(e) for e in monomials], cols)
-
-    def _blockwise(self, Xs: Sequence[Mat], cols: Mat) -> Mat:
-        """The sum over j of Xs[j], a matrix on the regular module, applied
-        to every generator block of the j-th of len(Xs) equal blocks of
-        columns of cols."""
-        if cols.rows != self.dim:
-            raise InputError(f"{cols.rows} coordinates on a free module of dimension {self.dim}")
-        dA, r, s = self.algebra.dim, self.rank, len(Xs)
-        k = cols.cols // s
-        # the generator blocks of the j-th column block, side by side, form a
-        # dim A x (rank * k) matrix; stacked for j = 0..s-1, [Xs[0] | Xs[1] | ..]
-        # multiplies them all at once
-        blocks = cols.a.reshape(r, dA, s, k).transpose(2, 1, 0, 3).reshape(s * dA, r * k)
-        # the exact product of Mat @, without wrapping the reshaped operands in Mats
-        out = _matmul_mod(np.hstack([X.a for X in Xs]), blocks, self.field.p)
-        return Mat._trusted(self.field, out.reshape(dA, r, k).transpose(1, 0, 2).reshape(self.dim, k))
 
     def multiples(self, cols: Mat, which: str) -> Mat:
         """Module.multiples, read off the structure constants of A: entry
@@ -314,12 +295,12 @@ _STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, tuple]]" = weakref.Wea
 
 
 def _structure_terms(algebra: Algebra, which: str):
-    """The structure constants x^e_j * basis[c] = sum over a of S[a, c, j]
+    """The structure constants x^e_j * basis[c] = sum over a of S[j, a, c]
     basis[a], for the monomials e_j of the list `which` (see
     _monomial_list), as two arrays (src, coef) of shape (slots, dim A, s).
 
-    The nonzero S[a, c, j] of each output (a, j) fill its slots t = 0, 1,
-    ..: src[t, a, j] = c and coef[t, a, j] = S[a, c, j].  An unused slot
+    The nonzero S[j, a, c] of each output (a, j) fill its slots t = 0, 1,
+    ..: src[t, a, j] = c and coef[t, a, j] = S[j, a, c].  An unused slot
     reads source dim A, a zero the reader appends.  coef is None when one
     slot holds every term and each term is 1, as over a monomial algebra,
     whose regular action is a partial permutation."""
@@ -329,17 +310,16 @@ def _structure_terms(algebra: Algebra, which: str):
         return got
     monomials = _monomial_list(algebra, which)
     dA, s = algebra.dim, len(monomials)
-    # S[a, c, j] is column c of the identity times x^e_j in the regular module
-    regular = regular_module(algebra)
-    S = regular.multiples(Mat.identity(algebra.field, dA), which).a.reshape(dA, dA, s)
-    a, j, c = np.nonzero(S.transpose(0, 2, 1))  # ordered by (a, j)
+    # S[j, a, c] is entry (a, c) of the action of x^e_j on the regular module
+    S = regular_module(algebra)._stacked(which)
+    a, j, c = np.nonzero(S.transpose(1, 0, 2))  # ordered by (a, j)
     key = a * s + j
     slot = np.arange(key.size) - np.searchsorted(key, key)
     slots = int(slot.max()) + 1 if key.size else 1
     src = np.full((slots, dA, s), dA, dtype=np.intp)
     coef = np.ones((slots, dA, s), dtype=np.int64)
     src[slot, a, j] = c
-    coef[slot, a, j] = S[a, c, j]
+    coef[slot, a, j] = S[j, a, c]
     got = cache[which] = (src, None if slots == 1 and (coef == 1).all() else coef)
     return got
 
@@ -374,38 +354,28 @@ def generator_images(field: Field, coeffs: np.ndarray) -> Mat:
 def compose_on_generators(target: Module, images: Mat, coeffs: np.ndarray) -> Mat:
     """Generator images of phi o d, where phi: F -> target is the A-linear
     map sending generator r of F to column r of images, and d: F' -> F is
-    the matrix over A with coefficient array coeffs (see algebra_coefficients).
-
-    d sends generator g of F' to the sum of coeffs[m, r, g] x^m e_r, so
-    phi(d(e_g)) is column g of the sum over m of x^m (images @ coeffs[m]).
-    Over the basis monomials m that occur in d, that is one exact product
-    by the slices coeffs[m] side by side and one act_sum.  Neither map is
-    realized.
+    the matrix over A with coefficient array coeffs (see algebra_coefficients):
+    phi realized by extend_linearly, times the generator images of d.
     """
     _, rows, cols = coeffs.shape
     if images.rows != target.dim or images.cols != rows:
         raise InputError(f"generator images of shape {images.shape} do not compose with "
                          f"{rows} x {cols} over A into dimension {target.dim}")
-    occurring = np.flatnonzero(coeffs.any(axis=(1, 2)))
-    if occurring.size == 0:
-        return Mat.zeros(target.field, target.dim, cols)
-    slices = coeffs[occurring].transpose(1, 0, 2).reshape(rows, occurring.size * cols)
-    products = images @ Mat(target.field, slices)
-    return target.act_sum([target.algebra.basis[m] for m in occurring], products)
+    return extend_linearly(target, images) @ generator_images(target.field, coeffs)
 
 
 def block_action(n: Module, coeffs: np.ndarray) -> Mat:
     """Field matrix of a rows x cols matrix over A acting on N^cols -> N^rows,
     given by its coefficient array (see algebra_coefficients): block (i, j)
-    is the action of entry (i, j) on N, so the matrix is the sum over the
-    basis monomials m that occur of kron(coeffs[m], x^m acting on N)."""
+    is the action of entry (i, j) on N, the sum over the basis monomials m
+    of coeffs[m, i, j] times x^m acting on N.  Over the monomials that
+    occur, that is one product of the coefficients by the actions of N."""
     _, rows, cols = coeffs.shape
-    p = n.field.p
-    out = np.zeros((rows * n.dim, cols * n.dim), dtype=np.int64)
-    for m in np.flatnonzero(coeffs.any(axis=(1, 2))):
-        # a term is below p^2 < 2^62, so reduce before adding the next one
-        out += np.kron(coeffs[m], n.monomial_action(n.algebra.basis[m]).a)
-        out %= p
+    d = n.dim
+    occurring = np.flatnonzero(coeffs.any(axis=(1, 2)))
+    terms = _matmul_mod(coeffs[occurring].reshape(occurring.size, rows * cols).T,
+                        n._stacked("basis")[occurring].reshape(occurring.size, d * d), n.field.p)
+    out = terms.reshape(rows, cols, d, d).transpose(0, 2, 1, 3).reshape(rows * d, cols * d)
     return Mat._trusted(n.field, out)
 
 
@@ -414,8 +384,7 @@ def realize_algebra_matrix(src: FreeModule, tgt: FreeModule,
     """Field-linear matrix of the map src -> tgt given by a matrix over A.
 
     entries[i][j] is the coefficient of generator i of tgt on generator j of
-    src; basis column (g, m) maps to the coordinates of entries[.][g] * m,
-    which is the action of the entries on the regular module A.
+    src: the A-linear extension of the generator images the entries give.
     """
     if len(entries) != tgt.rank or any(len(r) != src.rank for r in entries):
         raise InputError("entry matrix shape does not match generator counts")
@@ -423,7 +392,7 @@ def realize_algebra_matrix(src: FreeModule, tgt: FreeModule,
         raise InputError("entry over a different algebra")
     vecs = np.array([[a.vec for a in row] for row in entries], dtype=np.int64)
     coeffs = vecs.reshape(tgt.rank, src.rank, src.algebra.dim).transpose(2, 0, 1)
-    return block_action(src.regular, coeffs)
+    return extend_linearly(tgt, generator_images(src.field, coeffs))
 
 
 def residue_field(algebra: Algebra) -> Module:
@@ -491,8 +460,16 @@ class ModuleMap:
 
 def _commutes(matrix: Mat, source_actions: Sequence[Mat], target: Module) -> bool:
     """True when matrix X_i = X_i matrix for every variable, X_i acting on
-    the source by source_actions[i] and on the target by target.act."""
-    return all(matrix @ X == target.act(i, matrix) for i, X in enumerate(source_actions))
+    the source by source_actions[i] and on the target through multiples."""
+    images = _by_variable(target, target.multiples(matrix, "variables").a)
+    return all(matrix @ X == Y for X, Y in zip(source_actions, images))
+
+
+def _by_variable(m: Module, multiples: np.ndarray) -> List[Mat]:
+    """The products of Module.multiples(cols, "variables") on m split by
+    variable: entry v is X_v @ cols."""
+    s = m.algebra.nvars
+    return [Mat._trusted(m.field, multiples[:, v::s]) for v in range(s)]
 
 
 def hom_space(m: Module, n: Module) -> List[ModuleMap]:
@@ -623,11 +600,12 @@ def quotient_by_span(m: Module, span_rows: Mat, provenance: str = "quotient",
     proj[:, list(pivots)] = -R.a[:rank, nonpivot].T
     P = Mat(m.field, proj)
     L = Mat(m.field, lift)
-    # invariance of the span: the induced actions are well defined
-    Rt = R.transpose()
-    for i in range(m.algebra.nvars):
-        check((P @ m.act(i, Rt)).is_zero(), "span is not an A-submodule")
-    actions = [P @ m.act(i, L) for i in range(m.algebra.nvars)]
+    # invariance of the span: the induced actions are well defined; the
+    # products of the span's rows come first, then those of the lift
+    images = (P @ m.multiples(Mat._trusted(m.field, R.a[:rank].T).hstack(L), "variables")).a
+    split = rank * m.algebra.nvars
+    check(not images[:, :split].any(), "span is not an A-submodule")
+    actions = _by_variable(m, np.ascontiguousarray(images[:, split:]))
     degrees = [m.degrees[j] for j in nonpivot]
     # inherited: the rows are homogeneous and P X_i R^T = 0, so P X_i = X'_i P
     # with P onto; commutation, the relations and the grading pass down
@@ -653,13 +631,11 @@ def submodule_from_span(m: Module, span_rows: Mat, provenance: str = "submodule"
     R, pivots, rank = rref(span_rows)
     degrees = [_row_degree(m, R.a[r]) for r in range(rank)]
     inc = Mat(m.field, R.a[:rank].T)
-    actions = []
-    for i in range(m.algebra.nvars):
-        img = m.act(i, inc)  # ambient coords of X_i applied to each basis row
-        coords = Mat(m.field, img.a[list(pivots)])
-        # reconstruction check: the span is closed under the action
-        check(inc @ coords == img, "span is not closed under the action")
-        actions.append(coords)
+    img = m.multiples(inc, "variables")  # ambient coords of X_i applied to each basis row
+    coords = Mat._trusted(m.field, img.a[list(pivots)])
+    # reconstruction check: the span is closed under the action
+    check(inc @ coords == img, "span is not closed under the action")
+    actions = _by_variable(m, coords.a)
     # inherited: inc X'_i = X_i inc holds exactly and inc is injective
     sub = Module(m.algebra, degrees, actions, provenance=provenance, _skip_verify=True)
     return Submodule(sub, inc)

@@ -257,7 +257,7 @@ def _lift_chain_map(eta: ExtElement, upto: int) -> List[Mat]:
     and the chain identity d_i theta_i = theta_{i-1} d_{t+i} (eps theta_0 =
     eta at i = 0) holds because both sides agree on generators: U_i solves
     d_i U_i = theta_{i-1} d_{t+i} on generators, which compose_on_generators
-    reads off U_{i-1} and d_{t+i} over A.  No theta is realized.
+    reads off U_{i-1} and d_{t+i} over A.  Only the images U_i are kept.
     """
     res = eta.resolution
     if eta.target is not res.module:

@@ -22,6 +22,23 @@ def test_field_validation():
         Field(2**31)
 
 
+def test_primality_tested_once_per_prime():
+    exactla._is_prime.cache_clear()
+    assert Field(2**31 - 1) == Field(2**31 - 1)
+    info = exactla._is_prime.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_is_prime_matches_sieve():
+    n = 10**5
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, int(n**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = False
+    assert [exactla._is_prime(m) for m in range(n)] == sieve.tolist()
+
+
 def test_rref_identity():
     R, pivots, rank = rref(Mat.identity(F5, 3))
     assert rank == 3 and pivots == (0, 1, 2)

@@ -294,7 +294,9 @@ def test_multiples_match_monomial_actions(ring, p):
             assert (src.shape[0] > 1) == several and (coef is None) == ones
     rng = np.random.default_rng(p % 1000)
     N = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
-    for target in (free_module(A, []), free_module(A, [0]), free_module(A, [0, 1, 1]), N):
+    Z = coker_presentation(A, [[A.one()]], [0])  # zero-dimensional, and not free
+    assert Z.dim == 0 and type(Z) is Module
+    for target in (free_module(A, []), free_module(A, [0]), free_module(A, [0, 1, 1]), N, Z):
         for k in (0, 1, 4):
             cols = Mat(F, rng.integers(0, p, (target.dim, k)))
             for which, monomials in (("basis", A.basis), ("variables", variables)):
@@ -303,9 +305,19 @@ def test_multiples_match_monomial_actions(ring, p):
                 assert got.shape == (target.dim, k * s)
                 for j, e in enumerate(monomials):
                     assert np.array_equal(got.a[:, j::s], (target.monomial_action(e) @ cols).a), (target, which, e)
-    with pytest.raises(InputError, match="no monomial list"):
-        free_module(A, [0]).multiples(Mat.zeros(F, A.dim, 1), "monomials")
+    # block_action reshapes one product of the coefficients by the stacked
+    # actions; matrices over A with no rows or columns and a zero module
+    # give empty blocks
+    for n in (N, Z):
+        for rows, cols in ((2, 3), (0, 3), (2, 0)):
+            coeffs = rng.integers(0, p, (A.dim, rows, cols))
+            entries = [[A.element(coeffs[:, i, j]) for j in range(cols)] for i in range(rows)]
+            got = block_action(n, coeffs)
+            assert got.shape == (rows * n.dim, cols * n.dim)
+            assert np.array_equal(got.a, oracles.block_action(n, entries, rows, cols)), (n, rows, cols)
     for target in (free_module(A, [0]), N):
+        with pytest.raises(InputError, match="no monomial list"):
+            target.multiples(Mat.zeros(F, target.dim, 1), "monomials")
         with pytest.raises(InputError, match="coordinates"):
             target.multiples(Mat.zeros(F, target.dim + 1, 1), "basis")
 
@@ -520,8 +532,8 @@ def test_free_module_matches_dense_twin(ring, gen_degrees, gasharov):
     cols = Mat(A.field, rng.integers(0, p, (F.dim, 4)))
 
     assert F.actions == T.actions
-    for v in range(A.nvars):
-        assert F.act(v, cols) == T.act(v, cols)
+    for which in ("variables", "basis"):
+        assert F.multiples(cols, which) == T.multiples(cols, which)
     for mono in A.basis:
         assert F.monomial_action(mono) == T.monomial_action(mono)
     for rank in (0, 2):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -74,22 +75,39 @@ def test_resolve_builds_no_dense_free_module_action(monkeypatch):
     assert built
 
 
-def test_resolve_multiplies_through_structure_constants(monkeypatch):
-    # every differential and every generator test of a resolution comes from
-    # FreeModule.multiples, which reads A's structure constants: the
-    # resolution makes no block-by-block product through the regular action
-    from cxlab.gmod import FreeModule
+def test_products_over_A_make_no_kron_call(monkeypatch):
+    # Hom and tensor differentials, cocycles, chain lifts, operator checks
+    # and realized matrices over A all multiply through Module.multiples or
+    # one product by a module's stacked actions, never through kron terms;
+    # a search's only kron calls build the dense actions of the free summand
+    # of a pushout's direct sum, on request
+    from cxlab.cioper import eisenbud_operators
+    from cxlab.yoneda import cocycle_basis, ext_table, find_reducing_element, tor_table
 
-    calls = []
-    blockwise = FreeModule._blockwise
-    monkeypatch.setattr(FreeModule, "_blockwise",
-                        lambda self, Xs, cols: (calls.append(len(Xs)), blockwise(self, Xs, cols))[1])
-    A = MonomialCI.build(F5, [2, 2, 2]).algebra
-    res = resolve(residue_field(A), 9)
-    assert res.betti_list(9) == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
-    assert calls == []
-    res.free(2).act(0, Mat.identity(F5, res.free(2).dim))
-    assert calls == [1]
+    ci = MonomialCI.build(F5, [2, 2, 2])
+    k = residue_field(ci.algebra)
+    G = gasharov_algebra(F5)
+    M = gasharov_presentation(G)
+    res = resolve(M, 3)
+    matrices = [diff_algebra(res, i) for i in (1, 2, 3)]
+    kron = np.kron
+    callers = []
+
+    def counting_kron(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return kron(*args)
+
+    monkeypatch.setattr(np, "kron", counting_kron)
+    kG = residue_field(G)
+    assert ext_table(M, kG, 4) == tor_table(M, kG, 4) == res.betti_list(4)
+    assert len(cocycle_basis(M, M, 2)) == ext_table(M, M, 2)[2] > 0
+    ops = eisenbud_operators(ci, k, 8)
+    assert all(ops.chi_realized(j, n).shape == (ops.resolution.free(n - 2).dim, ops.resolution.free(n).dim)
+               for j in (1, 2, 3) for n in range(2, 9))
+    assert verify_complex(G, matrices).ok
+    assert callers == []
+    assert find_reducing_element(M, 8, seed=0, budget=3)[0].degree == 4
+    assert callers and set(callers) == {"_dense"}
 
 
 def test_resolve_eliminates_blocks_in_batches(monkeypatch):
