@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import InputError, check
 from .exactla import Field, Mat
-from .gmod import (Module, compose_on_generators, direct_sum, extend_linearly, generator_images,
-                   quotient_by_span)
+from .gmod import Module, compose_on_generators, extend_linearly, generator_images, residue_field
 from .gralg import Algebra, Polynomial, build_algebra, codimension
 from .resol import ComplexityEstimate, estimate_complexity, resolve
 from .yoneda import (
@@ -243,73 +242,23 @@ def chi_self_extension(ops: EisenbudOperatorSet, j: int) -> ExtElement:
 
 def cut_by_chi(ops: EisenbudOperatorSet, j: int) -> PushoutExtension:
     """Pushout along the j-th operator class; drops the complexity estimate by
-    one exactly when the operator still acts injectively on the Ext tail."""
-    return pushout(chi_self_extension(ops, j))
+    one exactly when the operator still acts injectively on the Ext tail.
+    The cut module counts one operator cut more than the module it cuts
+    (none when that count is unknown)."""
+    ext = pushout(chi_self_extension(ops, j))
+    if ops.module.chi_cuts is not None:
+        ext.module.chi_cuts = ops.module.chi_cuts + 1
+    return ext
 
 
 def build_kchi(ci: MonomialCI, j: int) -> Module:
-    """The explicit test module glued from k and the first syzygy of the
-    ambient regular sequence presentation.
+    """The test module k_chi_j: the cut of the residue field along chi_j.
 
-    Realizes m_Q/(f)m_Q concretely: basis = nonconstant standard monomials
-    plus one class e_i per relation x_i^{n_i}; a variable action either stays
-    standard, hits a pure power exactly (landing on e_i), or dies.  The glued
-    quotient fits the four-term sequence 0 -> k -> K -> A -> k -> 0, which is
-    verified by ranks.
+    It is the extension 0 -> k -> K -> m -> 0 of the maximal ideal m by a
+    copy of k in degree n_j, so dim K = dim A; the pushout verifies its
+    exactness.
     """
-    if not 1 <= j <= ci.codim:
-        raise InputError(f"operator index {j} out of range 1..{ci.codim}")
-    A = ci.algebra
-    p = ci.field.p
-    nonconst = [e for e in A.basis if sum(e) > 0]
-    c = ci.codim
-    dW = len(nonconst) + c
-    pos = {e: i for i, e in enumerate(nonconst)}
-    degrees = [sum(e) for e in nonconst] + [ci.exponents[i] for i in range(c)]
-    actions = []
-    for l in range(A.nvars):
-        arr = np.zeros((dW, dW), dtype=np.int64)
-        for e, col in pos.items():
-            ee = list(e)
-            ee[l] += 1
-            ee = tuple(ee)
-            if ee in pos:
-                arr[pos[ee], col] = 1
-            else:
-                hits = [i for i, n in enumerate(ci.exponents)
-                        if ee[i] == n and all(ee[s] == 0 for s in range(c) if s != i)]
-                if hits:
-                    arr[len(nonconst) + hits[0], col] = 1
-                # otherwise x_l * e lies in (f) m_Q and the class is zero
-        actions.append(Mat(ci.field, arr))
-    W = Module(A, degrees, actions, provenance="ambient_syzygy")
-    k_shifted = Module(A, [ci.exponents[j - 1]],
-                       [Mat.zeros(ci.field, 1, 1)] * A.nvars, provenance="k")
-    D = direct_sum(k_shifted, W)
-    span = np.zeros((c, D.dim), dtype=np.int64)
-    for i in range(c):
-        if i == j - 1:
-            span[i, 0] = 1
-        span[i, 1 + len(nonconst) + i] = (-1) % p
-    quot = quotient_by_span(D, Mat(ci.field, span), provenance=f"kchi_{j}", chi_cuts=1)
-    K = quot.module
-    check(K.dim == A.dim, "glued test module must have the dimension of the algebra")
-    # four-term exactness 0 -> k -> K -> A -> k -> 0, checked by ranks
-    first = quot.projection @ Mat(ci.field, np.eye(D.dim, dtype=np.int64)[:, :1])
-    FA = np.zeros((A.dim, D.dim), dtype=np.int64)
-    for e, col in pos.items():
-        FA[A.basis_index[e], 1 + col] = 1
-    g = Mat(ci.field, FA) @ quot.lift
-    aug = np.zeros((1, A.dim), dtype=np.int64)
-    aug[0, 0] = 1
-    h = Mat(ci.field, aug)
-    check(first.rank() == 1, "k does not embed into the glued module")
-    check((g @ first).is_zero(), "composite k -> A is nonzero")
-    check(K.dim - g.rank() == 1, "exactness fails at the glued module")
-    check((h @ g).is_zero(), "composite K -> k is nonzero")
-    check(g.rank() == A.dim - 1, "exactness fails at the free slot")
-    check(h.rank() == 1, "A does not surject onto k")
-    return K
+    return cut_by_chi(eisenbud_operators(ci, residue_field(ci.algebra), 4), j).module
 
 
 @dataclass

@@ -40,7 +40,8 @@ from .yoneda import (
     symmetry_check,
     tor_table,
 )
-from .cioper import MonomialCI, build_kchi, cut_by_chi, eisenbud_operators, testci_run, vartest_check
+from .cioper import (EisenbudOperatorSet, MonomialCI, cut_by_chi, eisenbud_operators, testci_run,
+                     vartest_check)
 
 __all__ = ["parse_scenario", "print_scenario", "run", "RunOptions", "Report", "main"]
 
@@ -622,7 +623,11 @@ def _short(value) -> str:
 
 
 class _Workspace:
-    """Materialized rings and modules for one scenario run."""
+    """Materialized rings and modules for one scenario run.
+
+    Each ring has one residue field and each cut parent one operator set,
+    so ``k``, ``kchi`` and ``cut`` share a resolution and its operators.
+    """
 
     def __init__(self, scenario: Scenario, options: RunOptions):
         self.scenario = scenario
@@ -630,6 +635,8 @@ class _Workspace:
         self.field = Field(scenario.field_decl.p)
         self.algebras: Dict[str, Algebra] = {}
         self.cis: Dict[str, MonomialCI] = {}
+        self.residue_fields: Dict[str, Module] = {}
+        self.operators: Dict[int, EisenbudOperatorSet] = {}  # id of the cut parent: its operators
         self.mods: Dict[str, Module] = {}
         for decl in scenario.decls:
             if isinstance(decl, RingDecl):
@@ -646,22 +653,27 @@ class _Workspace:
             self.cis[ring] = got
         return got
 
+    def residue(self, ring: str) -> Module:
+        got = self.residue_fields.get(ring)
+        if got is None:
+            got = residue_field(self.algebras[ring])
+            self.residue_fields[ring] = got
+        return got
+
     def _build_module(self, decl: ModuleDecl) -> Module:
         A = self.algebras[decl.ring]
         if decl.kind == "coker":
             entries = [[A.nf_polynomial(p) for p in row] for row in decl.matrix]
             return coker_presentation(A, entries, list(decl.degrees))
         if decl.kind == "k":
-            return residue_field(A)
-        if decl.kind == "kchi":
-            return build_kchi(self.ci(decl.ring), decl.j)
-        if decl.kind == "cut":
-            parent = self.mods[decl.arg]
-            ops = eisenbud_operators(self.ci(decl.ring), parent, 4)
-            module = cut_by_chi(ops, decl.j).module
-            if parent.chi_cuts is not None:
-                module.chi_cuts = parent.chi_cuts + 1
-            return module
+            return self.residue(decl.ring)
+        if decl.kind in ("kchi", "cut"):
+            # kchi is the cut of the ring's k
+            parent = self.residue(decl.ring) if decl.kind == "kchi" else self.mods[decl.arg]
+            ops = self.operators.get(id(parent))
+            if ops is None:
+                ops = self.operators[id(parent)] = eisenbud_operators(self.ci(decl.ring), parent, 4)
+            return cut_by_chi(ops, decl.j).module
         if decl.kind == "syzygy":
             return syzygy(self.mods[decl.arg], decl.i)
         if decl.kind == "sum":

@@ -71,13 +71,9 @@ class Verdict:
 
 def _hom_shifts(res: MinimalFreeResolution, n: Module, i: int) -> np.ndarray:
     """Internal degree shift of each coordinate of Hom(F_i, N)."""
-    F = res.free(i)
-    dN = n.dim
-    shifts = np.zeros(F.rank * dN, dtype=np.int64)
-    for g, gd in enumerate(F.gen_degrees):
-        for b in range(dN):
-            shifts[g * dN + b] = n.degrees[b] - gd
-    return shifts
+    # coordinate g * dN + b pairs generator g of F_i with basis vector b of N
+    gen = np.asarray(res.free(i).gen_degrees, dtype=np.int64)
+    return (np.asarray(n.degrees, dtype=np.int64)[None, :] - gen[:, None]).reshape(-1)
 
 
 def _hom_differential(res: MinimalFreeResolution, n: Module, i: int) -> Mat:

@@ -9,12 +9,14 @@ eager_resolution builds every syzygy as an explicit module from the
 engine's gmod constructors, pushout_betti builds and resolves a pushout,
 eisenbud_chi computes the chain operators from polynomial lifts of the
 engine's differentials, reference_lift lifts a class with solve_matrix and
-the engine's extend_linearly, and tensor_algebra and tensor_module build the inputs of the Kunneth
-checks, whose expected values are convolutions of sequences the engine
-computes for each factor alone.  solve and solve_matrix solve through the
-engine's rref; their particular solution is the one MinimalFreeResolution.solve
-must reproduce.  diff_algebra reads a differential of an engine resolution as
-a matrix of algebra elements.
+the engine's extend_linearly, glued_kchi glues a test module with the
+engine's direct_sum and quotient_by_span, and tensor_algebra and
+tensor_module build the inputs of the Kunneth checks, whose expected values
+are convolutions of sequences the engine computes for each factor alone.
+solve and solve_matrix solve through the engine's rref; their particular
+solution is the one MinimalFreeResolution.solve must reproduce.
+diff_algebra reads a differential of an engine resolution as a matrix of
+algebra elements.
 """
 from __future__ import annotations
 
@@ -472,6 +474,68 @@ def eisenbud_chi(ci, res, max_degree):
             entries = [[AlgebraElement(A, v) for v in row] for row in part]
             out[(j + 1, n)] = realize_algebra_matrix(res.free(n), res.free(n - 2), entries)
     return out
+
+
+def glued_kchi(ci, j):
+    """The test module k_chi_j glued by hand from k and the first syzygy of
+    the ambient regular sequence: the reference for cioper.build_kchi, which
+    builds it as the pushout cut of k along chi_j.
+
+    Realizes m_Q/(f)m_Q concretely: basis = nonconstant standard monomials
+    plus one class e_i per relation x_i^{n_i}; a variable action either stays
+    standard, hits a pure power exactly (landing on e_i), or dies.  The glued
+    quotient fits the four-term sequence 0 -> k -> K -> A -> k -> 0, which is
+    checked by ranks.
+    """
+    from cxlab.exactla import Mat
+    from cxlab.gmod import Module, direct_sum, quotient_by_span
+
+    A, p, c = ci.algebra, ci.field.p, ci.codim
+    nonconst = [e for e in A.basis if sum(e) > 0]
+    dW = len(nonconst) + c
+    pos = {e: i for i, e in enumerate(nonconst)}
+    degrees = [sum(e) for e in nonconst] + list(ci.exponents)
+    actions = []
+    for l in range(A.nvars):
+        arr = np.zeros((dW, dW), dtype=np.int64)
+        for e, col in pos.items():
+            ee = e[:l] + (e[l] + 1,) + e[l + 1:]
+            if ee in pos:
+                arr[pos[ee], col] = 1
+            else:
+                hits = [i for i, n in enumerate(ci.exponents)
+                        if ee[i] == n and all(ee[s] == 0 for s in range(c) if s != i)]
+                if hits:
+                    arr[len(nonconst) + hits[0], col] = 1
+                # otherwise x_l * e lies in (f) m_Q and the class is zero
+        actions.append(Mat(ci.field, arr))
+    W = Module(A, degrees, actions, provenance="ambient_syzygy")
+    k_shifted = Module(A, [ci.exponents[j - 1]], [Mat.zeros(ci.field, 1, 1)] * A.nvars, provenance="k")
+    D = direct_sum(k_shifted, W)
+    span = np.zeros((c, D.dim), dtype=np.int64)
+    for i in range(c):
+        if i == j - 1:
+            span[i, 0] = 1
+        span[i, 1 + len(nonconst) + i] = (-1) % p
+    quot = quotient_by_span(D, Mat(ci.field, span), provenance=f"kchi_{j}")
+    K = quot.module
+    assert K.dim == A.dim, "glued test module must have the dimension of the algebra"
+    # four-term exactness 0 -> k -> K -> A -> k -> 0, checked by ranks
+    first = quot.projection @ Mat(ci.field, np.eye(D.dim, dtype=np.int64)[:, :1])
+    FA = np.zeros((A.dim, D.dim), dtype=np.int64)
+    for e, col in pos.items():
+        FA[A.basis_index[e], 1 + col] = 1
+    g = Mat(ci.field, FA) @ quot.lift
+    h = np.zeros((1, A.dim), dtype=np.int64)
+    h[0, 0] = 1
+    rank_g = gauss_rank(g.a.tolist(), p)
+    assert gauss_rank(first.a.tolist(), p) == 1, "k does not embed into the glued module"
+    assert not (g @ first).a.any(), "composite k -> A is nonzero"
+    assert K.dim - rank_g == 1, "exactness fails at the glued module"
+    assert not ((h @ g.a) % p).any(), "composite K -> k is nonzero"
+    assert rank_g == A.dim - 1, "exactness fails at the free slot"
+    assert gauss_rank(h.tolist(), p) == 1, "A does not surject onto k"
+    return K
 
 
 # -- Kunneth: tensor products over disjoint sets of variables -----------------

@@ -217,11 +217,15 @@ def test_build_kchi_quadric(quadric, k):
         build_kchi(quadric, 3)
 
 
-def test_build_kchi_matches_pushout_cut(quadric, k):
-    ops = eisenbud_operators(quadric, k, 6)
-    K_cut = cut_by_chi(ops, 1).module
-    K_built = build_kchi(quadric, 1)
-    assert is_isomorphic(K_built, K_cut, seed=0).kind == "yes"
+def test_build_kchi_matches_pushout_cut():
+    # the pushout cut of k along chi_j against the module glued by hand
+    for p in (2, 5, 2 ** 31 - 1):
+        for exponents in ((2, 2), (2, 3), (4, 2), (2, 2, 2), (3, 2, 2)):
+            ci = MonomialCI.build(Field(p), exponents)
+            for j in range(1, ci.codim + 1):
+                K_cut, K_glued = build_kchi(ci, j), oracles.glued_kchi(ci, j)
+                assert sorted(K_cut.degrees) == sorted(K_glued.degrees), (p, exponents, j)
+                assert is_isomorphic(K_cut, K_glued, seed=0).kind == "yes", (p, exponents, j)
 
 
 def test_build_kchi_larger_ci():

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from cxlab import cxcli
 from cxlab.errors import ScenarioError
 from cxlab.cxcli import RunOptions, main, parse_scenario, print_scenario, run
+from cxlab.resol import MinimalFreeResolution
 from conftest import SCENARIO_DIR
 
 GASHAROV = (SCENARIO_DIR / "gasharov.cx").read_text()
@@ -58,6 +60,63 @@ def test_parse_roundtrip_shipped_scenarios():
         sc = parse_scenario(text)
         printed = print_scenario(sc)
         assert parse_scenario(printed) == sc
+
+
+def test_parse_roundtrip_every_builder_and_task():
+    text = (
+        "field p = 7\n"
+        "ring A = [x,y] / (x^2, y^3)\n"
+        "module k = k A\n"
+        "module M = coker A [[x, 3*y^2], [0, x*y - 2*y^2]] degrees [-2, 1]\n"
+        "module T1 = kchi A j=1\n"
+        "module C = cut k j=2\n"
+        "module S = syzygy M i=2\n"
+        "module P = sum M T1\n"
+        "task betti P maxdeg=4\n"
+        "task complexity S\n"
+        "task ext k C maxdeg=3\n"
+        "task tor M k maxdeg=3\n"
+        "task verify-complex A matrices=[[[x]],[[x]]] range=0..1\n"
+        "task reduce M maxdeg=4\n"
+        "task projdim-check C\n"
+        "task symmetry k T1\n"
+        "task vartest M tests=T1,C t=1\n"
+        "task testci k t=1 q=1 n=2 tests=M,T1\n"
+    )
+    sc = parse_scenario(text)
+    assert {d.kind for d in sc.modules.values()} == {"coker", "k", "kchi", "cut", "syzygy", "sum"}
+    assert {t.kind for t in sc.tasks} == cxcli.TASK_KINDS
+    printed = print_scenario(sc)
+    assert parse_scenario(printed) == sc
+    assert print_scenario(parse_scenario(printed)) == printed
+
+
+def test_kchi_is_the_cut_of_the_shared_k(monkeypatch):
+    text = (
+        "field p = 5\nring A = [x,y] / (x^2,y^2)\nmodule k = k A\n"
+        "module T1 = kchi A j=1\nmodule T2 = kchi A j=2\n"
+        "module C = cut k j=1\nmodule D = cut C j=2\n"
+        "task vartest k tests=T1 t=1\n"
+    )
+    resolved, operated = [], []
+    init = MinimalFreeResolution.__init__
+    monkeypatch.setattr(MinimalFreeResolution, "__init__",
+                        lambda self, module: (resolved.append(module), init(self, module))[1])
+    operators = cxcli.eisenbud_operators
+    monkeypatch.setattr(cxcli, "eisenbud_operators",
+                        lambda ci, module, n: (operated.append(module), operators(ci, module, n))[1])
+    sc = parse_scenario(text)
+    ws = cxcli._Workspace(sc, RunOptions(max_degree=12))
+    mods = ws.mods
+    assert mods["T1"].degrees == mods["C"].degrees
+    assert mods["T1"].actions == mods["C"].actions
+    # one residue field, resolved once; one operator set per cut parent
+    assert [m for m in resolved if m.provenance == "k"] == [mods["k"]]
+    assert [id(m) for m in operated] == [id(mods["k"]), id(mods["C"])]
+    assert [mods[name].chi_cuts for name in ("T1", "T2", "C", "D")] == [1, 1, 1, 2]
+    # vartest accepts T1 as a test module of cut size 1
+    result = cxcli._run_task(ws, sc.tasks[0])
+    assert result["ok"] and result["params"]["cut_size"] == 1
 
 
 def test_verify_complex_range_mismatch():
