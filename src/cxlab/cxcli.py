@@ -1,6 +1,8 @@
 """Scenario files, task runner, reports and the ``cxlab`` command line tool.
 
-Scenario grammar (line oriented, ``#`` comments):
+Scenario grammar (line oriented, ``#`` comments, ASCII names and integers;
+MODULE_SLOTS and TASK_SLOTS give each builder's and task's arguments, which
+one parser reads and one printer writes):
 
     field p = <prime>
     ring <name> = [<var>, ...] / (<poly>, ...)
@@ -25,12 +27,12 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .errors import InputError, ScenarioError
 from .exactla import Field
-from .gralg import Algebra, Polynomial, Token, TokenStream, build_algebra, parse_poly_tokens
+from .gralg import Algebra, Polynomial, Token, TokenStream, build_algebra, parse_poly_tokens, tokenize_line
 from .gmod import Module, coker_presentation, direct_sum, residue_field
 from .resol import estimate_complexity, resolve, syzygy, verify_complex
 from .yoneda import (
@@ -40,56 +42,47 @@ from .yoneda import (
     symmetry_check,
     tor_table,
 )
-from .cioper import (EisenbudOperatorSet, MonomialCI, cut_by_chi, eisenbud_operators, testci_run,
-                     vartest_check)
+from .cioper import MonomialCI, cut_by_chi, eisenbud_operators, testci_run, vartest_check
 
 __all__ = ["parse_scenario", "print_scenario", "run", "RunOptions", "Report", "main"]
 
 SCHEMA_VERSION = 1
 
-TASK_KINDS = {
-    "betti", "complexity", "ext", "tor", "verify-complex", "reduce",
-    "projdim-check", "symmetry", "vartest", "testci",
+# The syntax of every module builder and task: its argument slots in order.
+# A ring, module or matrix slot is written bare, "degrees" as
+# ``degrees [<d>, ...]`` and every other slot as ``<slot>=<value>``.
+MODULE_SLOTS = {
+    "coker": ("ring", "matrix", "degrees"),
+    "k": ("ring",),
+    "kchi": ("ring", "j"),
+    "cut": ("module", "j"),
+    "syzygy": ("module", "i"),
+    "sum": ("module", "module2"),
 }
+TASK_SLOTS = {
+    "betti": ("module", "maxdeg"),
+    "complexity": ("module",),
+    "ext": ("module", "module2", "maxdeg"),
+    "tor": ("module", "module2", "maxdeg"),
+    "verify-complex": ("ring", "matrices", "range"),
+    "reduce": ("module", "maxdeg"),
+    "projdim-check": ("module",),
+    "symmetry": ("module", "module2"),
+    "vartest": ("module", "tests", "t"),
+    "testci": ("module", "t", "q", "n", "tests"),
+}
+TASK_KINDS = set(TASK_SLOTS)
+_BARE_SLOTS = {"ring", "module", "module2", "matrix"}
 
 
 # -- tokens -------------------------------------------------------------------
-
-_SYMBOLS = ("..", "[", "]", "(", ")", ",", "=", "/", "^", "*", "+", "-")
 
 
 def _tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-                continue
-            col = i + 1
-            if ch.isdigit():
-                j = i
-                while j < len(line) and line[j].isdigit():
-                    j += 1
-                tokens.append(Token("INT", line[i:j], lineno, col))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
-                    j += 1
-                tokens.append(Token("IDENT", line[i:j], lineno, col))
-                i = j
-                continue
-            for sym in _SYMBOLS:
-                if line.startswith(sym, i):
-                    tokens.append(Token("SYM", sym, lineno, col))
-                    i += len(sym)
-                    break
-            else:
-                raise ScenarioError(f"unexpected character {ch!r}", lineno, col)
+        tokens += tokenize_line(line, lineno)
         if tokens and tokens[-1].kind != "NEWLINE":
             tokens.append(Token("NEWLINE", "", lineno, len(line) + 1))
     last_line = text.count("\n") + 1
@@ -126,21 +119,16 @@ class RingDecl:
 @dataclass
 class ModuleDecl:
     name: str
-    kind: str                       # coker, k, kchi, cut, syzygy, sum
-    ring: Optional[str] = None
-    matrix: Optional[tuple] = None  # tuple of tuples of Polynomial
-    degrees: Optional[Tuple[int, ...]] = None
-    arg: Optional[str] = None
-    arg2: Optional[str] = None
-    j: Optional[int] = None
-    i: Optional[int] = None
+    kind: str                       # a key of MODULE_SLOTS
+    ring: str
+    args: dict                      # slot: value, one for each of MODULE_SLOTS[kind]
     loc: SrcLoc = dc_field(default=_NOLOC, compare=False)
 
 
 @dataclass
 class TaskDecl:
-    kind: str
-    args: dict
+    kind: str                       # a key of TASK_SLOTS
+    args: dict                      # slot: value, one for each of TASK_SLOTS[kind]
     loc: SrcLoc = dc_field(default=_NOLOC, compare=False)
 
     def label(self) -> str:
@@ -169,7 +157,6 @@ class _Parser(TokenStream):
         self.fp: Optional[Field] = None
         self.rings: Dict[str, RingDecl] = {}
         self.modules: Dict[str, ModuleDecl] = {}
-        self.module_ring: Dict[str, str] = {}
 
     # token helpers
     def fail(self, message: str, tok: Optional[Token] = None):
@@ -301,106 +288,27 @@ class _Parser(TokenStream):
             self.fail(f"name {name!r} already defined", name_tok)
         self.expect_sym("=")
         kind_tok = self.expect_ident("module builder")
-        kind = kind_tok.value
-        loc = SrcLoc(tok.line, tok.col)
-        if kind == "coker":
-            ring = self.ref_ring()
-            matrix = self.parse_matrix(self.rings[ring].varnames)
-            self.expect_keyword("degrees")
-            degrees = self.parse_int_list()
-            if len(degrees) != len(matrix):
-                self.fail("degree count does not match matrix rows", name_tok)
-            decl = ModuleDecl(name, "coker", ring=ring, matrix=matrix, degrees=degrees, loc=loc)
-        elif kind == "k":
-            ring = self.ref_ring()
-            decl = ModuleDecl(name, "k", ring=ring, loc=loc)
-        elif kind == "kchi":
-            ring = self.ref_ring()
-            j = self.parse_kv_int("j")
-            if not 1 <= j <= len(self.rings[ring].varnames):
-                self.fail(f"j={j} out of range for ring {ring!r}", name_tok)
-            decl = ModuleDecl(name, "kchi", ring=ring, j=j, loc=loc)
-        elif kind == "cut":
-            arg = self.ref_module()
-            j = self.parse_kv_int("j")
-            ring = self.module_ring[arg]
-            if not 1 <= j <= len(self.rings[ring].varnames):
-                self.fail(f"j={j} out of range", name_tok)
-            decl = ModuleDecl(name, "cut", arg=arg, ring=ring, j=j, loc=loc)
-        elif kind == "syzygy":
-            arg = self.ref_module()
-            i = self.parse_kv_int("i")
-            if i < 0:
-                self.fail("syzygy index must be nonnegative", name_tok)
-            decl = ModuleDecl(name, "syzygy", arg=arg, ring=self.module_ring[arg], i=i, loc=loc)
-        elif kind == "sum":
-            arg = self.ref_module()
-            arg2 = self.ref_module()
-            if self.module_ring[arg] != self.module_ring[arg2]:
-                self.fail("sum of modules over different rings", name_tok)
-            decl = ModuleDecl(name, "sum", arg=arg, arg2=arg2, ring=self.module_ring[arg], loc=loc)
-        else:
-            self.fail("expected one of: coker, k, kchi, cut, syzygy, sum", kind_tok)
+        if kind_tok.value not in MODULE_SLOTS:
+            self.fail(f"expected one of: {', '.join(MODULE_SLOTS)}", kind_tok)
+        args = self.parse_slots(MODULE_SLOTS[kind_tok.value])
+        ring = args["ring"] if "ring" in args else self.modules[args["module"]].ring
+        if len(args.get("degrees", ())) != len(args.get("matrix", ())):
+            self.fail("degree count does not match matrix rows", name_tok)
+        if "j" in args and not 1 <= args["j"] <= len(self.rings[ring].varnames):
+            self.fail(f"j={args['j']} out of range for ring {ring!r}", name_tok)
+        if "module2" in args and self.modules[args["module2"]].ring != ring:
+            self.fail("sum of modules over different rings", name_tok)
         self.end_statement()
+        decl = ModuleDecl(name, kind_tok.value, ring, args, SrcLoc(tok.line, tok.col))
         self.modules[name] = decl
-        self.module_ring[name] = decl.ring
         return decl
 
     def parse_task(self) -> TaskDecl:
         tok = self.expect_keyword("task")
         kind = self.parse_task_name()
-        loc = SrcLoc(tok.line, tok.col)
-        args: dict = {}
-        if kind == "betti":
-            args["module"] = self.ref_module()
-            args["maxdeg"] = self.parse_kv_int("maxdeg")
-        elif kind == "complexity":
-            args["module"] = self.ref_module()
-        elif kind in ("ext", "tor"):
-            args["module"] = self.ref_module()
-            args["module2"] = self.ref_module()
-            args["maxdeg"] = self.parse_kv_int("maxdeg")
-        elif kind == "verify-complex":
-            args["ring"] = self.ref_ring()
-            self.expect_keyword("matrices")
-            self.expect_sym("=")
-            args["matrices"] = self.parse_matrix_list(self.rings[args["ring"]].varnames)
-            self.expect_keyword("range")
-            self.expect_sym("=")
-            a = self.expect_int("range start")
-            self.expect_sym("..")
-            b = self.expect_int("range end")
-            if b < a:
-                self.fail("empty range")
-            if b - a + 1 != len(args["matrices"]):
-                self.fail(f"range {a}..{b} needs {b - a + 1} matrices, got {len(args['matrices'])}")
-            args["range"] = (a, b)
-        elif kind == "reduce":
-            args["module"] = self.ref_module()
-            args["maxdeg"] = self.parse_kv_int("maxdeg")
-        elif kind == "projdim-check":
-            args["module"] = self.ref_module()
-        elif kind == "symmetry":
-            args["module"] = self.ref_module()
-            args["module2"] = self.ref_module()
-        elif kind == "vartest":
-            args["module"] = self.ref_module()
-            self.expect_keyword("tests")
-            self.expect_sym("=")
-            args["tests"] = self.parse_module_list()
-            args["t"] = self.parse_kv_int("t")
-        elif kind == "testci":
-            args["module"] = self.ref_module()
-            args["t"] = self.parse_kv_int("t")
-            args["q"] = self.parse_kv_int("q")
-            args["n"] = self.parse_kv_int("n")
-            self.expect_keyword("tests")
-            self.expect_sym("=")
-            args["tests"] = self.parse_module_list()
-        else:
-            self.fail(f"unknown task {kind!r}")
+        args = self.parse_slots(TASK_SLOTS[kind])
         self.end_statement()
-        return TaskDecl(kind, args, loc)
+        return TaskDecl(kind, args, SrcLoc(tok.line, tok.col))
 
     def parse_task_name(self) -> str:
         parts = [self.expect_ident("task name").value]
@@ -411,6 +319,33 @@ class _Parser(TokenStream):
         if name not in TASK_KINDS:
             self.fail(f"unknown task {name!r}")
         return name
+
+    def parse_slots(self, slots: Tuple[str, ...]) -> dict:
+        """Read the argument slots in order (see MODULE_SLOTS)."""
+        args: dict = {}
+        for slot in slots:
+            if slot == "degrees":
+                self.expect_keyword("degrees")
+            elif slot not in _BARE_SLOTS:
+                self.expect_keyword(slot)
+                self.expect_sym("=")
+            if slot == "ring":
+                args[slot] = self.ref_ring()
+            elif slot in ("module", "module2"):
+                args[slot] = self.ref_module()
+            elif slot == "matrix":
+                args[slot] = self.parse_matrix(self.rings[args["ring"]].varnames)
+            elif slot == "matrices":
+                args[slot] = self.parse_matrix_list(self.rings[args["ring"]].varnames)
+            elif slot == "degrees":
+                args[slot] = self.parse_int_list()
+            elif slot == "tests":
+                args[slot] = self.parse_module_list()
+            elif slot == "range":
+                args[slot] = self.parse_range(len(args["matrices"]))
+            else:
+                args[slot] = self.expect_int()
+        return args
 
     def ref_ring(self) -> str:
         tok = self.expect_ident("ring name")
@@ -431,10 +366,16 @@ class _Parser(TokenStream):
             names.append(self.ref_module())
         return tuple(names)
 
-    def parse_kv_int(self, key: str) -> int:
-        self.expect_keyword(key)
-        self.expect_sym("=")
-        return self.expect_int()
+    def parse_range(self, count: int) -> Tuple[int, int]:
+        """``a..b``, one index for each of ``count`` matrices."""
+        a = self.expect_int("range start")
+        self.expect_sym("..")
+        b = self.expect_int("range end")
+        if b < a:
+            self.fail("empty range")
+        if b - a + 1 != count:
+            self.fail(f"range {a}..{b} needs {b - a + 1} matrices, got {count}")
+        return a, b
 
     def parse_int_list(self) -> Tuple[int, ...]:
         self.expect_sym("[")
@@ -511,52 +452,31 @@ def print_scenario(scenario: Scenario) -> str:
             rels = ", ".join(g.text(decl.varnames) for g in decl.relations)
             out.append(f"ring {decl.name} = [{','.join(decl.varnames)}] / ({rels})")
         elif isinstance(decl, ModuleDecl):
-            names = scenario.rings[decl.ring].varnames if decl.ring else ()
-            if decl.kind == "coker":
-                out.append(
-                    f"module {decl.name} = coker {decl.ring} "
-                    f"{_matrix_text(decl.matrix, names)} degrees [{','.join(map(str, decl.degrees))}]"
-                )
-            elif decl.kind == "k":
-                out.append(f"module {decl.name} = k {decl.ring}")
-            elif decl.kind == "kchi":
-                out.append(f"module {decl.name} = kchi {decl.ring} j={decl.j}")
-            elif decl.kind == "cut":
-                out.append(f"module {decl.name} = cut {decl.arg} j={decl.j}")
-            elif decl.kind == "syzygy":
-                out.append(f"module {decl.name} = syzygy {decl.arg} i={decl.i}")
-            elif decl.kind == "sum":
-                out.append(f"module {decl.name} = sum {decl.arg} {decl.arg2}")
-        elif isinstance(decl, TaskDecl):
-            out.append(_task_text(scenario, decl))
+            out.append(f"module {decl.name} = {decl.kind} "
+                       + _slots_text(scenario, MODULE_SLOTS[decl.kind], decl.args))
+        else:
+            out.append(f"task {decl.kind} " + _slots_text(scenario, TASK_SLOTS[decl.kind], decl.args))
     return "\n".join(out) + "\n"
 
 
-def _task_text(scenario: Scenario, task: TaskDecl) -> str:
-    a = task.args
-    if task.kind == "betti":
-        return f"task betti {a['module']} maxdeg={a['maxdeg']}"
-    if task.kind == "complexity":
-        return f"task complexity {a['module']}"
-    if task.kind in ("ext", "tor"):
-        return f"task {task.kind} {a['module']} {a['module2']} maxdeg={a['maxdeg']}"
-    if task.kind == "verify-complex":
-        names = scenario.rings[a["ring"]].varnames
-        mats = "[" + ",".join(_matrix_text(mx, names) for mx in a["matrices"]) + "]"
-        lo, hi = a["range"]
-        return f"task verify-complex {a['ring']} matrices={mats} range={lo}..{hi}"
-    if task.kind == "reduce":
-        return f"task reduce {a['module']} maxdeg={a['maxdeg']}"
-    if task.kind == "projdim-check":
-        return f"task projdim-check {a['module']}"
-    if task.kind == "symmetry":
-        return f"task symmetry {a['module']} {a['module2']}"
-    if task.kind == "vartest":
-        return f"task vartest {a['module']} tests={','.join(a['tests'])} t={a['t']}"
-    if task.kind == "testci":
-        return (f"task testci {a['module']} t={a['t']} q={a['q']} n={a['n']} "
-                f"tests={','.join(a['tests'])}")
-    raise InputError(f"unknown task kind {task.kind!r}")
+def _slots_text(scenario: Scenario, slots: Tuple[str, ...], args: dict) -> str:
+    """The argument slots as parse_slots reads them."""
+    parts = []
+    for slot in slots:
+        value = args[slot]
+        if slot in ("matrix", "matrices"):
+            names = scenario.rings[args["ring"]].varnames
+            value = (_matrix_text(value, names) if slot == "matrix"
+                     else "[" + ",".join(_matrix_text(mx, names) for mx in value) + "]")
+        elif slot == "degrees":
+            value = f"[{','.join(map(str, value))}]"
+        elif slot == "range":
+            value = f"{value[0]}..{value[1]}"
+        elif slot == "tests":
+            value = ",".join(value)
+        parts.append(f"{value}" if slot in _BARE_SLOTS
+                     else f"degrees {value}" if slot == "degrees" else f"{slot}={value}")
+    return " ".join(parts)
 
 
 # -- runner -------------------------------------------------------------------
@@ -625,8 +545,9 @@ def _short(value) -> str:
 class _Workspace:
     """Materialized rings and modules for one scenario run.
 
-    Each ring has one residue field and each cut parent one operator set,
-    so ``k``, ``kchi`` and ``cut`` share a resolution and its operators.
+    Each ring has one residue field, each cut parent one operator set and
+    each parent and j one cut, so ``kchi A j=<j>`` and ``cut k j=<j>`` are
+    one module, and ``k``, ``kchi`` and ``cut`` share a resolution.
     """
 
     def __init__(self, scenario: Scenario, options: RunOptions):
@@ -634,9 +555,7 @@ class _Workspace:
         self.options = options
         self.field = Field(scenario.field_decl.p)
         self.algebras: Dict[str, Algebra] = {}
-        self.cis: Dict[str, MonomialCI] = {}
-        self.residue_fields: Dict[str, Module] = {}
-        self.operators: Dict[int, EisenbudOperatorSet] = {}  # id of the cut parent: its operators
+        self.memo: dict = {}
         self.mods: Dict[str, Module] = {}
         for decl in scenario.decls:
             if isinstance(decl, RingDecl):
@@ -646,38 +565,31 @@ class _Workspace:
             elif isinstance(decl, ModuleDecl):
                 self.mods[decl.name] = self._build_module(decl)
 
-    def ci(self, ring: str) -> MonomialCI:
-        got = self.cis.get(ring)
-        if got is None:
-            got = MonomialCI.from_algebra(self.algebras[ring])
-            self.cis[ring] = got
-        return got
-
-    def residue(self, ring: str) -> Module:
-        got = self.residue_fields.get(ring)
-        if got is None:
-            got = residue_field(self.algebras[ring])
-            self.residue_fields[ring] = got
-        return got
+    def _once(self, key: tuple, build: Callable[[], object]):
+        """build(), made once per key; a parent module is keyed by its id."""
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
 
     def _build_module(self, decl: ModuleDecl) -> Module:
         A = self.algebras[decl.ring]
+        a = decl.args
         if decl.kind == "coker":
-            entries = [[A.nf_polynomial(p) for p in row] for row in decl.matrix]
-            return coker_presentation(A, entries, list(decl.degrees))
+            entries = [[A.nf_polynomial(p) for p in row] for row in a["matrix"]]
+            return coker_presentation(A, entries, list(a["degrees"]))
+        k = lambda: self._once(("k", decl.ring), lambda: residue_field(A))
         if decl.kind == "k":
-            return self.residue(decl.ring)
+            return k()
         if decl.kind in ("kchi", "cut"):
             # kchi is the cut of the ring's k
-            parent = self.residue(decl.ring) if decl.kind == "kchi" else self.mods[decl.arg]
-            ops = self.operators.get(id(parent))
-            if ops is None:
-                ops = self.operators[id(parent)] = eisenbud_operators(self.ci(decl.ring), parent, 4)
-            return cut_by_chi(ops, decl.j).module
+            parent = k() if decl.kind == "kchi" else self.mods[a["module"]]
+            ci = self._once(("ci", decl.ring), lambda: MonomialCI.from_algebra(A))
+            ops = self._once(("operators", id(parent)), lambda: eisenbud_operators(ci, parent, 4))
+            return self._once(("cut", id(parent), a["j"]), lambda: cut_by_chi(ops, a["j"]).module)
         if decl.kind == "syzygy":
-            return syzygy(self.mods[decl.arg], decl.i)
+            return syzygy(self.mods[a["module"]], a["i"])
         if decl.kind == "sum":
-            return direct_sum(self.mods[decl.arg], self.mods[decl.arg2])
+            return direct_sum(self.mods[a["module"]], self.mods[a["module2"]])
         raise InputError(f"unknown module builder {decl.kind!r}")
 
 

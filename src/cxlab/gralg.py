@@ -13,7 +13,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ScenarioError
 from .exactla import Field, Mat, rref
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "parse_poly_tokens",
     "Token",
     "TokenStream",
+    "tokenize_line",
     "Algebra",
     "AlgebraElement",
     "build_algebra",
@@ -181,18 +182,23 @@ class TokenStream:
         raise InputError(f"column {tok.col}: {message}")
 
 
-_POLY_TOKEN = re.compile(r"\s*(?:(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)|(?P<INT>\d+)|(?P<SYM>[\^\*\+\-]))")
+# names and integers are ASCII; any other character outside whitespace is an error
+_TOKEN = re.compile(r"\s*(?:(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)|(?P<INT>[0-9]+)"
+                    r"|(?P<SYM>\.\.|[\[\](),=/^*+-]))")
 
 
-def _poly_tokens(text: str) -> List[Token]:
+def tokenize_line(text: str, line: int = 1) -> List[Token]:
+    """The tokens of one line of the scenario language, polynomials included;
+    a character that starts no token raises a ScenarioError at its column."""
     tokens: List[Token] = []
     pos = 0
-    while (m := _POLY_TOKEN.match(text, pos)) is not None:
-        tokens.append(Token(m.lastgroup, m.group(m.lastgroup), 1, m.start(m.lastgroup) + 1))
+    while (m := _TOKEN.match(text, pos)) is not None:
+        tokens.append(Token(m.lastgroup, m.group(m.lastgroup), line, m.start(m.lastgroup) + 1))
         pos = m.end()
-    if text[pos:].strip():
-        raise InputError(f"bad polynomial syntax near {text[pos:pos+10]!r}")
-    return tokens + [Token("END", "", 1, len(text) + 1)]
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ScenarioError(f"unexpected character {rest[0]!r}", line, len(text) - len(rest) + 1)
+    return tokens
 
 
 def parse_poly_tokens(stream: TokenStream, varnames: Sequence[str], field: Field) -> Polynomial:
@@ -241,7 +247,7 @@ def parse_poly_tokens(stream: TokenStream, varnames: Sequence[str], field: Field
 def parse_polynomial(text: str, varnames: Sequence[str], field: Field) -> Polynomial:
     """Parse one polynomial in the shared syntax (see parse_poly_tokens);
     whitespace is insignificant."""
-    stream = TokenStream(_poly_tokens(text))
+    stream = TokenStream(tokenize_line(text) + [Token("END", "", 1, len(text) + 1)])
     poly = parse_poly_tokens(stream, varnames, field)
     if stream.peek().kind != "END":
         stream.fail(f"unexpected {stream.peek().value!r} after the polynomial", stream.peek())

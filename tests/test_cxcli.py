@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cxlab import cxcli
+from cxlab import cioper, cxcli
 from cxlab.errors import ScenarioError
 from cxlab.cxcli import RunOptions, main, parse_scenario, print_scenario, run
 from cxlab.resol import MinimalFreeResolution
@@ -46,6 +46,68 @@ def test_parse_semantic_errors():
         parse_scenario("field p = 5\nring A = [x] / (y^2)\n")
     with pytest.raises(ScenarioError, match="out of range"):
         parse_scenario("field p = 5\nring A = [x,y] / (x^2,y^2)\nmodule T = kchi A j=3\n")
+
+
+_RING = "field p = 5\nring A = [x,y] / (x^2,y^2)\n"
+_K = _RING + "module k = k A\n"
+
+
+_PARSE_ERRORS = [
+    ("ring A = [x] / (x^2)\n", "expected 'field'", 1, 1),
+    ("field p = 5\nfield p = 7\n", "duplicate 'field' declaration", 2, 1),
+    ("field p = 6\n", "field cardinality must be prime, got 6", 1, 11),
+    ("field p = 5\nring A = [x,x] / (x^2)\n", "duplicate variable name", 2, 6),
+    ("field p = 5\nring A = [x] / (x^2+x)\n", "relation must be homogeneous of degree >= 1", 2, 17),
+    ("field p = 5\nring A = [x] / (y^2)\n", "unknown variable 'y'", 2, 17),
+    (_RING + "module M = free A\n", "expected one of: coker, k, kchi, cut, syzygy, sum", 3, 12),
+    (_RING + "module k = k B\n", "unknown ring 'B'", 3, 14),
+    (_K + "module A = k A\n", "name 'A' already defined", 4, 8),
+    (_RING + "module T = kchi A j=3\n", "j=3 out of range for ring 'A'", 3, 8),
+    (_K + "module C = cut k j=0\n", "j=0 out of range for ring 'A'", 4, 8),
+    (_K + "module S = syzygy k 2\n", "expected 'i'", 4, 21),
+    (_RING + "module M = coker A [[x, y]] degrees [0, 1]\n", "degree count does not match matrix rows", 3, 8),
+    (_RING + "module M = coker A [[x, y], [x]] degrees [0, 1]\n", "ragged matrix", 3, 34),
+    (_RING + "module M = coker A [[x]] degs [0]\n", "expected 'degrees'", 3, 26),
+    (_K + "ring B = [z] / (z^3)\nmodule l = k B\nmodule S = sum k l\n",
+     "sum of modules over different rings", 6, 8),
+    (_K + "task betti k\n", "expected 'maxdeg'", 4, 13),
+    (_K + "task betti k maxdeg=x\n", "expected integer", 4, 21),
+    (_K + "task frob k\n", "unknown task 'frob'", 4, 11),
+    (_K + "task projdim check k\n", "unknown task 'projdim'", 4, 14),
+    (_RING + "task verify-complex A matrices=[[[x]]] range=2..1\n", "empty range", 3, 50),
+    (_RING + "task verify-complex A matrices=[[[x]],[[x]]] range=0..2\n",
+     "range 0..2 needs 3 matrices, got 2", 3, 56),
+    (_K + "task vartest k tests=k,T t=1\n", "unknown module 'T'", 4, 24),
+    (_K + "task testci k t=1 q=1 n=2\n", "expected 'tests'", 4, 26),
+    (_K + "task complexity k k\n", "expected end of line", 4, 19),
+    (_K + "task complexity $k\n", "unexpected character '$'", 4, 17),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", _PARSE_ERRORS, ids=[e[1] for e in _PARSE_ERRORS])
+def test_parse_error_message_and_location(text, message, line, col):
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+    # the grammar in the module docstring names every builder and task
+    grammar = cxcli.__doc__.split("Reports serialize")[0]
+    for kind in [*cxcli.MODULE_SLOTS, *cxcli.TASK_SLOTS]:
+        assert f" {kind} <" in grammar, kind
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("field p = 5\nring A = [x] / (x^²)\n", 2, 19),
+    ("field p = ٥\n", 1, 11),
+    ("field p = 5\nring A = [é] / (é^2)\n", 2, 11),
+])
+def test_non_ascii_is_an_unexpected_character(text, line, col, tmp_path, capsys):
+    with pytest.raises(ScenarioError, match="unexpected character") as exc:
+        parse_scenario(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    f = tmp_path / "bad.cx"
+    f.write_text(text, encoding="utf-8")
+    assert main(["check", str(f)]) == 2
+    assert f":{line}:{col}: unexpected character" in capsys.readouterr().err
 
 
 def test_parse_error_points_at_unknown_variable():
@@ -105,6 +167,9 @@ def test_kchi_is_the_cut_of_the_shared_k(monkeypatch):
     operators = cxcli.eisenbud_operators
     monkeypatch.setattr(cxcli, "eisenbud_operators",
                         lambda ci, module, n: (operated.append(module), operators(ci, module, n))[1])
+    pushed = []
+    pushout = cioper.pushout
+    monkeypatch.setattr(cioper, "pushout", lambda eta: (pushed.append(eta), pushout(eta))[1])
     sc = parse_scenario(text)
     ws = cxcli._Workspace(sc, RunOptions(max_degree=12))
     mods = ws.mods
@@ -113,6 +178,9 @@ def test_kchi_is_the_cut_of_the_shared_k(monkeypatch):
     # one residue field, resolved once; one operator set per cut parent
     assert [m for m in resolved if m.provenance == "k"] == [mods["k"]]
     assert [id(m) for m in operated] == [id(mods["k"]), id(mods["C"])]
+    # one cut per parent and j: kchi A j=1 is cut k j=1, and one pushout each for k.chi1, k.chi2, C.chi2
+    assert mods["T1"] is mods["C"]
+    assert len(pushed) == 3
     assert [mods[name].chi_cuts for name in ("T1", "T2", "C", "D")] == [1, 1, 1, 2]
     # vartest accepts T1 as a test module of cut size 1
     result = cxcli._run_task(ws, sc.tasks[0])

@@ -6,12 +6,14 @@ from cxlab.errors import InputError
 from cxlab.exactla import Field
 from cxlab.gralg import (
     Polynomial,
+    Token,
     build_algebra,
     codimension,
     is_gorenstein,
     monomials_of_degree,
     multiply,
     parse_polynomial,
+    tokenize_line,
 )
 from conftest import GASHAROV_RELATIONS, GASHAROV_VARS
 from oracles import hilbert_by_bruteforce
@@ -198,3 +200,11 @@ def test_product_near_the_largest_prime():
     A = build_algebra(F, 2, [parse_polynomial(s, XY, F) for s in ["x^2+7*y^2", "x*y"]], varnames=XY)
     pe = lambda s: A.nf_polynomial(parse_polynomial(s, XY, F))
     assert multiply(pe("-2*x-3*y"), pe("-5*x-11*y")) == pe("-37*y^2")
+
+
+def test_polynomial_tokens_are_the_scenario_tokens():
+    # one tokenizer: a character that no scenario token starts with is an error here too
+    for text, col in [("x^²", 3), ("é^2", 1), ("x + ٥", 5)]:
+        with pytest.raises(InputError, match=f"1:{col}: unexpected character"):
+            parse_polynomial(text, ["x"], F5)
+    assert tokenize_line("ring A = [x]", 2)[3] == Token("SYM", "[", 2, 10)
