@@ -18,9 +18,14 @@ A Mat has two constructors.  The public Mat(field, array) reduces its input
 mod p (a copy), and so do +, -, negation and scale.  The private
 Mat._trusted wraps an array that is reduced by construction (a product, an
 echelon form, a transpose, a stack or slice of reduced arrays) without a
-copy.  Elimination clears each pivot column only in the rows where it is
-nonzero while those are fewer than a quarter of the rows, and with one
-rank-1 update of the whole block otherwise.  A large matrix is split into
+copy.  Elimination first peels the rows with a single nonzero entry: each
+is a multiple of a unit vector e_c, so c is a pivot column whose reduced
+row is e_c; the column is cleared from the nonzero pattern without any
+arithmetic, which may make new singleton rows (the singleton step of
+structured Gaussian elimination).  On the benchmark's inputs peeling
+leaves about a tenth of the cells.  The residual clears each pivot column only in the rows where it
+is nonzero while those are fewer than a quarter of the rows, and with one
+rank-1 update of the whole block otherwise.  A large residual is split into
 the blocks of its nonzero pattern (over a monomial complete intersection,
 many tiny blocks of a few shapes), and the blocks of each shape are
 stacked and eliminated together, column by column, by one batched kernel,
@@ -258,13 +263,21 @@ class Mat:
             raise InputError("matrices over different fields")
 
 
-# Below this many cells the whole matrix is eliminated at once: finding and
-# grouping the blocks costs more than it saves.  Measured with the batched
-# path on the 3016 RREF inputs of one pass of each benchmark workload (seed
-# 0; 2 vCPUs, one BLAS thread), whole against blocked, summed by size:
-# 1024-2048 cells 87 against 99 ms, 2048-4096 cells 127 against 106 ms;
-# all inputs take 582, 569 and 591 ms with the cut at 1024, 2048 and 4096.
-_BLOCK_MIN_CELLS = 2048
+# Below _PEEL_MIN_CELLS cells a matrix goes to _eliminate whole: looking
+# for singleton rows costs more than they save.  Below _BLOCK_MIN_CELLS the
+# residual left after peeling is eliminated whole: finding and grouping its
+# blocks costs more than it saves.  Measured on the 2768 RREF inputs of one
+# seed-0 pass of each benchmark workload (2 vCPUs, one BLAS thread, best of
+# 15 repeats), summed by size.  Inputs, whole against peeled: 32-48 cells
+# (144 inputs) 2.4 against 3.6 ms, 48-64 cells (61) 1.3 against 1.4 ms,
+# 64-96 cells (181) 5.5 against 4.9 ms.  Peeling leaves 843 nonempty
+# residuals (276k of the 2.69M cells); residuals, whole against blocked:
+# 512-1024 cells (59) 5.7 against 9.5 ms, 1024-2048 cells (26) 3.7
+# against 4.3 ms, 2048-8192 cells (9) 3.4 against 3.8 ms, above 8192 cells
+# (5) 5.5 against 3.6 ms.  All inputs take the same time, within the spread
+# of repeats (100-112 ms), with the block cut at 2048, 4096, 8192 or 16384.
+_PEEL_MIN_CELLS = 48
+_BLOCK_MIN_CELLS = 8192
 
 
 def _eliminate(A: np.ndarray, p: int):
@@ -283,7 +296,7 @@ def _eliminate(A: np.ndarray, p: int):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(A[r:, c])[0]
+        nz = A[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
@@ -291,7 +304,7 @@ def _eliminate(A: np.ndarray, p: int):
             A[[r, i]] = A[[i, r]]
         inv = pow(int(A[r, c]), p - 2, p)
         A[r] = (A[r] * inv) % p
-        hit = np.flatnonzero(A[:, c])
+        hit = A[:, c].nonzero()[0]
         if hit.size > 1:
             if 4 * hit.size < rows:
                 others = hit[hit != r]
@@ -304,6 +317,14 @@ def _eliminate(A: np.ndarray, p: int):
         pivots.append(c)
         r += 1
     return A, pivots
+
+
+def _complement(n: int, indices) -> np.ndarray:
+    """The sorted indices 0..n-1 that are not among indices (a sequence of
+    distinct ones, such as pivot columns), from one boolean mask."""
+    keep = np.ones(n, dtype=bool)
+    keep[np.asarray(indices, dtype=np.intp)] = False
+    return keep.nonzero()[0]
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
@@ -385,8 +406,8 @@ def _blocks(a: np.ndarray):
     return row_label, np.where(used, label, ncols)
 
 
-def _rref_array(a: np.ndarray, p: int):
-    """RREF of a copy of a; returns (array, pivot column list).
+def _rref_dense(a: np.ndarray, p: int):
+    """RREF of a copy of a, without peeling; returns (array, pivot column list).
 
     A large matrix is eliminated block by block of its nonzero pattern.  For
     a fixed column order the RREF of a row space is unique, and the row
@@ -439,6 +460,58 @@ def _rref_array(a: np.ndarray, p: int):
     return out, pivots.tolist()
 
 
+def _rref_array(a: np.ndarray, p: int):
+    """RREF of a copy of a; returns (array, pivot column list).
+
+    Rows with a single nonzero entry are taken first, before any arithmetic
+    (the singleton step of structured Gaussian elimination: LaMacchia and
+    Odlyzko, CRYPTO '90; Faugere and Lachartre, PASCO 2010, take known
+    pivots the same way).  Such a row is a multiple of the unit vector e_c,
+    so e_c lies in the row space: c is a pivot column, its RREF row is e_c,
+    and every other RREF row is zero at c.  Column c is cleared from the
+    nonzero pattern, and the nonzero count of each row it meets drops by
+    one, which may make new singleton rows; the step repeats until none is
+    left.  Every row of a is then a combination of the peeled e_c plus its
+    residual, the row restricted to the columns not peeled, so the row
+    space of a is the direct sum of span{e_c} and the row space of the
+    residual.  The residual's RREF (_rref_dense, on its nonzero rows and
+    columns only) is zero at every peeled column and the e_c are zero at
+    its pivots, so the two sets of rows, merged by pivot column, are the
+    RREF of a: the same array as eliminating a whole.
+    """
+    if a.size < _PEEL_MIN_CELLS:
+        return _eliminate(a.copy(), p)
+    nz = a != 0
+    count = nz.sum(axis=1)
+    peeled = []
+    while True:
+        single = (count == 1).nonzero()[0]
+        if single.size == 0:
+            break
+        # the column of each singleton row; rows sharing one column peel it once
+        hit = np.zeros(a.shape[1], dtype=bool)
+        hit[nz[single].argmax(axis=1)] = True
+        c = hit.nonzero()[0]
+        count -= nz[:, c].sum(axis=1)
+        nz[:, c] = False
+        peeled.append(c)
+    if not peeled:
+        return _rref_dense(a, p)
+    unit = np.concatenate(peeled)
+    rows = count.nonzero()[0]
+    cols = nz.any(axis=0).nonzero()[0]
+    R, piv = _rref_dense(a[rows][:, cols], p)
+    reduced = cols[piv]
+    pivots = np.sort(np.concatenate([unit, reduced]))
+    out = np.zeros(a.shape, dtype=np.int64)
+    out[np.searchsorted(pivots, unit), unit] = 1
+    # whole rows scatter faster than a row-by-column grid
+    wide = np.zeros((len(piv), a.shape[1]), dtype=np.int64)
+    wide[:, cols] = R[: len(piv)]
+    out[np.searchsorted(pivots, reduced)] = wide
+    return out, pivots.tolist()
+
+
 def rref(m: Mat):
     """Reduced row-echelon form.
 
@@ -457,7 +530,7 @@ def kernel_basis(m: Mat) -> Mat:
     column, so the basis is canonical for a given input.
     """
     R, pivots, rank = rref(m)
-    free = np.setdiff1d(np.arange(m.cols), pivots)
+    free = _complement(m.cols, pivots)
     K = np.zeros((m.cols, len(free)), dtype=np.int64)
     K[free, np.arange(len(free))] = 1
     K[list(pivots)] = -R.a[:rank, free] % m.field.p
@@ -479,7 +552,7 @@ def kernel_rref(m: Mat):
     n = m.cols
     R, piv = _rref_array(m.a[:, ::-1], m.field.p)
     rank = len(piv)
-    free = np.setdiff1d(np.arange(n), piv)
+    free = _complement(n, piv)
     K = np.zeros((len(free), n), dtype=np.int64)
     K[np.arange(len(free)), free] = 1
     K[:, piv] = -R[:rank, free].T % m.field.p

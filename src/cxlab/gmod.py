@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InvariantError, check
-from .exactla import Field, Mat, _matmul_mod, kernel_basis, rref
+from .exactla import Field, Mat, _complement, _matmul_mod, kernel_basis, rref
 from .gralg import Algebra, AlgebraElement
 
 __all__ = [
@@ -440,7 +440,7 @@ def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarr
     images = m.multiples(span.transpose(), "variables").a[pivots]
     _, mn_pivots, _ = rref(Mat._trusted(m.field, images.T))
     return [(span.a[q].copy(), _row_degree(m, span.a[q]))
-            for q in np.setdiff1d(np.arange(span.rows), mn_pivots)]
+            for q in _complement(span.rows, mn_pivots)]
 
 
 @dataclass
@@ -591,7 +591,7 @@ def quotient_by_span(m: Module, span_rows: Mat, provenance: str = "quotient",
     if span_rows.cols != m.dim:
         raise InputError("span vectors have the wrong length")
     R, pivots, rank = rref(span_rows)
-    nonpivot = np.setdiff1d(np.arange(m.dim), pivots)
+    nonpivot = _complement(m.dim, pivots)
     for r in range(rank):
         _row_degree(m, R.a[r])
     lift = np.zeros((m.dim, len(nonpivot)), dtype=np.int64)

@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, ScenarioError
-from .exactla import Field, Mat, rref
+from .exactla import Field, Mat, _complement, rref
 
 __all__ = [
     "Polynomial",
@@ -330,7 +330,7 @@ class Algebra:
                     row[mono_pos[em]] = c
                 rows.append(row)
         R, pivots, _ = rref(Mat.from_rows(self.field, rows, cols=len(monos)))
-        nonpivot = np.setdiff1d(np.arange(len(monos)), pivots)
+        nonpivot = _complement(len(monos), pivots)
         for r, pc in enumerate(pivots):
             nf = (-R.a[r, nonpivot]) % self.field.p
             if nf.any():

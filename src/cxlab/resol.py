@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, check
-from .exactla import Mat, kernel_rref, pivot_inverse
+from .exactla import Mat, _complement, kernel_rref, pivot_inverse
 from .gralg import Algebra, AlgebraElement
 from .gmod import (
     FreeModule,
@@ -108,7 +108,7 @@ class MinimalFreeResolution:
             # span is the identity at its pivot columns (kernel_rref writes it
             # so), so the pivot rows agree by definition of Z and only the
             # other rows need the product.  At i = 0 the span is all of M.
-            rest = np.setdiff1d(np.arange(span.cols), pivots)
+            rest = _complement(span.cols, pivots)
             check(Mat._trusted(A.field, span.a[:, rest].T) @ Z == Mat._trusted(A.field, d_real.a[rest]),
                   f"image of d_{i} leaves the span of ker d_{i-1}")
         # One elimination of Z gives its rank and ker Z.  Reading coordinates

@@ -10,6 +10,7 @@ internal degree shift, so every constructed extension module stays graded.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,39 +87,48 @@ def _tensor_differential(res: MinimalFreeResolution, n: Module, i: int) -> Mat:
     return block_action(n, res.diff_coefficients(i))
 
 
-def ext_table(m: Module, n: Module, max_degree: int) -> List[int]:
-    """dim_k Ext^i_A(M, N) for i = 0..max_degree, via Hom(F_., N)."""
+# The ranks of the differentials found so far, per resolution and target
+# module: of delta^i = Hom(d_{i+1}, N) for Ext, of d_{i+1} (x) N for Tor,
+# i = 0, 1, ...  Ranks only, no matrices.  Weak on both keys, so an entry
+# goes away with its resolution or its target.
+_RANKS: "weakref.WeakKeyDictionary[MinimalFreeResolution, weakref.WeakKeyDictionary]" = \
+    weakref.WeakKeyDictionary()
+
+
+def _table(functor: str, m: Module, n: Module, max_degree: int) -> List[int]:
+    """dim_k of Ext^i_A(M, N) (functor "Ext", via Hom(F_., N)) or of
+    Tor_i^A(M, N) ("Tor", via F_. (x) N) for i = 0..max_degree.
+
+    Both complexes have dimension rank F_i * dim N in degree i, so each
+    group is that minus the ranks of the two differentials at degree i
+    (delta^{i-1} and delta^i, or d_i (x) 1 and d_{i+1} (x) 1, the one at
+    i = 0 being zero).  The ranks come from _RANKS: a table extends the
+    prefix it needs, so each differential is built once per resolution and
+    target.
+    """
     if m.algebra is not n.algebra:
-        raise InputError("Ext between modules over different algebras")
+        raise InputError(f"{functor} between modules over different algebras")
     res = resolve(m, max_degree + 1)
     if n.dim == 0 or m.dim == 0:
         return [0] * (max_degree + 1)
-    dims = []
-    prev_rank = 0
-    for i in range(max_degree + 1):
-        delta = _hom_differential(res, n, i)
-        nullity = delta.cols - delta.rank()
-        dims.append(nullity - prev_rank)
-        prev_rank = delta.rank()
-    return dims
+    by_target = _RANKS.setdefault(res, weakref.WeakKeyDictionary())
+    ranks = by_target.setdefault(n, {"Ext": [], "Tor": []})[functor]
+    while len(ranks) <= max_degree:
+        i = len(ranks)
+        d = _hom_differential(res, n, i) if functor == "Ext" else _tensor_differential(res, n, i + 1)
+        ranks.append(d.rank())
+    at = [0] + ranks
+    return [res.free(i).rank * n.dim - at[i] - at[i + 1] for i in range(max_degree + 1)]
+
+
+def ext_table(m: Module, n: Module, max_degree: int) -> List[int]:
+    """dim_k Ext^i_A(M, N) for i = 0..max_degree, via Hom(F_., N)."""
+    return _table("Ext", m, n, max_degree)
 
 
 def tor_table(m: Module, n: Module, max_degree: int) -> List[int]:
     """dim_k Tor_i^A(M, N) for i = 0..max_degree, via F_. (x) N."""
-    if m.algebra is not n.algebra:
-        raise InputError("Tor between modules over different algebras")
-    res = resolve(m, max_degree + 1)
-    if n.dim == 0 or m.dim == 0:
-        return [0] * (max_degree + 1)
-    dims = []
-    nullity = res.free(0).rank * n.dim
-    for i in range(max_degree + 1):
-        # d_{i+1} (x) 1 gives the boundaries in degree i and the cycles in i + 1
-        d_next = _tensor_differential(res, n, i + 1)
-        rank = d_next.rank()
-        dims.append(nullity - rank)
-        nullity = d_next.cols - rank
-    return dims
+    return _table("Tor", m, n, max_degree)
 
 
 # -- cocycles -----------------------------------------------------------------
@@ -422,8 +432,8 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
         basis, coboundaries = _cocycle_classes(m, m, t)
         seen = set()
 
-        def fresh(eta: ExtElement) -> bool:
-            v = _reduce_mod_rows(eta.rep, coboundaries)
+        def fresh(rep: np.ndarray) -> bool:
+            v = _reduce_mod_rows(rep, coboundaries)
             nz = np.nonzero(v)[0]
             if nz.size == 0:
                 return False
@@ -435,7 +445,7 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
             return True
 
         for eta in basis:
-            if fresh(eta):
+            if fresh(eta.rep):
                 hit = evaluate(eta)
                 if hit:
                     return hit
@@ -452,9 +462,10 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
             rep = np.zeros_like(group[0].rep)
             for c, e in zip(coeffs, group):
                 rep = (rep + c * e.rep) % p
-            eta = ExtElement(resolve(m, t + 1), m, t, rep, s_key)
-            if fresh(eta):
-                hit = evaluate(eta)
+            # a duplicate is dropped before it is built; a fresh candidate's
+            # cocycle check runs at construction
+            if fresh(rep):
+                hit = evaluate(ExtElement(resolve(m, t + 1), m, t, rep, s_key))
                 if hit:
                     return hit
     return None

@@ -383,7 +383,8 @@ def test_sparse_rref_matches_oracle(monkeypatch, p):
     # sparse matrices, where a pivot column is nonzero in a few rows (only
     # those rows are updated) or in many (one update covers every row).  The
     # row-restricted update multiplies only nonzero coefficients; the full
-    # one also the zero it puts at the pivot row
+    # one also the zero it puts at the pivot row.  rref peels the singleton
+    # rows first, so the dense kernel's two paths are checked on _rref_dense
     F = Field(p)
     rng = np.random.default_rng(p % 1009)
     restricted = []
@@ -393,13 +394,16 @@ def test_sparse_rref_matches_oracle(monkeypatch, p):
         restricted.append(bool(np.all(f != 0)))
         return outer(f, row)
 
-    monkeypatch.setattr(np, "outer", recording)
     for density in (0.005, 0.02, 0.08, 0.3):
         rows, cols = int(rng.integers(32, 161)), int(rng.integers(8, 49))
         a = rng.integers(1, p, (rows, cols)) * (rng.random((rows, cols)) < density)
         R, pivots, rank = rref(Mat(F, a))
         expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
         assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots, (density, rows, cols)
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "outer", recording)
+            D, dense_pivots = exactla._rref_dense(a, p)
+        assert D.tolist() == expected_rows and list(dense_pivots) == expected_pivots
     assert True in restricted and False in restricted
 
 
@@ -482,11 +486,18 @@ def test_batched_rref_matches_oracle(eliminations, p):
 
     null = oracles.gauss_nullspace(a.tolist(), p, cols)
     k_rank, K, k_pivots = kernel_rref(m)
-    expected_rows, expected_pivots = oracles.gauss_rref(null, p, cols)
-    assert k_rank == rank and K.a.tolist() == expected_rows and list(k_pivots) == expected_pivots
+    expected_null, expected_null_pivots = oracles.gauss_rref(null, p, cols)
+    assert k_rank == rank and K.a.tolist() == expected_null and list(k_pivots) == expected_null_pivots
 
-    # every repeated shape went through the batched kernel, in both calls;
-    # only the shapes that occur once reached _eliminate
+    # rref peels the singleton rows (of the (1, 1) and (2, 1) blocks) before
+    # the dense kernel; on the whole matrix, and on it with its columns
+    # reversed (as kernel_rref reduces it), every repeated shape goes
+    # through the batched kernel and only the shapes that occur once reach
+    # _eliminate
+    eliminations.clear()
+    D, dense_pivots = exactla._rref_dense(a, p)
+    assert D.tolist() == expected_rows and list(dense_pivots) == expected_pivots
+    exactla._rref_dense(a[:, ::-1], p)
     batched = [shape for name, shape in eliminations if name == "_eliminate_batch"]
     single = sorted(shape for name, shape in eliminations if name == "_eliminate")
     assert sorted(shape[1:] for shape in batched) == sorted(2 * [(2, 3), (3, 2), (1, 1), (1, 3), (2, 1)])
@@ -512,6 +523,98 @@ def test_equal_blocks_take_one_batched_elimination(eliminations):
     assert eliminations == [("_eliminate_batch", (64, 4, 6))]
     expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), 5, a.shape[1])
     assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
+
+
+def _peelable(kind, p, seed):
+    """Matrices for the singleton-row peeling of rref: "planted", a random
+    sparse matrix with unit rows (some repeated, some sharing a column with
+    a denser row) and zero rows and columns; "chain", a bidiagonal matrix
+    with its rows and columns permuted, where each pass peels one row;
+    "dense", with no singleton row; "units", unit rows only."""
+    rng = np.random.default_rng(seed)
+    if kind == "planted":
+        rows, cols = 36, 28
+        a = rng.integers(1, p, (rows, cols)) * (rng.random((rows, cols)) < 0.12)
+        at = rng.permutation(rows)
+        units = rng.integers(0, cols, 10)
+        units[5:8] = units[:3]  # repeated unit rows
+        a[at[:10]] = 0
+        a[at[:10], units] = rng.integers(1, p, 10)
+        a[at[10:14]] = 0
+        a[:, rng.permutation(cols)[:3]] = 0
+        return a
+    if kind == "chain":
+        n = 24
+        a = np.diag(rng.integers(1, p, n)) + np.diag(rng.integers(1, p, n - 1), 1)
+        return a[rng.permutation(n)][:, rng.permutation(n)]
+    if kind == "dense":
+        return rng.integers(1, p, (10, 12))
+    a = np.zeros((20, 24), dtype=np.int64)
+    a[np.arange(20), rng.permutation(24)[:20]] = rng.integers(1, p, 20)
+    return a
+
+
+_PEELABLE = ("planted", "chain", "dense", "units")
+
+
+@pytest.mark.parametrize("kind", _PEELABLE)
+@pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
+def test_peeled_rref_matches_oracle(p, kind):
+    F = Field(p)
+    a = _peelable(kind, p, seed=p % 101)
+    assert a.size >= exactla._PEEL_MIN_CELLS
+    rows, cols = a.shape
+    m = Mat(F, a)
+
+    R, pivots, rank = rref(m)
+    expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
+    assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
+    assert m.rank() == rank == len(expected_pivots)
+
+    null = oracles.gauss_nullspace(a.tolist(), p, cols)
+    k_rank, K, k_pivots = kernel_rref(m)
+    expected_null, expected_null_pivots = oracles.gauss_rref(null, p, cols)
+    assert k_rank == rank and K.a.tolist() == expected_null and list(k_pivots) == expected_null_pivots
+
+    # pivot_inverse factors the rows that start the oracle's echelon form
+    # when those have full row rank, and refuses a rank-deficient input
+    if rank < rows:
+        with pytest.raises(InputError, match="full row rank"):
+            pivot_inverse(m)
+        return
+    Q, E = pivot_inverse(m)
+    assert Q.tolist() == expected_pivots
+    inverse, _ = oracles.gauss_rref(np.hstack([a[:, Q], np.eye(rows, dtype=np.int64)]).tolist(), p, 2 * rows)
+    assert E.a.tolist() == [row[rows:] for row in inverse]
+
+
+def test_peeling_leaves_the_residual_to_the_dense_kernel(monkeypatch):
+    # a dense 4 x 5 block, next to unit rows, a row on their columns and a
+    # chain that peels one row per pass, with zero rows and columns:
+    # _rref_dense sees only the block
+    rng = np.random.default_rng(18)
+    a = np.zeros((16, 14), dtype=np.int64)
+    a[:4, :5] = rng.integers(1, 5, (4, 5))
+    a[4:7, 5:8] = np.diag([1, 2, 3])
+    a[7, 5:8] = [4, 1, 1]
+    a[8:11, 8:11] = np.diag([2, 3, 4]) + np.diag([1, 1], 1)
+    a[11, 8:12] = [1, 0, 2, 3]
+    a = a[rng.permutation(16)][:, rng.permutation(14)]
+    shapes = []
+    dense = exactla._rref_dense
+
+    def recording(b, p):
+        shapes.append(b.shape)
+        return dense(b, p)
+
+    monkeypatch.setattr(exactla, "_rref_dense", recording)
+    R, pivots, rank = rref(Mat(F5, a))
+    expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), 5, a.shape[1])
+    assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
+    assert shapes == [(4, 5)]
+    # nothing to peel: the whole matrix goes to the dense kernel
+    rref(Mat(F5, rng.integers(1, 5, (8, 8))))
+    assert shapes == [(4, 5), (8, 8)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from cxlab import yoneda
 from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat
 from cxlab.gmod import (
+    Module,
     algebra_coefficients,
     direct_sum,
     free_module,
@@ -68,7 +71,9 @@ def test_tor_tables(A, k, Ax):
         assert tor_table(m, n, 6) == tor_table(n, m, 6)
 
 
-def test_tor_table_builds_each_tensor_differential_once(monkeypatch, k):
+def test_tor_table_builds_each_tensor_differential_once(monkeypatch, A):
+    # a fresh k: the session's k already holds the ranks of earlier tables
+    k = residue_field(A)
     built = []
     tensor_differential = yoneda._tensor_differential
 
@@ -78,7 +83,37 @@ def test_tor_table_builds_each_tensor_differential_once(monkeypatch, k):
 
     monkeypatch.setattr(yoneda, "_tensor_differential", counting)
     assert tor_table(k, k, 12) == [i + 1 for i in range(13)]
+    assert tor_table(k, k, 5) == [i + 1 for i in range(6)]
     assert built == list(range(1, 14))
+
+
+def test_ext_table_builds_each_hom_differential_once(monkeypatch, quadric, k):
+    # the ranks are kept per resolution and target: a longer table extends
+    # the prefix, a shorter one reads it
+    from cxlab.cioper import build_kchi
+
+    built = []
+    hom_differential = yoneda._hom_differential
+
+    def counting(res, n, i):
+        built.append(i)
+        return hom_differential(res, n, i)
+
+    monkeypatch.setattr(yoneda, "_hom_differential", counting)
+    T1 = build_kchi(quadric, 1)
+    tables = {d: ext_table(k, T1, d) for d in (10, 12, 3)}
+    assert built == list(range(13))
+    for d, table in tables.items():
+        assert table == ext_table(k, Module(T1.algebra, T1.degrees, T1.actions), d)
+    # the entry goes with its target module
+    by_target = yoneda._RANKS[resolve(k, 0)]
+    gc.collect()
+    held = len(by_target)
+    assert T1 in by_target
+    collected = weakref.ref(T1)
+    del T1
+    gc.collect()
+    assert collected() is None and len(by_target) == held - 1
 
 
 def test_cocycle_basis_counts(A, k):
@@ -407,6 +442,43 @@ def test_find_reducing_element_same_with_resolved_screen(monkeypatch, gasharov_m
     monkeypatch.setattr(yoneda, "_pushout_betti", oracles.pushout_betti)
     resolved = [_search_summary(find_reducing_element(m, d, seed=s, budget=b)) for m, d, s, b in searches]
     assert ours == resolved
+
+
+def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, F5):
+    # a random candidate is checked for a repeat before its ExtElement is
+    # built, so every random candidate built is screened.  The random loop
+    # runs in the second search, at degree 1, where each shift holds one
+    # basis class: every random candidate is a multiple of one already
+    # screened, and none is built (153 were when each candidate was built
+    # before the check)
+    from cxlab.cioper import MonomialCI
+
+    k = residue_field(MonomialCI.build(F5, [2, 3], varnames=["u", "v"]).algebra)
+    built, basis, screened = [], [], []
+    post_init = ExtElement.__post_init__
+    classes = yoneda._cocycle_classes
+    screen = yoneda._pushout_betti
+
+    def counting_init(eta):
+        built.append(eta)
+        post_init(eta)
+
+    def recording_classes(m, n, t):
+        found = classes(m, n, t)
+        basis.extend(found[0])
+        return found
+
+    def recording_screen(eta, window):
+        screened.append(eta)
+        return screen(eta, window)
+
+    monkeypatch.setattr(ExtElement, "__post_init__", counting_init)
+    monkeypatch.setattr(yoneda, "_cocycle_classes", recording_classes)
+    monkeypatch.setattr(yoneda, "_pushout_betti", recording_screen)
+    sequence, _ = reduction_sequence(k, 4, window=12)
+    assert sequence is not None
+    random_screened = [eta for eta in screened if not any(eta is b for b in basis)]
+    assert len(built) - len(basis) == len(random_screened)
 
 
 def test_find_reducing_element_builds_one_pushout(monkeypatch, gasharov_module):
