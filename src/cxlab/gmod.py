@@ -356,12 +356,26 @@ def compose_on_generators(target: Module, images: Mat, coeffs: np.ndarray) -> Ma
     map sending generator r of F to column r of images, and d: F' -> F is
     the matrix over A with coefficient array coeffs (see algebra_coefficients):
     phi realized by extend_linearly, times the generator images of d.
+
+    images may hold k maps side by side: a width of k * rank F columns, for
+    any k >= 1, is read as k maps, map j in columns j * rank F ..
+    (j + 1) * rank F - 1, and block j of the result, its columns
+    j * rank F' .., is then phi_j o d, byte for byte the result for map j
+    alone; a width that is not a multiple of rank F raises InputError.  Column
+    (j, r, m) of the realization is x^m times generator r of map j, so each
+    row of it holds the k maps' blocks one after the other: read as k rows
+    (a reshape, no copy), it is multiplied by the generator images of d in
+    one product, whose rows, read back, are the k results side by side.
     """
-    _, rows, cols = coeffs.shape
-    if images.rows != target.dim or images.cols != rows:
+    dA, rows, cols = coeffs.shape
+    k = images.cols // rows if rows else 1
+    if images.rows != target.dim or images.cols != k * rows:
         raise InputError(f"generator images of shape {images.shape} do not compose with "
                          f"{rows} x {cols} over A into dimension {target.dim}")
-    return extend_linearly(target, images) @ generator_images(target.field, coeffs)
+    n = target.dim
+    realized = extend_linearly(target, images).a.reshape(n * k, rows * dA)
+    out = _matmul_mod(realized, generator_images(target.field, coeffs).a, target.field.p)
+    return Mat._trusted(target.field, out.reshape(n, k * cols))
 
 
 def block_action(n: Module, coeffs: np.ndarray) -> Mat:

@@ -85,6 +85,14 @@ class MinimalFreeResolution:
         A = self.module.algebra
         target = self.frees[i - 1] if i else self.module
         span, pivots = self._spans[i]
+        if span.rows == 0:
+            # nothing to cover: the zero free module, the zero map and an
+            # empty span, the objects the general path builds; every check
+            # on them is vacuous
+            self.frees.append(free_module(A, []))
+            self._diff_real.append(Mat.zeros(A.field, target.dim, 0))
+            self._spans.append((Mat.zeros(A.field, 0, 0), np.zeros(0, dtype=np.intp)))
+            return
         gens = min_generators(target, span)
         F = free_module(A, [d for _, d in gens])
         # realized map F -> target, sending the g-th generator to the g-th lift

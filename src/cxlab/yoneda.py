@@ -190,8 +190,7 @@ class ExtElement:
 
     def generator_images(self) -> Mat:
         """The representing map on the generators of F_t, one column each."""
-        F = self.resolution.free(self.degree)
-        return Mat._trusted(self.target.field, self.rep.reshape(F.rank, self.target.dim).T)
+        return _side_by_side(self.rep[None], self.resolution.free(self.degree).rank, self.target)
 
     def realized(self) -> Mat:
         """The representing map as a matrix on realized coordinates F_t -> N."""
@@ -199,7 +198,8 @@ class ExtElement:
 
     def class_residual(self) -> np.ndarray:
         """Canonical coset representative: rep reduced modulo coboundaries."""
-        return _reduce_mod_rows(self.rep, _coboundary_echelon(self.resolution, self.target, self.degree))
+        return _reduce_mod_rows(self.rep, _coboundary_echelon(
+            _hom_differential(self.resolution, self.target, self.degree - 1)))
 
     def is_zero_class(self) -> bool:
         return not self.class_residual().any()
@@ -208,10 +208,10 @@ class ExtElement:
         return {"degree": self.degree, "shift": self.shift}
 
 
-def _coboundary_echelon(res: MinimalFreeResolution, n: Module, t: int):
+def _coboundary_echelon(delta_prev: Mat):
     """Reduced echelon form (R, pivots, rank) of the coboundaries in
-    Hom(F_t, N), the image of delta^{t-1}."""
-    return rref(_hom_differential(res, n, t - 1).transpose())
+    Hom(F_t, N), the image of delta_prev = delta^{t-1}."""
+    return rref(delta_prev.transpose())
 
 
 def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
@@ -219,10 +219,12 @@ def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
     return _cocycle_classes(m, n, t)[0]
 
 
-def _cocycle_classes(m: Module, n: Module, t: int):
-    """Canonical representatives of a basis of Ext^t(M, N), and the reduced
-    echelon form of the coboundaries they were reduced by (None when M or N
-    is zero).
+def _cocycle_classes(m: Module, n: Module, t: int, delta_prev: Optional[Mat] = None):
+    """Canonical representatives of a basis of Ext^t(M, N), the reduced
+    echelon form of the coboundaries they were reduced by, and delta^t
+    (None and None when M or N is zero).  delta_prev is delta^{t-1} when the
+    caller holds it (a search hands on the delta^t of the degree before);
+    otherwise it is built here.
 
     The reduced echelon basis of the cocycles (the kernel of delta^t),
     reduced modulo the coboundaries, spans a complement of them; its own
@@ -239,42 +241,62 @@ def _cocycle_classes(m: Module, n: Module, t: int):
         raise InputError("modules over different algebras")
     res = resolve(m, t + 1)
     if m.dim == 0 or n.dim == 0:
-        return [], None
+        return [], None, None
+    if delta_prev is None:
+        delta_prev = _hom_differential(res, n, t - 1)
     delta_t = _hom_differential(res, n, t)
     rank_t, cocycles, _ = kernel_rref(delta_t)
-    coboundaries = _coboundary_echelon(res, n, t)
+    coboundaries = _coboundary_echelon(delta_prev)
     R, pivots, _ = rref(Mat._trusted(m.field, _reduce_mod_rows(cocycles.a, coboundaries)))
     shifts = _hom_shifts(res, n, t)[list(pivots)]
     elements = [ExtElement(res, n, t, R.a[j], int(shifts[j])) for j in np.argsort(shifts, kind="stable")]
     expected = delta_t.cols - rank_t - coboundaries[2]
     check(len(elements) == expected, f"cocycle count {len(elements)} != ext dimension {expected}")
-    return elements, coboundaries
+    return elements, coboundaries, delta_t
 
 
 # -- chain lifting and Yoneda powers ------------------------------------------
 
 
-def _lift_chain_map(eta: ExtElement, upto: int) -> List[Mat]:
-    """Lift the cocycle of eta in Ext^t(M, M) to chain maps theta_i: F_{t+i} -> F_i,
-    i = 0..upto, each given by its generator images U_i (one column per
-    generator of F_{t+i}).
+def _side_by_side(reps: np.ndarray, rank: int, n: Module) -> Mat:
+    """The generator images of k maps F -> N, F free of the given rank, their
+    coordinate vectors (one block of N-coordinates per generator) the rows
+    of reps, side by side: map j in columns j * rank .. (j + 1) * rank - 1."""
+    k = reps.shape[0]
+    return Mat._trusted(n.field, reps.reshape(k, rank, n.dim).transpose(2, 0, 1).reshape(n.dim, k * rank))
+
+
+def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> List[Mat]:
+    """Lift k cocycles of Ext^t(M, M), their generator images side by side
+    in images, to chain maps theta_i: F_{t+i} -> F_i, i = 0..upto, each
+    given by its generator images U_i, the k classes side by side.
 
     theta_i is the A-linear map with those images, so it is a module map,
     and the chain identity d_i theta_i = theta_{i-1} d_{t+i} (eps theta_0 =
     eta at i = 0) holds because both sides agree on generators: U_i solves
     d_i U_i = theta_{i-1} d_{t+i} on generators, which compose_on_generators
-    reads off U_{i-1} and d_{t+i} over A.  Only the images U_i are kept.
+    reads off U_{i-1} and d_{t+i} over A.  solve works column by column and
+    compose_on_generators composes each block on its own, so block j of
+    every U_i is byte for byte the lift of class j alone: one solve per
+    step lifts the whole stack, and each solve checks d_i U_i on every
+    column.
     """
-    res = eta.resolution
-    if eta.target is not res.module:
-        raise InputError("chain lifting needs source = target")
-    t = eta.degree
     res.extend(t + upto)
-    images = [res.solve(0, eta.generator_images())]
+    images = [res.solve(0, images)]
     for i in range(1, upto + 1):
         rhs = compose_on_generators(res.free(i - 1), images[i - 1], res.diff_coefficients(t + i))
         images.append(res.solve(i, rhs))
     return images
+
+
+def _lift_chain_map(eta: ExtElement, upto: int) -> List[Mat]:
+    """The chain lift theta_i: F_{t+i} -> F_i (i = 0..upto) of eta in
+    Ext^t(M, M), as generator images U_i: the stack of one class (see
+    _lift_stack)."""
+    res = eta.resolution
+    if eta.target is not res.module:
+        raise InputError("chain lifting needs source = target")
+    return _lift_stack(res, eta.degree, eta.generator_images(), upto)
 
 
 def yoneda_power(eta: ExtElement, s: int) -> ExtElement:
@@ -362,9 +384,25 @@ def _estimate(module: Module, window: int, s: int) -> ComplexityEstimate:
     return estimate_complexity(resolve(module, window).betti_list(window), s)
 
 
-def _pushout_betti(eta: ExtElement, window: int) -> List[int]:
-    """beta_0..beta_window of the pushout of eta in Ext^t(M, M), without
-    building it.
+def _constant_stacks(res: MinimalFreeResolution, t: int, lifts: List[Mat]) -> List[np.ndarray]:
+    """theta_n (x) k for each of the k classes of a stacked lift (_lift_stack),
+    n = 0..len(lifts) - 1: the constant coefficients of theta_n over A, which
+    are the generator rows of its generator images, as a (k, r_n, r_{t+n})
+    stack."""
+    out = []
+    for n, U in enumerate(lifts):
+        rows, cols = res.free(n).rank, res.free(t + n).rank
+        G = U.a[res.free(n).generator_columns()]
+        out.append(G.reshape(rows, -1, cols).transpose(1, 0, 2))
+    return out
+
+
+def _screen_combinations(basis: List[ExtElement], constants: List[np.ndarray],
+                         coeffs: Optional[np.ndarray]) -> List[List[int]]:
+    """beta_0..beta_window of the pushout of each class sum_j coeffs[c, j]
+    basis[j], one per row c of coeffs, or of each basis class when coeffs is
+    None, without building it; constants are the basis classes' stacked
+    theta_n (x) k (_constant_stacks), window = len(constants) - 1.
 
     The pushout K sits in 0 -> M -> K -> Omega^{t-1}(M) -> 0, whose
     connecting map Tor_{n+1}(Omega^{t-1}M, k) = Tor_{n+t}(M, k) -> Tor_n(M, k)
@@ -373,16 +411,23 @@ def _pushout_betti(eta: ExtElement, window: int) -> List[int]:
     With minimal resolutions the long exact sequence gives
     beta_n(K) = beta_n(M) + beta_{n+t-1}(M) - rk(theta_n (x) k) - rk(theta_{n-1} (x) k),
     with theta_{-1} = 0.
+
+    The canonical lift is linear in the class: solve returns X[Q] = E B[pivots]
+    with zeros elsewhere, and compose_on_generators is linear in its images.
+    So theta_n (x) k of a combination is the same combination of the basis
+    classes' layers, one exact product by coeffs per step.
     """
-    res = eta.resolution
-    t = eta.degree
-    images = _lift_chain_map(eta, window)
-    # theta_n (x) k: the constant coefficients of theta_n over A, which are
-    # the generator rows of its generator images
-    ranks = [0] + [Mat(eta.target.field, U.a[res.free(n).generator_columns()]).rank()
-                   for n, U in enumerate(images)]
+    res, t = basis[0].resolution, basis[0].degree
+    field = res.module.field
+    if coeffs is not None:
+        C = Mat(field, coeffs)
+        constants = [(C @ Mat._trusted(field, L.reshape(L.shape[0], -1))).a.reshape((C.rows,) + L.shape[1:])
+                     for L in constants]
+    window, k = len(constants) - 1, constants[0].shape[0]
+    ranks = [[0] * k] + [[Mat._trusted(field, a).rank() for a in L] for L in constants]
     betti = res.betti_list(t + window - 1)
-    return [betti[n] + betti[n + t - 1] - ranks[n + 1] - ranks[n] for n in range(window + 1)]
+    return [[betti[n] + betti[n + t - 1] - ranks[n + 1][j] - ranks[n][j] for n in range(window + 1)]
+            for j in range(k)]
 
 
 QUICK_WINDOW = 8
@@ -400,24 +445,31 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
     and cohomologous candidates are deduplicated through canonical class
     residues.  Candidates are screened on a short Betti window of their
     pushout, read off the resolution of M through the long exact Tor sequence
-    (_pushout_betti) without building the pushout.  Only a candidate that
-    passes is pushed out and confirmed on the full window, so the returned
-    estimate always uses the full window; its resolution also re-checks the
-    screen's Betti numbers.  Returns None when nothing is found within the
-    budget; that is a statement about the search, never about the module.
+    without building the pushout (_screen_combinations).  The basis classes
+    of a degree are lifted together, in one stacked chain lift (_lift_stack),
+    and a random candidate's screen is read off the same lift, as the same
+    combination of the basis classes' layers.  The random candidates of a
+    degree are drawn together; the fresh ones are checked to be cocycles in
+    one stacked compose_on_generators.  Candidates are then evaluated in
+    order, and only one that passes the screen gets an ExtElement, is pushed
+    out and is confirmed on the full window, so the returned estimate always
+    uses the full window; its resolution also re-checks the screen's Betti
+    numbers.  Returns None when nothing is found within the budget; that is
+    a statement about the search, never about the module.
     """
     est_m = _estimate(m, window, stab)
     if not est_m.stabilized or est_m.value < 1:
         raise InputError("find_reducing_element needs a stabilized estimate >= 1")
     target = est_m.value - 1
     rng = random.Random(seed)
-    p = m.field.p
+    field = m.field
+    p = field.p
 
-    def evaluate(eta: ExtElement) -> Optional[Tuple[ExtElement, PushoutExtension, ComplexityEstimate]]:
-        screen = _pushout_betti(eta, QUICK_WINDOW)
+    def evaluate(screen: List[int], build) -> Optional[Tuple[ExtElement, PushoutExtension, ComplexityEstimate]]:
         quick = estimate_complexity(screen, QUICK_STAB)
         if quick.stabilized and quick.value != target:
             return None
+        eta = build()
         push = pushout(eta)
         full = _estimate(push.module, window, stab)
         check(resolve(push.module, QUICK_WINDOW).betti_list(QUICK_WINDOW) == screen,
@@ -426,10 +478,14 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
             return eta, push, full
         return None
 
+    delta = None  # delta^{t-1}, handed on from the degree before
     for t in range(1, max_search_degree + 1):
         # every candidate of degree t is reduced modulo the coboundaries
         # that reduced the basis
-        basis, coboundaries = _cocycle_classes(m, m, t)
+        basis, coboundaries, delta = _cocycle_classes(m, m, t, delta)
+        if not basis:
+            continue
+        res = basis[0].resolution
         seen = set()
 
         def fresh(rep: np.ndarray) -> bool:
@@ -437,37 +493,51 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
             nz = np.nonzero(v)[0]
             if nz.size == 0:
                 return False
-            v = (v * m.field.inv(int(v[nz[0]]))) % p
+            v = (v * field.inv(int(v[nz[0]]))) % p
             key = v.tobytes()
             if key in seen:
                 return False
             seen.add(key)
             return True
 
-        for eta in basis:
+        reps = np.array([e.rep for e in basis])
+        lifts = _lift_stack(res, t, _side_by_side(reps, res.free(t).rank, m), QUICK_WINDOW)
+        constants = _constant_stacks(res, t, lifts)
+        for eta, screen in zip(basis, _screen_combinations(basis, constants, None)):
             if fresh(eta.rep):
-                hit = evaluate(eta)
+                hit = evaluate(screen, lambda eta=eta: eta)
                 if hit:
                     return hit
-        by_shift: Dict[int, List[ExtElement]] = {}
-        for e in basis:
-            by_shift.setdefault(e.shift, []).append(e)
+        # the random candidates, all drawn before any is screened; rng
+        # serves only these draws, in this order, so drawing them together
+        # changes no candidate and no freshness test
+        by_shift: Dict[int, List[int]] = {}
+        for j, e in enumerate(basis):
+            by_shift.setdefault(e.shift, []).append(j)
         shifts = sorted(by_shift)
-        for _ in range(budget if shifts else 0):
+        rows, row_shifts = [], []
+        for _ in range(budget):
             s_key = shifts[rng.randrange(len(shifts))]
             group = by_shift[s_key]
             coeffs = [rng.randrange(p) for _ in group]
-            if not any(coeffs):
-                continue
-            rep = np.zeros_like(group[0].rep)
-            for c, e in zip(coeffs, group):
-                rep = (rep + c * e.rep) % p
-            # a duplicate is dropped before it is built; a fresh candidate's
-            # cocycle check runs at construction
-            if fresh(rep):
-                hit = evaluate(ExtElement(resolve(m, t + 1), m, t, rep, s_key))
-                if hit:
-                    return hit
+            if any(coeffs):
+                rows.append(np.zeros(len(basis), dtype=np.int64))
+                rows[-1][group] = coeffs
+                row_shifts.append(s_key)
+        if not rows:
+            continue
+        C = np.array(rows)
+        combined = (Mat._trusted(field, C) @ Mat._trusted(field, reps)).a
+        # a duplicate is dropped before it is screened
+        keep = [c for c in range(len(rows)) if fresh(combined[c])]
+        if not keep:
+            continue
+        images = _side_by_side(combined[keep], res.free(t).rank, m)
+        check(compose_on_generators(m, images, res.diff_coefficients(t + 1)).is_zero(), "not a cocycle")
+        for c, screen in zip(keep, _screen_combinations(basis, constants, C[keep])):
+            hit = evaluate(screen, lambda c=c: ExtElement(res, m, t, combined[c], row_shifts[c]))
+            if hit:
+                return hit
     return None
 
 

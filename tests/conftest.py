@@ -86,6 +86,26 @@ def gasharov_presentation(G):
     return coker_presentation(G, [[pe("x1"), pe("2*x3+x4")], [pe("0"), pe("x2")]], [0, 0])
 
 
+def stacked_lift(basis, window):
+    """The stacked lift of one degree's classes to window, and its
+    theta_n (x) k layers, as find_reducing_element makes them."""
+    from cxlab import yoneda
+
+    res, t, M = basis[0].resolution, basis[0].degree, basis[0].target
+    reps = np.array([e.rep for e in basis])
+    lifts = yoneda._lift_stack(res, t, yoneda._side_by_side(reps, res.free(t).rank, M), window)
+    return lifts, yoneda._constant_stacks(res, t, lifts)
+
+
+def one_class_screen(eta, window):
+    """The screen of eta alone: _screen_combinations over a stack of one
+    class."""
+    from cxlab import yoneda
+
+    _, constants = stacked_lift([eta], window)
+    return yoneda._screen_combinations([eta], constants, None)[0]
+
+
 @pytest.fixture(scope="session")
 def gasharov(F5):
     return gasharov_algebra(F5)

@@ -6,7 +6,8 @@ iteration over structure constants.  None of it imports the engine's
 linear algebra or resolution code, so agreement is a real cross-check.
 The exceptions are references for bookkeeping rather than arithmetic:
 eager_resolution builds every syzygy as an explicit module from the
-engine's gmod constructors, pushout_betti builds and resolves a pushout,
+engine's gmod constructors, pushout_betti builds and resolves a pushout
+(resolved_screens does it for each candidate of a search's screen),
 eisenbud_chi computes the chain operators from polynomial lifts of the
 engine's differentials, reference_lift lifts a class with solve_matrix and
 the engine's extend_linearly, glued_kchi glues a test module with the
@@ -403,12 +404,33 @@ def assert_matches_eager(module, n):
 
 def pushout_betti(eta, window):
     """beta_0..beta_window of the pushout of eta, by building the pushout
-    module and resolving it: the reference for yoneda._pushout_betti, which
-    reads them off the long exact Tor sequence."""
+    module and resolving it: the reference for yoneda._screen_combinations,
+    which reads them off the long exact Tor sequence."""
     from cxlab.resol import resolve
     from cxlab.yoneda import pushout
 
     return resolve(pushout(eta).module, window).betti_list(window)
+
+
+def combination(basis, row):
+    """The class sum_j row[j] basis[j] of Ext^t(M, M), with plain Python
+    integers, its shift that of the first class with a nonzero coefficient."""
+    from cxlab.yoneda import ExtElement
+
+    first = basis[0]
+    p = first.target.field.p
+    rep = [sum(int(c) * int(e.rep[i]) for c, e in zip(row, basis)) % p for i in range(first.rep.size)]
+    shift = next(e.shift for c, e in zip(row, basis) if c % p)
+    return ExtElement(first.resolution, first.target, first.degree, np.array(rep, dtype=np.int64), shift)
+
+
+def resolved_screens(basis, constants, coeffs):
+    """What yoneda._screen_combinations returns, by building and resolving
+    the pushout of each candidate: the basis classes when coeffs is None,
+    else the combination of the basis by each row of coeffs."""
+    window = len(constants) - 1
+    rows = np.eye(len(basis), dtype=np.int64) if coeffs is None else coeffs
+    return [pushout_betti(combination(basis, row), window) for row in rows]
 
 
 def reference_lift(eta, upto):

@@ -403,8 +403,17 @@ def test_compose_on_generators_matches_realized_product(p):
         assert generator_images(F, coeffs) == Mat(F, d.a[:, gens])
         got = compose_on_generators(tgt, images, coeffs)
         assert got.a.tobytes() == (phi @ d).a[:, gens].tobytes()
+        # k maps side by side: block j is the result for map j alone
+        maps = [images] + [Mat(F, rng.integers(0, p, (tgt.dim, mid.rank))) for _ in range(2)]
+        stacked = compose_on_generators(tgt, Mat(F, np.hstack([m.a for m in maps])), coeffs)
+        assert stacked.shape == (tgt.dim, 3 * src.rank)
+        for j, m in enumerate(maps):
+            block = stacked.a[:, j * src.rank:(j + 1) * src.rank]
+            assert block.tobytes() == compose_on_generators(tgt, m, coeffs).a.tobytes(), j
     with pytest.raises(InputError, match="do not compose"):
         compose_on_generators(src, images, coeffs)
+    with pytest.raises(InputError, match="do not compose"):  # not a multiple of rank F
+        compose_on_generators(tgt, Mat(F, rng.integers(0, p, (tgt.dim, 3))), coeffs)
 
 
 def _unit_row(M, idx):

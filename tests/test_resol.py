@@ -288,6 +288,24 @@ def test_resolution_matches_eager_reference(request, name):
     assert_matches_eager(request.getfixturevalue(name), 8)
 
 
+@pytest.mark.parametrize("case", ["free", "zero", "zero-coker"])
+def test_zero_spans_give_zero_steps(monkeypatch, A, case):
+    # once nothing is left to cover, a step appends the zero free module,
+    # the zero map and an empty span without eliminating; the resolution is
+    # still the eager one
+    module = {"free": lambda: free_module(A, [0, 2, 5]), "zero": lambda: free_module(A, []),
+              "zero-coker": lambda: coker_presentation(A, [[A.one()]], [0])}[case]()
+    calls = []
+    for name in ("min_generators", "kernel_rref"):
+        real = getattr(resol, name)
+        monkeypatch.setattr(resol, name, lambda *args, real=real, name=name: (calls.append(name), real(*args))[1])
+    res = resolve(module, 6)
+    assert res.betti_list(6) == ([3] if case == "free" else [0]) + [0] * 6
+    assert len(calls) == (2 if case == "free" else 0)  # step 0 of the free module only
+    monkeypatch.undo()
+    assert_matches_eager(module, 6)
+
+
 def test_resolution_matches_eager_reference_large_prime():
     A = MonomialCI.build(Field(2**31 - 1), [2, 2, 2]).algebra
     assert_matches_eager(residue_field(A), 6)

@@ -24,7 +24,6 @@ from cxlab.resol import estimate_complexity, resolve, syzygy
 from cxlab.yoneda import (
     ExtElement,
     _lift_chain_map,
-    _pushout_betti,
     cocycle_basis,
     ext_table,
     find_reducing_element,
@@ -37,7 +36,7 @@ from cxlab.yoneda import (
     yoneda_power,
 )
 from cxlab.yoneda import test_against as bound_test
-from conftest import gasharov_algebra, gasharov_presentation
+from conftest import gasharov_algebra, gasharov_presentation, one_class_screen, stacked_lift
 
 F5 = Field(5)
 P31 = Field(2**31 - 1)
@@ -308,7 +307,7 @@ def _assert_screen_matches_pushouts(m, degrees, window):
     checked = 0
     for t in degrees:
         for eta in cocycle_basis(m, m, t):
-            assert _pushout_betti(eta, window) == oracles.pushout_betti(eta, window), (t, eta.shift)
+            assert one_class_screen(eta, window) == oracles.pushout_betti(eta, window), (t, eta.shift)
             checked += 1
     return checked
 
@@ -340,19 +339,28 @@ def _reference_screen(eta, window, thetas):
     return [betti[n] + betti[n + t - 1] - ranks[n + 1] - ranks[n] for n in range(window + 1)]
 
 
+def _lift_case(p, case):
+    """A module, the degrees of its classes to lift and a window."""
+    field = Field(p)
+    if case == "gasharov" and p == 2:
+        # over F_2 the relation 2 x1 x3 + x2 x3 loses a term: another ring,
+        # where the module's Betti numbers grow exponentially (2, 2, 3, 7,
+        # 22, 78, 287), so the lifts stop at F_5
+        return gasharov_presentation(gasharov_algebra(field)), range(1, 3), 3
+    if case == "gasharov":
+        return gasharov_presentation(gasharov_algebra(field)), range(1, 5), 8
+    names = ["x", "y", "z"]
+    B = build_algebra(field, 3, [parse_polynomial(r, names, field) for r in ["x^2", "y^2", "z^3"]],
+                      varnames=names)
+    return residue_field(B), range(1, 4), 5
+
+
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
 @pytest.mark.parametrize("case", ["gasharov", "x2y2z3"])
 def test_lifts_match_reference_lift(p, case):
     # generator images, screens and Yoneda squares from the cached solves
     # are byte for byte those of lifts solved and realized from scratch
-    field = Field(p)
-    if case == "gasharov":
-        M, degrees, window = gasharov_presentation(gasharov_algebra(field)), range(1, 5), 8
-    else:
-        names = ["x", "y", "z"]
-        B = build_algebra(field, 3, [parse_polynomial(r, names, field) for r in ["x^2", "y^2", "z^3"]],
-                          varnames=names)
-        M, degrees, window = residue_field(B), range(1, 4), 5
+    M, degrees, window = _lift_case(p, case)
     checked = 0
     for t in degrees:
         for eta in cocycle_basis(M, M, t):
@@ -361,7 +369,7 @@ def test_lifts_match_reference_lift(p, case):
             for n, (U, theta) in enumerate(zip(_lift_chain_map(eta, window), ref)):
                 want = theta.a[:, res.free(t + n).generator_columns()]
                 assert U.a.tobytes() == want.tobytes(), (t, eta.shift, n)
-            assert _pushout_betti(eta, window) == _reference_screen(eta, window, ref), (t, eta.shift)
+            assert one_class_screen(eta, window) == _reference_screen(eta, window, ref), (t, eta.shift)
             square = ExtElement.from_realized(res, M, 2 * t, eta.realized() @ ref[t], 2 * eta.shift)
             assert yoneda_power(eta, 2).rep.tobytes() == square.rep.tobytes(), (t, eta.shift)
             if t == 1:
@@ -370,6 +378,60 @@ def test_lifts_match_reference_lift(p, case):
                 assert yoneda_power(eta, 3).rep.tobytes() == want.rep.tobytes(), eta.shift
             checked += 1
     assert checked >= 6
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+@pytest.mark.parametrize("case", ["gasharov", "x2y2z3"])
+def test_stacked_lift_matches_reference_lift(p, case):
+    # one lift of all basis classes of a degree, side by side: block j of
+    # every step is byte for byte the lift of class j solved from scratch,
+    # and the stack's screens are the screens of those lifts
+    M, degrees, window = _lift_case(p, case)
+    checked = 0
+    for t in degrees:
+        basis = cocycle_basis(M, M, t)
+        if not basis:
+            continue
+        res = basis[0].resolution
+        lifts, constants = stacked_lift(basis, window)
+        refs = [oracles.reference_lift(eta, window) for eta in basis]
+        for n, U in enumerate(lifts):
+            gens = res.free(t + n).generator_columns()
+            want = np.hstack([ref[n].a[:, gens] for ref in refs])
+            assert U.a.tobytes() == want.tobytes(), (t, n)
+        screens = yoneda._screen_combinations(basis, constants, None)
+        assert screens == [_reference_screen(eta, window, ref) for eta, ref in zip(basis, refs)], t
+        checked += len(basis)
+    assert checked >= 6
+
+
+def test_combination_screens_match_one_class_screens():
+    # the screen of sum_j c_j eta_j read off the stacked lift equals the
+    # screen of that class lifted on its own, at p = 2^31 - 1, where the
+    # combination needs the exact product.  Each class is listed four
+    # times: random coefficients, and coefficients whose four copies cancel
+    # (p - 1, p - 1, p - 1, 3) but for one class, so the exact combination
+    # is a multiple of that class, with partial sums near 3 p^2 > 2^63 that
+    # an int64 sum of products wraps
+    p = 2**31 - 1
+    M, degrees, window = _lift_case(p, "x2y2z3")
+    rng = np.random.default_rng(11)
+    checked = 0
+    for t in degrees:
+        basis = cocycle_basis(M, M, t)
+        k = len(basis)
+        _, constants = stacked_lift(basis, window)
+        repeated = [np.concatenate([L] * 4) for L in constants]
+        coeffs = rng.integers(0, p, (k + 3, 4 * k))
+        for j in range(k):
+            coeffs[j] = np.tile([p - 1, p - 1, p - 1, 3], (k, 1)).T.reshape(-1)
+            coeffs[j, j] = 1
+        got = yoneda._screen_combinations(basis * 4, repeated, coeffs)
+        want = [one_class_screen(oracles.combination(basis * 4, row), window) for row in coeffs]
+        assert got == want, t
+        assert got[:k] == yoneda._screen_combinations(basis, constants, None), t
+        checked += 1
+    assert checked == 3
 
 
 def test_find_reducing_element_eliminates_once_per_lifted_step(monkeypatch, gasharov):
@@ -408,7 +470,10 @@ def test_find_reducing_element_eliminates_once_per_lifted_step(monkeypatch, gash
     assert [i for _, i in steps] == list(range(yoneda.QUICK_WINDOW + 1))  # one resolution, steps 0..8
     for step in steps:
         assert sum(n for res, i, n in solves if (res, i) == step) == 1, step
-    assert len(solves) > 10 * len(steps)
+    # the basis classes of a degree are lifted in one stack and the random
+    # candidates are combined from it: one solve per degree and step, 36
+    # (306 when each candidate was lifted on its own)
+    assert [i for _, i, _ in solves] == list(range(yoneda.QUICK_WINDOW + 1)) * 4
 
 
 def test_find_reducing_element_reduces_by_one_coboundary_echelon_per_degree(monkeypatch, gasharov):
@@ -417,15 +482,43 @@ def test_find_reducing_element_reduces_by_one_coboundary_echelon_per_degree(monk
     echelons = []
     build = yoneda._coboundary_echelon
 
-    def counting(res, n, t):
-        echelons.append(t)
-        return build(res, n, t)
+    def counting(delta_prev):
+        echelons.append(delta_prev)
+        return build(delta_prev)
 
     monkeypatch.setattr(yoneda, "_coboundary_echelon", counting)
-    found = find_reducing_element(gasharov_presentation(gasharov), 8, seed=0, budget=3)
+    M = gasharov_presentation(gasharov)
+    found = find_reducing_element(M, 8, seed=0, budget=3)
     assert found[0].degree == 4
     assert residuals == []
-    assert echelons == [1, 2, 3, 4]
+    # degree t reduces by the image of delta^{t-1}
+    res = resolve(M, 5)
+    assert echelons == [yoneda._hom_differential(res, M, t - 1) for t in (1, 2, 3, 4)]
+
+
+def test_find_reducing_element_builds_each_hom_differential_once(monkeypatch, gasharov):
+    # degree t builds delta^t for its cocycles and hands it on to degree
+    # t + 1, whose coboundaries it spans (8 builds, 5 distinct, when each
+    # degree built both)
+    built = []
+    hom_differential = yoneda._hom_differential
+    echelons = []
+    build = yoneda._coboundary_echelon
+
+    def counting(res, n, i):
+        built.append((i, hom_differential(res, n, i)))
+        return built[-1][1]
+
+    def recording(delta_prev):
+        echelons.append(delta_prev)
+        return build(delta_prev)
+
+    monkeypatch.setattr(yoneda, "_hom_differential", counting)
+    monkeypatch.setattr(yoneda, "_coboundary_echelon", recording)
+    found = find_reducing_element(gasharov_presentation(gasharov), 8, seed=0, budget=3)
+    assert found[0].degree == 4
+    assert [i for i, _ in built] == [0, 1, 2, 3, 4]
+    assert all(e is d for e, (_, d) in zip(echelons, built)) and len(echelons) == 4
 
 
 def _search_summary(found):
@@ -439,46 +532,61 @@ def test_find_reducing_element_same_with_resolved_screen(monkeypatch, gasharov_m
     k3 = residue_field(cubic.algebra)
     searches = [(gasharov_module, 8, seed, 3) for seed in range(4)] + [(k3, 4, 0, 200), (k, 4, 0, 200)]
     ours = [_search_summary(find_reducing_element(m, d, seed=s, budget=b)) for m, d, s, b in searches]
-    monkeypatch.setattr(yoneda, "_pushout_betti", oracles.pushout_betti)
+    screened = []
+
+    def resolved_screens(basis, constants, coeffs):
+        screened.append(len(basis) if coeffs is None else len(coeffs))
+        return oracles.resolved_screens(basis, constants, coeffs)
+
+    monkeypatch.setattr(yoneda, "_screen_combinations", resolved_screens)
     resolved = [_search_summary(find_reducing_element(m, d, seed=s, budget=b)) for m, d, s, b in searches]
     assert ours == resolved
+    assert sum(screened) > len(searches)
 
 
 def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, F5):
-    # a random candidate is checked for a repeat before its ExtElement is
-    # built, so every random candidate built is screened.  The random loop
-    # runs in the second search, at degree 1, where each shift holds one
-    # basis class: every random candidate is a multiple of one already
-    # screened, and none is built (153 were when each candidate was built
-    # before the check)
+    # a random candidate is checked for a repeat before it is screened, and
+    # its ExtElement is built only when it passes the screen.  The random
+    # loop runs in the second search, at degree 1, where each shift holds
+    # one basis class: every random candidate is a multiple of one already
+    # screened, so none is screened and none is built (153 were built when
+    # each candidate was built before the check)
     from cxlab.cioper import MonomialCI
 
     k = residue_field(MonomialCI.build(F5, [2, 3], varnames=["u", "v"]).algebra)
-    built, basis, screened = [], [], []
+    built, basis, screened, tested = [], [], [], []
     post_init = ExtElement.__post_init__
     classes = yoneda._cocycle_classes
-    screen = yoneda._pushout_betti
+    screen = yoneda._screen_combinations
+    reduce_mod_rows = yoneda._reduce_mod_rows
 
     def counting_init(eta):
         built.append(eta)
         post_init(eta)
 
-    def recording_classes(m, n, t):
-        found = classes(m, n, t)
+    def recording_classes(m, n, t, delta_prev=None):
+        found = classes(m, n, t, delta_prev)
         basis.extend(found[0])
         return found
 
-    def recording_screen(eta, window):
-        screened.append(eta)
-        return screen(eta, window)
+    def recording_screen(classes, constants, coeffs):
+        screened.append(len(classes) if coeffs is None else -len(coeffs))
+        return screen(classes, constants, coeffs)
+
+    def recording_reduce(v, echelon):
+        if v.ndim == 1:  # a candidate's freshness test
+            tested.append(v)
+        return reduce_mod_rows(v, echelon)
 
     monkeypatch.setattr(ExtElement, "__post_init__", counting_init)
     monkeypatch.setattr(yoneda, "_cocycle_classes", recording_classes)
-    monkeypatch.setattr(yoneda, "_pushout_betti", recording_screen)
+    monkeypatch.setattr(yoneda, "_screen_combinations", recording_screen)
+    monkeypatch.setattr(yoneda, "_reduce_mod_rows", recording_reduce)
     sequence, _ = reduction_sequence(k, 4, window=12)
     assert sequence is not None
-    random_screened = [eta for eta in screened if not any(eta is b for b in basis)]
-    assert len(built) - len(basis) == len(random_screened)
+    assert len(tested) > len(basis)  # random candidates were drawn and tested
+    assert sum(n for n in screened if n > 0) == len(basis) and all(n > 0 for n in screened)
+    assert len(built) == len(basis)
 
 
 def test_find_reducing_element_builds_one_pushout(monkeypatch, gasharov_module):
@@ -496,7 +604,10 @@ def test_find_reducing_element_builds_one_pushout(monkeypatch, gasharov_module):
 def test_find_reducing_element_rechecks_the_screen(monkeypatch, gasharov_module):
     # a screen that claims a free pushout for the first candidate is caught
     # by the resolution of that pushout
-    monkeypatch.setattr(yoneda, "_pushout_betti", lambda eta, window: [2] + [0] * window)
+    def free_screens(basis, constants, coeffs):
+        return [[2] + [0] * (len(constants) - 1)] * (len(basis) if coeffs is None else len(coeffs))
+
+    monkeypatch.setattr(yoneda, "_screen_combinations", free_screens)
     with pytest.raises(InvariantError, match="long exact Tor sequence"):
         find_reducing_element(gasharov_module, 8, seed=0, budget=3)
 
