@@ -25,9 +25,8 @@ from .errors import InputError, check
 from .exactla import Field, Mat
 from .gmod import Module, compose_on_generators, extend_linearly, generator_images, residue_field
 from .gralg import Algebra, Polynomial, build_algebra, codimension
-from .resol import ComplexityEstimate, estimate_complexity, resolve
+from .resol import resolve
 from .yoneda import (
-    DEFAULT_STAB,
     DEFAULT_TAIL,
     DEFAULT_WINDOW,
     ExtElement,
@@ -40,13 +39,10 @@ from .yoneda import (
 __all__ = [
     "MonomialCI",
     "EisenbudOperatorSet",
-    "ExtHModule",
-    "VarietyDimEstimate",
     "eisenbud_operators",
     "chi_self_extension",
     "cut_by_chi",
     "build_kchi",
-    "support_dimension",
     "vartest_check",
     "testci_run",
 ]
@@ -194,37 +190,11 @@ class EisenbudOperatorSet:
         self._check(j, n + 2)
         return Mat(self.ci.field, self._chi[n + 2][j - 1][0].T)
 
-    def ext_module(self, max_degree: Optional[int] = None) -> "ExtHModule":
-        n_max = self.max_degree if max_degree is None else max_degree
-        if n_max > self.max_degree:
-            raise InputError("operators were not computed that far")
-        dims = self.resolution.betti_list(n_max)
-        actions = [[self.ext_action(j, n) for n in range(n_max - 1)] for j in range(1, self.ci.codim + 1)]
-        return ExtHModule(tuple(dims), actions)
-
     def _check(self, j: int, n: int):
         if not 1 <= j <= self.ci.codim:
             raise InputError(f"operator index {j} out of range 1..{self.ci.codim}")
         if not 2 <= n <= self.max_degree:
             raise InputError(f"operator degree {n} outside computed range [2, {self.max_degree}]")
-
-
-@dataclass
-class ExtHModule:
-    """Graded dimensions of Ext^*(M, k) with the degree-two operator actions."""
-
-    dims: Tuple[int, ...]
-    actions: List[List[Mat]]  # actions[j][n]: Ext^n -> Ext^{n+2}
-
-    def generated_in_degrees(self, bound: int) -> bool:
-        """True when every Ext^{n+2}, n >= bound - 1, is hit by the operators."""
-        for n in range(bound - 1, len(self.dims) - 2):
-            stacked = None
-            for acts in self.actions:
-                stacked = acts[n] if stacked is None else stacked.hstack(acts[n])
-            if stacked is None or stacked.rank() < self.dims[n + 2]:
-                return False
-        return True
 
 
 def eisenbud_operators(ci: MonomialCI, module: Module, max_degree: int) -> EisenbudOperatorSet:
@@ -259,26 +229,6 @@ def build_kchi(ci: MonomialCI, j: int) -> Module:
     exactness.
     """
     return cut_by_chi(eisenbud_operators(ci, residue_field(ci.algebra), 4), j).module
-
-
-@dataclass
-class VarietyDimEstimate:
-    """Support-variety dimension computed through Betti growth."""
-
-    value: int
-    method: str
-    estimate: ComplexityEstimate
-
-    def to_jsonable(self) -> dict:
-        return {"value": self.value, "method": self.method,
-                "estimate": self.estimate.to_jsonable()}
-
-
-def support_dimension(module: Module, window: int = DEFAULT_WINDOW,
-                      stab: int = DEFAULT_STAB) -> VarietyDimEstimate:
-    """dim V(M), computed as the complexity estimate of the Betti window."""
-    est = estimate_complexity(resolve(module, window).betti_list(window), stab)
-    return VarietyDimEstimate(est.value, "betti-growth", est)
 
 
 def vartest_check(m: Module, tests: Sequence[Tuple[Module, int]],

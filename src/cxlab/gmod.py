@@ -17,17 +17,15 @@ exact product by its monomial actions, stacked and kept once per module.  A
 free module keeps only its rank and the regular module, and reads the
 products off the structure constants of A, kept once per algebra: one exact
 int64 gather per term slot, and a single gather over a monomial algebra,
-whose regular action is a partial permutation.  Its dense matrices
-kron(I_r, X_v) are built on request, for the readers that need them
-(`shift`, `direct_sum`, `hom_space`, `monomial_action` and the source side
-of `ModuleMap.is_equivariant`), and never kept.  `extend_linearly`,
-`compose_on_generators`, `realize_algebra_matrix`, `min_generators`, the
-subquotients and the equivariance check go through `multiples`;
-`block_action` is one product by the same stacked actions.
+whose regular action is a partial permutation.  Its stacked actions are the
+multiples of the identity, one gather and no product, and its variable
+actions are their "variables" slice.  `extend_linearly`,
+`compose_on_generators`, `realize_algebra_matrix`, `min_generators` and the
+subquotients go through `multiples`; `block_action` is one product by the
+stacked actions.
 """
 from __future__ import annotations
 
-import random
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -36,14 +34,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InvariantError, check
-from .exactla import Field, Mat, _complement, _matmul_mod, kernel_basis, rref
+from .exactla import Field, Mat, _complement, _matmul_mod, rref
 from .gralg import Algebra, AlgebraElement
 
 __all__ = [
     "Module",
     "FreeModule",
-    "ModuleMap",
-    "IsoVerdict",
     "free_module",
     "regular_module",
     "extend_linearly",
@@ -57,8 +53,6 @@ __all__ = [
     "direct_sum",
     "shift",
     "min_generators",
-    "hom_space",
-    "is_isomorphic",
     "quotient_by_span",
     "submodule_from_span",
 ]
@@ -188,8 +182,8 @@ class FreeModule(Module):
     """Free module on homogeneous generators; basis is generator-major blocks
     (generator g, standard monomial m) with degree deg(m) + deg(g).  Each
     block is a copy of `regular`, the algebra as a module over itself.  A
-    free module multiplies through the structure constants of A; the dense
-    matrices kron(I_r, X_v) are built only on request and never kept."""
+    free module multiplies through the structure constants of A, and its
+    actions are read off the same products."""
 
     def __init__(self, algebra: Algebra, gen_degrees: Sequence[int]):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
@@ -238,16 +232,20 @@ class FreeModule(Module):
             out %= p
         return Mat._trusted(self.field, out.reshape(self.dim, k * src.shape[2]))
 
-    def _dense(self, X: Mat) -> Mat:
-        """kron(I_r, X): the regular matrix X on every generator block."""
-        return Mat._trusted(self.field, np.kron(np.eye(self.rank, dtype=np.int64), X.a))
+    def _stacked(self, which: str) -> np.ndarray:
+        """Module._stacked read off the structure constants: the multiples
+        of the identity, one gather and no product; built once per module."""
+        got = self._stacks.get(which)
+        if got is None:
+            n, s = self.dim, len(_monomial_list(self.algebra, which))
+            out = self.multiples(Mat.identity(self.field, n), which).a.reshape(n, n, s)
+            got = self._stacks[which] = np.ascontiguousarray(out.transpose(2, 0, 1))
+            got.setflags(write=False)
+        return got
 
     @property
     def actions(self) -> Tuple[Mat, ...]:
-        return tuple(self._dense(X) for X in self.regular.actions)
-
-    def monomial_action(self, e: Tuple[int, ...]) -> Mat:
-        return self._dense(self.regular.monomial_action(e))
+        return tuple(Mat._trusted(self.field, X) for X in self._stacked("variables"))
 
     def generator_columns(self) -> List[int]:
         """Coordinate of each generator: the monomial 1 in its block."""
@@ -457,124 +455,11 @@ def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarr
             for q in _complement(span.rows, mn_pivots)]
 
 
-@dataclass
-class ModuleMap:
-    """Field-linear map that commutes with every variable action."""
-
-    source: Module
-    target: Module
-    matrix: Mat
-
-    def is_equivariant(self) -> bool:
-        return _commutes(self.matrix, self.source.actions, self.target)
-
-    def is_invertible(self) -> bool:
-        return self.source.dim == self.target.dim and self.matrix.rank() == self.source.dim
-
-
-def _commutes(matrix: Mat, source_actions: Sequence[Mat], target: Module) -> bool:
-    """True when matrix X_i = X_i matrix for every variable, X_i acting on
-    the source by source_actions[i] and on the target through multiples."""
-    images = _by_variable(target, target.multiples(matrix, "variables").a)
-    return all(matrix @ X == Y for X, Y in zip(source_actions, images))
-
-
 def _by_variable(m: Module, multiples: np.ndarray) -> List[Mat]:
     """The products of Module.multiples(cols, "variables") on m split by
     variable: entry v is X_v @ cols."""
     s = m.algebra.nvars
     return [Mat._trusted(m.field, multiples[:, v::s]) for v in range(s)]
-
-
-def hom_space(m: Module, n: Module) -> List[ModuleMap]:
-    """Basis of Hom_A(M, N) = {phi : phi X_i = X_i phi for all i}.
-
-    Solved as one field-linear system; the basis is canonical under the
-    deterministic pivoting of the kernel computation.
-    """
-    if m.algebra is not n.algebra:
-        raise InputError("hom between modules over different algebras")
-    p = m.field.p
-    dM, dN = m.dim, n.dim
-    if dM == 0 or dN == 0:
-        return []
-    nv = m.algebra.nvars
-    # built once: a free source's dense actions serve the system and every check
-    m_actions = m.actions
-    if nv == 0:
-        blocks = np.zeros((0, dN * dM), dtype=np.int64)
-    else:
-        rows = []
-        I_N = np.eye(dN, dtype=np.int64)
-        I_M = np.eye(dM, dtype=np.int64)
-        for X, Y in zip(m_actions, n.actions):
-            # row-major vec(phi): vec(phi X) = (I (x) X^T) v, vec(Y phi) = (Y (x) I) v
-            rows.append((np.kron(I_N, X.a.T) - np.kron(Y.a, I_M)) % p)
-        blocks = np.vstack(rows)
-    K = kernel_basis(Mat(m.field, blocks))
-    maps = []
-    for j in range(K.cols):
-        phi = Mat(m.field, K.a[:, j].reshape(dN, dM))
-        check(_commutes(phi, m_actions, n), "Hom basis element is not equivariant")
-        maps.append(ModuleMap(m, n, phi))
-    return maps
-
-
-@dataclass
-class IsoVerdict:
-    """Outcome of the randomized isomorphism search.
-
-    kind is one of "yes", "structurally_distinct", "no_witness_found";
-    the inconclusive branch is never reported as a definite "no".
-    """
-
-    kind: str
-    witness: Optional[ModuleMap] = None
-    reason: Optional[str] = None
-
-    def to_jsonable(self) -> dict:
-        return {"kind": self.kind, "reason": self.reason}
-
-
-def is_isomorphic(m: Module, n: Module, seed: int = 0, attempts: int = 64) -> IsoVerdict:
-    """Search for an invertible equivariant map M -> N.
-
-    Structural invariants (dimension, graded dimensions, minimal generator
-    count) rule out isomorphism outright; otherwise basis homomorphisms and
-    seeded random combinations are tried.  A verified witness gives "yes";
-    exhaustion gives "no_witness_found", which is explicitly inconclusive.
-    """
-    if m.algebra is not n.algebra:
-        raise InputError("modules over different algebras")
-    if m.dim != n.dim:
-        return IsoVerdict("structurally_distinct", reason=f"dim {m.dim} != {n.dim}")
-    if m.hilbert() != n.hilbert():
-        return IsoVerdict("structurally_distinct", reason=f"graded dimensions differ: {m.hilbert()} vs {n.hilbert()}")
-    if len(min_generators(m)) != len(min_generators(n)):
-        return IsoVerdict("structurally_distinct", reason="minimal generator counts differ")
-    if m.dim == 0:
-        return IsoVerdict("yes", witness=ModuleMap(m, n, Mat.zeros(m.field, 0, 0)))
-    basis = hom_space(m, n)
-    if not basis:
-        return IsoVerdict("no_witness_found", reason="Hom(M, N) = 0")
-    for cand in basis:
-        if cand.is_invertible():
-            return IsoVerdict("yes", witness=cand)
-    rng = random.Random(seed)
-    p = m.field.p
-    for _ in range(attempts):
-        coeffs = [rng.randrange(p) for _ in basis]
-        if not any(coeffs):
-            continue
-        acc = Mat.zeros(m.field, n.dim, m.dim)
-        for c, bm in zip(coeffs, basis):
-            if c:
-                acc = acc + bm.matrix.scale(c)
-        cand = ModuleMap(m, n, acc)
-        if cand.is_invertible():
-            check(cand.is_equivariant(), "isomorphism witness is not equivariant")
-            return IsoVerdict("yes", witness=cand)
-    return IsoVerdict("no_witness_found", reason=f"no invertible combination in {attempts} attempts")
 
 
 # -- subquotient machinery -------------------------------------------------

@@ -2,17 +2,18 @@
 complexity-reduction search.
 
 Ext classes are held at the chain level: a degree-t class is a cocycle
-F_t -> N, identified modulo maps factoring through d_t.  That makes Yoneda
-powers a pure chain-lifting problem and lets a pushout materialize the
-corresponding extension on demand.  Cocycle representatives are chosen per
-internal degree shift, so every constructed extension module stays graded.
+F_t -> N, identified modulo maps factoring through d_t.  That makes the
+search's chain lifts a matter of solving on generators and lets a pushout
+materialize the corresponding extension on demand.  Cocycle representatives
+are chosen per internal degree shift, so every constructed extension module
+stays graded.
 """
 from __future__ import annotations
 
 import random
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,13 +33,11 @@ __all__ = [
     "ext_table",
     "tor_table",
     "cocycle_basis",
-    "yoneda_power",
     "pushout",
     "find_reducing_element",
     "reduction_sequence",
     "window_vanishing_check",
     "self_ext_pd_check",
-    "test_against",
     "symmetry_check",
 ]
 
@@ -255,7 +254,7 @@ def _cocycle_classes(m: Module, n: Module, t: int, delta_prev: Optional[Mat] = N
     return elements, coboundaries, delta_t
 
 
-# -- chain lifting and Yoneda powers ------------------------------------------
+# -- chain lifting and pushouts -----------------------------------------------
 
 
 def _side_by_side(reps: np.ndarray, rank: int, n: Module) -> Mat:
@@ -287,38 +286,6 @@ def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> L
         rhs = compose_on_generators(res.free(i - 1), images[i - 1], res.diff_coefficients(t + i))
         images.append(res.solve(i, rhs))
     return images
-
-
-def _lift_chain_map(eta: ExtElement, upto: int) -> List[Mat]:
-    """The chain lift theta_i: F_{t+i} -> F_i (i = 0..upto) of eta in
-    Ext^t(M, M), as generator images U_i: the stack of one class (see
-    _lift_stack)."""
-    res = eta.resolution
-    if eta.target is not res.module:
-        raise InputError("chain lifting needs source = target")
-    return _lift_stack(res, eta.degree, eta.generator_images(), upto)
-
-
-def yoneda_power(eta: ExtElement, s: int) -> ExtElement:
-    """The s-fold Yoneda power of a self-extension class.
-
-    Computed by lifting the cocycle to a chain self-map of the resolution
-    and composing; the result has degree s*t and internal shift s*shift.
-    """
-    if eta.target is not eta.resolution.module:
-        raise InputError("yoneda_power needs eta in Ext(M, M)")
-    if s < 1:
-        raise InputError("power must be >= 1")
-    if s == 1:
-        return eta
-    res = eta.resolution
-    t = eta.degree
-    res.extend(s * t + 1)
-    images = _lift_chain_map(eta, (s - 1) * t)
-    comp = eta.realized()
-    for j in range(1, s):
-        comp = comp @ extend_linearly(res.free(j * t), images[j * t])  # theta_{jt}: F_{(j+1)t} -> F_{jt}
-    return ExtElement.from_realized(res, eta.target, s * t, comp, eta.shift * s)
 
 
 def pushout(eta: ExtElement) -> "PushoutExtension":
@@ -665,36 +632,6 @@ def self_ext_pd_check(m: Module, max_degree: int = DEFAULT_WINDOW) -> Verdict:
     kind = "consistent_free" if free else "consistent_nonfree"
     return Verdict(kind, True, params,
                    note="projective dimension matches the top nonvanishing self-extension")
-
-
-def test_against(m: Module, tests: Sequence[Tuple[Module, int]],
-                 max_degree: int = DEFAULT_WINDOW, tail: int = DEFAULT_TAIL) -> Verdict:
-    """One-directional complexity bound from vanishing against test modules.
-
-    BoundEstablished (cx M < t) requires tail vanishing of Ext(M, N) for
-    every supplied N of declared complexity t; any nonvanishing witness
-    yields Inconclusive, never a lower bound.
-    """
-    if not tests:
-        raise InputError("need at least one test module")
-    ts = {int(cx) for _, cx in tests}
-    if len(ts) != 1:
-        raise InputError("test modules must share one declared complexity")
-    t = ts.pop()
-    for n, _ in tests:
-        if n.algebra is not m.algebra:
-            raise InputError("test module over a different algebra")
-    params = {"declared_cx": t, "max_degree": max_degree, "tail": tail,
-              "tail_window": [max_degree - tail + 1, max_degree]}
-    for idx, (n, _) in enumerate(tests):
-        table = ext_table(m, n, max_degree)
-        for i in range(max_degree - tail + 1, max_degree + 1):
-            if table[i] != 0:
-                return Verdict("inconclusive", True, params,
-                               witness={"test_index": idx, "degree": i, "dim": table[i]},
-                               note="nonvanishing tail; no bound follows in either direction")
-    return Verdict("bound_established", True, params,
-                   note=f"cx < {t} relative to the checked family of test modules")
 
 
 def symmetry_check(m: Module, n: Module, max_degree: int = DEFAULT_WINDOW,

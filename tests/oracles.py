@@ -15,12 +15,17 @@ engine's direct_sum and quotient_by_span, and tensor_algebra and
 tensor_module build the inputs of the Kunneth checks, whose expected values
 are convolutions of sequences the engine computes for each factor alone.
 solve and solve_matrix solve through the engine's rref; their particular
-solution is the one MinimalFreeResolution.solve must reproduce.
+solution is the one MinimalFreeResolution.solve must reproduce.  hom_space,
+ModuleMap and is_isomorphic read Hom_A(M, N) off the dense variable actions
+with the engine's kernel_basis, and yoneda_power composes the engine's chain
+lifts; the library computes Ext without either.
 diff_algebra reads a differential of an engine resolution as a matrix of
 algebra elements.
 """
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass
 from itertools import product
 from math import comb
 
@@ -436,7 +441,7 @@ def resolved_screens(basis, constants, coeffs):
 def reference_lift(eta, upto):
     """The realized chain lift theta_i: F_{t+i} -> F_i (i = 0..upto) of eta in
     Ext^t(M, M), each step solved from scratch: the reference for
-    yoneda._lift_chain_map, which solves through factorizations cached on
+    yoneda._lift_stack, which solves through factorizations cached on
     the resolution and composes on generators.
 
     theta_0 solves eps U = eta on the generators of F_t, theta_i solves
@@ -456,6 +461,81 @@ def reference_lift(eta, upto):
         assert U is not None, f"no lift through step {i}"
         thetas.append(extend_linearly(res.free(i), U))
     return thetas
+
+
+def yoneda_power(eta, s):
+    """The s-fold Yoneda power of eta in Ext^t(M, M): eta composed with the
+    chain lifts theta_t, theta_2t, .., theta_(s-1)t of eta (yoneda._lift_stack)."""
+    from cxlab.gmod import extend_linearly
+    from cxlab.yoneda import ExtElement, _lift_stack
+
+    if s == 1:
+        return eta
+    res, t = eta.resolution, eta.degree
+    res.extend(s * t + 1)
+    lifts = _lift_stack(res, t, eta.generator_images(), (s - 1) * t)
+    comp = eta.realized()
+    for j in range(1, s):
+        comp = comp @ extend_linearly(res.free(j * t), lifts[j * t])
+    return ExtElement.from_realized(res, eta.target, s * t, comp, s * eta.shift)
+
+
+@dataclass
+class ModuleMap:
+    """A field-linear map source -> target, given by its matrix."""
+
+    source: object
+    target: object
+    matrix: object
+
+    def is_equivariant(self):
+        return all(self.matrix @ X == Y @ self.matrix
+                   for X, Y in zip(self.source.actions, self.target.actions))
+
+    def is_invertible(self):
+        return self.source.dim == self.target.dim == self.matrix.rank()
+
+
+def hom_space(m, n):
+    """A basis of Hom_A(M, N), the kernel of phi -> (phi X_v - Y_v phi)_v:
+    on row-major vec(phi), vec(phi X) = (I (x) X^T) vec(phi) and
+    vec(Y phi) = (Y (x) I) vec(phi)."""
+    from cxlab.exactla import Mat, kernel_basis
+
+    if m.dim == 0 or n.dim == 0:
+        return []
+    I_M, I_N = np.eye(m.dim, dtype=np.int64), np.eye(n.dim, dtype=np.int64)
+    rows = [np.kron(I_N, X.a.T) - np.kron(Y.a, I_M) for X, Y in zip(m.actions, n.actions)]
+    K = kernel_basis(Mat(m.field, np.vstack(rows + [np.zeros((0, n.dim * m.dim), dtype=np.int64)])))
+    return [ModuleMap(m, n, Mat(m.field, K.a[:, j].reshape(n.dim, m.dim))) for j in range(K.cols)]
+
+
+@dataclass
+class IsoVerdict:
+    kind: str  # "yes", "structurally_distinct" or the inconclusive "no_witness_found"
+    witness: object = None
+
+
+def is_isomorphic(m, n, seed=0, attempts=64):
+    """Search for an invertible A-linear map M -> N: none exists when the
+    graded dimensions or the minimal generator counts differ; else the Hom
+    basis maps, then `attempts` seeded random combinations of them, are tried."""
+    from cxlab.exactla import Mat
+    from cxlab.gmod import min_generators
+
+    if m.hilbert() != n.hilbert() or len(min_generators(m)) != len(min_generators(n)):
+        return IsoVerdict("structurally_distinct")
+    basis = hom_space(m, n)
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+    rows += [[rng.randrange(m.field.p) for _ in basis] for _ in range(attempts)]
+    for row in rows:
+        phi = Mat.zeros(m.field, n.dim, m.dim)
+        for c, h in zip(row, basis):
+            phi = phi + h.matrix.scale(c)
+        if phi.rank() == m.dim:
+            return IsoVerdict("yes", ModuleMap(m, n, phi))
+    return IsoVerdict("no_witness_found")
 
 
 def eisenbud_chi(ci, res, max_degree):

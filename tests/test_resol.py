@@ -10,11 +10,12 @@ from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat
 from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
 from cxlab import resol
-from cxlab.gmod import ModuleMap, coker_presentation, direct_sum, free_module, residue_field, shift
+from cxlab.gmod import coker_presentation, direct_sum, free_module, residue_field, shift
 from cxlab.resol import estimate_complexity, resolve, syzygy, verify_complex
 from conftest import GASHAROV_VARS, gasharov_algebra, gasharov_presentation
 import oracles
 from oracles import (
+    ModuleMap,
     assert_matches_eager,
     diff_algebra,
     monomial_ci_structure,
@@ -56,40 +57,8 @@ def test_resolve_builds_no_algebra_elements(monkeypatch):
     assert built
 
 
-def test_resolve_builds_no_dense_free_module_action(monkeypatch):
-    # free modules act block by block; their dense kron(I_r, X_v) matrices
-    # are built only on request, and the resolution never asks
-    A = MonomialCI.build(F5, [2, 2, 2]).algebra
-    k = residue_field(A)
-    kron = np.kron
-    built = []
-
-    def counting_kron(*args):
-        built.append(args[0].shape)
-        return kron(*args)
-
-    monkeypatch.setattr(np, "kron", counting_kron)
-    assert resolve(k, 9).betti_list(9) == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
-    assert built == []
-    resolve(k, 9).free(1).actions
-    assert built
-
-
-def test_products_over_A_make_no_kron_call(monkeypatch):
-    # Hom and tensor differentials, cocycles, chain lifts, operator checks
-    # and realized matrices over A all multiply through Module.multiples or
-    # one product by a module's stacked actions, never through kron terms;
-    # a search's only kron calls build the dense actions of the free summand
-    # of a pushout's direct sum, on request
-    from cxlab.cioper import eisenbud_operators
-    from cxlab.yoneda import cocycle_basis, ext_table, find_reducing_element, tor_table
-
-    ci = MonomialCI.build(F5, [2, 2, 2])
-    k = residue_field(ci.algebra)
-    G = gasharov_algebra(F5)
-    M = gasharov_presentation(G)
-    res = resolve(M, 3)
-    matrices = [diff_algebra(res, i) for i in (1, 2, 3)]
+def _count_kron(monkeypatch):
+    """Record the caller of every np.kron call from now on."""
     kron = np.kron
     callers = []
 
@@ -98,6 +67,39 @@ def test_products_over_A_make_no_kron_call(monkeypatch):
         return kron(*args)
 
     monkeypatch.setattr(np, "kron", counting_kron)
+    return callers
+
+
+def test_resolve_builds_no_dense_free_module_action(monkeypatch):
+    # free modules act through the structure constants of A: neither the
+    # resolution nor a free module's actions, read on request, build a kron
+    A = MonomialCI.build(F5, [2, 2, 2]).algebra
+    k = residue_field(A)
+    callers = _count_kron(monkeypatch)
+    assert resolve(k, 9).betti_list(9) == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
+    F = resolve(k, 9).free(1)
+    assert len(F.actions) == A.nvars and all(X.shape == (F.dim, F.dim) for X in F.actions)
+    assert callers == []
+
+
+def test_products_over_A_make_no_kron_call(monkeypatch):
+    # Hom and tensor differentials, cocycles, chain lifts, operator checks,
+    # realized matrices over A, the pushouts of a search and a scenario run
+    # all multiply through Module.multiples or one product by a module's
+    # stacked actions, never through kron terms
+    from cxlab.cioper import eisenbud_operators
+    from cxlab.cxcli import RunOptions, parse_scenario, run
+    from cxlab.yoneda import cocycle_basis, ext_table, find_reducing_element, tor_table
+    from conftest import SCENARIO_DIR
+
+    ci = MonomialCI.build(F5, [2, 2, 2])
+    k = residue_field(ci.algebra)
+    G = gasharov_algebra(F5)
+    M = gasharov_presentation(G)
+    res = resolve(M, 3)
+    matrices = [diff_algebra(res, i) for i in (1, 2, 3)]
+    scenario = parse_scenario((SCENARIO_DIR / "quadric_ci.cx").read_text())
+    callers = _count_kron(monkeypatch)
     kG = residue_field(G)
     assert ext_table(M, kG, 4) == tor_table(M, kG, 4) == res.betti_list(4)
     assert len(cocycle_basis(M, M, 2)) == ext_table(M, M, 2)[2] > 0
@@ -105,9 +107,9 @@ def test_products_over_A_make_no_kron_call(monkeypatch):
     assert all(ops.chi_realized(j, n).shape == (ops.resolution.free(n - 2).dim, ops.resolution.free(n).dim)
                for j in (1, 2, 3) for n in range(2, 9))
     assert verify_complex(G, matrices).ok
-    assert callers == []
     assert find_reducing_element(M, 8, seed=0, budget=3)[0].degree == 4
-    assert callers and set(callers) == {"_dense"}
+    assert run(scenario, RunOptions()).ok
+    assert callers == []
 
 
 def test_resolve_eliminates_blocks_in_batches(monkeypatch):
