@@ -32,6 +32,7 @@ from .yoneda import (
     ExtElement,
     PushoutExtension,
     Verdict,
+    _check_tail,
     ext_table,
     pushout,
 )
@@ -237,6 +238,7 @@ def vartest_check(m: Module, tests: Sequence[Tuple[Module, int]],
     module of cut size t bounds the complexity by t."""
     if not tests:
         raise InputError("need at least one test module")
+    _check_tail(max_degree, tail)
     ts = {int(t) for _, t in tests}
     if len(ts) != 1:
         raise InputError("test modules must share one cut size")

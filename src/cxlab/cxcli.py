@@ -198,6 +198,18 @@ class _Parser(TokenStream):
             self.fail("expected end of line")
         self.take()
 
+    def comma_list(self, item: Callable[[], object], close: Optional[str] = None) -> list:
+        """item(), then ', ' item() while a comma follows.  With close the
+        list may be empty, which close as the next token shows; close itself
+        is left to the caller."""
+        if close is not None and self.at(close):
+            return []
+        items = [item()]
+        while self.at(","):
+            self.take()
+            items.append(item())
+        return items
+
     # grammar
     def parse(self) -> Scenario:
         self.skip_newlines()
@@ -249,31 +261,21 @@ class _Parser(TokenStream):
             self.fail(f"name {name!r} already defined", name_tok)
         self.expect_sym("=")
         self.expect_sym("[")
-        varnames: List[str] = []
-        if not self.at("]"):
-            while True:
-                varnames.append(self.expect_ident("variable name").value)
-                if self.at(","):
-                    self.take()
-                    continue
-                break
+        varnames = self.comma_list(lambda: self.expect_ident("variable name").value, "]")
         self.expect_sym("]")
         if len(set(varnames)) != len(varnames):
             self.fail("duplicate variable name", name_tok)
         self.expect_sym("/")
         self.expect_sym("(")
-        relations: List[Polynomial] = []
-        if not self.at(")"):
-            while True:
-                ptok = self.peek()
-                poly = parse_poly_tokens(self, varnames, self.fp)
-                if not poly.is_homogeneous() or poly.is_zero() or poly.degree() < 1:
-                    raise ScenarioError("relation must be homogeneous of degree >= 1", ptok.line, ptok.col)
-                relations.append(poly)
-                if self.at(","):
-                    self.take()
-                    continue
-                break
+
+        def relation() -> Polynomial:
+            ptok = self.peek()
+            poly = parse_poly_tokens(self, varnames, self.fp)
+            if not poly.is_homogeneous() or poly.is_zero() or poly.degree() < 1:
+                raise ScenarioError("relation must be homogeneous of degree >= 1", ptok.line, ptok.col)
+            return poly
+
+        relations = self.comma_list(relation, ")")
         self.expect_sym(")")
         self.end_statement()
         decl = RingDecl(name, tuple(varnames), tuple(relations), SrcLoc(tok.line, tok.col))
@@ -360,11 +362,7 @@ class _Parser(TokenStream):
         return tok.value
 
     def parse_module_list(self) -> Tuple[str, ...]:
-        names = [self.ref_module()]
-        while self.at(","):
-            self.take()
-            names.append(self.ref_module())
-        return tuple(names)
+        return tuple(self.comma_list(self.ref_module))
 
     def parse_range(self, count: int) -> Tuple[int, int]:
         """``a..b``, one index for each of ``count`` matrices."""
@@ -378,42 +376,27 @@ class _Parser(TokenStream):
         return a, b
 
     def parse_int_list(self) -> Tuple[int, ...]:
+        def signed() -> int:
+            negative = self.at("-")
+            if negative:
+                self.take()
+            v = self.expect_int()
+            return -v if negative else v
+
         self.expect_sym("[")
-        vals = []
-        if not self.at("]"):
-            while True:
-                neg = False
-                if self.at("-"):
-                    self.take()
-                    neg = True
-                v = self.expect_int()
-                vals.append(-v if neg else v)
-                if self.at(","):
-                    self.take()
-                    continue
-                break
+        vals = self.comma_list(signed, "]")
         self.expect_sym("]")
         return tuple(vals)
 
     def parse_matrix(self, varnames: Tuple[str, ...]) -> tuple:
-        self.expect_sym("[")
-        rows = []
-        while True:
+        def row() -> tuple:
             self.expect_sym("[")
-            row = []
-            if not self.at("]"):
-                while True:
-                    row.append(parse_poly_tokens(self, varnames, self.fp))
-                    if self.at(","):
-                        self.take()
-                        continue
-                    break
+            entries = self.comma_list(lambda: parse_poly_tokens(self, varnames, self.fp), "]")
             self.expect_sym("]")
-            rows.append(tuple(row))
-            if self.at(","):
-                self.take()
-                continue
-            break
+            return tuple(entries)
+
+        self.expect_sym("[")
+        rows = self.comma_list(row)
         self.expect_sym("]")
         if len({len(r) for r in rows}) > 1:
             self.fail("ragged matrix")
@@ -421,10 +404,7 @@ class _Parser(TokenStream):
 
     def parse_matrix_list(self, varnames: Tuple[str, ...]) -> tuple:
         self.expect_sym("[")
-        mats = [self.parse_matrix(varnames)]
-        while self.at(","):
-            self.take()
-            mats.append(self.parse_matrix(varnames))
+        mats = self.comma_list(lambda: self.parse_matrix(varnames))
         self.expect_sym("]")
         return tuple(mats)
 

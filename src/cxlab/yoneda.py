@@ -291,57 +291,37 @@ def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> L
 def pushout(eta: ExtElement) -> "PushoutExtension":
     """The extension 0 -> N -> K -> Omega^{t-1}(M) -> 0 classified by eta.
 
-    K is the quotient of N (+) F_{t-1} by the graph of the representing map
-    over Omega^t(M); the target copy of N is degree-shifted so that the
-    glued module is graded.  Exactness of the short sequence is verified by
-    ranks.
+    K is the quotient of N (+) F_{t-1} by the graph of (phi, -d_t) over F_t,
+    phi the representing map; the copy of N is degree-shifted so that the
+    glued module is graded.  By construction K -> F_{t-1}/im d_t is onto
+    and kills N, and its kernel is the image of N, since (n, d_t x) is
+    (n + phi x, 0) modulo the graph.  So the sequence is exact exactly when
+    N embeds, i.e. when ker d_t lies in ker phi (the cocycle condition, as
+    ker d_t = im d_{t+1}), and that holds exactly when the graph has
+    dimension rank d_t: when dim K = dim N + dim F_{t-1} - rank d_t, the
+    one identity checked.  rank d_t is read off the exactness the
+    resolution proved: rank d_0 = dim M (the augmentation is onto) and
+    rank d_{i+1} = dim F_i - rank d_i.
     """
-    res = eta.resolution
-    t = eta.degree
-    N = eta.target
-    p = N.field.p
-    Nsh = shift(N, -eta.shift)
+    res, t, N = eta.resolution, eta.degree, eta.target
     F_prev = res.free(t - 1)
-    D = direct_sum(Nsh, F_prev)
-    phi = eta.realized()
-    d_t = res.diff_realized(t)
-    F_t = res.free(t)
-    span = np.zeros((F_t.dim, D.dim), dtype=np.int64)
-    span[:, : N.dim] = phi.a.T
-    span[:, N.dim :] = (-d_t.a.T) % p
-    quot = quotient_by_span(D, Mat(N.field, span), provenance="pushout")
-    K = quot.module
-    embed_N = np.zeros((D.dim, N.dim), dtype=np.int64)
-    embed_N[: N.dim, :] = np.eye(N.dim, dtype=np.int64)
-    injection = quot.projection @ Mat(N.field, embed_N)
-    cosz = quotient_by_span(F_prev, Mat(N.field, d_t.a.T), provenance="cosyzygy")
-    Om = cosz.module
-    to_om = np.zeros((Om.dim, D.dim), dtype=np.int64)
-    to_om[:, N.dim :] = cosz.projection.a
-    surjection = Mat(N.field, to_om) @ quot.lift
-    # rank bookkeeping for exactness of 0 -> N -> K -> Omega^{t-1} -> 0
-    check(injection.rank() == N.dim, "N does not embed")
-    check(surjection.rank() == Om.dim, "K does not surject onto the cosyzygy")
-    check((surjection @ injection).is_zero(), "composite N -> Omega is nonzero")
-    check(K.dim == N.dim + F_prev.dim - d_t.rank(), "pushout dimension identity fails")
-    return PushoutExtension(eta, K, injection, surjection, Om)
+    graph = np.hstack([eta.realized().a.T, (-res.diff_realized(t).a.T) % N.field.p])
+    K = quotient_by_span(direct_sum(shift(N, -eta.shift), F_prev), Mat(N.field, graph),
+                         provenance="pushout").module
+    rank_d = res.module.dim
+    for i in range(t):
+        rank_d = res.free(i).dim - rank_d
+    check(K.dim == N.dim + F_prev.dim - rank_d, "N does not embed in the pushout: not a cocycle")
+    return PushoutExtension(eta, K)
 
 
 @dataclass
 class PushoutExtension:
-    """The short exact sequence materialized from an Ext class."""
+    """The short exact sequence materialized from an Ext class: the class
+    and the middle module K."""
 
     eta: ExtElement
     module: Module
-    injection: Mat    # N coords -> K coords (N internally shifted by -eta.shift)
-    surjection: Mat   # K coords -> Omega^{t-1}(M) realized as F_{t-1}/im d_t
-    cosyzygy: Module
-
-    def to_jsonable(self) -> dict:
-        return {
-            "eta": self.eta.describe(),
-            "dim": self.module.dim,
-        }
 
 
 # -- reduction of complexity ---------------------------------------------------
@@ -365,11 +345,11 @@ def _constant_stacks(res: MinimalFreeResolution, t: int, lifts: List[Mat]) -> Li
 
 
 def _screen_combinations(basis: List[ExtElement], constants: List[np.ndarray],
-                         coeffs: Optional[np.ndarray]) -> List[List[int]]:
+                         coeffs: np.ndarray) -> List[List[int]]:
     """beta_0..beta_window of the pushout of each class sum_j coeffs[c, j]
-    basis[j], one per row c of coeffs, or of each basis class when coeffs is
-    None, without building it; constants are the basis classes' stacked
-    theta_n (x) k (_constant_stacks), window = len(constants) - 1.
+    basis[j], one per row c of coeffs, without building it; constants are
+    the basis classes' stacked theta_n (x) k (_constant_stacks), window =
+    len(constants) - 1.  The rows of the identity screen the basis classes.
 
     The pushout K sits in 0 -> M -> K -> Omega^{t-1}(M) -> 0, whose
     connecting map Tor_{n+1}(Omega^{t-1}M, k) = Tor_{n+t}(M, k) -> Tor_n(M, k)
@@ -386,15 +366,14 @@ def _screen_combinations(basis: List[ExtElement], constants: List[np.ndarray],
     """
     res, t = basis[0].resolution, basis[0].degree
     field = res.module.field
-    if coeffs is not None:
-        C = Mat(field, coeffs)
-        constants = [(C @ Mat._trusted(field, L.reshape(L.shape[0], -1))).a.reshape((C.rows,) + L.shape[1:])
-                     for L in constants]
-    window, k = len(constants) - 1, constants[0].shape[0]
-    ranks = [[0] * k] + [[Mat._trusted(field, a).rank() for a in L] for L in constants]
+    C = Mat(field, coeffs)
+    layers = [(C @ Mat._trusted(field, L.reshape(L.shape[0], -1))).a.reshape((C.rows,) + L.shape[1:])
+              for L in constants]
+    window = len(layers) - 1
+    ranks = [[0] * C.rows] + [[Mat._trusted(field, a).rank() for a in L] for L in layers]
     betti = res.betti_list(t + window - 1)
     return [[betti[n] + betti[n + t - 1] - ranks[n + 1][j] - ranks[n][j] for n in range(window + 1)]
-            for j in range(k)]
+            for j in range(C.rows)]
 
 
 QUICK_WINDOW = 8
@@ -407,22 +386,23 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
     """Search Ext^t(M, M), t = 1..max_search_degree, for a class whose pushout
     drops the complexity estimate by exactly one.
 
-    Basis representatives are tried first, then seeded random combinations
-    within one internal shift (a per-degree budget applies).  Scalar multiples
-    and cohomologous candidates are deduplicated through canonical class
-    residues.  Candidates are screened on a short Betti window of their
-    pushout, read off the resolution of M through the long exact Tor sequence
-    without building the pushout (_screen_combinations).  The basis classes
-    of a degree are lifted together, in one stacked chain lift (_lift_stack),
-    and a random candidate's screen is read off the same lift, as the same
-    combination of the basis classes' layers.  The random candidates of a
-    degree are drawn together; the fresh ones are checked to be cocycles in
-    one stacked compose_on_generators.  Candidates are then evaluated in
-    order, and only one that passes the screen gets an ExtElement, is pushed
-    out and is confirmed on the full window, so the returned estimate always
-    uses the full window; its resolution also re-checks the screen's Betti
-    numbers.  Returns None when nothing is found within the budget; that is
-    a statement about the search, never about the module.
+    A degree's candidates are the rows of a coefficient matrix over its
+    cocycle basis: first the basis classes (the rows of the identity), then,
+    when none of them wins, seeded random combinations within one internal
+    shift (a per-degree budget applies).  Each batch takes one path.  Its
+    classes are reduced modulo the coboundaries together; scalar multiples
+    and cohomologous candidates are dropped through their normalized
+    residues.  The fresh ones are screened on a short Betti window of their
+    pushout, read off the resolution of M through the long exact Tor
+    sequence without building the pushout (_screen_combinations), as
+    combinations of the basis classes' layers in one stacked chain lift
+    (_lift_stack).  Candidates are then evaluated in order, and only one
+    that passes the screen gets an ExtElement, which checks its cocycle
+    condition, is pushed out and is confirmed on the full window, so the
+    returned estimate always uses the full window; its resolution also
+    re-checks the screen's Betti numbers.  Returns None when nothing is
+    found within the budget; that is a statement about the search, never
+    about the module.
     """
     est_m = _estimate(m, window, stab)
     if not est_m.stabilized or est_m.value < 1:
@@ -445,39 +425,11 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
             return eta, push, full
         return None
 
-    delta = None  # delta^{t-1}, handed on from the degree before
-    for t in range(1, max_search_degree + 1):
-        # every candidate of degree t is reduced modulo the coboundaries
-        # that reduced the basis
-        basis, coboundaries, delta = _cocycle_classes(m, m, t, delta)
-        if not basis:
-            continue
-        res = basis[0].resolution
-        seen = set()
-
-        def fresh(rep: np.ndarray) -> bool:
-            v = _reduce_mod_rows(rep, coboundaries)
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                return False
-            v = (v * field.inv(int(v[nz[0]]))) % p
-            key = v.tobytes()
-            if key in seen:
-                return False
-            seen.add(key)
-            return True
-
-        reps = np.array([e.rep for e in basis])
-        lifts = _lift_stack(res, t, _side_by_side(reps, res.free(t).rank, m), QUICK_WINDOW)
-        constants = _constant_stacks(res, t, lifts)
-        for eta, screen in zip(basis, _screen_combinations(basis, constants, None)):
-            if fresh(eta.rep):
-                hit = evaluate(screen, lambda eta=eta: eta)
-                if hit:
-                    return hit
-        # the random candidates, all drawn before any is screened; rng
-        # serves only these draws, in this order, so drawing them together
-        # changes no candidate and no freshness test
+    def batches(basis: List[ExtElement], res: MinimalFreeResolution, t: int):
+        """(coefficient rows, the ExtElement of row c given its rep); the
+        random rows are drawn only when asked for, and rng serves only these
+        draws, in this order."""
+        yield np.eye(len(basis), dtype=np.int64), lambda c, rep: basis[c]
         by_shift: Dict[int, List[int]] = {}
         for j, e in enumerate(basis):
             by_shift.setdefault(e.shift, []).append(j)
@@ -491,20 +443,37 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
                 rows.append(np.zeros(len(basis), dtype=np.int64))
                 rows[-1][group] = coeffs
                 row_shifts.append(s_key)
-        if not rows:
+        if rows:
+            yield np.array(rows), lambda c, rep: ExtElement(res, m, t, rep, row_shifts[c])
+
+    delta = None  # delta^{t-1}, handed on from the degree before
+    for t in range(1, max_search_degree + 1):
+        # every candidate of degree t is reduced modulo the coboundaries
+        # that reduced the basis
+        basis, coboundaries, delta = _cocycle_classes(m, m, t, delta)
+        if not basis:
             continue
-        C = np.array(rows)
-        combined = (Mat._trusted(field, C) @ Mat._trusted(field, reps)).a
-        # a duplicate is dropped before it is screened
-        keep = [c for c in range(len(rows)) if fresh(combined[c])]
-        if not keep:
-            continue
-        images = _side_by_side(combined[keep], res.free(t).rank, m)
-        check(compose_on_generators(m, images, res.diff_coefficients(t + 1)).is_zero(), "not a cocycle")
-        for c, screen in zip(keep, _screen_combinations(basis, constants, C[keep])):
-            hit = evaluate(screen, lambda c=c: ExtElement(res, m, t, combined[c], row_shifts[c]))
-            if hit:
-                return hit
+        res = basis[0].resolution
+        reps = np.array([e.rep for e in basis])
+        lifts = _lift_stack(res, t, _side_by_side(reps, res.free(t).rank, m), QUICK_WINDOW)
+        constants = _constant_stacks(res, t, lifts)
+        seen = set()
+        for C, element in batches(basis, res, t):
+            classes = (Mat._trusted(field, C) @ Mat._trusted(field, reps)).a
+            # a zero class or a repeat is dropped before it is screened
+            keep = []
+            for c, v in enumerate(_reduce_mod_rows(classes, coboundaries)):
+                nz = np.nonzero(v)[0]
+                if nz.size == 0:
+                    continue
+                key = ((v * field.inv(int(v[nz[0]]))) % p).tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    keep.append(c)
+            for c, screen in zip(keep, _screen_combinations(basis, constants, C[keep])):
+                hit = evaluate(screen, lambda c=c: element(c, classes[c]))
+                if hit:
+                    return hit
     return None
 
 
@@ -578,6 +547,12 @@ def reduction_sequence(m: Module, max_search_degree: int = 8, *, seed: int = 0,
 # -- vanishing checks ----------------------------------------------------------
 
 
+def _check_tail(max_degree: int, tail: int):
+    """A tail of the window 0..max_degree lies in positive degrees."""
+    if max_degree < tail:
+        raise InputError(f"max_degree {max_degree} is shorter than the tail of {tail} degrees")
+
+
 def window_vanishing_check(m: Module, reduction: ReductionSequence, n: Module, t: int,
                            max_degree: int = DEFAULT_WINDOW, use_tor: bool = False) -> Verdict:
     """Window-implies-tail vanishing check.
@@ -618,6 +593,8 @@ def self_ext_pd_check(m: Module, max_degree: int = DEFAULT_WINDOW) -> Verdict:
     Over an Artinian local ring finite projective dimension means free, so
     Ext^i(M, M) = 0 for 1 <= i <= max_degree must co-occur with beta_1 = 0.
     """
+    if max_degree < 1:
+        raise InputError(f"max_degree {max_degree} leaves no positive degree to check")
     table = ext_table(m, m, max_degree)
     beta1 = resolve(m, 1).betti(1)
     vanishing = all(v == 0 for v in table[1:])
@@ -639,6 +616,7 @@ def symmetry_check(m: Module, n: Module, max_degree: int = DEFAULT_WINDOW,
     """Observational Gorenstein symmetry of tail vanishing of Ext(M,N) and Ext(N,M)."""
     if not is_gorenstein(m.algebra):
         raise InputError("symmetry check requires a Gorenstein algebra")
+    _check_tail(max_degree, tail)
     t_mn = ext_table(m, n, max_degree)
     t_nm = ext_table(n, m, max_degree)
     tail_range = range(max_degree - tail + 1, max_degree + 1)

@@ -99,11 +99,11 @@ def stacked_lift(basis, window):
 
 def one_class_screen(eta, window):
     """The screen of eta alone: _screen_combinations over a stack of one
-    class."""
+    class, with coefficient 1."""
     from cxlab import yoneda
 
     _, constants = stacked_lift([eta], window)
-    return yoneda._screen_combinations([eta], constants, None)[0]
+    return yoneda._screen_combinations([eta], constants, np.eye(1, dtype=np.int64))[0]
 
 
 @pytest.fixture(scope="session")

@@ -431,11 +431,9 @@ def combination(basis, row):
 
 def resolved_screens(basis, constants, coeffs):
     """What yoneda._screen_combinations returns, by building and resolving
-    the pushout of each candidate: the basis classes when coeffs is None,
-    else the combination of the basis by each row of coeffs."""
-    window = len(constants) - 1
-    rows = np.eye(len(basis), dtype=np.int64) if coeffs is None else coeffs
-    return [pushout_betti(combination(basis, row), window) for row in rows]
+    the pushout of each candidate, the combination of the basis by each row
+    of coeffs."""
+    return [pushout_betti(combination(basis, row), len(constants) - 1) for row in coeffs]
 
 
 def reference_lift(eta, upto):

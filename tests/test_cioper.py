@@ -262,6 +262,10 @@ def test_vartest_check(quadric, k):
     K1 = cut_by_chi(ops, 1).module
     v = vartest_check(K1, [(T1, 1), (T2, 1)], max_degree=20)
     assert v.kind == "bound_established"
+    # a tail of 6 degrees ending at 3 would read degrees -2..0, wrapped
+    assert vartest_check(K1, [(T1, 1)], max_degree=6).params["tail_window"] == [1, 6]
+    with pytest.raises(InputError, match="shorter than the tail"):
+        vartest_check(K1, [(T1, 1)], max_degree=3)
 
 
 def test_testci_harness(quadric, k, Ax):

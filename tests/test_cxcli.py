@@ -241,6 +241,25 @@ def test_vartest_provenance_enforced():
     assert "coordinate cuts" in report.tasks[0].error
 
 
+def test_short_window_fails_its_task_alone():
+    # at max degree 3 the tail of vartest and symmetry and the positive
+    # degrees of projdim-check do not fit: those tasks fail, the rest run
+    text = (
+        "field p = 5\nring A = [x,y] / (x^2,y^2)\nmodule k = k A\n"
+        "module T1 = kchi A j=1\n"
+        "task vartest k tests=T1 t=1\n"
+        "task symmetry k T1\n"
+        "task betti k maxdeg=3\n"
+    )
+    report = run(parse_scenario(text), RunOptions(max_degree=3))
+    assert [t.ok for t in report.tasks] == [False, False, True]
+    for task in report.tasks[:2]:
+        assert task.error == "InputError: max_degree 3 is shorter than the tail of 6 degrees"
+    text = "field p = 5\nring A = [x,y] / (x^2,y^2)\nmodule k = k A\ntask projdim-check k\n"
+    report = run(parse_scenario(text), RunOptions(max_degree=0))
+    assert report.tasks[0].error == "InputError: max_degree 0 leaves no positive degree to check"
+
+
 def test_main_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.cx"
     good.write_text("field p = 5\nring A = [x] / (x^2)\nmodule k = k A\ntask betti k maxdeg=4\n")

@@ -239,6 +239,37 @@ def test_pushout_dimension_identity(k, Ax):
             assert P.module.dim == n.dim + res.free(t - 1).dim - omega_t
 
 
+def test_pushout_refuses_a_non_cocycle(F5):
+    # a unit vector of Hom(F_t, A), t = 1, 2, whose composite with d_{t+1}
+    # is nonzero, set on a copy of a valid class (bypassing ExtElement's
+    # check): N does not embed in the pushout, and pushout refuses it
+    import copy
+
+    from cxlab.cioper import MonomialCI
+    from cxlab.gmod import compose_on_generators
+    from cxlab.yoneda import _hom_shifts
+
+    B = MonomialCI.build(F5, [2, 3], varnames=["x", "y"]).algebra
+    kB, N = residue_field(B), free_module(B, [0])
+    refused = 0
+    for t in (1, 2):
+        res = resolve(kB, t + 1)
+        valid = ExtElement(res, N, t, np.zeros(res.free(t).rank * N.dim, dtype=np.int64), 0)
+        shifts = _hom_shifts(res, N, t)
+        for i in range(valid.rep.size):
+            eta = copy.copy(valid)
+            eta.rep = np.zeros_like(valid.rep)
+            eta.rep[i] = 1
+            eta.shift = int(shifts[i])
+            images = compose_on_generators(N, eta.generator_images(), res.diff_coefficients(t + 1))
+            if images.is_zero():
+                continue
+            with pytest.raises(InvariantError, match="N does not embed"):
+                pushout(eta)
+            refused += 1
+    assert refused == 23
+
+
 def test_pushout_independent_of_representative(k, Ax):
     # against A/(x) the Hom differentials are nonzero, so coboundaries exist
     from cxlab.yoneda import _hom_differential, _hom_shifts
@@ -396,7 +427,7 @@ def test_stacked_lift_matches_reference_lift(p, case):
             gens = res.free(t + n).generator_columns()
             want = np.hstack([ref[n].a[:, gens] for ref in refs])
             assert U.a.tobytes() == want.tobytes(), (t, n)
-        screens = yoneda._screen_combinations(basis, constants, None)
+        screens = yoneda._screen_combinations(basis, constants, np.eye(len(basis), dtype=np.int64))
         assert screens == [_reference_screen(eta, window, ref) for eta, ref in zip(basis, refs)], t
         checked += len(basis)
     assert checked >= 6
@@ -426,7 +457,7 @@ def test_combination_screens_match_one_class_screens():
         got = yoneda._screen_combinations(basis * 4, repeated, coeffs)
         want = [one_class_screen(oracles.combination(basis * 4, row), window) for row in coeffs]
         assert got == want, t
-        assert got[:k] == yoneda._screen_combinations(basis, constants, None), t
+        assert got[:k] == yoneda._screen_combinations(basis, constants, np.eye(k, dtype=np.int64)), t
         checked += 1
     assert checked == 3
 
@@ -547,11 +578,13 @@ def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, 
     # loop runs in the second search, at degree 1, where each shift holds
     # one basis class: every random candidate is a multiple of one already
     # screened, so none is screened and none is built (153 were built when
-    # each candidate was built before the check)
+    # each candidate was built before the check).  A batch of candidates,
+    # the basis or the random draws of a degree, is tested in one reduction
+    # modulo the coboundaries of its degree
     from cxlab.cioper import MonomialCI
 
     k = residue_field(MonomialCI.build(F5, [2, 3], varnames=["u", "v"]).algebra)
-    built, basis, screened, tested = [], [], [], []
+    built, basis, echelons, screened, tested = [], [], [], [], []
     post_init = ExtElement.__post_init__
     classes = yoneda._cocycle_classes
     screen = yoneda._screen_combinations
@@ -564,15 +597,16 @@ def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, 
     def recording_classes(m, n, t, delta_prev=None):
         found = classes(m, n, t, delta_prev)
         basis.extend(found[0])
+        echelons.append(found[1])
         return found
 
     def recording_screen(classes, constants, coeffs):
-        screened.append(len(classes) if coeffs is None else -len(coeffs))
+        screened.append(len(coeffs))
         return screen(classes, constants, coeffs)
 
     def recording_reduce(v, echelon):
-        if v.ndim == 1:  # a candidate's freshness test
-            tested.append(v)
+        if any(echelon is e for e in echelons):  # a batch's freshness test
+            tested.append(len(v))
         return reduce_mod_rows(v, echelon)
 
     monkeypatch.setattr(ExtElement, "__post_init__", counting_init)
@@ -581,8 +615,9 @@ def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, 
     monkeypatch.setattr(yoneda, "_reduce_mod_rows", recording_reduce)
     sequence, _ = reduction_sequence(k, 4, window=12)
     assert sequence is not None
-    assert len(tested) > len(basis)  # random candidates were drawn and tested
-    assert sum(n for n in screened if n > 0) == len(basis) and all(n > 0 for n in screened)
+    assert sum(tested) > len(basis)  # random candidates were drawn and tested
+    assert len(tested) <= 2 * len(echelons)  # at most two batches per degree
+    assert sum(screened) == len(basis)
     assert len(built) == len(basis)
 
 
@@ -602,7 +637,7 @@ def test_find_reducing_element_rechecks_the_screen(monkeypatch, gasharov_module)
     # a screen that claims a free pushout for the first candidate is caught
     # by the resolution of that pushout
     def free_screens(basis, constants, coeffs):
-        return [[2] + [0] * (len(constants) - 1)] * (len(basis) if coeffs is None else len(coeffs))
+        return [[2] + [0] * (len(constants) - 1)] * len(coeffs)
 
     monkeypatch.setattr(yoneda, "_screen_combinations", free_screens)
     with pytest.raises(InvariantError, match="long exact Tor sequence"):
@@ -684,6 +719,10 @@ def test_self_ext_pd_check(A, k, gasharov_module):
     table = v.params["table"]
     for start in range(1, 6):
         assert any(table[i] != 0 for i in range(start, start + 5))
+    # no positive degree to check: all() of nothing would call k free
+    assert self_ext_pd_check(k, 1).kind == "consistent_nonfree"
+    with pytest.raises(InputError, match="no positive degree"):
+        self_ext_pd_check(k, 0)
 
 
 def test_bound_test_against(A, k, Ax, quadric):
@@ -717,6 +756,10 @@ def test_symmetry_check(A, k, quadric, gasharov_module):
     )
     with pytest.raises(InputError, match="Gorenstein"):
         symmetry_check(residue_field(B), residue_field(B))
+    # a tail of 6 degrees ending at 5 would wrap round to Ext^0
+    assert symmetry_check(k, T1, 6).kind == "co_occurrence"
+    with pytest.raises(InputError, match="shorter than the tail"):
+        symmetry_check(k, T1, 5)
 
 
 def test_kunneth_ext_tables_convolve(gasharov_module):
