@@ -7,8 +7,15 @@ holds by construction and is checked at every step together with
 d o d = 0 and exactness (at step 0: F_0 -> M is onto).  A step eliminates
 once: d_i read in the coordinates of its span gives, in one kernel_rref,
 the rank that proves exactness and the echelon span of ker d_i that the
-next step covers.  Chain lifts solve d_i X = B through a factorization of
-d_i made once, on the first lift through it, and each solution is checked.
+next step covers.
+
+A resolution keeps each d_i as its matrix over A, the images of the
+generators of F_i, dim A times smaller than the realized d_i; the realized
+matrix lives while its step runs and is rebuilt, by one extend_linearly,
+when asked for.  It keeps a span's rows only until the step that covers
+them has run, and their pivot columns for good.  Chain lifts solve
+d_i X = B through a factorization of d_i made once, on the first lift
+through it, next to the realized d_i, and each solution is checked.
 Syzygy modules are built only when asked for.
 A resolution is cached on its module and extended incrementally;
 previously computed steps never change.
@@ -50,8 +57,16 @@ class MinimalFreeResolution:
     """... -> F_2 -> F_1 -> F_0 -> M -> 0, minimal, computed step by step.
 
     Step i maps F_i onto an echelon span: ker d_{i-1} in F_{i-1}, or the
-    identity rows of M for i = 0.  The syzygy module a span stands for is
-    built, verified and cached on the first request.
+    identity rows of M for i = 0.  What a step keeps of d_i is its matrix
+    over A, the images of the generators of F_i: dim F_{i-1} x rank F_i
+    (dim M x rank F_0 for the augmentation).  diff_coefficients is a view
+    of it; diff_realized and augmentation realize it on request, and solve
+    realizes d_i once, on the first solve through it.  The span's rows are
+    kept until step i has covered them, their pivot columns for good;
+    syzygy_module re-derives a covered span by one kernel_rref of d_{i-1}
+    read in its span, and the reduced echelon form of a row space is
+    unique, so the span is the one the step covered.  The syzygy module a
+    span stands for is built, verified and cached on the first request.
 
     Completed prefixes are immutable; extending the resolution only appends.
     Concurrent extension of the same resolution needs external locking.
@@ -60,11 +75,16 @@ class MinimalFreeResolution:
     def __init__(self, module: Module):
         self.module = module
         self.frees: List[FreeModule] = []
-        self._diff_real: List[Mat] = []  # index 0: augmentation F_0 -> M; i >= 1: d_i
-        # index i: (RREF rows spanning ker d_{i-1} in F_{i-1}, or M at 0; their pivots)
-        self._spans = [(Mat.identity(module.field, module.dim), np.arange(module.dim))]
+        self._images: List[Mat] = []  # index 0: augmentation F_0 -> M; i >= 1: d_i
+        # index i: the pivot columns of the span step i covers (ker d_{i-1}
+        # in F_{i-1}, or M at 0); the RREF rows of the span the next step covers
+        self._pivots = [np.arange(module.dim)]
+        self._span = Mat.identity(module.field, module.dim)
+        # Z of the last step, its d read in its span's coordinates: the next
+        # step checks d o d = 0 through it
+        self._z: Optional[Mat] = None
         self._syz = {}  # i >= 1: the gmod.Submodule of syzygy i, built on request
-        self._solvers = {}  # i: pivot_inverse of Z_i, d_i read in its span, built on request
+        self._solvers = {}  # i: realized d_i and pivot_inverse of Z_i, built on the first solve
 
     @property
     def computed_to(self) -> int:
@@ -72,7 +92,7 @@ class MinimalFreeResolution:
 
     @property
     def augmentation(self) -> Optional[Mat]:
-        return self._diff_real[0] if self._diff_real else None
+        return self._realized(0) if self._images else None
 
     def extend(self, n: int):
         if n < 0:
@@ -84,50 +104,62 @@ class MinimalFreeResolution:
         i = len(self.frees)
         A = self.module.algebra
         target = self.frees[i - 1] if i else self.module
-        span, pivots = self._spans[i]
+        span, pivots = self._span, self._pivots[i]
         if span.rows == 0:
             # nothing to cover: the zero free module, the zero map and an
             # empty span, the objects the general path builds; every check
             # on them is vacuous
-            self.frees.append(free_module(A, []))
-            self._diff_real.append(Mat.zeros(A.field, target.dim, 0))
-            self._spans.append((Mat.zeros(A.field, 0, 0), np.zeros(0, dtype=np.intp)))
-            return
-        gens = min_generators(target, span)
-        F = free_module(A, [d for _, d in gens])
-        # realized map F -> target, sending the g-th generator to the g-th lift
-        lifts = np.array([vec for vec, _ in gens], dtype=np.int64).reshape(len(gens), target.dim)
-        d_real = extend_linearly(target, Mat._trusted(A.field, lifts.T))
+            F, images = free_module(A, []), Mat.zeros(A.field, target.dim, 0)
+            Z = R = Mat.zeros(A.field, 0, 0)
+            ker_pivots = np.zeros(0, dtype=np.intp)
+        else:
+            gens = min_generators(target, span)
+            F = free_module(A, [d for _, d in gens])
+            # realized map F -> target, sending the g-th generator to the
+            # g-th lift; it lives while the step runs, and the resolution
+            # keeps its generator columns, d_i over A
+            lifts = np.array([vec for vec, _ in gens], dtype=np.int64).reshape(len(gens), target.dim)
+            d_real = extend_linearly(target, Mat._trusted(A.field, lifts.T))
+            images = Mat._trusted(A.field, d_real.a[:, F.generator_columns()])
+            # the span is in reduced echelon form, so its pivot columns are
+            # coordinates on it: Z, the pivot rows of d_i, is d_i read in them
+            Z = Mat._trusted(A.field, d_real.a[pivots])
+            if i:
+                # minimality: constructive generator choice keeps entries in
+                # m, so the images vanish at the generator rows of F_{i-1}
+                check(not images.a[:: A.dim].any(), "differential entry has a unit component")
+                # both maps are A-linear, so d_{i-1} o d_i vanishes when it
+                # vanishes on the generators of F_i; step i-1 proved
+                # d_{i-1} = span^T Z_{i-1} with independent span rows, so
+                # d_{i-1} x = 0 exactly when Z_{i-1} x = 0
+                check((self._z @ images).is_zero(), f"d_{i-1} o d_{i} != 0")
+                # the image of d_i lies in the span: a column lies in it
+                # exactly when it equals the span rows combined by its
+                # coordinates Z.  The span is the identity at its pivot
+                # columns (kernel_rref writes it so), so the pivot rows agree
+                # by definition of Z and only the other rows need the
+                # product.  At i = 0 the span is all of M.
+                rest = _complement(span.cols, pivots)
+                check(Mat._trusted(A.field, span.a[:, rest].T) @ Z == Mat._trusted(A.field, d_real.a[rest]),
+                      f"image of d_{i} leaves the span of ker d_{i-1}")
+            # One elimination of Z gives its rank and ker Z.  Reading
+            # coordinates is injective on the span, which holds the image, so
+            # rank Z = rank d_i and ker Z = ker d_i.  Exactness: the image of
+            # d_i (the augmentation at i = 0) fills the span.
+            rank, R, ker_pivots = kernel_rref(Z)
+            check(rank == span.rows,
+                  f"image of d_{i} does not fill ker d_{i-1}" if i else "augmentation F_0 -> M is not onto")
         self.frees.append(F)
-        # the span is in reduced echelon form, so its pivot columns are
-        # coordinates on it: Z, the pivot rows of d_i, is d_i read in them
-        Z = Mat._trusted(A.field, d_real.a[pivots])
-        if i:
-            # minimality: constructive generator choice keeps entries in m,
-            # so d_i vanishes at generator rows and generator columns
-            check(not algebra_coefficients(d_real, F, target)[0].any(),
-                  "differential entry has a unit component")
-            # both maps are A-linear, so d_{i-1} o d_i vanishes when it
-            # vanishes on the generators of F_i
-            gens = Mat._trusted(A.field, d_real.a[:, F.generator_columns()])
-            check((self._diff_real[i - 1] @ gens).is_zero(), f"d_{i-1} o d_{i} != 0")
-            # the image of d_i lies in the span: a column lies in it exactly
-            # when it equals the span rows combined by its coordinates Z.  The
-            # span is the identity at its pivot columns (kernel_rref writes it
-            # so), so the pivot rows agree by definition of Z and only the
-            # other rows need the product.  At i = 0 the span is all of M.
-            rest = _complement(span.cols, pivots)
-            check(Mat._trusted(A.field, span.a[:, rest].T) @ Z == Mat._trusted(A.field, d_real.a[rest]),
-                  f"image of d_{i} leaves the span of ker d_{i-1}")
-        # One elimination of Z gives its rank and ker Z.  Reading coordinates
-        # is injective on the span, which holds the image, so rank Z = rank
-        # d_i and ker Z = ker d_i.  Exactness: the image of d_i (the
-        # augmentation at i = 0) fills the span.
-        rank, R, ker_pivots = kernel_rref(Z)
-        check(rank == span.rows,
-              f"image of d_{i} does not fill ker d_{i-1}" if i else "augmentation F_0 -> M is not onto")
-        self._diff_real.append(d_real)
-        self._spans.append((R, ker_pivots))
+        self._images.append(images)
+        self._pivots.append(ker_pivots)
+        self._span, self._z = R, Z
+
+    def _realized(self, i: int) -> Mat:
+        """d_i realized, the augmentation at i = 0: the solver's copy once a
+        solve has gone through d_i, else one extend_linearly of its images."""
+        if i in self._solvers:
+            return self._solvers[i][0]
+        return extend_linearly(self.frees[i - 1] if i else self.module, self._images[i])
 
     # -- accessors ---------------------------------------------------------
 
@@ -147,7 +179,7 @@ class MinimalFreeResolution:
         if n < 1:
             raise InputError("differentials are indexed from 1")
         self.extend(n)
-        return self._diff_real[n]
+        return self._realized(n)
 
     def solve(self, i: int, B: Mat) -> Mat:
         """X with d_i X = B, d_0 being the augmentation F_0 -> M: the
@@ -158,28 +190,31 @@ class MinimalFreeResolution:
         The image lies in the span that step i covers, and Z, the span's
         pivot rows of d_i, is d_i read in the span's coordinates, of full
         row rank (the exactness check proves it), with the row space of
-        d_i.  pivot_inverse factors Z once per step, on the first solve
-        through d_i; each solve is then one product, X[Q] = E B[pivots],
-        proven by the product d_i X = B.
+        d_i.  The first solve through d_i realizes it and factors Z with
+        pivot_inverse, and keeps both; each solve is then one product,
+        X[Q] = E B[pivots], proven by the product d_i X = B.
         """
         self.extend(i)
-        d = self._diff_real[i]
-        if B.rows != d.rows:
-            raise InputError(f"right-hand side has {B.rows} rows, expected {d.rows}")
-        pivots = self._spans[i][1]
+        if B.rows != self._images[i].rows:
+            raise InputError(f"right-hand side has {B.rows} rows, expected {self._images[i].rows}")
         if i not in self._solvers:
-            self._solvers[i] = pivot_inverse(Mat._trusted(d.field, d.a[pivots]))
-        Q, E = self._solvers[i]
+            d = self._realized(i)
+            self._solvers[i] = (d,) + pivot_inverse(Mat._trusted(d.field, d.a[self._pivots[i]]))
+        d, Q, E = self._solvers[i]
         X = np.zeros((d.cols, B.cols), dtype=np.int64)
-        X[Q] = (E @ Mat._trusted(d.field, B.a[pivots])).a
+        X[Q] = (E @ Mat._trusted(d.field, B.a[self._pivots[i]])).a
         X = Mat._trusted(d.field, X)
         check(d @ X == B, f"right-hand side outside the image of d_{i}")
         return X
 
     def diff_coefficients(self, n: int) -> np.ndarray:
-        """d_n over A as a coefficient array (gmod.algebra_coefficients),
-        read off the realized matrix."""
-        return algebra_coefficients(self.diff_realized(n), self.frees[n], self.frees[n - 1])
+        """d_n over A as a coefficient array (gmod.algebra_coefficients): a
+        view of its generator images, entry (r, g) in the rows of block r."""
+        if n < 1:
+            raise InputError("differentials are indexed from 1")
+        self.extend(n)
+        images = self._images[n]
+        return images.a.reshape(self.frees[n - 1].rank, self.module.algebra.dim, images.cols).transpose(1, 0, 2)
 
     def syzygy_module(self, i: int) -> Module:
         if i < 0:
@@ -188,8 +223,13 @@ class MinimalFreeResolution:
         if i == 0:
             return self.module
         if i not in self._syz:
-            self._syz[i] = submodule_from_span(self.frees[i - 1], self._spans[i][0],
-                                               provenance=f"syzygy({i})")
+            if i == len(self.frees):
+                span = self._span
+            else:
+                # covered: ker d_{i-1} = ker Z_{i-1}, in reduced echelon form
+                d = self._realized(i - 1)
+                span = kernel_rref(Mat._trusted(d.field, d.a[self._pivots[i - 1]]))[1]
+            self._syz[i] = submodule_from_span(self.frees[i - 1], span, provenance=f"syzygy({i})")
         return self._syz[i].module
 
     def syzygy_inclusion(self, i: int) -> Mat:

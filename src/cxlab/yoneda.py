@@ -423,6 +423,9 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
               "pushout Betti numbers differ from the long exact Tor sequence")
         if full.stabilized and full.value == target:
             return eta, push, full
+        # the loser and its cached resolution refer to each other; dropping
+        # the resolution now frees both here, not at the next cyclic collection
+        push.module._resolution = None
         return None
 
     def batches(basis: List[ExtElement], res: MinimalFreeResolution, t: int):

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the oracles are a helper module, not a test module: without this, pytest
+# leaves their asserts plain, and python -O strips them
+pytest.register_assert_rewrite("oracles")
 
 from cxlab.exactla import Field, Mat
 from cxlab.gralg import build_algebra, parse_polynomial

@@ -82,6 +82,13 @@ def test_solve_dimension_mismatch():
         solve(Mat.identity(F5, 3), [1, 2])
 
 
+def test_oracle_asserts_run_under_optimize():
+    # conftest registers the oracles for assert rewriting, so their checks
+    # hold under python -O too: (0, 1) is not in the span of (1, 0)
+    with pytest.raises(AssertionError, match="target not in span"):
+        oracles._solve_in_span([[1, 0]], [0, 1], 5)
+
+
 def test_solve_matrix_multi_rhs():
     m = Mat(F5, [[1, 2], [0, 1]])
     B = Mat(F5, [[1, 0], [0, 1]])

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_resolve_k_quadric(k):
 
 
 def test_resolve_builds_no_algebra_elements(monkeypatch):
-    # each differential is stored once, as its realized matrix
+    # each differential is kept once, as its matrix over A in field coordinates
     A = MonomialCI.build(F5, [2, 2, 2]).algebra
     M = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
     built = []
@@ -326,6 +327,70 @@ def test_syzygy_modules_built_on_request(A):
         d_prev = res.augmentation if i == 1 else res.diff_realized(i - 1)
         assert inc.rank() == F.dim - d_prev.rank()
     assert res.computed_to == 3
+
+
+def _held_arrays(res):
+    """(attribute, shape) of every array the resolution holds, outside its
+    module, its free modules and its syzygy cache."""
+    out = []
+
+    def walk(name, value):
+        if isinstance(value, Mat):
+            value = value.a
+        if isinstance(value, np.ndarray):
+            out.append((name, value.shape))
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                walk(name, v)
+        elif isinstance(value, dict):
+            for v in value.values():
+                walk(name, v)
+
+    for name, value in vars(res).items():
+        if name not in ("module", "frees", "_syz"):
+            walk(name, value)
+    return out
+
+
+@pytest.mark.parametrize("name", ["k", "Ax", "gasharov"])
+def test_resolution_keeps_maps_over_A(A, gasharov, name):
+    # each d_i is kept as the images of the generators of F_i, and of the
+    # spans only the one no step has covered keeps its rows; a realized d_i
+    # is built on request and kept only by a solver that has solved through it
+    M = {"k": lambda: residue_field(A), "Ax": lambda: coker_presentation(A, [[A.variable(0)]], [0]),
+         "gasharov": lambda: gasharov_presentation(gasharov)}[name]()
+    n = 6
+    res = resolve(M, n)
+    dims = [M.dim] + [res.free(i).dim for i in range(n + 1)]  # dims[i + 1] = dim F_i
+    ranks = [M.dim] + [res.diff_realized(i).rank() for i in range(1, n + 1)]
+    # every matrix it holds: d_0..d_n over A, the rows of ker d_n and Z_n
+    held = [("_images", (dims[i], res.free(i).rank)) for i in range(n + 1)]
+    held += [("_span", (dims[n + 1] - ranks[n], dims[n + 1])), ("_z", (dims[n] - ranks[n - 1], dims[n + 1]))]
+    assert sorted(a for a in _held_arrays(res) if len(a[1]) == 2) == sorted(held)
+    assert res._span.transpose() == res.syzygy_inclusion(n + 1)
+    res.solve(2, res.diff_realized(2))
+    assert sorted(a for a in _held_arrays(res) if len(a[1]) == 2 and a[0] != "_solvers") == sorted(held)
+    assert res.diff_realized(2) is res._solvers[2][0] and res._solvers[2][0].shape == (dims[2], dims[3])
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_covered_spans_are_rederived(p):
+    # a syzygy requested while step i has not yet covered its span equals
+    # the one requested after the resolution went past step i + 1, which
+    # re-derives the span from d_{i-1}; both equal the eager oracle
+    relations, n = ["x^2", "y^2", "z^3", "x*y"], 5
+    res = resolve(_residue_field_over(p, relations), 0)
+    early = []
+    for i in range(1, n + 1):
+        assert res.computed_to == i - 1
+        early.append((res.syzygy_module(i), res.syzygy_inclusion(i)))
+        res.extend(i)
+    late = resolve(_residue_field_over(p, relations), n + 2)
+    for i, (S, inc) in enumerate(early, 1):
+        assert late.syzygy_module(i).degrees == S.degrees, i
+        assert late.syzygy_module(i).actions == S.actions, i
+        assert late.syzygy_inclusion(i).a.tobytes() == inc.a.tobytes(), i
+    assert_matches_eager(late.module, n)
 
 
 def test_step_zero_checks_augmentation_onto(k, monkeypatch):

@@ -633,6 +633,30 @@ def test_find_reducing_element_builds_one_pushout(monkeypatch, gasharov_module):
     assert built == [4]  # only the class that passes the screen
 
 
+def test_find_reducing_element_frees_losing_pushouts(monkeypatch, F5):
+    # over (x^3, y^3, z^2) at window 11 two pushouts pass the screen and
+    # lose on the full window; each is freed with its resolution when it
+    # loses, by reference counting, not left to the cyclic collector
+    from cxlab.cioper import MonomialCI
+
+    k = residue_field(MonomialCI.build(F5, [3, 3, 2]).algebra)
+    pushed = []
+
+    def recording(eta):
+        push = pushout(eta)
+        pushed.append(weakref.ref(push.module))
+        return push
+
+    monkeypatch.setattr(yoneda, "pushout", recording)
+    gc.disable()
+    try:
+        _, push, _ = find_reducing_element(k, 4, window=11)
+        assert len(pushed) == 3 and pushed[-1]() is push.module
+        assert [ref() for ref in pushed[:-1]] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_find_reducing_element_rechecks_the_screen(monkeypatch, gasharov_module):
     # a screen that claims a free pushout for the first candidate is caught
     # by the resolution of that pushout
