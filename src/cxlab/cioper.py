@@ -213,13 +213,8 @@ def chi_self_extension(ops: EisenbudOperatorSet, j: int) -> ExtElement:
 
 def cut_by_chi(ops: EisenbudOperatorSet, j: int) -> PushoutExtension:
     """Pushout along the j-th operator class; drops the complexity estimate by
-    one exactly when the operator still acts injectively on the Ext tail.
-    The cut module counts one operator cut more than the module it cuts
-    (none when that count is unknown)."""
-    ext = pushout(chi_self_extension(ops, j))
-    if ops.module.chi_cuts is not None:
-        ext.module.chi_cuts = ops.module.chi_cuts + 1
-    return ext
+    one exactly when the operator still acts injectively on the Ext tail."""
+    return pushout(chi_self_extension(ops, j))
 
 
 def build_kchi(ci: MonomialCI, j: int) -> Module:

@@ -271,7 +271,7 @@ class _Parser(TokenStream):
         def relation() -> Polynomial:
             ptok = self.peek()
             poly = parse_poly_tokens(self, varnames, self.fp)
-            if not poly.is_homogeneous() or poly.is_zero() or poly.degree() < 1:
+            if poly.degree() is None or poly.degree() < 1:
                 raise ScenarioError("relation must be homogeneous of degree >= 1", ptok.line, ptok.col)
             return poly
 
@@ -528,6 +528,10 @@ class _Workspace:
     Each ring has one residue field, each cut parent one operator set and
     each parent and j one cut, so ``kchi A j=<j>`` and ``cut k j=<j>`` are
     one module, and ``k``, ``kchi`` and ``cut`` share a resolution.
+
+    ``cuts`` counts each module's operator cuts, by name: ``k`` has none,
+    ``kchi`` one and ``cut`` one more than its parent; None where the count
+    is unknown.
     """
 
     def __init__(self, scenario: Scenario, options: RunOptions):
@@ -537,6 +541,7 @@ class _Workspace:
         self.algebras: Dict[str, Algebra] = {}
         self.memo: dict = {}
         self.mods: Dict[str, Module] = {}
+        self.cuts: Dict[str, Optional[int]] = {}
         for decl in scenario.decls:
             if isinstance(decl, RingDecl):
                 self.algebras[decl.name] = build_algebra(
@@ -544,6 +549,11 @@ class _Workspace:
                 )
             elif isinstance(decl, ModuleDecl):
                 self.mods[decl.name] = self._build_module(decl)
+                if decl.kind == "cut":
+                    parent = self.cuts[decl.args["module"]]
+                    self.cuts[decl.name] = None if parent is None else parent + 1
+                else:
+                    self.cuts[decl.name] = {"k": 0, "kchi": 1}.get(decl.kind)
 
     def _once(self, key: tuple, build: Callable[[], object]):
         """build(), made once per key; a parent module is keyed by its id."""
@@ -619,12 +629,11 @@ def _run_task(ws: _Workspace, task: TaskDecl) -> dict:
         t = a["t"]
         tests = []
         for name in a["tests"]:
-            mod = ws.mods[name]
-            if mod.chi_cuts != t:
+            if ws.cuts[name] != t:
                 raise InputError(
-                    f"test module {name!r} was built with {mod.chi_cuts} coordinate cuts, task declares t={t}"
+                    f"test module {name!r} was built with {ws.cuts[name]} coordinate cuts, task declares t={t}"
                 )
-            tests.append((mod, t))
+            tests.append((ws.mods[name], t))
         v = vartest_check(ws.mods[a["module"]], tests, opts.max_degree)
         return {"ok": v.ok, **v.to_jsonable()}
     if task.kind == "testci":

@@ -3,21 +3,24 @@
 A module is a graded vector space with one commuting action matrix per
 algebra variable.  The module axioms (commutativity, vanishing of the
 relations, degree shifts) are verified where actions enter the program: a
-direct `Module(...)` call, including `residue_field` and the regular
-module of each algebra.  A module built from verified ones (`shift`,
-`direct_sum`, `quotient_by_span`, `submodule_from_span`, `FreeModule`)
-inherits the axioms; each such construction checks the one fact its
-inheritance rests on.  Failed checks raise InvariantError, also under
-`python -O`: the engine checks, it never assumes.
+direct `Module(...)` call, including `residue_field`, and, once per
+algebra, A's regular representation, where the first free module over A is
+built.  A module built from verified ones (`shift`, `direct_sum`,
+`quotient_by_span`, `submodule_from_span`, `FreeModule`) inherits the
+axioms; each such construction checks the one fact its inheritance rests
+on.  Failed checks raise InvariantError, also under `python -O`: the
+engine checks, it never assumes.
 
 A module applies A to coordinates in one way: `Module.multiples` multiplies
 every column of a coordinate matrix by every monomial of a fixed list (the
 basis of A or its variables).  A module that is not free does it with one
 exact product by its monomial actions, stacked and kept once per module.  A
-free module keeps only its rank and the regular module, and reads the
-products off the structure constants of A, kept once per algebra: one exact
-int64 gather per term slot, and a single gather over a monomial algebra,
-whose regular action is a partial permutation.  Its stacked actions are the
+free module keeps only its generator degrees and its rank, and reads the
+products off the structure constants of A: A's regular representation is
+verified once per algebra and kept only as the terms of its structure
+constants, arrays read off its stacked actions.  That is one exact int64
+gather per term slot, and a single gather over a monomial algebra, whose
+regular action is a partial permutation.  Its stacked actions are the
 multiples of the identity, one gather and no product, and its variable
 actions are their "variables" slice.  `extend_linearly`,
 `compose_on_generators`, `realize_algebra_matrix`, `min_generators` and the
@@ -41,7 +44,6 @@ __all__ = [
     "Module",
     "FreeModule",
     "free_module",
-    "regular_module",
     "extend_linearly",
     "algebra_coefficients",
     "generator_images",
@@ -62,13 +64,11 @@ class Module:
     """Graded module: degree-labelled basis plus commuting variable actions."""
 
     def __init__(self, algebra: Algebra, degrees: Sequence[int], actions: Sequence[Mat],
-                 provenance: str = "", chi_cuts: Optional[int] = None,
-                 _skip_verify: bool = False):
+                 provenance: str = "", _skip_verify: bool = False):
         self.algebra = algebra
         self.degrees = tuple(int(d) for d in degrees)
         self._actions = tuple(actions)
         self.provenance = provenance
-        self.chi_cuts = chi_cuts
         self._monomial_actions: Dict[Tuple[int, ...], Mat] = {}
         self._stacks: Dict[str, np.ndarray] = {}
         self._resolution = None
@@ -181,13 +181,14 @@ class Module:
 class FreeModule(Module):
     """Free module on homogeneous generators; basis is generator-major blocks
     (generator g, standard monomial m) with degree deg(m) + deg(g).  Each
-    block is a copy of `regular`, the algebra as a module over itself.  A
-    free module multiplies through the structure constants of A, and its
-    actions are read off the same products."""
+    block is a copy of A as a module over itself.  A free module multiplies
+    through the structure constants of A, and its actions are read off the
+    same products."""
 
     def __init__(self, algebra: Algebra, gen_degrees: Sequence[int]):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
-        self.regular = regular_module(algebra)
+        # verifies A's regular representation, once per algebra
+        _structure_terms(algebra, "basis")
         degrees = []
         for g in self.gen_degrees:
             degrees.extend(d + g for d in algebra.basis_degrees)
@@ -257,26 +258,6 @@ def free_module(algebra: Algebra, gen_degrees: Sequence[int]) -> FreeModule:
     return FreeModule(algebra, gen_degrees)
 
 
-# A as a module over itself, shared while some module holds it (each free
-# module does).  A module refers to its algebra, so strong values would keep
-# every algebra alive; the weak set remembers, for each live algebra, that
-# the axioms were verified, so a rebuilt regular module is not verified again.
-_REGULAR: "weakref.WeakValueDictionary[Algebra, Module]" = weakref.WeakValueDictionary()
-_REGULAR_VERIFIED: "weakref.WeakSet[Algebra]" = weakref.WeakSet()
-
-
-def regular_module(algebra: Algebra) -> Module:
-    """A as a module over itself; its axioms are verified once per algebra."""
-    got = _REGULAR.get(algebra)
-    if got is None:
-        got = Module(algebra, algebra.basis_degrees,
-                     [algebra.variable_action(i) for i in range(algebra.nvars)],
-                     provenance="regular", _skip_verify=algebra in _REGULAR_VERIFIED)
-        _REGULAR[algebra] = got
-        _REGULAR_VERIFIED.add(algebra)
-    return got
-
-
 def _monomial_list(algebra: Algebra, which: str) -> List[Tuple[int, ...]]:
     """The monomials Module.multiples applies: A's basis or its variables."""
     if which == "basis":
@@ -286,9 +267,10 @@ def _monomial_list(algebra: Algebra, which: str) -> List[Tuple[int, ...]]:
     raise InputError(f"no monomial list named {which!r}: expected 'basis' or 'variables'")
 
 
-# The terms of A's structure constants for each monomial list, built once
-# per algebra from its verified regular module; arrays only, so no algebra
-# is kept alive by its entry.
+# A's regular representation, kept once per algebra as the terms of its
+# structure constants for both monomial lists: arrays only, so no algebra is
+# kept alive by its entry, and the regular module is dropped once they are
+# read.
 _STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, tuple]]" = weakref.WeakKeyDictionary()
 
 
@@ -301,25 +283,34 @@ def _structure_terms(algebra: Algebra, which: str):
     ..: src[t, a, j] = c and coef[t, a, j] = S[j, a, c].  An unused slot
     reads source dim A, a zero the reader appends.  coef is None when one
     slot holds every term and each term is 1, as over a monomial algebra,
-    whose regular action is a partial permutation."""
-    cache = _STRUCTURE.setdefault(algebra, {})
-    got = cache.get(which)
-    if got is not None:
-        return got
-    monomials = _monomial_list(algebra, which)
-    dA, s = algebra.dim, len(monomials)
-    # S[j, a, c] is entry (a, c) of the action of x^e_j on the regular module
-    S = regular_module(algebra)._stacked(which)
-    a, j, c = np.nonzero(S.transpose(1, 0, 2))  # ordered by (a, j)
-    key = a * s + j
-    slot = np.arange(key.size) - np.searchsorted(key, key)
-    slots = int(slot.max()) + 1 if key.size else 1
-    src = np.full((slots, dA, s), dA, dtype=np.intp)
-    coef = np.ones((slots, dA, s), dtype=np.int64)
-    src[slot, a, j] = c
-    coef[slot, a, j] = S[j, a, c]
-    got = cache[which] = (src, None if slots == 1 and (coef == 1).all() else coef)
-    return got
+    whose regular action is a partial permutation.
+
+    The first call for an algebra builds A as a module over itself, which
+    verifies its axioms, and reads the terms of both lists off its stacked
+    actions."""
+    terms = _STRUCTURE.get(algebra)
+    if terms is None:
+        regular = Module(algebra, algebra.basis_degrees,
+                         [algebra.variable_action(i) for i in range(algebra.nvars)],
+                         provenance="regular")
+        terms, dA = {}, algebra.dim
+        for w in ("basis", "variables"):
+            # S[j, a, c] is entry (a, c) of the action of x^e_j on the regular module
+            S = regular._stacked(w)
+            s = S.shape[0]
+            a, j, c = np.nonzero(S.transpose(1, 0, 2))  # ordered by (a, j)
+            key = a * s + j
+            slot = np.arange(key.size) - np.searchsorted(key, key)
+            slots = int(slot.max()) + 1 if key.size else 1
+            src = np.full((slots, dA, s), dA, dtype=np.intp)
+            coef = np.ones((slots, dA, s), dtype=np.int64)
+            src[slot, a, j] = c
+            coef[slot, a, j] = S[j, a, c]
+            terms[w] = (src, None if slots == 1 and (coef == 1).all() else coef)
+        _STRUCTURE[algebra] = terms
+    if which not in terms:
+        _monomial_list(algebra, which)  # raises InputError: no such list
+    return terms[which]
 
 
 def extend_linearly(target: Module, gen_images: Mat) -> Mat:
@@ -410,7 +401,7 @@ def realize_algebra_matrix(src: FreeModule, tgt: FreeModule,
 def residue_field(algebra: Algebra) -> Module:
     """k = A/m as a module: one basis vector in degree 0, all actions zero."""
     z = Mat.zeros(algebra.field, 1, 1)
-    return Module(algebra, [0], [z] * algebra.nvars, provenance="k", chi_cuts=0)
+    return Module(algebra, [0], [z] * algebra.nvars, provenance="k")
 
 
 def direct_sum(m: Module, n: Module) -> Module:
@@ -431,7 +422,7 @@ def shift(m: Module, s: int) -> Module:
     """Relabel every degree by +s; nothing else changes."""
     # inherited: the actions are the same verified matrices
     return Module(m.algebra, [d + s for d in m.degrees], m.actions,
-                  provenance=m.provenance or "shift", chi_cuts=m.chi_cuts, _skip_verify=True)
+                  provenance=m.provenance or "shift", _skip_verify=True)
 
 
 def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarray, int]]:
@@ -479,8 +470,7 @@ class Quotient:
     lift: Mat        # quotient coords -> ambient coords (section)
 
 
-def quotient_by_span(m: Module, span_rows: Mat, provenance: str = "quotient",
-                     chi_cuts: Optional[int] = None) -> Quotient:
+def quotient_by_span(m: Module, span_rows: Mat, provenance: str = "quotient") -> Quotient:
     """Quotient of M by the subspace spanned by the given homogeneous rows.
 
     The rows must span an A-submodule (verified).  The quotient basis is the
@@ -508,8 +498,7 @@ def quotient_by_span(m: Module, span_rows: Mat, provenance: str = "quotient",
     degrees = [m.degrees[j] for j in nonpivot]
     # inherited: the rows are homogeneous and P X_i R^T = 0, so P X_i = X'_i P
     # with P onto; commutation, the relations and the grading pass down
-    q = Module(m.algebra, degrees, actions, provenance=provenance, chi_cuts=chi_cuts,
-               _skip_verify=True)
+    q = Module(m.algebra, degrees, actions, provenance=provenance, _skip_verify=True)
     return Quotient(q, P, L)
 
 

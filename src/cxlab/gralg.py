@@ -105,9 +105,6 @@ class Polynomial:
             return None
         return degs.pop()
 
-    def is_homogeneous(self) -> bool:
-        return len({_mono_degree(e) for e, _ in self.terms}) <= 1
-
     def shift_by_monomial(self, e: Monomial) -> "Polynomial":
         return Polynomial(
             self.field,
@@ -441,10 +438,6 @@ class AlgebraElement:
         if len(degs) != 1:
             return None
         return degs.pop()
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.algebra.basis_degrees[j] for j in np.nonzero(self.vec)[0]}
-        return len(degs) <= 1
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)

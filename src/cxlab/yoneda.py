@@ -442,7 +442,9 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
             s_key = shifts[rng.randrange(len(shifts))]
             group = by_shift[s_key]
             coeffs = [rng.randrange(p) for _ in group]
-            if any(coeffs):
+            # a row with one nonzero coefficient is c * basis[j], whose class
+            # the identity batch has already seen
+            if len(coeffs) - coeffs.count(0) >= 2:
                 rows.append(np.zeros(len(basis), dtype=np.int64))
                 rows[-1][group] = coeffs
                 row_shifts.append(s_key)

@@ -106,6 +106,14 @@ def element_action(module, a, powers=None):
     return out
 
 
+def regular_module(algebra):
+    """A as a module over itself, built from the actions of its variables
+    (so its axioms are verified)."""
+    from cxlab.gmod import Module
+    return Module(algebra, algebra.basis_degrees,
+                  [algebra.variable_action(v) for v in range(algebra.nvars)])
+
+
 def block_action(module, entries, rows, cols):
     """A rows x cols matrix over A acting on N^cols -> N^rows, entry by
     entry: block (i, j) is element_action(module, entries[i][j])."""

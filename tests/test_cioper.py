@@ -215,7 +215,6 @@ def test_complexities_add(quadric, k, cubic):
 def test_build_kchi_quadric(quadric, k):
     K = build_kchi(quadric, 1)
     assert K.dim == 4
-    assert K.chi_cuts == 1
     est = _est(K)
     assert est.value == 1 and est.stabilized
     # alternating dimension sum of the four-term sequence

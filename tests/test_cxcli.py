@@ -181,7 +181,7 @@ def test_kchi_is_the_cut_of_the_shared_k(monkeypatch):
     # one cut per parent and j: kchi A j=1 is cut k j=1, and one pushout each for k.chi1, k.chi2, C.chi2
     assert mods["T1"] is mods["C"]
     assert len(pushed) == 3
-    assert [mods[name].chi_cuts for name in ("T1", "T2", "C", "D")] == [1, 1, 1, 2]
+    assert [ws.cuts[name] for name in ("k", "T1", "T2", "C", "D")] == [0, 1, 1, 1, 2]
     # vartest accepts T1 as a test module of cut size 1
     result = cxcli._run_task(ws, sc.tasks[0])
     assert result["ok"] and result["params"]["cut_size"] == 1
@@ -238,7 +238,8 @@ def test_vartest_provenance_enforced():
     )
     report = run(parse_scenario(text))
     assert not report.tasks[0].ok
-    assert "coordinate cuts" in report.tasks[0].error
+    assert report.tasks[0].error == ("InputError: test module 'T1' was built with 1 coordinate cuts, "
+                                     "task declares t=2")
 
 
 def test_short_window_fails_its_task_alone():

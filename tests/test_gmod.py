@@ -26,7 +26,6 @@ from cxlab.gmod import (
     min_generators,
     quotient_by_span,
     realize_algebra_matrix,
-    regular_module,
     residue_field,
     shift,
     submodule_from_span,
@@ -350,7 +349,7 @@ def test_block_actions_exact_at_large_prime():
     assert np.array_equal(block_action(M, coeffs).a, oracles.block_action(M, entries, 2, 3))
     G = free_module(A, [0, 0, 0])
     assert np.array_equal(realize_algebra_matrix(G, free_module(A, [0, 0]), entries).a,
-                          oracles.block_action(G.regular, entries, 2, 3))
+                          oracles.block_action(oracles.regular_module(A), entries, 2, 3))
     # a resolution whose differentials have dense linear entries
     form = A.element(np.concatenate([[0], rng.integers(1, p, 3), np.zeros(A.dim - 4, dtype=np.int64)]))
     res = resolve(coker_presentation(A, [[form]], [0]), 3)
@@ -377,7 +376,7 @@ def test_compose_on_generators_matches_realized_product(p):
     gens = src.generator_columns()
     for coeffs in (rng.integers(0, p, (A.dim, mid.rank, src.rank)),
                    np.zeros((A.dim, mid.rank, src.rank), dtype=np.int64)):
-        d = block_action(mid.regular, coeffs)
+        d = block_action(oracles.regular_module(A), coeffs)
         assert np.array_equal(algebra_coefficients(d, src, mid), coeffs)
         assert generator_images(F, coeffs) == Mat(F, d.a[:, gens])
         got = compose_on_generators(tgt, images, coeffs)
@@ -425,7 +424,6 @@ def test_derived_modules_inherit_axioms(monkeypatch):
     F = free_module(B, [0, 1])
     assert calls == ["regular"]
     G = free_module(B, [0])
-    assert F.regular is G.regular is regular_module(B)
     assert calls == ["regular"]
     k = residue_field(B)
     assert calls == ["regular", "k"]
@@ -445,6 +443,16 @@ def test_derived_modules_inherit_axioms(monkeypatch):
     free_module(B, [0])
     assert calls == [""]
     assert set(vars(B)) == attributes and not hasattr(B, "_regular_rep_ok")
+
+
+def test_free_module_keeps_no_regular_module():
+    # A's regular representation is kept only as its structure terms: no
+    # module over A as a module over itself outlives the free module's build
+    B = _fresh_algebra()
+    F = free_module(B, [0, 1])
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, Module) and o.provenance == "regular"]
+    assert not [v for v in vars(F).values() if isinstance(v, Module)]
 
 
 def test_regular_module_cache_keeps_no_algebra_alive():
@@ -495,7 +503,7 @@ def _dense_twin(F):
     kron(I_r, X_v) of the regular representation."""
     I = np.eye(F.rank, dtype=np.int64)
     return Module(F.algebra, F.degrees,
-                  [Mat(F.field, np.kron(I, X.a)) for X in regular_module(F.algebra).actions])
+                  [Mat(F.field, np.kron(I, X.a)) for X in oracles.regular_module(F.algebra).actions])
 
 
 def _same_module(a, b):

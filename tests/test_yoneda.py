@@ -576,11 +576,11 @@ def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, 
     # a random candidate is checked for a repeat before it is screened, and
     # its ExtElement is built only when it passes the screen.  The random
     # loop runs in the second search, at degree 1, where each shift holds
-    # one basis class: every random candidate is a multiple of one already
-    # screened, so none is screened and none is built (153 were built when
-    # each candidate was built before the check).  A batch of candidates,
-    # the basis or the random draws of a degree, is tested in one reduction
-    # modulo the coboundaries of its degree
+    # one basis class: every random row would be a multiple of one basis
+    # class, already screened, so none is drawn and only the basis batches
+    # are tested.  A batch of candidates, the basis or the random draws of a
+    # degree, is tested in one reduction modulo the coboundaries of its
+    # degree
     from cxlab.cioper import MonomialCI
 
     k = residue_field(MonomialCI.build(F5, [2, 3], varnames=["u", "v"]).algebra)
@@ -615,7 +615,7 @@ def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, 
     monkeypatch.setattr(yoneda, "_reduce_mod_rows", recording_reduce)
     sequence, _ = reduction_sequence(k, 4, window=12)
     assert sequence is not None
-    assert sum(tested) > len(basis)  # random candidates were drawn and tested
+    assert sum(tested) == len(basis)  # no random row was drawn
     assert len(tested) <= 2 * len(echelons)  # at most two batches per degree
     assert sum(screened) == len(basis)
     assert len(built) == len(basis)
