@@ -2,17 +2,18 @@
 
 For A = k[x_1..x_c]/(x_1^{n_1}, .., x_c^{n_c}) the differential of a minimal
 free resolution lifts canonically to the polynomial ring: its coefficient
-array (gmod.algebra_coefficients) lists each entry over the standard
-monomials, which are ordinary monomials.  The square of the lift factors
-through the relations, and since the relation ideal is generated by pure
-powers every monomial of the square is claimed by the lowest variable index
-whose exponent reaches its power.  That decomposition is unique, so the
-chain operators are deterministic.  They are computed and kept as
-coefficient arrays: one exact product of coefficient slices per pair of
-basis monomials, and no polynomial or AlgebraElement on the way.  The chain
-identity is checked on generator images (gmod.compose_on_generators), and
-an operator is realized as a field matrix only on request, as the A-linear
-extension of its generator images.
+array (gmod.coefficient_view of its generator images) lists each entry over
+the standard monomials, which are ordinary monomials.  The square of the
+lift factors through the relations, and since the relation ideal is
+generated by pure powers every monomial of the square is claimed by the
+lowest variable index whose exponent reaches its power.  That decomposition
+is unique, so the chain operators are deterministic.  They are computed
+from coefficient slices, one exact product per pair of basis monomials and
+no polynomial or AlgebraElement on the way, and written straight into
+generator images, the one form in which the library keeps a matrix over A.
+The chain identity and the operator classes in Ext^2(M, M) are composites
+on generators (gmod.compose_on_generators); an operator is realized as a
+field matrix only on request, as the A-linear extension of its images.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, check
 from .exactla import Field, Mat
-from .gmod import Module, compose_on_generators, extend_linearly, generator_images, residue_field
+from .gmod import Module, compose_on_generators, extend_linearly, residue_field
 from .gralg import Algebra, Polynomial, build_algebra, codimension
 from .resol import resolve
 from .yoneda import (
@@ -65,8 +66,7 @@ class MonomialCI:
             raise InputError("monomial complete intersection needs every exponent >= 2")
         c = len(exps)
         rels = [Polynomial.variable(field, c, i, power=n) for i, n in enumerate(exps)]
-        cap = sum(n - 1 for n in exps) + 1
-        alg = build_algebra(field, c, rels, degree_cap=max(cap, 2), varnames=varnames)
+        alg = build_algebra(field, c, rels, varnames=varnames)
         expected = 1
         for n in exps:
             expected *= n
@@ -101,9 +101,9 @@ class MonomialCI:
         return len(self.exponents)
 
 
-def _chi_coefficients(ci: MonomialCI, c_prev: np.ndarray, c_cur: np.ndarray) -> List[np.ndarray]:
-    """Coefficient arrays (see gmod.algebra_coefficients) of chi_1..chi_c at
-    source degree n, from those of d_{n-1} and d_n.
+def _chi_images(ci: MonomialCI, c_prev: np.ndarray, c_cur: np.ndarray) -> List[Mat]:
+    """Generator images of chi_1..chi_c at source degree n, from the
+    coefficient arrays (gmod.coefficient_view) of d_{n-1} and d_n.
 
     The lifted square is the sum of C_{n-1}[m1] C_n[m2] x^(m1 + m2) over
     pairs of basis monomials.  Its part at a monomial e goes to the lowest j
@@ -122,7 +122,8 @@ def _chi_coefficients(ci: MonomialCI, c_prev: np.ndarray, c_cur: np.ndarray) -> 
             e = tuple(a + b for a, b in zip(A.basis[m1], A.basis[m2]))
             prod = left @ right
             square[e] = square[e] + prod if e in square else prod
-    chi = [np.zeros((A.dim, c_prev.shape[1], c_cur.shape[2]), dtype=np.int64) for _ in ci.exponents]
+    # chi[j][r, m, g]: the coefficient of basis monomial m in entry (r, g)
+    chi = [np.zeros((c_prev.shape[1], A.dim, c_cur.shape[2]), dtype=np.int64) for _ in ci.exponents]
     for e, block in square.items():
         j = next((j for j, n in enumerate(ci.exponents) if e[j] >= n), None)
         if j is None:
@@ -131,17 +132,17 @@ def _chi_coefficients(ci: MonomialCI, c_prev: np.ndarray, c_cur: np.ndarray) -> 
         # distinct monomials claimed by one j give distinct quotients
         idx = A.basis_index.get(e[:j] + (e[j] - ci.exponents[j],) + e[j + 1:])
         if idx is not None:
-            chi[j][idx] = block.a
-    return chi
+            chi[j][:, idx] = block.a
+    return [Mat._trusted(field, X.reshape(X.shape[0] * A.dim, X.shape[2])) for X in chi]
 
 
 class EisenbudOperatorSet:
     """Chain operators chi_j: F_n -> F_{n-2} for one module's resolution.
 
-    chi(j, n) is the matrix over A at source degree n (2 <= n <= max_degree),
-    kept as a coefficient array; the chain identity d o chi = chi o d is
-    checked exactly, and the induced actions on Ext^*(M, k) commute (also
-    checked).
+    chi_images(j, n) is the matrix over A at source degree n
+    (2 <= n <= max_degree), kept as its generator images; the chain identity
+    d o chi = chi o d is checked exactly, and the induced actions on
+    Ext^*(M, k) commute (also checked).
     """
 
     def __init__(self, ci: MonomialCI, module: Module, max_degree: int):
@@ -153,23 +154,20 @@ class EisenbudOperatorSet:
         self.module = module
         self.max_degree = max_degree
         self.resolution = resolve(module, max_degree)
-        self._chi: Dict[int, List[np.ndarray]] = {}  # n: the arrays of chi_1..chi_c
+        self._chi: Dict[int, List[Mat]] = {}  # n: the generator images of chi_1..chi_c
         self._build()
 
     def _build(self):
         res = self.resolution
         for n in range(2, self.max_degree + 1):
-            self._chi[n] = _chi_coefficients(self.ci, res.diff_coefficients(n - 1), res.diff_coefficients(n))
+            self._chi[n] = _chi_images(self.ci, res.diff_coefficients(n - 1), res.diff_coefficients(n))
         # chain identity: d_{n-2} chi(n) = chi(n-1) d_n; both sides are
         # A-linear, so they agree when they agree on the generators of F_n
-        field = self.ci.field
         for j in range(1, self.ci.codim + 1):
             for n in range(3, self.max_degree + 1):
                 F = res.free(n - 3)
-                lhs = compose_on_generators(F, generator_images(field, res.diff_coefficients(n - 2)),
-                                            self._chi[n][j - 1])
-                rhs = compose_on_generators(F, generator_images(field, self._chi[n - 1][j - 1]),
-                                            res.diff_coefficients(n))
+                lhs = compose_on_generators(F, res.diff_images(n - 2), self._chi[n][j - 1])
+                rhs = compose_on_generators(F, self._chi[n - 1][j - 1], res.diff_images(n))
                 check(lhs == rhs, f"chain identity fails for operator {j} at degree {n}")
         # induced actions on Ext^*(M, k) must commute pairwise
         for j in range(1, self.ci.codim + 1):
@@ -179,17 +177,22 @@ class EisenbudOperatorSet:
                     rhs = self.ext_action(j, n + 2) @ self.ext_action(l, n)
                     check(lhs == rhs, f"Ext actions of operators {j} and {l} do not commute")
 
+    def chi_images(self, j: int, n: int) -> Mat:
+        """The j-th operator (j is 1-based) F_n -> F_{n-2} over A: its
+        generator images, dim F_{n-2} x rank F_n."""
+        self._check(j, n)
+        return self._chi[n][j - 1]
+
     def chi_realized(self, j: int, n: int) -> Mat:
         """Field matrix F_n -> F_{n-2} of the j-th operator (j is 1-based):
         the A-linear extension of its generator images."""
-        self._check(j, n)
-        return extend_linearly(self.resolution.free(n - 2),
-                               generator_images(self.ci.field, self._chi[n][j - 1]))
+        images = self.chi_images(j, n)  # checks j and n before F_{n-2} is read
+        return extend_linearly(self.resolution.free(n - 2), images)
 
     def ext_action(self, j: int, n: int) -> Mat:
-        """Induced map Ext^n(M, k) -> Ext^{n+2}(M, k), j 1-based."""
-        self._check(j, n + 2)
-        return Mat(self.ci.field, self._chi[n + 2][j - 1][0].T)
+        """Induced map Ext^n(M, k) -> Ext^{n+2}(M, k), j 1-based: the
+        transposed constant coefficients of chi_j, its generator rows."""
+        return Mat._trusted(self.ci.field, self.chi_images(j, n + 2).a[:: self.ci.algebra.dim].T)
 
     def _check(self, j: int, n: int):
         if not 1 <= j <= self.ci.codim:
@@ -204,11 +207,12 @@ def eisenbud_operators(ci: MonomialCI, module: Module, max_degree: int) -> Eisen
 
 
 def chi_self_extension(ops: EisenbudOperatorSet, j: int) -> ExtElement:
-    """The class of the j-th operator (1-based) in Ext^2(M, M): compose it with F_0 -> M."""
+    """The class of the j-th operator (1-based) in Ext^2(M, M): compose it
+    with F_0 -> M on the generators of F_2."""
     res = ops.resolution
     res.extend(3)
-    phi = res.augmentation @ ops.chi_realized(j, 2)
-    return ExtElement.from_realized(res, ops.module, 2, phi, -ops.ci.exponents[j - 1])
+    phi = compose_on_generators(ops.module, res.diff_images(0), ops.chi_images(j, 2))
+    return ExtElement(res, ops.module, 2, phi.a.T.reshape(-1), -ops.ci.exponents[j - 1])
 
 
 def cut_by_chi(ops: EisenbudOperatorSet, j: int) -> PushoutExtension:

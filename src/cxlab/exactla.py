@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["Field", "Mat", "rref", "kernel_basis", "kernel_rref", "pivot_inverse"]
+__all__ = ["Field", "Mat", "rref", "kernel_rref", "pivot_inverse"]
 
 
 @functools.lru_cache
@@ -523,20 +523,6 @@ def rref(m: Mat):
     return Mat._trusted(m.field, A), tuple(pivots), len(pivots)
 
 
-def kernel_basis(m: Mat) -> Mat:
-    """Matrix whose columns are a basis of the null space {x : m x = 0}.
-
-    Columns are produced in increasing free-column order, one per non-pivot
-    column, so the basis is canonical for a given input.
-    """
-    R, pivots, rank = rref(m)
-    free = _complement(m.cols, pivots)
-    K = np.zeros((m.cols, len(free)), dtype=np.int64)
-    K[free, np.arange(len(free))] = 1
-    K[list(pivots)] = -R.a[:rank, free] % m.field.p
-    return Mat._trusted(m.field, K)
-
-
 def kernel_rref(m: Mat):
     """Rank of m and the reduced row-echelon basis of its null space, from
     one elimination.
@@ -547,7 +533,7 @@ def kernel_rref(m: Mat):
     a 1 at f, zeros at the other non-pivot columns and nonzeros only at
     pivot columns before f.  Reversed back, its 1 is its first nonzero entry
     and every other row vanishes there: the rows are the kernel's reduced
-    echelon form, which is unique, so K equals rref(kernel_basis(m).T).
+    echelon form, which is unique.
     """
     n = m.cols
     R, piv = _rref_array(m.a[:, ::-1], m.field.p)

@@ -22,10 +22,17 @@ constants, arrays read off its stacked actions.  That is one exact int64
 gather per term slot, and a single gather over a monomial algebra, whose
 regular action is a partial permutation.  Its stacked actions are the
 multiples of the identity, one gather and no product, and its variable
-actions are their "variables" slice.  `extend_linearly`,
-`compose_on_generators`, `realize_algebra_matrix`, `min_generators` and the
-subquotients go through `multiples`; `block_action` is one product by the
-stacked actions.
+actions are their "variables" slice.  `extend_linearly`, `min_generators`
+and the subquotients go through `multiples`; `block_action` is one product
+by the stacked actions.
+
+A matrix over A, a map F' -> F of free modules, has one form: its
+generator images, the dim F x rank F' matrix whose column g is the image of
+generator g, entry (r, g) in the rows of block r.  `entry_images` writes it
+from entries given as algebra elements, `extend_linearly` realizes it,
+`compose_on_generators` composes a map into any module with it, and
+`coefficient_view` reads its coefficient array off it, without a copy, for
+`block_action`.
 """
 from __future__ import annotations
 
@@ -45,8 +52,8 @@ __all__ = [
     "FreeModule",
     "free_module",
     "extend_linearly",
-    "algebra_coefficients",
-    "generator_images",
+    "coefficient_view",
+    "entry_images",
     "compose_on_generators",
     "block_action",
     "column_degrees",
@@ -319,32 +326,33 @@ def extend_linearly(target: Module, gen_images: Mat) -> Mat:
     return target.multiples(gen_images, "basis")
 
 
-def algebra_coefficients(d: Mat, src: FreeModule, tgt: FreeModule) -> np.ndarray:
-    """Matrix over A of the A-linear map src -> tgt whose field matrix is d,
-    as an array C of shape (dim A, tgt.rank, src.rank): C[m, r, g] is the
-    coefficient of basis monomial m in entry (r, g).  Column (g, 1) of d,
-    the image of generator g, holds the entries (., g), so C is a view of
-    d's generator columns."""
-    if d.shape != (tgt.dim, src.dim):
-        raise InputError(f"matrix of shape {d.shape} is not a map of free modules "
-                         f"of dimensions {src.dim} -> {tgt.dim}")
-    dA = src.algebra.dim
-    return d.a[:, ::dA].reshape(tgt.rank, dA, src.rank).transpose(1, 0, 2)
+def coefficient_view(d: Mat, algebra: Algebra) -> np.ndarray:
+    """The coefficient array of a matrix over A given by its generator
+    images d, a (rows * dim A) x cols matrix whose column g holds entry
+    (r, g) in the rows of block r: C[m, r, g] is the coefficient of basis
+    monomial m in entry (r, g).  A view of d, no copy; C[0] holds the
+    constant coefficients, the generator rows of d."""
+    dA = algebra.dim
+    if d.rows % dA:
+        raise InputError(f"{d.rows} rows are not generator images over an algebra of dimension {dA}")
+    return d.a.reshape(d.rows // dA, dA, d.cols).transpose(1, 0, 2)
 
 
-def generator_images(field: Field, coeffs: np.ndarray) -> Mat:
-    """Inverse of algebra_coefficients: the images of the source generators
-    (one column each) of the map over A with coefficient array coeffs,
-    entry (r, g) in the rows of block r."""
-    dA, rows, cols = coeffs.shape
-    return Mat(field, coeffs.transpose(1, 0, 2).reshape(rows * dA, cols))
+def entry_images(algebra: Algebra, entries: Sequence[Sequence[AlgebraElement]], rows: int, cols: int) -> Mat:
+    """The generator images of a rows x cols matrix over A given entry by
+    entry: column j holds entries[i][j] in the rows of block i."""
+    if any(a.algebra is not algebra for row in entries for a in row):
+        raise InputError("entry over a different algebra")
+    vecs = np.array([[a.vec for a in row] for row in entries], dtype=np.int64)
+    return Mat._trusted(algebra.field, vecs.reshape(rows, cols, algebra.dim).transpose(0, 2, 1)
+                        .reshape(rows * algebra.dim, cols))
 
 
-def compose_on_generators(target: Module, images: Mat, coeffs: np.ndarray) -> Mat:
+def compose_on_generators(target: Module, images: Mat, d: Mat) -> Mat:
     """Generator images of phi o d, where phi: F -> target is the A-linear
-    map sending generator r of F to column r of images, and d: F' -> F is
-    the matrix over A with coefficient array coeffs (see algebra_coefficients):
-    phi realized by extend_linearly, times the generator images of d.
+    map sending generator r of F to column r of images, and d: F' -> F is a
+    matrix over A given by its generator images, dim F x rank F': phi
+    realized by extend_linearly, times d.
 
     images may hold k maps side by side: a width of k * rank F columns, for
     any k >= 1, is read as k maps, map j in columns j * rank F ..
@@ -353,26 +361,26 @@ def compose_on_generators(target: Module, images: Mat, coeffs: np.ndarray) -> Ma
     alone; a width that is not a multiple of rank F raises InputError.  Column
     (j, r, m) of the realization is x^m times generator r of map j, so each
     row of it holds the k maps' blocks one after the other: read as k rows
-    (a reshape, no copy), it is multiplied by the generator images of d in
-    one product, whose rows, read back, are the k results side by side.
+    (a reshape, no copy), it is multiplied by d in one product, whose rows,
+    read back, are the k results side by side.
     """
-    dA, rows, cols = coeffs.shape
+    dA, n = target.algebra.dim, target.dim
+    rows = d.rows // dA
     k = images.cols // rows if rows else 1
-    if images.rows != target.dim or images.cols != k * rows:
+    if d.rows != rows * dA or images.rows != n or images.cols != k * rows:
         raise InputError(f"generator images of shape {images.shape} do not compose with "
-                         f"{rows} x {cols} over A into dimension {target.dim}")
-    n = target.dim
-    realized = extend_linearly(target, images).a.reshape(n * k, rows * dA)
-    out = _matmul_mod(realized, generator_images(target.field, coeffs).a, target.field.p)
-    return Mat._trusted(target.field, out.reshape(n, k * cols))
+                         f"{d.shape} over A into dimension {n}")
+    realized = extend_linearly(target, images).a.reshape(n * k, d.rows)
+    out = _matmul_mod(realized, d.a, target.field.p)
+    return Mat._trusted(target.field, out.reshape(n, k * d.cols))
 
 
 def block_action(n: Module, coeffs: np.ndarray) -> Mat:
     """Field matrix of a rows x cols matrix over A acting on N^cols -> N^rows,
-    given by its coefficient array (see algebra_coefficients): block (i, j)
-    is the action of entry (i, j) on N, the sum over the basis monomials m
-    of coeffs[m, i, j] times x^m acting on N.  Over the monomials that
-    occur, that is one product of the coefficients by the actions of N."""
+    given by its coefficient array (see coefficient_view): block (i, j) is
+    the action of entry (i, j) on N, the sum over the basis monomials m of
+    coeffs[m, i, j] times x^m acting on N.  Over the monomials that occur,
+    that is one product of the coefficients by the actions of N."""
     _, rows, cols = coeffs.shape
     d = n.dim
     occurring = np.flatnonzero(coeffs.any(axis=(1, 2)))
@@ -391,11 +399,7 @@ def realize_algebra_matrix(src: FreeModule, tgt: FreeModule,
     """
     if len(entries) != tgt.rank or any(len(r) != src.rank for r in entries):
         raise InputError("entry matrix shape does not match generator counts")
-    if any(a.algebra is not src.algebra for row in entries for a in row):
-        raise InputError("entry over a different algebra")
-    vecs = np.array([[a.vec for a in row] for row in entries], dtype=np.int64)
-    coeffs = vecs.reshape(tgt.rank, src.rank, src.algebra.dim).transpose(2, 0, 1)
-    return extend_linearly(tgt, generator_images(src.field, coeffs))
+    return extend_linearly(tgt, entry_images(src.algebra, entries, tgt.rank, src.rank))
 
 
 def residue_field(algebra: Algebra) -> Module:
@@ -569,8 +573,5 @@ def coker_presentation(algebra: Algebra, entries: Sequence[Sequence[AlgebraEleme
     rows = len(row_degrees)
     ncols = len(column_degrees(algebra, entries, row_degrees, "presentation"))
     F = free_module(algebra, row_degrees)
-    columns = np.zeros((F.dim, ncols), dtype=np.int64)
-    for j in range(ncols):
-        columns[:, j] = np.concatenate([entries[i][j].vec for i in range(rows)])
-    span_rows = extend_linearly(F, Mat(algebra.field, columns)).transpose()
+    span_rows = extend_linearly(F, entry_images(algebra, entries, rows, ncols)).transpose()
     return quotient_by_span(F, span_rows, provenance="coker").module

@@ -258,7 +258,7 @@ class Algebra:
     """
 
     def __init__(self, field: Field, nvars: int, relations: Sequence[Polynomial],
-                 varnames: Optional[Sequence[str]] = None, degree_cap: int = 64):
+                 varnames: Optional[Sequence[str]] = None):
         self.field = field
         self.nvars = nvars
         self.varnames = tuple(varnames) if varnames is not None else tuple(f"x{i+1}" for i in range(nvars))
@@ -273,7 +273,6 @@ class Algebra:
                 raise InputError(f"relations must be homogeneous of degree >= 1, got {g!r}")
             rels.append(g)
         self.relations = tuple(rels)
-        self.degree_cap = degree_cap
         self._std: List[List[Monomial]] = []  # standard monomials of each degree
         self._nf: Dict[Monomial, np.ndarray] = {}  # nonzero normal forms of the others
         self._build_slices()
@@ -288,13 +287,24 @@ class Algebra:
 
     def _build_slices(self):
         """Standard monomials degree by degree, until a degree has none (then
-        A_e = 0 for every e above it, A being standard graded)."""
+        A_e = 0 for every e above it, A being standard graded).  An Artinian
+        quotient of n variables by relations of degree <= D vanishes above
+        n(D - 1): over an infinite field the degree-D part of the ideal holds
+        a regular sequence of n forms of degree D, and field extension keeps
+        the Hilbert function.  So a slice at n(D - 1) + 1 refuses the
+        quotient, and a monomial ideal is refused at once when a variable
+        has no pure power among its generators (an exact criterion)."""
         # a monomial ideal's standard monomials are the ones no leading
         # exponent divides; they form an order ideal, so degree d consists
         # of degree d-1 times one variable, and every other normal form is 0
         monomial_ideal = all(len(g.terms) == 1 for g in self.relations)
         lead_exps = [g.terms[0][0] for g in self.relations]
-        for d in range(self.degree_cap + 1):
+        missing = [v for v in range(self.nvars) if monomial_ideal and all(e[v] < sum(e) for e in lead_exps)]
+        if missing:
+            raise InputError(f"non-Artinian quotient: no relation is a pure power of {self.varnames[missing[0]]}")
+        top_degree = max((g.degree() for g in self.relations), default=1)
+        bound = self.nvars * (top_degree - 1)
+        for d in range(bound + 2):
             if monomial_ideal and d:
                 ups = {s[:v] + (s[v] + 1,) + s[v + 1:] for s in self._std[-1] for v in range(self.nvars)}
                 std = sorted((e for e in ups if not any(all(a >= b for a, b in zip(e, le)) for le in lead_exps)),
@@ -305,10 +315,9 @@ class Algebra:
             if not std:
                 return
             self._std.append(std)
-        raise InputError(
-            f"quotient still nonzero at degree {self.degree_cap}: possibly non-Artinian "
-            "(raise degree_cap only if the quotient really is finite dimensional)"
-        )
+        raise InputError(f"non-Artinian quotient: it is nonzero in degree {bound + 1}, while an Artinian "
+                         f"quotient of {self.nvars} variables by relations of degree <= {top_degree} "
+                         f"vanishes above degree {bound}")
 
     def _echelon_slice(self, d: int) -> List[Monomial]:
         """Standard monomials of degree d: the non-pivot columns of the RREF of
@@ -491,13 +500,13 @@ class AlgebraElement:
 
 
 def build_algebra(field: Field, nvars: int, relations: Sequence[Polynomial],
-                  degree_cap: int = 64, varnames: Optional[Sequence[str]] = None) -> Algebra:
+                  varnames: Optional[Sequence[str]] = None) -> Algebra:
     """Construct F_p[x_1..x_v]/(relations) with all degree tables materialized.
 
     Raises InputError when a relation is not homogeneous of degree >= 1 or
-    when the quotient is still nonzero at degree_cap (possibly non-Artinian).
+    when the quotient is not Artinian (see Algebra._build_slices).
     """
-    return Algebra(field, nvars, relations, varnames=varnames, degree_cap=degree_cap)
+    return Algebra(field, nvars, relations, varnames=varnames)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

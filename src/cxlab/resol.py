@@ -33,7 +33,7 @@ from .gralg import Algebra, AlgebraElement
 from .gmod import (
     FreeModule,
     Module,
-    algebra_coefficients,
+    coefficient_view,
     column_degrees,
     extend_linearly,
     free_module,
@@ -59,8 +59,9 @@ class MinimalFreeResolution:
     Step i maps F_i onto an echelon span: ker d_{i-1} in F_{i-1}, or the
     identity rows of M for i = 0.  What a step keeps of d_i is its matrix
     over A, the images of the generators of F_i: dim F_{i-1} x rank F_i
-    (dim M x rank F_0 for the augmentation).  diff_coefficients is a view
-    of it; diff_realized and augmentation realize it on request, and solve
+    (dim M x rank F_0 for the augmentation), which diff_images returns;
+    diff_coefficients is its coefficient view (gmod.coefficient_view),
+    diff_realized and augmentation realize it on request, and solve
     realizes d_i once, on the first solve through it.  The span's rows are
     kept until step i has covered them, their pivot columns for good;
     syzygy_module re-derives a covered span by one kernel_rref of d_{i-1}
@@ -207,14 +208,20 @@ class MinimalFreeResolution:
         check(d @ X == B, f"right-hand side outside the image of d_{i}")
         return X
 
+    def diff_images(self, n: int) -> Mat:
+        """d_n over A, its generator images as kept: dim F_{n-1} x rank F_n,
+        the augmentation F_0 -> M (dim M x rank F_0) at n = 0."""
+        if n < 0:
+            raise InputError("differentials are indexed from 0, the augmentation")
+        self.extend(n)
+        return self._images[n]
+
     def diff_coefficients(self, n: int) -> np.ndarray:
-        """d_n over A as a coefficient array (gmod.algebra_coefficients): a
-        view of its generator images, entry (r, g) in the rows of block r."""
+        """d_n over A as a coefficient array: gmod.coefficient_view of its
+        generator images."""
         if n < 1:
             raise InputError("differentials are indexed from 1")
-        self.extend(n)
-        images = self._images[n]
-        return images.a.reshape(self.frees[n - 1].rank, self.module.algebra.dim, images.cols).transpose(1, 0, 2)
+        return coefficient_view(self.diff_images(n), self.module.algebra)
 
     def syzygy_module(self, i: int) -> Module:
         if i < 0:
@@ -393,15 +400,19 @@ def verify_complex(algebra: Algebra, matrices: Sequence[Sequence[Sequence[Algebr
         realized.append(realize_algebra_matrix(F_next, frees[-1], mat))
         frees.append(F_next)
 
+    # the generators of a free module sit at every dim A-th coordinate.  Both
+    # maps are A-linear, so d_n o d_{n+1} vanishes when it vanishes on the
+    # generator columns of d_{n+1}; the units of d_n are its constant
+    # coefficients, read at its generator rows and generator columns
+    dA = algebra.dim
     d2_ok = True
     for n in range(len(matrices) - 1):
-        if not (realized[n] @ realized[n + 1]).is_zero():
+        if not (realized[n] @ Mat._trusted(algebra.field, realized[n + 1].a[:, ::dA])).is_zero():
             d2_ok = False
             failures.append({"kind": "d2_nonzero", "at": start_index + n})
     minimal = True
     for idx in range(len(matrices)):
-        units = algebra_coefficients(realized[idx], frees[idx + 1], frees[idx])[0]
-        for i, j in zip(*np.nonzero(units)):
+        for i, j in zip(*np.nonzero(realized[idx].a[::dA, ::dA])):
             minimal = False
             failures.append({"kind": "unit_entry", "matrix": start_index + idx, "row": int(i), "col": int(j)})
     exact_at = []

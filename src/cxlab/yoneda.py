@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InputError, check
 from .exactla import Mat, kernel_rref, rref
-from .gmod import (Module, block_action, compose_on_generators, direct_sum, extend_linearly,
-                   quotient_by_span, shift)
+from .gmod import (Module, block_action, coefficient_view, compose_on_generators, direct_sum,
+                   extend_linearly, quotient_by_span, shift)
 from .gralg import is_gorenstein
 from .resol import ComplexityEstimate, MinimalFreeResolution, estimate_complexity, resolve
 
@@ -172,36 +172,26 @@ class ExtElement:
             raise InputError(f"cocycle vector of shape {self.rep.shape}, expected ({size},)")
         # the images are one sum over the monomials of d_{t+1}; its terms
         # need not vanish one by one
-        images = compose_on_generators(self.target, self.generator_images(),
-                                       self.resolution.diff_coefficients(self.degree + 1))
+        images = compose_on_generators(self.target, self.on_generators(),
+                                       self.resolution.diff_images(self.degree + 1))
         check(images.is_zero(), "not a cocycle")
 
     @property
     def source(self) -> Module:
         return self.resolution.module
 
-    @classmethod
-    def from_realized(cls, resolution: MinimalFreeResolution, target: Module, degree: int,
-                      phi: Mat, shift: int) -> "ExtElement":
-        """The element whose realized map F_t -> N is phi; inverse of realized()."""
-        gens = resolution.free(degree).generator_columns()
-        return cls(resolution, target, degree, phi.a[:, gens].T.reshape(-1), shift)
-
-    def generator_images(self) -> Mat:
+    def on_generators(self) -> Mat:
         """The representing map on the generators of F_t, one column each."""
         return _side_by_side(self.rep[None], self.resolution.free(self.degree).rank, self.target)
 
     def realized(self) -> Mat:
         """The representing map as a matrix on realized coordinates F_t -> N."""
-        return extend_linearly(self.target, self.generator_images())
+        return extend_linearly(self.target, self.on_generators())
 
     def class_residual(self) -> np.ndarray:
         """Canonical coset representative: rep reduced modulo coboundaries."""
         return _reduce_mod_rows(self.rep, _coboundary_echelon(
             _hom_differential(self.resolution, self.target, self.degree - 1)))
-
-    def is_zero_class(self) -> bool:
-        return not self.class_residual().any()
 
     def describe(self) -> dict:
         return {"degree": self.degree, "shift": self.shift}
@@ -283,7 +273,7 @@ def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> L
     res.extend(t + upto)
     images = [res.solve(0, images)]
     for i in range(1, upto + 1):
-        rhs = compose_on_generators(res.free(i - 1), images[i - 1], res.diff_coefficients(t + i))
+        rhs = compose_on_generators(res.free(i - 1), images[i - 1], res.diff_images(t + i))
         images.append(res.solve(i, rhs))
     return images
 
@@ -333,14 +323,12 @@ def _estimate(module: Module, window: int, s: int) -> ComplexityEstimate:
 
 def _constant_stacks(res: MinimalFreeResolution, t: int, lifts: List[Mat]) -> List[np.ndarray]:
     """theta_n (x) k for each of the k classes of a stacked lift (_lift_stack),
-    n = 0..len(lifts) - 1: the constant coefficients of theta_n over A, which
-    are the generator rows of its generator images, as a (k, r_n, r_{t+n})
-    stack."""
+    n = 0..len(lifts) - 1: the constant coefficients of theta_n over A
+    (gmod.coefficient_view), as a (k, r_n, r_{t+n}) stack."""
     out = []
     for n, U in enumerate(lifts):
-        rows, cols = res.free(n).rank, res.free(t + n).rank
-        G = U.a[res.free(n).generator_columns()]
-        out.append(G.reshape(rows, -1, cols).transpose(1, 0, 2))
+        G = coefficient_view(U, res.module.algebra)[0]
+        out.append(G.reshape(G.shape[0], -1, res.free(t + n).rank).transpose(1, 0, 2))
     return out
 
 

@@ -17,8 +17,10 @@ are convolutions of sequences the engine computes for each factor alone.
 solve and solve_matrix solve through the engine's rref; their particular
 solution is the one MinimalFreeResolution.solve must reproduce.  hom_space,
 ModuleMap and is_isomorphic read Hom_A(M, N) off the dense variable actions
-with the engine's kernel_basis, and yoneda_power composes the engine's chain
-lifts; the library computes Ext without either.
+with kernel_basis, and yoneda_power composes the engine's chain lifts; the
+library computes Ext without either.  kernel_basis reads a null space off
+the engine's rref, ext_from_realized reads an Ext class off a realized
+cocycle and is_zero_class tests its class_residual.
 diff_algebra reads a differential of an engine resolution as a matrix of
 algebra elements.
 """
@@ -375,7 +377,7 @@ def eager_resolution(module, n):
     syzygies): maps[0] is the augmentation F_0 -> M and maps[i] the
     realized d_i; syzygies[i] (i >= 1) is the Submodule of F_{i-1}.
     """
-    from cxlab.exactla import Mat, kernel_basis
+    from cxlab.exactla import Mat
     from cxlab.gmod import free_module, min_generators, submodule_from_span
 
     A = module.algebra
@@ -479,11 +481,40 @@ def yoneda_power(eta, s):
         return eta
     res, t = eta.resolution, eta.degree
     res.extend(s * t + 1)
-    lifts = _lift_stack(res, t, eta.generator_images(), (s - 1) * t)
+    lifts = _lift_stack(res, t, eta.on_generators(), (s - 1) * t)
     comp = eta.realized()
     for j in range(1, s):
         comp = comp @ extend_linearly(res.free(j * t), lifts[j * t])
-    return ExtElement.from_realized(res, eta.target, s * t, comp, s * eta.shift)
+    return ext_from_realized(res, eta.target, s * t, comp, s * eta.shift)
+
+
+def ext_from_realized(resolution, target, degree, phi, shift):
+    """The ExtElement whose realized map F_t -> N is phi: its generator
+    columns, one block of N-coordinates per generator; the inverse of
+    ExtElement.realized."""
+    from cxlab.yoneda import ExtElement
+
+    gens = resolution.free(degree).generator_columns()
+    return ExtElement(resolution, target, degree, phi.a[:, gens].T.reshape(-1), shift)
+
+
+def is_zero_class(eta):
+    """True when eta is a coboundary: its class_residual vanishes."""
+    return not eta.class_residual().any()
+
+
+def kernel_basis(m):
+    """Matrix whose columns are a basis of the null space {x : m x = 0}, one
+    per non-pivot column of rref(m), in increasing order: the canonical
+    basis with a 1 at its free column and zeros at the other free columns."""
+    from cxlab.exactla import Mat, rref
+
+    R, pivots, rank = rref(m)
+    free = sorted(set(range(m.cols)) - set(pivots))
+    K = np.zeros((m.cols, len(free)), dtype=np.int64)
+    K[free, np.arange(len(free))] = 1
+    K[list(pivots)] = -R.a[:rank, free] % m.field.p
+    return Mat(m.field, K)
 
 
 @dataclass
@@ -506,7 +537,7 @@ def hom_space(m, n):
     """A basis of Hom_A(M, N), the kernel of phi -> (phi X_v - Y_v phi)_v:
     on row-major vec(phi), vec(phi X) = (I (x) X^T) vec(phi) and
     vec(Y phi) = (Y (x) I) vec(phi)."""
-    from cxlab.exactla import Mat, kernel_basis
+    from cxlab.exactla import Mat
 
     if m.dim == 0 or n.dim == 0:
         return []
@@ -547,7 +578,7 @@ def is_isomorphic(m, n, seed=0, attempts=64):
 def eisenbud_chi(ci, res, max_degree):
     """The degree-two chain operators over the monomial complete intersection
     ci, computed entry by entry from polynomials: the reference for
-    cioper._chi_coefficients, which works on coefficient arrays.
+    cioper._chi_images, which works on coefficient slices.
 
     Each d_i lifts to {exponent: coefficient} dicts over the standard
     monomials; each entry of the product of the lifts of d_{n-1} and d_n is

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 
-from cxlab.exactla import Field, Mat, kernel_basis
+from cxlab.exactla import Field, Mat
 from cxlab.gralg import is_gorenstein, parse_polynomial
 from cxlab.gmod import direct_sum, free_module, residue_field, shift
 from cxlab.resol import estimate_complexity, resolve, syzygy, verify_complex
@@ -28,7 +28,7 @@ from cxlab.cioper import testci_run as run_testci
 from cxlab.cxcli import RunOptions, parse_scenario, run
 
 from conftest import GASHAROV_VARS, SCENARIO_DIR
-from oracles import diff_algebra, is_isomorphic, monomial_ci_structure, naive_betti_sequence
+from oracles import diff_algebra, is_isomorphic, kernel_basis, monomial_ci_structure, naive_betti_sequence
 from test_properties import random_module
 
 F5 = Field(5)

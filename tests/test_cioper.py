@@ -7,9 +7,9 @@ from cxlab import cioper
 from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat
 from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
-from cxlab.gmod import algebra_coefficients, coker_presentation, free_module, residue_field
+from cxlab.gmod import coker_presentation, free_module, residue_field
 from cxlab.resol import estimate_complexity, resolve
-from cxlab.yoneda import ExtElement, ext_table, pushout
+from cxlab.yoneda import ext_table, pushout
 import oracles
 from oracles import is_isomorphic
 from conftest import gasharov_algebra, gasharov_presentation
@@ -91,10 +91,11 @@ def test_operators_match_polynomial_reference(p, exps):
             for n in range(2, top + 1):
                 assert ops.chi_realized(j, n) == ref[(j, n)], (M, j, n)
                 if n >= 4:
-                    ref_ext = algebra_coefficients(ref[(j, n)], res.free(n), res.free(n - 2))[0].T
+                    # the constant coefficients: generator rows of the generator columns
+                    ref_ext = ref[(j, n)].a[:: A.dim, :: A.dim].T
                     assert ops.ext_action(j, n - 2) == Mat(ci.field, ref_ext), (M, j, n)
             res.extend(3)
-            eta = ExtElement.from_realized(res, M, 2, res.augmentation @ ref[(j, 2)], -exps[j - 1])
+            eta = oracles.ext_from_realized(res, M, 2, res.augmentation @ ref[(j, 2)], -exps[j - 1])
             want, got = pushout(eta).module, cut_by_chi(ops, j).module
             assert (got.degrees, got.actions) == (want.degrees, want.actions), (M, j)
 
@@ -119,17 +120,20 @@ def test_operator_checks_raise(quadric, monkeypatch):
     x, y = (np.eye(A.dim, dtype=np.int64)[:, A.basis_index[e]].reshape(A.dim, 1, 1) for e in [(1, 0), (0, 1)])
     # residue: the square x*y of these 1x1 "differentials" is outside (x^2, y^2)
     with pytest.raises(InvariantError, match="outside the relation ideal"):
-        cioper._chi_coefficients(quadric, x, y)
+        cioper._chi_images(quadric, x, y)
     # chain identity: a unit added to chi_1 at degree 3 breaks d o chi = chi o d
-    build = cioper._chi_coefficients
+    build = cioper._chi_images
 
     def broken(ci, c_prev, c_cur):
         chi = build(ci, c_prev, c_cur)
         if c_cur.shape[2] == 4:  # n = 3, where F_3 of k has rank 4
-            chi[0][0, 0, 0] += 1
+            # the constant coefficient of entry (0, 0): row 0 of column 0
+            a = chi[0].a.copy()
+            a[0, 0] += 1
+            chi[0] = Mat(ci.field, a)
         return chi
 
-    monkeypatch.setattr(cioper, "_chi_coefficients", broken)
+    monkeypatch.setattr(cioper, "_chi_images", broken)
     with pytest.raises(InvariantError, match="chain identity fails for operator 1 at degree 3"):
         eisenbud_operators(quadric, residue_field(A), 6)
     monkeypatch.undo()
@@ -159,7 +163,7 @@ def test_chi_classes_independent(quadric, k):
     ops = eisenbud_operators(quadric, k, 6)
     e1 = chi_self_extension(ops, 1)
     e2 = chi_self_extension(ops, 2)
-    assert not e1.is_zero_class() and not e2.is_zero_class()
+    assert not oracles.is_zero_class(e1) and not oracles.is_zero_class(e2)
     assert Mat(F5, np.vstack([e1.rep, e2.rep])).rank() == 2
     assert e1.shift == -2 and e2.shift == -2
 
@@ -167,10 +171,10 @@ def test_chi_classes_independent(quadric, k):
 def test_chi_class_zero_iff_finite_pd(cubic):
     kk = residue_field(cubic.algebra)
     ops = eisenbud_operators(cubic, kk, 6)
-    assert not chi_self_extension(ops, 1).is_zero_class()
+    assert not oracles.is_zero_class(chi_self_extension(ops, 1))
     F = free_module(cubic.algebra, [0])
     ops_free = eisenbud_operators(cubic, F, 6)
-    assert chi_self_extension(ops_free, 1).is_zero_class()
+    assert oracles.is_zero_class(chi_self_extension(ops_free, 1))
 
 
 def test_cut_by_chi_chain(quadric, k):

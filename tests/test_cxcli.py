@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -290,6 +291,23 @@ def test_main_build_failure_exit_code(tmp_path, capsys):
     assert main(["run", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "complete intersection" in err
+
+
+@pytest.mark.parametrize("ring, message", [
+    ("[x0,x1,x2,x3] / (x0^2-x1^2)", "non-Artinian quotient: it is nonzero in degree 5"),
+    ("[x0,x1,x2,x3,x4] / (x0^2)", "non-Artinian quotient: no relation is a pure power of x1"),
+])
+def test_main_refuses_non_artinian_ring(tmp_path, capsys, ring, message):
+    # the ring is refused at once, with the InputError text and exit code 1
+    bad = tmp_path / "non_artinian.cx"
+    bad.write_text(f"field p = 5\nring A = {ring}\nmodule k = k A\ntask betti k maxdeg=2\n")
+    started = time.perf_counter()
+    assert main(["run", str(bad)]) == 1
+    assert time.perf_counter() - started < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{bad}: {message}")
+    assert "Traceback" not in captured.err
 
 
 def test_main_json_output(tmp_path, capsys):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from cxlab.errors import InputError
 from cxlab import exactla
-from cxlab.exactla import Field, Mat, kernel_basis, kernel_rref, pivot_inverse, rref
-from oracles import solve, solve_matrix
+from cxlab.exactla import Field, Mat, kernel_rref, pivot_inverse, rref
+from oracles import kernel_basis, solve, solve_matrix
 
 F5 = Field(5)
 

@@ -15,14 +15,14 @@ from cxlab.exactla import Field, Mat, rref
 from cxlab.gralg import build_algebra, parse_polynomial
 from cxlab.gmod import (
     Module,
-    algebra_coefficients,
     block_action,
     coker_presentation,
     compose_on_generators,
     direct_sum,
     extend_linearly,
     free_module,
-    generator_images,
+    coefficient_view,
+    entry_images,
     min_generators,
     quotient_by_span,
     realize_algebra_matrix,
@@ -103,11 +103,16 @@ def test_residue_sum_shift(A, k):
     assert shift(k, 3).degrees == (3,)
 
 
-def test_min_generators(A, k, gasharov_module):
+def test_min_generators(A, k, Ax, gasharov_module):
     assert len(min_generators(free_module(A, [0, 1, 3]))) == 3
     assert len(min_generators(k)) == 1
     assert len(min_generators(gasharov_module)) == 2
     assert min_generators(free_module(A, [])) == []
+    # a span whose pivot entry is not 1, or whose pivot column is not cleared
+    with pytest.raises(InvariantError, match="span is not in reduced echelon form"):
+        min_generators(k, Mat(F5, [[2]]))
+    with pytest.raises(InvariantError, match="span is not in reduced echelon form"):
+        min_generators(Ax, Mat(F5, [[1, 1], [1, 0]]))
 
 
 def test_hom_space_dimensions(A, k):
@@ -168,8 +173,12 @@ def test_module_verification_rejects_bad_actions(A):
     chain = np.zeros((3, 3), dtype=np.int64)
     chain[1, 0] = 1
     chain[2, 1] = 1
-    with pytest.raises(AssertionError, match="relation"):
+    with pytest.raises(AssertionError, match="relation .* does not annihilate the module"):
         Module(A, [0, 1, 2], [Mat(F5, chain), Mat.zeros(F5, 3, 3)])
+    # the same over F_5[x]/(x^2), where no other check sees it
+    B = build_algebra(F5, 1, [parse_polynomial("x^2", ["x"], F5)], varnames=["x"])
+    with pytest.raises(InvariantError, match="does not annihilate the module"):
+        Module(B, [0, 1, 2], [Mat(F5, chain)])
 
 
 def test_mixed_algebra_operations_rejected(A, cubic, k):
@@ -364,9 +373,9 @@ def test_block_actions_exact_at_large_prime():
 
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
 def test_compose_on_generators_matches_realized_product(p):
-    # phi o d on generators, read off the generator images of phi and the
-    # coefficient array of d, is the realized product on the generator
-    # columns; with dense coefficients every basis monomial occurs in d
+    # phi o d on generators, read off the generator images of phi and of d,
+    # is the realized product on the generator columns; with dense
+    # coefficients every basis monomial occurs in d
     F = Field(p)
     A = MonomialCI.build(F, [2, 2, 2]).algebra
     rng = np.random.default_rng(p % 1000)
@@ -377,21 +386,27 @@ def test_compose_on_generators_matches_realized_product(p):
     for coeffs in (rng.integers(0, p, (A.dim, mid.rank, src.rank)),
                    np.zeros((A.dim, mid.rank, src.rank), dtype=np.int64)):
         d = block_action(oracles.regular_module(A), coeffs)
-        assert np.array_equal(algebra_coefficients(d, src, mid), coeffs)
-        assert generator_images(F, coeffs) == Mat(F, d.a[:, gens])
-        got = compose_on_generators(tgt, images, coeffs)
+        d_images = Mat(F, d.a[:, gens])
+        assert np.array_equal(coefficient_view(d_images, A), coeffs)
+        entries = [[A.element(coeffs[:, r, g]) for g in range(src.rank)] for r in range(mid.rank)]
+        assert entry_images(A, entries, mid.rank, src.rank) == d_images
+        got = compose_on_generators(tgt, images, d_images)
         assert got.a.tobytes() == (phi @ d).a[:, gens].tobytes()
         # k maps side by side: block j is the result for map j alone
         maps = [images] + [Mat(F, rng.integers(0, p, (tgt.dim, mid.rank))) for _ in range(2)]
-        stacked = compose_on_generators(tgt, Mat(F, np.hstack([m.a for m in maps])), coeffs)
+        stacked = compose_on_generators(tgt, Mat(F, np.hstack([m.a for m in maps])), d_images)
         assert stacked.shape == (tgt.dim, 3 * src.rank)
         for j, m in enumerate(maps):
             block = stacked.a[:, j * src.rank:(j + 1) * src.rank]
-            assert block.tobytes() == compose_on_generators(tgt, m, coeffs).a.tobytes(), j
+            assert block.tobytes() == compose_on_generators(tgt, m, d_images).a.tobytes(), j
     with pytest.raises(InputError, match="do not compose"):
-        compose_on_generators(src, images, coeffs)
+        compose_on_generators(src, images, d_images)
     with pytest.raises(InputError, match="do not compose"):  # not a multiple of rank F
-        compose_on_generators(tgt, Mat(F, rng.integers(0, p, (tgt.dim, 3))), coeffs)
+        compose_on_generators(tgt, Mat(F, rng.integers(0, p, (tgt.dim, 3))), d_images)
+    with pytest.raises(InputError, match="do not compose"):  # rows not whole blocks over A
+        compose_on_generators(tgt, images, Mat(F, d_images.a[1:]))
+    with pytest.raises(InputError, match="not generator images"):
+        coefficient_view(Mat(F, d_images.a[1:]), A)
 
 
 def _unit_row(M, idx):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -54,7 +55,48 @@ def test_gasharov_hilbert_against_bruteforce(gasharov):
 def test_non_artinian_rejected():
     # x*y alone leaves powers of x alive forever
     with pytest.raises(InputError, match="non-Artinian"):
-        build_algebra(F5, 2, [parse_polynomial("x*y", XY, F5)], degree_cap=12, varnames=XY)
+        build_algebra(F5, 2, [parse_polynomial("x*y", XY, F5)], varnames=XY)
+
+
+def _timed_build(p, names, relations):
+    F = Field(p)
+    started = time.perf_counter()
+    try:
+        return build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=names)
+    finally:
+        assert time.perf_counter() - started < 2
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_non_artinian_refused_at_the_bound(p):
+    # relations of degree <= D in n variables: an Artinian quotient vanishes
+    # above n(D - 1), so a nonzero slice at n(D - 1) + 1 refuses it there
+    names = ["x0", "x1", "x2", "x3"]
+    with pytest.raises(InputError, match=r"non-Artinian quotient: it is nonzero in degree 5, .* "
+                                         r"vanishes above degree 4"):
+        _timed_build(p, names, ["x0^2-x1^2"])
+    with pytest.raises(InputError, match="non-Artinian"):
+        _timed_build(p, XY, ["x^2+y^2"])
+    with pytest.raises(InputError, match="non-Artinian"):
+        _timed_build(p, names, [])
+    # a monomial ideal is refused at once when a variable has no pure power
+    names = ["x0", "x1", "x2", "x3", "x4"]
+    with pytest.raises(InputError, match="non-Artinian quotient: no relation is a pure power of x1"):
+        _timed_build(p, names, ["x0^2"])
+    with pytest.raises(InputError, match="no relation is a pure power of y"):
+        _timed_build(p, XY, ["x^3", "x*y^4"])
+
+
+def test_artinian_quotients_at_the_bound():
+    # the top degree may reach the bound n(D - 1) itself
+    A = _timed_build(5, ["x"], ["x^70"])
+    assert A.dim == 70 and A.top_degree == 69
+    B = _timed_build(5, XY, ["x^2+y^2", "x*y"])  # not monomial: top degree 2 = 2(2 - 1)
+    assert B.hilbert_function() == (1, 2, 1)
+    C = _timed_build(5, XY, ["x^3", "y^3"])
+    assert C.top_degree == 4
+    K = build_algebra(F5, 0, [], varnames=[])
+    assert K.dim == 1
 
 
 def test_inhomogeneous_relation_rejected():
@@ -140,8 +182,7 @@ def test_monomial_ci_hilbert_product_formula():
     for ns in tuples:
         names = [f"x{i+1}" for i in range(len(ns))]
         rels = [Polynomial.variable(F5, len(ns), i, power=n) for i, n in enumerate(ns)]
-        cap = sum(ns) - len(ns) + 2
-        A = build_algebra(F5, len(ns), rels, varnames=names, degree_cap=cap)
+        A = build_algebra(F5, len(ns), rels, varnames=names)
         assert A.hilbert_function() == poly_product(ns), ns
 
 

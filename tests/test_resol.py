@@ -11,7 +11,7 @@ from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat
 from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
 from cxlab import resol
-from cxlab.gmod import coker_presentation, direct_sum, free_module, residue_field, shift
+from cxlab.gmod import FreeModule, coker_presentation, direct_sum, free_module, residue_field, shift
 from cxlab.resol import estimate_complexity, resolve, syzygy, verify_complex
 from conftest import GASHAROV_VARS, gasharov_algebra, gasharov_presentation
 import oracles
@@ -221,6 +221,9 @@ def test_estimate_complexity_cases():
     assert est.value == 2 and est.stabilized
     with pytest.raises(InputError, match="too short"):
         estimate_complexity([1, 2, 3], s=4)
+    # a Betti number after a zero contradicts finite projective dimension
+    with pytest.raises(InvariantError, match="Betti numbers revive after a zero"):
+        estimate_complexity([1, 2, 0, 3] + [0] * 8)
 
 
 def test_estimate_not_stabilized_for_exponential_growth():
@@ -399,6 +402,46 @@ def test_step_zero_checks_augmentation_onto(k, monkeypatch):
     monkeypatch.setattr(resol, "min_generators", lambda m, span=None: choose(m, span)[:-1])
     with pytest.raises(InvariantError, match="augmentation F_0 -> M is not onto"):
         resolve(direct_sum(k, shift(k, 1)), 0)
+
+
+def _at_free_targets(change):
+    """min_generators with change applied to its generators when it covers
+    a span of a free module, at the steps i >= 1."""
+    choose = resol.min_generators
+    return lambda m, span=None: change(choose(m, span)) if isinstance(m, FreeModule) else choose(m, span)
+
+
+def test_step_checks_minimality(A, monkeypatch):
+    # a lift with a unit added at generator row 0 of F_0 is no longer in m F_0
+    def with_unit(gens):
+        vec = gens[0][0].copy()
+        vec[0] = 1
+        return [(vec, gens[0][1])] + gens[1:]
+
+    monkeypatch.setattr(resol, "min_generators", _at_free_targets(with_unit))
+    with pytest.raises(InvariantError, match="differential entry has a unit component"):
+        resolve(residue_field(A), 1)  # a new module, so its resolution starts empty
+
+
+def test_step_checks_exactness(A, monkeypatch):
+    # without its last generator, the image of d_1 misses part of ker d_0 = m
+    monkeypatch.setattr(resol, "min_generators", _at_free_targets(lambda gens: gens[:-1]))
+    with pytest.raises(InvariantError, match="image of d_1 does not fill ker d_0"):
+        resolve(residue_field(A), 1)
+
+
+def test_step_checks_image_in_span(A):
+    # the span ker d_0 = m cut down to its first row, a variable: that row
+    # spans no A-submodule, and the A-linear map onto it leaves it (the
+    # other variable times it is xy); d_0 kills the map, so only the
+    # containment check can see it
+    res = resol.MinimalFreeResolution(residue_field(A))
+    res.extend(0)
+    assert A.basis_degrees[int(res._pivots[1][0])] == 1
+    res._span = Mat(F5, res._span.a[:1])
+    res._pivots[1] = res._pivots[1][:1]
+    with pytest.raises(InvariantError, match="image of d_1 leaves the span of ker d_0"):
+        res.extend(1)
 
 
 def _residue_field_over(p, relations):
