@@ -630,9 +630,9 @@ def _run_task(ws: _Workspace, task: TaskDecl) -> dict:
         tests = []
         for name in a["tests"]:
             if ws.cuts[name] != t:
-                raise InputError(
-                    f"test module {name!r} was built with {ws.cuts[name]} coordinate cuts, task declares t={t}"
-                )
+                built = ("was not built from k by kchi or cut, so it has no cut size" if ws.cuts[name] is None
+                         else f"was built with {ws.cuts[name]} coordinate cuts")
+                raise InputError(f"test module {name!r} {built}, task declares t={t}")
             tests.append((ws.mods[name], t))
         v = vartest_check(ws.mods[a["module"]], tests, opts.max_degree)
         return {"ok": v.ok, **v.to_jsonable()}

@@ -15,16 +15,19 @@ A module applies A to coordinates in one way: `Module.multiples` multiplies
 every column of a coordinate matrix by every monomial of a fixed list (the
 basis of A or its variables).  A module that is not free does it with one
 exact product by its monomial actions, stacked and kept once per module.  A
-free module keeps only its generator degrees and its rank, and reads the
-products off the structure constants of A: A's regular representation is
-verified once per algebra and kept only as the terms of its structure
-constants, arrays read off its stacked actions.  That is one exact int64
-gather per term slot, and a single gather over a monomial algebra, whose
-regular action is a partial permutation.  Its stacked actions are the
-multiples of the identity, one gather and no product, and its variable
-actions are their "variables" slice.  `extend_linearly`, `min_generators`
-and the subquotients go through `multiples`; `block_action` is one product
-by the stacked actions.
+free module keeps only its generator degrees and its rank, no array, and
+reads the products off the structure constants of A: A's regular
+representation is verified once per algebra and kept only as the terms of
+its structure constants.  The variable terms are read off the verified
+actions, and each basis monomial's terms are composed from a predecessor's
+through them, one monomial at a time, with no dim A^3 stack.  A product is
+one exact int64 gather per term slot, and a single gather over a monomial
+algebra, whose regular action is a partial permutation.  A free module's
+stacked actions, the multiples of the identity, and its variable actions,
+their "variables" slice, are one gather and no product, built on each
+request and not kept.  `extend_linearly`, `min_generators` and the
+subquotients go through `multiples`; `block_action` is one product by the
+stacked actions.
 
 A matrix over A, a map F' -> F of free modules, has one form: its
 generator images, the dim F x rank F' matrix whose column g is the image of
@@ -76,7 +79,6 @@ class Module:
         self.degrees = tuple(int(d) for d in degrees)
         self._actions = tuple(actions)
         self.provenance = provenance
-        self._monomial_actions: Dict[Tuple[int, ...], Mat] = {}
         self._stacks: Dict[str, np.ndarray] = {}
         self._resolution = None
         if not _skip_verify:
@@ -156,26 +158,18 @@ class Module:
             for j in range(i + 1, A.nvars):
                 check(self.actions[i] @ self.actions[j] == self.actions[j] @ self.actions[i],
                       f"actions of variables {i} and {j} do not commute")
-        # every algebra relation must act as zero
+        # every algebra relation must act as zero; a term x^e acts as the
+        # product of the variable actions, formed here and not kept
         for g in A.relations:
             acc = Mat.zeros(A.field, n, n)
             for e, c in g.terms:
-                acc = acc + self.monomial_action(e).scale(c)
+                term = Mat.identity(A.field, n)
+                for X, a in zip(self.actions, e):
+                    for _ in range(a):
+                        term = X @ term
+                acc = acc + term.scale(c)
             if not acc.is_zero():
                 raise InvariantError(f"relation {g!r} does not annihilate the module")
-
-    def monomial_action(self, e: Tuple[int, ...]) -> Mat:
-        """Action of the monomial x^e (product of the commuting variable actions)."""
-        e = tuple(int(a) for a in e)
-        got = self._monomial_actions.get(e)
-        if got is not None:
-            return got
-        out = Mat.identity(self.field, self.dim)
-        for i, a in enumerate(e):
-            for _ in range(a):
-                out = self.actions[i] @ out
-        self._monomial_actions[e] = out
-        return out
 
     def hilbert(self) -> Dict[int, int]:
         return dict(sorted(Counter(self.degrees).items()))
@@ -190,7 +184,7 @@ class FreeModule(Module):
     (generator g, standard monomial m) with degree deg(m) + deg(g).  Each
     block is a copy of A as a module over itself.  A free module multiplies
     through the structure constants of A, and its actions are read off the
-    same products."""
+    same products on each request: it keeps no array."""
 
     def __init__(self, algebra: Algebra, gen_degrees: Sequence[int]):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
@@ -242,14 +236,11 @@ class FreeModule(Module):
 
     def _stacked(self, which: str) -> np.ndarray:
         """Module._stacked read off the structure constants: the multiples
-        of the identity, one gather and no product; built once per module."""
-        got = self._stacks.get(which)
-        if got is None:
-            n, s = self.dim, len(_monomial_list(self.algebra, which))
-            out = self.multiples(Mat.identity(self.field, n), which).a.reshape(n, n, s)
-            got = self._stacks[which] = np.ascontiguousarray(out.transpose(2, 0, 1))
-            got.setflags(write=False)
-        return got
+        of the identity, one gather and no product, built on each call and
+        not kept."""
+        n, s = self.dim, len(_monomial_list(self.algebra, which))
+        out = self.multiples(Mat.identity(self.field, n), which).a.reshape(n, n, s)
+        return np.ascontiguousarray(out.transpose(2, 0, 1))
 
     @property
     def actions(self) -> Tuple[Mat, ...]:
@@ -276,8 +267,7 @@ def _monomial_list(algebra: Algebra, which: str) -> List[Tuple[int, ...]]:
 
 # A's regular representation, kept once per algebra as the terms of its
 # structure constants for both monomial lists: arrays only, so no algebra is
-# kept alive by its entry, and the regular module is dropped once they are
-# read.
+# kept alive by its entry.
 _STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, tuple]]" = weakref.WeakKeyDictionary()
 
 
@@ -293,31 +283,56 @@ def _structure_terms(algebra: Algebra, which: str):
     whose regular action is a partial permutation.
 
     The first call for an algebra builds A as a module over itself, which
-    verifies its axioms, and reads the terms of both lists off its stacked
-    actions."""
+    verifies its axioms, and reads the variable terms off its actions.  The
+    basis monomials follow one at a time: x^e_j = x_v x^e', e' listed
+    before e_j (standard monomials are closed under division and listed
+    degree by degree), so x^e_j acts as x_v, through the variable terms, on
+    the action of x^e' rebuilt from its nonzero entries; no dim A^3 stack
+    is formed."""
     terms = _STRUCTURE.get(algebra)
     if terms is None:
         regular = Module(algebra, algebra.basis_degrees,
                          [algebra.variable_action(i) for i in range(algebra.nvars)],
                          provenance="regular")
-        terms, dA = {}, algebra.dim
-        for w in ("basis", "variables"):
-            # S[j, a, c] is entry (a, c) of the action of x^e_j on the regular module
-            S = regular._stacked(w)
-            s = S.shape[0]
-            a, j, c = np.nonzero(S.transpose(1, 0, 2))  # ordered by (a, j)
-            key = a * s + j
-            slot = np.arange(key.size) - np.searchsorted(key, key)
-            slots = int(slot.max()) + 1 if key.size else 1
-            src = np.full((slots, dA, s), dA, dtype=np.intp)
-            coef = np.ones((slots, dA, s), dtype=np.int64)
-            src[slot, a, j] = c
-            coef[slot, a, j] = S[j, a, c]
-            terms[w] = (src, None if slots == 1 and (coef == 1).all() else coef)
-        _STRUCTURE[algebra] = terms
+        p, dA, s = algebra.field.p, algebra.dim, algebra.nvars
+        S = np.array([X.a for X in regular.actions], dtype=np.int64).reshape(s, dA, dA)
+        j, a, c = np.nonzero(S)
+        src, coef = variables = _slotted(j, a, c, S[j, a, c], s, dA)
+        # the nonzero entries (a, c, S[a, c]) of each basis monomial's action
+        entries = [(np.arange(dA), np.arange(dA), np.ones(dA, dtype=np.int64))]  # basis[0] is 1
+        for mono in algebra.basis[1:]:
+            v = next(i for i, e in enumerate(mono) if e)
+            a, c, val = entries[algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]]
+            below = np.zeros((dA + 1, dA), dtype=np.int64)  # row dA: the zero unused slots read
+            below[a, c] = val
+            # row a of x_v times x^e' sums coef * row src of x^e' over the
+            # terms (src, coef) of x_v at a; each product is reduced below p
+            rows = below[src[:, :, v]]
+            out = (rows if coef is None else rows * coef[:, :, v, None] % p).sum(axis=0) % p
+            a, c = np.nonzero(out)
+            entries.append((a, c, out[a, c]))
+        j = np.repeat(np.arange(dA), [e[0].size for e in entries])
+        a, c, val = (np.concatenate(x) for x in zip(*entries))
+        terms = _STRUCTURE[algebra] = {"basis": _slotted(j, a, c, val, dA, dA), "variables": variables}
     if which not in terms:
         _monomial_list(algebra, which)  # raises InputError: no such list
     return terms[which]
+
+
+def _slotted(j: np.ndarray, a: np.ndarray, c: np.ndarray, val: np.ndarray, s: int, dA: int):
+    """(src, coef) of _structure_terms from the nonzero S[j, a, c] = val of
+    s monomials, in any order: the terms of each (a, j) fill its slots in
+    increasing c."""
+    order = np.lexsort((c, j, a))
+    j, a, c, val = j[order], a[order], c[order], val[order]
+    key = a * s + j
+    slot = np.arange(key.size) - np.searchsorted(key, key)
+    slots = int(slot.max()) + 1 if key.size else 1
+    src = np.full((slots, dA, s), dA, dtype=np.intp)
+    coef = np.ones((slots, dA, s), dtype=np.int64)
+    src[slot, a, j] = c
+    coef[slot, a, j] = val
+    return src, None if slots == 1 and (coef == 1).all() else coef
 
 
 def extend_linearly(target: Module, gen_images: Mat) -> Mat:

@@ -283,7 +283,6 @@ class Algebra:
         self.basis_index: Dict[Monomial, int] = {e: j for j, e in enumerate(self.basis)}
         self.dim = len(self.basis)
         self._var_actions: List[Optional[Mat]] = [None] * nvars
-        self._product_cache: Dict[Tuple[int, int], np.ndarray] = {}
 
     def _build_slices(self):
         """Standard monomials degree by degree, until a degree has none (then
@@ -397,15 +396,6 @@ class Algebra:
         vec[idx] = 1
         return AlgebraElement(self, vec)
 
-    def product_of_basis(self, i: int, j: int) -> np.ndarray:
-        key = (i, j) if i <= j else (j, i)
-        out = self._product_cache.get(key)
-        if out is None:
-            e = tuple(a + b for a, b in zip(self.basis[key[0]], self.basis[key[1]]))
-            out = self.nf_monomial(e)
-            self._product_cache[key] = out
-        return out
-
     def variable_action(self, i: int) -> Mat:
         """Multiplication by x_i as a matrix on the flat quotient basis."""
         if self._var_actions[i] is None:
@@ -464,17 +454,17 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        p = self.algebra.field.p
-        acc = np.zeros(self.algebra.dim, dtype=np.int64)
-        nz1 = np.nonzero(self.vec)[0]
-        nz2 = np.nonzero(other.vec)[0]
-        for i in nz1:
+        A = self.algebra
+        p = A.field.p
+        acc = np.zeros(A.dim, dtype=np.int64)
+        for i in np.nonzero(self.vec)[0]:
             ci = int(self.vec[i])
-            for j in nz2:
-                # reduce the scalar first so each term stays below p^2 < 2^62
+            for j in np.nonzero(other.vec)[0]:
+                # reduce the scalar first so each term stays below p^2 < 2^62;
+                # basis[i] * basis[j] is the normal form of the exponent sum
                 c = ci * int(other.vec[j]) % p
-                acc = (acc + c * self.algebra.product_of_basis(int(i), int(j))) % p
-        return AlgebraElement(self.algebra, acc)
+                acc = (acc + c * A.nf_monomial(tuple(a + b for a, b in zip(A.basis[i], A.basis[j])))) % p
+        return AlgebraElement(A, acc)
 
     def to_polynomial(self) -> Polynomial:
         """Canonical lift: the combination of standard monomials itself."""

@@ -11,11 +11,12 @@ next step covers.
 
 A resolution keeps each d_i as its matrix over A, the images of the
 generators of F_i, dim A times smaller than the realized d_i; the realized
-matrix lives while its step runs and is rebuilt, by one extend_linearly,
-when asked for.  It keeps a span's rows only until the step that covers
-them has run, and their pivot columns for good.  Chain lifts solve
-d_i X = B through a factorization of d_i made once, on the first lift
-through it, next to the realized d_i, and each solution is checked.
+matrix lives while its step runs, and is rebuilt, by one extend_linearly,
+within each call that reads it.  It keeps a span's rows only until the step
+that covers them has run, their pivot columns for good, and Z of the last
+step until the next one.  Chain lifts solve d_i X = B through a
+factorization (Q, E) of Z_i made once, on the first lift through d_i; each
+solve realizes d_i to check its solution and drops it.
 Syzygy modules are built only when asked for.
 A resolution is cached on its module and extended incrementally;
 previously computed steps never change.
@@ -59,11 +60,11 @@ class MinimalFreeResolution:
     Step i maps F_i onto an echelon span: ker d_{i-1} in F_{i-1}, or the
     identity rows of M for i = 0.  What a step keeps of d_i is its matrix
     over A, the images of the generators of F_i: dim F_{i-1} x rank F_i
-    (dim M x rank F_0 for the augmentation), which diff_images returns;
-    diff_coefficients is its coefficient view (gmod.coefficient_view),
-    diff_realized and augmentation realize it on request, and solve
-    realizes d_i once, on the first solve through it.  The span's rows are
-    kept until step i has covered them, their pivot columns for good;
+    (dim M x rank F_0 for the augmentation d_0), which diff_images returns;
+    diff_coefficients is its coefficient view (gmod.coefficient_view), and
+    diff_realized realizes it on request, without keeping it; solve keeps
+    only the factorization (Q, E) of Z_i.  The span's rows are kept until
+    step i has covered them, their pivot columns for good;
     syzygy_module re-derives a covered span by one kernel_rref of d_{i-1}
     read in its span, and the reduced echelon form of a row space is
     unique, so the span is the one the step covered.  The syzygy module a
@@ -85,15 +86,11 @@ class MinimalFreeResolution:
         # step checks d o d = 0 through it
         self._z: Optional[Mat] = None
         self._syz = {}  # i >= 1: the gmod.Submodule of syzygy i, built on request
-        self._solvers = {}  # i: realized d_i and pivot_inverse of Z_i, built on the first solve
+        self._solvers = {}  # i: (Q, E), pivot_inverse of Z_i, built on the first solve
 
     @property
     def computed_to(self) -> int:
         return len(self.frees) - 1
-
-    @property
-    def augmentation(self) -> Optional[Mat]:
-        return self._realized(0) if self._images else None
 
     def extend(self, n: int):
         if n < 0:
@@ -155,13 +152,6 @@ class MinimalFreeResolution:
         self._pivots.append(ker_pivots)
         self._span, self._z = R, Z
 
-    def _realized(self, i: int) -> Mat:
-        """d_i realized, the augmentation at i = 0: the solver's copy once a
-        solve has gone through d_i, else one extend_linearly of its images."""
-        if i in self._solvers:
-            return self._solvers[i][0]
-        return extend_linearly(self.frees[i - 1] if i else self.module, self._images[i])
-
     # -- accessors ---------------------------------------------------------
 
     def betti(self, n: int) -> int:
@@ -177,10 +167,12 @@ class MinimalFreeResolution:
         return self.frees[n]
 
     def diff_realized(self, n: int) -> Mat:
-        if n < 1:
-            raise InputError("differentials are indexed from 1")
+        """d_n realized, the augmentation F_0 -> M at n = 0: one
+        extend_linearly of its generator images, not kept."""
+        if n < 0:
+            raise InputError("differentials are indexed from 0, the augmentation")
         self.extend(n)
-        return self._realized(n)
+        return extend_linearly(self.frees[n - 1] if n else self.module, self._images[n])
 
     def solve(self, i: int, B: Mat) -> Mat:
         """X with d_i X = B, d_0 being the augmentation F_0 -> M: the
@@ -191,17 +183,17 @@ class MinimalFreeResolution:
         The image lies in the span that step i covers, and Z, the span's
         pivot rows of d_i, is d_i read in the span's coordinates, of full
         row rank (the exactness check proves it), with the row space of
-        d_i.  The first solve through d_i realizes it and factors Z with
-        pivot_inverse, and keeps both; each solve is then one product,
-        X[Q] = E B[pivots], proven by the product d_i X = B.
+        d_i.  The first solve through d_i factors Z with pivot_inverse and
+        keeps only (Q, E); each solve is then one product, X[Q] = E
+        B[pivots], proven by the product d_i X = B with d_i realized for
+        this call alone.
         """
-        self.extend(i)
-        if B.rows != self._images[i].rows:
+        if B.rows != self.diff_images(i).rows:
             raise InputError(f"right-hand side has {B.rows} rows, expected {self._images[i].rows}")
+        d = self.diff_realized(i)
         if i not in self._solvers:
-            d = self._realized(i)
-            self._solvers[i] = (d,) + pivot_inverse(Mat._trusted(d.field, d.a[self._pivots[i]]))
-        d, Q, E = self._solvers[i]
+            self._solvers[i] = pivot_inverse(Mat._trusted(d.field, d.a[self._pivots[i]]))
+        Q, E = self._solvers[i]
         X = np.zeros((d.cols, B.cols), dtype=np.int64)
         X[Q] = (E @ Mat._trusted(d.field, B.a[self._pivots[i]])).a
         X = Mat._trusted(d.field, X)
@@ -234,7 +226,7 @@ class MinimalFreeResolution:
                 span = self._span
             else:
                 # covered: ker d_{i-1} = ker Z_{i-1}, in reduced echelon form
-                d = self._realized(i - 1)
+                d = self.diff_realized(i - 1)
                 span = kernel_rref(Mat._trusted(d.field, d.a[self._pivots[i - 1]]))[1]
             self._syz[i] = submodule_from_span(self.frees[i - 1], span, provenance=f"syzygy({i})")
         return self._syz[i].module

@@ -22,7 +22,11 @@ library computes Ext without either.  kernel_basis reads a null space off
 the engine's rref, ext_from_realized reads an Ext class off a realized
 cocycle and is_zero_class tests its class_residual.
 diff_algebra reads a differential of an engine resolution as a matrix of
-algebra elements.
+algebra elements.  monomial_action multiplies a module's variable actions
+with the engine's product, dense_structure_terms reads A's structure terms
+off the dense stack of its monomial actions, the reading the engine
+replaced by one composed per basis monomial, and held_arrays lists the
+arrays an object keeps.
 """
 from __future__ import annotations
 
@@ -106,6 +110,63 @@ def element_action(module, a, powers=None):
             powers[j] = power
         out = [[(o + c * x) % p for o, x in zip(orow, xrow)] for orow, xrow in zip(out, powers[j])]
     return out
+
+
+def monomial_action(module, e):
+    """The action of the monomial x^e on the module: the product of its
+    variable actions, x_v applied e_v times, with the engine's exact
+    product."""
+    from cxlab.exactla import Mat
+
+    out = Mat.identity(module.field, module.dim)
+    for X, a in zip(module.actions, e):
+        for _ in range(a):
+            out = X @ out
+    return out
+
+
+def held_arrays(obj, skip=()):
+    """(attribute, shape) of every array among obj's attributes, through
+    lists, tuples and dicts, outside the attributes named in skip; other
+    objects, a module's algebra or resolution say, are not entered."""
+    from cxlab.exactla import Mat
+
+    out = []
+
+    def walk(name, value):
+        if isinstance(value, Mat):
+            value = value.a
+        if isinstance(value, np.ndarray):
+            out.append((name, value.shape))
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                walk(name, v)
+        elif isinstance(value, dict):
+            for v in value.values():
+                walk(name, v)
+
+    for name, value in vars(obj).items():
+        if name not in skip:
+            walk(name, value)
+    return out
+
+
+def dense_structure_terms(algebra, which):
+    """The terms (src, coef) of gmod._structure_terms read off the dense
+    stack of A's monomial actions, s x dim A x dim A, formed by the
+    engine's product chain for a module that is not free: the reference
+    for the terms composed one basis monomial at a time."""
+    S = regular_module(algebra)._stacked(which)
+    s, dA = S.shape[0], algebra.dim
+    a, j, c = np.nonzero(S.transpose(1, 0, 2))  # ordered by (a, j)
+    key = a * s + j
+    slot = np.arange(key.size) - np.searchsorted(key, key)
+    slots = int(slot.max()) + 1 if key.size else 1
+    src = np.full((slots, dA, s), dA, dtype=np.intp)
+    coef = np.ones((slots, dA, s), dtype=np.int64)
+    src[slot, a, j] = c
+    coef[slot, a, j] = S[j, a, c]
+    return src, None if slots == 1 and (coef == 1).all() else coef
 
 
 def regular_module(algebra):
@@ -373,7 +434,7 @@ def eager_resolution(module, n):
 
     Step i takes min_generators of the syzygy K = Omega^i M, built as a
     verified Module by submodule_from_span, and covers it entrywise: column
-    (g, m) is K.monomial_action(m) @ images[:, g].  Returns (frees, maps,
+    (g, m) is monomial_action(K, m) @ images[:, g].  Returns (frees, maps,
     syzygies): maps[0] is the augmentation F_0 -> M and maps[i] the
     realized d_i; syzygies[i] (i >= 1) is the Submodule of F_{i-1}.
     """
@@ -388,7 +449,7 @@ def eager_resolution(module, n):
         images = Mat(A.field, np.array([v for v, _ in gens], dtype=np.int64).reshape(len(gens), K.dim).T)
         cover = np.zeros((K.dim, len(gens), A.dim), dtype=np.int64)
         for mi, mono in enumerate(A.basis):
-            cover[:, :, mi] = (K.monomial_action(mono) @ images).a
+            cover[:, :, mi] = (monomial_action(K, mono) @ images).a
         eps = Mat(A.field, cover.reshape(K.dim, len(gens) * A.dim))
         frees.append(free_module(A, [d for _, d in gens]))
         maps.append(eps if i == 0 else inc @ eps)
@@ -406,7 +467,7 @@ def assert_matches_eager(module, n):
 
     res = resolve(module, n)
     frees, maps, syzygies = eager_resolution(module, n)
-    assert res.augmentation == maps[0]
+    assert res.diff_realized(0) == maps[0]
     for i in range(1, n + 1):
         assert res.free(i).gen_degrees == frees[i].gen_degrees, i
         assert res.diff_realized(i) == maps[i], i
@@ -464,7 +525,7 @@ def reference_lift(eta, upto):
     thetas = []
     for i in range(upto + 1):
         rhs = eta.realized() if i == 0 else thetas[-1] @ res.diff_realized(t + i)
-        d = res.augmentation if i == 0 else res.diff_realized(i)
+        d = res.diff_realized(i)
         U = solve_matrix(d, Mat(field, rhs.a[:, res.free(t + i).generator_columns()]))
         assert U is not None, f"no lift through step {i}"
         thetas.append(extend_linearly(res.free(i), U))

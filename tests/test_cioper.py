@@ -95,7 +95,7 @@ def test_operators_match_polynomial_reference(p, exps):
                     ref_ext = ref[(j, n)].a[:: A.dim, :: A.dim].T
                     assert ops.ext_action(j, n - 2) == Mat(ci.field, ref_ext), (M, j, n)
             res.extend(3)
-            eta = oracles.ext_from_realized(res, M, 2, res.augmentation @ ref[(j, 2)], -exps[j - 1])
+            eta = oracles.ext_from_realized(res, M, 2, res.diff_realized(0) @ ref[(j, 2)], -exps[j - 1])
             want, got = pushout(eta).module, cut_by_chi(ops, j).module
             assert (got.degrees, got.actions) == (want.degrees, want.actions), (M, j)
 

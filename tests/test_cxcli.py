@@ -241,6 +241,13 @@ def test_vartest_provenance_enforced():
     assert not report.tasks[0].ok
     assert report.tasks[0].error == ("InputError: test module 'T1' was built with 1 coordinate cuts, "
                                      "task declares t=2")
+    # a module built by coker or sum has no cut size at all
+    for decl in ("module C = coker A [[x]] degrees [0]", "module C = sum k T1"):
+        task = f"{decl}\ntask vartest k tests=C t=1"
+        report = run(parse_scenario(text.replace("task vartest k tests=T1 t=2", task)))
+        assert not report.tasks[0].ok
+        assert report.tasks[0].error == ("InputError: test module 'C' was not built from k by kchi or cut, "
+                                         "so it has no cut size, task declares t=1")
 
 
 def test_short_window_fails_its_task_alone():

@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from cxlab.cioper import MonomialCI, build_kchi, cut_by_chi, eisenbud_operators
 from cxlab.exactla import Field
-from cxlab.gmod import coker_presentation, direct_sum, realize_algebra_matrix, residue_field
+from cxlab.gmod import coker_presentation, direct_sum, free_module, realize_algebra_matrix, residue_field
 from cxlab.gralg import Algebra
-from cxlab.resol import resolve, syzygy
+from cxlab.resol import estimate_complexity, resolve, syzygy
 from cxlab.yoneda import (ExtElement, _hom_differential, _tensor_differential, cocycle_basis,
-                          ext_table, pushout, tor_table)
+                          ext_table, pushout, reduction_sequence, tor_table, window_vanishing_check)
 import oracles
 from oracles import assert_matches_eager, hom_space, is_isomorphic
 from conftest import one_class_screen
@@ -192,3 +193,54 @@ def test_kunneth_betti_numbers_convolve_random(random_modules):
         assert M.algebra is quadric and N.algebra is cubic
         expected = oracles.convolve(resolve(M, 7).betti_list(7), resolve(N, 7).betti_list(7))
         assert resolve(oracles.tensor_module(M, N, AB), 7).betti_list(7) == expected
+
+
+_PRIMES = [2, 3, 5, 7, 65521, 2**31 - 1]
+
+
+def _random_cis(seed, codim, count, max_dim):
+    """count seeded monomial CIs of the given codimension: exponents 2-4,
+    dimension at most max_dim, primes from _PRIMES."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        exps = [rng.randint(2, 4) for _ in range(codim)]
+        if np.prod(exps) <= max_dim:
+            out.append(MonomialCI.build(Field(rng.choice(_PRIMES)), exps))
+    return out
+
+
+# codimension 3 stops at dimension 36 to keep the resolutions of the cuts to
+# step 12 within a second
+@pytest.mark.parametrize("codim, count, max_dim", [(2, 8, 16), (3, 5, 36)])
+def test_cut_by_chi_of_k_lowers_complexity_by_one(codim, count, max_dim):
+    # over a complete intersection each chi_j acts injectively on Ext(k, k)
+    # (L. L. Avramov and R.-O. Buchweitz, Invent. Math. 142 (2000)), so the
+    # cut of k along chi_j has complexity codim - 1, stabilized at window 12
+    for ci in _random_cis(200 + codim, codim, count, max_dim):
+        k = residue_field(ci.algebra)
+        ops = eisenbud_operators(ci, k, 4)
+        for j in range(1, codim + 1):
+            est = estimate_complexity(resolve(cut_by_chi(ops, j).module, 12).betti_list(12), 4)
+            assert est.stabilized and est.value == codim - 1, (ci.exponents, ci.field.p, j, est)
+
+
+def test_reduction_sequence_and_window_vanishing_codim_2():
+    # k over a codimension-2 CI with an exponent 2 reduces in two steps, and
+    # window vanishing against k, A and the kchi modules, of Ext and of Tor,
+    # never fails to propagate to the whole window
+    rng = random.Random(2007)
+    for _ in range(8):
+        exps = [2, rng.randint(2, 4)]
+        rng.shuffle(exps)
+        ci = MonomialCI.build(Field(rng.choice(_PRIMES)), exps)
+        k = residue_field(ci.algebra)
+        seq, transcript = reduction_sequence(k, 4, seed=0, window=12)
+        assert seq is not None, (exps, ci.field.p, transcript)
+        assert [s.estimate.value for s in seq.steps] == [2, 1, 0], (exps, ci.field.p)
+        tests = [k, free_module(ci.algebra, [0]), build_kchi(ci, 1), build_kchi(ci, 2)]
+        for N in tests:
+            for t in (1, 2):
+                for use_tor in (False, True):
+                    v = window_vanishing_check(k, seq, N, t, 12, use_tor=use_tor)
+                    assert v.kind != "violation", (exps, ci.field.p, N, t, use_tor, v)

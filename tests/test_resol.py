@@ -327,7 +327,7 @@ def test_syzygy_modules_built_on_request(A):
     for i in range(1, 5):
         F, inc = res.free(i - 1), res.syzygy_inclusion(i)
         assert ModuleMap(res.syzygy_module(i), F, inc).is_equivariant()
-        d_prev = res.augmentation if i == 1 else res.diff_realized(i - 1)
+        d_prev = res.diff_realized(i - 1)
         assert inc.rank() == F.dim - d_prev.rank()
     assert res.computed_to == 3
 
@@ -335,31 +335,14 @@ def test_syzygy_modules_built_on_request(A):
 def _held_arrays(res):
     """(attribute, shape) of every array the resolution holds, outside its
     module, its free modules and its syzygy cache."""
-    out = []
-
-    def walk(name, value):
-        if isinstance(value, Mat):
-            value = value.a
-        if isinstance(value, np.ndarray):
-            out.append((name, value.shape))
-        elif isinstance(value, (list, tuple)):
-            for v in value:
-                walk(name, v)
-        elif isinstance(value, dict):
-            for v in value.values():
-                walk(name, v)
-
-    for name, value in vars(res).items():
-        if name not in ("module", "frees", "_syz"):
-            walk(name, value)
-    return out
+    return oracles.held_arrays(res, skip=("module", "frees", "_syz"))
 
 
 @pytest.mark.parametrize("name", ["k", "Ax", "gasharov"])
 def test_resolution_keeps_maps_over_A(A, gasharov, name):
     # each d_i is kept as the images of the generators of F_i, and of the
     # spans only the one no step has covered keeps its rows; a realized d_i
-    # is built on request and kept only by a solver that has solved through it
+    # is built on request and never kept, also not by a solve through it
     M = {"k": lambda: residue_field(A), "Ax": lambda: coker_presentation(A, [[A.variable(0)]], [0]),
          "gasharov": lambda: gasharov_presentation(gasharov)}[name]()
     n = 6
@@ -373,7 +356,11 @@ def test_resolution_keeps_maps_over_A(A, gasharov, name):
     assert res._span.transpose() == res.syzygy_inclusion(n + 1)
     res.solve(2, res.diff_realized(2))
     assert sorted(a for a in _held_arrays(res) if len(a[1]) == 2 and a[0] != "_solvers") == sorted(held)
-    assert res.diff_realized(2) is res._solvers[2][0] and res._solvers[2][0].shape == (dims[2], dims[3])
+    # the solve keeps (Q, E) of Z_2, whose rows are those of ker d_1, and no
+    # dim F_1 x dim F_2 array
+    r = dims[2] - ranks[1]
+    assert sorted(a for a in _held_arrays(res) if a[0] == "_solvers") == [("_solvers", (r,)), ("_solvers", (r, r))]
+    assert (dims[2], dims[3]) not in [shape for _, shape in _held_arrays(res)]
 
 
 @pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
@@ -459,7 +446,7 @@ def test_solve_matches_solve_matrix(p, relations):
     res = resolve(_residue_field_over(p, relations), 7)
     rng = np.random.default_rng(p % 1000)
     for i in range(8):
-        d = res.augmentation if i == 0 else res.diff_realized(i)
+        d = res.diff_realized(i)
         X = Mat(d.field, rng.integers(0, p, (d.cols, 3)))
         B = (d @ X).hstack(Mat(d.field, d.a[:, :: max(1, d.cols // 5)]))
         got = res.solve(i, B)

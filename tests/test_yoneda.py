@@ -669,6 +669,38 @@ def test_find_reducing_element_frees_losing_pushouts(monkeypatch, F5):
         gc.enable()
 
 
+def test_lift_heavy_search_keeps_maps_over_A_only(monkeypatch, F5):
+    # the search over (x^3, y^3, z^2) at window 11 lifts classes down the
+    # resolution of k and pushes out three candidates; afterwards no
+    # resolution it made holds a realized differential: d_i is kept as its
+    # generator images, a solver as its (Q, E), and besides them only the
+    # pivots, the last span and Z.  No free module holds an array
+    from cxlab.cioper import MonomialCI
+    from cxlab.gmod import FreeModule
+    from cxlab.resol import MinimalFreeResolution
+
+    made = {MinimalFreeResolution: [], FreeModule: []}
+    for cls, objects in made.items():
+        def recording(self, *args, init=cls.__init__, objects=objects):
+            init(self, *args)
+            objects.append(self)
+        monkeypatch.setattr(cls, "__init__", recording)
+    k = residue_field(MonomialCI.build(F5, [3, 3, 2]).algebra)
+    assert find_reducing_element(k, 4, window=11) is not None
+    assert len(made[MinimalFreeResolution]) == 4 and k._resolution._solvers
+    for res in made[MinimalFreeResolution]:
+        dims = [res.module.dim] + [F.dim for F in res.frees]
+        n = res.computed_to
+        want = [("_images", (dims[i], F.rank)) for i, F in enumerate(res.frees)]
+        want += [("_pivots", q.shape) for q in res._pivots]
+        want += [("_span", (res._span.rows, dims[n + 1])), ("_z", (len(res._pivots[n]), dims[n + 1]))]
+        for i in res._solvers:
+            r = len(res._pivots[i])
+            want += [("_solvers", (r,)), ("_solvers", (r, r))]
+        assert sorted(oracles.held_arrays(res, skip=("module", "frees", "_syz"))) == sorted(want)
+    assert made[FreeModule] and not any(oracles.held_arrays(F) for F in made[FreeModule])
+
+
 def test_find_reducing_element_rechecks_the_screen(monkeypatch, gasharov_module):
     # a screen that claims a free pushout for the first candidate is caught
     # by the resolution of that pushout
