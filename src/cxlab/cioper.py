@@ -232,24 +232,24 @@ def build_kchi(ci: MonomialCI, j: int) -> Module:
 
 
 def vartest_check(m: Module, tests: Sequence[Tuple[Module, int]],
-                  max_degree: int = DEFAULT_WINDOW, tail: int = DEFAULT_TAIL) -> Verdict:
+                  max_degree: int = DEFAULT_WINDOW) -> Verdict:
     """Coordinate-cut variety test: tail vanishing against any single test
     module of cut size t bounds the complexity by t."""
     if not tests:
         raise InputError("need at least one test module")
-    _check_tail(max_degree, tail)
+    _check_tail(max_degree)
     ts = {int(t) for _, t in tests}
     if len(ts) != 1:
         raise InputError("test modules must share one cut size")
     t = ts.pop()
-    params = {"cut_size": t, "max_degree": max_degree, "tail": tail,
-              "tail_window": [max_degree - tail + 1, max_degree]}
+    params = {"cut_size": t, "max_degree": max_degree, "tail": DEFAULT_TAIL,
+              "tail_window": [max_degree - DEFAULT_TAIL + 1, max_degree]}
     witnesses = []
     for idx, (n, _) in enumerate(tests):
         if n.algebra is not m.algebra:
             raise InputError("test module over a different algebra")
         table = ext_table(m, n, max_degree)
-        nz = [(i, table[i]) for i in range(max_degree - tail + 1, max_degree + 1) if table[i] != 0]
+        nz = [(i, table[i]) for i in range(max_degree - DEFAULT_TAIL + 1, max_degree + 1) if table[i] != 0]
         if not nz:
             return Verdict("bound_established", True, params,
                            witness={"test_index": idx},

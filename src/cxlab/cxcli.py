@@ -711,8 +711,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     output = report.to_json() if args.json else report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return 0 if report.ok else 1

@@ -143,7 +143,7 @@ class Mat:
     Entries are stored row-major as a read-only int64 array, reduced mod p.
     """
 
-    __slots__ = ("field", "a", "_rank")
+    __slots__ = ("field", "a")
 
     def __init__(self, field: Field, array):
         arr = np.asarray(array, dtype=np.int64)
@@ -164,13 +164,9 @@ class Mat:
         arr.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "a", arr)
-        object.__setattr__(self, "_rank", None)
 
     def __setattr__(self, name, value):
-        if name == "_rank":
-            object.__setattr__(self, name, value)
-        else:
-            raise AttributeError("Mat is immutable")
+        raise AttributeError("Mat is immutable")
 
     @property
     def rows(self) -> int:
@@ -240,9 +236,7 @@ class Mat:
         return not self.a.any()
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = rref(self)[2]
-        return self._rank
+        return rref(self)[2]
 
     def __eq__(self, other) -> bool:
         return (

@@ -408,15 +408,16 @@ def verify_complex(algebra: Algebra, matrices: Sequence[Sequence[Sequence[Algebr
             minimal = False
             failures.append({"kind": "unit_entry", "matrix": start_index + idx, "row": int(i), "col": int(j)})
     exact_at = []
+    ranks = [d.rank() for d in realized] if len(matrices) > 1 else []
     for n in range(1, len(matrices)):
-        nullity = frees[n].dim - realized[n - 1].rank()
-        if realized[n].rank() == nullity:
+        nullity = frees[n].dim - ranks[n - 1]
+        if ranks[n] == nullity:
             exact_at.append(start_index + n)
         else:
             failures.append({
                 "kind": "not_exact",
                 "at": start_index + n,
-                "incoming_rank": realized[n].rank(),
+                "incoming_rank": ranks[n],
                 "kernel_dim": nullity,
             })
     return ComplexReport(start_index, len(matrices), d2_ok, minimal, exact_at, failures)

@@ -204,16 +204,19 @@ def _coboundary_echelon(delta_prev: Mat):
 
 
 def cocycle_basis(m: Module, n: Module, t: int) -> List[ExtElement]:
-    """Canonical representatives of a basis of Ext^t(M, N); see _cocycle_classes."""
-    return _cocycle_classes(m, n, t)[0]
+    """Canonical representatives of a basis of Ext^t(M, N) (see
+    _cocycle_classes), each an ExtElement that checks its cocycle condition."""
+    reps, shifts, _, _ = _cocycle_classes(m, n, t)
+    res = resolve(m, t + 1)
+    return [ExtElement(res, n, t, rep, s) for rep, s in zip(reps, shifts)]
 
 
 def _cocycle_classes(m: Module, n: Module, t: int, delta_prev: Optional[Mat] = None):
-    """Canonical representatives of a basis of Ext^t(M, N), the reduced
-    echelon form of the coboundaries they were reduced by, and delta^t
-    (None and None when M or N is zero).  delta_prev is delta^{t-1} when the
-    caller holds it (a search hands on the delta^t of the degree before);
-    otherwise it is built here.
+    """Canonical representatives of a basis of Ext^t(M, N) as the rows of
+    one matrix, their shifts, the reduced echelon form of the coboundaries
+    they were reduced by, and delta^t (no rows, None and None when M or N is
+    zero).  delta_prev is delta^{t-1} when the caller holds it (a search
+    hands on the delta^t of the degree before); otherwise it is built here.
 
     The reduced echelon basis of the cocycles (the kernel of delta^t),
     reduced modulo the coboundaries, spans a complement of them; its own
@@ -223,6 +226,9 @@ def _cocycle_classes(m: Module, n: Module, t: int, delta_prev: Optional[Mat] = N
     consists of homogeneous vectors, so every representative is a
     homogeneous graded map; this is what allows pushout modules to stay
     graded.
+
+    No row is checked here: cocycle_basis wraps them into ExtElements, which
+    check one each, and a search's stacked lift (_lift_stack) proves them all.
     """
     if t < 1:
         raise InputError("cocycle_basis needs t >= 1")
@@ -230,7 +236,7 @@ def _cocycle_classes(m: Module, n: Module, t: int, delta_prev: Optional[Mat] = N
         raise InputError("modules over different algebras")
     res = resolve(m, t + 1)
     if m.dim == 0 or n.dim == 0:
-        return [], None, None
+        return np.zeros((0, 0), dtype=np.int64), [], None, None
     if delta_prev is None:
         delta_prev = _hom_differential(res, n, t - 1)
     delta_t = _hom_differential(res, n, t)
@@ -238,10 +244,10 @@ def _cocycle_classes(m: Module, n: Module, t: int, delta_prev: Optional[Mat] = N
     coboundaries = _coboundary_echelon(delta_prev)
     R, pivots, _ = rref(Mat._trusted(m.field, _reduce_mod_rows(cocycles.a, coboundaries)))
     shifts = _hom_shifts(res, n, t)[list(pivots)]
-    elements = [ExtElement(res, n, t, R.a[j], int(shifts[j])) for j in np.argsort(shifts, kind="stable")]
+    order = np.argsort(shifts, kind="stable")
     expected = delta_t.cols - rank_t - coboundaries[2]
-    check(len(elements) == expected, f"cocycle count {len(elements)} != ext dimension {expected}")
-    return elements, coboundaries, delta_t
+    check(len(order) == expected, f"cocycle count {len(order)} != ext dimension {expected}")
+    return R.a[order], [int(shifts[j]) for j in order], coboundaries, delta_t
 
 
 # -- chain lifting and pushouts -----------------------------------------------
@@ -269,6 +275,10 @@ def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> L
     every U_i is byte for byte the lift of class j alone: one solve per
     step lifts the whole stack, and each solve checks d_i U_i on every
     column.
+
+    The stack is the cocycle proof of its classes (upto >= 1): eps theta_0 =
+    eta, so theta_0 d_{t+1} lies in im d_1 = ker eps exactly when eta d_{t+1}
+    = 0, and otherwise the solve through d_1 raises InvariantError.
     """
     res.extend(t + upto)
     images = [res.solve(0, images)]
@@ -317,8 +327,8 @@ class PushoutExtension:
 # -- reduction of complexity ---------------------------------------------------
 
 
-def _estimate(module: Module, window: int, s: int) -> ComplexityEstimate:
-    return estimate_complexity(resolve(module, window).betti_list(window), s)
+def _estimate(module: Module, window: int) -> ComplexityEstimate:
+    return estimate_complexity(resolve(module, window).betti_list(window), DEFAULT_STAB)
 
 
 def _constant_stacks(res: MinimalFreeResolution, t: int, lifts: List[Mat]) -> List[np.ndarray]:
@@ -332,12 +342,13 @@ def _constant_stacks(res: MinimalFreeResolution, t: int, lifts: List[Mat]) -> Li
     return out
 
 
-def _screen_combinations(basis: List[ExtElement], constants: List[np.ndarray],
+def _screen_combinations(res: MinimalFreeResolution, t: int, constants: List[np.ndarray],
                          coeffs: np.ndarray) -> List[List[int]]:
     """beta_0..beta_window of the pushout of each class sum_j coeffs[c, j]
-    basis[j], one per row c of coeffs, without building it; constants are
-    the basis classes' stacked theta_n (x) k (_constant_stacks), window =
-    len(constants) - 1.  The rows of the identity screen the basis classes.
+    eta_j of Ext^t(M, M), M resolved by res, one per row c of coeffs,
+    without building it; constants are the stacked theta_n (x) k of the
+    classes eta_j (_constant_stacks), window = len(constants) - 1.  The rows
+    of the identity screen the classes eta_j.
 
     The pushout K sits in 0 -> M -> K -> Omega^{t-1}(M) -> 0, whose
     connecting map Tor_{n+1}(Omega^{t-1}M, k) = Tor_{n+t}(M, k) -> Tor_n(M, k)
@@ -352,7 +363,6 @@ def _screen_combinations(basis: List[ExtElement], constants: List[np.ndarray],
     So theta_n (x) k of a combination is the same combination of the basis
     classes' layers, one exact product by coeffs per step.
     """
-    res, t = basis[0].resolution, basis[0].degree
     field = res.module.field
     C = Mat(field, coeffs)
     layers = [(C @ Mat._trusted(field, L.reshape(L.shape[0], -1))).a.reshape((C.rows,) + L.shape[1:])
@@ -368,14 +378,13 @@ QUICK_WINDOW = 8
 QUICK_STAB = 3
 
 
-def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 0,
-                          budget: int = 200, window: int = DEFAULT_WINDOW,
-                          stab: int = DEFAULT_STAB) -> Optional[Tuple[ExtElement, PushoutExtension, ComplexityEstimate]]:
+def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 0, budget: int = 200,
+                          window: int = DEFAULT_WINDOW) -> Optional[Tuple[ExtElement, PushoutExtension, ComplexityEstimate]]:
     """Search Ext^t(M, M), t = 1..max_search_degree, for a class whose pushout
     drops the complexity estimate by exactly one.
 
     A degree's candidates are the rows of a coefficient matrix over its
-    cocycle basis: first the basis classes (the rows of the identity), then,
+    cocycle representatives (_cocycle_classes): first the identity, then,
     when none of them wins, seeded random combinations within one internal
     shift (a per-degree budget applies).  Each batch takes one path.  Its
     classes are reduced modulo the coboundaries together; scalar multiples
@@ -383,16 +392,17 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
     residues.  The fresh ones are screened on a short Betti window of their
     pushout, read off the resolution of M through the long exact Tor
     sequence without building the pushout (_screen_combinations), as
-    combinations of the basis classes' layers in one stacked chain lift
-    (_lift_stack).  Candidates are then evaluated in order, and only one
-    that passes the screen gets an ExtElement, which checks its cocycle
-    condition, is pushed out and is confirmed on the full window, so the
-    returned estimate always uses the full window; its resolution also
+    combinations of the representatives' layers in one stacked chain lift
+    (_lift_stack), which also proves them all cocycles.  Candidates are
+    then evaluated in order, and only one that passes the screen becomes
+    an ExtElement, is pushed out and is confirmed on the full window, so
+    the returned estimate always uses the full window; its resolution also
     re-checks the screen's Betti numbers.  Returns None when nothing is
     found within the budget; that is a statement about the search, never
     about the module.
     """
-    est_m = _estimate(m, window, stab)
+    res = resolve(m, window)
+    est_m = estimate_complexity(res.betti_list(window), DEFAULT_STAB)
     if not est_m.stabilized or est_m.value < 1:
         raise InputError("find_reducing_element needs a stabilized estimate >= 1")
     target = est_m.value - 1
@@ -400,58 +410,40 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
     field = m.field
     p = field.p
 
-    def evaluate(screen: List[int], build) -> Optional[Tuple[ExtElement, PushoutExtension, ComplexityEstimate]]:
-        quick = estimate_complexity(screen, QUICK_STAB)
-        if quick.stabilized and quick.value != target:
-            return None
-        eta = build()
-        push = pushout(eta)
-        full = _estimate(push.module, window, stab)
-        check(resolve(push.module, QUICK_WINDOW).betti_list(QUICK_WINDOW) == screen,
-              "pushout Betti numbers differ from the long exact Tor sequence")
-        if full.stabilized and full.value == target:
-            return eta, push, full
-        # the loser and its cached resolution refer to each other; dropping
-        # the resolution now frees both here, not at the next cyclic collection
-        push.module._resolution = None
-        return None
-
-    def batches(basis: List[ExtElement], res: MinimalFreeResolution, t: int):
-        """(coefficient rows, the ExtElement of row c given its rep); the
-        random rows are drawn only when asked for, and rng serves only these
-        draws, in this order."""
-        yield np.eye(len(basis), dtype=np.int64), lambda c, rep: basis[c]
+    def batches(shifts: List[int]):
+        """(coefficient rows, the shift of each row); the random rows are
+        drawn only when asked for, and rng serves only these draws, in this
+        order."""
+        yield np.eye(len(shifts), dtype=np.int64), shifts
         by_shift: Dict[int, List[int]] = {}
-        for j, e in enumerate(basis):
-            by_shift.setdefault(e.shift, []).append(j)
-        shifts = sorted(by_shift)
+        for j, s in enumerate(shifts):
+            by_shift.setdefault(s, []).append(j)
+        keys = sorted(by_shift)
         rows, row_shifts = [], []
         for _ in range(budget):
-            s_key = shifts[rng.randrange(len(shifts))]
+            s_key = keys[rng.randrange(len(keys))]
             group = by_shift[s_key]
             coeffs = [rng.randrange(p) for _ in group]
-            # a row with one nonzero coefficient is c * basis[j], whose class
-            # the identity batch has already seen
+            # a row with one nonzero coefficient is a multiple of one
+            # representative, whose class the identity batch has already seen
             if len(coeffs) - coeffs.count(0) >= 2:
-                rows.append(np.zeros(len(basis), dtype=np.int64))
+                rows.append(np.zeros(len(shifts), dtype=np.int64))
                 rows[-1][group] = coeffs
                 row_shifts.append(s_key)
         if rows:
-            yield np.array(rows), lambda c, rep: ExtElement(res, m, t, rep, row_shifts[c])
+            yield np.array(rows), row_shifts
 
     delta = None  # delta^{t-1}, handed on from the degree before
     for t in range(1, max_search_degree + 1):
         # every candidate of degree t is reduced modulo the coboundaries
-        # that reduced the basis
-        basis, coboundaries, delta = _cocycle_classes(m, m, t, delta)
-        if not basis:
+        # that reduced the representatives
+        reps, shifts, coboundaries, delta = _cocycle_classes(m, m, t, delta)
+        if not shifts:
             continue
-        res = basis[0].resolution
-        reps = np.array([e.rep for e in basis])
         lifts = _lift_stack(res, t, _side_by_side(reps, res.free(t).rank, m), QUICK_WINDOW)
         constants = _constant_stacks(res, t, lifts)
         seen = set()
-        for C, element in batches(basis, res, t):
+        for C, row_shifts in batches(shifts):
             classes = (Mat._trusted(field, C) @ Mat._trusted(field, reps)).a
             # a zero class or a repeat is dropped before it is screened
             keep = []
@@ -463,10 +455,20 @@ def find_reducing_element(m: Module, max_search_degree: int = 8, *, seed: int = 
                 if key not in seen:
                     seen.add(key)
                     keep.append(c)
-            for c, screen in zip(keep, _screen_combinations(basis, constants, C[keep])):
-                hit = evaluate(screen, lambda c=c: element(c, classes[c]))
-                if hit:
-                    return hit
+            for c, screen in zip(keep, _screen_combinations(res, t, constants, C[keep])):
+                quick = estimate_complexity(screen, QUICK_STAB)
+                if quick.stabilized and quick.value != target:
+                    continue
+                eta = ExtElement(res, m, t, classes[c], row_shifts[c])
+                push = pushout(eta)
+                full = _estimate(push.module, window)
+                check(resolve(push.module, QUICK_WINDOW).betti_list(QUICK_WINDOW) == screen,
+                      "pushout Betti numbers differ from the long exact Tor sequence")
+                if full.stabilized and full.value == target:
+                    return eta, push, full
+                # the loser and its cached resolution refer to each other; dropping
+                # the resolution now frees both here, not at the next cyclic collection
+                push.module._resolution = None
     return None
 
 
@@ -505,15 +507,14 @@ class ReductionSequence:
 
 
 def reduction_sequence(m: Module, max_search_degree: int = 8, *, seed: int = 0,
-                       budget: int = 200, window: int = DEFAULT_WINDOW,
-                       stab: int = DEFAULT_STAB) -> Tuple[Optional[ReductionSequence], List[str]]:
+                       window: int = DEFAULT_WINDOW) -> Tuple[Optional[ReductionSequence], List[str]]:
     """Iterate find_reducing_element until the estimate reaches zero.
 
     Returns (sequence, transcript); the sequence is None when some step
     fails, with the transcript recording how far the search got.
     """
     transcript: List[str] = []
-    est = _estimate(m, window, stab)
+    est = _estimate(m, window)
     steps = [ReductionStep(m, None, None, est)]
     transcript.append(f"start: estimate {est.value} (stabilized={est.stabilized})")
     if not est.stabilized:
@@ -521,8 +522,7 @@ def reduction_sequence(m: Module, max_search_degree: int = 8, *, seed: int = 0,
         return None, transcript
     cur = m
     while steps[-1].estimate.value > 0:
-        found = find_reducing_element(cur, max_search_degree, seed=seed, budget=budget,
-                                      window=window, stab=stab)
+        found = find_reducing_element(cur, max_search_degree, seed=seed, window=window)
         if found is None:
             transcript.append(
                 f"no reducing class found for step {len(steps)} within degree {max_search_degree}"
@@ -540,10 +540,10 @@ def reduction_sequence(m: Module, max_search_degree: int = 8, *, seed: int = 0,
 # -- vanishing checks ----------------------------------------------------------
 
 
-def _check_tail(max_degree: int, tail: int):
-    """A tail of the window 0..max_degree lies in positive degrees."""
-    if max_degree < tail:
-        raise InputError(f"max_degree {max_degree} is shorter than the tail of {tail} degrees")
+def _check_tail(max_degree: int):
+    """The last DEFAULT_TAIL degrees of the window 0..max_degree are positive."""
+    if max_degree < DEFAULT_TAIL:
+        raise InputError(f"max_degree {max_degree} is shorter than the tail of {DEFAULT_TAIL} degrees")
 
 
 def window_vanishing_check(m: Module, reduction: ReductionSequence, n: Module, t: int,
@@ -604,18 +604,17 @@ def self_ext_pd_check(m: Module, max_degree: int = DEFAULT_WINDOW) -> Verdict:
                    note="projective dimension matches the top nonvanishing self-extension")
 
 
-def symmetry_check(m: Module, n: Module, max_degree: int = DEFAULT_WINDOW,
-                   tail: int = DEFAULT_TAIL) -> Verdict:
+def symmetry_check(m: Module, n: Module, max_degree: int = DEFAULT_WINDOW) -> Verdict:
     """Observational Gorenstein symmetry of tail vanishing of Ext(M,N) and Ext(N,M)."""
     if not is_gorenstein(m.algebra):
         raise InputError("symmetry check requires a Gorenstein algebra")
-    _check_tail(max_degree, tail)
+    _check_tail(max_degree)
     t_mn = ext_table(m, n, max_degree)
     t_nm = ext_table(n, m, max_degree)
-    tail_range = range(max_degree - tail + 1, max_degree + 1)
+    tail_range = range(max_degree - DEFAULT_TAIL + 1, max_degree + 1)
     v_mn = all(t_mn[i] == 0 for i in tail_range)
     v_nm = all(t_nm[i] == 0 for i in tail_range)
-    params = {"max_degree": max_degree, "tail": tail,
+    params = {"max_degree": max_degree, "tail": DEFAULT_TAIL,
               "ext_mn_tail_vanishes": v_mn, "ext_nm_tail_vanishes": v_nm}
     if v_mn == v_nm:
         return Verdict("co_occurrence", True, params,

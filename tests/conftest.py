@@ -106,7 +106,7 @@ def one_class_screen(eta, window):
     from cxlab import yoneda
 
     _, constants = stacked_lift([eta], window)
-    return yoneda._screen_combinations([eta], constants, np.eye(1, dtype=np.int64))[0]
+    return yoneda._screen_combinations(eta.resolution, eta.degree, constants, np.eye(1, dtype=np.int64))[0]
 
 
 @pytest.fixture(scope="session")

@@ -500,10 +500,13 @@ def combination(basis, row):
     return ExtElement(first.resolution, first.target, first.degree, np.array(rep, dtype=np.int64), shift)
 
 
-def resolved_screens(basis, constants, coeffs):
-    """What yoneda._screen_combinations returns, by building and resolving
-    the pushout of each candidate, the combination of the basis by each row
-    of coeffs."""
+def resolved_screens(res, t, constants, coeffs):
+    """What yoneda._screen_combinations returns for the cocycle basis of
+    Ext^t(M, M), M resolved by res, by building and resolving the pushout of
+    each candidate, the combination of the basis by each row of coeffs."""
+    from cxlab.yoneda import cocycle_basis
+
+    basis = cocycle_basis(res.module, res.module, t)
     return [pushout_betti(combination(basis, row), len(constants) - 1) for row in coeffs]
 
 

@@ -327,6 +327,20 @@ def test_main_json_output(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_out_path_that_cannot_be_written(tmp_path, capsys):
+    # an --out file in a missing directory is reported like an unreadable
+    # input: one line on stderr, exit code 2, no traceback and nothing written
+    good = tmp_path / "good.cx"
+    good.write_text("field p = 5\nring A = [x] / (x^2)\nmodule k = k A\ntask betti k maxdeg=4\n")
+    out = tmp_path / "missing" / "report.json"
+    assert main(["run", str(good), "--json", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {out}: ")
+    assert "Traceback" not in captured.err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("name", ["quadric_ci", "gasharov"])
 def test_shipped_scenario_json_matches_golden(name):
     text = (SCENARIO_DIR / f"{name}.cx").read_text()

@@ -9,8 +9,10 @@ from cxlab.exactla import Field
 from cxlab.gmod import coker_presentation, direct_sum, free_module, realize_algebra_matrix, residue_field
 from cxlab.gralg import Algebra
 from cxlab.resol import estimate_complexity, resolve, syzygy
-from cxlab.yoneda import (ExtElement, _hom_differential, _tensor_differential, cocycle_basis,
-                          ext_table, pushout, reduction_sequence, tor_table, window_vanishing_check)
+from cxlab.errors import InvariantError
+from cxlab.yoneda import (ExtElement, _cocycle_classes, _hom_differential, _lift_stack, _side_by_side,
+                          _tensor_differential, cocycle_basis, ext_table, pushout, reduction_sequence,
+                          tor_table, window_vanishing_check)
 import oracles
 from oracles import assert_matches_eager, hom_space, is_isomorphic
 from conftest import one_class_screen
@@ -151,6 +153,35 @@ def test_pushout_betti_random(random_modules):
         zero = ExtElement(res, M, t, np.zeros(res.free(t).rank * M.dim, dtype=np.int64), 0)
         for eta in cocycle_basis(M, M, t) + [zero]:
             assert one_class_screen(eta, 6) == oracles.pushout_betti(eta, 6)
+
+
+def test_cocycle_rows_are_the_basis_and_their_lift_proves_them(random_modules):
+    # the rows of _cocycle_classes are the reps of cocycle_basis, in order,
+    # each its own class residual, dim Ext^t of them; stacked with one
+    # vector outside ker delta^t, their lift fails at the solve through d_1,
+    # which is what lets the search build no ExtElement for them
+    checked = 0
+    for M in random_modules:
+        if M.dim == 0:
+            continue
+        for t in (1, 2):
+            reps, shifts, _, delta_t = _cocycle_classes(M, M, t)
+            basis = cocycle_basis(M, M, t)
+            assert reps.tolist() == [e.rep.tolist() for e in basis]
+            assert shifts == [e.shift for e in basis]
+            assert all(e.class_residual().tolist() == e.rep.tolist() for e in basis)
+            assert len(reps) == ext_table(M, M, t)[t]
+            outside = np.nonzero(delta_t.a.any(axis=0))[0]
+            if outside.size == 0:
+                continue
+            non_cocycle = np.zeros((1, delta_t.cols), dtype=np.int64)
+            non_cocycle[0, outside[0]] = 1
+            res = resolve(M, t + 1)
+            images = _side_by_side(np.vstack([reps, non_cocycle]), res.free(t).rank, M)
+            with pytest.raises(InvariantError, match="outside the image of d_1$"):
+                _lift_stack(res, t, images, 1)
+            checked += 1
+    assert checked >= 90
 
 
 def test_tor_symmetry_random(random_modules):

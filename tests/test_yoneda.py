@@ -439,7 +439,7 @@ def test_stacked_lift_matches_reference_lift(p, case):
             gens = res.free(t + n).generator_columns()
             want = np.hstack([ref[n].a[:, gens] for ref in refs])
             assert U.a.tobytes() == want.tobytes(), (t, n)
-        screens = yoneda._screen_combinations(basis, constants, np.eye(len(basis), dtype=np.int64))
+        screens = yoneda._screen_combinations(res, t, constants, np.eye(len(basis), dtype=np.int64))
         assert screens == [_reference_screen(eta, window, ref) for eta, ref in zip(basis, refs)], t
         checked += len(basis)
     assert checked >= 6
@@ -459,17 +459,17 @@ def test_combination_screens_match_one_class_screens():
     checked = 0
     for t in degrees:
         basis = cocycle_basis(M, M, t)
-        k = len(basis)
+        k, res = len(basis), basis[0].resolution
         _, constants = stacked_lift(basis, window)
         repeated = [np.concatenate([L] * 4) for L in constants]
         coeffs = rng.integers(0, p, (k + 3, 4 * k))
         for j in range(k):
             coeffs[j] = np.tile([p - 1, p - 1, p - 1, 3], (k, 1)).T.reshape(-1)
             coeffs[j, j] = 1
-        got = yoneda._screen_combinations(basis * 4, repeated, coeffs)
+        got = yoneda._screen_combinations(res, t, repeated, coeffs)
         want = [one_class_screen(oracles.combination(basis * 4, row), window) for row in coeffs]
         assert got == want, t
-        assert got[:k] == yoneda._screen_combinations(basis, constants, np.eye(k, dtype=np.int64)), t
+        assert got[:k] == yoneda._screen_combinations(res, t, constants, np.eye(k, dtype=np.int64)), t
         checked += 1
     assert checked == 3
 
@@ -574,9 +574,9 @@ def test_find_reducing_element_same_with_resolved_screen(monkeypatch, gasharov_m
     ours = [_search_summary(find_reducing_element(m, d, seed=s, budget=b)) for m, d, s, b in searches]
     screened = []
 
-    def resolved_screens(basis, constants, coeffs):
-        screened.append(len(basis) if coeffs is None else len(coeffs))
-        return oracles.resolved_screens(basis, constants, coeffs)
+    def resolved_screens(res, t, constants, coeffs):
+        screened.append(len(coeffs))
+        return oracles.resolved_screens(res, t, constants, coeffs)
 
     monkeypatch.setattr(yoneda, "_screen_combinations", resolved_screens)
     resolved = [_search_summary(find_reducing_element(m, d, seed=s, budget=b)) for m, d, s, b in searches]
@@ -586,7 +586,7 @@ def test_find_reducing_element_same_with_resolved_screen(monkeypatch, gasharov_m
 
 def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, F5):
     # a random candidate is checked for a repeat before it is screened, and
-    # its ExtElement is built only when it passes the screen.  The random
+    # an ExtElement is built only for a class that is pushed out.  The random
     # loop runs in the second search, at degree 1, where each shift holds
     # one basis class: every random row would be a multiple of one basis
     # class, already screened, so none is drawn and only the basis batches
@@ -596,7 +596,7 @@ def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, 
     from cxlab.cioper import MonomialCI
 
     k = residue_field(MonomialCI.build(F5, [2, 3], varnames=["u", "v"]).algebra)
-    built, basis, echelons, screened, tested = [], [], [], [], []
+    built, pushed, basis, echelons, screened, tested = [], [], [], [], [], []
     post_init = ExtElement.__post_init__
     classes = yoneda._cocycle_classes
     screen = yoneda._screen_combinations
@@ -609,12 +609,16 @@ def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, 
     def recording_classes(m, n, t, delta_prev=None):
         found = classes(m, n, t, delta_prev)
         basis.extend(found[0])
-        echelons.append(found[1])
+        echelons.append(found[2])
         return found
 
-    def recording_screen(classes, constants, coeffs):
+    def recording_screen(res, t, constants, coeffs):
         screened.append(len(coeffs))
-        return screen(classes, constants, coeffs)
+        return screen(res, t, constants, coeffs)
+
+    def recording_pushout(eta):
+        pushed.append(eta)
+        return pushout(eta)
 
     def recording_reduce(v, echelon):
         if any(echelon is e for e in echelons):  # a batch's freshness test
@@ -625,24 +629,39 @@ def test_find_reducing_element_builds_only_fresh_random_candidates(monkeypatch, 
     monkeypatch.setattr(yoneda, "_cocycle_classes", recording_classes)
     monkeypatch.setattr(yoneda, "_screen_combinations", recording_screen)
     monkeypatch.setattr(yoneda, "_reduce_mod_rows", recording_reduce)
+    monkeypatch.setattr(yoneda, "pushout", recording_pushout)
     sequence, _ = reduction_sequence(k, 4, window=12)
     assert sequence is not None
     assert sum(tested) == len(basis)  # no random row was drawn
     assert len(tested) <= 2 * len(echelons)  # at most two batches per degree
     assert sum(screened) == len(basis)
-    assert len(built) == len(basis)
+    assert len(built) == len(pushed) < len(basis)
+    assert all(a is b for a, b in zip(built, pushed))
 
 
 def test_find_reducing_element_builds_one_pushout(monkeypatch, gasharov_module):
-    built = []
+    # the search builds one ExtElement, for the class it pushes out, while
+    # cocycle_basis still builds and checks one per class
+    built, constructed = [], []
+    post_init = ExtElement.__post_init__
 
     def counting(eta):
-        built.append(eta.degree)
+        built.append(eta)
         return pushout(eta)
 
+    def counting_init(eta):
+        constructed.append(eta)
+        post_init(eta)
+
     monkeypatch.setattr(yoneda, "pushout", counting)
-    find_reducing_element(gasharov_module, 8, seed=0, budget=3)
-    assert built == [4]  # only the class that passes the screen
+    monkeypatch.setattr(ExtElement, "__post_init__", counting_init)
+    eta, _, _ = find_reducing_element(gasharov_module, 8, seed=0, budget=3)
+    assert [e.degree for e in built] == [4]  # only the class that passes the screen
+    assert len(constructed) == 1 and constructed[0] is built[0] is eta
+    constructed.clear()
+    basis = cocycle_basis(gasharov_module, gasharov_module, 4)
+    assert len(basis) == ext_table(gasharov_module, gasharov_module, 4)[4] > 1
+    assert len(constructed) == len(basis) and all(a is b for a, b in zip(constructed, basis))
 
 
 def test_find_reducing_element_frees_losing_pushouts(monkeypatch, F5):
@@ -704,7 +723,7 @@ def test_lift_heavy_search_keeps_maps_over_A_only(monkeypatch, F5):
 def test_find_reducing_element_rechecks_the_screen(monkeypatch, gasharov_module):
     # a screen that claims a free pushout for the first candidate is caught
     # by the resolution of that pushout
-    def free_screens(basis, constants, coeffs):
+    def free_screens(res, t, constants, coeffs):
         return [[2] + [0] * (len(constants) - 1)] * len(coeffs)
 
     monkeypatch.setattr(yoneda, "_screen_combinations", free_screens)
@@ -760,9 +779,10 @@ def test_reduction_sequence_failure_branch(F5):
         varnames=["x", "y"],
     )
     kB = residue_field(B)
-    seq, transcript = reduction_sequence(kB, 2, window=7, stab=3)
+    seq, transcript = reduction_sequence(kB, 2, window=9)
     assert seq is None
-    assert transcript  # the search records why it stopped
+    # the search records why it stopped
+    assert transcript[-1] == "initial estimate not stabilized; aborting"
 
 
 def test_window_vanishing_check(A, k, quadric):
