@@ -308,7 +308,7 @@ class _Parser(TokenStream):
     def parse_task(self) -> TaskDecl:
         tok = self.expect_keyword("task")
         kind = self.parse_task_name()
-        args = self.parse_slots(TASK_SLOTS[kind])
+        args = self.parse_slots(TASK_SLOTS[kind], task=True)
         self.end_statement()
         return TaskDecl(kind, args, SrcLoc(tok.line, tok.col))
 
@@ -322,8 +322,10 @@ class _Parser(TokenStream):
             self.fail(f"unknown task {name!r}")
         return name
 
-    def parse_slots(self, slots: Tuple[str, ...]) -> dict:
-        """Read the argument slots in order (see MODULE_SLOTS)."""
+    def parse_slots(self, slots: Tuple[str, ...], task: bool = False) -> dict:
+        """Read the argument slots in order (see MODULE_SLOTS).  In a task,
+        every module named after its first (module2 and each of tests) must
+        be over the first's ring."""
         args: dict = {}
         for slot in slots:
             if slot == "degrees":
@@ -333,8 +335,10 @@ class _Parser(TokenStream):
                 self.expect_sym("=")
             if slot == "ring":
                 args[slot] = self.ref_ring()
-            elif slot in ("module", "module2"):
+            elif slot == "module":
                 args[slot] = self.ref_module()
+            elif slot == "module2":
+                args[slot] = self.ref_module(args["module"] if task else None)
             elif slot == "matrix":
                 args[slot] = self.parse_matrix(self.rings[args["ring"]].varnames)
             elif slot == "matrices":
@@ -342,7 +346,7 @@ class _Parser(TokenStream):
             elif slot == "degrees":
                 args[slot] = self.parse_int_list()
             elif slot == "tests":
-                args[slot] = self.parse_module_list()
+                args[slot] = tuple(self.comma_list(lambda: self.ref_module(args["module"])))
             elif slot == "range":
                 args[slot] = self.parse_range(len(args["matrices"]))
             else:
@@ -355,14 +359,17 @@ class _Parser(TokenStream):
             self.fail(f"unknown ring {tok.value!r}", tok)
         return tok.value
 
-    def ref_module(self) -> str:
+    def ref_module(self, beside: Optional[str] = None) -> str:
+        """A module name; with beside, a module over the same ring as the
+        module beside."""
         tok = self.expect_ident("module name")
         if tok.value not in self.modules:
             self.fail(f"unknown module {tok.value!r}", tok)
+        if beside is not None:
+            ring, want = self.modules[tok.value].ring, self.modules[beside].ring
+            if ring != want:
+                self.fail(f"module {tok.value!r} is over ring {ring!r}, module {beside!r} over {want!r}", tok)
         return tok.value
-
-    def parse_module_list(self) -> Tuple[str, ...]:
-        return tuple(self.comma_list(self.ref_module))
 
     def parse_range(self, count: int) -> Tuple[int, int]:
         """``a..b``, one index for each of ``count`` matrices."""

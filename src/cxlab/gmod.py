@@ -16,18 +16,18 @@ every column of a coordinate matrix by every monomial of a fixed list (the
 basis of A or its variables).  A module that is not free does it with one
 exact product by its monomial actions, stacked and kept once per module.  A
 free module keeps only its generator degrees and its rank, no array, and
-reads the products off the structure constants of A: A's regular
-representation is verified once per algebra and kept only as the terms of
-its structure constants.  The variable terms are read off the verified
-actions, and each basis monomial's terms are composed from a predecessor's
-through them, one monomial at a time, with no dim A^3 stack.  A product is
-one exact int64 gather per term slot, and a single gather over a monomial
-algebra, whose regular action is a partial permutation.  A free module's
-stacked actions, the multiples of the identity, and its variable actions,
-their "variables" slice, are one gather and no product, built on each
-request and not kept.  `extend_linearly`, `min_generators` and the
-subquotients go through `multiples`; `block_action` is one product by the
-stacked actions.
+multiplies as rank copies of A's regular module, which is verified once per
+algebra and kept only as arrays (see _structure_terms).  Where every
+variable of A acts by a partial permutation, as over a monomial algebra, a
+product is one int64 gather through the source of each output coordinate,
+composed one basis monomial at a time with no dim A^3 stack.  Over any
+other ring A keeps the stacked actions of its regular module, and a
+product is the one exact product Module.multiples takes, with the
+generator blocks side by side.  A free module's stacked actions, the
+multiples of the identity, and its variable actions, their "variables"
+slice, are built on each request and not kept.  `extend_linearly`,
+`min_generators` and the subquotients go through `multiples`;
+`block_action` is one product by the stacked actions.
 
 A matrix over A, a map F' -> F of free modules, has one form: its
 generator images, the dim F x rank F' matrix whose column g is the image of
@@ -100,11 +100,7 @@ class Module:
         column c sit side by side, at columns c*s .. c*s + s - 1."""
         if cols.rows != self.dim:
             raise InputError(f"{cols.rows} coordinates on a module of dimension {self.dim}")
-        X = self._stacked(which)
-        s, n, k = X.shape[0], self.dim, cols.cols
-        # one product by the actions stacked on top of each other
-        out = _matmul_mod(X.reshape(s * n, n), cols.a, self.field.p).reshape(s, n, k)
-        return Mat._trusted(self.field, out.transpose(1, 2, 0).reshape(n, k * s))
+        return Mat._trusted(self.field, _stack_product(self._stacked(which), cols.a, 1, self.field.p))
 
     def _stacked(self, which: str) -> np.ndarray:
         """The actions of the monomials of the list `which` (see
@@ -183,8 +179,9 @@ class FreeModule(Module):
     """Free module on homogeneous generators; basis is generator-major blocks
     (generator g, standard monomial m) with degree deg(m) + deg(g).  Each
     block is a copy of A as a module over itself.  A free module multiplies
-    through the structure constants of A, and its actions are read off the
-    same products on each request: it keeps no array."""
+    through A's regular representation (see _structure_terms), and its
+    actions are read off the same products on each request: it keeps no
+    array."""
 
     def __init__(self, algebra: Algebra, gen_degrees: Sequence[int]):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
@@ -201,43 +198,30 @@ class FreeModule(Module):
         return len(self.gen_degrees)
 
     def multiples(self, cols: Mat, which: str) -> Mat:
-        """Module.multiples, read off the structure constants of A: entry
-        (g, a) of column c times x^e_j is the sum of v * cols[(g, src), c]
-        over the terms (src, v) of (a, j) (see _structure_terms), so the
-        result is one gather per term slot, exact in int64 at every p.  Over
-        a monomial algebra every term is 1, one slot holds them all, and the
-        gather is the whole product."""
+        """Module.multiples over rank copies of A's regular module, read off
+        _structure_terms.  Where it keeps the stacked actions, that is one
+        exact product, as for a module that is not free.  Where it keeps a
+        gather's sources, entry (g, a) of column c times x^e_j is
+        cols[(g, src[a, j]), c], or zero, and one gather is the product."""
         if cols.rows != self.dim:
             raise InputError(f"{cols.rows} coordinates on a free module of dimension {self.dim}")
-        src, coef = _structure_terms(self.algebra, which)
+        terms = _structure_terms(self.algebra, which)
+        if terms.ndim == 3:
+            return Mat._trusted(self.field, _stack_product(terms, cols.a, self.rank, self.field.p))
         dA, r, k = self.algebra.dim, self.rank, cols.cols
         # V[g, c, m]: coordinate m of block g of column c, and a zero at
-        # m = dim A, which padding terms read
+        # m = dim A, which an output with no source reads
         V = np.zeros((r, k, dA + 1), dtype=np.int64)
         V[:, :, :dA] = cols.a.reshape(r, dA, k).transpose(0, 2, 1)
         V = V.reshape(r, k * (dA + 1))
-        # slot t of entry (g, a) of column c times x^e_j reads V[g, c, src[t, a, j]]:
-        # one take per slot writes the products in place, (g, a) by (c, j)
-        at = src[:, :, None, :] + (dA + 1) * np.arange(k)[:, None]
-        out = np.take(V, at[0], axis=1)
-        if coef is not None:
-            p = self.field.p
-            out *= coef[0][:, None, :]
-            out %= p
-            for t in range(1, len(src)):
-                # each term is below p^2 < 2^62 until reduced; the sum of the
-                # reduced terms stays below dim A * p
-                term = np.take(V, at[t], axis=1)
-                term *= coef[t][:, None, :]
-                term %= p
-                out += term
-            out %= p
-        return Mat._trusted(self.field, out.reshape(self.dim, k * src.shape[2]))
+        # entry (g, a) of column c times x^e_j reads V[g, c, src[a, j]]: one
+        # take writes the products in place, (g, a) by (c, j)
+        out = np.take(V, terms[:, None, :] + (dA + 1) * np.arange(k)[:, None], axis=1)
+        return Mat._trusted(self.field, out.reshape(self.dim, k * terms.shape[1]))
 
     def _stacked(self, which: str) -> np.ndarray:
-        """Module._stacked read off the structure constants: the multiples
-        of the identity, one gather and no product, built on each call and
-        not kept."""
+        """Module._stacked read off A's regular representation: the
+        multiples of the identity, built on each call and not kept."""
         n, s = self.dim, len(_monomial_list(self.algebra, which))
         out = self.multiples(Mat.identity(self.field, n), which).a.reshape(n, n, s)
         return np.ascontiguousarray(out.transpose(2, 0, 1))
@@ -265,74 +249,68 @@ def _monomial_list(algebra: Algebra, which: str) -> List[Tuple[int, ...]]:
     raise InputError(f"no monomial list named {which!r}: expected 'basis' or 'variables'")
 
 
-# A's regular representation, kept once per algebra as the terms of its
-# structure constants for both monomial lists: arrays only, so no algebra is
-# kept alive by its entry.
-_STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, tuple]]" = weakref.WeakKeyDictionary()
+def _stack_product(X: np.ndarray, cols: np.ndarray, r: int, p: int) -> np.ndarray:
+    """The products of the s x n x n stack of actions X with the columns of
+    cols, r blocks of n coordinates each, X acting on every block: entry
+    (g, a) of column c times X[j] sits at row g * n + a, column c * s + j.
+    One exact product by the actions stacked on top of each other, with the
+    blocks side by side."""
+    s, n, _ = X.shape
+    k = cols.shape[1]
+    side = cols.reshape(r, n, k).transpose(1, 0, 2).reshape(n, r * k)
+    out = _matmul_mod(X.reshape(s * n, n), side, p).reshape(s, n, r, k)
+    return out.transpose(2, 1, 3, 0).reshape(r * n, k * s)
 
 
-def _structure_terms(algebra: Algebra, which: str):
-    """The structure constants x^e_j * basis[c] = sum over a of S[j, a, c]
-    basis[a], for the monomials e_j of the list `which` (see
-    _monomial_list), as two arrays (src, coef) of shape (slots, dim A, s).
+# A's regular representation, kept once per algebra for both monomial lists
+# (see _structure_terms): arrays only, so no algebra is kept alive by its
+# entry.
+_STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, np.ndarray]]" = weakref.WeakKeyDictionary()
 
-    The nonzero S[j, a, c] of each output (a, j) fill its slots t = 0, 1,
-    ..: src[t, a, j] = c and coef[t, a, j] = S[j, a, c].  An unused slot
-    reads source dim A, a zero the reader appends.  coef is None when one
-    slot holds every term and each term is 1, as over a monomial algebra,
-    whose regular action is a partial permutation.
+
+def _structure_terms(algebra: Algebra, which: str) -> np.ndarray:
+    """A's regular representation on the monomials x^e_j of the list
+    `which` (see _monomial_list), in one of two forms.
+
+    Where every row of every variable's action holds at most one nonzero
+    entry, a 1, as over a monomial algebra, whose regular action is a
+    partial permutation, so does every row of every monomial's action.  The
+    form is then the gather's sources, a dim A x s array: x^e_j * basis[c]
+    has coefficient 1 on basis[a] for c = src[a, j] and 0 for every other c;
+    src[a, j] = dim A, a zero the reader appends, where the row is zero.
+    Over any other ring it is the stacked actions of A's regular module
+    (Module._stacked), an s x dim A x dim A array.
 
     The first call for an algebra builds A as a module over itself, which
-    verifies its axioms, and reads the variable terms off its actions.  The
-    basis monomials follow one at a time: x^e_j = x_v x^e', e' listed
-    before e_j (standard monomials are closed under division and listed
-    degree by degree), so x^e_j acts as x_v, through the variable terms, on
-    the action of x^e' rebuilt from its nonzero entries; no dim A^3 stack
-    is formed."""
+    verifies its axioms, and reads the form off its variable actions.  The
+    gather's basis sources follow one monomial at a time: x^e_j = x_v x^e',
+    e' listed before e_j (standard monomials are closed under division and
+    listed degree by degree), so output a of x^e_j reads the source of
+    output src_v[a] of x^e'; no dim A^3 stack is formed."""
     terms = _STRUCTURE.get(algebra)
     if terms is None:
         regular = Module(algebra, algebra.basis_degrees,
                          [algebra.variable_action(i) for i in range(algebra.nvars)],
                          provenance="regular")
-        p, dA, s = algebra.field.p, algebra.dim, algebra.nvars
-        S = np.array([X.a for X in regular.actions], dtype=np.int64).reshape(s, dA, dA)
-        j, a, c = np.nonzero(S)
-        src, coef = variables = _slotted(j, a, c, S[j, a, c], s, dA)
-        # the nonzero entries (a, c, S[a, c]) of each basis monomial's action
-        entries = [(np.arange(dA), np.arange(dA), np.ones(dA, dtype=np.int64))]  # basis[0] is 1
-        for mono in algebra.basis[1:]:
-            v = next(i for i, e in enumerate(mono) if e)
-            a, c, val = entries[algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]]
-            below = np.zeros((dA + 1, dA), dtype=np.int64)  # row dA: the zero unused slots read
-            below[a, c] = val
-            # row a of x_v times x^e' sums coef * row src of x^e' over the
-            # terms (src, coef) of x_v at a; each product is reduced below p
-            rows = below[src[:, :, v]]
-            out = (rows if coef is None else rows * coef[:, :, v, None] % p).sum(axis=0) % p
-            a, c = np.nonzero(out)
-            entries.append((a, c, out[a, c]))
-        j = np.repeat(np.arange(dA), [e[0].size for e in entries])
-        a, c, val = (np.concatenate(x) for x in zip(*entries))
-        terms = _STRUCTURE[algebra] = {"basis": _slotted(j, a, c, val, dA, dA), "variables": variables}
+        dA = algebra.dim
+        S = regular._stacked("variables")
+        # entries lie in [0, p): a row sum of at most 1 is one entry 1 at most
+        if (S.sum(axis=2) <= 1).all():
+            variables = np.ascontiguousarray(np.where(S.any(axis=2), S.argmax(axis=2), dA).T)
+            # column j: the sources of basis[j]; row dA: the zero's own source
+            basis = np.full((dA + 1, dA), dA, dtype=np.intp)
+            basis[:dA, 0] = np.arange(dA)  # basis[0] is 1
+            for j, mono in enumerate(algebra.basis[1:], 1):
+                v = next(i for i, e in enumerate(mono) if e)
+                below = algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
+                basis[:dA, j] = basis[variables[:, v], below]
+            terms = {"basis": basis[:dA], "variables": variables}
+        else:
+            terms = {w: regular._stacked(w) for w in ("basis", "variables")}
+        _STRUCTURE[algebra] = terms
     if which not in terms:
         _monomial_list(algebra, which)  # raises InputError: no such list
     return terms[which]
-
-
-def _slotted(j: np.ndarray, a: np.ndarray, c: np.ndarray, val: np.ndarray, s: int, dA: int):
-    """(src, coef) of _structure_terms from the nonzero S[j, a, c] = val of
-    s monomials, in any order: the terms of each (a, j) fill its slots in
-    increasing c."""
-    order = np.lexsort((c, j, a))
-    j, a, c, val = j[order], a[order], c[order], val[order]
-    key = a * s + j
-    slot = np.arange(key.size) - np.searchsorted(key, key)
-    slots = int(slot.max()) + 1 if key.size else 1
-    src = np.full((slots, dA, s), dA, dtype=np.intp)
-    coef = np.ones((slots, dA, s), dtype=np.int64)
-    src[slot, a, j] = c
-    coef[slot, a, j] = val
-    return src, None if slots == 1 and (coef == 1).all() else coef
 
 
 def extend_linearly(target: Module, gen_images: Mat) -> Mat:

@@ -23,8 +23,8 @@ the engine's rref, ext_from_realized reads an Ext class off a realized
 cocycle and is_zero_class tests its class_residual.
 diff_algebra reads a differential of an engine resolution as a matrix of
 algebra elements.  monomial_action multiplies a module's variable actions
-with the engine's product, dense_structure_terms reads A's structure terms
-off the dense stack of its monomial actions, the reading the engine
+with the engine's product, dense_gather_sources reads the gather's sources
+off the dense stack of A's monomial actions, the reading the engine
 replaced by one composed per basis monomial, and held_arrays lists the
 arrays an object keeps.
 """
@@ -151,22 +151,22 @@ def held_arrays(obj, skip=()):
     return out
 
 
-def dense_structure_terms(algebra, which):
-    """The terms (src, coef) of gmod._structure_terms read off the dense
-    stack of A's monomial actions, s x dim A x dim A, formed by the
-    engine's product chain for a module that is not free: the reference
-    for the terms composed one basis monomial at a time."""
+def dense_gather_sources(algebra, which):
+    """The sources src[a, j] of gmod._structure_terms' gather read off the
+    dense stack of A's monomial actions, s x dim A x dim A, formed by the
+    engine's product chain for a module that is not free: the column of the
+    one nonzero entry, a 1, of row a of the action of monomial j, or dim A
+    for a zero row.  None when some row holds another entry or a second
+    one.  The reference for the sources composed one basis monomial at a
+    time."""
     S = regular_module(algebra)._stacked(which)
-    s, dA = S.shape[0], algebra.dim
-    a, j, c = np.nonzero(S.transpose(1, 0, 2))  # ordered by (a, j)
-    key = a * s + j
-    slot = np.arange(key.size) - np.searchsorted(key, key)
-    slots = int(slot.max()) + 1 if key.size else 1
-    src = np.full((slots, dA, s), dA, dtype=np.intp)
-    coef = np.ones((slots, dA, s), dtype=np.int64)
-    src[slot, a, j] = c
-    coef[slot, a, j] = S[j, a, c]
-    return src, None if slots == 1 and (coef == 1).all() else coef
+    dA = algebra.dim
+    if not np.isin(S, (0, 1)).all() or (np.count_nonzero(S, axis=2) > 1).any():
+        return None
+    j, a, c = np.nonzero(S)
+    src = np.full((dA, S.shape[0]), dA, dtype=np.intp)
+    src[a, j] = c
+    return src
 
 
 def regular_module(algebra):

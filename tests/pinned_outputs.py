@@ -1,4 +1,4 @@
-"""Pinned-output checks: two SHA-1s over reports a change must not alter.
+"""Pinned-output checks: three SHA-1s over reports a change must not alter.
 
     python tests/pinned_outputs.py
 
@@ -8,9 +8,12 @@ report's JSON concatenated in order, and the reduction search over (x^3,y^3),
 generated scenarios search only rings with an exponent 2 in two variables;
 the second check pins codimension-3 searches and searches without a quadric,
 and (x^3,y^3,z^2) pushes out candidates that pass the screen and lose on the
-full window.  A change of any number in a report changes its hash.  Prints
-each digest and exits non-zero when one differs from its pin.  The name does
-not match test_*.py, so pytest does not collect it.
+full window.  The third pins rings that are not monomial, at p = 5, 7 and
+2^31 - 1: Gasharov and Peeva's ring with its periodic module (reduce,
+complexity, ext, tor and symmetry) and k over [x,y]/(x^2+3y^2, xy) (betti,
+reduce and complexity).  A change of any number in a report changes its
+hash.  Prints each digest and exits non-zero when one differs from its pin.
+The name does not match test_*.py, so pytest does not collect it.
 """
 import hashlib
 import sys
@@ -25,7 +28,25 @@ from scengen import WINDOW, generate  # noqa: E402
 PINNED = {
     "scenarios": "f8121250a27b62ce4f0177dc7880f4fd39bab8bb",
     "reduce": "3a1afbc9a8cb7ebdae91263387a4ccaa6aa2b891",
+    "nonmonomial": "491b01327b5cd52b69cf0d09f44b22fdde95ff17",
 }
+
+GASHAROV = """ring G = [x1,x2,x3,x4,x5] / (x1^2, x2^2, x5^2, x3*x4, x3*x5, x4*x5, x1*x4+x2*x4, 2*x1*x3+x2*x3, x3^2-x2*x5+2*x1*x5, x4^2-x2*x5+x1*x5)
+module M = coker G [[x1,2*x3+x4],[0,x2]] degrees [0,0]
+module S = syzygy M i=1
+task reduce M maxdeg=4
+task complexity M
+task ext M M maxdeg=8
+task tor M S maxdeg=8
+task symmetry M S
+"""
+
+QUADRIC = """ring B = [x,y] / (x^2+3*y^2, x*y)
+module k = k B
+task betti k maxdeg=12
+task reduce k maxdeg=4
+task complexity k
+"""
 
 
 def scenarios_digest() -> str:
@@ -46,9 +67,19 @@ def reduce_digest() -> str:
     return digest.hexdigest()
 
 
+def nonmonomial_digest() -> str:
+    digest = hashlib.sha1()
+    for p in (5, 7, 2**31 - 1):
+        for body in (GASHAROV, QUADRIC):
+            text = f"field p = {p}\n{body}"
+            digest.update(run(parse_scenario(text), RunOptions(max_degree=12)).to_json().encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     failed = False
-    for name, compute in (("scenarios", scenarios_digest), ("reduce", reduce_digest)):
+    for name, compute in (("scenarios", scenarios_digest), ("reduce", reduce_digest),
+                          ("nonmonomial", nonmonomial_digest)):
         got = compute()
         ok = got == PINNED[name]
         failed |= not ok

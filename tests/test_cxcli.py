@@ -51,6 +51,8 @@ def test_parse_semantic_errors():
 
 _RING = "field p = 5\nring A = [x,y] / (x^2,y^2)\n"
 _K = _RING + "module k = k A\n"
+# two modules over A and two over B, for tasks that name modules over two rings
+_MIXED = _K + "module M = syzygy k i=1\nring B = [u] / (u^3)\nmodule kb = k B\nmodule S = syzygy kb i=1\n"
 
 
 _PARSE_ERRORS = [
@@ -82,6 +84,11 @@ _PARSE_ERRORS = [
     (_K + "task testci k t=1 q=1 n=2\n", "expected 'tests'", 4, 26),
     (_K + "task complexity k k\n", "expected end of line", 4, 19),
     (_K + "task complexity $k\n", "unexpected character '$'", 4, 17),
+    (_MIXED + "task ext k kb maxdeg=3\n", "module 'kb' is over ring 'B', module 'k' over 'A'", 8, 12),
+    (_MIXED + "task tor kb k maxdeg=3\n", "module 'k' is over ring 'A', module 'kb' over 'B'", 8, 13),
+    (_MIXED + "task symmetry M S\n", "module 'S' is over ring 'B', module 'M' over 'A'", 8, 17),
+    (_MIXED + "task vartest S tests=S,k t=1\n", "module 'k' is over ring 'A', module 'S' over 'B'", 8, 24),
+    (_MIXED + "task testci M t=1 q=1 n=2 tests=M,kb\n", "module 'kb' is over ring 'B', module 'M' over 'A'", 8, 35),
 ]
 
 

@@ -14,6 +14,7 @@ from cxlab.cioper import MonomialCI
 from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat, rref
 from cxlab.gralg import build_algebra, parse_polynomial
+from cxlab import gmod
 from cxlab.gmod import (
     Module,
     block_action,
@@ -257,22 +258,24 @@ def test_extend_linearly_matches_entrywise_definition(p):
 
 
 _TERM_RINGS = {
-    # name: (p, variables, relations)
-    "x2y2z2": (5, "xyz", ["x^2", "y^2", "z^2"]),
-    "gasharov": (5, GASHAROV_VARS, GASHAROV_RELATIONS),
-    "x2+y2": (7, "xyz", ["x^2+y^2", "y^3", "z^2", "x*z"]),
-    "x3y3z3": (5, "xyz", ["x^3", "y^3", "z^3"]),
-    "a4b4c4d4": (5, "abcd", ["a^4", "b^4", "c^4", "d^4"]),
+    # name: (p, variables, relations, each variable acts by a partial permutation)
+    "x2y2z2": (5, "xyz", ["x^2", "y^2", "z^2"], True),
+    "gasharov": (5, GASHAROV_VARS, GASHAROV_RELATIONS, False),
+    "x2+y2": (7, "xyz", ["x^2+y^2", "y^3", "z^2", "x*z"], False),
+    "x3y3z3": (5, "xyz", ["x^3", "y^3", "z^3"], True),
+    "a4b4c4d4": (5, "abcd", ["a^4", "b^4", "c^4", "d^4"], True),
 }
 
 
 @pytest.mark.parametrize("ring", sorted(_TERM_RINGS))
 def test_structure_terms_match_dense_stack(ring):
-    # A's terms, composed one basis monomial at a time, are byte for byte
-    # those read off the dense dim A^3 stack of its monomial actions; where
-    # that stack dominates (dim A = 256: 128 MiB), composing them allocates
-    # less than a quarter of it
-    p, names, relations = _TERM_RINGS[ring]
+    # over a partial permutation, the gather's sources, composed one basis
+    # monomial at a time, are byte for byte those read off the dense dim A^3
+    # stack of A's monomial actions; where that stack dominates (dim A =
+    # 256: 128 MiB), composing them allocates less than a quarter of it.
+    # Over any other ring no sources are kept, and the kept arrays are the
+    # stacked actions of A's regular module
+    p, names, relations, gather = _TERM_RINGS[ring]
     F = Field(p)
     A = build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=list(names))
     tracemalloc.start()
@@ -283,38 +286,41 @@ def test_structure_terms_match_dense_stack(ring):
         tracemalloc.stop()
     if A.dim >= 64:
         assert peak < 8 * A.dim ** 3 / 4, (peak, A.dim)
-    for which, (src, coef) in got.items():
-        want_src, want_coef = oracles.dense_structure_terms(A, which)
-        assert (src.dtype, src.shape, src.tobytes()) == (want_src.dtype, want_src.shape, want_src.tobytes())
-        assert (coef is None) == (want_coef is None), which
-        if coef is not None:
-            assert (coef.dtype, coef.shape, coef.tobytes()) == (want_coef.dtype, want_coef.shape, want_coef.tobytes())
+    for which, terms in got.items():
+        want = oracles.dense_gather_sources(A, which)
+        assert (want is not None) == gather, which
+        if not gather:
+            want = oracles.regular_module(A)._stacked(which)
+        assert (terms.dtype, terms.shape, terms.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 _RINGS = {
-    # name: (variables, relations, several terms per output entry, constants all 1)
-    "monomial_ci": ("xyz", ["x^2", "y^3", "z^2"], False, True),
-    "gasharov": (GASHAROV_VARS, GASHAROV_RELATIONS, True, False),
-    "quadrics": ("xyz", ["x^2+3*y*z+2*z^2", "y^2+2*x*z+4*x*y", "z^2+x*y+3*x*z", "x*y+y*z+2*x^2"],
-                 True, False),
-    "scaled": ("xy", ["x^2-2*y^2", "x*y", "y^3"], False, False),  # x * x = 2 y^2, one term
+    # name: (variables, relations, each variable acts by a partial permutation)
+    "monomial_ci": ("xyz", ["x^2", "y^3", "z^2"], True),
+    "gasharov": (GASHAROV_VARS, GASHAROV_RELATIONS, False),
+    "quadrics": ("xyz", ["x^2+3*y*z+2*z^2", "y^2+2*x*z+4*x*y", "z^2+x*y+3*x*z", "x*y+y*z+2*x^2"], False),
+    "scaled": ("xy", ["x^2-2*y^2", "x*y", "y^3"], False),  # x * x = 2 y^2, one term
+    # x * x = x * y: one entry 1 in every column of x's action, two in a row
+    "merging": ("xy", ["x^2-x*y", "y^3"], False),
+    # at p = 2^31 - 1, x * x = (p - 1) / 2 y^2: the product's worst case needs limbs
+    "half_p": ("xy", ["x^2-1073741823*y^2", "x*y", "y^3"], False),
+    "dim64": ("abc", ["a^4+b^4", "b^4+c^4", "a*b*c^2+c^4"], False),
 }
 
 
-@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
-@pytest.mark.parametrize("ring", sorted(_RINGS))
+@pytest.mark.parametrize("ring, p", [(ring, p) for ring in sorted(_RINGS) for p in (2, 5, 2**31 - 1)
+                                     if (ring, p) != ("dim64", 2)])  # a^4 + b^4 = (a + b)^4 over F_2
 def test_multiples_match_monomial_actions(ring, p):
     # column c times the j-th monomial of a list sits at column c*s + j;
     # outside a monomial algebra, x^e * m can have several standard
     # monomials, so an output entry sums several structure constants
     F = Field(p)
-    names, relations, several, ones = _RINGS[ring]
+    names, relations, gather = _RINGS[ring]
     A = build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=names)
     variables = [tuple(int(i == v) for i in range(A.nvars)) for v in range(A.nvars)]
     for which in ("basis", "variables"):
-        src, coef = _structure_terms(A, which)
         if p > 2:
-            assert (src.shape[0] > 1) == several and (coef is None) == ones
+            assert (_structure_terms(A, which).ndim == 2) == gather
     rng = np.random.default_rng(p % 1000)
     N = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
     Z = coker_presentation(A, [[A.one()]], [0])  # zero-dimensional, and not free
@@ -461,9 +467,13 @@ def test_span_not_closed_under_action_rejected(A):
         submodule_from_span(F, x)
 
 
-def _fresh_algebra():
-    return build_algebra(F5, 2, [parse_polynomial(r, ["x", "y"], F5) for r in ("x^2", "x*y", "y^3")],
+def _fresh_algebra(relations=("x^2", "x*y", "y^3")):
+    return build_algebra(F5, 2, [parse_polynomial(r, ["x", "y"], F5) for r in relations],
                          varnames=["x", "y"])
+
+
+# a monomial ring keeps the gather's sources, this one A's stacked actions
+_NOT_MONOMIAL = ("x^2+3*y^2", "x*y")
 
 
 def test_derived_modules_inherit_axioms(monkeypatch):
@@ -497,22 +507,29 @@ def test_derived_modules_inherit_axioms(monkeypatch):
 
 
 def test_free_module_keeps_no_regular_module():
-    # A's regular representation is kept only as its structure terms: no
-    # module over A as a module over itself outlives the free module's build
-    B = _fresh_algebra()
-    F = free_module(B, [0, 1])
-    gc.collect()
-    assert not [o for o in gc.get_objects() if isinstance(o, Module) and o.provenance == "regular"]
-    assert not [v for v in vars(F).values() if isinstance(v, Module)]
+    # A's regular representation is kept only as arrays: no module over A as
+    # a module over itself outlives the free module's build or its products
+    for relations in (("x^2", "x*y", "y^3"), _NOT_MONOMIAL):
+        B = _fresh_algebra(relations)
+        F = free_module(B, [0, 1])
+        F.multiples(Mat.identity(F5, F.dim), "basis")
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, Module) and o.provenance == "regular"]
+        assert not [v for v in vars(F).values() if isinstance(v, Module)]
+        assert all(type(v) is np.ndarray for v in gmod._STRUCTURE[B].values()), relations
 
 
 def test_regular_module_cache_keeps_no_algebra_alive():
-    B = _fresh_algebra()
-    assert resolve(residue_field(B), 3).betti_list(3)[0] == 1
-    gone = weakref.ref(B)
-    del B
-    gc.collect()
-    assert gone() is None
+    for relations, ndim in ((("x^2", "x*y", "y^3"), 2), (_NOT_MONOMIAL, 3)):
+        B = _fresh_algebra(relations)
+        assert resolve(residue_field(B), 3).betti_list(3)[0] == 1
+        F = free_module(B, [0, 1])
+        assert F.multiples(Mat.identity(F5, F.dim), "variables").shape == (F.dim, 2 * F.dim)
+        assert _structure_terms(B, "basis").ndim == ndim
+        gone = weakref.ref(B)
+        del B, F
+        gc.collect()
+        assert gone() is None, relations
 
 
 _UNDER_O = """
