@@ -696,7 +696,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     try:

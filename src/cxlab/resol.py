@@ -5,18 +5,19 @@ kernel ker d_i is an echelon span of F_i whose generators modulo m are
 lifted, so minimality (all differential entries in the maximal ideal)
 holds by construction and is checked at every step together with
 d o d = 0 and exactness (at step 0: F_0 -> M is onto).  A step eliminates
-once: d_i read in the coordinates of its span gives, in one kernel_rref,
-the rank that proves exactness and the echelon span of ker d_i that the
-next step covers.
+once: Z_i, the rows of d_i at the pivot columns of its span, gives in one
+kernel_rref the rank that proves exactness, rank Z_i = dim F_{i-1} -
+rank Z_{i-1} as in verify_complex, and the echelon span of ker d_i that
+the next step covers.
 
 A resolution keeps each d_i as its matrix over A, the images of the
 generators of F_i, dim A times smaller than the realized d_i; the realized
 matrix lives while its step runs, and is rebuilt, by one extend_linearly,
 within each call that reads it.  It keeps a span's rows only until the step
-that covers them has run, their pivot columns for good, and Z of the last
-step until the next one.  Chain lifts solve d_i X = B through a
-factorization (Q, E) of Z_i made once, on the first lift through d_i; each
-solve realizes d_i to check its solution and drops it.
+that covers them has run, and their pivot columns for good.  Chain lifts
+solve d_i X = B through a factorization (Q, E) of Z_i made once, on the
+first lift through d_i; each solve realizes d_i to check its solution and
+drops it.
 Syzygy modules are built only when asked for.
 A resolution is cached on its module and extended incrementally;
 previously computed steps never change.
@@ -29,13 +30,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, check
-from .exactla import Mat, _complement, kernel_rref, pivot_inverse
+from .exactla import Mat, kernel_rref, pivot_inverse
 from .gralg import Algebra, AlgebraElement
 from .gmod import (
     FreeModule,
     Module,
     coefficient_view,
     column_degrees,
+    compose_on_generators,
     extend_linearly,
     free_module,
     min_generators,
@@ -63,7 +65,8 @@ class MinimalFreeResolution:
     (dim M x rank F_0 for the augmentation d_0), which diff_images returns;
     diff_coefficients is its coefficient view (gmod.coefficient_view), and
     diff_realized realizes it on request, without keeping it; solve keeps
-    only the factorization (Q, E) of Z_i.  The span's rows are kept until
+    only the factorization (Q, E) of Z_i, the rows of d_i at the span's
+    pivot columns.  The span's rows are kept until
     step i has covered them, their pivot columns for good;
     syzygy_module re-derives a covered span by one kernel_rref of d_{i-1}
     read in its span, and the reduced echelon form of a row space is
@@ -82,9 +85,7 @@ class MinimalFreeResolution:
         # in F_{i-1}, or M at 0); the RREF rows of the span the next step covers
         self._pivots = [np.arange(module.dim)]
         self._span = Mat.identity(module.field, module.dim)
-        # Z of the last step, its d read in its span's coordinates: the next
-        # step checks d o d = 0 through it
-        self._z: Optional[Mat] = None
+        self._rank = 0  # rank Z of the last step: the next step checks exactness with it
         self._syz = {}  # i >= 1: the gmod.Submodule of syzygy i, built on request
         self._solvers = {}  # i: (Q, E), pivot_inverse of Z_i, built on the first solve
 
@@ -108,49 +109,39 @@ class MinimalFreeResolution:
             # empty span, the objects the general path builds; every check
             # on them is vacuous
             F, images = free_module(A, []), Mat.zeros(A.field, target.dim, 0)
-            Z = R = Mat.zeros(A.field, 0, 0)
+            rank, R = 0, Mat.zeros(A.field, 0, 0)
             ker_pivots = np.zeros(0, dtype=np.intp)
         else:
             gens = min_generators(target, span)
             F = free_module(A, [d for _, d in gens])
-            # realized map F -> target, sending the g-th generator to the
-            # g-th lift; it lives while the step runs, and the resolution
-            # keeps its generator columns, d_i over A
-            lifts = np.array([vec for vec, _ in gens], dtype=np.int64).reshape(len(gens), target.dim)
-            d_real = extend_linearly(target, Mat._trusted(A.field, lifts.T))
-            images = Mat._trusted(A.field, d_real.a[:, F.generator_columns()])
-            # the span is in reduced echelon form, so its pivot columns are
-            # coordinates on it: Z, the pivot rows of d_i, is d_i read in them
-            Z = Mat._trusted(A.field, d_real.a[pivots])
+            # d_i over A sends the g-th generator of F to the g-th lift
+            images = Mat._trusted(A.field, np.column_stack([vec for vec, _ in gens]))
             if i:
                 # minimality: constructive generator choice keeps entries in
                 # m, so the images vanish at the generator rows of F_{i-1}
                 check(not images.a[:: A.dim].any(), "differential entry has a unit component")
                 # both maps are A-linear, so d_{i-1} o d_i vanishes when it
-                # vanishes on the generators of F_i; step i-1 proved
-                # d_{i-1} = span^T Z_{i-1} with independent span rows, so
-                # d_{i-1} x = 0 exactly when Z_{i-1} x = 0
-                check((self._z @ images).is_zero(), f"d_{i-1} o d_{i} != 0")
-                # the image of d_i lies in the span: a column lies in it
-                # exactly when it equals the span rows combined by its
-                # coordinates Z.  The span is the identity at its pivot
-                # columns (kernel_rref writes it so), so the pivot rows agree
-                # by definition of Z and only the other rows need the
-                # product.  At i = 0 the span is all of M.
-                rest = _complement(span.cols, pivots)
-                check(Mat._trusted(A.field, span.a[:, rest].T) @ Z == Mat._trusted(A.field, d_real.a[rest]),
-                      f"image of d_{i} leaves the span of ker d_{i-1}")
-            # One elimination of Z gives its rank and ker Z.  Reading
-            # coordinates is injective on the span, which holds the image, so
-            # rank Z = rank d_i and ker Z = ker d_i.  Exactness: the image of
-            # d_i (the augmentation at i = 0) fills the span.
+                # vanishes on the generators of F_i
+                check(compose_on_generators(self.frees[i - 2] if i > 1 else self.module,
+                                            self._images[i - 1], images).is_zero(), f"d_{i-1} o d_{i} != 0")
+            # Z_i, the rows of d_i at the span's pivot columns, is all that is
+            # read of the realized d_i.  Exactness, as in verify_complex: Z_i
+            # is made of rows of d_i and Z_{i-1} of rows of d_{i-1}, so
+            #   rank d_i >= rank Z_i = dim F_{i-1} - rank Z_{i-1}
+            #            >= dim F_{i-1} - rank d_{i-1} = dim ker d_{i-1} >= rank d_i,
+            # the last since im d_i lies in ker d_{i-1}.  All are equal: im d_i
+            # = ker d_{i-1}, and Z_i has the row space, so the rank and the
+            # kernel, of d_i.  The argument reads no span: a span only decides
+            # which generators are lifted and which rows make up Z.  At i = 0
+            # (rank Z_{-1} = 0) it says that F_0 -> M is onto.
+            Z = Mat._trusted(A.field, extend_linearly(target, images).a[pivots])
             rank, R, ker_pivots = kernel_rref(Z)
-            check(rank == span.rows,
+            check(rank == target.dim - self._rank,
                   f"image of d_{i} does not fill ker d_{i-1}" if i else "augmentation F_0 -> M is not onto")
         self.frees.append(F)
         self._images.append(images)
         self._pivots.append(ker_pivots)
-        self._span, self._z = R, Z
+        self._span, self._rank = R, rank
 
     # -- accessors ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Pinned-output checks: three SHA-1s over reports a change must not alter.
+"""Pinned-output checks: four SHA-1s over outputs a change must not alter.
 
     python tests/pinned_outputs.py
 
@@ -22,13 +22,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from cxlab.cxcli import RunOptions, parse_scenario, run  # noqa: E402
+from cxlab.cxcli import RunOptions, _Workspace, parse_scenario, run  # noqa: E402
+from cxlab.resol import resolve  # noqa: E402
 from scengen import WINDOW, generate  # noqa: E402
 
 PINNED = {
     "scenarios": "f8121250a27b62ce4f0177dc7880f4fd39bab8bb",
     "reduce": "3a1afbc9a8cb7ebdae91263387a4ccaa6aa2b891",
     "nonmonomial": "491b01327b5cd52b69cf0d09f44b22fdde95ff17",
+    "resolutions": "0eabe8a3f17c204e10a180211b7fd51d492f72bc",
 }
 
 GASHAROV = """ring G = [x1,x2,x3,x4,x5] / (x1^2, x2^2, x5^2, x3*x4, x3*x5, x4*x5, x1*x4+x2*x4, 2*x1*x3+x2*x3, x3^2-x2*x5+2*x1*x5, x4^2-x2*x5+x1*x5)
@@ -76,10 +78,25 @@ def nonmonomial_digest() -> str:
     return digest.hexdigest()
 
 
+def resolutions_digest() -> str:
+    digest = hashlib.sha1()
+    runs = [(p, f"ring A = {ring}\nmodule k = k A\n", "k", n) for p in (2, 5, 2**31 - 1)
+            for ring, n in (("[x,y,z] / (x^2, y^2, z^2)", 12), ("[a,b,c,d] / (a^2, b^2, c^2, d^2)", 8),
+                            ("[x,y,z] / (x^3, y^3, z^2)", 10))]
+    runs += [(p, GASHAROV, "M", 12) for p in (5, 2**31 - 1)]
+    for p, body, name, n in runs:
+        res = resolve(_Workspace(parse_scenario(f"field p = {p}\n{body}"), RunOptions()).mods[name], n)
+        for i in range(n + 1):
+            d = res.diff_images(i)
+            digest.update(f"{d.shape}".encode())
+            digest.update(d.a.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     failed = False
     for name, compute in (("scenarios", scenarios_digest), ("reduce", reduce_digest),
-                          ("nonmonomial", nonmonomial_digest)):
+                          ("nonmonomial", nonmonomial_digest), ("resolutions", resolutions_digest)):
         got = compute()
         ok = got == PINNED[name]
         failed |= not ok

@@ -292,6 +292,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", str(failing)]) == 1
     assert main(["run", "/nonexistent/file.cx"]) == 2
     capsys.readouterr()
+    # a scenario that is not UTF-8 (a Latin-1 e-acute in a comment) cannot be read
+    latin1 = tmp_path / "latin1.cx"
+    latin1.write_bytes(good.read_bytes().replace(b"\n", b" # caf\xe9\n", 1))
+    for command in ("check", "run"):
+        assert main([command, str(latin1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot read {latin1}: ")
+        assert "Traceback" not in captured.err
 
 
 def test_main_build_failure_exit_code(tmp_path, capsys):

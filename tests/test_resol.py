@@ -349,10 +349,12 @@ def test_resolution_keeps_maps_over_A(A, gasharov, name):
     res = resolve(M, n)
     dims = [M.dim] + [res.free(i).dim for i in range(n + 1)]  # dims[i + 1] = dim F_i
     ranks = [M.dim] + [res.diff_realized(i).rank() for i in range(1, n + 1)]
-    # every matrix it holds: d_0..d_n over A, the rows of ker d_n and Z_n
+    # every matrix it holds: d_0..d_n over A and the rows of ker d_n; of
+    # Z_n only its rank, an int
     held = [("_images", (dims[i], res.free(i).rank)) for i in range(n + 1)]
-    held += [("_span", (dims[n + 1] - ranks[n], dims[n + 1])), ("_z", (dims[n] - ranks[n - 1], dims[n + 1]))]
+    held += [("_span", (dims[n + 1] - ranks[n], dims[n + 1]))]
     assert sorted(a for a in _held_arrays(res) if len(a[1]) == 2) == sorted(held)
+    assert type(res._rank) is int and res._rank == ranks[n]
     assert res._span.transpose() == res.syzygy_inclusion(n + 1)
     res.solve(2, res.diff_realized(2))
     assert sorted(a for a in _held_arrays(res) if len(a[1]) == 2 and a[0] != "_solvers") == sorted(held)
@@ -420,14 +422,14 @@ def test_step_checks_exactness(A, monkeypatch):
 def test_step_checks_image_in_span(A):
     # the span ker d_0 = m cut down to its first row, a variable: that row
     # spans no A-submodule, and the A-linear map onto it leaves it (the
-    # other variable times it is xy); d_0 kills the map, so only the
-    # containment check can see it
+    # other variable times it is xy); d_0 kills the map, and the rank check,
+    # which reads no span, finds that its image does not fill ker d_0
     res = resol.MinimalFreeResolution(residue_field(A))
     res.extend(0)
     assert A.basis_degrees[int(res._pivots[1][0])] == 1
     res._span = Mat(F5, res._span.a[:1])
     res._pivots[1] = res._pivots[1][:1]
-    with pytest.raises(InvariantError, match="image of d_1 leaves the span of ker d_0"):
+    with pytest.raises(InvariantError, match="image of d_1 does not fill ker d_0"):
         res.extend(1)
 
 
@@ -468,22 +470,19 @@ def test_solve_rejects_rhs_outside_image(k):
 
 
 def test_step_checks_d2_on_generator_columns(A, monkeypatch):
-    # d_2 corrupted at one generator column only: a unit added at a row of
-    # F_1 that d_1 does not kill makes d_1 o d_2 nonzero on that generator
+    # the lift of generator 0 of F_2 corrupted at one row: a unit added at
+    # a row of F_1 that d_1 does not kill makes d_1 o d_2 nonzero on that
+    # generator
     res = resolve(residue_field(A), 1)  # a new module, so its resolution stops at 1
     d1 = res.diff_realized(1)
     row = next(r for r in range(d1.cols) if r % A.dim and d1.a[:, r].any())
-    extend = resol.extend_linearly
 
-    def corrupt(target, gen_images):
-        d = extend(target, gen_images)
-        if target is res.free(1):
-            a = d.a.copy()
-            a[row, 0] = (a[row, 0] + 1) % d.field.p
-            d = Mat(d.field, a)
-        return d
+    def corrupt(gens):
+        vec = gens[0][0].copy()
+        vec[row] = (vec[row] + 1) % A.field.p
+        return [(vec, gens[0][1])] + gens[1:]
 
-    monkeypatch.setattr(resol, "extend_linearly", corrupt)
+    monkeypatch.setattr(resol, "min_generators", _at_free_targets(corrupt))
     with pytest.raises(InvariantError, match="d_1 o d_2 != 0"):
         res.extend(2)
 
