@@ -9,8 +9,9 @@ generated by pure powers every monomial of the square is claimed by the
 lowest variable index whose exponent reaches its power.  That decomposition
 is unique, so the chain operators are deterministic.  They are computed
 from coefficient slices, one exact product per pair of basis monomials and
-no polynomial or AlgebraElement on the way, and written straight into
-generator images, the one form in which the library keeps a matrix over A.
+no polynomial or AlgebraElement on the way, and written by gmod.images_of
+into generator images, the one form in which the library keeps a matrix
+over A.
 The chain identity and the operator classes in Ext^2(M, M) are composites
 on generators (gmod.compose_on_generators); an operator is realized as a
 field matrix only on request, as the A-linear extension of its images.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, check
 from .exactla import Field, Mat
-from .gmod import Module, compose_on_generators, extend_linearly, residue_field
+from .gmod import Module, coefficient_view, compose_on_generators, extend_linearly, images_of, residue_field
 from .gralg import Algebra, Polynomial, build_algebra, codimension
 from .resol import resolve
 from .yoneda import (
@@ -122,8 +123,8 @@ def _chi_images(ci: MonomialCI, c_prev: np.ndarray, c_cur: np.ndarray) -> List[M
             e = tuple(a + b for a, b in zip(A.basis[m1], A.basis[m2]))
             prod = left @ right
             square[e] = square[e] + prod if e in square else prod
-    # chi[j][r, m, g]: the coefficient of basis monomial m in entry (r, g)
-    chi = [np.zeros((c_prev.shape[1], A.dim, c_cur.shape[2]), dtype=np.int64) for _ in ci.exponents]
+    # chi[j][m, r, g]: the coefficient of basis monomial m in entry (r, g)
+    chi = [np.zeros((A.dim, c_prev.shape[1], c_cur.shape[2]), dtype=np.int64) for _ in ci.exponents]
     for e, block in square.items():
         j = next((j for j, n in enumerate(ci.exponents) if e[j] >= n), None)
         if j is None:
@@ -132,8 +133,8 @@ def _chi_images(ci: MonomialCI, c_prev: np.ndarray, c_cur: np.ndarray) -> List[M
         # distinct monomials claimed by one j give distinct quotients
         idx = A.basis_index.get(e[:j] + (e[j] - ci.exponents[j],) + e[j + 1:])
         if idx is not None:
-            chi[j][:, idx] = block.a
-    return [Mat._trusted(field, X.reshape(X.shape[0] * A.dim, X.shape[2])) for X in chi]
+            chi[j][idx] = block.a
+    return [images_of(X, field) for X in chi]
 
 
 class EisenbudOperatorSet:
@@ -192,7 +193,7 @@ class EisenbudOperatorSet:
     def ext_action(self, j: int, n: int) -> Mat:
         """Induced map Ext^n(M, k) -> Ext^{n+2}(M, k), j 1-based: the
         transposed constant coefficients of chi_j, its generator rows."""
-        return Mat._trusted(self.ci.field, self.chi_images(j, n + 2).a[:: self.ci.algebra.dim].T)
+        return Mat._trusted(self.ci.field, coefficient_view(self.chi_images(j, n + 2), self.ci.algebra)[0].T)
 
     def _check(self, j: int, n: int):
         if not 1 <= j <= self.ci.codim:
@@ -231,21 +232,17 @@ def build_kchi(ci: MonomialCI, j: int) -> Module:
     return cut_by_chi(eisenbud_operators(ci, residue_field(ci.algebra), 4), j).module
 
 
-def vartest_check(m: Module, tests: Sequence[Tuple[Module, int]],
+def vartest_check(m: Module, tests: Sequence[Module], t: int,
                   max_degree: int = DEFAULT_WINDOW) -> Verdict:
     """Coordinate-cut variety test: tail vanishing against any single test
     module of cut size t bounds the complexity by t."""
     if not tests:
         raise InputError("need at least one test module")
     _check_tail(max_degree)
-    ts = {int(t) for _, t in tests}
-    if len(ts) != 1:
-        raise InputError("test modules must share one cut size")
-    t = ts.pop()
     params = {"cut_size": t, "max_degree": max_degree, "tail": DEFAULT_TAIL,
               "tail_window": [max_degree - DEFAULT_TAIL + 1, max_degree]}
     witnesses = []
-    for idx, (n, _) in enumerate(tests):
+    for idx, n in enumerate(tests):
         if n.algebra is not m.algebra:
             raise InputError("test module over a different algebra")
         table = ext_table(m, n, max_degree)

@@ -1,8 +1,8 @@
 """Scenario files, task runner, reports and the ``cxlab`` command line tool.
 
-Scenario grammar (line oriented, ``#`` comments, ASCII names and integers;
-MODULE_SLOTS and TASK_SLOTS give each builder's and task's arguments, which
-one parser reads and one printer writes):
+Scenario grammar (one statement per line, ``#`` comments, ASCII names and
+integers; MODULE_SLOTS and TASK_SLOTS give each builder's and task's
+arguments, which one parser reads and one printer writes):
 
     field p = <prime>
     ring <name> = [<var>, ...] / (<poly>, ...)
@@ -78,34 +78,21 @@ _BARE_SLOTS = {"ring", "module", "module2", "matrix"}
 # -- tokens -------------------------------------------------------------------
 
 
-def _tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens += tokenize_line(line, lineno)
-        if tokens and tokens[-1].kind != "NEWLINE":
-            tokens.append(Token("NEWLINE", "", lineno, len(line) + 1))
-    last_line = text.count("\n") + 1
-    tokens.append(Token("EOF", "", last_line + 1, 1))
-    return tokens
+def _statement_lines(text: str) -> List[List[Token]]:
+    """The tokens of each line that holds a statement, cut at '#' and closed
+    by tokenize_line's END token.  Every line is tokenized before any is
+    parsed, so a bad character is reported before a grammar error on an
+    earlier line."""
+    lines = [tokenize_line(raw.split("#", 1)[0], n) for n, raw in enumerate(text.splitlines(), start=1)]
+    return [tokens for tokens in lines if len(tokens) > 1]
 
 
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SrcLoc:
-    line: int
-    col: int
-
-
-_NOLOC = SrcLoc(0, 0)
-
-
 @dataclass
 class FieldDecl:
     p: int
-    loc: SrcLoc = dc_field(default=_NOLOC, compare=False)
 
 
 @dataclass
@@ -113,7 +100,6 @@ class RingDecl:
     name: str
     varnames: Tuple[str, ...]
     relations: Tuple[Polynomial, ...]
-    loc: SrcLoc = dc_field(default=_NOLOC, compare=False)
 
 
 @dataclass
@@ -122,14 +108,12 @@ class ModuleDecl:
     kind: str                       # a key of MODULE_SLOTS
     ring: str
     args: dict                      # slot: value, one for each of MODULE_SLOTS[kind]
-    loc: SrcLoc = dc_field(default=_NOLOC, compare=False)
 
 
 @dataclass
 class TaskDecl:
     kind: str                       # a key of TASK_SLOTS
     args: dict                      # slot: value, one for each of TASK_SLOTS[kind]
-    loc: SrcLoc = dc_field(default=_NOLOC, compare=False)
 
     def label(self) -> str:
         parts = [self.kind]
@@ -152,8 +136,13 @@ class Scenario:
 
 
 class _Parser(TokenStream):
+    """Parses one statement from each statement line: the stream holds that
+    line's tokens while its statement is parsed."""
+
     def __init__(self, text: str):
-        super().__init__(_tokenize(text))  # kinds IDENT, INT, SYM, NEWLINE, EOF
+        super().__init__([])
+        self.lines = _statement_lines(text)
+        self.last_line = text.count("\n") + 1
         self.fp: Optional[Field] = None
         self.rings: Dict[str, RingDecl] = {}
         self.modules: Dict[str, ModuleDecl] = {}
@@ -186,17 +175,9 @@ class _Parser(TokenStream):
             self.fail(f"expected '{word}'")
         return self.take()
 
-    def skip_newlines(self):
-        while self.peek().kind == "NEWLINE":
-            self.take()
-
     def end_statement(self):
-        tok = self.peek()
-        if tok.kind == "EOF":
-            return
-        if tok.kind != "NEWLINE":
+        if self.peek().kind != "END":
             self.fail("expected end of line")
-        self.take()
 
     def comma_list(self, item: Callable[[], object], close: Optional[str] = None) -> list:
         """item(), then ', ' item() while a comma follows.  With close the
@@ -212,36 +193,28 @@ class _Parser(TokenStream):
 
     # grammar
     def parse(self) -> Scenario:
-        self.skip_newlines()
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.value != "field":
-            self.fail("expected 'field'")
-        field_decl = self.parse_field()
-        decls: List[object] = []
-        tasks: List[TaskDecl] = []
-        while True:
-            self.skip_newlines()
+        if not self.lines:
+            raise ScenarioError("expected 'field'", self.last_line + 1, 1)
+        parsers = {"ring": self.parse_ring, "module": self.parse_module, "task": self.parse_task}
+        statements = []
+        for tokens in self.lines:
+            self.tokens, self.pos = tokens, 0
             tok = self.peek()
-            if tok.kind == "EOF":
-                break
-            if tok.kind != "IDENT":
-                self.fail("expected 'ring', 'module' or 'task'")
-            if tok.value == "ring":
-                decl = self.parse_ring()
-            elif tok.value == "module":
-                decl = self.parse_module()
-            elif tok.value == "task":
-                decl = self.parse_task()
-                tasks.append(decl)
-            elif tok.value == "field":
+            word = tok.value if tok.kind == "IDENT" else None
+            if not statements:
+                statements.append(self.parse_field())  # "expected 'field'" at any other word
+            elif word == "field":
                 self.fail("duplicate 'field' declaration")
-            else:
+            elif word not in parsers:
                 self.fail("expected 'ring', 'module' or 'task'")
-            decls.append(decl)
-        return Scenario(field_decl, tuple(decls), dict(self.rings), dict(self.modules), tuple(tasks))
+            else:
+                statements.append(parsers[word]())
+            self.end_statement()
+        tasks = tuple(decl for decl in statements if isinstance(decl, TaskDecl))
+        return Scenario(statements[0], tuple(statements[1:]), dict(self.rings), dict(self.modules), tasks)
 
     def parse_field(self) -> FieldDecl:
-        tok = self.expect_keyword("field")
+        self.expect_keyword("field")
         self.expect_keyword("p")
         self.expect_sym("=")
         ptok = self.peek()
@@ -250,11 +223,10 @@ class _Parser(TokenStream):
             self.fp = Field(p)
         except InputError as exc:
             raise ScenarioError(str(exc), ptok.line, ptok.col) from exc
-        self.end_statement()
-        return FieldDecl(p, SrcLoc(tok.line, tok.col))
+        return FieldDecl(p)
 
     def parse_ring(self) -> RingDecl:
-        tok = self.expect_keyword("ring")
+        self.expect_keyword("ring")
         name_tok = self.expect_ident("ring name")
         name = name_tok.value
         if name in self.rings or name in self.modules:
@@ -277,13 +249,12 @@ class _Parser(TokenStream):
 
         relations = self.comma_list(relation, ")")
         self.expect_sym(")")
-        self.end_statement()
-        decl = RingDecl(name, tuple(varnames), tuple(relations), SrcLoc(tok.line, tok.col))
+        decl = RingDecl(name, tuple(varnames), tuple(relations))
         self.rings[name] = decl
         return decl
 
     def parse_module(self) -> ModuleDecl:
-        tok = self.expect_keyword("module")
+        self.expect_keyword("module")
         name_tok = self.expect_ident("module name")
         name = name_tok.value
         if name in self.rings or name in self.modules:
@@ -300,17 +271,14 @@ class _Parser(TokenStream):
             self.fail(f"j={args['j']} out of range for ring {ring!r}", name_tok)
         if "module2" in args and self.modules[args["module2"]].ring != ring:
             self.fail("sum of modules over different rings", name_tok)
-        self.end_statement()
-        decl = ModuleDecl(name, kind_tok.value, ring, args, SrcLoc(tok.line, tok.col))
+        decl = ModuleDecl(name, kind_tok.value, ring, args)
         self.modules[name] = decl
         return decl
 
     def parse_task(self) -> TaskDecl:
-        tok = self.expect_keyword("task")
+        self.expect_keyword("task")
         kind = self.parse_task_name()
-        args = self.parse_slots(TASK_SLOTS[kind], task=True)
-        self.end_statement()
-        return TaskDecl(kind, args, SrcLoc(tok.line, tok.col))
+        return TaskDecl(kind, self.parse_slots(TASK_SLOTS[kind], task=True))
 
     def parse_task_name(self) -> str:
         parts = [self.expect_ident("task name").value]
@@ -542,7 +510,6 @@ class _Workspace:
     """
 
     def __init__(self, scenario: Scenario, options: RunOptions):
-        self.scenario = scenario
         self.options = options
         self.field = Field(scenario.field_decl.p)
         self.algebras: Dict[str, Algebra] = {}
@@ -640,8 +607,8 @@ def _run_task(ws: _Workspace, task: TaskDecl) -> dict:
                 built = ("was not built from k by kchi or cut, so it has no cut size" if ws.cuts[name] is None
                          else f"was built with {ws.cuts[name]} coordinate cuts")
                 raise InputError(f"test module {name!r} {built}, task declares t={t}")
-            tests.append((ws.mods[name], t))
-        v = vartest_check(ws.mods[a["module"]], tests, opts.max_degree)
+            tests.append(ws.mods[name])
+        v = vartest_check(ws.mods[a["module"]], tests, t, opts.max_degree)
         return {"ok": v.ok, **v.to_jsonable()}
     if task.kind == "testci":
         tests = [ws.mods[name] for name in a["tests"]]

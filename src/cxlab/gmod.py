@@ -31,11 +31,13 @@ slice, are built on each request and not kept.  `extend_linearly`,
 
 A matrix over A, a map F' -> F of free modules, has one form: its
 generator images, the dim F x rank F' matrix whose column g is the image of
-generator g, entry (r, g) in the rows of block r.  `entry_images` writes it
-from entries given as algebra elements, `extend_linearly` realizes it,
-`compose_on_generators` composes a map into any module with it, and
-`coefficient_view` reads its coefficient array off it, without a copy, for
-`block_action`.
+generator g, entry (r, g) in the rows of block r.  Its layout has one
+reading and one writing, both here: `coefficient_view` reads its
+coefficient array C[m, r, g] off it, without a copy, and `images_of`, the
+inverse, writes it from such an array; `entry_images` writes it from
+entries given as algebra elements through `images_of`.  `extend_linearly`
+realizes it, `compose_on_generators` composes a map into any module with
+it, and `block_action` applies it to N^r through its coefficient array.
 """
 from __future__ import annotations
 
@@ -56,6 +58,7 @@ __all__ = [
     "free_module",
     "extend_linearly",
     "coefficient_view",
+    "images_of",
     "entry_images",
     "compose_on_generators",
     "block_action",
@@ -331,14 +334,21 @@ def coefficient_view(d: Mat, algebra: Algebra) -> np.ndarray:
     return d.a.reshape(d.rows // dA, dA, d.cols).transpose(1, 0, 2)
 
 
+def images_of(coeffs: np.ndarray, field: Field) -> Mat:
+    """The generator images of a matrix over A given by its coefficient
+    array, the inverse of coefficient_view: coeffs[m, r, g], an int64
+    residue mod p, is the coefficient of basis monomial m in entry (r, g)."""
+    dA, rows, cols = coeffs.shape
+    return Mat._trusted(field, coeffs.transpose(1, 0, 2).reshape(rows * dA, cols))
+
+
 def entry_images(algebra: Algebra, entries: Sequence[Sequence[AlgebraElement]], rows: int, cols: int) -> Mat:
     """The generator images of a rows x cols matrix over A given entry by
     entry: column j holds entries[i][j] in the rows of block i."""
     if any(a.algebra is not algebra for row in entries for a in row):
         raise InputError("entry over a different algebra")
     vecs = np.array([[a.vec for a in row] for row in entries], dtype=np.int64)
-    return Mat._trusted(algebra.field, vecs.reshape(rows, cols, algebra.dim).transpose(0, 2, 1)
-                        .reshape(rows * algebra.dim, cols))
+    return images_of(vecs.reshape(rows, cols, algebra.dim).transpose(2, 0, 1), algebra.field)
 
 
 def compose_on_generators(target: Module, images: Mat, d: Mat) -> Mat:
@@ -381,18 +391,6 @@ def block_action(n: Module, coeffs: np.ndarray) -> Mat:
                         n._stacked("basis")[occurring].reshape(occurring.size, d * d), n.field.p)
     out = terms.reshape(rows, cols, d, d).transpose(0, 2, 1, 3).reshape(rows * d, cols * d)
     return Mat._trusted(n.field, out)
-
-
-def realize_algebra_matrix(src: FreeModule, tgt: FreeModule,
-                           entries: Sequence[Sequence[AlgebraElement]]) -> Mat:
-    """Field-linear matrix of the map src -> tgt given by a matrix over A.
-
-    entries[i][j] is the coefficient of generator i of tgt on generator j of
-    src: the A-linear extension of the generator images the entries give.
-    """
-    if len(entries) != tgt.rank or any(len(r) != src.rank for r in entries):
-        raise InputError("entry matrix shape does not match generator counts")
-    return extend_linearly(tgt, entry_images(src.algebra, entries, tgt.rank, src.rank))
 
 
 def residue_field(algebra: Algebra) -> Module:

@@ -149,7 +149,7 @@ class Polynomial:
 
 
 class Token(NamedTuple):
-    kind: str   # INT, IDENT, SYM; any other kind ends a polynomial
+    kind: str   # INT, IDENT, SYM, or END, which closes a line
     value: str
     line: int
     col: int
@@ -185,8 +185,9 @@ _TOKEN = re.compile(r"\s*(?:(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)|(?P<INT>[0-9]+)"
 
 
 def tokenize_line(text: str, line: int = 1) -> List[Token]:
-    """The tokens of one line of the scenario language, polynomials included;
-    a character that starts no token raises a ScenarioError at its column."""
+    """The tokens of one line of the scenario language, polynomials included,
+    closed by an END token one column past the line; a character that
+    starts no token raises a ScenarioError at its column."""
     tokens: List[Token] = []
     pos = 0
     while (m := _TOKEN.match(text, pos)) is not None:
@@ -195,7 +196,7 @@ def tokenize_line(text: str, line: int = 1) -> List[Token]:
     rest = text[pos:].lstrip()
     if rest:
         raise ScenarioError(f"unexpected character {rest[0]!r}", line, len(text) - len(rest) + 1)
-    return tokens
+    return tokens + [Token("END", "", line, len(text) + 1)]
 
 
 def parse_poly_tokens(stream: TokenStream, varnames: Sequence[str], field: Field) -> Polynomial:
@@ -244,7 +245,7 @@ def parse_poly_tokens(stream: TokenStream, varnames: Sequence[str], field: Field
 def parse_polynomial(text: str, varnames: Sequence[str], field: Field) -> Polynomial:
     """Parse one polynomial in the shared syntax (see parse_poly_tokens);
     whitespace is insignificant."""
-    stream = TokenStream(tokenize_line(text) + [Token("END", "", 1, len(text) + 1)])
+    stream = TokenStream(tokenize_line(text))
     poly = parse_poly_tokens(stream, varnames, field)
     if stream.peek().kind != "END":
         stream.fail(f"unexpected {stream.peek().value!r} after the polynomial", stream.peek())

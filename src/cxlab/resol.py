@@ -38,10 +38,10 @@ from .gmod import (
     coefficient_view,
     column_degrees,
     compose_on_generators,
+    entry_images,
     extend_linearly,
     free_module,
     min_generators,
-    realize_algebra_matrix,
     submodule_from_span,
 )
 
@@ -118,8 +118,8 @@ class MinimalFreeResolution:
             images = Mat._trusted(A.field, np.column_stack([vec for vec, _ in gens]))
             if i:
                 # minimality: constructive generator choice keeps entries in
-                # m, so the images vanish at the generator rows of F_{i-1}
-                check(not images.a[:: A.dim].any(), "differential entry has a unit component")
+                # m, so the constant coefficients of the images vanish
+                check(not coefficient_view(images, A)[0].any(), "differential entry has a unit component")
                 # both maps are A-linear, so d_{i-1} o d_i vanishes when it
                 # vanishes on the generators of F_i
                 check(compose_on_generators(self.frees[i - 2] if i > 1 else self.module,
@@ -376,26 +376,25 @@ def verify_complex(algebra: Algebra, matrices: Sequence[Sequence[Sequence[Algebr
     failures: List[dict] = []
     degrees = list(target_degrees) if target_degrees is not None else [0] * len(matrices[0])
     frees = [free_module(algebra, degrees)]
-    realized = []
+    images, realized = [], []
     for idx, mat in enumerate(matrices):
         what = f"matrix {start_index + idx}"
         F_next = free_module(algebra, column_degrees(algebra, mat, frees[-1].gen_degrees, what))
-        realized.append(realize_algebra_matrix(F_next, frees[-1], mat))
+        images.append(entry_images(algebra, mat, frees[-1].rank, F_next.rank))
+        realized.append(extend_linearly(frees[-1], images[-1]))
         frees.append(F_next)
 
-    # the generators of a free module sit at every dim A-th coordinate.  Both
-    # maps are A-linear, so d_n o d_{n+1} vanishes when it vanishes on the
-    # generator columns of d_{n+1}; the units of d_n are its constant
-    # coefficients, read at its generator rows and generator columns
-    dA = algebra.dim
+    # both maps are A-linear, so d_n o d_{n+1} vanishes when it vanishes on
+    # the generators of F_{n+2}: d_n times the generator images of d_{n+1};
+    # the units of d_n are its constant coefficients
     d2_ok = True
     for n in range(len(matrices) - 1):
-        if not (realized[n] @ Mat._trusted(algebra.field, realized[n + 1].a[:, ::dA])).is_zero():
+        if not (realized[n] @ images[n + 1]).is_zero():
             d2_ok = False
             failures.append({"kind": "d2_nonzero", "at": start_index + n})
     minimal = True
     for idx in range(len(matrices)):
-        for i, j in zip(*np.nonzero(realized[idx].a[::dA, ::dA])):
+        for i, j in zip(*np.nonzero(coefficient_view(images[idx], algebra)[0])):
             minimal = False
             failures.append({"kind": "unit_entry", "matrix": start_index + idx, "row": int(i), "col": int(j)})
     exact_at = []

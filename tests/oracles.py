@@ -462,7 +462,7 @@ def eager_resolution(module, n):
 def assert_matches_eager(module, n):
     """The engine's resolution of module agrees with eager_resolution to step n:
     augmentation, differentials (realized and over A), syzygies and inclusions."""
-    from cxlab.gmod import realize_algebra_matrix
+    from cxlab.gmod import entry_images, extend_linearly
     from cxlab.resol import resolve, syzygy
 
     res = resolve(module, n)
@@ -471,7 +471,8 @@ def assert_matches_eager(module, n):
     for i in range(1, n + 1):
         assert res.free(i).gen_degrees == frees[i].gen_degrees, i
         assert res.diff_realized(i) == maps[i], i
-        assert realize_algebra_matrix(frees[i], frees[i - 1], diff_algebra(res, i)) == maps[i], i
+        d = entry_images(module.algebra, diff_algebra(res, i), frees[i - 1].rank, frees[i].rank)
+        assert extend_linearly(frees[i - 1], d) == maps[i], i
         S, ref = syzygy(module, i), syzygies[i]
         assert S.degrees == ref.module.degrees, i
         assert S.actions == ref.module.actions, i
@@ -650,7 +651,7 @@ def eisenbud_chi(ci, res, max_degree):
     as x^(e - n_j e_j), whose normal form (nf_monomial) is the entry's part
     of chi_j.  Returns {(j, n): realized matrix F_n -> F_{n-2}}, j 1-based.
     """
-    from cxlab.gmod import realize_algebra_matrix
+    from cxlab.gmod import entry_images, extend_linearly
     from cxlab.gralg import AlgebraElement
 
     A, p, exps = ci.algebra, ci.field.p, ci.exponents
@@ -675,7 +676,7 @@ def eisenbud_chi(ci, res, max_degree):
                     parts[j][r][g] = (parts[j][r][g] + c * A.nf_monomial(quotient)) % p
         for j, part in enumerate(parts):
             entries = [[AlgebraElement(A, v) for v in row] for row in part]
-            out[(j + 1, n)] = realize_algebra_matrix(res.free(n), res.free(n - 2), entries)
+            out[(j + 1, n)] = extend_linearly(res.free(n - 2), entry_images(A, entries, rows, cols))
     return out
 
 

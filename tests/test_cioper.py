@@ -257,18 +257,18 @@ def test_support_dimension(quadric, k):
 def test_vartest_check(quadric, k):
     T1, T2 = build_kchi(quadric, 1), build_kchi(quadric, 2)
     F = free_module(quadric.algebra, [0])
-    assert vartest_check(F, [(T1, 1)]).kind == "bound_established"
-    v = vartest_check(k, [(T1, 1), (T2, 1)])
+    assert vartest_check(F, [T1], 1).kind == "bound_established"
+    v = vartest_check(k, [T1, T2], 1)
     assert v.kind == "inconclusive"
     # a once-cut module is perpendicular to the complementary cut
     ops = eisenbud_operators(quadric, k, 6)
     K1 = cut_by_chi(ops, 1).module
-    v = vartest_check(K1, [(T1, 1), (T2, 1)], max_degree=20)
+    v = vartest_check(K1, [T1, T2], 1, max_degree=20)
     assert v.kind == "bound_established"
     # a tail of 6 degrees ending at 3 would read degrees -2..0, wrapped
-    assert vartest_check(K1, [(T1, 1)], max_degree=6).params["tail_window"] == [1, 6]
+    assert vartest_check(K1, [T1], 1, max_degree=6).params["tail_window"] == [1, 6]
     with pytest.raises(InputError, match="shorter than the tail"):
-        vartest_check(K1, [(T1, 1)], max_degree=3)
+        vartest_check(K1, [T1], 1, max_degree=3)
 
 
 def test_testci_harness(quadric, k, Ax):

@@ -57,6 +57,9 @@ _MIXED = _K + "module M = syzygy k i=1\nring B = [u] / (u^3)\nmodule kb = k B\nm
 
 _PARSE_ERRORS = [
     ("ring A = [x] / (x^2)\n", "expected 'field'", 1, 1),
+    # a scenario without a statement ends on the line after its last
+    ("", "expected 'field'", 2, 1),
+    ("# only a comment\n\n", "expected 'field'", 4, 1),
     ("field p = 5\nfield p = 7\n", "duplicate 'field' declaration", 2, 1),
     ("field p = 6\n", "field cardinality must be prime, got 6", 1, 11),
     ("field p = 5\nring A = [x,x] / (x^2)\n", "duplicate variable name", 2, 6),
@@ -92,7 +95,12 @@ _PARSE_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("text, message, line, col", _PARSE_ERRORS, ids=[e[1] for e in _PARSE_ERRORS])
+# a row is named by its message, and a message's repeats also by line:col
+_PARSE_ERROR_IDS = [e[1] if [r[1] for r in _PARSE_ERRORS].index(e[1]) == i else f"{e[1]} at {e[2]}:{e[3]}"
+                    for i, e in enumerate(_PARSE_ERRORS)]
+
+
+@pytest.mark.parametrize("text, message, line, col", _PARSE_ERRORS, ids=_PARSE_ERROR_IDS)
 def test_parse_error_message_and_location(text, message, line, col):
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(text)
@@ -123,6 +131,14 @@ def test_parse_error_points_at_unknown_variable():
     with pytest.raises(ScenarioError, match="unknown variable 'z'") as exc:
         parse_scenario(text)
     assert (exc.value.line, exc.value.col) == (2, 33)
+
+
+def test_bad_character_is_reported_before_an_earlier_grammar_error():
+    # every line is tokenized before any statement is parsed
+    text = "field p = 5\nring A = [x] / (y^2)\nmodule M = k A $"
+    with pytest.raises(ScenarioError, match="unexpected character '\\$'") as exc:
+        parse_scenario(text)
+    assert (exc.value.line, exc.value.col) == (3, 16)
 
 
 def test_parse_roundtrip_shipped_scenarios():

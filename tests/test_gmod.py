@@ -25,9 +25,9 @@ from cxlab.gmod import (
     free_module,
     coefficient_view,
     entry_images,
+    images_of,
     min_generators,
     quotient_by_span,
-    realize_algebra_matrix,
     residue_field,
     shift,
     submodule_from_span,
@@ -88,7 +88,7 @@ def test_realize_algebra_matrix_entrywise(gasharov):
 
     pe = lambda s: gasharov.nf_polynomial(parse_polynomial(s, GASHAROV_VARS, F5))
     entries = [[pe("x1"), pe("0")], [pe("2*x3+x4"), pe("x2*x5")], [pe("1+x3"), pe("3*x4^2")]]
-    got = realize_algebra_matrix(free_module(gasharov, [0, 0]), free_module(gasharov, [0, 0, 0]), entries).a
+    got = extend_linearly(free_module(gasharov, [0, 0, 0]), entry_images(gasharov, entries, 3, 2)).a
     dA = gasharov.dim
     for i, row in enumerate(entries):
         for j, a in enumerate(row):
@@ -398,8 +398,7 @@ def test_block_actions_exact_at_large_prime():
     coeffs = p - rng.integers(1, 100, (A.dim, 2, 3))
     entries = [[A.element(coeffs[:, i, j]) for j in range(3)] for i in range(2)]
     assert np.array_equal(block_action(M, coeffs).a, oracles.block_action(M, entries, 2, 3))
-    G = free_module(A, [0, 0, 0])
-    assert np.array_equal(realize_algebra_matrix(G, free_module(A, [0, 0]), entries).a,
+    assert np.array_equal(extend_linearly(free_module(A, [0, 0]), entry_images(A, entries, 2, 3)).a,
                           oracles.block_action(oracles.regular_module(A), entries, 2, 3))
     # a resolution whose differentials have dense linear entries
     form = A.element(np.concatenate([[0], rng.integers(1, p, 3), np.zeros(A.dim - 4, dtype=np.int64)]))
@@ -430,6 +429,7 @@ def test_compose_on_generators_matches_realized_product(p):
         d = block_action(oracles.regular_module(A), coeffs)
         d_images = Mat(F, d.a[:, gens])
         assert np.array_equal(coefficient_view(d_images, A), coeffs)
+        assert images_of(coeffs, F) == d_images
         entries = [[A.element(coeffs[:, r, g]) for g in range(src.rank)] for r in range(mid.rank)]
         assert entry_images(A, entries, mid.rank, src.rank) == d_images
         got = compose_on_generators(tgt, images, d_images)
@@ -494,7 +494,7 @@ def test_derived_modules_inherit_axioms(monkeypatch):
     socle = _unit_row(F, B.basis_index[(0, 2)])  # y^2 on the first generator
     quotient_by_span(F, socle)
     submodule_from_span(F, socle)
-    realize_algebra_matrix(G, F, [[B.variable(0)], [B.zero()]])
+    extend_linearly(F, entry_images(B, [[B.variable(0)], [B.zero()]], 2, 1))
     assert calls == []
     Module(B, [0], [Mat.zeros(F5, 1, 1)] * 2)
     assert calls == [""]

@@ -249,3 +249,6 @@ def test_polynomial_tokens_are_the_scenario_tokens():
         with pytest.raises(InputError, match=f"1:{col}: unexpected character"):
             parse_polynomial(text, ["x"], F5)
     assert tokenize_line("ring A = [x]", 2)[3] == Token("SYM", "[", 2, 10)
+    # a line is closed by END one column past its end
+    assert tokenize_line("ring A = [x]", 2)[-1] == Token("END", "", 2, 13)
+    assert tokenize_line("  ", 3) == [Token("END", "", 3, 3)]

@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from cxlab.cioper import MonomialCI, build_kchi, cut_by_chi, eisenbud_operators
+from cxlab.cioper import MonomialCI, build_kchi, cut_by_chi, eisenbud_operators, vartest_check
 from cxlab.exactla import Field
-from cxlab.gmod import coker_presentation, direct_sum, free_module, realize_algebra_matrix, residue_field
+from cxlab.gmod import coker_presentation, direct_sum, entry_images, extend_linearly, free_module, residue_field
 from cxlab.gralg import Algebra
 from cxlab.resol import estimate_complexity, resolve, syzygy
 from cxlab.errors import InvariantError
@@ -101,12 +101,28 @@ def test_block_actions_match_entrywise_reference(random_modules):
             d = oracles.diff_algebra(res, i)
             r, c = res.free(i - 1).rank, res.free(i).rank
             regular = oracles.regular_module(M.algebra)
-            assert np.array_equal(realize_algebra_matrix(res.free(i), res.free(i - 1), d).a,
+            assert np.array_equal(extend_linearly(res.free(i - 1), entry_images(M.algebra, d, r, c)).a,
                                   oracles.block_action(regular, d, r, c))
             assert np.array_equal(_tensor_differential(res, N, i).a, oracles.block_action(N, d, r, c))
             transposed = [[d[h][g] for h in range(r)] for g in range(c)]
             assert np.array_equal(_hom_differential(res, N, i - 1).a,
                                   oracles.block_action(N, transposed, c, r))
+
+
+def test_vartest_bound_never_below_a_stabilized_estimate(random_modules, quadric, cubic):
+    # the sound direction only: tail vanishing against a cut of size 1
+    # proves cx M <= 1, so no stabilized estimate may exceed it; a coordinate
+    # cut may be inconclusive where the bound holds
+    tests = {id(quadric.algebra): [build_kchi(quadric, 1), build_kchi(quadric, 2)],
+             id(cubic.algebra): [build_kchi(cubic, 1)]}
+    kinds = set()
+    for M in random_modules:
+        v = vartest_check(M, tests[id(M.algebra)], 1, max_degree=12)
+        kinds.add(v.kind)
+        if v.kind == "bound_established":
+            est = estimate_complexity(resolve(M, 12).betti_list(12))
+            assert not est.stabilized or est.value <= 1, (M.degrees, est)
+    assert kinds == {"bound_established", "inconclusive"}
 
 
 def test_syzygy_betti_shift_random(random_modules):
