@@ -80,10 +80,12 @@ _BARE_SLOTS = {"ring", "module", "module2", "matrix"}
 
 def _statement_lines(text: str) -> List[List[Token]]:
     """The tokens of each line that holds a statement, cut at '#' and closed
-    by tokenize_line's END token.  Every line is tokenized before any is
-    parsed, so a bad character is reported before a grammar error on an
-    earlier line."""
-    lines = [tokenize_line(raw.split("#", 1)[0], n) for n, raw in enumerate(text.splitlines(), start=1)]
+    by tokenize_line's END token.  Lines end only at a line feed, the
+    character that the line numbers of errors count; a carriage return, a
+    form feed, U+2028 and the other breaks of str.splitlines are whitespace
+    within a line.  Every line is tokenized before any is parsed, so a bad
+    character is reported before a grammar error on an earlier line."""
+    lines = [tokenize_line(raw.split("#", 1)[0], n) for n, raw in enumerate(text.split("\n"), start=1)]
     return [tokens for tokens in lines if len(tokens) > 1]
 
 

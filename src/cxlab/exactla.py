@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p.
 
 This is the sole arithmetic substrate of the engine.  Matrices are int64
 arrays with entries normalized to [0, p); every operation returns the exact
@@ -10,40 +10,48 @@ FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  Past that
 bound the operands are lifted to balanced residues in (-p/2, p/2], and
 while k max|a| max|b| stays below 2^53 one product is still exact (entries
 of +-1 at p = 2^31 - 1 take this path); otherwise each operand is split
-into 16-bit limbs.  Pivoting is deterministic (first nonzero entry in
-column order), so all derived bases are reproducible across runs and
-platforms.
+into 16-bit limbs.
 
 A Mat has two constructors.  The public Mat(field, array) reduces its input
 mod p (a copy), and so do +, -, negation and scale.  The private
 Mat._trusted wraps an array that is reduced by construction (a product, an
 echelon form, a transpose, a stack or slice of reduced arrays) without a
-copy.  Elimination first peels the rows with a single nonzero entry: each
-is a multiple of a unit vector e_c, so c is a pivot column whose reduced
-row is e_c; the column is cleared from the nonzero pattern without any
-arithmetic, which may make new singleton rows (the singleton step of
-structured Gaussian elimination).  On the benchmark's inputs peeling
-leaves about a tenth of the cells.  The residual clears each pivot column only in the rows where it
-is nonzero while those are fewer than a quarter of the rows, and with one
-rank-1 update of the whole block otherwise.  A large residual is split into
-the blocks of its nonzero pattern (over a monomial complete intersection,
-many tiny blocks of a few shapes), and the blocks of each shape are
-stacked and eliminated together, column by column, by one batched kernel,
-and their pivot rows are normalized with one inverse per distinct pivot
-value.  The reduced echelon form of a row space is unique, so every path
-gives the same result.
+copy.
+
+One elimination, _rref_array, is behind rref, kernel_rref, pivot_inverse
+and Mat.rank, and it picks its method from the density of its input.  The
+matrices the engine eliminates are nearly empty: on the benchmark's inputs
+they hold at most 1.1 times as many nonzeros as their longer side.  An
+input with at most 2(rows + cols) nonzeros is eliminated on sparse rows,
+dicts {column: residue} of Python ints, which are exact at every p.  Rows
+are taken fewest entries first, so unit rows become pivots before any
+arithmetic (the singleton step of structured Gaussian elimination:
+LaMacchia and Odlyzko, CRYPTO '90).  Each row is reduced against the pivot
+rows met so far and normalized, and back substitution then runs from the
+last pivot; pivot_columns and Mat.rank stop after the echelon pass.  A
+denser input goes to the dense kernel _eliminate, and so does a sparse one
+whose row operations touch more than a sixteenth of its cells plus 64.  On
+a 2-vCPU Xeon (Python 3.11, numpy 2.4) a touched entry costs about 185 ns
+and a cell of a numpy row update 8 to 12 ns, so the bound caps a pass that
+loses at about the cost of one update of every cell by the dense kernel.
+Pivots are the first nonzero entry in column order, and the reduced echelon
+form of a row space is unique, as are its pivot columns (the leading
+columns of any echelon basis).  Both methods, in any row order, give the
+same array, so no output depends on the method taken, and every derived
+basis is reproducible across runs and platforms.
 """
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InputError
 
-__all__ = ["Field", "Mat", "rref", "kernel_rref", "pivot_inverse"]
+__all__ = ["Field", "Mat", "rref", "kernel_rref", "pivot_inverse", "pivot_columns"]
 
 
 @functools.lru_cache
@@ -184,14 +192,6 @@ class Mat:
     def identity(cls, field: Field, n: int) -> "Mat":
         return cls._trusted(field, np.eye(n, dtype=np.int64))
 
-    @classmethod
-    def from_rows(cls, field: Field, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "Mat":
-        if len(rows) == 0:
-            if cols is None:
-                raise InputError("cannot infer column count of an empty matrix")
-            return cls.zeros(field, 0, cols)
-        return cls(field, np.array([list(r) for r in rows], dtype=np.int64))
-
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check_field(other)
         if self.cols != other.rows:
@@ -236,7 +236,7 @@ class Mat:
         return not self.a.any()
 
     def rank(self) -> int:
-        return rref(self)[2]
+        return len(pivot_columns(self))
 
     def __eq__(self, other) -> bool:
         return (
@@ -255,23 +255,6 @@ class Mat:
     def _check_field(self, other: "Mat"):
         if self.field != other.field:
             raise InputError("matrices over different fields")
-
-
-# Below _PEEL_MIN_CELLS cells a matrix goes to _eliminate whole: looking
-# for singleton rows costs more than they save.  Below _BLOCK_MIN_CELLS the
-# residual left after peeling is eliminated whole: finding and grouping its
-# blocks costs more than it saves.  Measured on the 2768 RREF inputs of one
-# seed-0 pass of each benchmark workload (2 vCPUs, one BLAS thread, best of
-# 15 repeats), summed by size.  Inputs, whole against peeled: 32-48 cells
-# (144 inputs) 2.4 against 3.6 ms, 48-64 cells (61) 1.3 against 1.4 ms,
-# 64-96 cells (181) 5.5 against 4.9 ms.  Peeling leaves 843 nonempty
-# residuals (276k of the 2.69M cells); residuals, whole against blocked:
-# 512-1024 cells (59) 5.7 against 9.5 ms, 1024-2048 cells (26) 3.7
-# against 4.3 ms, 2048-8192 cells (9) 3.4 against 3.8 ms, above 8192 cells
-# (5) 5.5 against 3.6 ms.  All inputs take the same time, within the spread
-# of repeats (100-112 ms), with the block cut at 2048, 4096, 8192 or 16384.
-_PEEL_MIN_CELLS = 48
-_BLOCK_MIN_CELLS = 8192
 
 
 def _eliminate(A: np.ndarray, p: int):
@@ -321,189 +304,101 @@ def _complement(n: int, indices) -> np.ndarray:
     return keep.nonzero()[0]
 
 
-def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Entrywise inverses of the nonzero residues x, a vector: one pow per
-    distinct value (pivots take few)."""
-    values, where = np.unique(x, return_inverse=True)
-    return np.array([pow(int(v), -1, p) for v in values], dtype=np.int64)[where]
-
-
-def _eliminate_batch(B: np.ndarray, p: int):
-    """RREF of every matrix of the stack B, shape (n, rows, cols), in place.
-
-    Returns (B, P): P[k, i] is the pivot column of row i of matrix k, or -1
-    below its rank.  The rules are those of _eliminate, applied to all n
-    matrices at once, so each column costs a fixed number of array
-    operations whatever n is (batched factorization: Haidar, Dong,
-    Luszczek, Tomov and Dongarra, IJHPCA 29(2), 2015).  Each matrix keeps
-    its own current row; its pivot is the first nonzero entry at or below
-    it, swapped up.  Every row j is replaced by v·A_j - f_j·A_r, with v the
-    pivot and f_j the column's entry in row j (f_r = 0): a row operation
-    that needs no inverse, which keeps every term below 2^62.  A matrix
-    without a pivot in the column gets v = 1 and f = 0.  The pivot rows are
-    normalized once at the end.
-    """
-    n, rows, cols = B.shape
-    k = np.arange(n)
-    row = np.arange(rows)
-    r = np.zeros(n, dtype=np.intp)
-    P = np.full((n, rows), -1, dtype=np.intp)
-    for c in range(cols):
-        top = np.minimum(r, rows - 1)
-        below = (B[:, :, c] != 0) & (row >= r[:, None])
-        has = below.any(axis=1)
-        if not has.any():
-            continue
-        i = np.where(has, below.argmax(axis=1), top)
-        if (i != top).any():
-            B[k, top], B[k, i] = B[k, i], B[k, top]
-        pivot_row = B[k, top]
-        v = np.where(has, pivot_row[:, c], 1)
-        f = B[:, :, c] * has[:, None]
-        f[k, top] = 0
-        B *= v[:, None, None]
-        B -= f[:, :, None] * pivot_row[:, None, :]
-        B %= p
-        P[k[has], r[has]] = c
-        r += has
-        if (r == rows).all():
-            break
-    kk, ii = np.nonzero(P >= 0)
-    B[kk, ii] = B[kk, ii] * _inverse_mod(B[kk, ii, P[kk, ii]], p)[:, None] % p
-    return B, P
-
-
-def _blocks(a: np.ndarray):
-    """Component labels (row_label, col_label) of the bipartite graph joining
-    row i to column j where a[i, j] != 0.
-
-    Permuted by component, a is block-diagonal.  Every column is labelled by
-    the smallest column of its component, found by min-label propagation
-    through the rows with pointer jumping, and every row by the label of its
-    columns; zero rows and columns belong to no block and get the label
-    a.shape[1].
-    """
-    r, c = np.nonzero(a)
-    nrows, ncols = a.shape
-    label = np.arange(ncols)
-    while True:
-        row_label = np.full(nrows, ncols)
-        np.minimum.at(row_label, r, label[c])
-        new = label.copy()
-        np.minimum.at(new, c, row_label[r])
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    used = np.zeros(ncols, dtype=bool)
-    used[c] = True
-    return row_label, np.where(used, label, ncols)
-
-
-def _rref_dense(a: np.ndarray, p: int):
-    """RREF of a copy of a, without peeling; returns (array, pivot column list).
-
-    A large matrix is eliminated block by block of its nonzero pattern.  For
-    a fixed column order the RREF of a row space is unique, and the row
-    space of a block-diagonal matrix is the direct sum of its blocks' row
-    spaces, so the reduced blocks, merged by pivot column, are exactly the
-    RREF of the whole matrix.  The blocks are grouped by shape, and each
-    group is gathered into one (n, rows, cols) stack: _eliminate_batch
-    reduces a stack of two or more at once, _eliminate a block whose shape
-    occurs once.  One sort of all pivot columns places the reduced rows, and
-    each group is scattered into place in one step, so Python loops only
-    over the shapes.
-    """
-    if a.size < _BLOCK_MIN_CELLS:
-        return _eliminate(a.copy(), p)
-    ncols = a.shape[1]
-    row_label, col_label = _blocks(a)
-    rows = np.flatnonzero(row_label < ncols)
-    cols = np.flatnonzero(col_label < ncols)
-    # components are numbered in the order of their labels; rows and columns
-    # sorted by component list the components in that order
-    comps = np.unique(col_label[cols])
-    row_comp = np.searchsorted(comps, row_label[rows])
-    col_comp = np.searchsorted(comps, col_label[cols])
-    rows = rows[np.argsort(row_comp, kind="stable")]
-    cols = cols[np.argsort(col_comp, kind="stable")]
-    row_count = np.bincount(row_comp, minlength=comps.size)
-    col_count = np.bincount(col_comp, minlength=comps.size)
-    row_start = np.cumsum(row_count) - row_count
-    col_start = np.cumsum(col_count) - col_count
-    shapes, group = np.unique(row_count * (ncols + 1) + col_count, return_inverse=True)
-    pieces = []  # per shape: (pivot columns, reduced rows, their columns)
-    for g in range(shapes.size):
-        members = np.flatnonzero(group == g)
-        nr, nc = row_count[members[0]], col_count[members[0]]
-        C = cols[col_start[members][:, None] + np.arange(nc)]
-        stack = a[rows[row_start[members][:, None] + np.arange(nr)][:, :, None], C[:, None, :]]
-        if members.size > 1:
-            B, P = _eliminate_batch(stack, p)
+def _subtract(row: dict, f: int, other: dict, p: int) -> int:
+    """row -= f·other in place, on dicts {column: residue}; an entry that
+    becomes 0 is dropped.  Returns the number of entries touched."""
+    for j, v in other.items():
+        x = (row.get(j, 0) - f * v) % p
+        if x:
+            row[j] = x
         else:
-            B, piv = _eliminate(stack[0], p)
-            B, P = B[None], np.full((1, nr), -1, dtype=np.intp)
-            P[0, : len(piv)] = piv
-        k, i = np.nonzero(P >= 0)
-        pieces.append((C[k, P[k, i]], B[k, i], C[k]))
-    # pivot columns are distinct; a reduced row goes to the rank of its own
-    pivots = np.sort(np.concatenate([pc for pc, _, _ in pieces] + [np.zeros(0, dtype=np.intp)]))
-    out = np.zeros_like(a)
-    for pc, reduced, where in pieces:
-        out[np.searchsorted(pivots, pc)[:, None], where] = reduced
-    return out, pivots.tolist()
+            # f and v are units, so an entry becomes 0 only where row had one
+            del row[j]
+    return len(other)
+
+
+def _sparse_rref(rows, p: int, budget=math.inf, reduced: bool = True) -> Optional[dict]:
+    """Echelon pivot rows of the row space of rows, dicts {column: residue}
+    with residues in [0, p) (consumed); None once the row operations touch
+    more than budget entries.
+
+    Returns {pivot column: row}, each row 1 at its pivot column.  Rows are
+    taken fewest entries first, so unit rows become pivots before any
+    arithmetic.  Each is reduced by its least column against the pivot rows
+    met so far until that column is no pivot, and then becomes its pivot
+    row, normalized.  The pivot rows have distinct least columns, so they
+    are an echelon basis of the row space and their pivot columns are those
+    of its RREF.  With reduced, back substitution from the last pivot clears
+    the later pivot columns from each row, making the rows the RREF's.
+    Residues are Python ints: f·v < p^2 is exact at every p.  gralg hands
+    its ideal's slices here as rows, with no dense form and no bound.
+    """
+    pivot: dict = {}
+    work = 0
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            other = pivot.get(c)
+            if other is None:
+                if row[c] != 1:
+                    inv = pow(row[c], p - 2, p)
+                    row = {j: v * inv % p for j, v in row.items()}
+                pivot[c] = row
+                break
+            work += _subtract(row, row[c], other, p)
+            if work > budget:
+                return None
+    if reduced:
+        # the rows after c are already reduced: they hold no other pivot column
+        for c in sorted(pivot, reverse=True):
+            row = pivot[c]
+            for j in [j for j in row if j != c and j in pivot]:
+                work += _subtract(row, row[j], pivot[j], p)
+            if work > budget:
+                return None
+    return pivot
+
+
+def _sparse_pivots(a: np.ndarray, p: int, reduced: bool) -> Optional[dict]:
+    """_sparse_rref of the rows of a when a holds at most 2(rows + cols)
+    nonzeros, with a work bound of a sixteenth of its cells; None when a is
+    denser or its fill passes the bound (the caller then runs _eliminate)."""
+    nonzeros = np.count_nonzero(a)
+    if nonzeros > 2 * (a.shape[0] + a.shape[1]):
+        return None
+    if not nonzeros:
+        return {}
+    r, c = a.nonzero()
+    dict_rows: dict = {}
+    for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
+        if i in dict_rows:
+            dict_rows[i][j] = v
+        else:
+            dict_rows[i] = {j: v}
+    return _sparse_rref(dict_rows.values(), p, a.size // 16 + 64, reduced)
 
 
 def _rref_array(a: np.ndarray, p: int):
-    """RREF of a copy of a; returns (array, pivot column list).
-
-    Rows with a single nonzero entry are taken first, before any arithmetic
-    (the singleton step of structured Gaussian elimination: LaMacchia and
-    Odlyzko, CRYPTO '90; Faugere and Lachartre, PASCO 2010, take known
-    pivots the same way).  Such a row is a multiple of the unit vector e_c,
-    so e_c lies in the row space: c is a pivot column, its RREF row is e_c,
-    and every other RREF row is zero at c.  Column c is cleared from the
-    nonzero pattern, and the nonzero count of each row it meets drops by
-    one, which may make new singleton rows; the step repeats until none is
-    left.  Every row of a is then a combination of the peeled e_c plus its
-    residual, the row restricted to the columns not peeled, so the row
-    space of a is the direct sum of span{e_c} and the row space of the
-    residual.  The residual's RREF (_rref_dense, on its nonzero rows and
-    columns only) is zero at every peeled column and the e_c are zero at
-    its pivots, so the two sets of rows, merged by pivot column, are the
-    RREF of a: the same array as eliminating a whole.
-    """
-    if a.size < _PEEL_MIN_CELLS:
+    """RREF of a copy of a; returns (array, pivot column list): by sparse
+    rows (_sparse_pivots) where they apply, otherwise by _eliminate."""
+    pivot = _sparse_pivots(a, p, reduced=True)
+    if pivot is None:
         return _eliminate(a.copy(), p)
-    nz = a != 0
-    count = nz.sum(axis=1)
-    peeled = []
-    while True:
-        single = (count == 1).nonzero()[0]
-        if single.size == 0:
-            break
-        # the column of each singleton row; rows sharing one column peel it once
-        hit = np.zeros(a.shape[1], dtype=bool)
-        hit[nz[single].argmax(axis=1)] = True
-        c = hit.nonzero()[0]
-        count -= nz[:, c].sum(axis=1)
-        nz[:, c] = False
-        peeled.append(c)
-    if not peeled:
-        return _rref_dense(a, p)
-    unit = np.concatenate(peeled)
-    rows = count.nonzero()[0]
-    cols = nz.any(axis=0).nonzero()[0]
-    R, piv = _rref_dense(a[rows][:, cols], p)
-    reduced = cols[piv]
-    pivots = np.sort(np.concatenate([unit, reduced]))
+    lead = sorted(pivot)
     out = np.zeros(a.shape, dtype=np.int64)
-    out[np.searchsorted(pivots, unit), unit] = 1
-    # whole rows scatter faster than a row-by-column grid
-    wide = np.zeros((len(piv), a.shape[1]), dtype=np.int64)
-    wide[:, cols] = R[: len(piv)]
-    out[np.searchsorted(pivots, reduced)] = wide
-    return out, pivots.tolist()
+    reduced = [pivot[c] for c in lead]
+    where = [i for i, row in enumerate(reduced) for _ in row]
+    out[where, [j for row in reduced for j in row]] = [v for row in reduced for v in row.values()]
+    return out, lead
+
+
+def pivot_columns(m: Mat) -> tuple:
+    """The pivot columns of rref(m), from the echelon pass alone: no back
+    substitution and no reduced array."""
+    pivot = _sparse_pivots(m.a, m.field.p, reduced=False)
+    if pivot is None:
+        return tuple(_eliminate(m.a.copy(), m.field.p)[1])
+    return tuple(sorted(pivot))
 
 
 def rref(m: Mat):

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InvariantError, check
-from .exactla import Field, Mat, _complement, _matmul_mod, rref
+from .exactla import Field, Mat, _complement, _matmul_mod, pivot_columns, rref
 from .gralg import Algebra, AlgebraElement
 
 __all__ = [
@@ -436,7 +436,7 @@ def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarr
     # mN is spanned by the images of the basis rows under each variable; the
     # order of the rows does not change the pivots of their echelon form
     images = m.multiples(span.transpose(), "variables").a[pivots]
-    _, mn_pivots, _ = rref(Mat._trusted(m.field, images.T))
+    mn_pivots = pivot_columns(Mat._trusted(m.field, images.T))
     return [(span.a[q].copy(), _row_degree(m, span.a[q]))
             for q in _complement(span.rows, mn_pivots)]
 

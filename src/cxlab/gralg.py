@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, ScenarioError
-from .exactla import Field, Mat, _complement, rref
+from .exactla import Field, Mat, _sparse_rref
 
 __all__ = [
     "Polynomial",
@@ -321,27 +321,26 @@ class Algebra:
 
     def _echelon_slice(self, d: int) -> List[Monomial]:
         """Standard monomials of degree d: the non-pivot columns of the RREF of
-        the ideal's degree-d slice.  Modulo the ideal a pivot monomial equals
-        minus the rest of its row; that normal form is stored when nonzero."""
+        the ideal's degree-d slice, eliminated as sparse rows (one per
+        relation multiple) with no dense slice.  Modulo the ideal a pivot
+        monomial equals minus the rest of its row; that normal form is stored
+        when nonzero."""
         monos = monomials_of_degree(self.nvars, d)
         mono_pos = {e: j for j, e in enumerate(monos)}
-        rows = []
-        for g in self.relations:
-            e = g.degree()
-            if e > d:
-                continue
-            for m in monomials_of_degree(self.nvars, d - e):
-                row = np.zeros(len(monos), dtype=np.int64)
-                for em, c in g.shift_by_monomial(m).terms:
-                    row[mono_pos[em]] = c
-                rows.append(row)
-        R, pivots, _ = rref(Mat.from_rows(self.field, rows, cols=len(monos)))
-        nonpivot = _complement(len(monos), pivots)
-        for r, pc in enumerate(pivots):
-            nf = (-R.a[r, nonpivot]) % self.field.p
+        rows = [{mono_pos[em]: int(c) for em, c in g.shift_by_monomial(m).terms}
+                for g in self.relations if g.degree() <= d
+                for m in monomials_of_degree(self.nvars, d - g.degree())]
+        pivot = _sparse_rref(rows, self.field.p)
+        std = [j for j in range(len(monos)) if j not in pivot]
+        at = {j: i for i, j in enumerate(std)}
+        for pc in sorted(pivot):
+            nf = np.zeros(len(std), dtype=np.int64)
+            for j, v in pivot[pc].items():
+                if j != pc:
+                    nf[at[j]] = -v % self.field.p
             if nf.any():
                 self._nf[monos[pc]] = nf
-        return [monos[j] for j in nonpivot]
+        return [monos[j] for j in std]
 
     # -- basis bookkeeping ------------------------------------------------
 

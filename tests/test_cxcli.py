@@ -92,6 +92,10 @@ _PARSE_ERRORS = [
     (_MIXED + "task symmetry M S\n", "module 'S' is over ring 'B', module 'M' over 'A'", 8, 17),
     (_MIXED + "task vartest S tests=S,k t=1\n", "module 'k' is over ring 'A', module 'S' over 'B'", 8, 24),
     (_MIXED + "task testci M t=1 q=1 n=2 tests=M,kb\n", "module 'kb' is over ring 'B', module 'M' over 'A'", 8, 35),
+    # only a line feed ends a line: a form feed or U+2028 is whitespace
+    # within it, as an editor that shows one line reads it
+    ("field p = 5\fring A = [x] / (y^2)\n", "expected end of line", 1, 13),
+    ("field p = 5\nring A = [x] / (x^2)\u2028module k = k A\n", "expected end of line", 2, 22),
 ]
 
 
@@ -139,6 +143,16 @@ def test_bad_character_is_reported_before_an_earlier_grammar_error():
     with pytest.raises(ScenarioError, match="unexpected character '\\$'") as exc:
         parse_scenario(text)
     assert (exc.value.line, exc.value.col) == (3, 16)
+
+
+def test_crlf_scenario_parses_as_lf():
+    # a line feed ends each line; a carriage return is whitespace, so a text
+    # of carriage returns alone is one blank line
+    for text in (GASHAROV, QUADRIC):
+        assert parse_scenario(text.replace("\n", "\r\n")) == parse_scenario(text)
+    with pytest.raises(ScenarioError, match="expected 'field'") as exc:
+        parse_scenario("\r\r\r")
+    assert (exc.value.line, exc.value.col) == (2, 1)
 
 
 def test_parse_roundtrip_shipped_scenarios():

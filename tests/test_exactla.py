@@ -278,11 +278,14 @@ def test_balanced_bound_is_strict(monkeypatch):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_inverse_mod_matches_field_inverse(p):
+    # the sparse kernel normalizes each pivot row by the inverse of its
+    # pivot entry: the row (v, 1) reduces to (1, 1/v)
     F = Field(p)
     rng = np.random.default_rng(p)
     x = np.concatenate([rng.integers(1, p, 50), [1, p - 1, p - 1, 1], np.arange(1, min(p, 40))])
-    assert exactla._inverse_mod(x, p).tolist() == [F.inv(int(v)) for v in x]
-    assert exactla._inverse_mod(np.zeros(0, dtype=np.int64), p).shape == (0,)
+    for v in x.tolist():
+        assert exactla._sparse_rref([{0: v, 1: 1}], p) == {0: {0: 1, 1: F.inv(v)}}
+    assert exactla._sparse_rref([], p) == {}
 
 
 def _block_diagonal(rng, p, blocks, zero_rows, zero_cols):
@@ -387,11 +390,13 @@ def test_pivot_inverse_solves_like_solve_matrix(p):
 
 @pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
 def test_sparse_rref_matches_oracle(monkeypatch, p):
-    # sparse matrices, where a pivot column is nonzero in a few rows (only
-    # those rows are updated) or in many (one update covers every row).  The
-    # row-restricted update multiplies only nonzero coefficients; the full
-    # one also the zero it puts at the pivot row.  rref peels the singleton
-    # rows first, so the dense kernel's two paths are checked on _rref_dense
+    # matrices at four densities: the two sparsest hold at most 2(rows +
+    # cols) nonzeros and take the sparse rows, the densest takes the dense
+    # kernel.  Every one is also reduced by the dense kernel, whose two
+    # updates are checked: a pivot column nonzero in a few rows updates only
+    # those rows, in many one update covers every row.  The row-restricted
+    # update multiplies only nonzero coefficients; the full one also the
+    # zero it puts at the pivot row
     F = Field(p)
     rng = np.random.default_rng(p % 1009)
     restricted = []
@@ -401,17 +406,20 @@ def test_sparse_rref_matches_oracle(monkeypatch, p):
         restricted.append(bool(np.all(f != 0)))
         return outer(f, row)
 
+    sparse = []
     for density in (0.005, 0.02, 0.08, 0.3):
         rows, cols = int(rng.integers(32, 161)), int(rng.integers(8, 49))
         a = rng.integers(1, p, (rows, cols)) * (rng.random((rows, cols)) < density)
         R, pivots, rank = rref(Mat(F, a))
         expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
         assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots, (density, rows, cols)
+        sparse.append(exactla._sparse_pivots(a, p, reduced=True) is not None)
         with monkeypatch.context() as patched:
             patched.setattr(np, "outer", recording)
-            D, dense_pivots = exactla._rref_dense(a, p)
+            D, dense_pivots = exactla._eliminate(a.copy(), p)
         assert D.tolist() == expected_rows and list(dense_pivots) == expected_pivots
     assert True in restricted and False in restricted
+    assert sparse[:2] == [True, True] and not sparse[3]
 
 
 def _block(rng, p, shape, kind):
@@ -463,26 +471,34 @@ _BATCHED = {
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Records the shape of every stack the batched kernel reduces and of
-    every matrix _eliminate reduces."""
+    """Records every elimination: ("_sparse_rref", finished) for each sparse
+    pass (finished is False when its fill passed the work bound) and
+    ("_eliminate", shape) for each matrix the dense kernel reduces."""
     calls = []
-    for name in ("_eliminate", "_eliminate_batch"):
-        kernel = getattr(exactla, name)
+    eliminate, sparse = exactla._eliminate, exactla._sparse_rref
 
-        def recording(A, p, kernel=kernel, name=name):
-            calls.append((name, A.shape))
-            return kernel(A, p)
+    def dense_recording(A, p):
+        calls.append(("_eliminate", A.shape))
+        return eliminate(A, p)
 
-        monkeypatch.setattr(exactla, name, recording)
+    def sparse_recording(rows, p, *args):
+        out = sparse(rows, p, *args)
+        calls.append(("_sparse_rref", out is not None))
+        return out
+
+    monkeypatch.setattr(exactla, "_eliminate", dense_recording)
+    monkeypatch.setattr(exactla, "_sparse_rref", sparse_recording)
     return calls
 
 
 @pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
 def test_batched_rref_matches_oracle(eliminations, p):
+    # many small blocks of a few shapes, with zero rows and columns: rref,
+    # kernel_rref, pivot_columns and pivot_inverse all run on sparse rows,
+    # and none reaches the dense kernel
     F = Field(p)
     rng = np.random.default_rng(p % 7919)
     a = _interleaved_blocks(rng, p, *_BATCHED["mixed"])
-    assert a.size >= exactla._BLOCK_MIN_CELLS
     rows, cols = a.shape
     m = Mat(F, a)
 
@@ -490,32 +506,17 @@ def test_batched_rref_matches_oracle(eliminations, p):
     expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
     assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
     assert rank < rows  # zero rows and rank-deficient blocks
+    assert exactla.pivot_columns(m) == pivots and m.rank() == rank
 
     null = oracles.gauss_nullspace(a.tolist(), p, cols)
     k_rank, K, k_pivots = kernel_rref(m)
     expected_null, expected_null_pivots = oracles.gauss_rref(null, p, cols)
     assert k_rank == rank and K.a.tolist() == expected_null and list(k_pivots) == expected_null_pivots
 
-    # rref peels the singleton rows (of the (1, 1) and (2, 1) blocks) before
-    # the dense kernel; on the whole matrix, and on it with its columns
-    # reversed (as kernel_rref reduces it), every repeated shape goes
-    # through the batched kernel and only the shapes that occur once reach
-    # _eliminate
-    eliminations.clear()
-    D, dense_pivots = exactla._rref_dense(a, p)
-    assert D.tolist() == expected_rows and list(dense_pivots) == expected_pivots
-    exactla._rref_dense(a[:, ::-1], p)
-    batched = [shape for name, shape in eliminations if name == "_eliminate_batch"]
-    single = sorted(shape for name, shape in eliminations if name == "_eliminate")
-    assert sorted(shape[1:] for shape in batched) == sorted(2 * [(2, 3), (3, 2), (1, 1), (1, 3), (2, 1)])
-    assert sum(shape[0] for shape in batched) == 2 * (30 + 24 + 20 + 12 + 10)
-    assert single == [(4, 7), (4, 7), (5, 4), (5, 4)]  # m, and m with its columns reversed
-
-    eliminations.clear()
     b = _interleaved_blocks(rng, p, *_BATCHED["full_row_rank"])
     m = Mat(F, b)
     Q, E = pivot_inverse(m)
-    assert any(name == "_eliminate_batch" for name, _ in eliminations)
+    assert eliminations == [("_sparse_rref", True)] * 5
     B = m @ Mat(F, rng.integers(0, p, (m.cols, 3)))
     X = np.zeros((m.cols, 3), dtype=np.int64)
     X[Q] = (E @ Mat(F, B.a[: m.rows])).a
@@ -523,21 +524,23 @@ def test_batched_rref_matches_oracle(eliminations, p):
 
 
 def test_equal_blocks_take_one_batched_elimination(eliminations):
-    # 64 blocks of one shape: one call of the batched kernel, none of _eliminate
+    # 64 dense 4 x 6 blocks hold more than 2(rows + cols) nonzeros: the
+    # matrix goes whole to one dense elimination, with no sparse pass
     rng = np.random.default_rng(64)
     a = _interleaved_blocks(rng, 5, [((4, 6), _KINDS[i % 3]) for i in range(64)], 0, 0)
+    assert np.count_nonzero(a) > 2 * sum(a.shape)
     R, pivots, rank = rref(Mat(F5, a))
-    assert eliminations == [("_eliminate_batch", (64, 4, 6))]
+    assert eliminations == [("_eliminate", (256, 384))]
     expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), 5, a.shape[1])
     assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
 
 
 def _peelable(kind, p, seed):
-    """Matrices for the singleton-row peeling of rref: "planted", a random
+    """Matrices with unit rows for the sparse kernel: "planted", a random
     sparse matrix with unit rows (some repeated, some sharing a column with
     a denser row) and zero rows and columns; "chain", a bidiagonal matrix
-    with its rows and columns permuted, where each pass peels one row;
-    "dense", with no singleton row; "units", unit rows only."""
+    with its rows and columns permuted; "dense", with no unit row (it takes
+    the dense kernel); "units", unit rows only."""
     rng = np.random.default_rng(seed)
     if kind == "planted":
         rows, cols = 36, 28
@@ -569,14 +572,15 @@ _PEELABLE = ("planted", "chain", "dense", "units")
 def test_peeled_rref_matches_oracle(p, kind):
     F = Field(p)
     a = _peelable(kind, p, seed=p % 101)
-    assert a.size >= exactla._PEEL_MIN_CELLS
+    # all but the dense one hold at most 2(rows + cols) nonzeros: sparse rows
+    assert (np.count_nonzero(a) > 2 * sum(a.shape)) == (kind == "dense")
     rows, cols = a.shape
     m = Mat(F, a)
 
     R, pivots, rank = rref(m)
     expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
     assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
-    assert m.rank() == rank == len(expected_pivots)
+    assert m.rank() == rank == len(expected_pivots) and exactla.pivot_columns(m) == pivots
 
     null = oracles.gauss_nullspace(a.tolist(), p, cols)
     k_rank, K, k_pivots = kernel_rref(m)
@@ -595,10 +599,12 @@ def test_peeled_rref_matches_oracle(p, kind):
     assert E.a.tolist() == [row[rows:] for row in inverse]
 
 
-def test_peeling_leaves_the_residual_to_the_dense_kernel(monkeypatch):
+def test_peeling_leaves_the_residual_to_the_dense_kernel(monkeypatch, eliminations):
     # a dense 4 x 5 block, next to unit rows, a row on their columns and a
-    # chain that peels one row per pass, with zero rows and columns:
-    # _rref_dense sees only the block
+    # chain, with zero rows and columns.  Rows are taken fewest entries
+    # first, so the unit rows become pivot rows before any arithmetic and
+    # clear the row on their columns by one-entry subtractions; nothing
+    # reaches the dense kernel
     rng = np.random.default_rng(18)
     a = np.zeros((16, 14), dtype=np.int64)
     a[:4, :5] = rng.integers(1, 5, (4, 5))
@@ -607,33 +613,110 @@ def test_peeling_leaves_the_residual_to_the_dense_kernel(monkeypatch):
     a[8:11, 8:11] = np.diag([2, 3, 4]) + np.diag([1, 1], 1)
     a[11, 8:12] = [1, 0, 2, 3]
     a = a[rng.permutation(16)][:, rng.permutation(14)]
-    shapes = []
-    dense = exactla._rref_dense
+    subtracted = []
+    subtract = exactla._subtract
 
-    def recording(b, p):
-        shapes.append(b.shape)
-        return dense(b, p)
+    def recording(row, f, other, p):
+        subtracted.append(sorted(other))
+        return subtract(row, f, other, p)
 
-    monkeypatch.setattr(exactla, "_rref_dense", recording)
+    monkeypatch.setattr(exactla, "_subtract", recording)
     R, pivots, rank = rref(Mat(F5, a))
     expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), 5, a.shape[1])
     assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
-    assert shapes == [(4, 5)]
-    # nothing to peel: the whole matrix goes to the dense kernel
+    assert eliminations == [("_sparse_rref", True)]
+    unit_columns = [[c] for c in np.flatnonzero(np.count_nonzero(a, axis=0) == 2)
+                    if any(np.count_nonzero(a[a[:, c] != 0], axis=1) == 1)]
+    assert unit_columns and all(c in subtracted for c in unit_columns)
+    # a row listed before the unit rows on its columns is still reduced by
+    # them, one entry at a time: rows are taken fewest entries first
+    subtracted.clear()
+    assert exactla._sparse_rref([{0: 1, 1: 2, 2: 3}, {0: 4}, {1: 1}, {2: 2}], 5) == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+    assert subtracted == [[0], [1], [2]]
+    # unit rows alone: each is a pivot row as it stands, with no arithmetic
+    subtracted.clear()
+    assert rref(Mat(F5, _peelable("units", 5, seed=18)))[2] == 20 and subtracted == []
+    # a dense matrix takes no sparse pass: it goes whole to the dense kernel
+    eliminations.clear()
     rref(Mat(F5, rng.integers(1, 5, (8, 8))))
-    assert shapes == [(4, 5), (8, 8)]
+    assert eliminations == [("_eliminate", (8, 8))]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5, 2**31 - 1]), st.integers(1, 6), st.integers(1, 5), st.integers(1, 5),
        st.integers(0, 2**32 - 1))
 def test_eliminate_batch_matches_eliminate(p, n, rows, cols, seed):
-    # each matrix of the stack reduced on its own, including zero matrices,
-    # sparse ones that need row swaps and ones that are full early
+    # each of n small matrices reduced on sparse rows (_sparse_rref, no work
+    # bound) and by the dense kernel gives the same rows and pivots,
+    # including zero matrices, sparse ones that need row swaps and ones that
+    # are full early
     rng = np.random.default_rng(seed)
     stack = rng.integers(0, p, (n, rows, cols)) * (rng.random((n, rows, cols)) < rng.random((n, 1, 1)))
-    B, P = exactla._eliminate_batch(stack.copy(), p)
     for k in range(n):
         A, piv = exactla._eliminate(stack[k].copy(), p)
-        assert B[k].tolist() == A.tolist()
-        assert P[k].tolist() == piv + [-1] * (rows - len(piv))
+        pivot = exactla._sparse_rref([{j: v for j, v in enumerate(row) if v} for row in stack[k].tolist()], p)
+        assert sorted(pivot) == piv
+        assert [[pivot[c].get(j, 0) for j in range(cols)] for c in piv] == A[: len(piv)].tolist()
+
+
+def _kernel_input(kind, p):
+    """Inputs for the two paths of the kernel: "fill", sparse rows of two
+    entries whose row operations fill in, with repeated and zero rows; empty
+    and zero shapes; "dense", all entries nonzero; "arrow", a dense first
+    row and column on a diagonal, sparse, but each row reduced in turn
+    walks the whole chain of earlier pivots, so its fill passes the work
+    bound.  The nonzero pattern does not depend on p."""
+    pattern, values = np.random.default_rng(0), np.random.default_rng(p)
+    if kind == "fill":
+        a = np.zeros((30, 40), dtype=np.int64)
+        for i in range(26):
+            a[i, pattern.choice(40, 2, replace=False)] = values.integers(1, p, 2)
+        a[26:29] = a[:3]
+        return a
+    if kind == "dense":
+        return values.integers(1, p, (12, 15))
+    if kind == "arrow":
+        a = np.diag(values.integers(1, p, 40))
+        a[0], a[:, 0] = values.integers(1, p, 40), values.integers(1, p, 40)
+        return a
+    return np.zeros({"zero": (6, 9), "no_rows": (0, 7), "no_columns": (7, 0)}[kind], dtype=np.int64)
+
+
+# the eliminations rref makes of each input
+_KERNEL_PATHS = {
+    "fill": [("_sparse_rref", True)],
+    "zero": [], "no_rows": [], "no_columns": [],
+    "dense": [("_eliminate", (12, 15))],
+    "arrow": [("_sparse_rref", False), ("_eliminate", (40, 40))],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KERNEL_PATHS))
+@pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
+def test_sparse_kernel_paths_match_oracle(monkeypatch, eliminations, p, kind):
+    F = Field(p)
+    a = _kernel_input(kind, p)
+    rows, cols = a.shape
+    m = Mat(F, a)
+    subtracted = []
+    subtract = exactla._subtract
+
+    def recording(row, f, other, p):
+        subtracted.append(len(other))
+        return subtract(row, f, other, p)
+
+    monkeypatch.setattr(exactla, "_subtract", recording)
+    R, pivots, rank = rref(m)
+    assert eliminations == _KERNEL_PATHS[kind]
+    assert bool(subtracted) == (kind in ("fill", "arrow"))
+    # a pass stops at the first row operation that takes it over the bound
+    assert sum(subtracted[:-1]) <= a.size // 16 + 64
+    expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
+    assert R.shape == a.shape and R.a.tolist() == expected_rows and list(pivots) == expected_pivots
+    assert exactla.pivot_columns(m) == pivots and m.rank() == rank == len(expected_pivots)
+
+    null = oracles.gauss_nullspace(a.tolist(), p, cols)
+    k_rank, K, k_pivots = kernel_rref(m)
+    expected_null, expected_null_pivots = oracles.gauss_rref(null, p, cols)
+    assert k_rank == rank and K.shape == (len(null), cols)
+    assert K.a.tolist() == expected_null and list(k_pivots) == expected_null_pivots

@@ -114,23 +114,28 @@ def test_products_over_A_make_no_kron_call(monkeypatch):
 
 
 def test_resolve_eliminates_blocks_in_batches(monkeypatch):
-    # each step's matrices split into many small blocks of a few shapes; the
-    # blocks of one shape are eliminated by one call, so the whole resolution
-    # makes a few dozen Python-level eliminations (985 block by block)
+    # every matrix the resolution eliminates holds at most 2(rows + cols)
+    # nonzeros, and its row operations stay within the work bound: each
+    # elimination runs on sparse rows and none reaches the dense kernel
     from cxlab import exactla
 
     calls = []
-    for name in ("_eliminate", "_eliminate_batch"):
-        kernel = getattr(exactla, name)
+    eliminate, sparse = exactla._eliminate, exactla._sparse_rref
 
-        def counting(A, p, kernel=kernel, name=name):
-            calls.append(name)
-            return kernel(A, p)
+    def dense(A, p):
+        calls.append("_eliminate")
+        return eliminate(A, p)
 
-        monkeypatch.setattr(exactla, name, counting)
+    def counting(rows, p, *args):
+        out = sparse(rows, p, *args)
+        calls.append("_sparse_rref" if out is not None else "over the work bound")
+        return out
+
+    monkeypatch.setattr(exactla, "_eliminate", dense)
+    monkeypatch.setattr(exactla, "_sparse_rref", counting)
     A = MonomialCI.build(F5, [2, 2, 2]).algebra
     assert resolve(residue_field(A), 9).betti_list(9) == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
-    assert "_eliminate_batch" in calls and len(calls) < 200
+    assert set(calls) == {"_sparse_rref"}
 
 
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
