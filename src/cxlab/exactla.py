@@ -12,8 +12,10 @@ while k max|a| max|b| stays below 2^53 one product is still exact (entries
 of +-1 at p = 2^31 - 1 take this path); otherwise each operand is split
 into 16-bit limbs.
 
-A Mat has two constructors.  The public Mat(field, array) reduces its input
-mod p (a copy), and so do +, -, negation and scale.  The private
+A Mat has two constructors.  The public Mat(field, array) takes an array of
+integers or booleans, refuses any other dtype (floats, strings, objects such
+as Python ints past int64) with an InputError, and reduces its input mod p
+(a copy), and so do +, -, negation and scale.  The private
 Mat._trusted wraps an array that is reduced by construction (a product, an
 echelon form, a transpose, a stack or slice of reduced arrays) without a
 copy.
@@ -154,10 +156,14 @@ class Mat:
     __slots__ = ("field", "a")
 
     def __init__(self, field: Field, array):
-        arr = np.asarray(array, dtype=np.int64)
+        arr = np.asarray(array)
+        if arr.dtype.kind not in "biu":
+            raise InputError(f"matrix entries must be integers, got dtype {arr.dtype}")
         if arr.ndim != 2:
             raise InputError(f"matrix must be 2-dimensional, got shape {arr.shape}")
-        self._wrap(field, arr % field.p)
+        if arr.dtype.kind == "u":
+            arr = arr % field.p  # an unsigned entry may not fit in int64; its residue does
+        self._wrap(field, arr.astype(np.int64, copy=False) % field.p)
 
     @classmethod
     def _trusted(cls, field: Field, arr: np.ndarray) -> "Mat":

@@ -13,21 +13,25 @@ engine checks, it never assumes.
 
 A module applies A to coordinates in one way: `Module.multiples` multiplies
 every column of a coordinate matrix by every monomial of a fixed list (the
-basis of A or its variables).  A module that is not free does it with one
-exact product by its monomial actions, stacked and kept once per module.  A
-free module keeps only its generator degrees and its rank, no array, and
-multiplies as rank copies of A's regular module, which is verified once per
-algebra and kept only as arrays (see _structure_terms).  Where every
-variable of A acts by a partial permutation, as over a monomial algebra, a
-product is one int64 gather through the source of each output coordinate,
-composed one basis monomial at a time with no dim A^3 stack.  Over any
-other ring A keeps the stacked actions of its regular module, and a
-product is the one exact product Module.multiples takes, with the
-generator blocks side by side.  A free module's stacked actions, the
+basis of A or its variables).  A module given by its actions keeps them
+once, as the stack of its variable actions, and a product is one exact
+product by its monomial actions, whose basis stack it builds from the
+variables' once and keeps; its `shift` shares them.  A free module keeps
+only its generator degrees and its rank, no array, and multiplies as rank
+copies of A's regular module, which is verified once per algebra and kept
+only as arrays (see _structure_terms).  Where every variable of A acts by a
+partial permutation, as over a monomial algebra, a product is one int64
+gather through the source of each output coordinate, composed one basis
+monomial at a time with no dim A^3 stack.  Over any other ring A keeps the
+stacked actions of its regular module, and a product is the one exact
+product Module.multiples takes, with the generator blocks side by side.  A
+direct sum keeps its two summands and no array, and its products are
+theirs, the rows of the first summand over those of the second.  A module
+that keeps no actions, free or a direct sum, reads its stacked actions, the
 multiples of the identity, and its variable actions, their "variables"
-slice, are built on each request and not kept.  `extend_linearly`,
-`min_generators` and the subquotients go through `multiples`;
-`block_action` is one product by the stacked actions.
+slice, off its products on each request, and keeps neither.
+`extend_linearly`, `min_generators` and the subquotients go through
+`multiples`; `block_action` is one product by the stacked actions.
 
 A matrix over A, a map F' -> F of free modules, has one form: its
 generator images, the dim F x rank F' matrix whose column g is the image of
@@ -76,21 +80,28 @@ __all__ = [
 class Module:
     """Graded module: degree-labelled basis plus commuting variable actions."""
 
-    def __init__(self, algebra: Algebra, degrees: Sequence[int], actions: Sequence[Mat],
+    def __init__(self, algebra: Algebra, degrees: Sequence[int], actions: Optional[Sequence[Mat]],
                  provenance: str = "", _skip_verify: bool = False):
         self.algebra = algebra
         self.degrees = tuple(int(d) for d in degrees)
-        self._actions = tuple(actions)
         self.provenance = provenance
-        self._stacks: Dict[str, np.ndarray] = {}
         self._resolution = None
         if not _skip_verify:
-            self._verify()
+            self._verify(actions)
+        # the stacked actions of each monomial list built so far (see
+        # _stacked), the variables' from the start; None for a module that
+        # keeps no actions (a free module, a direct sum)
+        self._stacks: Optional[Dict[str, np.ndarray]] = None
+        if actions is not None:
+            stack = np.array([X.a for X in actions], dtype=np.int64).reshape(len(actions), self.dim, self.dim)
+            stack.setflags(write=False)
+            self._stacks = {"variables": stack}
 
     @property
     def actions(self) -> Tuple[Mat, ...]:
-        """The matrix X_v of each variable on this module's basis."""
-        return self._actions
+        """The matrix X_v of each variable on this module's basis, read off
+        its stacked variable actions."""
+        return tuple(Mat._trusted(self.field, X) for X in self._stacked("variables"))
 
     @property
     def dim(self) -> int:
@@ -107,45 +118,47 @@ class Module:
 
     def _stacked(self, which: str) -> np.ndarray:
         """The actions of the monomials of the list `which` (see
-        _monomial_list), an s x dim x dim array; built once per module."""
-        got = self._stacks.get(which)
-        if got is not None:
-            return got
-        monomials = _monomial_list(self.algebra, which)
-        p, n, actions = self.field.p, self.dim, self.actions
-        out = np.empty((len(monomials), n, n), dtype=np.int64)
-        if which == "variables":
-            for v, X in enumerate(actions):
-                out[v] = X.a
-        elif monomials:
-            out[0] = np.eye(n, dtype=np.int64)  # basis[0] is 1
+        _monomial_list), an s x dim x dim array.  A module that keeps its
+        variable actions builds the basis stack from them once and keeps it;
+        a module that keeps none reads either off the multiples of the
+        identity, built on each call and not kept."""
+        if self._stacks is None:
+            n, s = self.dim, len(_monomial_list(self.algebra, which))
+            out = self.multiples(Mat.identity(self.field, n), which).a.reshape(n, n, s)
+            return np.ascontiguousarray(out.transpose(2, 0, 1))
+        if which not in self._stacks:
+            monomials = _monomial_list(self.algebra, which)  # raises InputError for no such list
+            X = self._stacks["variables"]
+            out = np.empty((len(monomials), self.dim, self.dim), dtype=np.int64)
+            out[0] = np.eye(self.dim, dtype=np.int64)  # basis[0] is 1
             # x_v m' is X_v times x^m': standard monomials are closed under
             # division and listed degree by degree, so m' comes first
             for j, mono in enumerate(monomials[1:], 1):
                 v = next(i for i, a in enumerate(mono) if a)
                 below = self.algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
-                out[j] = _matmul_mod(actions[v].a, out[below], p)
-        out.setflags(write=False)
-        self._stacks[which] = out
-        return out
+                out[j] = _matmul_mod(X[v], out[below], self.field.p)
+            out.setflags(write=False)
+            self._stacks[which] = out
+        return self._stacks[which]
 
     @property
     def field(self) -> Field:
         return self.algebra.field
 
-    def _verify(self):
+    def _verify(self, actions: Sequence[Mat]):
+        """The module axioms for the given variable actions on this basis."""
         A = self.algebra
         n = self.dim
-        if len(self.actions) != A.nvars:
-            raise InputError(f"expected {A.nvars} action matrices, got {len(self.actions)}")
-        for X in self.actions:
+        if len(actions) != A.nvars:
+            raise InputError(f"expected {A.nvars} action matrices, got {len(actions)}")
+        for X in actions:
             if X.shape != (n, n):
                 raise InputError(f"action matrix has shape {X.shape}, expected ({n}, {n})")
             if X.field != A.field:
                 raise InputError("action matrix over the wrong field")
         # degree shift: x_i maps the degree-d slice into the degree-(d+1) slice
         degrees = np.array(self.degrees, dtype=np.int64)
-        for X in self.actions:
+        for X in actions:
             rr, cc = np.nonzero(X.a)
             bad = np.flatnonzero(degrees[rr] != degrees[cc] + 1)
             if bad.size:
@@ -155,7 +168,7 @@ class Module:
         # commutativity
         for i in range(A.nvars):
             for j in range(i + 1, A.nvars):
-                check(self.actions[i] @ self.actions[j] == self.actions[j] @ self.actions[i],
+                check(actions[i] @ actions[j] == actions[j] @ actions[i],
                       f"actions of variables {i} and {j} do not commute")
         # every algebra relation must act as zero; a term x^e acts as the
         # product of the variable actions, formed here and not kept
@@ -163,7 +176,7 @@ class Module:
             acc = Mat.zeros(A.field, n, n)
             for e, c in g.terms:
                 term = Mat.identity(A.field, n)
-                for X, a in zip(self.actions, e):
+                for X, a in zip(actions, e):
                     for _ in range(a):
                         term = X @ term
                 acc = acc + term.scale(c)
@@ -194,7 +207,7 @@ class FreeModule(Module):
         for g in self.gen_degrees:
             degrees.extend(d + g for d in algebra.basis_degrees)
         # inherited: every block carries the verified regular representation
-        super().__init__(algebra, degrees, (), provenance="free", _skip_verify=True)
+        super().__init__(algebra, degrees, None, provenance="free", _skip_verify=True)
 
     @property
     def rank(self) -> int:
@@ -221,17 +234,6 @@ class FreeModule(Module):
         # take writes the products in place, (g, a) by (c, j)
         out = np.take(V, terms[:, None, :] + (dA + 1) * np.arange(k)[:, None], axis=1)
         return Mat._trusted(self.field, out.reshape(self.dim, k * terms.shape[1]))
-
-    def _stacked(self, which: str) -> np.ndarray:
-        """Module._stacked read off A's regular representation: the
-        multiples of the identity, built on each call and not kept."""
-        n, s = self.dim, len(_monomial_list(self.algebra, which))
-        out = self.multiples(Mat.identity(self.field, n), which).a.reshape(n, n, s)
-        return np.ascontiguousarray(out.transpose(2, 0, 1))
-
-    @property
-    def actions(self) -> Tuple[Mat, ...]:
-        return tuple(Mat._trusted(self.field, X) for X in self._stacked("variables"))
 
     def generator_columns(self) -> List[int]:
         """Coordinate of each generator: the monomial 1 in its block."""
@@ -399,25 +401,45 @@ def residue_field(algebra: Algebra) -> Module:
     return Module(algebra, [0], [z] * algebra.nvars, provenance="k")
 
 
+class _DirectSum(Module):
+    """M (+) N on the basis of M followed by that of N.  It keeps its two
+    summands and no array: its products are theirs, the rows of M's over
+    those of N's, so each summand multiplies in its own way, a free one
+    through A's regular representation."""
+
+    def __init__(self, m: Module, n: Module):
+        self.summands = (m, n)
+        # inherited: each summand carries verified actions
+        super().__init__(m.algebra, m.degrees + n.degrees, None, provenance="sum", _skip_verify=True)
+
+    def multiples(self, cols: Mat, which: str) -> Mat:
+        if cols.rows != self.dim:
+            raise InputError(f"{cols.rows} coordinates on a direct sum of dimension {self.dim}")
+        m, n = self.summands
+        top = m.multiples(Mat._trusted(self.field, cols.a[:m.dim]), which)
+        return top.vstack(n.multiples(Mat._trusted(self.field, cols.a[m.dim:]), which))
+
+
 def direct_sum(m: Module, n: Module) -> Module:
     if m.algebra is not n.algebra:
         raise InputError("direct sum of modules over different algebras")
-    degrees = m.degrees + n.degrees
-    actions = []
-    for X, Y in zip(m.actions, n.actions):
-        arr = np.zeros((m.dim + n.dim, m.dim + n.dim), dtype=np.int64)
-        arr[: m.dim, : m.dim] = X.a
-        arr[m.dim :, m.dim :] = Y.a
-        actions.append(Mat(m.field, arr))
-    # inherited: the actions are block-diagonal copies of verified actions
-    return Module(m.algebra, degrees, actions, provenance="sum", _skip_verify=True)
+    return _DirectSum(m, n)
 
 
 def shift(m: Module, s: int) -> Module:
-    """Relabel every degree by +s; nothing else changes."""
+    """Relabel every degree by +s; nothing else changes.  A free module
+    stays free and a direct sum is the sum of its summands' shifts; any
+    other module shares the stacked actions m keeps, also those built
+    later."""
+    if isinstance(m, FreeModule):
+        return FreeModule(m.algebra, [g + s for g in m.gen_degrees])
+    if isinstance(m, _DirectSum):
+        return _DirectSum(*(shift(x, s) for x in m.summands))
     # inherited: the actions are the same verified matrices
-    return Module(m.algebra, [d + s for d in m.degrees], m.actions,
-                  provenance=m.provenance or "shift", _skip_verify=True)
+    out = Module(m.algebra, [d + s for d in m.degrees], None, provenance=m.provenance or "shift",
+                 _skip_verify=True)
+    out._stacks = m._stacks
+    return out
 
 
 def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarray, int]]:

@@ -182,16 +182,22 @@ class TokenStream:
 # names and integers are ASCII; any other character outside whitespace is an error
 _TOKEN = re.compile(r"\s*(?:(?P<IDENT>[A-Za-z_][A-Za-z_0-9]*)|(?P<INT>[0-9]+)"
                     r"|(?P<SYM>\.\.|[\[\](),=/^*+-]))")
+# Python's default limit on the digits of a string converted by int()
+_MAX_INT_DIGITS = 4300
 
 
 def tokenize_line(text: str, line: int = 1) -> List[Token]:
     """The tokens of one line of the scenario language, polynomials included,
     closed by an END token one column past the line; a character that
-    starts no token raises a ScenarioError at its column."""
+    starts no token, or an integer literal longer than int() converts,
+    raises a ScenarioError at its column."""
     tokens: List[Token] = []
     pos = 0
     while (m := _TOKEN.match(text, pos)) is not None:
-        tokens.append(Token(m.lastgroup, m.group(m.lastgroup), line, m.start(m.lastgroup) + 1))
+        tok = Token(m.lastgroup, m.group(m.lastgroup), line, m.start(m.lastgroup) + 1)
+        if tok.kind == "INT" and len(tok.value) > _MAX_INT_DIGITS:
+            raise ScenarioError(f"integer literal longer than {_MAX_INT_DIGITS} digits", line, tok.col)
+        tokens.append(tok)
         pos = m.end()
     rest = text[pos:].lstrip()
     if rest:
@@ -283,7 +289,6 @@ class Algebra:
         self.basis_degrees: List[int] = [d for d, std in enumerate(self._std) for _ in std]
         self.basis_index: Dict[Monomial, int] = {e: j for j, e in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self._var_actions: List[Optional[Mat]] = [None] * nvars
 
     def _build_slices(self):
         """Standard monomials degree by degree, until a degree has none (then
@@ -397,15 +402,12 @@ class Algebra:
         return AlgebraElement(self, vec)
 
     def variable_action(self, i: int) -> Mat:
-        """Multiplication by x_i as a matrix on the flat quotient basis."""
-        if self._var_actions[i] is None:
-            cols = np.zeros((self.dim, self.dim), dtype=np.int64)
-            for j, e in enumerate(self.basis):
-                ee = list(e)
-                ee[i] += 1
-                cols[:, j] = self.nf_monomial(tuple(ee))
-            self._var_actions[i] = Mat(self.field, cols)
-        return self._var_actions[i]
+        """Multiplication by x_i as a matrix on the flat quotient basis,
+        built on each call and not kept."""
+        cols = np.zeros((self.dim, self.dim), dtype=np.int64)
+        for j, e in enumerate(self.basis):
+            cols[:, j] = self.nf_monomial(e[:i] + (e[i] + 1,) + e[i + 1:])
+        return Mat(self.field, cols)
 
     def __repr__(self):
         rel = ", ".join(g.text(self.varnames) for g in self.relations)

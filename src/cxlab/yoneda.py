@@ -184,10 +184,6 @@ class ExtElement:
         """The representing map on the generators of F_t, one column each."""
         return _side_by_side(self.rep[None], self.resolution.free(self.degree).rank, self.target)
 
-    def realized(self) -> Mat:
-        """The representing map as a matrix on realized coordinates F_t -> N."""
-        return extend_linearly(self.target, self.on_generators())
-
     def class_residual(self) -> np.ndarray:
         """Canonical coset representative: rep reduced modulo coboundaries."""
         return _reduce_mod_rows(self.rep, _coboundary_echelon(
@@ -292,10 +288,12 @@ def pushout(eta: ExtElement) -> "PushoutExtension":
     """The extension 0 -> N -> K -> Omega^{t-1}(M) -> 0 classified by eta.
 
     K is the quotient of N (+) F_{t-1} by the graph of (phi, -d_t) over F_t,
-    phi the representing map; the copy of N is degree-shifted so that the
-    glued module is graded.  By construction K -> F_{t-1}/im d_t is onto
-    and kills N, and its kernel is the image of N, since (n, d_t x) is
-    (n + phi x, 0) modulo the graph.  So the sequence is exact exactly when
+    phi the representing map: the image of the A-linear map F_t -> N (+)
+    F_{t-1} with those generator images, one extend_linearly into the sum,
+    as coker_presentation builds its span.  The copy of N is degree-shifted
+    so that the glued module is graded.  By construction K -> F_{t-1}/im d_t
+    is onto and kills N, and its kernel is the image of N, since (n, d_t x)
+    is (n + phi x, 0) modulo the graph.  So the sequence is exact exactly when
     N embeds, i.e. when ker d_t lies in ker phi (the cocycle condition, as
     ker d_t = im d_{t+1}), and that holds exactly when the graph has
     dimension rank d_t: when dim K = dim N + dim F_{t-1} - rank d_t, the
@@ -305,9 +303,9 @@ def pushout(eta: ExtElement) -> "PushoutExtension":
     """
     res, t, N = eta.resolution, eta.degree, eta.target
     F_prev = res.free(t - 1)
-    graph = np.hstack([eta.realized().a.T, (-res.diff_realized(t).a.T) % N.field.p])
-    K = quotient_by_span(direct_sum(shift(N, -eta.shift), F_prev), Mat(N.field, graph),
-                         provenance="pushout").module
+    D = direct_sum(shift(N, -eta.shift), F_prev)
+    graph = extend_linearly(D, eta.on_generators().vstack(-res.diff_images(t)))
+    K = quotient_by_span(D, graph.transpose(), provenance="pushout").module
     rank_d = res.module.dim
     for i in range(t):
         rank_d = res.free(i).dim - rank_d

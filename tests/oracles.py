@@ -9,18 +9,21 @@ eager_resolution builds every syzygy as an explicit module from the
 engine's gmod constructors, pushout_betti builds and resolves a pushout
 (resolved_screens does it for each candidate of a search's screen),
 eisenbud_chi computes the chain operators from polynomial lifts of the
-engine's differentials, reference_lift lifts a class with solve_matrix and
-the engine's extend_linearly, glued_kchi glues a test module with the
-engine's direct_sum and quotient_by_span, and tensor_algebra and
-tensor_module build the inputs of the Kunneth checks, whose expected values
-are convolutions of sequences the engine computes for each factor alone.
-solve and solve_matrix solve through the engine's rref; their particular
-solution is the one MinimalFreeResolution.solve must reproduce.  hom_space,
-ModuleMap and is_isomorphic read Hom_A(M, N) off the dense variable actions
-with kernel_basis, and yoneda_power composes the engine's chain lifts; the
+engine's differentials, realized extends a class's generator images and
+reference_lift lifts a class with solve_matrix, both with the engine's
+extend_linearly, direct_sum copies two modules' actions into block-diagonal
+ones, glued_kchi glues a test module with it and the engine's
+quotient_by_span, and tensor_algebra and tensor_module build the inputs of
+the Kunneth checks, whose expected values are convolutions of sequences the
+engine computes for each factor alone.  solve and solve_matrix solve
+through the engine's rref; their particular solution is the one
+MinimalFreeResolution.solve must reproduce.  hom_space, ModuleMap and
+is_isomorphic read Hom_A(M, N) off the dense variable actions with
+kernel_basis, and yoneda_power composes the engine's chain lifts; the
 library computes Ext without either.  kernel_basis reads a null space off
 the engine's rref, ext_from_realized reads an Ext class off a realized
-cocycle and is_zero_class tests its class_residual.
+cocycle, the inverse of realized, and is_zero_class tests its
+class_residual.
 diff_algebra reads a differential of an engine resolution as a matrix of
 algebra elements.  monomial_action multiplies a module's variable actions
 with the engine's product, dense_gather_sources reads the gather's sources
@@ -167,6 +170,22 @@ def dense_gather_sources(algebra, which):
     src = np.full((dA, S.shape[0]), dA, dtype=np.intp)
     src[a, j] = c
     return src
+
+
+def direct_sum(m, n):
+    """M (+) N with the block-diagonal actions diag(X_v, Y_v) copied from
+    the summands' actions: the reference for gmod.direct_sum, which keeps
+    its summands and multiplies through theirs.  A verified module."""
+    from cxlab.exactla import Mat
+    from cxlab.gmod import Module
+
+    actions = []
+    for X, Y in zip(m.actions, n.actions):
+        arr = np.zeros((m.dim + n.dim, m.dim + n.dim), dtype=np.int64)
+        arr[: m.dim, : m.dim] = X.a
+        arr[m.dim :, m.dim :] = Y.a
+        actions.append(Mat(m.field, arr))
+    return Module(m.algebra, m.degrees + n.degrees, actions, provenance="sum")
 
 
 def regular_module(algebra):
@@ -511,6 +530,14 @@ def resolved_screens(res, t, constants, coeffs):
     return [pushout_betti(combination(basis, row), len(constants) - 1) for row in coeffs]
 
 
+def realized(eta):
+    """The representing map of the class eta as a matrix on realized
+    coordinates F_t -> N: its generator images extended linearly."""
+    from cxlab.gmod import extend_linearly
+
+    return extend_linearly(eta.target, eta.on_generators())
+
+
 def reference_lift(eta, upto):
     """The realized chain lift theta_i: F_{t+i} -> F_i (i = 0..upto) of eta in
     Ext^t(M, M), each step solved from scratch: the reference for
@@ -528,7 +555,7 @@ def reference_lift(eta, upto):
     res.extend(t + upto)
     thetas = []
     for i in range(upto + 1):
-        rhs = eta.realized() if i == 0 else thetas[-1] @ res.diff_realized(t + i)
+        rhs = realized(eta) if i == 0 else thetas[-1] @ res.diff_realized(t + i)
         d = res.diff_realized(i)
         U = solve_matrix(d, Mat(field, rhs.a[:, res.free(t + i).generator_columns()]))
         assert U is not None, f"no lift through step {i}"
@@ -547,7 +574,7 @@ def yoneda_power(eta, s):
     res, t = eta.resolution, eta.degree
     res.extend(s * t + 1)
     lifts = _lift_stack(res, t, eta.on_generators(), (s - 1) * t)
-    comp = eta.realized()
+    comp = realized(eta)
     for j in range(1, s):
         comp = comp @ extend_linearly(res.free(j * t), lifts[j * t])
     return ext_from_realized(res, eta.target, s * t, comp, s * eta.shift)
@@ -556,7 +583,7 @@ def yoneda_power(eta, s):
 def ext_from_realized(resolution, target, degree, phi, shift):
     """The ExtElement whose realized map F_t -> N is phi: its generator
     columns, one block of N-coordinates per generator; the inverse of
-    ExtElement.realized."""
+    realized."""
     from cxlab.yoneda import ExtElement
 
     gens = resolution.free(degree).generator_columns()
@@ -692,7 +719,7 @@ def glued_kchi(ci, j):
     checked by ranks.
     """
     from cxlab.exactla import Mat
-    from cxlab.gmod import Module, direct_sum, quotient_by_span
+    from cxlab.gmod import Module, quotient_by_span
 
     A, p, c = ci.algebra, ci.field.p, ci.codim
     nonconst = [e for e in A.basis if sum(e) > 0]

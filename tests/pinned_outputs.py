@@ -1,4 +1,4 @@
-"""Pinned-output checks: four SHA-1s over outputs a change must not alter.
+"""Pinned-output checks: five SHA-1s over outputs a change must not alter.
 
     python tests/pinned_outputs.py
 
@@ -11,7 +11,13 @@ and (x^3,y^3,z^2) pushes out candidates that pass the screen and lose on the
 full window.  The third pins rings that are not monomial, at p = 5, 7 and
 2^31 - 1: Gasharov and Peeva's ring with its periodic module (reduce,
 complexity, ext, tor and symmetry) and k over [x,y]/(x^2+3y^2, xy) (betti,
-reduce and complexity).  A change of any number in a report changes its
+reduce and complexity).  The fourth pins the canonical bases, the
+generator images of every differential, of resolutions over monomial
+complete intersections at p = 2, 5 and 2^31 - 1 and of Gasharov's module.
+The fifth is the report of the scenario example in README.md, read from
+it and run with the default options: the only text outside the tests that
+declares a `sum` module, and it also builds a syzygy, a kchi and a cut and
+runs verify-complex.  A change of any number in a report changes its
 hash.  Prints each digest and exits non-zero when one differs from its pin.
 The name does not match test_*.py, so pytest does not collect it.
 """
@@ -31,6 +37,7 @@ PINNED = {
     "reduce": "3a1afbc9a8cb7ebdae91263387a4ccaa6aa2b891",
     "nonmonomial": "491b01327b5cd52b69cf0d09f44b22fdde95ff17",
     "resolutions": "0eabe8a3f17c204e10a180211b7fd51d492f72bc",
+    "readme": "0bcede919ddecf306235876df1d5c0c6de51ab3a",
 }
 
 GASHAROV = """ring G = [x1,x2,x3,x4,x5] / (x1^2, x2^2, x5^2, x3*x4, x3*x5, x4*x5, x1*x4+x2*x4, 2*x1*x3+x2*x3, x3^2-x2*x5+2*x1*x5, x4^2-x2*x5+x1*x5)
@@ -93,10 +100,17 @@ def resolutions_digest() -> str:
     return digest.hexdigest()
 
 
+def readme_digest() -> str:
+    text = (ROOT / "README.md").read_text()
+    example = text.split("## Scenario files", 1)[1].split("```\n", 2)[1]
+    return hashlib.sha1(run(parse_scenario(example), RunOptions()).to_json().encode()).hexdigest()
+
+
 def main() -> int:
     failed = False
     for name, compute in (("scenarios", scenarios_digest), ("reduce", reduce_digest),
-                          ("nonmonomial", nonmonomial_digest), ("resolutions", resolutions_digest)):
+                          ("nonmonomial", nonmonomial_digest), ("resolutions", resolutions_digest),
+                          ("readme", readme_digest)):
         got = compute()
         ok = got == PINNED[name]
         failed |= not ok

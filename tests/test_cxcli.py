@@ -96,6 +96,9 @@ _PARSE_ERRORS = [
     # within it, as an editor that shows one line reads it
     ("field p = 5\fring A = [x] / (y^2)\n", "expected end of line", 1, 13),
     ("field p = 5\nring A = [x] / (x^2)\u2028module k = k A\n", "expected end of line", 2, 22),
+    # a literal longer than int() converts is refused where it is tokenized
+    ("field p = " + "1" * 5000 + "\n", "integer literal longer than 4300 digits", 1, 11),
+    ("field p = 5\nring A = [x] / (x^" + "9" * 5000 + ")\n", "integer literal longer than 4300 digits", 2, 19),
 ]
 
 

@@ -115,6 +115,8 @@ def test_mat_immutable():
 def test_public_constructor_and_arithmetic_reduce():
     # only Mat(...) sees arbitrary integers; it reduces them into [0, p)
     assert Mat(F5, [[-1, 5, 7], [-10, 4, 12]]).a.tolist() == [[4, 0, 2], [0, 4, 2]]
+    assert Mat(F5, np.array([[True, False]])).a.tolist() == [[1, 0]]
+    assert Mat(F5, np.array([[-1, 127]], dtype=np.int8)).a.tolist() == [[4, 2]]
     big = Field(2**31 - 1)
     assert Mat(big, [[-(2**40), 2**31 - 1, 2**62]]).a.tolist() == [
         [-(2**40) % big.p, 0, 2**62 % big.p]]
@@ -124,6 +126,35 @@ def test_public_constructor_and_arithmetic_reduce():
     assert (-a).a.tolist() == [[1, 4]]
     assert a.scale(-1).a.tolist() == [[1, 4]]
     assert a.scale(7).a.tolist() == [[3, 2]]
+
+
+# entries Mat(...) refuses: an array that is not of integers or booleans,
+# whose int64 cast would truncate, parse, overflow or wrap
+_NOT_INTEGERS = {
+    "fractions": [[0.5, 2.7]],
+    "large_float": [[1e20]],
+    "nan": [[float("nan")]],
+    "integral_floats": np.array([[1.0, 2.0]]),
+    "strings": [["1", "2"]],
+    "beyond_int64": [[2**70]],
+    "object_array": np.array([[1, 2]], dtype=object),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_INTEGERS))
+def test_public_constructor_refuses_non_integer_dtypes(case):
+    with pytest.raises(InputError, match="must be integers"):
+        Mat(F5, _NOT_INTEGERS[case])
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+def test_public_constructor_reduces_unsigned_before_the_cast(dtype):
+    # 2^64 - 1 = 0 mod 5 and 2^64 - 2 = 4; the int64 cast of either is
+    # negative, so an unsigned array is reduced first
+    top = np.iinfo(dtype).max
+    got = Mat(F5, np.array([[top, top - 1, 7]], dtype=dtype)).a
+    assert got.dtype == np.int64
+    assert got.tolist() == [[int(top) % 5, (int(top) - 1) % 5, 2]]
 
 
 _matrix = st.integers(1, 7).flatmap(

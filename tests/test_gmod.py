@@ -13,7 +13,7 @@ import oracles
 from cxlab.cioper import MonomialCI
 from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat, rref
-from cxlab.gralg import build_algebra, parse_polynomial
+from cxlab.gralg import build_algebra, parse_polynomial, socle_dimension
 from cxlab import gmod
 from cxlab.gmod import (
     Module,
@@ -479,7 +479,8 @@ _NOT_MONOMIAL = ("x^2+3*y^2", "x*y")
 def test_derived_modules_inherit_axioms(monkeypatch):
     calls = []
     verify = Module._verify
-    monkeypatch.setattr(Module, "_verify", lambda self: (calls.append(self.provenance), verify(self)))
+    monkeypatch.setattr(Module, "_verify",
+                        lambda self, actions: (calls.append(self.provenance), verify(self, actions)))
     B = _fresh_algebra()
     attributes = set(vars(B))
     F = free_module(B, [0, 1])
@@ -517,6 +518,45 @@ def test_free_module_keeps_no_regular_module():
         assert not [o for o in gc.get_objects() if isinstance(o, Module) and o.provenance == "regular"]
         assert not [v for v in vars(F).values() if isinstance(v, Module)]
         assert all(type(v) is np.ndarray for v in gmod._STRUCTURE[B].values()), relations
+
+
+def test_algebra_keeps_no_dense_array():
+    # the variable actions are built for A's regular module, and for the
+    # socle, on request; the algebra keeps only vectors, its normal forms
+    for relations in (("x^2", "x*y", "y^3"), _NOT_MONOMIAL):
+        B = _fresh_algebra(relations)
+        free_module(B, [0, 1])
+        assert socle_dimension(B) >= 1
+        assert all(len(shape) == 1 for _, shape in oracles.held_arrays(B)), relations
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("ring", ["monomial_ci", "gasharov"])
+def test_direct_sum_multiplies_through_its_summands(ring, p):
+    # a direct sum keeps its summands and no array, and multiplies as the
+    # block-diagonal actions of the reference would, a free summand through
+    # A's regular representation; a shift shares its module's stacks
+    F = Field(p)
+    names, relations, _ = _RINGS[ring]
+    A = build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=list(names))
+    N = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
+    free = free_module(A, [0, 1])
+    assert shift(N, -2)._stacked("basis") is N._stacked("basis")
+    rng = np.random.default_rng(p % 1000)
+    for pair in ((free, N), (N, free), (shift(N, -2), free_module(A, [1])), (residue_field(A), N)):
+        D, R = direct_sum(*pair), oracles.direct_sum(*pair)
+        assert D.degrees == R.degrees and D.actions == R.actions
+        cols = Mat(F, rng.integers(0, p, (D.dim, 3)))
+        for which in ("basis", "variables"):
+            assert D.multiples(cols, which) == R.multiples(cols, which), which
+            got, want = D._stacked(which), R._stacked(which)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert oracles.held_arrays(D) == []
+        S = shift(D, 3)
+        assert S.degrees == tuple(d + 3 for d in R.degrees) and S.actions == R.actions
+        assert oracles.held_arrays(S) == [] and all(type(x) is type(y) for x, y in zip(S.summands, pair))
+    with pytest.raises(InputError, match="coordinates"):
+        D.multiples(Mat.zeros(F, D.dim - 1, 1), "basis")
 
 
 def test_regular_module_cache_keeps_no_algebra_alive():

@@ -183,7 +183,7 @@ def test_non_cocycle_rep_raises(gasharov_module):
 
 def test_cocycle_representatives_are_homogeneous(k):
     for eta in cocycle_basis(k, k, 2):
-        mm = eta.realized()
+        mm = oracles.realized(eta)
         rr, cc = np.nonzero(mm.a)
         F = eta.resolution.free(2)
         shifts = {k.degrees[r] - F.degrees[c] for r, c in zip(rr, cc)}
@@ -410,10 +410,10 @@ def test_lifts_match_reference_lift(p, case):
                 want = theta.a[:, res.free(t + n).generator_columns()]
                 assert U.a.tobytes() == want.tobytes(), (t, eta.shift, n)
             assert one_class_screen(eta, window) == _reference_screen(eta, window, ref), (t, eta.shift)
-            square = oracles.ext_from_realized(res, M, 2 * t, eta.realized() @ ref[t], 2 * eta.shift)
+            square = oracles.ext_from_realized(res, M, 2 * t, oracles.realized(eta) @ ref[t], 2 * eta.shift)
             assert yoneda_power(eta, 2).rep.tobytes() == square.rep.tobytes(), (t, eta.shift)
             if t == 1:
-                cube = eta.realized() @ ref[1] @ ref[2]
+                cube = oracles.realized(eta) @ ref[1] @ ref[2]
                 want = oracles.ext_from_realized(res, M, 3, cube, 3 * eta.shift)
                 assert yoneda_power(eta, 3).rep.tobytes() == want.rep.tobytes(), eta.shift
             checked += 1
