@@ -35,6 +35,7 @@ from .yoneda import (
     PushoutExtension,
     Verdict,
     _check_tail,
+    _vectors_of,
     ext_table,
     pushout,
 )
@@ -213,7 +214,7 @@ def chi_self_extension(ops: EisenbudOperatorSet, j: int) -> ExtElement:
     res = ops.resolution
     res.extend(3)
     phi = compose_on_generators(ops.module, res.diff_images(0), ops.chi_images(j, 2))
-    return ExtElement(res, ops.module, 2, phi.a.T.reshape(-1), -ops.ci.exponents[j - 1])
+    return ExtElement(res, ops.module, 2, _vectors_of(phi, 1)[0], -ops.ci.exponents[j - 1])
 
 
 def cut_by_chi(ops: EisenbudOperatorSet, j: int) -> PushoutExtension:

@@ -17,21 +17,14 @@ basis of A or its variables).  A module given by its actions keeps them
 once, as the stack of its variable actions, and a product is one exact
 product by its monomial actions, whose basis stack it builds from the
 variables' once and keeps; its `shift` shares them.  A free module keeps
-only its generator degrees and its rank, no array, and multiplies as rank
-copies of A's regular module, which is verified once per algebra and kept
-only as arrays (see _structure_terms).  Where every variable of A acts by a
-partial permutation, as over a monomial algebra, a product is one int64
-gather through the source of each output coordinate, composed one basis
-monomial at a time with no dim A^3 stack.  Over any other ring A keeps the
-stacked actions of its regular module, and a product is the one exact
-product Module.multiples takes, with the generator blocks side by side.  A
-direct sum keeps its two summands and no array, and its products are
-theirs, the rows of the first summand over those of the second.  A module
-that keeps no actions, free or a direct sum, reads its stacked actions, the
-multiples of the identity, and its variable actions, their "variables"
-slice, off its products on each request, and keeps neither.
-`extend_linearly`, `min_generators` and the subquotients go through
-`multiples`; `block_action` is one product by the stacked actions.
+only its generator degrees and its rank, and multiplies as rank copies of
+A's regular module, kept once per algebra as one sparse structure table
+per monomial list, the same over every ring (see _Table).  A direct sum
+keeps its two summands, and its products are theirs, one over the other.
+A module that keeps no actions, free or a direct sum, reads its stacked
+actions and its variable actions off the multiples of the identity, on
+each request.  `extend_linearly`, `min_generators` and the subquotients go
+through `multiples`; `block_action` is one product by the stacked actions.
 
 A matrix over A, a map F' -> F of free modules, has one form: its
 generator images, the dim F x rank F' matrix whose column g is the image of
@@ -48,7 +41,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,28 +107,26 @@ class Module:
         column c sit side by side, at columns c*s .. c*s + s - 1."""
         if cols.rows != self.dim:
             raise InputError(f"{cols.rows} coordinates on a module of dimension {self.dim}")
-        return Mat._trusted(self.field, _stack_product(self._stacked(which), cols.a, 1, self.field.p))
+        # one exact product by the monomial actions stacked on top of each other
+        X, n, k = self._stacked(which), self.dim, cols.cols
+        out = _matmul_mod(X.reshape(len(X) * n, n), cols.a, self.field.p).reshape(len(X), n, k)
+        return Mat._trusted(self.field, out.transpose(1, 2, 0).reshape(n, k * len(X)))
 
     def _stacked(self, which: str) -> np.ndarray:
         """The actions of the monomials of the list `which` (see
-        _monomial_list), an s x dim x dim array.  A module that keeps its
+        _list_length), an s x dim x dim array.  A module that keeps its
         variable actions builds the basis stack from them once and keeps it;
         a module that keeps none reads either off the multiples of the
         identity, built on each call and not kept."""
         if self._stacks is None:
-            n, s = self.dim, len(_monomial_list(self.algebra, which))
+            n, s = self.dim, _list_length(self.algebra, which)
             out = self.multiples(Mat.identity(self.field, n), which).a.reshape(n, n, s)
             return np.ascontiguousarray(out.transpose(2, 0, 1))
         if which not in self._stacks:
-            monomials = _monomial_list(self.algebra, which)  # raises InputError for no such list
             X = self._stacks["variables"]
-            out = np.empty((len(monomials), self.dim, self.dim), dtype=np.int64)
+            out = np.empty((_list_length(self.algebra, which), self.dim, self.dim), dtype=np.int64)
             out[0] = np.eye(self.dim, dtype=np.int64)  # basis[0] is 1
-            # x_v m' is X_v times x^m': standard monomials are closed under
-            # division and listed degree by degree, so m' comes first
-            for j, mono in enumerate(monomials[1:], 1):
-                v = next(i for i, a in enumerate(mono) if a)
-                below = self.algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
+            for j, v, below in _division_chain(self.algebra):
                 out[j] = _matmul_mod(X[v], out[below], self.field.p)
             out.setflags(write=False)
             self._stacks[which] = out
@@ -194,10 +185,8 @@ class Module:
 class FreeModule(Module):
     """Free module on homogeneous generators; basis is generator-major blocks
     (generator g, standard monomial m) with degree deg(m) + deg(g).  Each
-    block is a copy of A as a module over itself.  A free module multiplies
-    through A's regular representation (see _structure_terms), and its
-    actions are read off the same products on each request: it keeps no
-    array."""
+    block is a copy of A as a module over itself, and multiplies through
+    A's structure table; a free module keeps no array."""
 
     def __init__(self, algebra: Algebra, gen_degrees: Sequence[int]):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
@@ -214,26 +203,22 @@ class FreeModule(Module):
         return len(self.gen_degrees)
 
     def multiples(self, cols: Mat, which: str) -> Mat:
-        """Module.multiples over rank copies of A's regular module, read off
-        _structure_terms.  Where it keeps the stacked actions, that is one
-        exact product, as for a module that is not free.  Where it keeps a
-        gather's sources, entry (g, a) of column c times x^e_j is
-        cols[(g, src[a, j]), c], or zero, and one gather is the product."""
+        """Module.multiples through the structure table of the list, on
+        every block (see _Table): one take writes every output in place,
+        (g, a) by (c, j), the same way over every ring."""
         if cols.rows != self.dim:
             raise InputError(f"{cols.rows} coordinates on a free module of dimension {self.dim}")
-        terms = _structure_terms(self.algebra, which)
-        if terms.ndim == 3:
-            return Mat._trusted(self.field, _stack_product(terms, cols.a, self.rank, self.field.p))
-        dA, r, k = self.algebra.dim, self.rank, cols.cols
-        # V[g, c, m]: coordinate m of block g of column c, and a zero at
-        # m = dim A, which an output with no source reads
-        V = np.zeros((r, k, dA + 1), dtype=np.int64)
+        t = _structure_terms(self.algebra, which)
+        dA, r, k, p = self.algebra.dim, self.rank, cols.cols, self.field.p
+        # V[g, c, m]: coordinate m of block g of column c, then a zero and the
+        # sums, each product reduced mod p before it is summed
+        n = dA + 1 + t.starts.size
+        V = np.zeros((r, k, n), dtype=np.int64)
         V[:, :, :dA] = cols.a.reshape(r, dA, k).transpose(0, 2, 1)
-        V = V.reshape(r, k * (dA + 1))
-        # entry (g, a) of column c times x^e_j reads V[g, c, src[a, j]]: one
-        # take writes the products in place, (g, a) by (c, j)
-        out = np.take(V, terms[:, None, :] + (dA + 1) * np.arange(k)[:, None], axis=1)
-        return Mat._trusted(self.field, out.reshape(self.dim, k * terms.shape[1]))
+        sums = np.add.reduceat(V.take(t.src, axis=2) * t.coef % p, t.starts, axis=2)
+        np.remainder(sums, p, out=V[:, :, dA + 1:])
+        out = V.reshape(r, k * n).take(t.source[:, None, :] + np.arange(0, k * n, n)[:, None], axis=1)
+        return Mat._trusted(self.field, out.reshape(self.dim, k * t.source.shape[1]))
 
     def generator_columns(self) -> List[int]:
         """Coordinate of each generator: the monomial 1 in its block."""
@@ -245,77 +230,104 @@ def free_module(algebra: Algebra, gen_degrees: Sequence[int]) -> FreeModule:
     return FreeModule(algebra, gen_degrees)
 
 
-def _monomial_list(algebra: Algebra, which: str) -> List[Tuple[int, ...]]:
-    """The monomials Module.multiples applies: A's basis or its variables."""
-    if which == "basis":
-        return algebra.basis
-    if which == "variables":
-        return [tuple(int(i == v) for i in range(algebra.nvars)) for v in range(algebra.nvars)]
-    raise InputError(f"no monomial list named {which!r}: expected 'basis' or 'variables'")
+def _list_length(algebra: Algebra, which: str) -> int:
+    """The length of the monomial list Module.multiples applies: "basis",
+    A's basis monomials in order, or "variables"."""
+    if which not in ("basis", "variables"):
+        raise InputError(f"no monomial list named {which!r}: expected 'basis' or 'variables'")
+    return algebra.dim if which == "basis" else algebra.nvars
 
 
-def _stack_product(X: np.ndarray, cols: np.ndarray, r: int, p: int) -> np.ndarray:
-    """The products of the s x n x n stack of actions X with the columns of
-    cols, r blocks of n coordinates each, X acting on every block: entry
-    (g, a) of column c times X[j] sits at row g * n + a, column c * s + j.
-    One exact product by the actions stacked on top of each other, with the
-    blocks side by side."""
-    s, n, _ = X.shape
-    k = cols.shape[1]
-    side = cols.reshape(r, n, k).transpose(1, 0, 2).reshape(n, r * k)
-    out = _matmul_mod(X.reshape(s * n, n), side, p).reshape(s, n, r, k)
-    return out.transpose(2, 1, 3, 0).reshape(r * n, k * s)
+def _division_chain(algebra: Algebra) -> Iterator[Tuple[int, int, int]]:
+    """(j, v, below) for every basis monomial x^e_j but 1: x^e_j = x_v *
+    x^e_below, v its first variable.  Standard monomials are closed under
+    division and listed degree by degree, so below comes before j."""
+    for j, mono in enumerate(algebra.basis[1:], 1):
+        v = next(i for i, a in enumerate(mono) if a)
+        yield j, v, algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
 
 
-# A's regular representation, kept once per algebra for both monomial lists
-# (see _structure_terms): arrays only, so no algebra is kept alive by its
-# entry.
-_STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, np.ndarray]]" = weakref.WeakKeyDictionary()
+class _Table(NamedTuple):
+    """A's structure constants on a monomial list, each nonzero one once:
+    x^e_j * basis[src] has coefficient w on basis[a].  A product extends a
+    column by a zero and the sums, and output (a, j) reads coordinate
+    source[a, j]: src where its one entry is w = 1, as every output over a
+    monomial algebra; dim A, the zero, where it has none; dim A + 1 + i for
+    summed output i, over the entries (src, coef)[starts[i]:starts[i + 1]],
+    each product reduced mod p before the sum."""
+    source: np.ndarray
+    starts: np.ndarray
+    src: np.ndarray
+    coef: np.ndarray
 
 
-def _structure_terms(algebra: Algebra, which: str) -> np.ndarray:
-    """A's regular representation on the monomials x^e_j of the list
-    `which` (see _monomial_list), in one of two forms.
+# A's structure tables, once per algebra (see _structure_terms): arrays
+# only, so no algebra is kept alive by its entry.
+_STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, _Table]]" = weakref.WeakKeyDictionary()
 
-    Where every row of every variable's action holds at most one nonzero
-    entry, a 1, as over a monomial algebra, whose regular action is a
-    partial permutation, so does every row of every monomial's action.  The
-    form is then the gather's sources, a dim A x s array: x^e_j * basis[c]
-    has coefficient 1 on basis[a] for c = src[a, j] and 0 for every other c;
-    src[a, j] = dim A, a zero the reader appends, where the row is zero.
-    Over any other ring it is the stacked actions of A's regular module
-    (Module._stacked), an s x dim A x dim A array.
 
-    The first call for an algebra builds A as a module over itself, which
-    verifies its axioms, and reads the form off its variable actions.  The
-    gather's basis sources follow one monomial at a time: x^e_j = x_v x^e',
-    e' listed before e_j (standard monomials are closed under division and
-    listed degree by degree), so output a of x^e_j reads the source of
-    output src_v[a] of x^e'; no dim A^3 stack is formed."""
-    terms = _STRUCTURE.get(algebra)
-    if terms is None:
+def _structure_terms(algebra: Algebra, which: str) -> _Table:
+    """A's structure table on the monomials of the list `which` (see
+    _list_length).  The first call for an algebra builds A as a module
+    over itself, which verifies its axioms, and reads both tables off its
+    variable actions X_v.  The basis actions follow along the division
+    chain, one degree at a time and as entries only: x^e_j acts as x^e_below
+    times X_v (A is commutative), so an entry (below, a, b, w) and an entry
+    x at (b, src) of X_v give (j, a, src, w x), and entries alike are
+    summed; no dim A^3 stack is formed."""
+    tables = _STRUCTURE.get(algebra)
+    if tables is None:
         regular = Module(algebra, algebra.basis_degrees,
                          [algebra.variable_action(i) for i in range(algebra.nvars)],
                          provenance="regular")
-        dA = algebra.dim
-        S = regular._stacked("variables")
-        # entries lie in [0, p): a row sum of at most 1 is one entry 1 at most
-        if (S.sum(axis=2) <= 1).all():
-            variables = np.ascontiguousarray(np.where(S.any(axis=2), S.argmax(axis=2), dA).T)
-            # column j: the sources of basis[j]; row dA: the zero's own source
-            basis = np.full((dA + 1, dA), dA, dtype=np.intp)
-            basis[:dA, 0] = np.arange(dA)  # basis[0] is 1
-            for j, mono in enumerate(algebra.basis[1:], 1):
-                v = next(i for i, e in enumerate(mono) if e)
-                below = algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
-                basis[:dA, j] = basis[variables[:, v], below]
-            terms = {"basis": basis[:dA], "variables": variables}
-        else:
-            terms = {w: regular._stacked(w) for w in ("basis", "variables")}
-        _STRUCTURE[algebra] = terms
-    if which not in terms:
-        _monomial_list(algebra, which)  # raises InputError: no such list
-    return terms[which]
+        X, p, dA = regular._stacked("variables"), algebra.field.p, algebra.dim
+        # an entry of a stack of actions is its flat index (j dA + a) dA + src
+        # and its residue: xk, x those of X, row b of X_v from ptr[v dA + b]
+        xk = np.flatnonzero(X)
+        x, ptr = X.reshape(-1)[xk], np.searchsorted(xk // dA, np.arange(len(X) * dA + 1))
+        keys, w = np.arange(dA) * (dA + 1), np.ones(dA, dtype=np.int64)  # basis[0] is 1
+        chain = np.array(list(_division_chain(algebra)), dtype=np.intp).reshape(-1, 3)
+        degrees = np.array(algebra.basis_degrees)[chain[:, 0]]
+        for d in range(1, max(algebra.basis_degrees) + 1):
+            j, v, below = chain[degrees == d].T
+            lo = keys.searchsorted(below * dA * dA)
+            n = keys.searchsorted((below + 1) * dA * dA) - lo
+            e = _ranges(lo, n)  # the entries (below, a, b) of each x^e_below
+            ab = keys[e] % (dA * dA)
+            row = (v * dA).repeat(n) + ab % dA
+            m = ptr[row + 1] - ptr[row]
+            f = _ranges(ptr[row], m)  # and those (v, b, src) of row b of X_v
+            new = ((j.repeat(n) * dA + ab // dA) * dA).repeat(m) + xk[f] % dA
+            order = new.argsort()
+            new, terms = new[order], (x[f] * w[e].repeat(m) % p)[order]
+            alike = np.flatnonzero(new != np.append(-1, new[:-1]))  # each key's first entry
+            sums = np.add.reduceat(terms, alike) % p
+            # keys stay sorted: the basis lists its monomials degree by degree
+            keys, w = np.concatenate((keys, new[alike][sums != 0])), np.concatenate((w, sums[sums != 0]))
+        tables = {"basis": _table(keys, w, dA, dA), "variables": _table(xk, x, dA, len(X))}
+        _STRUCTURE[algebra] = tables
+    if which not in tables:
+        _list_length(algebra, which)  # raises InputError: no such list
+    return tables[which]
+
+
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """lo[i] .. lo[i] + n[i] - 1 for every i, one after the other."""
+    return (lo - n.cumsum() + n).repeat(n) + np.arange(n.sum())
+
+
+def _table(keys: np.ndarray, w: np.ndarray, dA: int, s: int) -> _Table:
+    """The _Table of a stack of s actions given by its nonzero entries, in
+    order: flat indices (j dA + a) dA + src and residues w."""
+    out = keys // dA  # output (a, j) as j dA + a
+    starts = np.flatnonzero(out != np.append(-1, out[:-1]))
+    n = np.append(starts[1:], out.size) - starts
+    lone = (n == 1) & (w[starts] == 1)
+    source = np.full(s * dA, dA, dtype=np.intp)
+    source[out[starts]] = np.where(lone, keys[starts] % dA, dA + (~lone).cumsum())
+    summed = (~lone).repeat(n)
+    return _Table(np.ascontiguousarray(source.reshape(s, dA).T), n[~lone].cumsum() - n[~lone],
+                  keys[summed] % dA, w[summed])
 
 
 def extend_linearly(target: Module, gen_images: Mat) -> Mat:

@@ -257,6 +257,12 @@ def _side_by_side(reps: np.ndarray, rank: int, n: Module) -> Mat:
     return Mat._trusted(n.field, reps.reshape(k, rank, n.dim).transpose(2, 0, 1).reshape(n.dim, k * rank))
 
 
+def _vectors_of(images: Mat, k: int) -> np.ndarray:
+    """The inverse of _side_by_side: k maps' coordinate vectors, as rows."""
+    n, rank = images.rows, images.cols // k
+    return images.a.reshape(n, k, rank).transpose(1, 2, 0).reshape(k, rank * n)
+
+
 def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> List[Mat]:
     """Lift k cocycles of Ext^t(M, M), their generator images side by side
     in images, to chain maps theta_i: F_{t+i} -> F_i, i = 0..upto, each

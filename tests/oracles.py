@@ -26,10 +26,8 @@ cocycle, the inverse of realized, and is_zero_class tests its
 class_residual.
 diff_algebra reads a differential of an engine resolution as a matrix of
 algebra elements.  monomial_action multiplies a module's variable actions
-with the engine's product, dense_gather_sources reads the gather's sources
-off the dense stack of A's monomial actions, the reading the engine
-replaced by one composed per basis monomial, and held_arrays lists the
-arrays an object keeps.
+with the engine's product, and held_arrays lists the arrays an object
+keeps.
 """
 from __future__ import annotations
 
@@ -152,24 +150,6 @@ def held_arrays(obj, skip=()):
         if name not in skip:
             walk(name, value)
     return out
-
-
-def dense_gather_sources(algebra, which):
-    """The sources src[a, j] of gmod._structure_terms' gather read off the
-    dense stack of A's monomial actions, s x dim A x dim A, formed by the
-    engine's product chain for a module that is not free: the column of the
-    one nonzero entry, a 1, of row a of the action of monomial j, or dim A
-    for a zero row.  None when some row holds another entry or a second
-    one.  The reference for the sources composed one basis monomial at a
-    time."""
-    S = regular_module(algebra)._stacked(which)
-    dA = algebra.dim
-    if not np.isin(S, (0, 1)).all() or (np.count_nonzero(S, axis=2) > 1).any():
-        return None
-    j, a, c = np.nonzero(S)
-    src = np.full((dA, S.shape[0]), dA, dtype=np.intp)
-    src[a, j] = c
-    return src
 
 
 def direct_sum(m, n):

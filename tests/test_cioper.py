@@ -9,7 +9,7 @@ from cxlab.exactla import Field, Mat
 from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
 from cxlab.gmod import coker_presentation, free_module, residue_field
 from cxlab.resol import estimate_complexity, resolve
-from cxlab.yoneda import ext_table, pushout
+from cxlab.yoneda import _side_by_side, _vectors_of, ext_table, pushout
 import oracles
 from oracles import is_isomorphic
 from conftest import gasharov_algebra, gasharov_presentation
@@ -166,6 +166,12 @@ def test_chi_classes_independent(quadric, k):
     assert not oracles.is_zero_class(e1) and not oracles.is_zero_class(e2)
     assert Mat(F5, np.vstack([e1.rep, e2.rep])).rank() == 2
     assert e1.shift == -2 and e2.shift == -2
+    # a class's vector and its generator images are one layout, read both
+    # ways: side by side and back again, one class or both
+    reps = np.vstack([e1.rep, e2.rep])
+    images = _side_by_side(reps, ops.resolution.free(2).rank, k)
+    assert np.array_equal(_vectors_of(images, 2), reps)
+    assert np.array_equal(_vectors_of(e1.on_generators(), 1), reps[:1])
 
 
 def test_chi_class_zero_iff_finite_pd(cubic):

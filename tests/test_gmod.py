@@ -264,17 +264,33 @@ _TERM_RINGS = {
     "x2+y2": (7, "xyz", ["x^2+y^2", "y^3", "z^2", "x*z"], False),
     "x3y3z3": (5, "xyz", ["x^3", "y^3", "z^3"], True),
     "a4b4c4d4": (5, "abcd", ["a^4", "b^4", "c^4", "d^4"], True),
+    "dim64": (5, "abc", ["a^4+b^4", "b^4+c^4", "a*b*c^2+c^4"], False),
+    # entries alike of a basis action sum to p or more, so the build reduces the sum
+    "wraps": (3, "xyz", ["y^2+z^2", "x^2+x*y+z^2", "x*z+z^2"], False),
 }
+
+
+def _table_entries(t):
+    """The structure constants a gmod._Table holds, as sorted tuples (j, a,
+    src, w): the one entry 1 of each lone output, and every summed entry."""
+    dA = t.source.shape[0]
+    a, j = np.nonzero(t.source < dA)
+    held = list(zip(j.tolist(), a.tolist(), t.source[a, j].tolist(), [1] * a.size))
+    bounds = np.append(t.starts, t.src.size)
+    for a, j in zip(*np.nonzero(t.source > dA)):
+        lo, hi = bounds[t.source[a, j] - dA - 1:][:2]
+        held += [(j, a, c, w) for c, w in zip(t.src[lo:hi].tolist(), t.coef[lo:hi].tolist())]
+    return sorted(held)
 
 
 @pytest.mark.parametrize("ring", sorted(_TERM_RINGS))
 def test_structure_terms_match_dense_stack(ring):
-    # over a partial permutation, the gather's sources, composed one basis
-    # monomial at a time, are byte for byte those read off the dense dim A^3
-    # stack of A's monomial actions; where that stack dominates (dim A =
-    # 256: 128 MiB), composing them allocates less than a quarter of it.
-    # Over any other ring no sources are kept, and the kept arrays are the
-    # stacked actions of A's regular module
+    # the one structure table holds, entry by entry, the nonzero entries of
+    # the dense dim A^3 stack of A's monomial actions, every output once: a
+    # lone entry 1 by its source, any other output summed.  Over a partial
+    # permutation every output is a lone 1, so nothing is summed.  Where the
+    # stack dominates (dim A >= 64: 2 MiB and up), building both tables
+    # allocates less than a quarter of it
     p, names, relations, gather = _TERM_RINGS[ring]
     F = Field(p)
     A = build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=list(names))
@@ -286,12 +302,16 @@ def test_structure_terms_match_dense_stack(ring):
         tracemalloc.stop()
     if A.dim >= 64:
         assert peak < 8 * A.dim ** 3 / 4, (peak, A.dim)
-    for which, terms in got.items():
-        want = oracles.dense_gather_sources(A, which)
-        assert (want is not None) == gather, which
-        if not gather:
-            want = oracles.regular_module(A)._stacked(which)
-        assert (terms.dtype, terms.shape, terms.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    for which, t in got.items():
+        assert type(t) is gmod._Table and all(x.dtype.kind == "i" for x in t), which
+        S = oracles.regular_module(A)._stacked(which)
+        j, a, c = np.nonzero(S)
+        assert _table_entries(t) == sorted(zip(j.tolist(), a.tolist(), c.tolist(), S[j, a, c].tolist())), which
+        # each summed output is read once, and is not one entry 1
+        summed = np.sort(t.source[t.source > A.dim])
+        assert np.array_equal(summed, A.dim + 1 + np.arange(t.starts.size)), which
+        assert ((np.diff(t.starts, append=t.src.size) > 1) | (t.coef[t.starts] != 1)).all(), which
+        assert (t.starts.size == 0) == gather, which
 
 
 _RINGS = {
@@ -318,9 +338,17 @@ def test_multiples_match_monomial_actions(ring, p):
     names, relations, gather = _RINGS[ring]
     A = build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=names)
     variables = [tuple(int(i == v) for i in range(A.nvars)) for v in range(A.nvars)]
-    for which in ("basis", "variables"):
-        if p > 2:
-            assert (_structure_terms(A, which).ndim == 2) == gather
+    # over a partial permutation the take writes every output; "merging"
+    # sums two entries in an output, "half_p" reduces (p - 1) / 2 times a
+    # residue before it sums
+    if p > 2:
+        for which in ("basis", "variables"):
+            assert (_structure_terms(A, which).starts.size == 0) == gather
+    t = _structure_terms(A, "basis")
+    if ring == "merging":
+        assert np.diff(t.starts, append=t.src.size).max() == 2
+    if ring == "half_p" and p == 2**31 - 1:
+        assert (p - 1) // 2 in t.coef
     rng = np.random.default_rng(p % 1000)
     N = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
     Z = coker_presentation(A, [[A.one()]], [0])  # zero-dimensional, and not free
@@ -472,7 +500,7 @@ def _fresh_algebra(relations=("x^2", "x*y", "y^3")):
                          varnames=["x", "y"])
 
 
-# a monomial ring keeps the gather's sources, this one A's stacked actions
+# over a monomial ring the structure table sums no output; over this one it sums some
 _NOT_MONOMIAL = ("x^2+3*y^2", "x*y")
 
 
@@ -517,7 +545,8 @@ def test_free_module_keeps_no_regular_module():
         gc.collect()
         assert not [o for o in gc.get_objects() if isinstance(o, Module) and o.provenance == "regular"]
         assert not [v for v in vars(F).values() if isinstance(v, Module)]
-        assert all(type(v) is np.ndarray for v in gmod._STRUCTURE[B].values()), relations
+        tables = gmod._STRUCTURE[B].values()
+        assert all(type(x) is np.ndarray for t in tables for x in t), relations
 
 
 def test_algebra_keeps_no_dense_array():
@@ -560,12 +589,12 @@ def test_direct_sum_multiplies_through_its_summands(ring, p):
 
 
 def test_regular_module_cache_keeps_no_algebra_alive():
-    for relations, ndim in ((("x^2", "x*y", "y^3"), 2), (_NOT_MONOMIAL, 3)):
+    for relations, summed in ((("x^2", "x*y", "y^3"), False), (_NOT_MONOMIAL, True)):
         B = _fresh_algebra(relations)
         assert resolve(residue_field(B), 3).betti_list(3)[0] == 1
         F = free_module(B, [0, 1])
         assert F.multiples(Mat.identity(F5, F.dim), "variables").shape == (F.dim, 2 * F.dim)
-        assert _structure_terms(B, "basis").ndim == ndim
+        assert (_structure_terms(B, "basis").starts.size > 0) == summed
         gone = weakref.ref(B)
         del B, F
         gc.collect()
