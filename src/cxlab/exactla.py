@@ -20,34 +20,28 @@ Mat._trusted wraps an array that is reduced by construction (a product, an
 echelon form, a transpose, a stack or slice of reduced arrays) without a
 copy.
 
-One elimination, _rref_array, is behind rref, kernel_rref, pivot_inverse
-and Mat.rank, and it picks its method from the density of its input.  The
+One elimination, _sparse_rref, is behind rref, kernel_rref, pivot_inverse,
+pivot_columns and Mat.rank, whatever the density of the input.  The
 matrices the engine eliminates are nearly empty: on the benchmark's inputs
-they hold at most 1.1 times as many nonzeros as their longer side.  An
-input with at most 2(rows + cols) nonzeros is eliminated on sparse rows,
-dicts {column: residue} of Python ints, which are exact at every p.  Rows
-are taken fewest entries first, so unit rows become pivots before any
-arithmetic (the singleton step of structured Gaussian elimination:
-LaMacchia and Odlyzko, CRYPTO '90).  Each row is reduced against the pivot
-rows met so far and normalized, and back substitution then runs from the
-last pivot; pivot_columns and Mat.rank stop after the echelon pass.  A
-denser input goes to the dense kernel _eliminate, and so does a sparse one
-whose row operations touch more than a sixteenth of its cells plus 64.  On
-a 2-vCPU Xeon (Python 3.11, numpy 2.4) a touched entry costs about 185 ns
-and a cell of a numpy row update 8 to 12 ns, so the bound caps a pass that
-loses at about the cost of one update of every cell by the dense kernel.
+they hold at most 1.1 times as many nonzeros as their longer side.  Each is
+eliminated on sparse rows, dicts {column: residue} of Python ints, which
+are exact at every p, so the work follows the fill and not the size of the
+matrix (structured Gaussian elimination: LaMacchia and Odlyzko, CRYPTO '90;
+F4 keeps its nearly empty matrices sparse the same way: Faugère, J. Pure
+Appl. Algebra 139, 1999).  Rows are taken fewest entries first, so unit
+rows become pivots before any arithmetic.  Each row is reduced against the
+pivot rows met so far and normalized, and back substitution then runs from
+the last pivot; pivot_columns and Mat.rank stop after the echelon pass.
 Pivots are the first nonzero entry in column order, and the reduced echelon
 form of a row space is unique, as are its pivot columns (the leading
-columns of any echelon basis).  Both methods, in any row order, give the
-same array, so no output depends on the method taken, and every derived
-basis is reproducible across runs and platforms.
+columns of any echelon basis), so no output depends on the order in which
+rows are taken, and every derived basis is reproducible across runs and
+platforms.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -263,45 +257,6 @@ class Mat:
             raise InputError("matrices over different fields")
 
 
-def _eliminate(A: np.ndarray, p: int):
-    """RREF of A in place; returns (A, pivot column list).
-
-    Each pivot clears its column in the rows where that column is nonzero.
-    When they are few (fewer than a quarter of the rows), only those rows
-    are updated, so the work follows the fill rather than the size of A
-    (cf. LaMacchia and Odlyzko, "Solving large sparse linear systems over
-    finite fields", CRYPTO '90); otherwise one rank-1 update covers all
-    rows.  Both give the same array.
-    """
-    rows, cols = A.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = A[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        hit = A[:, c].nonzero()[0]
-        if hit.size > 1:
-            if 4 * hit.size < rows:
-                others = hit[hit != r]
-                A[others] = (A[others] - np.outer(A[others, c], A[r])) % p
-            else:
-                f = A[:, c].copy()
-                f[r] = 0
-                A -= np.outer(f, A[r])
-                A %= p
-        pivots.append(c)
-        r += 1
-    return A, pivots
-
-
 def _complement(n: int, indices) -> np.ndarray:
     """The sorted indices 0..n-1 that are not among indices (a sequence of
     distinct ones, such as pivot columns), from one boolean mask."""
@@ -310,9 +265,9 @@ def _complement(n: int, indices) -> np.ndarray:
     return keep.nonzero()[0]
 
 
-def _subtract(row: dict, f: int, other: dict, p: int) -> int:
+def _subtract(row: dict, f: int, other: dict, p: int):
     """row -= f·other in place, on dicts {column: residue}; an entry that
-    becomes 0 is dropped.  Returns the number of entries touched."""
+    becomes 0 is dropped."""
     for j, v in other.items():
         x = (row.get(j, 0) - f * v) % p
         if x:
@@ -320,13 +275,11 @@ def _subtract(row: dict, f: int, other: dict, p: int) -> int:
         else:
             # f and v are units, so an entry becomes 0 only where row had one
             del row[j]
-    return len(other)
 
 
-def _sparse_rref(rows, p: int, budget=math.inf, reduced: bool = True) -> Optional[dict]:
+def _sparse_rref(rows, p: int, reduced: bool = True) -> dict:
     """Echelon pivot rows of the row space of rows, dicts {column: residue}
-    with residues in [0, p) (consumed); None once the row operations touch
-    more than budget entries.
+    with residues in [0, p) (consumed).
 
     Returns {pivot column: row}, each row 1 at its pivot column.  Rows are
     taken fewest entries first, so unit rows become pivots before any
@@ -337,10 +290,9 @@ def _sparse_rref(rows, p: int, budget=math.inf, reduced: bool = True) -> Optiona
     of its RREF.  With reduced, back substitution from the last pivot clears
     the later pivot columns from each row, making the rows the RREF's.
     Residues are Python ints: f·v < p^2 is exact at every p.  gralg hands
-    its ideal's slices here as rows, with no dense form and no bound.
+    its ideal's slices here as rows, with no dense form.
     """
     pivot: dict = {}
-    work = 0
     for row in sorted(rows, key=len):
         while row:
             c = min(row)
@@ -351,45 +303,33 @@ def _sparse_rref(rows, p: int, budget=math.inf, reduced: bool = True) -> Optiona
                     row = {j: v * inv % p for j, v in row.items()}
                 pivot[c] = row
                 break
-            work += _subtract(row, row[c], other, p)
-            if work > budget:
-                return None
+            _subtract(row, row[c], other, p)
     if reduced:
         # the rows after c are already reduced: they hold no other pivot column
         for c in sorted(pivot, reverse=True):
             row = pivot[c]
             for j in [j for j in row if j != c and j in pivot]:
-                work += _subtract(row, row[j], pivot[j], p)
-            if work > budget:
-                return None
+                _subtract(row, row[j], pivot[j], p)
     return pivot
 
 
-def _sparse_pivots(a: np.ndarray, p: int, reduced: bool) -> Optional[dict]:
-    """_sparse_rref of the rows of a when a holds at most 2(rows + cols)
-    nonzeros, with a work bound of a sixteenth of its cells; None when a is
-    denser or its fill passes the bound (the caller then runs _eliminate)."""
-    nonzeros = np.count_nonzero(a)
-    if nonzeros > 2 * (a.shape[0] + a.shape[1]):
-        return None
-    if not nonzeros:
-        return {}
+def _sparse_pivots(a: np.ndarray, p: int, reduced: bool) -> dict:
+    """_sparse_rref of the nonzero rows of a."""
     r, c = a.nonzero()
+    if not r.size:  # most of the search's theta_n (x) k layers are zero
+        return {}
     dict_rows: dict = {}
     for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
         if i in dict_rows:
             dict_rows[i][j] = v
         else:
             dict_rows[i] = {j: v}
-    return _sparse_rref(dict_rows.values(), p, a.size // 16 + 64, reduced)
+    return _sparse_rref(dict_rows.values(), p, reduced)
 
 
 def _rref_array(a: np.ndarray, p: int):
-    """RREF of a copy of a; returns (array, pivot column list): by sparse
-    rows (_sparse_pivots) where they apply, otherwise by _eliminate."""
+    """RREF of a, as a new array, and its pivot column list."""
     pivot = _sparse_pivots(a, p, reduced=True)
-    if pivot is None:
-        return _eliminate(a.copy(), p)
     lead = sorted(pivot)
     out = np.zeros(a.shape, dtype=np.int64)
     reduced = [pivot[c] for c in lead]
@@ -401,10 +341,7 @@ def _rref_array(a: np.ndarray, p: int):
 def pivot_columns(m: Mat) -> tuple:
     """The pivot columns of rref(m), from the echelon pass alone: no back
     substitution and no reduced array."""
-    pivot = _sparse_pivots(m.a, m.field.p, reduced=False)
-    if pivot is None:
-        return tuple(_eliminate(m.a.copy(), m.field.p)[1])
-    return tuple(sorted(pivot))
+    return tuple(sorted(_sparse_pivots(m.a, m.field.p, reduced=False)))
 
 
 def rref(m: Mat):

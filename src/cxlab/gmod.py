@@ -166,10 +166,10 @@ class Module:
         for g in A.relations:
             acc = Mat.zeros(A.field, n, n)
             for e, c in g.terms:
-                term = Mat.identity(A.field, n)
-                for X, a in zip(actions, e):
-                    for _ in range(a):
-                        term = X @ term
+                # relations have degree >= 1: every term has a first factor
+                term, *rest = [X for X, a in zip(actions, e) for _ in range(a)]
+                for X in rest:
+                    term = X @ term
                 acc = acc + term.scale(c)
             if not acc.is_zero():
                 raise InvariantError(f"relation {g!r} does not annihilate the module")
@@ -215,8 +215,9 @@ class FreeModule(Module):
         n = dA + 1 + t.starts.size
         V = np.zeros((r, k, n), dtype=np.int64)
         V[:, :, :dA] = cols.a.reshape(r, dA, k).transpose(0, 2, 1)
-        sums = np.add.reduceat(V.take(t.src, axis=2) * t.coef % p, t.starts, axis=2)
-        np.remainder(sums, p, out=V[:, :, dA + 1:])
+        if t.starts.size:  # over a monomial algebra nothing is summed
+            sums = np.add.reduceat(V.take(t.src, axis=2) * t.coef % p, t.starts, axis=2)
+            np.remainder(sums, p, out=V[:, :, dA + 1:])
         out = V.reshape(r, k * n).take(t.source[:, None, :] + np.arange(0, k * n, n)[:, None], axis=1)
         return Mat._trusted(self.field, out.reshape(self.dim, k * t.source.shape[1]))
 

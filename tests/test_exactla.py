@@ -420,37 +420,19 @@ def test_pivot_inverse_solves_like_solve_matrix(p):
 
 
 @pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
-def test_sparse_rref_matches_oracle(monkeypatch, p):
-    # matrices at four densities: the two sparsest hold at most 2(rows +
-    # cols) nonzeros and take the sparse rows, the densest takes the dense
-    # kernel.  Every one is also reduced by the dense kernel, whose two
-    # updates are checked: a pivot column nonzero in a few rows updates only
-    # those rows, in many one update covers every row.  The row-restricted
-    # update multiplies only nonzero coefficients; the full one also the
-    # zero it puts at the pivot row
+def test_sparse_rref_matches_oracle(p):
+    # matrices at four densities, from nearly empty to nearly a third full;
+    # the echelon pass alone gives the same pivot columns
     F = Field(p)
     rng = np.random.default_rng(p % 1009)
-    restricted = []
-    outer = np.outer
-
-    def recording(f, row):
-        restricted.append(bool(np.all(f != 0)))
-        return outer(f, row)
-
-    sparse = []
     for density in (0.005, 0.02, 0.08, 0.3):
         rows, cols = int(rng.integers(32, 161)), int(rng.integers(8, 49))
         a = rng.integers(1, p, (rows, cols)) * (rng.random((rows, cols)) < density)
-        R, pivots, rank = rref(Mat(F, a))
+        m = Mat(F, a)
+        R, pivots, rank = rref(m)
         expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
         assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots, (density, rows, cols)
-        sparse.append(exactla._sparse_pivots(a, p, reduced=True) is not None)
-        with monkeypatch.context() as patched:
-            patched.setattr(np, "outer", recording)
-            D, dense_pivots = exactla._eliminate(a.copy(), p)
-        assert D.tolist() == expected_rows and list(dense_pivots) == expected_pivots
-    assert True in restricted and False in restricted
-    assert sparse[:2] == [True, True] and not sparse[3]
+        assert exactla.pivot_columns(m) == pivots and m.rank() == rank
 
 
 def _block(rng, p, shape, kind):
@@ -502,31 +484,24 @@ _BATCHED = {
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Records every elimination: ("_sparse_rref", finished) for each sparse
-    pass (finished is False when its fill passed the work bound) and
-    ("_eliminate", shape) for each matrix the dense kernel reduces."""
+    """Records every elimination: for each _sparse_rref pass, whether it
+    back-substitutes (reduced)."""
     calls = []
-    eliminate, sparse = exactla._eliminate, exactla._sparse_rref
+    sparse = exactla._sparse_rref
 
-    def dense_recording(A, p):
-        calls.append(("_eliminate", A.shape))
-        return eliminate(A, p)
+    def recording(rows, p, reduced=True):
+        calls.append(reduced)
+        return sparse(rows, p, reduced)
 
-    def sparse_recording(rows, p, *args):
-        out = sparse(rows, p, *args)
-        calls.append(("_sparse_rref", out is not None))
-        return out
-
-    monkeypatch.setattr(exactla, "_eliminate", dense_recording)
-    monkeypatch.setattr(exactla, "_sparse_rref", sparse_recording)
+    monkeypatch.setattr(exactla, "_sparse_rref", recording)
     return calls
 
 
 @pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
 def test_batched_rref_matches_oracle(eliminations, p):
     # many small blocks of a few shapes, with zero rows and columns: rref,
-    # kernel_rref, pivot_columns and pivot_inverse all run on sparse rows,
-    # and none reaches the dense kernel
+    # kernel_rref, pivot_columns, rank and pivot_inverse are one sparse pass
+    # each, and only pivot_columns and rank skip back substitution
     F = Field(p)
     rng = np.random.default_rng(p % 7919)
     a = _interleaved_blocks(rng, p, *_BATCHED["mixed"])
@@ -547,7 +522,7 @@ def test_batched_rref_matches_oracle(eliminations, p):
     b = _interleaved_blocks(rng, p, *_BATCHED["full_row_rank"])
     m = Mat(F, b)
     Q, E = pivot_inverse(m)
-    assert eliminations == [("_sparse_rref", True)] * 5
+    assert eliminations == [True, False, False, True, True]
     B = m @ Mat(F, rng.integers(0, p, (m.cols, 3)))
     X = np.zeros((m.cols, 3), dtype=np.int64)
     X[Q] = (E @ Mat(F, B.a[: m.rows])).a
@@ -555,13 +530,14 @@ def test_batched_rref_matches_oracle(eliminations, p):
 
 
 def test_equal_blocks_take_one_batched_elimination(eliminations):
-    # 64 dense 4 x 6 blocks hold more than 2(rows + cols) nonzeros: the
-    # matrix goes whole to one dense elimination, with no sparse pass
+    # 64 dense 4 x 6 blocks hold more than 2(rows + cols) nonzeros; the
+    # matrix is still one sparse pass, whose row operations stay inside the
+    # blocks: a row is reduced only by pivot rows of its own block
     rng = np.random.default_rng(64)
     a = _interleaved_blocks(rng, 5, [((4, 6), _KINDS[i % 3]) for i in range(64)], 0, 0)
     assert np.count_nonzero(a) > 2 * sum(a.shape)
     R, pivots, rank = rref(Mat(F5, a))
-    assert eliminations == [("_eliminate", (256, 384))]
+    assert eliminations == [True]
     expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), 5, a.shape[1])
     assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
 
@@ -570,8 +546,8 @@ def _peelable(kind, p, seed):
     """Matrices with unit rows for the sparse kernel: "planted", a random
     sparse matrix with unit rows (some repeated, some sharing a column with
     a denser row) and zero rows and columns; "chain", a bidiagonal matrix
-    with its rows and columns permuted; "dense", with no unit row (it takes
-    the dense kernel); "units", unit rows only."""
+    with its rows and columns permuted; "dense", with no unit row; "units",
+    unit rows only."""
     rng = np.random.default_rng(seed)
     if kind == "planted":
         rows, cols = 36, 28
@@ -603,7 +579,7 @@ _PEELABLE = ("planted", "chain", "dense", "units")
 def test_peeled_rref_matches_oracle(p, kind):
     F = Field(p)
     a = _peelable(kind, p, seed=p % 101)
-    # all but the dense one hold at most 2(rows + cols) nonzeros: sparse rows
+    # all but the dense one hold at most 2(rows + cols) nonzeros
     assert (np.count_nonzero(a) > 2 * sum(a.shape)) == (kind == "dense")
     rows, cols = a.shape
     m = Mat(F, a)
@@ -630,12 +606,11 @@ def test_peeled_rref_matches_oracle(p, kind):
     assert E.a.tolist() == [row[rows:] for row in inverse]
 
 
-def test_peeling_leaves_the_residual_to_the_dense_kernel(monkeypatch, eliminations):
+def test_unit_rows_pivot_before_any_arithmetic(monkeypatch, eliminations):
     # a dense 4 x 5 block, next to unit rows, a row on their columns and a
     # chain, with zero rows and columns.  Rows are taken fewest entries
     # first, so the unit rows become pivot rows before any arithmetic and
-    # clear the row on their columns by one-entry subtractions; nothing
-    # reaches the dense kernel
+    # clear the row on their columns by one-entry subtractions
     rng = np.random.default_rng(18)
     a = np.zeros((16, 14), dtype=np.int64)
     a[:4, :5] = rng.integers(1, 5, (4, 5))
@@ -649,13 +624,13 @@ def test_peeling_leaves_the_residual_to_the_dense_kernel(monkeypatch, eliminatio
 
     def recording(row, f, other, p):
         subtracted.append(sorted(other))
-        return subtract(row, f, other, p)
+        subtract(row, f, other, p)
 
     monkeypatch.setattr(exactla, "_subtract", recording)
     R, pivots, rank = rref(Mat(F5, a))
     expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), 5, a.shape[1])
     assert R.a.tolist() == expected_rows and list(pivots) == expected_pivots
-    assert eliminations == [("_sparse_rref", True)]
+    assert eliminations == [True]
     unit_columns = [[c] for c in np.flatnonzero(np.count_nonzero(a, axis=0) == 2)
                     if any(np.count_nonzero(a[a[:, c] != 0], axis=1) == 1)]
     assert unit_columns and all(c in subtracted for c in unit_columns)
@@ -667,36 +642,40 @@ def test_peeling_leaves_the_residual_to_the_dense_kernel(monkeypatch, eliminatio
     # unit rows alone: each is a pivot row as it stands, with no arithmetic
     subtracted.clear()
     assert rref(Mat(F5, _peelable("units", 5, seed=18)))[2] == 20 and subtracted == []
-    # a dense matrix takes no sparse pass: it goes whole to the dense kernel
+    # a dense matrix is one sparse pass too
     eliminations.clear()
-    rref(Mat(F5, rng.integers(1, 5, (8, 8))))
-    assert eliminations == [("_eliminate", (8, 8))]
+    d = rng.integers(1, 5, (8, 8))
+    R, pivots, rank = rref(Mat(F5, d))
+    assert eliminations == [True]
+    assert (R.a.tolist(), list(pivots)) == oracles.gauss_rref(d.tolist(), 5, 8)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 3, 5, 2**31 - 1]), st.integers(1, 6), st.integers(1, 5), st.integers(1, 5),
        st.integers(0, 2**32 - 1))
-def test_eliminate_batch_matches_eliminate(p, n, rows, cols, seed):
-    # each of n small matrices reduced on sparse rows (_sparse_rref, no work
-    # bound) and by the dense kernel gives the same rows and pivots,
-    # including zero matrices, sparse ones that need row swaps and ones that
-    # are full early
+def test_small_sparse_rref_matches_oracle(p, n, rows, cols, seed):
+    # each of n small matrices reduced on sparse rows gives the oracle's
+    # rows and pivots, and the echelon pass alone its pivots, including
+    # zero matrices, sparse ones that need row swaps and ones that are full
+    # early
     rng = np.random.default_rng(seed)
     stack = rng.integers(0, p, (n, rows, cols)) * (rng.random((n, rows, cols)) < rng.random((n, 1, 1)))
     for k in range(n):
-        A, piv = exactla._eliminate(stack[k].copy(), p)
-        pivot = exactla._sparse_rref([{j: v for j, v in enumerate(row) if v} for row in stack[k].tolist()], p)
-        assert sorted(pivot) == piv
-        assert [[pivot[c].get(j, 0) for j in range(cols)] for c in piv] == A[: len(piv)].tolist()
+        expected_rows, expected_pivots = oracles.gauss_rref(stack[k].tolist(), p, cols)
+        dict_rows = [{j: v for j, v in enumerate(row) if v} for row in stack[k].tolist()]
+        assert sorted(exactla._sparse_rref([dict(r) for r in dict_rows], p, reduced=False)) == expected_pivots
+        pivot = exactla._sparse_rref(dict_rows, p)
+        assert sorted(pivot) == expected_pivots
+        assert [[pivot[c].get(j, 0) for j in range(cols)] for c in expected_pivots] == expected_rows[: len(pivot)]
 
 
 def _kernel_input(kind, p):
-    """Inputs for the two paths of the kernel: "fill", sparse rows of two
-    entries whose row operations fill in, with repeated and zero rows; empty
-    and zero shapes; "dense", all entries nonzero; "arrow", a dense first
-    row and column on a diagonal, sparse, but each row reduced in turn
-    walks the whole chain of earlier pivots, so its fill passes the work
-    bound.  The nonzero pattern does not depend on p."""
+    """Inputs for the kernel: "fill", sparse rows of two entries whose row
+    operations fill in, with repeated and zero rows; empty and zero shapes;
+    "dense", all entries nonzero; "arrow", a dense first row and column on
+    a diagonal, sparse, but each row reduced in turn walks the whole chain
+    of earlier pivots, so its row operations touch more entries than it
+    has.  The nonzero pattern does not depend on p."""
     pattern, values = np.random.default_rng(0), np.random.default_rng(p)
     if kind == "fill":
         a = np.zeros((30, 40), dtype=np.int64)
@@ -713,16 +692,7 @@ def _kernel_input(kind, p):
     return np.zeros({"zero": (6, 9), "no_rows": (0, 7), "no_columns": (7, 0)}[kind], dtype=np.int64)
 
 
-# the eliminations rref makes of each input
-_KERNEL_PATHS = {
-    "fill": [("_sparse_rref", True)],
-    "zero": [], "no_rows": [], "no_columns": [],
-    "dense": [("_eliminate", (12, 15))],
-    "arrow": [("_sparse_rref", False), ("_eliminate", (40, 40))],
-}
-
-
-@pytest.mark.parametrize("kind", sorted(_KERNEL_PATHS))
+@pytest.mark.parametrize("kind", ["arrow", "dense", "fill", "no_columns", "no_rows", "zero"])
 @pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
 def test_sparse_kernel_paths_match_oracle(monkeypatch, eliminations, p, kind):
     F = Field(p)
@@ -734,14 +704,15 @@ def test_sparse_kernel_paths_match_oracle(monkeypatch, eliminations, p, kind):
 
     def recording(row, f, other, p):
         subtracted.append(len(other))
-        return subtract(row, f, other, p)
+        subtract(row, f, other, p)
 
     monkeypatch.setattr(exactla, "_subtract", recording)
     R, pivots, rank = rref(m)
-    assert eliminations == _KERNEL_PATHS[kind]
-    assert bool(subtracted) == (kind in ("fill", "arrow"))
-    # a pass stops at the first row operation that takes it over the bound
-    assert sum(subtracted[:-1]) <= a.size // 16 + 64
+    # a matrix with no nonzero entry takes no pass
+    assert eliminations == ([True] if a.any() else [])
+    assert bool(subtracted) == (kind in ("fill", "dense", "arrow"))
+    if kind == "arrow":
+        assert sum(subtracted) > np.count_nonzero(a)
     expected_rows, expected_pivots = oracles.gauss_rref(a.tolist(), p, cols)
     assert R.shape == a.shape and R.a.tolist() == expected_rows and list(pivots) == expected_pivots
     assert exactla.pivot_columns(m) == pivots and m.rank() == rank == len(expected_pivots)

@@ -504,6 +504,25 @@ def _fresh_algebra(relations=("x^2", "x*y", "y^3")):
 _NOT_MONOMIAL = ("x^2+3*y^2", "x*y")
 
 
+def test_verification_multiplies_by_no_identity(monkeypatch):
+    # the regular module of (x^2 + 3y^2, xy): one product per commutator
+    # order (2) and per factor after a term's first (x^2, y^2, xy: 3); no
+    # product is by the identity
+    operands = []
+    matmul = Mat.__matmul__
+
+    def recording(X, Y):
+        operands.extend((X, Y))
+        return matmul(X, Y)
+
+    B = _fresh_algebra(_NOT_MONOMIAL)
+    actions = [B.variable_action(i) for i in range(B.nvars)]
+    monkeypatch.setattr(Mat, "__matmul__", recording)
+    Module(B, B.basis_degrees, actions)
+    assert len(operands) == 2 * 5
+    assert Mat.identity(F5, B.dim) not in operands
+
+
 def test_derived_modules_inherit_axioms(monkeypatch):
     calls = []
     verify = Module._verify

@@ -114,28 +114,30 @@ def test_products_over_A_make_no_kron_call(monkeypatch):
 
 
 def test_resolve_eliminates_blocks_in_batches(monkeypatch):
-    # every matrix the resolution eliminates holds at most 2(rows + cols)
-    # nonzeros, and its row operations stay within the work bound: each
-    # elimination runs on sparse rows and none reaches the dense kernel
+    # every matrix the resolution eliminates is nearly empty: it holds at
+    # most 2(rows + cols) nonzeros, and its row operations touch at most a
+    # sixteenth of its cells plus 64 entries
     from cxlab import exactla
 
-    calls = []
-    eliminate, sparse = exactla._eliminate, exactla._sparse_rref
+    A = MonomialCI.build(F5, [2, 2, 2]).algebra
+    touched, passes = [], []
+    pivots, subtract = exactla._sparse_pivots, exactla._subtract
 
-    def dense(A, p):
-        calls.append("_eliminate")
-        return eliminate(A, p)
+    def counting(row, f, other, p):
+        touched.append(len(other))
+        subtract(row, f, other, p)
 
-    def counting(rows, p, *args):
-        out = sparse(rows, p, *args)
-        calls.append("_sparse_rref" if out is not None else "over the work bound")
+    def recording(a, p, reduced):
+        touched.clear()
+        out = pivots(a, p, reduced)
+        passes.append((np.count_nonzero(a), sum(a.shape), sum(touched), a.size))
         return out
 
-    monkeypatch.setattr(exactla, "_eliminate", dense)
-    monkeypatch.setattr(exactla, "_sparse_rref", counting)
-    A = MonomialCI.build(F5, [2, 2, 2]).algebra
+    monkeypatch.setattr(exactla, "_subtract", counting)
+    monkeypatch.setattr(exactla, "_sparse_pivots", recording)
     assert resolve(residue_field(A), 9).betti_list(9) == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
-    assert set(calls) == {"_sparse_rref"}
+    assert passes and any(work for _, _, work, _ in passes)
+    assert all(nonzeros <= 2 * sides and work <= cells // 16 + 64 for nonzeros, sides, work, cells in passes)
 
 
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
@@ -506,9 +508,13 @@ def _linear_cokernel(A, rows, cols, seed):
     return coker_presentation(A, [[form() for _ in range(cols)] for _ in range(rows)], [0] * rows)
 
 
-# SHA-1 of the int64 bytes of d_1, d_2, ... over F_5[x1..x4]/(x1^2, .., x4^2),
-# recorded with one rank-1 update of every row at each pivot.  The reduced
-# echelon form of a row space is unique, so no way of eliminating may change them
+# SHA-1 of the int64 bytes of d_1, d_2, ...: "k" and the linear cokernel over
+# F_5[x1..x4]/(x1^2, .., x4^2), recorded with one rank-1 update of every row
+# at each pivot; M = coker [[a+b, c^2], [a-b, ab+3c^2]] over the dim-64 ring
+# (a^4+b^4, b^4+c^4, abc^2+c^4), which is not monomial, at p = 5 and
+# 2^31 - 1, recorded with its denser matrices on the rank-1 updates and the
+# rest on sparse rows.  The reduced echelon form of a row space is unique, so
+# no way of eliminating may change them
 _PINNED_DIFFERENTIALS = {
     "k": (7, [1, 4, 10, 20, 35, 56, 84, 120], [
         "5d25776099318d3162769331370b4b7e1c1ab42d", "ac25d29559ae68bfe325580e35191c53a93adad1",
@@ -519,13 +525,31 @@ _PINNED_DIFFERENTIALS = {
         "eeab990a89ebbf119bba73d7df55e9a5513c2102", "b00e3b1f621e71ffbe3d102b0197647cc4cf5093",
         "9edeb007d78fce3eab49417bdda2b2fe6dac65e1", "8b028959fb4a6a4dfab7381a0f3eb898318ebe0e",
         "00e67fe6f50525af0a4606d491750f10d1aa57e9"]),
+    "nonmonomial-5": (5, [2, 2, 4, 10, 18, 28], [
+        "6f5c9abc4257cd6a70bc43403f559ed486cc19ec", "043611c535483b113ec3d1f2b237ed24d42d7930",
+        "d06d59433da04ecd19da0d786f56ae7312323f55", "6c67653ff69daa2e21000c59e4b7c6ab6228aba1",
+        "62212be0d62f3c91bbd15cf02cc02ff910c2bc89"]),
+    "nonmonomial-2147483647": (5, [2, 2, 4, 10, 18, 28], [
+        "1e9409e89975e809f5d525927fa60c90ea655545", "077eb6bd567f21031b7def29205b062579b9ba08",
+        "d78ee23446b187985da2e4be18521134bab5c407", "41b08665dc23a6e9bc910cd9fc9a66d9e8d1bcca",
+        "0c72293a31c481d4c3b6c47899ed9f3a0fa10332"]),
 }
+
+
+def _pinned_module(name):
+    if name.startswith("nonmonomial-"):
+        F, names = Field(int(name.split("-")[1])), ["a", "b", "c"]
+        poly = lambda text: parse_polynomial(text, names, F)
+        B = build_algebra(F, 3, [poly(r) for r in ("a^4+b^4", "b^4+c^4", "a*b*c^2+c^4")], names)
+        e = lambda text: B.nf_polynomial(poly(text))
+        return coker_presentation(B, [[e("a+b"), e("c^2")], [e("a-b"), e("a*b+3*c^2")]], [0, 0])
+    A = MonomialCI.build(F5, [2, 2, 2, 2]).algebra
+    return residue_field(A) if name == "k" else _linear_cokernel(A, 2, 3, seed=1)
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_DIFFERENTIALS))
 def test_differentials_are_pinned(name):
-    A = MonomialCI.build(F5, [2, 2, 2, 2]).algebra
-    M = residue_field(A) if name == "k" else _linear_cokernel(A, 2, 3, seed=1)
+    M = _pinned_module(name)
     n, betti, shas = _PINNED_DIFFERENTIALS[name]
     res = resolve(M, n)
     assert res.betti_list(n) == betti
