@@ -21,7 +21,9 @@ echelon form, a transpose, a stack or slice of reduced arrays) without a
 copy.
 
 One elimination, _sparse_rref, is behind rref, kernel_rref, pivot_inverse,
-pivot_columns and Mat.rank, whatever the density of the input.  The
+pivot_columns and Mat.rank, whatever the density of the input, and behind
+_sparse_kernel, the kernel of a matrix given as sparse rows, which
+kernel_rref and each resolution step read.  The
 matrices the engine eliminates are nearly empty: on the benchmark's inputs
 they hold at most 1.1 times as many nonzeros as their longer side.  Each is
 eliminated on sparse rows, dicts {column: residue} of Python ints, which
@@ -313,18 +315,28 @@ def _sparse_rref(rows, p: int, reduced: bool = True) -> dict:
     return pivot
 
 
-def _sparse_pivots(a: np.ndarray, p: int, reduced: bool) -> dict:
-    """_sparse_rref of the nonzero rows of a."""
+def _dict_rows(a: np.ndarray) -> list:
+    """The rows of a as dicts {column: residue}, one per row, read off one
+    nonzero() scan: a zero row is an empty dict."""
+    rows: list = [{} for _ in range(a.shape[0])]
     r, c = a.nonzero()
-    if not r.size:  # most of the search's theta_n (x) k layers are zero
-        return {}
-    dict_rows: dict = {}
     for i, j, v in zip(r.tolist(), c.tolist(), a[r, c].tolist()):
-        if i in dict_rows:
-            dict_rows[i][j] = v
-        else:
-            dict_rows[i] = {j: v}
-    return _sparse_rref(dict_rows.values(), p, reduced)
+        rows[i][j] = v
+    return rows
+
+
+def _dense(rows, n: int) -> np.ndarray:
+    """The int64 array, one row per dict {column: residue}, n columns."""
+    out = np.zeros((len(rows), n), dtype=np.int64)
+    where = [i for i, row in enumerate(rows) for _ in row]
+    out[where, [j for row in rows for j in row]] = [v for row in rows for v in row.values()]
+    return out
+
+
+def _sparse_pivots(a: np.ndarray, p: int, reduced: bool) -> dict:
+    """_sparse_rref of the rows of a; a matrix with no nonzero entry takes
+    no pass."""
+    return _sparse_rref(_dict_rows(a), p, reduced) if a.any() else {}
 
 
 def _rref_array(a: np.ndarray, p: int):
@@ -332,9 +344,7 @@ def _rref_array(a: np.ndarray, p: int):
     pivot = _sparse_pivots(a, p, reduced=True)
     lead = sorted(pivot)
     out = np.zeros(a.shape, dtype=np.int64)
-    reduced = [pivot[c] for c in lead]
-    where = [i for i, row in enumerate(reduced) for _ in row]
-    out[where, [j for row in reduced for j in row]] = [v for row in reduced for v in row.values()]
+    out[: len(lead)] = _dense([pivot[c] for c in lead], a.shape[1])
     return out, lead
 
 
@@ -355,27 +365,36 @@ def rref(m: Mat):
     return Mat._trusted(m.field, A), tuple(pivots), len(pivots)
 
 
+def _sparse_kernel(rows, n: int, p: int):
+    """Rank of a matrix of n columns and the reduced row-echelon basis of
+    its null space, from one elimination: (rank, kernel rows as dicts
+    sorted by pivot, pivots).  rows are the matrix's rows with its columns
+    reversed, column j at n - 1 - j, as dicts (consumed).
+
+    With the columns reversed, each non-pivot column f gives a kernel
+    vector with a 1 at f, zeros at the other non-pivot columns and nonzeros
+    only at pivot columns before f.  Reversed back, its 1 is its first
+    nonzero entry and every other row vanishes there: the rows are the
+    kernel's reduced echelon form, which is unique."""
+    pivot = _sparse_rref(rows, p)
+    kernel = {n - 1 - f: {n - 1 - f: 1} for f in range(n) if f not in pivot}
+    for c, row in pivot.items():
+        for f, v in row.items():
+            if f != c:  # a non-pivot column: reduced rows hold no other pivot
+                kernel[n - 1 - f][n - 1 - c] = p - v
+    lead = sorted(kernel)
+    return len(pivot), [kernel[f] for f in lead], lead
+
+
 def kernel_rref(m: Mat):
     """Rank of m and the reduced row-echelon basis of its null space, from
-    one elimination.
+    one elimination (_sparse_kernel).
 
     Returns (rank, K, pivots): the rows of K span {x : m x = 0} in reduced
-    echelon form, with pivot columns pivots.  m is eliminated with its
-    columns reversed, so each non-pivot column f gives a kernel vector with
-    a 1 at f, zeros at the other non-pivot columns and nonzeros only at
-    pivot columns before f.  Reversed back, its 1 is its first nonzero entry
-    and every other row vanishes there: the rows are the kernel's reduced
-    echelon form, which is unique.
+    echelon form, with pivot columns pivots.
     """
-    n = m.cols
-    R, piv = _rref_array(m.a[:, ::-1], m.field.p)
-    rank = len(piv)
-    free = _complement(n, piv)
-    K = np.zeros((len(free), n), dtype=np.int64)
-    K[np.arange(len(free)), free] = 1
-    K[:, piv] = -R[:rank, free].T % m.field.p
-    # reversed columns put the last free column first; reverse both axes
-    return rank, Mat._trusted(m.field, K[::-1, ::-1]), (n - 1 - free)[::-1]
+    rank, K, lead = _sparse_kernel(_dict_rows(m.a[:, ::-1]), m.cols, m.field.p)
+    return rank, Mat._trusted(m.field, _dense(K, m.cols)), np.array(lead, dtype=np.intp)
 
 
 def pivot_inverse(m: Mat):

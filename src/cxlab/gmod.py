@@ -23,8 +23,19 @@ per monomial list, the same over every ring (see _Table).  A direct sum
 keeps its two summands, and its products are theirs, one over the other.
 A module that keeps no actions, free or a direct sum, reads its stacked
 actions and its variable actions off the multiples of the identity, on
-each request.  `extend_linearly`, `min_generators` and the subquotients go
-through `multiples`; `block_action` is one product by the stacked actions.
+each request.  `extend_linearly` and the subquotients go through
+`multiples`; `block_action` is one product by the stacked actions.
+
+Sparse rows, dicts {coordinate: residue}, have the same product:
+`multiples_of_rows` is `multiples` on rows, plain loops over one by-source
+view of the same actions (_Sources: for each coordinate of a block, the
+triples (j, a, w) of x^e_j times it), so its work follows the nonzero
+entries.  On a free module the view is A's structure table read by source,
+derived from _Table and kept per algebra in a weak cache beside it; on any
+other module it is read off its stacked actions.  `min_generator_rows`
+chooses generators of an echelon span given as such rows, one
+`multiples_of_rows` by the variables and one echelon pass, and
+`min_generators` is the same choice on dense coordinates.
 
 A matrix over A, a map F' -> F of free modules, has one form: its
 generator images, the dim F x rank F' matrix whose column g is the image of
@@ -46,7 +57,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InvariantError, check
-from .exactla import Field, Mat, _complement, _matmul_mod, pivot_columns, rref
+from .exactla import Field, Mat, _complement, _dense, _dict_rows, _matmul_mod, _sparse_rref, rref
 from .gralg import Algebra, AlgebraElement
 
 __all__ = [
@@ -65,6 +76,8 @@ __all__ = [
     "direct_sum",
     "shift",
     "min_generators",
+    "min_generator_rows",
+    "multiples_of_rows",
     "quotient_by_span",
     "submodule_from_span",
 ]
@@ -331,6 +344,93 @@ def _table(keys: np.ndarray, w: np.ndarray, dA: int, s: int) -> _Table:
                   keys[summed] % dA, w[summed])
 
 
+class _Sources(NamedTuple):
+    """A monomial list's action on a module by source coordinate, for
+    products of sparse rows: coordinate c, at b = c % period in its block,
+    goes to entries[b], the triples (j, a, w) by which x^e_j times basis
+    vector b of a block has coefficient w on vector a of the same block.
+    lone: every output (j, a) of a block has one entry, w = 1 (every
+    output over a monomial algebra), so a product writes each output once
+    and sums nothing."""
+    period: int
+    entries: List[List[Tuple[int, int, int]]]
+    lone: bool
+
+
+# A's structure tables read by source (see _free_sources), once per
+# algebra: lists of ints only, so no algebra is kept alive by its entry.
+_SOURCES: "weakref.WeakKeyDictionary[Algebra, Dict[str, _Sources]]" = weakref.WeakKeyDictionary()
+
+
+def _by_source(m: Module, which: str) -> _Sources:
+    """The _Sources of the monomial list `which` on m: A's structure table
+    on every block of a free module, the stacked actions of any other."""
+    if isinstance(m, FreeModule):
+        return _free_sources(m.algebra, which)
+    S = m._stacked(which)
+    j, a, b = np.nonzero(S)
+    w = S[j, a, b]
+    # nonzero() lists (j, a) in order, so an output with two entries has them side by side
+    lone = bool((w == 1).all()) and not ((np.diff(j) == 0) & (np.diff(a) == 0)).any()
+    return _grouped(m.dim, j, a, b, w, lone)
+
+
+def _free_sources(algebra: Algebra, which: str) -> _Sources:
+    """A's structure table on the list `which` (_structure_terms), read by
+    source: each lone output by its source, each summed one by its
+    entries; built on the first request and kept per algebra."""
+    sources = _SOURCES.setdefault(algebra, {})
+    if which not in sources:
+        t, dA = _structure_terms(algebra, which), algebra.dim
+        a, j = np.nonzero(t.source < dA)
+        sa, sj = np.nonzero(t.source > dA)
+        i = t.source[sa, sj] - dA - 1
+        n = np.diff(t.starts, append=t.src.size)[i]
+        e = _ranges(t.starts[i], n)
+        sources[which] = _grouped(dA, np.concatenate((j, sj.repeat(n))), np.concatenate((a, sa.repeat(n))),
+                                  np.concatenate((t.source[a, j], t.src[e])),
+                                  np.concatenate((np.ones(a.size, dtype=np.int64), t.coef[e])), t.starts.size == 0)
+    return sources[which]
+
+
+def _grouped(period: int, j: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray, lone: bool) -> _Sources:
+    """The _Sources of the entries (j, a, b, w): w on output a of x^e_j
+    times source b."""
+    entries: List[List[Tuple[int, int, int]]] = [[] for _ in range(period)]
+    for jj, aa, bb, ww in zip(j.tolist(), a.tolist(), b.tolist(), w.tolist()):
+        entries[bb].append((jj, aa, ww))
+    return _Sources(period, entries, lone)
+
+
+def multiples_of_rows(m: Module, rows: Sequence[dict], which: str) -> List[dict]:
+    """Module.multiples on sparse rows: each row, a dict {coordinate on m:
+    residue}, times each monomial x^e_j of the list `which`, as a dict of
+    nonzero residues; the s products of row r sit at r*s .. r*s + s - 1.
+    Plain loops over the by-source entries (_Sources), so the work follows
+    the nonzero entries and not the dimension of m."""
+    src, s, p = _by_source(m, which), _list_length(m.algebra, which), m.field.p
+    period, entries = src.period, src.entries
+    out: List[dict] = []
+    if src.lone:
+        for u in rows:
+            prods: List[dict] = [{} for _ in range(s)]
+            for c, v in u.items():
+                base = c - c % period
+                for j, a, _ in entries[c % period]:
+                    prods[j][base + a] = v
+            out += prods
+        return out
+    for u in rows:
+        prods = [{} for _ in range(s)]
+        for c, v in u.items():
+            base = c - c % period
+            for j, a, w in entries[c % period]:
+                d, k = prods[j], base + a
+                d[k] = (d.get(k, 0) + v * w) % p
+        out += [{k: x for k, x in d.items() if x} for d in prods]
+    return out
+
+
 def extend_linearly(target: Module, gen_images: Mat) -> Mat:
     """Matrix of the A-linear map from a free module into target that sends
     generator g to column g of gen_images; column (g, m) is m times it."""
@@ -456,24 +556,33 @@ def shift(m: Module, s: int) -> Module:
 
 
 def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarray, int]]:
+    """min_generator_rows on dense coordinates: N is M, or the span of the
+    rows of span, a reduced echelon form; each lift is a coordinate vector
+    on M."""
+    rows = [{c: 1} for c in range(m.dim)] if span is None else _dict_rows(span.a)
+    return [(_dense([row], m.dim)[0], d) for row, d in min_generator_rows(m, rows)]
+
+
+def min_generator_rows(m: Module, span: List[dict]) -> List[Tuple[dict, int]]:
     """A basis of N/mN lifted to homogeneous elements of M, with degrees.
 
-    N is M, or the span of the rows of span, a reduced echelon form whose
-    pivot columns are coordinates on N.  Lifts are the rows of span (unit
-    vectors for N = M) at the non-pivot positions of the reduced echelon
-    form of mN in those coordinates, so the choice is canonical."""
-    if span is None:
-        span = Mat.identity(m.field, m.dim)
-    if span.rows == 0:
-        return []
-    pivots = np.argmax(span.a != 0, axis=1)
-    check(np.array_equal(span.a[:, pivots], np.eye(span.rows)), "span is not in reduced echelon form")
-    # mN is spanned by the images of the basis rows under each variable; the
+    N is the span of the rows of span, dicts {coordinate on M: residue} in
+    reduced echelon form, one after the other by pivot column.  Lifts are
+    the rows of span themselves at the non-pivot positions of the echelon
+    form of mN in the span's coordinates, so the choice is canonical.  mN
+    is eliminated in M's coordinates: a vector of N whose first nonzero
+    span coordinate is q has its first nonzero entry at the pivot column of
+    row q, as every other row it holds starts later and vanishes there, so
+    the pivot columns of mN are those of the rows at its pivot positions."""
+    pivots = [min(row, default=-1) for row in span]
+    index = {c: q for q, c in enumerate(pivots)}
+    # increasing pivots, a 1 at each, and no other entry at any pivot column
+    check(all(a < b for a, b in zip(pivots, pivots[1:])) and all(row.get(c) == 1 for row, c in zip(span, pivots))
+          and sum(j in index for row in span for j in row) == len(span), "span is not in reduced echelon form")
+    # mN is spanned by the products of the rows with each variable, and the
     # order of the rows does not change the pivots of their echelon form
-    images = m.multiples(span.transpose(), "variables").a[pivots]
-    mn_pivots = pivot_columns(Mat._trusted(m.field, images.T))
-    return [(span.a[q].copy(), _row_degree(m, span.a[q]))
-            for q in _complement(span.rows, mn_pivots)]
+    lead = _sparse_rref(multiples_of_rows(m, span, "variables"), m.field.p, reduced=False)
+    return [(row, _row_degree(m, row)) for row, c in zip(span, pivots) if c not in lead]
 
 
 def _by_variable(m: Module, multiples: np.ndarray) -> List[Mat]:
@@ -486,8 +595,10 @@ def _by_variable(m: Module, multiples: np.ndarray) -> List[Mat]:
 # -- subquotient machinery -------------------------------------------------
 
 
-def _row_degree(m: Module, row: np.ndarray) -> int:
-    degs = {m.degrees[j] for j in np.nonzero(row)[0]}
+def _row_degree(m: Module, columns) -> int:
+    """The degree of a vector given by its nonzero columns; InvariantError
+    unless it is homogeneous."""
+    degs = {m.degrees[j] for j in columns}
     if len(degs) != 1:
         raise InvariantError(f"inhomogeneous vector with degrees {degs}")
     return degs.pop()
@@ -512,7 +623,7 @@ def quotient_by_span(m: Module, span_rows: Mat, provenance: str = "quotient") ->
     R, pivots, rank = rref(span_rows)
     nonpivot = _complement(m.dim, pivots)
     for r in range(rank):
-        _row_degree(m, R.a[r])
+        _row_degree(m, R.a[r].nonzero()[0])
     lift = np.zeros((m.dim, len(nonpivot)), dtype=np.int64)
     lift[nonpivot, np.arange(len(nonpivot))] = 1
     proj = lift.T.copy()
@@ -547,7 +658,7 @@ def submodule_from_span(m: Module, span_rows: Mat, provenance: str = "submodule"
     if span_rows.cols != m.dim:
         raise InputError("span vectors have the wrong length")
     R, pivots, rank = rref(span_rows)
-    degrees = [_row_degree(m, R.a[r]) for r in range(rank)]
+    degrees = [_row_degree(m, R.a[r].nonzero()[0]) for r in range(rank)]
     inc = Mat(m.field, R.a[:rank].T)
     img = m.multiples(inc, "variables")  # ambient coords of X_i applied to each basis row
     coords = Mat._trusted(m.field, img.a[list(pivots)])

@@ -4,20 +4,27 @@ Resolutions are built constructively in free-module coordinates: each
 kernel ker d_i is an echelon span of F_i whose generators modulo m are
 lifted, so minimality (all differential entries in the maximal ideal)
 holds by construction and is checked at every step together with
-d o d = 0 and exactness (at step 0: F_0 -> M is onto).  A step eliminates
-once: Z_i, the rows of d_i at the pivot columns of its span, gives in one
-kernel_rref the rank that proves exactness, rank Z_i = dim F_{i-1} -
-rank Z_{i-1} as in verify_complex, and the echelon span of ker d_i that
-the next step covers.
+d o d = 0 and exactness (at step 0: F_0 -> M is onto).
+
+A step runs on sparse rows, dicts {coordinate: residue}, from start to
+finish, as the matrices of a resolution are nearly empty: the span, the
+generator lifts (gmod.min_generator_rows), the columns of the realized d_i
+(the lifts times every basis monomial, one gmod.multiples_of_rows) and
+Z_i, their rows at the pivot columns of the span.  It eliminates once:
+Z_i gives in one _sparse_kernel the rank that proves exactness, rank Z_i =
+dim F_{i-1} - rank Z_{i-1} as in verify_complex, and the echelon span of
+ker d_i that the next step covers.  It checks d_{i-1} o d_i = 0 on the
+lifts against the columns of d_{i-1} that the step before kept.  No dense
+array is built but the generator images it keeps.
 
 A resolution keeps each d_i as its matrix over A, the images of the
-generators of F_i, dim A times smaller than the realized d_i; the realized
-matrix lives while its step runs, and is rebuilt, by one extend_linearly,
-within each call that reads it.  It keeps a span's rows only until the step
-that covers them has run, and their pivot columns for good.  Chain lifts
-solve d_i X = B through a factorization (Q, E) of Z_i made once, on the
-first lift through d_i; each solve realizes d_i to check its solution and
-drops it.
+generators of F_i, dim A times smaller than the realized d_i, which is
+rebuilt, by one extend_linearly, within each call that reads it.  It keeps
+a span's rows only until the step that covers them has run, and their
+pivot columns for good, and the last step's realized columns until the
+next step has checked d o d = 0 against them.  Chain lifts solve d_i X = B
+through a factorization (Q, E) of Z_i made once, on the first lift through
+d_i; each solve realizes d_i to check its solution and drops it.
 Syzygy modules are built only when asked for.
 A resolution is cached on its module and extended incrementally;
 previously computed steps never change.
@@ -30,18 +37,18 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, check
-from .exactla import Mat, kernel_rref, pivot_inverse
+from .exactla import Mat, _dense, _dict_rows, _sparse_kernel, pivot_inverse
 from .gralg import Algebra, AlgebraElement
 from .gmod import (
     FreeModule,
     Module,
     coefficient_view,
     column_degrees,
-    compose_on_generators,
     entry_images,
     extend_linearly,
     free_module,
-    min_generators,
+    min_generator_rows,
+    multiples_of_rows,
     submodule_from_span,
 )
 
@@ -66,12 +73,13 @@ class MinimalFreeResolution:
     diff_coefficients is its coefficient view (gmod.coefficient_view), and
     diff_realized realizes it on request, without keeping it; solve keeps
     only the factorization (Q, E) of Z_i, the rows of d_i at the span's
-    pivot columns.  The span's rows are kept until
-    step i has covered them, their pivot columns for good;
-    syzygy_module re-derives a covered span by one kernel_rref of d_{i-1}
-    read in its span, and the reduced echelon form of a row space is
-    unique, so the span is the one the step covered.  The syzygy module a
-    span stands for is built, verified and cached on the first request.
+    pivot columns.  The span's rows, sparse, are kept until step i has
+    covered them, their pivot columns for good; syzygy_module re-derives a
+    covered span by one _sparse_kernel of Z_{i-1}, rebuilt from the
+    generator images of d_{i-1}, and the reduced echelon form of a row
+    space is unique, so the span is the one the step covered.  The syzygy
+    module a span stands for is built, verified and cached on the first
+    request.
 
     Completed prefixes are immutable; extending the resolution only appends.
     Concurrent extension of the same resolution needs external locking.
@@ -82,10 +90,14 @@ class MinimalFreeResolution:
         self.frees: List[FreeModule] = []
         self._images: List[Mat] = []  # index 0: augmentation F_0 -> M; i >= 1: d_i
         # index i: the pivot columns of the span step i covers (ker d_{i-1}
-        # in F_{i-1}, or M at 0); the RREF rows of the span the next step covers
+        # in F_{i-1}, or M at 0); the RREF rows of the span the next step
+        # covers, as dicts {column: residue}
         self._pivots = [np.arange(module.dim)]
-        self._span = Mat.identity(module.field, module.dim)
+        self._span: List[dict] = [{c: 1} for c in range(module.dim)]
         self._rank = 0  # rank Z of the last step: the next step checks exactness with it
+        # the realized columns of the last step's d, as dicts {row: residue}:
+        # the next step checks d o d = 0 against them
+        self._columns: List[dict] = []
         self._syz = {}  # i >= 1: the gmod.Submodule of syzygy i, built on request
         self._solvers = {}  # i: (Q, E), pivot_inverse of Z_i, built on the first solve
 
@@ -102,31 +114,32 @@ class MinimalFreeResolution:
     def _step(self):
         i = len(self.frees)
         A = self.module.algebra
+        p = A.field.p
         target = self.frees[i - 1] if i else self.module
         span, pivots = self._span, self._pivots[i]
-        if span.rows == 0:
+        if not span:
             # nothing to cover: the zero free module, the zero map and an
             # empty span, the objects the general path builds; every check
             # on them is vacuous
-            F, images = free_module(A, []), Mat.zeros(A.field, target.dim, 0)
-            rank, R = 0, Mat.zeros(A.field, 0, 0)
-            ker_pivots = np.zeros(0, dtype=np.intp)
+            F, images, columns = free_module(A, []), Mat.zeros(A.field, target.dim, 0), []
+            rank, kernel, ker_pivots = 0, [], []
         else:
-            gens = min_generators(target, span)
+            gens = min_generator_rows(target, span)
             F = free_module(A, [d for _, d in gens])
-            # d_i over A sends the g-th generator of F to the g-th lift
-            images = Mat._trusted(A.field, np.column_stack([vec for vec, _ in gens]))
+            lifts = [u for u, _ in gens]
             if i:
                 # minimality: constructive generator choice keeps entries in
-                # m, so the constant coefficients of the images vanish
-                check(not coefficient_view(images, A)[0].any(), "differential entry has a unit component")
+                # m, so no lift has an entry at a generator of F_{i-1}
+                units = set(target.generator_columns())
+                check(not any(c in units for u in lifts for c in u), "differential entry has a unit component")
                 # both maps are A-linear, so d_{i-1} o d_i vanishes when it
-                # vanishes on the generators of F_i
-                check(compose_on_generators(self.frees[i - 2] if i > 1 else self.module,
-                                            self._images[i - 1], images).is_zero(), f"d_{i-1} o d_{i} != 0")
-            # Z_i, the rows of d_i at the span's pivot columns, is all that is
-            # read of the realized d_i.  Exactness, as in verify_complex: Z_i
-            # is made of rows of d_i and Z_{i-1} of rows of d_{i-1}, so
+                # vanishes on the generators of F_i: d_{i-1} of each lift,
+                # read off the realized columns of d_{i-1}
+                check(all(_vanishes(self._columns, u, p) for u in lifts), f"d_{i-1} o d_{i} != 0")
+            # column (g, m) of the realized d_i is x^m times lift g.  Z_i, its
+            # rows at the span's pivot columns, is all that is eliminated.
+            # Exactness, as in verify_complex: Z_i is made of rows of d_i and
+            # Z_{i-1} of rows of d_{i-1}, so
             #   rank d_i >= rank Z_i = dim F_{i-1} - rank Z_{i-1}
             #            >= dim F_{i-1} - rank d_{i-1} = dim ker d_{i-1} >= rank d_i,
             # the last since im d_i lies in ker d_{i-1}.  All are equal: im d_i
@@ -134,14 +147,16 @@ class MinimalFreeResolution:
             # kernel, of d_i.  The argument reads no span: a span only decides
             # which generators are lifted and which rows make up Z.  At i = 0
             # (rank Z_{-1} = 0) it says that F_0 -> M is onto.
-            Z = Mat._trusted(A.field, extend_linearly(target, images).a[pivots])
-            rank, R, ker_pivots = kernel_rref(Z)
+            columns = multiples_of_rows(target, lifts, "basis")
+            rank, kernel, ker_pivots = _sparse_kernel(_reversed_pivot_rows(columns, pivots), len(columns), p)
             check(rank == target.dim - self._rank,
                   f"image of d_{i} does not fill ker d_{i-1}" if i else "augmentation F_0 -> M is not onto")
+            # d_i over A sends the g-th generator of F to the g-th lift
+            images = Mat._trusted(A.field, _dense(lifts, target.dim).T)
         self.frees.append(F)
         self._images.append(images)
-        self._pivots.append(ker_pivots)
-        self._span, self._rank = R, rank
+        self._pivots.append(np.array(ker_pivots, dtype=np.intp))
+        self._span, self._rank, self._columns = kernel, rank, columns
 
     # -- accessors ---------------------------------------------------------
 
@@ -213,13 +228,16 @@ class MinimalFreeResolution:
         if i == 0:
             return self.module
         if i not in self._syz:
+            F = self.frees[i - 1]
             if i == len(self.frees):
                 span = self._span
             else:
                 # covered: ker d_{i-1} = ker Z_{i-1}, in reduced echelon form
-                d = self.diff_realized(i - 1)
-                span = kernel_rref(Mat._trusted(d.field, d.a[self._pivots[i - 1]]))[1]
-            self._syz[i] = submodule_from_span(self.frees[i - 1], span, provenance=f"syzygy({i})")
+                target = self.frees[i - 2] if i > 1 else self.module
+                columns = multiples_of_rows(target, _dict_rows(self._images[i - 1].a.T), "basis")
+                span = _sparse_kernel(_reversed_pivot_rows(columns, self._pivots[i - 1]), F.dim, F.field.p)[1]
+            self._syz[i] = submodule_from_span(F, Mat._trusted(F.field, _dense(span, F.dim)),
+                                               provenance=f"syzygy({i})")
         return self._syz[i].module
 
     def syzygy_inclusion(self, i: int) -> Mat:
@@ -230,6 +248,31 @@ class MinimalFreeResolution:
 
     def __repr__(self):
         return f"MinimalFreeResolution(to {self.computed_to}, betti {[f.rank for f in self.frees]})"
+
+
+def _vanishes(columns: List[dict], u: dict, p: int) -> bool:
+    """Whether the map with the given realized columns, dicts {row:
+    residue}, sends the vector u, a dict {column: residue}, to 0."""
+    acc: dict = {}
+    for c, v in u.items():
+        for r, w in columns[c].items():
+            acc[r] = acc.get(r, 0) + v * w
+    return not any(x % p for x in acc.values())
+
+
+def _reversed_pivot_rows(columns: List[dict], pivots: np.ndarray) -> List[dict]:
+    """The rows at pivots of the matrix with the given columns, dicts {row:
+    residue}, as dicts with the columns reversed, as _sparse_kernel reads
+    them: column c at len(columns) - 1 - c."""
+    row_of = {r: q for q, r in enumerate(pivots.tolist())}
+    rows: List[dict] = [{} for _ in row_of]
+    last = len(columns) - 1
+    for c, col in enumerate(columns):
+        for r, w in col.items():
+            q = row_of.get(r)
+            if q is not None:
+                rows[q][last - c] = w
+    return rows
 
 
 def resolve(module: Module, n: int) -> MinimalFreeResolution:

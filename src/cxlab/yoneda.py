@@ -369,10 +369,17 @@ def _screen_combinations(res: MinimalFreeResolution, t: int, constants: List[np.
     """
     field = res.module.field
     C = Mat(field, coeffs)
-    layers = [(C @ Mat._trusted(field, L.reshape(L.shape[0], -1))).a.reshape((C.rows,) + L.shape[1:])
-              for L in constants]
-    window = len(layers) - 1
-    ranks = [[0] * C.rows] + [[Mat._trusted(field, a).rank() for a in L] for L in layers]
+
+    def layer_ranks(L: np.ndarray) -> List[int]:
+        # most layers are zero: one with no nonzero entry has rank 0, and no
+        # Mat is built for it, nor for a stack of them
+        if not L.any():
+            return [0] * C.rows
+        layers = (C @ Mat._trusted(field, L.reshape(L.shape[0], -1))).a.reshape((C.rows,) + L.shape[1:])
+        return [Mat._trusted(field, a).rank() if a.any() else 0 for a in layers]
+
+    window = len(constants) - 1
+    ranks = [[0] * C.rows] + [layer_ranks(L) for L in constants]
     betti = res.betti_list(t + window - 1)
     return [[betti[n] + betti[n + t - 1] - ranks[n + 1][j] - ranks[n][j] for n in range(window + 1)]
             for j in range(C.rows)]

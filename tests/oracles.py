@@ -423,6 +423,14 @@ def _solve_in_span(span_rows, target, p):
     return x
 
 
+def tate_betti(v, c, n):
+    """beta_0..beta_n of k over a complete intersection of embedding
+    dimension v and codimension c: the coefficients of (1+t)^v / (1-t^2)^c
+    (J. Tate, "Homology of Noetherian rings and local rings", Illinois J.
+    Math. 1, 1957), as the sum over the powers t^{2m} of the denominator."""
+    return [sum(comb(v, i - 2 * m) * comb(m + c - 1, c - 1) for m in range(i // 2 + 1)) for i in range(n + 1)]
+
+
 def quadric_ci_betti_closed_form(n, codim=2):
     """Coefficient of t^n in (1-t)^{-codim}."""
     return comb(n + codim - 1, codim - 1)

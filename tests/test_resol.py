@@ -114,28 +114,35 @@ def test_products_over_A_make_no_kron_call(monkeypatch):
 
 
 def test_resolve_eliminates_blocks_in_batches(monkeypatch):
-    # every matrix the resolution eliminates is nearly empty: it holds at
-    # most 2(rows + cols) nonzeros, and its row operations touch at most a
-    # sixteenth of its cells plus 64 entries
-    from cxlab import exactla
+    # a step eliminates sparse rows only: no dense matrix is read into rows.
+    # Every matrix it eliminates is nearly empty: it holds at most
+    # 2(rows + cols) nonzeros, and its row operations touch at most a
+    # sixteenth of its cells plus 64 entries; cols is read off the rows (one
+    # past their largest column), which only makes both bounds tighter
+    from cxlab import exactla, gmod
 
     A = MonomialCI.build(F5, [2, 2, 2]).algebra
-    touched, passes = [], []
-    pivots, subtract = exactla._sparse_pivots, exactla._subtract
+    touched, passes, scans = [], [], []
+    sparse_rref, subtract, dict_rows = exactla._sparse_rref, exactla._subtract, exactla._dict_rows
 
     def counting(row, f, other, p):
         touched.append(len(other))
         subtract(row, f, other, p)
 
-    def recording(a, p, reduced):
+    def recording(rows, p, reduced=True):
+        rows = list(rows)
         touched.clear()
-        out = pivots(a, p, reduced)
-        passes.append((np.count_nonzero(a), sum(a.shape), sum(touched), a.size))
+        nonzeros, cols = sum(map(len, rows)), max((j + 1 for row in rows for j in row), default=0)
+        out = sparse_rref(rows, p, reduced)
+        passes.append((nonzeros, len(rows) + cols, sum(touched), len(rows) * cols))
         return out
 
     monkeypatch.setattr(exactla, "_subtract", counting)
-    monkeypatch.setattr(exactla, "_sparse_pivots", recording)
+    monkeypatch.setattr(exactla, "_sparse_rref", recording)
+    monkeypatch.setattr(gmod, "_sparse_rref", recording)
+    monkeypatch.setattr(exactla, "_dict_rows", lambda a: scans.append(a.shape) or dict_rows(a))
     assert resolve(residue_field(A), 9).betti_list(9) == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
+    assert scans == []
     assert passes and any(work for _, _, work, _ in passes)
     assert all(nonzeros <= 2 * sides and work <= cells // 16 + 64 for nonzeros, sides, work, cells in passes)
 
@@ -309,7 +316,7 @@ def test_zero_spans_give_zero_steps(monkeypatch, A, case):
     module = {"free": lambda: free_module(A, [0, 2, 5]), "zero": lambda: free_module(A, []),
               "zero-coker": lambda: coker_presentation(A, [[A.one()]], [0])}[case]()
     calls = []
-    for name in ("min_generators", "kernel_rref"):
+    for name in ("min_generator_rows", "_sparse_kernel"):
         real = getattr(resol, name)
         monkeypatch.setattr(resol, name, lambda *args, real=real, name=name: (calls.append(name), real(*args))[1])
     res = resolve(module, 6)
@@ -345,24 +352,36 @@ def _held_arrays(res):
     return oracles.held_arrays(res, skip=("module", "frees", "_syz"))
 
 
+def _dense_rows(rows, n):
+    """The int64 array whose rows are the dicts {column: residue} rows."""
+    out = np.zeros((len(rows), n), dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, list(row)] = list(row.values())
+    return out
+
+
 @pytest.mark.parametrize("name", ["k", "Ax", "gasharov"])
 def test_resolution_keeps_maps_over_A(A, gasharov, name):
-    # each d_i is kept as the images of the generators of F_i, and of the
-    # spans only the one no step has covered keeps its rows; a realized d_i
-    # is built on request and never kept, also not by a solve through it
+    # each d_i is kept as the images of the generators of F_i; the span no
+    # step has covered keeps its rows, and the last step its realized
+    # columns, which the next step checks d o d = 0 against, both as sparse
+    # rows; a realized d_i is built on request and never kept as an array,
+    # also not by a solve through it
     M = {"k": lambda: residue_field(A), "Ax": lambda: coker_presentation(A, [[A.variable(0)]], [0]),
          "gasharov": lambda: gasharov_presentation(gasharov)}[name]()
     n = 6
     res = resolve(M, n)
     dims = [M.dim] + [res.free(i).dim for i in range(n + 1)]  # dims[i + 1] = dim F_i
     ranks = [M.dim] + [res.diff_realized(i).rank() for i in range(1, n + 1)]
-    # every matrix it holds: d_0..d_n over A and the rows of ker d_n; of
-    # Z_n only its rank, an int
+    # every matrix it holds as an array: d_0..d_n over A; of Z_n only its
+    # rank, an int
     held = [("_images", (dims[i], res.free(i).rank)) for i in range(n + 1)]
-    held += [("_span", (dims[n + 1] - ranks[n], dims[n + 1]))]
     assert sorted(a for a in _held_arrays(res) if len(a[1]) == 2) == sorted(held)
     assert type(res._rank) is int and res._rank == ranks[n]
-    assert res._span.transpose() == res.syzygy_inclusion(n + 1)
+    assert all(type(row) is dict for row in res._span + res._columns)
+    span = Mat(M.field, _dense_rows(res._span, dims[n + 1]))
+    assert span.rows == dims[n + 1] - ranks[n] and span.transpose() == res.syzygy_inclusion(n + 1)
+    assert np.array_equal(_dense_rows(res._columns, dims[n]).T, res.diff_realized(n).a)
     res.solve(2, res.diff_realized(2))
     assert sorted(a for a in _held_arrays(res) if len(a[1]) == 2 and a[0] != "_solvers") == sorted(held)
     # the solve keeps (Q, E) of Z_2, whose rows are those of ker d_1, and no
@@ -394,17 +413,18 @@ def test_covered_spans_are_rederived(p):
 
 def test_step_zero_checks_augmentation_onto(k, monkeypatch):
     # a generator choice that misses one generator of M leaves F_0 -> M not onto
-    choose = resol.min_generators
-    monkeypatch.setattr(resol, "min_generators", lambda m, span=None: choose(m, span)[:-1])
+    choose = resol.min_generator_rows
+    monkeypatch.setattr(resol, "min_generator_rows", lambda m, span: choose(m, span)[:-1])
     with pytest.raises(InvariantError, match="augmentation F_0 -> M is not onto"):
         resolve(direct_sum(k, shift(k, 1)), 0)
 
 
 def _at_free_targets(change):
-    """min_generators with change applied to its generators when it covers
-    a span of a free module, at the steps i >= 1."""
-    choose = resol.min_generators
-    return lambda m, span=None: change(choose(m, span)) if isinstance(m, FreeModule) else choose(m, span)
+    """min_generator_rows with change applied to its generators, lifts as
+    dicts {column: residue}, when it covers a span of a free module, at the
+    steps i >= 1."""
+    choose = resol.min_generator_rows
+    return lambda m, span: change(choose(m, span)) if isinstance(m, FreeModule) else choose(m, span)
 
 
 def test_step_checks_minimality(A, monkeypatch):
@@ -414,14 +434,14 @@ def test_step_checks_minimality(A, monkeypatch):
         vec[0] = 1
         return [(vec, gens[0][1])] + gens[1:]
 
-    monkeypatch.setattr(resol, "min_generators", _at_free_targets(with_unit))
+    monkeypatch.setattr(resol, "min_generator_rows", _at_free_targets(with_unit))
     with pytest.raises(InvariantError, match="differential entry has a unit component"):
         resolve(residue_field(A), 1)  # a new module, so its resolution starts empty
 
 
 def test_step_checks_exactness(A, monkeypatch):
     # without its last generator, the image of d_1 misses part of ker d_0 = m
-    monkeypatch.setattr(resol, "min_generators", _at_free_targets(lambda gens: gens[:-1]))
+    monkeypatch.setattr(resol, "min_generator_rows", _at_free_targets(lambda gens: gens[:-1]))
     with pytest.raises(InvariantError, match="image of d_1 does not fill ker d_0"):
         resolve(residue_field(A), 1)
 
@@ -434,7 +454,7 @@ def test_step_checks_image_in_span(A):
     res = resol.MinimalFreeResolution(residue_field(A))
     res.extend(0)
     assert A.basis_degrees[int(res._pivots[1][0])] == 1
-    res._span = Mat(F5, res._span.a[:1])
+    res._span = res._span[:1]
     res._pivots[1] = res._pivots[1][:1]
     with pytest.raises(InvariantError, match="image of d_1 does not fill ker d_0"):
         res.extend(1)
@@ -486,10 +506,10 @@ def test_step_checks_d2_on_generator_columns(A, monkeypatch):
 
     def corrupt(gens):
         vec = gens[0][0].copy()
-        vec[row] = (vec[row] + 1) % A.field.p
+        vec[row] = (vec.get(row, 0) + 1) % A.field.p
         return [(vec, gens[0][1])] + gens[1:]
 
-    monkeypatch.setattr(resol, "min_generators", _at_free_targets(corrupt))
+    monkeypatch.setattr(resol, "min_generator_rows", _at_free_targets(corrupt))
     with pytest.raises(InvariantError, match="d_1 o d_2 != 0"):
         res.extend(2)
 
@@ -554,3 +574,61 @@ def test_differentials_are_pinned(name):
     res = resolve(M, n)
     assert res.betti_list(n) == betti
     assert [hashlib.sha1(res.diff_realized(i).a.tobytes()).hexdigest() for i in range(1, n + 1)] == shas
+
+
+# SHA-1 of each realized d_1..d_12 of k over F_5[x1..x4]/(x1^2, .., x4^2)
+# as its shape, the flat indices of its nonzero entries and their values,
+# int64 bytes one after the other, recorded on the dense path, which
+# realized each d_i whole (d_12 is 5824 x 7280; the resolution took 1.15 GB
+# there)
+_PINNED_AT_DEPTH = [
+    "02a7b58548e56ac80c6038b02f0988c5b815b2f3", "98da346c9480fe3c2107c0269c4e5d5a9388629a",
+    "5a737f30233c2a1a2c79bfcc57b2823386a1fc04", "c4b604217abe829428fd3ffed6747fa7599ba81a",
+    "de92349b3ef3b8c20425199d0eca8da5bf43c3b9", "f87e58d954d05bb9533ad8b75370c97384dab296",
+    "fddc6bc1e6ad9ebf4939c6d53952ea1ebfe564ae", "3154b500c479b1a79133cad8f3459b5ee3c17e39",
+    "96fcc40431be0cd77adafcd7ccc218a22d082b37", "64f82ae4a4a9e994503190e80c0716d92b4d3b64",
+    "6634479999aed1f893647d370514fa2cd75d9744", "c08ce6058aea4aca2a5e3c21873247a8fad89903",
+]
+
+
+def test_differentials_are_pinned_at_depth():
+    # the nonzero entries of each realized d_i are read off its generator
+    # images by monomial products alone, so no whole d_i is built: over a
+    # monomial algebra x^m x^b is one basis monomial x^a or 0, and entry
+    # (h, b) of generator image g gives entry ((h, a), (g, m)) of d_i.  The
+    # resolution goes on to step 16, Tate's form at p = 5 (see below)
+    A = MonomialCI.build(F5, [2, 2, 2, 2]).algebra
+    res, dA = resolve(residue_field(A), 16), A.dim
+    assert res.betti_list(16) == oracles.tate_betti(4, 4, 16)
+    # x^m x^b = x^a, a = -1 where the product vanishes
+    prod = np.array([[A.basis_index.get(tuple(map(sum, zip(x, y))), -1) for y in A.basis] for x in A.basis])
+    shas = []
+    for i in range(1, 13):
+        images = res.diff_images(i).a
+        shape = (images.shape[0], images.shape[1] * dA)
+        r, g = images.nonzero()
+        h, b = np.divmod(r, dA)
+        m, k = np.nonzero(prod[:, b] >= 0)  # entry k times x^m
+        flat = (h[k] * dA + prod[m, b[k]]) * shape[1] + g[k] * dA + m
+        order = flat.argsort()
+        values = images[r, g][k][order]
+        shas.append(hashlib.sha1(np.array(shape, dtype=np.int64).tobytes() + flat[order].astype(np.int64).tobytes()
+                                 + values.astype(np.int64).tobytes()).hexdigest())
+    assert shas == _PINNED_AT_DEPTH
+
+
+@pytest.mark.parametrize("p, v, n", [(2, 4, 16), (2**31 - 1, 4, 16), (2, 5, 8), (5, 5, 8), (2**31 - 1, 5, 8)])
+def test_betti_numbers_of_k_over_monomial_ci_follow_tate(p, v, n):
+    # k over F_p[x_1..x_v]/(x_1^2, .., x_v^2), a complete intersection of
+    # codimension v; at p = 5 and v = 4 the pin at depth above checks it
+    A = MonomialCI.build(Field(p), [2] * v).algebra
+    assert resolve(residue_field(A), n).betti_list(n) == oracles.tate_betti(v, v, n)
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_betti_numbers_of_k_over_non_monomial_ci_follow_tate(p):
+    # (x^2 + y^2, xy) is a complete intersection over every F_p, and not
+    # monomial: beta_n = n + 1
+    F, names = Field(p), ["x", "y"]
+    B = build_algebra(F, 2, [parse_polynomial(r, names, F) for r in ("x^2+y^2", "x*y")], varnames=names)
+    assert resolve(residue_field(B), 14).betti_list(14) == oracles.tate_betti(2, 2, 14) == list(range(1, 16))

@@ -691,10 +691,11 @@ def test_find_reducing_element_frees_losing_pushouts(monkeypatch, F5):
 def test_lift_heavy_search_keeps_maps_over_A_only(monkeypatch, F5):
     # the search over (x^3, y^3, z^2) at window 11 lifts classes down the
     # resolution of k and pushes out three candidates; afterwards no
-    # resolution it made holds a realized differential: d_i is kept as its
-    # generator images, a solver as its (Q, E), and besides them only the
-    # pivots and the last span; of Z only its rank, an int.  No free module
-    # holds an array
+    # resolution it made holds a realized differential as an array: d_i is
+    # kept as its generator images, a solver as its (Q, E), and besides them
+    # only the pivots; the last span and the last step's realized columns
+    # are sparse rows; of Z only its rank, an int.  No free module holds an
+    # array
     from cxlab.cioper import MonomialCI
     from cxlab.gmod import FreeModule
     from cxlab.resol import MinimalFreeResolution
@@ -710,15 +711,13 @@ def test_lift_heavy_search_keeps_maps_over_A_only(monkeypatch, F5):
     assert len(made[MinimalFreeResolution]) == 4 and k._resolution._solvers
     for res in made[MinimalFreeResolution]:
         dims = [res.module.dim] + [F.dim for F in res.frees]
-        n = res.computed_to
         want = [("_images", (dims[i], F.rank)) for i, F in enumerate(res.frees)]
         want += [("_pivots", q.shape) for q in res._pivots]
-        want += [("_span", (res._span.rows, dims[n + 1]))]
         for i in res._solvers:
             r = len(res._pivots[i])
             want += [("_solvers", (r,)), ("_solvers", (r, r))]
         assert sorted(oracles.held_arrays(res, skip=("module", "frees", "_syz"))) == sorted(want)
-        assert type(res._rank) is int
+        assert type(res._rank) is int and all(type(row) is dict for row in res._span + res._columns)
     assert made[FreeModule] and not any(oracles.held_arrays(F) for F in made[FreeModule])
 
 
