@@ -19,23 +19,24 @@ product by its monomial actions, whose basis stack it builds from the
 variables' once and keeps; its `shift` shares them.  A free module keeps
 only its generator degrees and its rank, and multiplies as rank copies of
 A's regular module, kept once per algebra as one sparse structure table
-per monomial list, the same over every ring (see _Table).  A direct sum
-keeps its two summands, and its products are theirs, one over the other.
-A module that keeps no actions, free or a direct sum, reads its stacked
-actions and its variable actions off the multiples of the identity, on
-each request.  `extend_linearly` and the subquotients go through
-`multiples`; `block_action` is one product by the stacked actions.
+per monomial list, by source and the same over every ring (_Sources: for
+each coordinate of a block, the triples (j, a, w) of x^e_j times it).  Its
+product is a plain loop over the nonzero entries of the columns and the
+table's triples.  A direct sum keeps its two summands, and its products
+are theirs, one over the other.  A module that keeps no actions, free or
+a direct sum, reads its stacked actions and its variable actions off the
+multiples of the identity, on each request.  `extend_linearly` and the
+subquotients go through `multiples`; `block_action` is one product by the
+stacked actions.
 
 Sparse rows, dicts {coordinate: residue}, have the same product:
-`multiples_of_rows` is `multiples` on rows, plain loops over one by-source
-view of the same actions (_Sources: for each coordinate of a block, the
-triples (j, a, w) of x^e_j times it), so its work follows the nonzero
-entries.  On a free module the view is A's structure table read by source,
-derived from _Table and kept per algebra in a weak cache beside it; on any
-other module it is read off its stacked actions.  `min_generator_rows`
-chooses generators of an echelon span given as such rows, one
-`multiples_of_rows` by the variables and one echelon pass, and
-`min_generators` is the same choice on dense coordinates.
+`multiples_of_rows` is `multiples` on rows, plain loops over the same
+by-source form of the actions, so its work follows the nonzero entries:
+A's structure table on a free module, read off its stacked actions on any
+other module.  `min_generator_rows` chooses generators of an echelon span
+given as such rows, one `multiples_of_rows` by the variables and one
+echelon pass, and `min_generators` is the same choice on dense
+coordinates.
 
 A matrix over A, a map F' -> F of free modules, has one form: its
 generator images, the dim F x rank F' matrix whose column g is the image of
@@ -199,7 +200,8 @@ class FreeModule(Module):
     """Free module on homogeneous generators; basis is generator-major blocks
     (generator g, standard monomial m) with degree deg(m) + deg(g).  Each
     block is a copy of A as a module over itself, and multiplies through
-    A's structure table; a free module keeps no array."""
+    A's structure table (see _structure_terms); a free module keeps no
+    array."""
 
     def __init__(self, algebra: Algebra, gen_degrees: Sequence[int]):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
@@ -216,23 +218,27 @@ class FreeModule(Module):
         return len(self.gen_degrees)
 
     def multiples(self, cols: Mat, which: str) -> Mat:
-        """Module.multiples through the structure table of the list, on
-        every block (see _Table): one take writes every output in place,
-        (g, a) by (c, j), the same way over every ring."""
+        """Module.multiples through A's structure table on every block: a
+        plain loop over the nonzero entries of cols and the table's triples,
+        whose sums are written into a zeroed output, the one array of its
+        size."""
         if cols.rows != self.dim:
             raise InputError(f"{cols.rows} coordinates on a free module of dimension {self.dim}")
-        t = _structure_terms(self.algebra, which)
-        dA, r, k, p = self.algebra.dim, self.rank, cols.cols, self.field.p
-        # V[g, c, m]: coordinate m of block g of column c, then a zero and the
-        # sums, each product reduced mod p before it is summed
-        n = dA + 1 + t.starts.size
-        V = np.zeros((r, k, n), dtype=np.int64)
-        V[:, :, :dA] = cols.a.reshape(r, dA, k).transpose(0, 2, 1)
-        if t.starts.size:  # over a monomial algebra nothing is summed
-            sums = np.add.reduceat(V.take(t.src, axis=2) * t.coef % p, t.starts, axis=2)
-            np.remainder(sums, p, out=V[:, :, dA + 1:])
-        out = V.reshape(r, k * n).take(t.source[:, None, :] + np.arange(0, k * n, n)[:, None], axis=1)
-        return Mat._trusted(self.field, out.reshape(self.dim, k * t.source.shape[1]))
+        entries, s, p = _structure_terms(self.algebra, which).entries, _list_length(self.algebra, which), self.field.p
+        dA, n = self.algebra.dim, cols.cols * s
+        # output (row, column) at the flat key row n + column; each sum is
+        # reduced mod p at each step, so it stays a residue below p
+        acc: Dict[int, int] = {}
+        r, c = cols.a.nonzero()
+        for rr, cc, v in zip(r.tolist(), c.tolist(), cols.a[r, c].tolist()):
+            b = rr % dA
+            base = (rr - b) * n + cc * s
+            for j, a, w in entries[b]:
+                key = base + a * n + j
+                acc[key] = (acc.get(key, 0) + v * w) % p
+        out = np.zeros(self.dim * n, dtype=np.int64)
+        out[list(acc)] = list(acc.values())
+        return Mat._trusted(self.field, out.reshape(self.dim, n))
 
     def generator_columns(self) -> List[int]:
         """Coordinate of each generator: the monomial 1 in its block."""
@@ -261,30 +267,28 @@ def _division_chain(algebra: Algebra) -> Iterator[Tuple[int, int, int]]:
         yield j, v, algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
 
 
-class _Table(NamedTuple):
-    """A's structure constants on a monomial list, each nonzero one once:
-    x^e_j * basis[src] has coefficient w on basis[a].  A product extends a
-    column by a zero and the sums, and output (a, j) reads coordinate
-    source[a, j]: src where its one entry is w = 1, as every output over a
-    monomial algebra; dim A, the zero, where it has none; dim A + 1 + i for
-    summed output i, over the entries (src, coef)[starts[i]:starts[i + 1]],
-    each product reduced mod p before the sum."""
-    source: np.ndarray
-    starts: np.ndarray
-    src: np.ndarray
-    coef: np.ndarray
+class _Sources(NamedTuple):
+    """A monomial list's action on a module by source coordinate: coordinate
+    c, at b = c % period in its block, goes to entries[b], the triples
+    (j, a, w) by which x^e_j times basis vector b of a block has coefficient
+    w on vector a of the same block.  lone: every output (j, a) of a block
+    has one entry, w = 1 (every output over a monomial algebra), so a
+    product writes each output once and sums nothing."""
+    period: int
+    entries: List[List[Tuple[int, int, int]]]
+    lone: bool
 
 
-# A's structure tables, once per algebra (see _structure_terms): arrays
-# only, so no algebra is kept alive by its entry.
-_STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, _Table]]" = weakref.WeakKeyDictionary()
+# A's structure tables, once per algebra (see _structure_terms): lists of
+# ints only, so no algebra is kept alive by its entry.
+_STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, _Sources]]" = weakref.WeakKeyDictionary()
 
 
-def _structure_terms(algebra: Algebra, which: str) -> _Table:
+def _structure_terms(algebra: Algebra, which: str) -> _Sources:
     """A's structure table on the monomials of the list `which` (see
-    _list_length).  The first call for an algebra builds A as a module
-    over itself, which verifies its axioms, and reads both tables off its
-    variable actions X_v.  The basis actions follow along the division
+    _list_length), by source.  The first call for an algebra builds A as a
+    module over itself, which verifies its axioms, and reads both tables off
+    its variable actions X_v.  The basis actions follow along the division
     chain, one degree at a time and as entries only: x^e_j acts as x^e_below
     times X_v (A is commutative), so an entry (below, a, b, w) and an entry
     x at (b, src) of X_v give (j, a, src, w x), and entries alike are
@@ -318,7 +322,7 @@ def _structure_terms(algebra: Algebra, which: str) -> _Table:
             sums = np.add.reduceat(terms, alike) % p
             # keys stay sorted: the basis lists its monomials degree by degree
             keys, w = np.concatenate((keys, new[alike][sums != 0])), np.concatenate((w, sums[sums != 0]))
-        tables = {"basis": _table(keys, w, dA, dA), "variables": _table(xk, x, dA, len(X))}
+        tables = {"basis": _grouped(dA, keys, w), "variables": _grouped(dA, xk, x)}
         _STRUCTURE[algebra] = tables
     if which not in tables:
         _list_length(algebra, which)  # raises InputError: no such list
@@ -330,76 +334,26 @@ def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
     return (lo - n.cumsum() + n).repeat(n) + np.arange(n.sum())
 
 
-def _table(keys: np.ndarray, w: np.ndarray, dA: int, s: int) -> _Table:
-    """The _Table of a stack of s actions given by its nonzero entries, in
-    order: flat indices (j dA + a) dA + src and residues w."""
-    out = keys // dA  # output (a, j) as j dA + a
-    starts = np.flatnonzero(out != np.append(-1, out[:-1]))
-    n = np.append(starts[1:], out.size) - starts
-    lone = (n == 1) & (w[starts] == 1)
-    source = np.full(s * dA, dA, dtype=np.intp)
-    source[out[starts]] = np.where(lone, keys[starts] % dA, dA + (~lone).cumsum())
-    summed = (~lone).repeat(n)
-    return _Table(np.ascontiguousarray(source.reshape(s, dA).T), n[~lone].cumsum() - n[~lone],
-                  keys[summed] % dA, w[summed])
-
-
-class _Sources(NamedTuple):
-    """A monomial list's action on a module by source coordinate, for
-    products of sparse rows: coordinate c, at b = c % period in its block,
-    goes to entries[b], the triples (j, a, w) by which x^e_j times basis
-    vector b of a block has coefficient w on vector a of the same block.
-    lone: every output (j, a) of a block has one entry, w = 1 (every
-    output over a monomial algebra), so a product writes each output once
-    and sums nothing."""
-    period: int
-    entries: List[List[Tuple[int, int, int]]]
-    lone: bool
-
-
-# A's structure tables read by source (see _free_sources), once per
-# algebra: lists of ints only, so no algebra is kept alive by its entry.
-_SOURCES: "weakref.WeakKeyDictionary[Algebra, Dict[str, _Sources]]" = weakref.WeakKeyDictionary()
+def _grouped(period: int, keys: np.ndarray, w: np.ndarray) -> _Sources:
+    """The _Sources of a stack of actions given by its nonzero entries in
+    order: flat indices (j period + a) period + b and residues w, w on
+    output a of x^e_j times source b."""
+    out = keys // period  # output (j, a) as j period + a; two entries of one output are side by side
+    lone = bool((w == 1).all()) and not (np.diff(out) == 0).any()
+    entries: List[List[Tuple[int, int, int]]] = [[] for _ in range(period)]
+    for o, b, ww in zip(out.tolist(), (keys % period).tolist(), w.tolist()):
+        entries[b].append((o // period, o % period, ww))
+    return _Sources(period, entries, lone)
 
 
 def _by_source(m: Module, which: str) -> _Sources:
     """The _Sources of the monomial list `which` on m: A's structure table
     on every block of a free module, the stacked actions of any other."""
     if isinstance(m, FreeModule):
-        return _free_sources(m.algebra, which)
+        return _structure_terms(m.algebra, which)
     S = m._stacked(which)
-    j, a, b = np.nonzero(S)
-    w = S[j, a, b]
-    # nonzero() lists (j, a) in order, so an output with two entries has them side by side
-    lone = bool((w == 1).all()) and not ((np.diff(j) == 0) & (np.diff(a) == 0)).any()
-    return _grouped(m.dim, j, a, b, w, lone)
-
-
-def _free_sources(algebra: Algebra, which: str) -> _Sources:
-    """A's structure table on the list `which` (_structure_terms), read by
-    source: each lone output by its source, each summed one by its
-    entries; built on the first request and kept per algebra."""
-    sources = _SOURCES.setdefault(algebra, {})
-    if which not in sources:
-        t, dA = _structure_terms(algebra, which), algebra.dim
-        a, j = np.nonzero(t.source < dA)
-        sa, sj = np.nonzero(t.source > dA)
-        i = t.source[sa, sj] - dA - 1
-        n = np.diff(t.starts, append=t.src.size)[i]
-        e = _ranges(t.starts[i], n)
-        sources[which] = _grouped(dA, np.concatenate((j, sj.repeat(n))), np.concatenate((a, sa.repeat(n))),
-                                  np.concatenate((t.source[a, j], t.src[e])),
-                                  np.concatenate((np.ones(a.size, dtype=np.int64), t.coef[e])), t.starts.size == 0)
-    return sources[which]
-
-
-def _grouped(period: int, j: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray, lone: bool) -> _Sources:
-    """The _Sources of the entries (j, a, b, w): w on output a of x^e_j
-    times source b."""
-    entries: List[List[Tuple[int, int, int]]] = [[] for _ in range(period)]
-    for jj, aa, bb, ww in zip(j.tolist(), a.tolist(), b.tolist(), w.tolist()):
-        entries[bb].append((jj, aa, ww))
-    return _Sources(period, entries, lone)
+    keys = np.flatnonzero(S)
+    return _grouped(m.dim, keys, S.reshape(-1)[keys])
 
 
 def multiples_of_rows(m: Module, rows: Sequence[dict], which: str) -> List[dict]:

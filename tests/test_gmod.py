@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import oracles
 from cxlab.cioper import MonomialCI
 from cxlab.errors import InputError, InvariantError
-from cxlab.exactla import Field, Mat, rref
+from cxlab.exactla import Field, Mat, _dense, _dict_rows, rref
 from cxlab.gralg import build_algebra, parse_polynomial, socle_dimension
 from cxlab import gmod
 from cxlab.gmod import (
@@ -27,6 +28,7 @@ from cxlab.gmod import (
     entry_images,
     images_of,
     min_generators,
+    multiples_of_rows,
     quotient_by_span,
     residue_field,
     shift,
@@ -271,27 +273,19 @@ _TERM_RINGS = {
 
 
 def _table_entries(t):
-    """The structure constants a gmod._Table holds, as sorted tuples (j, a,
-    src, w): the one entry 1 of each lone output, and every summed entry."""
-    dA = t.source.shape[0]
-    a, j = np.nonzero(t.source < dA)
-    held = list(zip(j.tolist(), a.tolist(), t.source[a, j].tolist(), [1] * a.size))
-    bounds = np.append(t.starts, t.src.size)
-    for a, j in zip(*np.nonzero(t.source > dA)):
-        lo, hi = bounds[t.source[a, j] - dA - 1:][:2]
-        held += [(j, a, c, w) for c, w in zip(t.src[lo:hi].tolist(), t.coef[lo:hi].tolist())]
-    return sorted(held)
+    """The structure constants a gmod._Sources holds, as sorted tuples (j, a,
+    src, w): w on output a of x^e_j times source src."""
+    return sorted((j, a, src, w) for src, triples in enumerate(t.entries) for j, a, w in triples)
 
 
 @pytest.mark.parametrize("ring", sorted(_TERM_RINGS))
 def test_structure_terms_match_dense_stack(ring):
-    # the one structure table holds, entry by entry, the nonzero entries of
-    # the dense dim A^3 stack of A's monomial actions, every output once: a
-    # lone entry 1 by its source, any other output summed.  Over a partial
-    # permutation every output is a lone 1, so nothing is summed.  Where the
-    # stack dominates (dim A >= 64: 2 MiB and up), building both tables
-    # allocates less than a quarter of it
-    p, names, relations, gather = _TERM_RINGS[ring]
+    # the one structure table holds, by source, the nonzero entries of the
+    # dense dim A^3 stack of A's monomial actions, each once.  Over a partial
+    # permutation every output is one entry 1, and exactly there the table
+    # is lone: nothing is summed.  Where the stack dominates (dim A >= 64:
+    # 2 MiB and up), building both tables allocates less than a quarter of it
+    p, names, relations, lone = _TERM_RINGS[ring]
     F = Field(p)
     A = build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=list(names))
     tracemalloc.start()
@@ -303,15 +297,11 @@ def test_structure_terms_match_dense_stack(ring):
     if A.dim >= 64:
         assert peak < 8 * A.dim ** 3 / 4, (peak, A.dim)
     for which, t in got.items():
-        assert type(t) is gmod._Table and all(x.dtype.kind == "i" for x in t), which
+        assert type(t) is gmod._Sources and t.period == A.dim == len(t.entries), which
         S = oracles.regular_module(A)._stacked(which)
         j, a, c = np.nonzero(S)
         assert _table_entries(t) == sorted(zip(j.tolist(), a.tolist(), c.tolist(), S[j, a, c].tolist())), which
-        # each summed output is read once, and is not one entry 1
-        summed = np.sort(t.source[t.source > A.dim])
-        assert np.array_equal(summed, A.dim + 1 + np.arange(t.starts.size)), which
-        assert ((np.diff(t.starts, append=t.src.size) > 1) | (t.coef[t.starts] != 1)).all(), which
-        assert (t.starts.size == 0) == gather, which
+        assert t.lone == lone, which
 
 
 _RINGS = {
@@ -335,25 +325,38 @@ def test_multiples_match_monomial_actions(ring, p):
     # outside a monomial algebra, x^e * m can have several standard
     # monomials, so an output entry sums several structure constants
     F = Field(p)
-    names, relations, gather = _RINGS[ring]
+    names, relations, lone = _RINGS[ring]
     A = build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=names)
     variables = [tuple(int(i == v) for i in range(A.nvars)) for v in range(A.nvars)]
-    # over a partial permutation the take writes every output; "merging"
-    # sums two entries in an output, "half_p" reduces (p - 1) / 2 times a
-    # residue before it sums
+    # over a partial permutation the table is lone and every output is
+    # written once; "merging" sums two entries in an output, "half_p"
+    # reduces (p - 1) / 2 times a residue before it sums
     if p > 2:
         for which in ("basis", "variables"):
-            assert (_structure_terms(A, which).starts.size == 0) == gather
-    t = _structure_terms(A, "basis")
+            assert _structure_terms(A, which).lone == lone
+    triples = [(j, a, w) for t in _structure_terms(A, "basis").entries for j, a, w in t]
     if ring == "merging":
-        assert np.diff(t.starts, append=t.src.size).max() == 2
+        assert max(Counter((j, a) for j, a, _ in triples).values()) == 2
     if ring == "half_p" and p == 2**31 - 1:
-        assert (p - 1) // 2 in t.coef
+        assert (p - 1) // 2 in [w for _, _, w in triples]
+    if ring == "dim64":
+        # a nearly empty product writes its output and, beside it, only its
+        # nonzero entries: no output-sized temporary
+        M, I = free_module(A, [0, 1]), Mat.identity(F, 2 * A.dim)
+        tracemalloc.start()
+        try:
+            out = M.multiples(I, "basis")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (M.dim, M.dim * A.dim) and peak <= 1.25 * out.a.nbytes, peak / out.a.nbytes
     rng = np.random.default_rng(p % 1000)
     N = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
     Z = coker_presentation(A, [[A.one()]], [0])  # zero-dimensional, and not free
     assert Z.dim == 0 and type(Z) is Module
-    for target in (free_module(A, []), free_module(A, [0]), free_module(A, [0, 1, 1]), N, Z):
+    # multiples_of_rows on the columns as dict rows is the same product
+    for target in (free_module(A, []), free_module(A, [0]), free_module(A, [0, 1, 1]), N, Z,
+                   direct_sum(free_module(A, [1]), N)):
         for k in (0, 1, 4):
             cols = Mat(F, rng.integers(0, p, (target.dim, k)))
             for which, monomials in (("basis", A.basis), ("variables", variables)):
@@ -362,6 +365,8 @@ def test_multiples_match_monomial_actions(ring, p):
                 assert got.shape == (target.dim, k * s)
                 for j, e in enumerate(monomials):
                     assert np.array_equal(got.a[:, j::s], (oracles.monomial_action(target, e) @ cols).a), (target, which, e)
+                rows = multiples_of_rows(target, _dict_rows(cols.a.T), which)
+                assert np.array_equal(_dense(rows, target.dim).T, got.a), (target, which)
     # block_action reshapes one product of the coefficients by the stacked
     # actions; matrices over A with no rows or columns and a zero module
     # give empty blocks
@@ -555,7 +560,7 @@ def test_derived_modules_inherit_axioms(monkeypatch):
 
 
 def test_free_module_keeps_no_regular_module():
-    # A's regular representation is kept only as arrays: no module over A as
+    # A's regular representation is kept only as ints: no module over A as
     # a module over itself outlives the free module's build or its products
     for relations in (("x^2", "x*y", "y^3"), _NOT_MONOMIAL):
         B = _fresh_algebra(relations)
@@ -565,7 +570,8 @@ def test_free_module_keeps_no_regular_module():
         assert not [o for o in gc.get_objects() if isinstance(o, Module) and o.provenance == "regular"]
         assert not [v for v in vars(F).values() if isinstance(v, Module)]
         tables = gmod._STRUCTURE[B].values()
-        assert all(type(x) is np.ndarray for t in tables for x in t), relations
+        assert all(type(t.period) is int and type(t.lone) is bool for t in tables), relations
+        assert all(type(x) is int for t in tables for triples in t.entries for e in triples for x in e), relations
 
 
 def test_algebra_keeps_no_dense_array():
@@ -613,7 +619,7 @@ def test_regular_module_cache_keeps_no_algebra_alive():
         assert resolve(residue_field(B), 3).betti_list(3)[0] == 1
         F = free_module(B, [0, 1])
         assert F.multiples(Mat.identity(F5, F.dim), "variables").shape == (F.dim, 2 * F.dim)
-        assert (_structure_terms(B, "basis").starts.size > 0) == summed
+        assert _structure_terms(B, "basis").lone != summed
         gone = weakref.ref(B)
         del B, F
         gc.collect()
