@@ -23,7 +23,10 @@ copy.
 One elimination, _sparse_rref, is behind rref, kernel_rref, pivot_inverse,
 pivot_columns and Mat.rank, whatever the density of the input, and behind
 _sparse_kernel, the kernel of a matrix given as sparse rows, which
-kernel_rref and each resolution step read.  The
+kernel_rref reads.  Its reduction loop, _reduce_in_order, is the only one:
+a resolution step runs it on its own rows, degree by degree and in order,
+and then _back_substitute and _kernel_rows, as _sparse_kernel does, and
+checks its exactness rank with an echelon pass of _sparse_rref.  The
 matrices the engine eliminates are nearly empty: on the benchmark's inputs
 they hold at most 1.1 times as many nonzeros as their longer side.  Each is
 eliminated on sparse rows, dicts {column: residue} of Python ints, which
@@ -279,23 +282,17 @@ def _subtract(row: dict, f: int, other: dict, p: int):
             del row[j]
 
 
-def _sparse_rref(rows, p: int, reduced: bool = True) -> dict:
-    """Echelon pivot rows of the row space of rows, dicts {column: residue}
-    with residues in [0, p) (consumed).
-
-    Returns {pivot column: row}, each row 1 at its pivot column.  Rows are
-    taken fewest entries first, so unit rows become pivots before any
-    arithmetic.  Each is reduced by its least column against the pivot rows
-    met so far until that column is no pivot, and then becomes its pivot
-    row, normalized.  The pivot rows have distinct least columns, so they
-    are an echelon basis of the row space and their pivot columns are those
-    of its RREF.  With reduced, back substitution from the last pivot clears
-    the later pivot columns from each row, making the rows the RREF's.
-    Residues are Python ints: f·v < p^2 is exact at every p.  gralg hands
-    its ideal's slices here as rows, with no dense form.
-    """
-    pivot: dict = {}
-    for row in sorted(rows, key=len):
+def _reduce_in_order(rows, pivot: dict, p: int) -> list:
+    """The one reduction loop: each of rows, dicts {column: residue} with
+    residues in [0, p) (consumed), in the order given, is reduced by its
+    least column against pivot, the pivot rows met so far {pivot column:
+    row}, until that column is no pivot, and then becomes its pivot row,
+    normalized, added to pivot.  Returns the positions in rows of those
+    that reduce to zero: the rows in the span of the rows before them and
+    of the pivot rows given.  Residues are Python ints: f·v < p^2 is exact
+    at every p."""
+    zero = []
+    for k, row in enumerate(rows):
         while row:
             c = min(row)
             other = pivot.get(c)
@@ -306,12 +303,38 @@ def _sparse_rref(rows, p: int, reduced: bool = True) -> dict:
                 pivot[c] = row
                 break
             _subtract(row, row[c], other, p)
+        else:
+            zero.append(k)
+    return zero
+
+
+def _back_substitute(pivot: dict, p: int):
+    """Clear the other pivot columns from each row of pivot, echelon pivot
+    rows {pivot column: row}, in place, from the last pivot: the rows become
+    those of the reduced echelon form.  The rows after c are already
+    reduced: they hold no other pivot column."""
+    for c in sorted(pivot, reverse=True):
+        row = pivot[c]
+        for j in [j for j in row if j != c and j in pivot]:
+            _subtract(row, row[j], pivot[j], p)
+
+
+def _sparse_rref(rows, p: int, reduced: bool = True) -> dict:
+    """Echelon pivot rows of the row space of rows, dicts {column: residue}
+    with residues in [0, p) (consumed).
+
+    Returns {pivot column: row}, each row 1 at its pivot column.  Rows are
+    taken fewest entries first, so unit rows become pivots before any
+    arithmetic, through _reduce_in_order.  The pivot rows have distinct
+    least columns, so they are an echelon basis of the row space and their
+    pivot columns are those of its RREF.  With reduced, _back_substitute
+    makes the rows the RREF's.  gralg hands its ideal's slices here as
+    rows, with no dense form.
+    """
+    pivot: dict = {}
+    _reduce_in_order(sorted(rows, key=len), pivot, p)
     if reduced:
-        # the rows after c are already reduced: they hold no other pivot column
-        for c in sorted(pivot, reverse=True):
-            row = pivot[c]
-            for j in [j for j in row if j != c and j in pivot]:
-                _subtract(row, row[j], pivot[j], p)
+        _back_substitute(pivot, p)
     return pivot
 
 
@@ -369,21 +392,31 @@ def _sparse_kernel(rows, n: int, p: int):
     """Rank of a matrix of n columns and the reduced row-echelon basis of
     its null space, from one elimination: (rank, kernel rows as dicts
     sorted by pivot, pivots).  rows are the matrix's rows with its columns
-    reversed, column j at n - 1 - j, as dicts (consumed).
+    reversed, column j at n - 1 - j, as dicts (consumed)."""
+    pivot = _sparse_rref(rows, p)
+    return (len(pivot), *_kernel_rows(pivot, {f: n - 1 - f for f in range(n)}, p))
 
-    With the columns reversed, each non-pivot column f gives a kernel
-    vector with a 1 at f, zeros at the other non-pivot columns and nonzeros
-    only at pivot columns before f.  Reversed back, its 1 is its first
+
+def _kernel_rows(pivot: dict, column: dict, p: int):
+    """The reduced row-echelon basis of the null space of a matrix, read
+    off pivot, the reduced echelon pivot rows of its rows with each column
+    given a label, the labels in the reverse order of the columns: (kernel
+    rows as dicts sorted by pivot, pivots).  column maps each label to its
+    column; a column without a label is zero in every null vector.
+
+    With the columns reversed, each non-pivot label f gives a kernel
+    vector with a 1 at f, zeros at the other non-pivot labels and nonzeros
+    only at pivot labels before f.  Reversed back, its 1 is its first
     nonzero entry and every other row vanishes there: the rows are the
     kernel's reduced echelon form, which is unique."""
-    pivot = _sparse_rref(rows, p)
-    kernel = {n - 1 - f: {n - 1 - f: 1} for f in range(n) if f not in pivot}
+    kernel = {j: {j: 1} for f, j in column.items() if f not in pivot}
     for c, row in pivot.items():
+        j = column[c]
         for f, v in row.items():
-            if f != c:  # a non-pivot column: reduced rows hold no other pivot
-                kernel[n - 1 - f][n - 1 - c] = p - v
+            if f != c:  # a non-pivot label: reduced rows hold no other pivot
+                kernel[column[f]][j] = p - v
     lead = sorted(kernel)
-    return len(pivot), [kernel[f] for f in lead], lead
+    return [kernel[j] for j in lead], lead
 
 
 def kernel_rref(m: Mat):

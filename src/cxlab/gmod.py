@@ -33,10 +33,7 @@ Sparse rows, dicts {coordinate: residue}, have the same product:
 `multiples_of_rows` is `multiples` on rows, plain loops over the same
 by-source form of the actions, so its work follows the nonzero entries:
 A's structure table on a free module, read off its stacked actions on any
-other module.  `min_generator_rows` chooses generators of an echelon span
-given as such rows, one `multiples_of_rows` by the variables and one
-echelon pass, and `min_generators` is the same choice on dense
-coordinates.
+other module.
 
 A matrix over A, a map F' -> F of free modules, has one form: its
 generator images, the dim F x rank F' matrix whose column g is the image of
@@ -58,7 +55,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InvariantError, check
-from .exactla import Field, Mat, _complement, _dense, _dict_rows, _matmul_mod, _sparse_rref, rref
+from .exactla import Field, Mat, _complement, _matmul_mod, rref
 from .gralg import Algebra, AlgebraElement
 
 __all__ = [
@@ -76,8 +73,6 @@ __all__ = [
     "residue_field",
     "direct_sum",
     "shift",
-    "min_generators",
-    "min_generator_rows",
     "multiples_of_rows",
     "quotient_by_span",
     "submodule_from_span",
@@ -207,11 +202,13 @@ class FreeModule(Module):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
         # verifies A's regular representation, once per algebra
         _structure_terms(algebra, "basis")
-        degrees = []
-        for g in self.gen_degrees:
-            degrees.extend(d + g for d in algebra.basis_degrees)
-        # inherited: every block carries the verified regular representation
-        super().__init__(algebra, degrees, None, provenance="free", _skip_verify=True)
+        # inherited: every block carries the verified regular representation.
+        # Given no actions and no verification, Module.__init__ reads neither
+        # degrees nor dim, so the degrees are set after it, built once from
+        # ints and not converted again
+        super().__init__(algebra, (), None, provenance="free", _skip_verify=True)
+        basis = algebra.basis_degrees
+        self.degrees = tuple([d + g for g in self.gen_degrees for d in basis])
 
     @property
     def rank(self) -> int:
@@ -507,36 +504,6 @@ def shift(m: Module, s: int) -> Module:
                  _skip_verify=True)
     out._stacks = m._stacks
     return out
-
-
-def min_generators(m: Module, span: Optional[Mat] = None) -> List[Tuple[np.ndarray, int]]:
-    """min_generator_rows on dense coordinates: N is M, or the span of the
-    rows of span, a reduced echelon form; each lift is a coordinate vector
-    on M."""
-    rows = [{c: 1} for c in range(m.dim)] if span is None else _dict_rows(span.a)
-    return [(_dense([row], m.dim)[0], d) for row, d in min_generator_rows(m, rows)]
-
-
-def min_generator_rows(m: Module, span: List[dict]) -> List[Tuple[dict, int]]:
-    """A basis of N/mN lifted to homogeneous elements of M, with degrees.
-
-    N is the span of the rows of span, dicts {coordinate on M: residue} in
-    reduced echelon form, one after the other by pivot column.  Lifts are
-    the rows of span themselves at the non-pivot positions of the echelon
-    form of mN in the span's coordinates, so the choice is canonical.  mN
-    is eliminated in M's coordinates: a vector of N whose first nonzero
-    span coordinate is q has its first nonzero entry at the pivot column of
-    row q, as every other row it holds starts later and vanishes there, so
-    the pivot columns of mN are those of the rows at its pivot positions."""
-    pivots = [min(row, default=-1) for row in span]
-    index = {c: q for q, c in enumerate(pivots)}
-    # increasing pivots, a 1 at each, and no other entry at any pivot column
-    check(all(a < b for a, b in zip(pivots, pivots[1:])) and all(row.get(c) == 1 for row, c in zip(span, pivots))
-          and sum(j in index for row in span for j in row) == len(span), "span is not in reduced echelon form")
-    # mN is spanned by the products of the rows with each variable, and the
-    # order of the rows does not change the pivots of their echelon form
-    lead = _sparse_rref(multiples_of_rows(m, span, "variables"), m.field.p, reduced=False)
-    return [(row, _row_degree(m, row)) for row, c in zip(span, pivots) if c not in lead]
 
 
 def _by_variable(m: Module, multiples: np.ndarray) -> List[Mat]:

@@ -7,15 +7,23 @@ holds by construction and is checked at every step together with
 d o d = 0 and exactness (at step 0: F_0 -> M is onto).
 
 A step runs on sparse rows, dicts {coordinate: residue}, from start to
-finish, as the matrices of a resolution are nearly empty: the span, the
-generator lifts (gmod.min_generator_rows), the columns of the realized d_i
-(the lifts times every basis monomial, one gmod.multiples_of_rows) and
-Z_i, their rows at the pivot columns of the span.  It eliminates once:
-Z_i gives in one _sparse_kernel the rank that proves exactness, rank Z_i =
-dim F_{i-1} - rank Z_{i-1} as in verify_complex, and the echelon span of
-ker d_i that the next step covers.  It checks d_{i-1} o d_i = 0 on the
-lifts against the columns of d_{i-1} that the step before kept.  No dense
-array is built but the generator images it keeps.
+finish, as the matrices of a resolution are nearly empty, and it
+eliminates once (_cover), one internal degree at a time.  Z_i, the rows of
+the realized d_i at the span's pivot columns, is reduced row by row in
+span order without its generator columns.  In degree d those columns span
+mN_d, and they come from generators of lower degree, so a span row reduces
+to zero against the rows before it exactly when it is not in mN plus those
+rows: exactly when it is a generator of N/mN.  The generators come out of
+the elimination, and their products with every basis monomial, one
+gmod.multiples_of_rows per degree, are the columns of d_i and fill the
+rows of higher degree.  The same elimination gives the echelon span of
+ker d_i that the next step covers.  The rank that proves exactness, rank
+Z_i = dim F_{i-1} - rank Z_{i-1} as in verify_complex, is read off the
+realized columns by a second pass that only counts pivots (no back
+substitution, no kernel): the first pass makes every span row a generator
+or a pivot, so it cannot find its own faults.  The step checks d_{i-1} o
+d_i = 0 on the lifts against the columns of d_{i-1} that the step before
+kept.  No dense array is built but the generator images it keeps.
 
 A resolution keeps each d_i as its matrix over A, the images of the
 generators of F_i, dim A times smaller than the realized d_i, which is
@@ -31,13 +39,25 @@ previously computed steps never change.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InputError, check
-from .exactla import Mat, _dense, _dict_rows, _sparse_kernel, pivot_inverse
+from .exactla import (
+    Mat,
+    _back_substitute,
+    _dense,
+    _dict_rows,
+    _kernel_rows,
+    _reduce_in_order,
+    _sparse_kernel,
+    _sparse_rref,
+    pivot_inverse,
+)
 from .gralg import Algebra, AlgebraElement
 from .gmod import (
     FreeModule,
@@ -47,7 +67,6 @@ from .gmod import (
     entry_images,
     extend_linearly,
     free_module,
-    min_generator_rows,
     multiples_of_rows,
     submodule_from_span,
 )
@@ -116,7 +135,7 @@ class MinimalFreeResolution:
         A = self.module.algebra
         p = A.field.p
         target = self.frees[i - 1] if i else self.module
-        span, pivots = self._span, self._pivots[i]
+        span, pivots = self._span, self._pivots[i].tolist()
         if not span:
             # nothing to cover: the zero free module, the zero map and an
             # empty span, the objects the general path builds; every check
@@ -124,7 +143,7 @@ class MinimalFreeResolution:
             F, images, columns = free_module(A, []), Mat.zeros(A.field, target.dim, 0), []
             rank, kernel, ker_pivots = 0, [], []
         else:
-            gens = min_generator_rows(target, span)
+            gens, columns, kernel, ker_pivots = _cover(target, span, pivots)
             F = free_module(A, [d for _, d in gens])
             lifts = [u for u, _ in gens]
             if i:
@@ -136,19 +155,21 @@ class MinimalFreeResolution:
                 # vanishes on the generators of F_i: d_{i-1} of each lift,
                 # read off the realized columns of d_{i-1}
                 check(all(_vanishes(self._columns, u, p) for u in lifts), f"d_{i-1} o d_{i} != 0")
-            # column (g, m) of the realized d_i is x^m times lift g.  Z_i, its
-            # rows at the span's pivot columns, is all that is eliminated.
-            # Exactness, as in verify_complex: Z_i is made of rows of d_i and
-            # Z_{i-1} of rows of d_{i-1}, so
+            # Exactness, as in verify_complex: Z_i, the rows of d_i at the
+            # span's pivot columns, is made of rows of d_i and Z_{i-1} of rows
+            # of d_{i-1}, so
             #   rank d_i >= rank Z_i = dim F_{i-1} - rank Z_{i-1}
             #            >= dim F_{i-1} - rank d_{i-1} = dim ker d_{i-1} >= rank d_i,
             # the last since im d_i lies in ker d_{i-1}.  All are equal: im d_i
             # = ker d_{i-1}, and Z_i has the row space, so the rank and the
-            # kernel, of d_i.  The argument reads no span: a span only decides
-            # which generators are lifted and which rows make up Z.  At i = 0
-            # (rank Z_{-1} = 0) it says that F_0 -> M is onto.
-            columns = multiples_of_rows(target, lifts, "basis")
-            rank, kernel, ker_pivots = _sparse_kernel(_reversed_pivot_rows(columns, pivots), len(columns), p)
+            # kernel, of d_i.  The argument reads no span: a span only
+            # decides which generators are lifted and which rows make up Z.
+            # At i = 0 (rank Z_{-1} = 0) it says that F_0 -> M is onto.
+            # rank Z_i is read off the realized columns by an echelon pass
+            # of its own: _cover's elimination makes every span row a
+            # generator or a pivot, so a rank counted from it would equal
+            # dim F_{i-1} - rank Z_{i-1} whatever W held
+            rank = len(_sparse_rref(_reversed_pivot_rows(columns, pivots), p, reduced=False))
             check(rank == target.dim - self._rank,
                   f"image of d_{i} does not fill ker d_{i-1}" if i else "augmentation F_0 -> M is not onto")
             # d_i over A sends the g-th generator of F to the g-th lift
@@ -235,7 +256,7 @@ class MinimalFreeResolution:
                 # covered: ker d_{i-1} = ker Z_{i-1}, in reduced echelon form
                 target = self.frees[i - 2] if i > 1 else self.module
                 columns = multiples_of_rows(target, _dict_rows(self._images[i - 1].a.T), "basis")
-                span = _sparse_kernel(_reversed_pivot_rows(columns, self._pivots[i - 1]), F.dim, F.field.p)[1]
+                span = _sparse_kernel(_reversed_pivot_rows(columns, self._pivots[i - 1].tolist()), F.dim, F.field.p)[1]
             self._syz[i] = submodule_from_span(F, Mat._trusted(F.field, _dense(span, F.dim)),
                                                provenance=f"syzygy({i})")
         return self._syz[i].module
@@ -260,19 +281,96 @@ def _vanishes(columns: List[dict], u: dict, p: int) -> bool:
     return not any(x % p for x in acc.values())
 
 
-def _reversed_pivot_rows(columns: List[dict], pivots: np.ndarray) -> List[dict]:
+def _reversed_pivot_rows(columns: List[dict], pivots: List[int]) -> List[dict]:
     """The rows at pivots of the matrix with the given columns, dicts {row:
     residue}, as dicts with the columns reversed, as _sparse_kernel reads
     them: column c at len(columns) - 1 - c."""
-    row_of = {r: q for q, r in enumerate(pivots.tolist())}
-    rows: List[dict] = [{} for _ in row_of]
-    last = len(columns) - 1
+    rows: List[dict] = [{} for _ in pivots]
+    _write_reversed(rows, columns, {r: q for q, r in enumerate(pivots)}, len(columns) - 1)
+    return rows
+
+
+def _write_reversed(rows: List[dict], columns: List[dict], row_of: dict, last: int):
+    """Write the entries of columns, dicts {row: residue}, at the rows that
+    row_of numbers into those rows, with the columns reversed: entry r of
+    column c goes to rows[row_of[r]] at label last - c."""
     for c, col in enumerate(columns):
         for r, w in col.items():
             q = row_of.get(r)
             if q is not None:
                 rows[q][last - c] = w
-    return rows
+
+
+def _cover(target: Module, span: List[dict], pivots: List[int]):
+    """Cover the span N of target, its rows s_q in reduced echelon form
+    at pivot columns c_q, by one elimination, one internal degree at a time.
+
+    Column (g, m) of the realized d_i is basis monomial m times lift g, and
+    Z_i is its rows at the pivot columns.  Column (g, 0), monomial 1, is the
+    lift s_q itself, which reads e_q at the pivots.  W is Z_i without these
+    generator columns.  In degree d, W's columns span mN_d, and as every
+    basis monomial but 1 has degree >= 1 they come from generators of lower
+    degree.  A vector of N whose first nonzero span coordinate is q starts
+    at c_q, so row q of W is in the span of the rows before it exactly when
+    c_q is no pivot of mN: exactly when s_q is a generator of N/mN.  So the
+    rows of degree d are reduced in span order, one _reduce_in_order against
+    the pivot rows so far, and those that reduce to zero are the generators;
+    their products with the basis, one multiples_of_rows, fill W's rows of
+    higher degree.  Their unit columns lie at rows that are not among W's
+    leading rows, so ker Z_i is ker W with zeros at the generator columns.
+    (Every span row becomes a generator or a pivot of W, so the number of
+    generators plus rank W is the number of span rows whatever W holds: it
+    proves nothing, and the step reads rank Z_i off the columns.)  W's column
+    (q_g, m) is labelled q_g dim A + m, which sorts as the final (g, m)
+    does, so W's reduced echelon form, and with it the kernel, is the one
+    of Z_i.
+
+    Returns (gens, columns, kernel, pivots): the generators as
+    (lift, degree) in span order, the realized columns of d_i as dicts {row:
+    residue}, and the reduced echelon rows of ker d_i, dicts on F_i, with
+    their pivot columns.  InvariantError when the span is not in reduced
+    echelon form or a row of it is not homogeneous."""
+    A = target.algebra
+    p, dA = A.field.p, A.dim
+    index = {c: q for q, c in enumerate(pivots)}
+    # increasing pivots, each its row's first entry and 1 there, and no
+    # other entry at any pivot column
+    check(all(map(operator.lt, pivots, pivots[1:])) and all(span) and list(map(min, span)) == pivots
+          and list(map(dict.get, span, pivots)) == [1] * len(span)
+          and sum(map(index.__contains__, chain.from_iterable(span))) == len(span),
+          "span is not in reduced echelon form")
+    # every row is homogeneous, of its pivot column's degree, so W is block
+    # diagonal by degree and a generator's products fill rows of higher
+    # degree only
+    deg = target.degrees
+    degrees = list(map(deg.__getitem__, pivots))
+    check(list(map(deg.__getitem__, chain.from_iterable(span)))
+          == list(chain.from_iterable(map(repeat, degrees, map(len, span)))), "span row is not homogeneous")
+    by_degree: dict = {}
+    for q, d in enumerate(degrees):
+        by_degree.setdefault(d, []).append(q)
+    n = len(span) * dA  # W's column (q, m) at the reversed label n - 1 - (q dA + m), as _kernel_rows reads it
+    W: List[dict] = [{} for _ in span]
+    echelon: dict = {}
+    gens: List[int] = []
+    products: dict = {}  # q: the dA columns of the realized d_i, s_q times each basis monomial
+    for d in sorted(by_degree):
+        rows = by_degree[d]
+        new = [rows[k] for k in _reduce_in_order([W[q] for q in rows], echelon, p)]
+        if not new:
+            continue
+        out = multiples_of_rows(target, [span[q] for q in new], "basis")
+        for k, q in enumerate(new):
+            products[q] = block = out[k * dA:(k + 1) * dA]
+            # column m >= 1 of the block at label n - 1 - (q dA + m)
+            _write_reversed(W, block[1:], index, n - 2 - q * dA)
+        gens += new
+    gens.sort()
+    _back_substitute(echelon, p)
+    # W's label n - 1 - (q dA + m) is column g dA + m of F_i, g the place of q in gens
+    column = {n - 1 - q * dA - m: g * dA + m for g, q in enumerate(gens) for m in range(1, dA)}
+    return ([(span[q], degrees[q]) for q in gens], [col for q in gens for col in products[q]],
+            *_kernel_rows(echelon, column, p))
 
 
 def resolve(module: Module, n: int) -> MinimalFreeResolution:

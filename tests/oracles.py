@@ -5,8 +5,12 @@ separate Gaussian elimination, and a resolution built by raw kernel
 iteration over structure constants.  None of it imports the engine's
 linear algebra or resolution code, so agreement is a real cross-check.
 The exceptions are references for bookkeeping rather than arithmetic:
-eager_resolution builds every syzygy as an explicit module from the
-engine's gmod constructors, pushout_betti builds and resolves a pushout
+min_generator_rows (min_generators on dense coordinates) is the reference
+generator choice, which eliminates every product of a span with a variable
+through the engine's product and elimination, while a resolution step
+chooses its generators inside its one elimination; eager_resolution builds
+every syzygy as an explicit module from the engine's gmod constructors and
+covers it by that choice, pushout_betti builds and resolves a pushout
 (resolved_screens does it for each candidate of a search's screen),
 eisenbud_chi computes the chain operators from polynomial lifts of the
 engine's differentials, realized extends a class's generator images and
@@ -436,6 +440,45 @@ def quadric_ci_betti_closed_form(n, codim=2):
     return comb(n + codim - 1, codim - 1)
 
 
+def min_generators(m, span=None):
+    """min_generator_rows on dense coordinates: N is M, or the span of the
+    rows of span, a Mat in reduced echelon form; each lift is a coordinate
+    vector on M."""
+    from cxlab.exactla import _dense, _dict_rows
+
+    rows = [{c: 1} for c in range(m.dim)] if span is None else _dict_rows(span.a)
+    return [(_dense([row], m.dim)[0], d) for row, d in min_generator_rows(m, rows)]
+
+
+def min_generator_rows(m, span):
+    """The reference generator choice: a basis of N/mN lifted to
+    homogeneous elements of M, with degrees, as (lift, degree) pairs.
+
+    N is the span of the rows of span, dicts {coordinate on M: residue} in
+    reduced echelon form, one after the other by pivot column.  Lifts are
+    the rows of span themselves at the non-pivot positions of the echelon
+    form of mN in the span's coordinates, so the choice is canonical.  mN,
+    every product x_v s_q, is eliminated in M's coordinates: a vector of N
+    whose first nonzero span coordinate is q has its first nonzero entry at
+    the pivot column of row q, as every other row it holds starts later and
+    vanishes there, so the pivot columns of mN are those of the rows at its
+    pivot positions.  The resolution step makes the same choice inside its
+    one elimination, without forming mN."""
+    from cxlab.errors import check
+    from cxlab.exactla import _sparse_rref
+    from cxlab.gmod import _row_degree, multiples_of_rows
+
+    pivots = [min(row, default=-1) for row in span]
+    index = {c: q for q, c in enumerate(pivots)}
+    # increasing pivots, a 1 at each, and no other entry at any pivot column
+    check(all(a < b for a, b in zip(pivots, pivots[1:])) and all(row.get(c) == 1 for row, c in zip(span, pivots))
+          and sum(j in index for row in span for j in row) == len(span), "span is not in reduced echelon form")
+    # mN is spanned by the products of the rows with each variable, and the
+    # order of the rows does not change the pivots of their echelon form
+    lead = _sparse_rref(multiples_of_rows(m, span, "variables"), m.field.p, reduced=False)
+    return [(row, _row_degree(m, row)) for row, c in zip(span, pivots) if c not in lead]
+
+
 def eager_resolution(module, n):
     """Minimal resolution to step n, one explicit syzygy module per step.
 
@@ -446,7 +489,7 @@ def eager_resolution(module, n):
     realized d_i; syzygies[i] (i >= 1) is the Submodule of F_{i-1}.
     """
     from cxlab.exactla import Mat
-    from cxlab.gmod import free_module, min_generators, submodule_from_span
+    from cxlab.gmod import free_module, submodule_from_span
 
     A = module.algebra
     K, inc = module, None
@@ -638,7 +681,6 @@ def is_isomorphic(m, n, seed=0, attempts=64):
     graded dimensions or the minimal generator counts differ; else the Hom
     basis maps, then `attempts` seeded random combinations of them, are tried."""
     from cxlab.exactla import Mat
-    from cxlab.gmod import min_generators
 
     if m.hilbert() != n.hilbert() or len(min_generators(m)) != len(min_generators(n)):
         return IsoVerdict("structurally_distinct")

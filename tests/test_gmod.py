@@ -27,7 +27,6 @@ from cxlab.gmod import (
     coefficient_view,
     entry_images,
     images_of,
-    min_generators,
     multiples_of_rows,
     quotient_by_span,
     residue_field,
@@ -38,7 +37,7 @@ from cxlab.gmod import (
 from cxlab.resol import resolve, syzygy, verify_complex
 from cxlab.yoneda import _hom_differential, _tensor_differential, ext_table
 from conftest import GASHAROV_RELATIONS, GASHAROV_VARS, gasharov_presentation
-from oracles import diff_algebra, gauss_rank, hom_space, is_isomorphic, solve_matrix
+from oracles import diff_algebra, gauss_rank, hom_space, is_isomorphic, min_generators, solve_matrix
 
 F5 = Field(5)
 

@@ -11,7 +11,8 @@ from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat
 from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
 from cxlab import resol
-from cxlab.gmod import FreeModule, coker_presentation, direct_sum, free_module, residue_field, shift
+from cxlab.gmod import (FreeModule, Module, coker_presentation, direct_sum, free_module, multiples_of_rows,
+                        residue_field, shift)
 from cxlab.resol import estimate_complexity, resolve, syzygy, verify_complex
 from conftest import GASHAROV_VARS, gasharov_algebra, gasharov_presentation
 import oracles
@@ -113,37 +114,49 @@ def test_products_over_A_make_no_kron_call(monkeypatch):
     assert callers == []
 
 
-def test_resolve_eliminates_blocks_in_batches(monkeypatch):
+def test_resolve_eliminates_blocks_in_batches(monkeypatch, gasharov):
     # a step eliminates sparse rows only: no dense matrix is read into rows.
-    # Every matrix it eliminates is nearly empty: it holds at most
-    # 2(rows + cols) nonzeros, and its row operations touch at most a
-    # sixteenth of its cells plus 64 entries; cols is read off the rows (one
-    # past their largest column), which only makes both bounds tighter
-    from cxlab import exactla, gmod
+    # Every pass of the shared reduction loop and every back substitution
+    # works on a nearly empty matrix: it holds at most 2(rows + cols)
+    # nonzeros, and its row operations touch at most a sixteenth of its
+    # cells plus 64 entries; cols is the number of distinct columns its rows
+    # hold, which only makes both bounds tighter.  Over the monomial CI a
+    # step makes no row operation at all: a generator's row of W is empty
+    # when it is reached; over Gasharov's ring the steps do make some
+    from cxlab import exactla
 
     A = MonomialCI.build(F5, [2, 2, 2]).algebra
+    M = gasharov_presentation(gasharov)  # a new module, resolved from step 0
     touched, passes, scans = [], [], []
-    sparse_rref, subtract, dict_rows = exactla._sparse_rref, exactla._subtract, exactla._dict_rows
+    subtract, dict_rows = exactla._subtract, exactla._dict_rows
 
     def counting(row, f, other, p):
         touched.append(len(other))
         subtract(row, f, other, p)
 
-    def recording(rows, p, reduced=True):
-        rows = list(rows)
-        touched.clear()
-        nonzeros, cols = sum(map(len, rows)), max((j + 1 for row in rows for j in row), default=0)
-        out = sparse_rref(rows, p, reduced)
-        passes.append((nonzeros, len(rows) + cols, sum(touched), len(rows) * cols))
-        return out
+    def recording(real, read):
+        def wrapped(rows, *args):
+            rows = list(rows) if read is list else rows
+            touched.clear()
+            matrix = list(read(rows))
+            nonzeros, cols = sum(map(len, matrix)), len({j for row in matrix for j in row})
+            out = real(rows, *args)
+            passes.append((nonzeros, len(matrix) + cols, sum(touched), len(matrix) * cols))
+            return out
+        return wrapped
 
+    loop = recording(exactla._reduce_in_order, list)
+    back = recording(exactla._back_substitute, dict.values)
     monkeypatch.setattr(exactla, "_subtract", counting)
-    monkeypatch.setattr(exactla, "_sparse_rref", recording)
-    monkeypatch.setattr(gmod, "_sparse_rref", recording)
+    for module in (exactla, resol):
+        monkeypatch.setattr(module, "_reduce_in_order", loop)
+        monkeypatch.setattr(module, "_back_substitute", back)
     monkeypatch.setattr(exactla, "_dict_rows", lambda a: scans.append(a.shape) or dict_rows(a))
     assert resolve(residue_field(A), 9).betti_list(9) == [1, 3, 6, 10, 15, 21, 28, 36, 45, 55]
+    assert passes and not any(work for _, _, work, _ in passes)
+    assert resolve(M, 8).betti_list(8) == [2] * 9
     assert scans == []
-    assert passes and any(work for _, _, work, _ in passes)
+    assert any(work for _, _, work, _ in passes)
     assert all(nonzeros <= 2 * sides and work <= cells // 16 + 64 for nonzeros, sides, work, cells in passes)
 
 
@@ -315,13 +328,11 @@ def test_zero_spans_give_zero_steps(monkeypatch, A, case):
     # still the eager one
     module = {"free": lambda: free_module(A, [0, 2, 5]), "zero": lambda: free_module(A, []),
               "zero-coker": lambda: coker_presentation(A, [[A.one()]], [0])}[case]()
-    calls = []
-    for name in ("min_generator_rows", "_sparse_kernel"):
-        real = getattr(resol, name)
-        monkeypatch.setattr(resol, name, lambda *args, real=real, name=name: (calls.append(name), real(*args))[1])
+    calls, cover = [], resol._cover
+    monkeypatch.setattr(resol, "_cover", lambda *args: (calls.append(args), cover(*args))[1])
     res = resolve(module, 6)
     assert res.betti_list(6) == ([3] if case == "free" else [0]) + [0] * 6
-    assert len(calls) == (2 if case == "free" else 0)  # step 0 of the free module only
+    assert len(calls) == (1 if case == "free" else 0)  # step 0 of the free module only
     monkeypatch.undo()
     assert_matches_eager(module, 6)
 
@@ -329,6 +340,62 @@ def test_zero_spans_give_zero_steps(monkeypatch, A, case):
 def test_resolution_matches_eager_reference_large_prime():
     A = MonomialCI.build(Field(2**31 - 1), [2, 2, 2]).algebra
     assert_matches_eager(residue_field(A), 6)
+
+
+# (relations over x, y, z, presentation matrix and its row degrees, or None
+# for k, last step, primes where the ring is Artinian, whether some step
+# has generators in several degrees)
+_EAGER_CASES = {
+    "coker-x-y2": (["x^3", "y^3", "z^3"], ([["x", "y^2"]], [0]), 10, [2, 5, 2**31 - 1], True),
+    "coker-x0-yz": (["x^2", "y^2", "z^2"], ([["x", "0"], ["y", "z"]], [0, 0]), 8, [2, 5, 2**31 - 1], True),
+    "k-quartics": (["x^4+y^4", "y^4+z^4", "x*y*z^2+z^4"], None, 2, [5, 2**31 - 1], True),
+    "k-quadrics": (["y^2+z^2", "x^2+x*y+z^2", "x*z+z^2"], None, 6, [2, 2**31 - 1], False),
+}
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name, case in _EAGER_CASES.items() for p in case[3]])
+def test_steps_match_eager_reference(name, p):
+    # a step chooses its generators inside its one elimination, degree by
+    # degree; the eager reference chooses them by eliminating mN, the span's
+    # products with the variables, and covers an explicit syzygy module.
+    # Both agree on steps whose generators lie in several degrees and over
+    # rings that are not monomial
+    relations, presentation, n, _, several = _EAGER_CASES[name]
+    names = ["x", "y", "z"]
+    B = build_algebra(Field(p), 3, [parse_polynomial(r, names, Field(p)) for r in relations], varnames=names)
+    if presentation is None:
+        M = residue_field(B)
+    else:
+        rows, degrees = presentation
+        M = coker_presentation(B, [[B.nf_polynomial(parse_polynomial(e, names, B.field)) for e in row] for row in rows],
+                               degrees)
+    assert_matches_eager(M, n)
+    assert any(len(set(F.gen_degrees)) > 1 for F in resolve(M, n).frees) == several
+
+
+def test_step_multiplies_by_the_basis_once_per_degree(monkeypatch, gasharov):
+    # a step forms no product of its span with the variables and reads no
+    # second kernel: one multiples_of_rows by the basis per degree of its
+    # generators, no _sparse_kernel, and one echelon pass without back
+    # substitution, which counts the rank of Z_i for the exactness check
+    from cxlab import exactla, gmod
+
+    B = MonomialCI.build(F5, [3, 3, 3]).algebra
+    modules = [residue_field(MonomialCI.build(F5, [2, 2, 2]).algebra), gasharov_presentation(gasharov),
+               coker_presentation(B, [[B.variable(0), B.variable(1) * B.variable(1)]], [0])]
+    lists, kernels, ranks = [], [], []
+    products, kernel, echelon = gmod.multiples_of_rows, exactla._sparse_kernel, exactla._sparse_rref
+    for module in (gmod, resol):
+        monkeypatch.setattr(module, "multiples_of_rows", lambda m, rows, which: lists.append(which) or products(m, rows, which))
+    for module in (exactla, resol):
+        monkeypatch.setattr(module, "_sparse_kernel", lambda *args: kernels.append(args) or kernel(*args))
+    monkeypatch.setattr(resol, "_sparse_rref",
+                        lambda rows, p, reduced=True: ranks.append(reduced) or echelon(rows, p, reduced))
+    for M in modules:
+        resolve(M, 7)
+    assert kernels == []
+    assert lists == ["basis"] * sum(len(set(F.gen_degrees)) for M in modules for F in resolve(M, 7).frees)
+    assert ranks == [False] * sum(F.rank > 0 for M in modules for F in resolve(M, 7).frees)
 
 
 def test_syzygy_modules_built_on_request(A):
@@ -412,19 +479,27 @@ def test_covered_spans_are_rederived(p):
 
 
 def test_step_zero_checks_augmentation_onto(k, monkeypatch):
-    # a generator choice that misses one generator of M leaves F_0 -> M not onto
-    choose = resol.min_generator_rows
-    monkeypatch.setattr(resol, "min_generator_rows", lambda m, span: choose(m, span)[:-1])
+    # a cover that misses one generator of M leaves F_0 -> M not onto
+    monkeypatch.setattr(resol, "_cover", _covering(lambda gens: gens[:-1], Module))
     with pytest.raises(InvariantError, match="augmentation F_0 -> M is not onto"):
         resolve(direct_sum(k, shift(k, 1)), 0)
 
 
-def _at_free_targets(change):
-    """min_generator_rows with change applied to its generators, lifts as
-    dicts {column: residue}, when it covers a span of a free module, at the
-    steps i >= 1."""
-    choose = resol.min_generator_rows
-    return lambda m, span: change(choose(m, span)) if isinstance(m, FreeModule) else choose(m, span)
+def _covering(change, targets=FreeModule):
+    """resol._cover with change applied to the generators it returns,
+    (lift, degree) pairs with lifts as dicts {column: residue}, when it
+    covers a span of a module of type targets: by default a free module,
+    at the steps i >= 1.  The realized columns of d_i it returns are those
+    of the changed generators, so the step checks a cover that chose them."""
+    cover = resol._cover
+
+    def changed(target, span, pivots):
+        gens, columns, *rest = cover(target, span, pivots)
+        if isinstance(target, targets):
+            gens = change(gens)
+            columns = multiples_of_rows(target, [u for u, _ in gens], "basis")
+        return (gens, columns, *rest)
+    return changed
 
 
 def test_step_checks_minimality(A, monkeypatch):
@@ -434,16 +509,82 @@ def test_step_checks_minimality(A, monkeypatch):
         vec[0] = 1
         return [(vec, gens[0][1])] + gens[1:]
 
-    monkeypatch.setattr(resol, "min_generator_rows", _at_free_targets(with_unit))
+    monkeypatch.setattr(resol, "_cover", _covering(with_unit))
     with pytest.raises(InvariantError, match="differential entry has a unit component"):
         resolve(residue_field(A), 1)  # a new module, so its resolution starts empty
 
 
 def test_step_checks_exactness(A, monkeypatch):
-    # without its last generator, the image of d_1 misses part of ker d_0 = m
-    monkeypatch.setattr(resol, "min_generator_rows", _at_free_targets(lambda gens: gens[:-1]))
+    # without its last generator, the image of d_1 misses part of ker d_0 =
+    # m: the rank of Z_1 counts one generator fewer
+    monkeypatch.setattr(resol, "_cover", _covering(lambda gens: gens[:-1]))
     with pytest.raises(InvariantError, match="image of d_1 does not fill ker d_0"):
         resolve(residue_field(A), 1)
+
+
+def test_step_checks_exactness_against_its_own_elimination(monkeypatch):
+    # a fault inside the step's elimination: W, Z_1 without its generator
+    # columns, gains an entry that no realized column holds, in the row of
+    # y^2, the generator of degree 2 of ker d_0 = (x, y^2).  The entry sits
+    # in a column of W that is zero, so the row no longer reduces to zero
+    # and becomes a pivot: y^2 is lost while the generators and W's pivots
+    # still number the span's rows.  The rank of Z_1, read off the realized
+    # columns of the generators that are left, finds the loss
+    names = ["x", "y", "z"]
+    B = build_algebra(F5, 3, [parse_polynomial(r, names, F5) for r in ("x^3", "y^3", "z^3")], varnames=names)
+    res = resolve(coker_presentation(B, [[B.variable(0), B.variable(1) * B.variable(1)]], [0]), 0)
+    target, span, pivots = res.frees[0], res._span, res._pivots[1].tolist()
+    gens, columns, _, _ = resol._cover(target, span, pivots)
+    (low, d_low), (high, d_high) = [(next(q for q, row in enumerate(span) if row is u), d) for u, d in gens]
+    assert d_low < d_high
+    dA, degrees = B.dim, sorted({target.degrees[c] for c in pivots})
+    # a product of the degree-1 generator with no entry at a pivot row
+    m = next(m for m in range(1, dA) if not set(columns[m]) & set(pivots))
+    label = len(span) * dA - 1 - (low * dA + m)  # its column of W
+    position = [q for q, c in enumerate(pivots) if target.degrees[c] == d_high].index(high)
+    calls, reduce = [], resol._reduce_in_order
+
+    def faulty(rows, echelon, p):
+        calls.append(len(rows))
+        if len(calls) == degrees.index(d_high) + 1:
+            rows[position][label] = 1
+            zero = reduce(rows, echelon, p)
+            assert position not in zero
+            return zero
+        return reduce(rows, echelon, p)
+
+    monkeypatch.setattr(resol, "_reduce_in_order", faulty)
+    with pytest.raises(InvariantError, match="image of d_1 does not fill ker d_0"):
+        res.extend(1)
+
+
+@pytest.mark.parametrize("case", ["pivot not 1", "entry before the pivot", "entry at a pivot",
+                                  "pivots out of order", "inhomogeneous"])
+def test_step_checks_span(A, case):
+    # the span a step covers must be in reduced echelon form, each row
+    # homogeneous: the step reads its generators and its processing order
+    # off the pivots and their degrees
+    res = resol.MinimalFreeResolution(residue_field(A))
+    res.extend(1)
+    span, pivots = res._span, res._pivots[2].tolist()
+    row = next(q for q, r in enumerate(span) if len(r) > 1)
+    c = pivots[row]
+    if case == "pivot not 1":
+        span[row][c] = 2
+    elif case == "entry before the pivot":
+        span[row][next(j for j in range(c) if j not in pivots)] = 1
+    elif case == "entry at a pivot":
+        span[row][pivots[-1] if pivots[-1] != c else pivots[0]] = 1
+    elif case == "pivots out of order":
+        res._pivots[2] = res._pivots[2][::-1]
+        res._span = span[::-1]
+    else:
+        # a column after the pivot, of another degree, at no pivot
+        F = res.free(1)
+        span[row][next(j for j in range(c + 1, F.dim) if j not in pivots and F.degrees[j] != F.degrees[c])] = 1
+    match = "not homogeneous" if case == "inhomogeneous" else "span is not in reduced echelon form"
+    with pytest.raises(InvariantError, match=match):
+        res.extend(2)
 
 
 def test_step_checks_image_in_span(A):
@@ -509,7 +650,7 @@ def test_step_checks_d2_on_generator_columns(A, monkeypatch):
         vec[row] = (vec.get(row, 0) + 1) % A.field.p
         return [(vec, gens[0][1])] + gens[1:]
 
-    monkeypatch.setattr(resol, "min_generator_rows", _at_free_targets(corrupt))
+    monkeypatch.setattr(resol, "_cover", _covering(corrupt))
     with pytest.raises(InvariantError, match="d_1 o d_2 != 0"):
         res.extend(2)
 
