@@ -37,13 +37,16 @@ other module.
 
 A matrix over A, a map F' -> F of free modules, has one form: its
 generator images, the dim F x rank F' matrix whose column g is the image of
-generator g, entry (r, g) in the rows of block r.  Its layout has one
+generator g, entry (r, g) in the rows of block r.  It is held dense, as a
+Mat, or sparse, as its columns, one dict {row: residue} per generator, the
+form a resolution keeps its differentials in; `extend_linearly` realizes
+the first and `multiples_of_rows` the second.  Its dense layout has one
 reading and one writing, both here: `coefficient_view` reads its
 coefficient array C[m, r, g] off it, without a copy, and `images_of`, the
 inverse, writes it from such an array; `entry_images` writes it from
-entries given as algebra elements through `images_of`.  `extend_linearly`
-realizes it, `compose_on_generators` composes a map into any module with
-it, and `block_action` applies it to N^r through its coefficient array.
+entries given as algebra elements through `images_of`.
+`compose_on_generators` composes a map into any module with it, and
+`block_action` applies it to N^r through its coefficient array.
 """
 from __future__ import annotations
 

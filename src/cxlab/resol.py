@@ -23,13 +23,15 @@ realized columns by a second pass that only counts pivots (no back
 substitution, no kernel): the first pass makes every span row a generator
 or a pivot, so it cannot find its own faults.  The step checks d_{i-1} o
 d_i = 0 on the lifts against the columns of d_{i-1} that the step before
-kept.  No dense array is built but the generator images it keeps.
+kept.  A step builds no dense array.
 
 A resolution keeps each d_i as its matrix over A, the images of the
-generators of F_i, dim A times smaller than the realized d_i, which is
-rebuilt, by one extend_linearly, within each call that reads it.  It keeps
-a span's rows only until the step that covers them has run, and their
-pivot columns for good, and the last step's realized columns until the
+generators of F_i, in the form its step built them: the lifts, one sparse
+column, a dict {row: residue}, per generator.  The dense generator images
+(diff_images) and the realized d_i (one extend_linearly of them) are
+written within each call that reads them, and not kept.  It keeps a span's
+rows only until the step that covers them has run, and their pivot
+columns for good, and the last step's realized columns until the
 next step has checked d o d = 0 against them.  Chain lifts solve d_i X = B
 through a factorization (Q, E) of Z_i made once, on the first lift through
 d_i; each solve realizes d_i to check its solution and drops it.
@@ -51,7 +53,6 @@ from .exactla import (
     Mat,
     _back_substitute,
     _dense,
-    _dict_rows,
     _kernel_rows,
     _reduce_in_order,
     _sparse_kernel,
@@ -87,18 +88,19 @@ class MinimalFreeResolution:
 
     Step i maps F_i onto an echelon span: ker d_{i-1} in F_{i-1}, or the
     identity rows of M for i = 0.  What a step keeps of d_i is its matrix
-    over A, the images of the generators of F_i: dim F_{i-1} x rank F_i
-    (dim M x rank F_0 for the augmentation d_0), which diff_images returns;
-    diff_coefficients is its coefficient view (gmod.coefficient_view), and
-    diff_realized realizes it on request, without keeping it; solve keeps
-    only the factorization (Q, E) of Z_i, the rows of d_i at the span's
-    pivot columns.  The span's rows, sparse, are kept until step i has
-    covered them, their pivot columns for good; syzygy_module re-derives a
-    covered span by one _sparse_kernel of Z_{i-1}, rebuilt from the
-    generator images of d_{i-1}, and the reduced echelon form of a row
-    space is unique, so the span is the one the step covered.  The syzygy
-    module a span stands for is built, verified and cached on the first
-    request.
+    over A, the images of the generators of F_i, as the lifts the step
+    built: one dict {row: residue} per generator.  diff_images writes them
+    as the dense dim F_{i-1} x rank F_i array (dim M x rank F_0 for the
+    augmentation d_0) on each call; diff_coefficients is its coefficient
+    view (gmod.coefficient_view), and diff_realized realizes it; none of
+    them is kept.  solve keeps only the factorization (Q, E) of Z_i, the
+    rows of d_i at the span's pivot columns.  The span's rows, sparse, are
+    kept until step i has covered them, their pivot columns for good;
+    syzygy_module re-derives a covered span by one _sparse_kernel of
+    Z_{i-1}, rebuilt from the lifts of d_{i-1}, and the reduced echelon
+    form of a row space is unique, so the span is the one the step
+    covered.  The syzygy module a span stands for is built, verified and
+    cached on the first request.
 
     Completed prefixes are immutable; extending the resolution only appends.
     Concurrent extension of the same resolution needs external locking.
@@ -107,7 +109,9 @@ class MinimalFreeResolution:
     def __init__(self, module: Module):
         self.module = module
         self.frees: List[FreeModule] = []
-        self._images: List[Mat] = []  # index 0: augmentation F_0 -> M; i >= 1: d_i
+        # index 0: augmentation F_0 -> M; i >= 1: d_i, as the images of the
+        # generators of F_i, dicts {row: residue} on the target
+        self._lifts: List[List[dict]] = []
         # index i: the pivot columns of the span step i covers (ker d_{i-1}
         # in F_{i-1}, or M at 0); the RREF rows of the span the next step
         # covers, as dicts {column: residue}
@@ -134,14 +138,13 @@ class MinimalFreeResolution:
         i = len(self.frees)
         A = self.module.algebra
         p = A.field.p
-        target = self.frees[i - 1] if i else self.module
+        target = self._target(i)
         span, pivots = self._span, self._pivots[i].tolist()
         if not span:
             # nothing to cover: the zero free module, the zero map and an
             # empty span, the objects the general path builds; every check
             # on them is vacuous
-            F, images, columns = free_module(A, []), Mat.zeros(A.field, target.dim, 0), []
-            rank, kernel, ker_pivots = 0, [], []
+            F, lifts, columns, rank, kernel, ker_pivots = free_module(A, []), [], [], 0, [], []
         else:
             gens, columns, kernel, ker_pivots = _cover(target, span, pivots)
             F = free_module(A, [d for _, d in gens])
@@ -172,12 +175,14 @@ class MinimalFreeResolution:
             rank = len(_sparse_rref(_reversed_pivot_rows(columns, pivots), p, reduced=False))
             check(rank == target.dim - self._rank,
                   f"image of d_{i} does not fill ker d_{i-1}" if i else "augmentation F_0 -> M is not onto")
-            # d_i over A sends the g-th generator of F to the g-th lift
-            images = Mat._trusted(A.field, _dense(lifts, target.dim).T)
         self.frees.append(F)
-        self._images.append(images)
+        self._lifts.append(lifts)  # d_i over A sends the g-th generator of F to the g-th lift
         self._pivots.append(np.array(ker_pivots, dtype=np.intp))
         self._span, self._rank, self._columns = kernel, rank, columns
+
+    def _target(self, n: int) -> Module:
+        """The target of d_n: F_{n-1}, or M at n = 0."""
+        return self.frees[n - 1] if n else self.module
 
     # -- accessors ---------------------------------------------------------
 
@@ -196,10 +201,7 @@ class MinimalFreeResolution:
     def diff_realized(self, n: int) -> Mat:
         """d_n realized, the augmentation F_0 -> M at n = 0: one
         extend_linearly of its generator images, not kept."""
-        if n < 0:
-            raise InputError("differentials are indexed from 0, the augmentation")
-        self.extend(n)
-        return extend_linearly(self.frees[n - 1] if n else self.module, self._images[n])
+        return extend_linearly(self._target(n), self.diff_images(n))
 
     def solve(self, i: int, B: Mat) -> Mat:
         """X with d_i X = B, d_0 being the augmentation F_0 -> M: the
@@ -215,9 +217,9 @@ class MinimalFreeResolution:
         B[pivots], proven by the product d_i X = B with d_i realized for
         this call alone.
         """
-        if B.rows != self.diff_images(i).rows:
-            raise InputError(f"right-hand side has {B.rows} rows, expected {self._images[i].rows}")
         d = self.diff_realized(i)
+        if B.rows != d.rows:
+            raise InputError(f"right-hand side has {B.rows} rows, expected {d.rows}")
         if i not in self._solvers:
             self._solvers[i] = pivot_inverse(Mat._trusted(d.field, d.a[self._pivots[i]]))
         Q, E = self._solvers[i]
@@ -228,12 +230,13 @@ class MinimalFreeResolution:
         return X
 
     def diff_images(self, n: int) -> Mat:
-        """d_n over A, its generator images as kept: dim F_{n-1} x rank F_n,
-        the augmentation F_0 -> M (dim M x rank F_0) at n = 0."""
+        """d_n over A, its generator images written dense from the kept
+        lifts, not kept: dim F_{n-1} x rank F_n, the augmentation F_0 -> M
+        (dim M x rank F_0) at n = 0."""
         if n < 0:
             raise InputError("differentials are indexed from 0, the augmentation")
         self.extend(n)
-        return self._images[n]
+        return Mat._trusted(self.module.field, _dense(self._lifts[n], self._target(n).dim).T)
 
     def diff_coefficients(self, n: int) -> np.ndarray:
         """d_n over A as a coefficient array: gmod.coefficient_view of its
@@ -254,8 +257,7 @@ class MinimalFreeResolution:
                 span = self._span
             else:
                 # covered: ker d_{i-1} = ker Z_{i-1}, in reduced echelon form
-                target = self.frees[i - 2] if i > 1 else self.module
-                columns = multiples_of_rows(target, _dict_rows(self._images[i - 1].a.T), "basis")
+                columns = multiples_of_rows(self._target(i - 1), self._lifts[i - 1], "basis")
                 span = _sparse_kernel(_reversed_pivot_rows(columns, self._pivots[i - 1].tolist()), F.dim, F.field.p)[1]
             self._syz[i] = submodule_from_span(F, Mat._trusted(F.field, _dense(span, F.dim)),
                                                provenance=f"syzygy({i})")

@@ -16,7 +16,8 @@ eisenbud_chi computes the chain operators from polynomial lifts of the
 engine's differentials, realized extends a class's generator images and
 reference_lift lifts a class with solve_matrix, both with the engine's
 extend_linearly, direct_sum copies two modules' actions into block-diagonal
-ones, glued_kchi glues a test module with it and the engine's
+ones, dual transposes a module's actions into those of its k-dual,
+glued_kchi glues a test module with direct_sum and the engine's
 quotient_by_span, and tensor_algebra and tensor_module build the inputs of
 the Kunneth checks, whose expected values are convolutions of sequences the
 engine computes for each factor alone.  solve and solve_matrix solve
@@ -170,6 +171,15 @@ def direct_sum(m, n):
         arr[m.dim :, m.dim :] = Y.a
         actions.append(Mat(m.field, arr))
     return Module(m.algebra, m.degrees + n.degrees, actions, provenance="sum")
+
+
+def dual(m):
+    """N^v = Hom_k(N, k) on the dual basis: x_v sends a functional f to f(x_v
+    -), the transposed action, and the dual of a vector of degree d has
+    degree -d.  A verified module."""
+    from cxlab.gmod import Module
+
+    return Module(m.algebra, [-d for d in m.degrees], [X.transpose() for X in m.actions], provenance="dual")
 
 
 def regular_module(algebra):

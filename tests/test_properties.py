@@ -7,7 +7,7 @@ import pytest
 from cxlab.cioper import MonomialCI, build_kchi, cut_by_chi, eisenbud_operators, vartest_check
 from cxlab.exactla import Field
 from cxlab.gmod import coker_presentation, direct_sum, entry_images, extend_linearly, free_module, residue_field
-from cxlab.gralg import Algebra
+from cxlab.gralg import Algebra, build_algebra, is_gorenstein, parse_polynomial
 from cxlab.resol import estimate_complexity, resolve, syzygy
 from cxlab.errors import InvariantError
 from cxlab.yoneda import (ExtElement, _cocycle_classes, _hom_differential, _lift_stack, _side_by_side,
@@ -60,14 +60,17 @@ def random_module(rng: random.Random, A: Algebra):
     return coker_presentation(A, entries, row_degrees)
 
 
+def seeded_modules(quadric: Algebra, cubic: Algebra):
+    """The 110 seeded presentations, over the two rings in turn.  Their
+    coefficients are below 5, so over F_p[x,y]/(x^2,y^2) and F_p[x]/(x^3)
+    they are the same presentations at every prime p >= 5."""
+    rng = random.Random(20240)
+    return [random_module(rng, quadric if n % 2 == 0 else cubic) for n in range(110)]
+
+
 @pytest.fixture(scope="module")
 def random_modules(quadric, cubic):
-    rng = random.Random(20240)
-    mods = []
-    for n in range(110):
-        A = quadric.algebra if n % 2 == 0 else cubic.algebra
-        mods.append(random_module(rng, A))
-    return mods
+    return seeded_modules(quadric.algebra, cubic.algebra)
 
 
 def test_resolutions_d2_and_minimality(random_modules):
@@ -222,6 +225,59 @@ def test_ext0_matches_hom_space(random_modules):
         if m.algebra is not n.algebra:
             continue
         assert ext_table(m, n, 0)[0] == len(hom_space(m, n))
+
+
+@pytest.fixture(scope="module", params=[5, 2**31 - 1])
+def seeded_at_p(request, random_modules):
+    """The seeded modules at p = 5, random_modules itself, and at 2^31 - 1."""
+    if request.param == 5:
+        return random_modules
+    return seeded_modules(*(MonomialCI.build(Field(request.param), e).algebra for e in ([2, 2], [3])))
+
+
+def test_ext_into_dual_equals_tor_random(seeded_at_p):
+    # Hom_A(F_., Hom_k(N, k)) = Hom_k(F_. (x)_A N, k), so dim Ext^i(M, N^v)
+    # = dim Tor_i(M, N) for every i, over every ring and at every prime
+    rng = random.Random(17)
+    pairs = 0
+    while pairs < 100:
+        m, n = rng.choice(seeded_at_p), rng.choice(seeded_at_p)
+        if m.algebra is n.algebra:
+            assert ext_table(m, oracles.dual(n), 6) == tor_table(m, n, 6)
+            pairs += 1
+
+
+def test_ext_into_gorenstein_ring_vanishes_random(seeded_at_p):
+    # an Artinian Gorenstein local ring is self-injective: Ext^i(M, A) = 0
+    # for i >= 1, and Hom(M, A), the k-dual of M, has dimension dim M
+    assert all(is_gorenstein(M.algebra) for M in seeded_at_p[:2])
+    for M in seeded_at_p:
+        assert ext_table(M, free_module(M.algebra, [0]), 6) == [M.dim] + [0] * 6
+
+
+def test_duality_identities_over_gasharov_ring(gasharov, gasharov_module):
+    # Gasharov and Peeva's ring is Gorenstein and not a complete intersection
+    M = gasharov_module
+    assert is_gorenstein(gasharov)
+    assert ext_table(M, oracles.dual(M), 6) == tor_table(M, M, 6)
+    assert ext_table(M, free_module(gasharov, [0]), 6) == [M.dim] + [0] * 6
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("relations, gorenstein", [(["x^2", "y^2", "z^2"], True),
+                                                   (["x^2", "x*y", "y^3", "z^3", "y*z^2"], False)])
+def test_duality_identities_over_three_variables(p, relations, gorenstein):
+    # M = coker [[x, y^2], [0, z]] over a complete intersection and over a
+    # ring whose socle is not one dimensional, where Ext(M, A) does not
+    # vanish: the negative control of the self-injectivity check
+    F, names = Field(p), ["x", "y", "z"]
+    B = build_algebra(F, 3, [parse_polynomial(r, names, F) for r in relations], varnames=names)
+    x, y, z = (B.variable(v) for v in range(3))
+    M = coker_presentation(B, [[x, y * y], [B.zero(), z]], [0, 1])
+    assert is_gorenstein(B) == gorenstein
+    assert ext_table(M, oracles.dual(M), 5) == tor_table(M, M, 5)
+    ext = ext_table(M, free_module(B, [0]), 5)
+    assert ext == ([M.dim] + [0] * 5 if gorenstein else [11, 3, 9, 20, 48, 118])
 
 
 def test_tor_against_k_equals_betti(random_modules):

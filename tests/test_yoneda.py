@@ -691,11 +691,11 @@ def test_find_reducing_element_frees_losing_pushouts(monkeypatch, F5):
 def test_lift_heavy_search_keeps_maps_over_A_only(monkeypatch, F5):
     # the search over (x^3, y^3, z^2) at window 11 lifts classes down the
     # resolution of k and pushes out three candidates; afterwards no
-    # resolution it made holds a realized differential as an array: d_i is
-    # kept as its generator images, a solver as its (Q, E), and besides them
-    # only the pivots; the last span and the last step's realized columns
-    # are sparse rows; of Z only its rank, an int.  No free module holds an
-    # array
+    # resolution it made holds a differential as an array: d_i is kept as
+    # its generator images, sparse rows, the last span and the last step's
+    # realized columns too; of Z only its rank, an int.  The arrays it holds
+    # are the pivots and a solver's (Q, E), E the only 2-D one.  No free
+    # module holds an array
     from cxlab.cioper import MonomialCI
     from cxlab.gmod import FreeModule
     from cxlab.resol import MinimalFreeResolution
@@ -710,14 +710,14 @@ def test_lift_heavy_search_keeps_maps_over_A_only(monkeypatch, F5):
     assert find_reducing_element(k, 4, window=11) is not None
     assert len(made[MinimalFreeResolution]) == 4 and k._resolution._solvers
     for res in made[MinimalFreeResolution]:
-        dims = [res.module.dim] + [F.dim for F in res.frees]
-        want = [("_images", (dims[i], F.rank)) for i, F in enumerate(res.frees)]
-        want += [("_pivots", q.shape) for q in res._pivots]
+        want = [("_pivots", (len(q),)) for q in res._pivots]
         for i in res._solvers:
             r = len(res._pivots[i])
             want += [("_solvers", (r,)), ("_solvers", (r, r))]
         assert sorted(oracles.held_arrays(res, skip=("module", "frees", "_syz"))) == sorted(want)
-        assert type(res._rank) is int and all(type(row) is dict for row in res._span + res._columns)
+        assert [len(lifts) for lifts in res._lifts] == [F.rank for F in res.frees]
+        rows = res._span + res._columns + [u for lifts in res._lifts for u in lifts]
+        assert type(res._rank) is int and all(type(row) is dict for row in rows)
     assert made[FreeModule] and not any(oracles.held_arrays(F) for F in made[FreeModule])
 
 
