@@ -26,14 +26,13 @@ table's triples.  A direct sum keeps its two summands, and its products
 are theirs, one over the other.  A module that keeps no actions, free or
 a direct sum, reads its stacked actions and its variable actions off the
 multiples of the identity, on each request.  `extend_linearly` and the
-subquotients go through `multiples`; `block_action` is one product by the
-stacked actions.
+subquotients go through `multiples`.
 
 Sparse rows, dicts {coordinate: residue}, have the same product:
 `multiples_of_rows` is `multiples` on rows, plain loops over the same
 by-source form of the actions, so its work follows the nonzero entries:
 A's structure table on a free module, read off its stacked actions on any
-other module.
+other module.  `action_rows` reads the same form.
 
 A matrix over A, a map F' -> F of free modules, has one form: its
 generator images, the dim F x rank F' matrix whose column g is the image of
@@ -46,13 +45,17 @@ coefficient array C[m, r, g] off it, without a copy, and `images_of`, the
 inverse, writes it from such an array; `entry_images` writes it from
 entries given as algebra elements through `images_of`.
 `compose_on_generators` composes a map into any module with it, and
-`block_action` applies it to N^r through its coefficient array.
+`action_rows` writes its action on N, block (r, g) entry (r, g) acting on
+N or, for Hom(-, N), block (g, r), as sparse rows straight from its sparse
+columns, with no dense array on the way.
 """
 from __future__ import annotations
 
+import operator
 import weakref
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,7 +73,7 @@ __all__ = [
     "images_of",
     "entry_images",
     "compose_on_generators",
-    "block_action",
+    "action_rows",
     "column_degrees",
     "coker_presentation",
     "residue_field",
@@ -338,10 +341,13 @@ def _grouped(period: int, keys: np.ndarray, w: np.ndarray) -> _Sources:
     """The _Sources of a stack of actions given by its nonzero entries in
     order: flat indices (j period + a) period + b and residues w, w on
     output a of x^e_j times source b."""
-    out = keys // period  # output (j, a) as j period + a; two entries of one output are side by side
-    lone = bool((w == 1).all()) and not (np.diff(out) == 0).any()
+    # output (j, a) as j period + a; two entries of one output are side by
+    # side.  A module's stack is read on each call, mostly a few dozen
+    # entries, so the flag is found on lists: no small-array numpy calls
+    out, ws = (keys // period).tolist(), w.tolist()
+    lone = ws.count(1) == len(ws) and all(map(operator.ne, out, islice(out, 1, None)))
     entries: List[List[Tuple[int, int, int]]] = [[] for _ in range(period)]
-    for o, b, ww in zip(out.tolist(), (keys % period).tolist(), w.tolist()):
+    for o, b, ww in zip(out, (keys % period).tolist(), ws):
         entries[b].append((o // period, o % period, ww))
     return _Sources(period, entries, lone)
 
@@ -447,19 +453,46 @@ def compose_on_generators(target: Module, images: Mat, d: Mat) -> Mat:
     return Mat._trusted(target.field, out.reshape(n, k * d.cols))
 
 
-def block_action(n: Module, coeffs: np.ndarray) -> Mat:
-    """Field matrix of a rows x cols matrix over A acting on N^cols -> N^rows,
-    given by its coefficient array (see coefficient_view): block (i, j) is
-    the action of entry (i, j) on N, the sum over the basis monomials m of
-    coeffs[m, i, j] times x^m acting on N.  Over the monomials that occur,
-    that is one product of the coefficients by the actions of N."""
-    _, rows, cols = coeffs.shape
-    d = n.dim
-    occurring = np.flatnonzero(coeffs.any(axis=(1, 2)))
-    terms = _matmul_mod(coeffs[occurring].reshape(occurring.size, rows * cols).T,
-                        n._stacked("basis")[occurring].reshape(occurring.size, d * d), n.field.p)
-    out = terms.reshape(rows, cols, d, d).transpose(0, 2, 1, 3).reshape(rows * d, cols * d)
-    return Mat._trusted(n.field, out)
+def action_rows(n: Module, columns: Sequence[dict], rows: int, hom: bool = False) -> List[dict]:
+    """The field matrix of a rows x len(columns) matrix over A acting on N,
+    as sparse rows, dicts {column: residue}, read off the matrix's sparse
+    form: columns, one dict {r dim A + m: residue} per generator g, the form
+    a resolution keeps its differentials in.  Block (r, g), rows r dim N ..
+    and columns g dim N .., is entry (r, g) acting on N, the sum of c X_m
+    over its terms c x^m, X_m the action of x^m on N: the matrix acting
+    N^cols -> N^rows, as d (x) 1 on F (x) N.  With hom, block (g, r) is, as
+    Hom(d, N): len(columns) dim N rows on rows dim N columns.
+
+    X_m is read off N's by-source table (_by_source, as multiples_of_rows
+    reads it), regrouped by monomial for this call, so the work follows the
+    nonzero terms of the matrix and of the actions.  Sums are reduced mod p
+    at each step, and an entry whose sum ends at 0 is dropped."""
+    dA, dN, p = n.algebra.dim, n.dim, n.field.p
+    out: List[dict] = [{} for _ in range((len(columns) if hom else rows) * dN)]
+    if not (dN and columns):
+        return out
+    src = _by_source(n, "basis")
+    # X_m as triples (a, b, w): x^m times basis vector b has coefficient w
+    # on a, over every block of N (one, or dim N / dim A when N is free)
+    acts: List[List[Tuple[int, int, int]]] = [[] for _ in range(dA)]
+    for s in range(0, dN, src.period):
+        for b, triples in enumerate(src.entries, s):
+            for j, a, w in triples:
+                acts[j].append((s + a, b, w))
+    cancelled = []  # the rows where some sum was 0 mod p on the way
+    for g, col in enumerate(columns):
+        for key, c in col.items():
+            r, m = divmod(key, dA)
+            row_at, col_at = (g * dN, r * dN) if hom else (r * dN, g * dN)
+            for a, b, w in acts[m]:
+                row, k = out[row_at + a], col_at + b
+                x = row[k] = (row.get(k, 0) + c * w) % p
+                if not x:
+                    cancelled.append(row)
+    for row in cancelled:
+        for k in [k for k, x in row.items() if not x]:
+            del row[k]
+    return out
 
 
 def residue_field(algebra: Algebra) -> Module:

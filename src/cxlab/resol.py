@@ -89,15 +89,16 @@ class MinimalFreeResolution:
     Step i maps F_i onto an echelon span: ker d_{i-1} in F_{i-1}, or the
     identity rows of M for i = 0.  What a step keeps of d_i is its matrix
     over A, the images of the generators of F_i, as the lifts the step
-    built: one dict {row: residue} per generator.  diff_images writes them
-    as the dense dim F_{i-1} x rank F_i array (dim M x rank F_0 for the
-    augmentation d_0) on each call; diff_coefficients is its coefficient
-    view (gmod.coefficient_view), and diff_realized realizes it; none of
-    them is kept.  solve keeps only the factorization (Q, E) of Z_i, the
-    rows of d_i at the span's pivot columns.  The span's rows, sparse, are
-    kept until step i has covered them, their pivot columns for good;
-    syzygy_module re-derives a covered span by one _sparse_kernel of
-    Z_{i-1}, rebuilt from the lifts of d_{i-1}, and the reduced echelon
+    built: one dict {row: residue} per generator, which diff_lifts hands
+    out as they are (the Ext and Tor tables read them so).  diff_images
+    writes them as the dense dim F_{i-1} x rank F_i array (dim M x rank F_0
+    for the augmentation d_0) on each call; diff_coefficients is its
+    coefficient view (gmod.coefficient_view), and diff_realized realizes
+    it; none of them is kept.  solve keeps only the factorization (Q, E)
+    of Z_i, the rows of d_i at the span's pivot columns.  The span's rows,
+    sparse, are kept until step i has covered them, their pivot columns
+    for good; syzygy_module re-derives a covered span by one _sparse_kernel
+    of Z_{i-1}, rebuilt from the lifts of d_{i-1}, and the reduced echelon
     form of a row space is unique, so the span is the one the step
     covered.  The syzygy module a span stands for is built, verified and
     cached on the first request.
@@ -229,14 +230,21 @@ class MinimalFreeResolution:
         check(d @ X == B, f"right-hand side outside the image of d_{i}")
         return X
 
+    def diff_lifts(self, n: int) -> List[dict]:
+        """d_n over A as the resolution keeps it: the lifts its step built,
+        one dict {row: residue} on F_{n-1} per generator of F_n (on M for
+        the augmentation at n = 0).  The kept list itself, not a copy, and
+        no dense array: a reader must not change it."""
+        if n < 0:
+            raise InputError("differentials are indexed from 0, the augmentation")
+        self.extend(n)
+        return self._lifts[n]
+
     def diff_images(self, n: int) -> Mat:
         """d_n over A, its generator images written dense from the kept
         lifts, not kept: dim F_{n-1} x rank F_n, the augmentation F_0 -> M
         (dim M x rank F_0) at n = 0."""
-        if n < 0:
-            raise InputError("differentials are indexed from 0, the augmentation")
-        self.extend(n)
-        return Mat._trusted(self.module.field, _dense(self._lifts[n], self._target(n).dim).T)
+        return Mat._trusted(self.module.field, _dense(self.diff_lifts(n), self._target(n).dim).T)
 
     def diff_coefficients(self, n: int) -> np.ndarray:
         """d_n over A as a coefficient array: gmod.coefficient_view of its

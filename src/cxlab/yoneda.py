@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import InputError, check
-from .exactla import Mat, kernel_rref, rref
-from .gmod import (Module, block_action, coefficient_view, compose_on_generators, direct_sum,
+from .exactla import Mat, _dense, _sparse_rref, kernel_rref, rref
+from .gmod import (Module, action_rows, coefficient_view, compose_on_generators, direct_sum,
                    extend_linearly, quotient_by_span, shift)
 from .gralg import is_gorenstein
 from .resol import ComplexityEstimate, MinimalFreeResolution, estimate_complexity, resolve
@@ -77,13 +77,10 @@ def _hom_shifts(res: MinimalFreeResolution, n: Module, i: int) -> np.ndarray:
 
 
 def _hom_differential(res: MinimalFreeResolution, n: Module, i: int) -> Mat:
-    """delta^i : Hom(F_i, N) -> Hom(F_{i+1}, N), phi -> phi o d_{i+1}."""
-    return block_action(n, res.diff_coefficients(i + 1).transpose(0, 2, 1))
-
-
-def _tensor_differential(res: MinimalFreeResolution, n: Module, i: int) -> Mat:
-    """d_i (x) 1 : F_i (x) N -> F_{i-1} (x) N."""
-    return block_action(n, res.diff_coefficients(i))
+    """delta^i : Hom(F_i, N) -> Hom(F_{i+1}, N), phi -> phi o d_{i+1}: the
+    rows _table eliminates for Ext, written dense."""
+    rank = res.free(i).rank
+    return Mat._trusted(n.field, _dense(action_rows(n, res.diff_lifts(i + 1), rank, hom=True), rank * n.dim))
 
 
 # The ranks of the differentials found so far, per resolution and target
@@ -101,7 +98,10 @@ def _table(functor: str, m: Module, n: Module, max_degree: int) -> List[int]:
     Both complexes have dimension rank F_i * dim N in degree i, so each
     group is that minus the ranks of the two differentials at degree i
     (delta^{i-1} and delta^i, or d_i (x) 1 and d_{i+1} (x) 1, the one at
-    i = 0 being zero).  The ranks come from _RANKS: a table extends the
+    i = 0 being zero).  Each differential is built as sparse rows straight
+    from the lifts the resolution keeps (gmod.action_rows, in the Hom or
+    the tensor orientation), and its rank is one echelon pass over them,
+    with no dense array.  The ranks come from _RANKS: a table extends the
     prefix it needs, so each differential is built once per resolution and
     target.
     """
@@ -114,8 +114,8 @@ def _table(functor: str, m: Module, n: Module, max_degree: int) -> List[int]:
     ranks = by_target.setdefault(n, {"Ext": [], "Tor": []})[functor]
     while len(ranks) <= max_degree:
         i = len(ranks)
-        d = _hom_differential(res, n, i) if functor == "Ext" else _tensor_differential(res, n, i + 1)
-        ranks.append(d.rank())
+        rows = action_rows(n, res.diff_lifts(i + 1), res.free(i).rank, hom=functor == "Ext")
+        ranks.append(len(_sparse_rref(rows, n.field.p, reduced=False)))
     at = [0] + ranks
     return [res.free(i).rank * n.dim - at[i] - at[i + 1] for i in range(max_degree + 1)]
 

@@ -37,6 +37,7 @@ keeps.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from itertools import product
 from math import comb
@@ -118,17 +119,26 @@ def element_action(module, a, powers=None):
     return out
 
 
+# per module, weakly: its variable actions and the monomial actions built so far
+_MONOMIAL_ACTIONS = weakref.WeakKeyDictionary()
+
+
 def monomial_action(module, e):
     """The action of the monomial x^e on the module: the product of its
     variable actions, x_v applied e_v times, with the engine's exact
-    product."""
+    product.  Built along the division chain, x^e = x_v x^(e - e_v) for the
+    first variable v of e, and kept per module, so each monomial costs one
+    product by a variable action."""
     from cxlab.exactla import Mat
 
-    out = Mat.identity(module.field, module.dim)
-    for X, a in zip(module.actions, e):
-        for _ in range(a):
-            out = X @ out
-    return out
+    e = tuple(int(a) for a in e)
+    if module not in _MONOMIAL_ACTIONS:
+        _MONOMIAL_ACTIONS[module] = (module.actions, {(0,) * len(e): Mat.identity(module.field, module.dim)})
+    actions, known = _MONOMIAL_ACTIONS[module]
+    if e not in known:
+        v = next(i for i, a in enumerate(e) if a)
+        known[e] = actions[v] @ monomial_action(module, e[:v] + (e[v] - 1,) + e[v + 1:])
+    return known[e]
 
 
 def held_arrays(obj, skip=()):

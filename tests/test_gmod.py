@@ -18,7 +18,7 @@ from cxlab.gralg import build_algebra, parse_polynomial, socle_dimension
 from cxlab import gmod
 from cxlab.gmod import (
     Module,
-    block_action,
+    action_rows,
     coker_presentation,
     compose_on_generators,
     direct_sum,
@@ -35,7 +35,7 @@ from cxlab.gmod import (
     _structure_terms,
 )
 from cxlab.resol import resolve, syzygy, verify_complex
-from cxlab.yoneda import _hom_differential, _tensor_differential, ext_table
+from cxlab.yoneda import _hom_differential, ext_table
 from conftest import GASHAROV_RELATIONS, GASHAROV_VARS, gasharov_presentation
 from oracles import diff_algebra, gauss_rank, hom_space, is_isomorphic, min_generators, solve_matrix
 
@@ -366,21 +366,32 @@ def test_multiples_match_monomial_actions(ring, p):
                     assert np.array_equal(got.a[:, j::s], (oracles.monomial_action(target, e) @ cols).a), (target, which, e)
                 rows = multiples_of_rows(target, _dict_rows(cols.a.T), which)
                 assert np.array_equal(_dense(rows, target.dim).T, got.a), (target, which)
-    # block_action reshapes one product of the coefficients by the stacked
-    # actions; matrices over A with no rows or columns and a zero module
-    # give empty blocks
+    # action_rows reads the sparse columns of a matrix over A, in both
+    # orientations; matrices over A with no rows or columns and a zero
+    # module give empty blocks
     for n in (N, Z):
         for rows, cols in ((2, 3), (0, 3), (2, 0)):
             coeffs = rng.integers(0, p, (A.dim, rows, cols))
             entries = [[A.element(coeffs[:, i, j]) for j in range(cols)] for i in range(rows)]
-            got = block_action(n, coeffs)
+            got = _action_dense(n, coeffs)
             assert got.shape == (rows * n.dim, cols * n.dim)
-            assert np.array_equal(got.a, oracles.block_action(n, entries, rows, cols)), (n, rows, cols)
+            assert np.array_equal(got, oracles.block_action(n, entries, rows, cols)), (n, rows, cols)
+            transposed = [[entries[i][j] for i in range(rows)] for j in range(cols)]
+            assert np.array_equal(_action_dense(n, coeffs, hom=True),
+                                  oracles.block_action(n, transposed, cols, rows)), (n, rows, cols)
     for target in (free_module(A, [0]), N):
         with pytest.raises(InputError, match="no monomial list"):
             target.multiples(Mat.zeros(F, target.dim, 1), "monomials")
         with pytest.raises(InputError, match="coordinates"):
             target.multiples(Mat.zeros(F, target.dim + 1, 1), "basis")
+
+
+def _action_dense(n, coeffs, hom=False):
+    """action_rows of the matrix over A with the coefficient array coeffs,
+    handed its sparse columns as a resolution keeps them, written dense."""
+    _, rows, cols = coeffs.shape
+    columns = _dict_rows(images_of(coeffs, n.field).a.T)
+    return _dense(action_rows(n, columns, rows, hom), (rows if hom else cols) * n.dim)
 
 
 def _dense_free_module(A, rng):
@@ -417,11 +428,30 @@ def test_extend_linearly_exact_at_large_prime():
     assert extend_linearly(M, Mat(F, images)).a.T.tolist() == expected
 
 
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_action_rows_drop_cancelled_sums(p):
+    # x and y act alike on N = A/(x - y), so the entry x - y acts as zero:
+    # each of its sums cancels, and no row keeps a zero residue, which the
+    # echelon pass that takes the rank cannot read
+    F = Field(p)
+    A = build_algebra(F, 2, [parse_polynomial(r, ["x", "y"], F) for r in ("x^2", "y^2")], varnames=["x", "y"])
+    x, y = A.variable(0), A.variable(1)
+    N = coker_presentation(A, [[x - y]], [0])
+    entries = [[x - y, x]]
+    columns = _dict_rows(entry_images(A, entries, 1, 2).a.T)
+    for hom in (False, True):
+        rows = action_rows(N, columns, 1, hom)
+        assert all(all(row.values()) for row in rows)
+        got = _dense(rows, (1 if hom else 2) * N.dim)
+        expected = oracles.block_action(N, [[e] for e in entries[0]] if hom else entries, *((2, 1) if hom else (1, 2)))
+        assert np.array_equal(got, expected) and got.any() and not expected[:N.dim, :N.dim].any()
+
+
 def test_block_actions_exact_at_large_prime():
     # dense actions and entries with every monomial, each coefficient a small
-    # negative: a kron term is below p^2 < 2^62, and the three terms that
-    # meet in an entry of a degree-1 or degree-2 block overflow int64 unless
-    # each is reduced
+    # negative: a term is below p^2 < 2^62, and the terms that meet in an
+    # entry of a degree-1 or degree-2 block would overflow int64; the sums
+    # are exact and reduced mod p
     p = 2**31 - 1
     F = Field(p)
     A = MonomialCI.build(F, [2, 2, 2]).algebra
@@ -429,7 +459,9 @@ def test_block_actions_exact_at_large_prime():
     M = _dense_free_module(A, rng)
     coeffs = p - rng.integers(1, 100, (A.dim, 2, 3))
     entries = [[A.element(coeffs[:, i, j]) for j in range(3)] for i in range(2)]
-    assert np.array_equal(block_action(M, coeffs).a, oracles.block_action(M, entries, 2, 3))
+    assert np.array_equal(_action_dense(M, coeffs), oracles.block_action(M, entries, 2, 3))
+    transposed = [[entries[i][j] for i in range(2)] for j in range(3)]
+    assert np.array_equal(_action_dense(M, coeffs, hom=True), oracles.block_action(M, transposed, 3, 2))
     assert np.array_equal(extend_linearly(free_module(A, [0, 0]), entry_images(A, entries, 2, 3)).a,
                           oracles.block_action(oracles.regular_module(A), entries, 2, 3))
     # a resolution whose differentials have dense linear entries
@@ -439,7 +471,8 @@ def test_block_actions_exact_at_large_prime():
     for i in (1, 2, 3):
         d = diff_algebra(res, i)
         r, c = res.free(i - 1).rank, res.free(i).rank
-        assert np.array_equal(_tensor_differential(res, M, i).a, oracles.block_action(M, d, r, c))
+        tensor = _dense(action_rows(M, res.diff_lifts(i), r), c * M.dim)
+        assert np.array_equal(tensor, oracles.block_action(M, d, r, c))
         transposed = [[d[h][g] for h in range(r)] for g in range(c)]
         assert np.array_equal(_hom_differential(res, M, i - 1).a, oracles.block_action(M, transposed, c, r))
 
@@ -458,7 +491,7 @@ def test_compose_on_generators_matches_realized_product(p):
     gens = src.generator_columns()
     for coeffs in (rng.integers(0, p, (A.dim, mid.rank, src.rank)),
                    np.zeros((A.dim, mid.rank, src.rank), dtype=np.int64)):
-        d = block_action(oracles.regular_module(A), coeffs)
+        d = extend_linearly(mid, images_of(coeffs, F))
         d_images = Mat(F, d.a[:, gens])
         assert np.array_equal(coefficient_view(d_images, A), coeffs)
         assert images_of(coeffs, F) == d_images
@@ -722,4 +755,5 @@ def test_free_module_matches_dense_twin(ring, gen_degrees, gasharov):
     res = resolve(N, 4)
     for i in range(1, 4):
         assert _hom_differential(res, F, i) == _hom_differential(res, T, i)
-        assert _tensor_differential(res, F, i) == _tensor_differential(res, T, i)
+        lifts, rank = res.diff_lifts(i), res.free(i - 1).rank
+        assert action_rows(F, lifts, rank) == action_rows(T, lifts, rank)

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from cxlab.cioper import MonomialCI, build_kchi, cut_by_chi, eisenbud_operators, vartest_check
-from cxlab.exactla import Field
-from cxlab.gmod import coker_presentation, direct_sum, entry_images, extend_linearly, free_module, residue_field
+from cxlab.exactla import Field, _dense
+from cxlab.gmod import (action_rows, coker_presentation, direct_sum, entry_images, extend_linearly, free_module,
+                        residue_field)
 from cxlab.gralg import Algebra, build_algebra, is_gorenstein, parse_polynomial
 from cxlab.resol import estimate_complexity, resolve, syzygy
 from cxlab.errors import InvariantError
 from cxlab.yoneda import (ExtElement, _cocycle_classes, _hom_differential, _lift_stack, _side_by_side,
-                          _tensor_differential, cocycle_basis, ext_table, pushout, reduction_sequence,
-                          tor_table, window_vanishing_check)
+                          cocycle_basis, ext_table, pushout, reduction_sequence, tor_table,
+                          window_vanishing_check)
 import oracles
 from oracles import assert_matches_eager, hom_space, is_isomorphic
 from conftest import one_class_screen
@@ -106,7 +107,8 @@ def test_block_actions_match_entrywise_reference(random_modules):
             regular = oracles.regular_module(M.algebra)
             assert np.array_equal(extend_linearly(res.free(i - 1), entry_images(M.algebra, d, r, c)).a,
                                   oracles.block_action(regular, d, r, c))
-            assert np.array_equal(_tensor_differential(res, N, i).a, oracles.block_action(N, d, r, c))
+            tensor = _dense(action_rows(N, res.diff_lifts(i), r), c * N.dim)
+            assert np.array_equal(tensor, oracles.block_action(N, d, r, c))
             transposed = [[d[h][g] for h in range(r)] for g in range(c)]
             assert np.array_equal(_hom_differential(res, N, i - 1).a,
                                   oracles.block_action(N, transposed, c, r))
@@ -278,6 +280,26 @@ def test_duality_identities_over_three_variables(p, relations, gorenstein):
     assert ext_table(M, oracles.dual(M), 5) == tor_table(M, M, 5)
     ext = ext_table(M, free_module(B, [0]), 5)
     assert ext == ([M.dim] + [0] * 5 if gorenstein else [11, 3, 9, 20, 48, 118])
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_duality_identities_at_depth(p):
+    # both identities where the complexes are large: M = coker [[a, b], [c,
+    # d]] over (x_1^2..x_4^2) to degree 12, and over the non-Gorenstein ring
+    # of the test above to degree 8, where Ext(M, A) is the negative control
+    F = Field(p)
+    A = MonomialCI.build(F, [2, 2, 2, 2]).algebra
+    a, b, c, d = (A.variable(v) for v in range(4))
+    M = coker_presentation(A, [[a, b], [c, d]], [0, 0])
+    assert ext_table(M, oracles.dual(M), 12) == tor_table(M, M, 12)
+    assert ext_table(M, free_module(A, [0]), 12) == [M.dim] + [0] * 12
+    names = ["x", "y", "z"]
+    B = build_algebra(F, 3, [parse_polynomial(r, names, F) for r in ["x^2", "x*y", "y^3", "z^3", "y*z^2"]],
+                      varnames=names)
+    x, y, z = (B.variable(v) for v in range(3))
+    M = coker_presentation(B, [[x, y * y], [B.zero(), z]], [0, 1])
+    assert ext_table(M, oracles.dual(M), 8) == tor_table(M, M, 8) == [16, 6, 7, 11, 21, 45, 105, 257, 645]
+    assert ext_table(M, free_module(B, [0]), 8) == [11, 3, 9, 20, 48, 118, 294, 740, 1878]
 
 
 def test_tor_against_k_equals_betti(random_modules):

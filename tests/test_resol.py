@@ -348,7 +348,7 @@ def test_resolution_matches_eager_reference_large_prime():
 _EAGER_CASES = {
     "coker-x-y2": (["x^3", "y^3", "z^3"], ([["x", "y^2"]], [0]), 10, [2, 5, 2**31 - 1], True),
     "coker-x0-yz": (["x^2", "y^2", "z^2"], ([["x", "0"], ["y", "z"]], [0, 0]), 8, [2, 5, 2**31 - 1], True),
-    "k-quartics": (["x^4+y^4", "y^4+z^4", "x*y*z^2+z^4"], None, 2, [5, 2**31 - 1], True),
+    "k-quartics": (["x^4+y^4", "y^4+z^4", "x*y*z^2+z^4"], None, 3, [5, 2**31 - 1], True),
     "k-quadrics": (["y^2+z^2", "x^2+x*y+z^2", "x*z+z^2"], None, 6, [2, 2**31 - 1], False),
 }
 

@@ -11,6 +11,7 @@ from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat
 from cxlab.gmod import (
     Module,
+    coker_presentation,
     direct_sum,
     free_module,
     residue_field,
@@ -66,17 +67,25 @@ def test_tor_tables(A, k, Ax):
         assert tor_table(m, n, 6) == tor_table(n, m, 6)
 
 
+def _counting_action_rows(monkeypatch, res, built, offset):
+    """Route yoneda's action_rows through a counter that records, for each
+    call, the index of the differential whose kept lifts it was handed,
+    minus offset: the lifts are the resolution's own list, not a copy."""
+    action_rows = yoneda.action_rows
+
+    def counting(n, columns, rows, hom=False):
+        built.append(next(i for i in range(res.computed_to + 1) if res.diff_lifts(i) is columns) - offset)
+        return action_rows(n, columns, rows, hom)
+
+    monkeypatch.setattr(yoneda, "action_rows", counting)
+
+
 def test_tor_table_builds_each_tensor_differential_once(monkeypatch, A):
-    # a fresh k: the session's k already holds the ranks of earlier tables
+    # a fresh k: the session's k already holds the ranks of earlier tables;
+    # d_i (x) 1 is built from the lifts of d_i
     k = residue_field(A)
     built = []
-    tensor_differential = yoneda._tensor_differential
-
-    def counting(res, n, i):
-        built.append(i)
-        return tensor_differential(res, n, i)
-
-    monkeypatch.setattr(yoneda, "_tensor_differential", counting)
+    _counting_action_rows(monkeypatch, resolve(k, 0), built, 0)
     assert tor_table(k, k, 12) == [i + 1 for i in range(13)]
     assert tor_table(k, k, 5) == [i + 1 for i in range(6)]
     assert built == list(range(1, 14))
@@ -87,14 +96,9 @@ def test_ext_table_builds_each_hom_differential_once(monkeypatch, quadric, k):
     # the prefix, a shorter one reads it
     from cxlab.cioper import build_kchi
 
+    # delta^i is built from the lifts of d_{i+1}
     built = []
-    hom_differential = yoneda._hom_differential
-
-    def counting(res, n, i):
-        built.append(i)
-        return hom_differential(res, n, i)
-
-    monkeypatch.setattr(yoneda, "_hom_differential", counting)
+    _counting_action_rows(monkeypatch, resolve(k, 0), built, 1)
     T1 = build_kchi(quadric, 1)
     tables = {d: ext_table(k, T1, d) for d in (10, 12, 3)}
     assert built == list(range(13))
@@ -109,6 +113,44 @@ def test_ext_table_builds_each_hom_differential_once(monkeypatch, quadric, k):
     del T1
     gc.collect()
     assert collected() is None and len(by_target) == held - 1
+
+
+def test_tables_write_no_dense_differential(monkeypatch, quadric, A):
+    # a table reads the kept lifts: neither the dense generator images nor
+    # the coefficient array of any differential is written, also for a
+    # resolution that is already there and for a free target
+    from cxlab.cioper import build_kchi
+    from cxlab.resol import MinimalFreeResolution
+
+    x, y = A.variable(0), A.variable(1)
+    M = coker_presentation(A, [[x, y], [A.zero(), x]], [0, 0])
+    N, F = build_kchi(quadric, 1), free_module(A, [0, 1])
+    resolve(M, 3)
+
+    def dense(self, n):
+        raise AssertionError("a table wrote a dense differential")
+
+    monkeypatch.setattr(MinimalFreeResolution, "diff_images", dense)
+    monkeypatch.setattr(MinimalFreeResolution, "diff_coefficients", dense)
+    tables = [f(M, n, 8) for f in (ext_table, tor_table) for n in (M, N, F)]
+    monkeypatch.undo()
+    assert tables == [_dense_table(f, M, n, 8) for f in ("Ext", "Tor") for n in (M, N, F)]
+
+
+def _dense_table(functor, m, n, max_degree):
+    """The table of functor, Ext or Tor, by the ranks of the realized
+    complexes: each differential over A acting on N entry by entry, from
+    its dense coefficient array (oracles.block_action)."""
+    res = resolve(m, max_degree + 1)
+    at = [0]
+    for i in range(max_degree + 1):
+        d = oracles.diff_algebra(res, i + 1)
+        r, c = res.free(i).rank, res.free(i + 1).rank
+        if functor == "Ext":
+            d = [[d[h][g] for h in range(r)] for g in range(c)]
+            r, c = c, r
+        at.append(Mat(m.field, oracles.block_action(n, d, r, c)).rank())
+    return [res.free(i).rank * n.dim - at[i] - at[i + 1] for i in range(max_degree + 1)]
 
 
 def test_cocycle_basis_counts(A, k):
