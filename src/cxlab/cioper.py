@@ -1,31 +1,29 @@
 """Degree-two cohomology operators over monomial complete intersections.
 
 For A = k[x_1..x_c]/(x_1^{n_1}, .., x_c^{n_c}) the differential of a minimal
-free resolution lifts canonically to the polynomial ring: its coefficient
-array (gmod.coefficient_view of its generator images) lists each entry over
-the standard monomials, which are ordinary monomials.  The square of the
-lift factors through the relations, and since the relation ideal is
-generated by pure powers every monomial of the square is claimed by the
-lowest variable index whose exponent reaches its power.  That decomposition
-is unique, so the chain operators are deterministic.  They are computed
-from coefficient slices, one exact product per pair of basis monomials and
-no polynomial or AlgebraElement on the way, and written by gmod.images_of
-into generator images, the one form in which the library keeps a matrix
-over A.
-The chain identity and the operator classes in Ext^2(M, M) are composites
-on generators (gmod.compose_on_generators); an operator is realized as a
-field matrix only on request, as the A-linear extension of its images.
+free resolution lifts canonically to the polynomial ring: its kept lifts
+(MinimalFreeResolution.diff_lifts) list each entry over the standard
+monomials, which are ordinary monomials.  The square of the lift factors
+through the relations, and since the relation ideal is generated by pure
+powers every monomial of the square is claimed by the lowest variable index
+whose exponent reaches its power.  That decomposition is unique, so the
+chain operators are deterministic.  They are computed from the terms of the
+two lifts, a plain loop over their nonzero entries with no polynomial,
+AlgebraElement or dense array on the way, and kept as sparse columns, one
+dict {r dim A + m: residue} per generator: the one form in which the
+library keeps a matrix over A.  The chain identity and the operator classes
+in Ext^2(M, M) are sparse composites on generators (gmod.compose_sparse);
+an operator is realized as a field matrix only on request, as the A-linear
+extension of its columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .errors import InputError, check
-from .exactla import Field, Mat
-from .gmod import Module, coefficient_view, compose_on_generators, extend_linearly, images_of, residue_field
+from .errors import InputError, InvariantError, check
+from .exactla import Field, Mat, _dense
+from .gmod import Module, compose_sparse, extend_linearly, residue_field
 from .gralg import Algebra, Polynomial, build_algebra, codimension
 from .resol import resolve
 from .yoneda import (
@@ -35,7 +33,6 @@ from .yoneda import (
     PushoutExtension,
     Verdict,
     _check_tail,
-    _vectors_of,
     ext_table,
     pushout,
 )
@@ -103,48 +100,65 @@ class MonomialCI:
         return len(self.exponents)
 
 
-def _chi_images(ci: MonomialCI, c_prev: np.ndarray, c_cur: np.ndarray) -> List[Mat]:
-    """Generator images of chi_1..chi_c at source degree n, from the
-    coefficient arrays (gmod.coefficient_view) of d_{n-1} and d_n.
+def _chi_images(ci: MonomialCI, prev: Sequence[dict], cur: Sequence[dict], rank: int) -> List[List[dict]]:
+    """chi_1..chi_c at source degree n as sparse columns, one dict per
+    generator of F_n, from the kept lifts of d_{n-1} (prev, on F_{n-2} of
+    the given rank) and d_n (cur).
 
-    The lifted square is the sum of C_{n-1}[m1] C_n[m2] x^(m1 + m2) over
-    pairs of basis monomials.  Its part at a monomial e goes to the lowest j
-    with e_j >= n_j, at e - n_j e_j when that is standard (otherwise it is
-    zero in A); the parts no pure power claims must cancel.  When two pure
-    powers divide e, e - n_j e_j is not standard for either j, so the
-    operators do not depend on which index claims e.
+    Entry (r, g) of the lifted square sums c1 c2 x^(m1 + m2) over the terms
+    c1 x^m1 of entry (r, s) of d_{n-1} and c2 x^m2 of entry (s, g) of d_n.
+    Its part at a monomial e goes to the lowest j with e_j >= n_j, at e -
+    n_j e_j when that is standard (otherwise it is zero in A); the parts no
+    pure power claims must cancel.  When two pure powers divide e, e - n_j
+    e_j is not standard for either j, so the operators do not depend on
+    which index claims e.  Distinct monomials claimed by one j give distinct
+    quotients, so a column's terms are summed at the key (j rank + r) dim A
+    + (index of the quotient), j = c where no pure power claims e, and each
+    sum is reduced mod p once, at its end.
     """
-    A = ci.algebra
-    field = ci.field
-    lefts = [(m, Mat(field, c_prev[m])) for m in np.flatnonzero(c_prev.any(axis=(1, 2)))]
-    rights = [(m, Mat(field, c_cur[m])) for m in np.flatnonzero(c_cur.any(axis=(1, 2)))]
-    square: Dict[Tuple[int, ...], Mat] = {}
-    for m1, left in lefts:
-        for m2, right in rights:
-            e = tuple(a + b for a, b in zip(A.basis[m1], A.basis[m2]))
-            prod = left @ right
-            square[e] = square[e] + prod if e in square else prod
-    # chi[j][m, r, g]: the coefficient of basis monomial m in entry (r, g)
-    chi = [np.zeros((A.dim, c_prev.shape[1], c_cur.shape[2]), dtype=np.int64) for _ in ci.exponents]
-    for e, block in square.items():
+    A, p, c, dA = ci.algebra, ci.field.p, ci.codim, ci.algebra.dim
+    block = rank * dA
+
+    def claim(m1: int, m2: int) -> Optional[int]:
+        """The key of x^(m1 + m2) in row 0, None where it is 0 in A."""
+        e = tuple(a + b for a, b in zip(A.basis[m1], A.basis[m2]))
         j = next((j for j, n in enumerate(ci.exponents) if e[j] >= n), None)
         if j is None:
-            check(block.is_zero(), f"monomial {e} of the lifted square lies outside the relation ideal")
-            continue
-        # distinct monomials claimed by one j give distinct quotients
+            return c * block + A.basis_index[e]  # no pure power divides e, so it is standard
         idx = A.basis_index.get(e[:j] + (e[j] - ci.exponents[j],) + e[j + 1:])
-        if idx is not None:
-            chi[j][idx] = block.a
-    return [images_of(X, field) for X in chi]
+        return None if idx is None else j * block + idx
+
+    m1s, m2s = ({key % dA for u in lifts for key in u} for lifts in (prev, cur))
+    claims = {m1 * dA + m2: claim(m1, m2) for m1 in m1s for m2 in m2s}
+    chi: List[List[dict]] = [[{} for _ in cur] for _ in range(c)]
+    for g, col in enumerate(cur):
+        acc: dict = {}
+        for k2, c2 in col.items():
+            s, m2 = divmod(k2, dA)
+            for k1, c1 in prev[s].items():
+                r, m1 = divmod(k1, dA)
+                at = claims[m1 * dA + m2]
+                if at is not None:
+                    key = at + r * dA
+                    acc[key] = acc.get(key, 0) + c1 * c2
+        for key, x in acc.items():
+            if x := x % p:
+                j, at = divmod(key, block)
+                if j == c:
+                    raise InvariantError(f"monomial {A.basis[at % dA]} of the lifted square lies outside the "
+                                         "relation ideal")
+                chi[j][g][at] = x
+    return chi
 
 
 class EisenbudOperatorSet:
     """Chain operators chi_j: F_n -> F_{n-2} for one module's resolution.
 
-    chi_images(j, n) is the matrix over A at source degree n
-    (2 <= n <= max_degree), kept as its generator images; the chain identity
-    d o chi = chi o d is checked exactly, and the induced actions on
-    Ext^*(M, k) commute (also checked).
+    chi_images(j, n) is the matrix over A at source degree n (2 <= n <=
+    max_degree), kept as sparse columns, one dict {r dim A + m: residue} per
+    generator of F_n, as a resolution keeps d_n; the chain identity d o chi =
+    chi o d is checked exactly, and the induced actions on Ext^*(M, k) commute
+    (also checked).
     """
 
     def __init__(self, ci: MonomialCI, module: Module, max_degree: int):
@@ -156,20 +170,20 @@ class EisenbudOperatorSet:
         self.module = module
         self.max_degree = max_degree
         self.resolution = resolve(module, max_degree)
-        self._chi: Dict[int, List[Mat]] = {}  # n: the generator images of chi_1..chi_c
+        self._chi: Dict[int, List[List[dict]]] = {}  # n: the sparse columns of chi_1..chi_c
         self._build()
 
     def _build(self):
         res = self.resolution
         for n in range(2, self.max_degree + 1):
-            self._chi[n] = _chi_images(self.ci, res.diff_coefficients(n - 1), res.diff_coefficients(n))
+            self._chi[n] = _chi_images(self.ci, res.diff_lifts(n - 1), res.diff_lifts(n), res.free(n - 2).rank)
         # chain identity: d_{n-2} chi(n) = chi(n-1) d_n; both sides are
         # A-linear, so they agree when they agree on the generators of F_n
         for j in range(1, self.ci.codim + 1):
             for n in range(3, self.max_degree + 1):
                 F = res.free(n - 3)
-                lhs = compose_on_generators(F, res.diff_images(n - 2), self._chi[n][j - 1])
-                rhs = compose_on_generators(F, self._chi[n - 1][j - 1], res.diff_images(n))
+                lhs = compose_sparse(F, res.diff_lifts(n - 2), self._chi[n][j - 1])
+                rhs = compose_sparse(F, self._chi[n - 1][j - 1], res.diff_lifts(n))
                 check(lhs == rhs, f"chain identity fails for operator {j} at degree {n}")
         # induced actions on Ext^*(M, k) must commute pairwise
         for j in range(1, self.ci.codim + 1):
@@ -179,22 +193,27 @@ class EisenbudOperatorSet:
                     rhs = self.ext_action(j, n + 2) @ self.ext_action(l, n)
                     check(lhs == rhs, f"Ext actions of operators {j} and {l} do not commute")
 
-    def chi_images(self, j: int, n: int) -> Mat:
+    def chi_images(self, j: int, n: int) -> List[dict]:
         """The j-th operator (j is 1-based) F_n -> F_{n-2} over A: its
-        generator images, dim F_{n-2} x rank F_n."""
+        sparse columns, one dict {r dim A + m: residue} per generator of
+        F_n, the kept list itself."""
         self._check(j, n)
         return self._chi[n][j - 1]
 
     def chi_realized(self, j: int, n: int) -> Mat:
         """Field matrix F_n -> F_{n-2} of the j-th operator (j is 1-based):
-        the A-linear extension of its generator images."""
-        images = self.chi_images(j, n)  # checks j and n before F_{n-2} is read
-        return extend_linearly(self.resolution.free(n - 2), images)
+        the A-linear extension of its columns, written dense."""
+        columns = self.chi_images(j, n)  # checks j and n before F_{n-2} is read
+        F = self.resolution.free(n - 2)
+        return extend_linearly(F, Mat._trusted(F.field, _dense(columns, F.dim).T))
 
     def ext_action(self, j: int, n: int) -> Mat:
         """Induced map Ext^n(M, k) -> Ext^{n+2}(M, k), j 1-based: the
-        transposed constant coefficients of chi_j, its generator rows."""
-        return Mat._trusted(self.ci.field, coefficient_view(self.chi_images(j, n + 2), self.ci.algebra)[0].T)
+        transposed constant coefficients of chi_j: each column's terms at the
+        generator columns of F_n, the keys r dim A."""
+        dA, columns = self.ci.algebra.dim, self.chi_images(j, n + 2)
+        constants = [{key // dA: c for key, c in col.items() if not key % dA} for col in columns]
+        return Mat._trusted(self.ci.field, _dense(constants, self.resolution.betti(n)))
 
     def _check(self, j: int, n: int):
         if not 1 <= j <= self.ci.codim:
@@ -210,11 +229,12 @@ def eisenbud_operators(ci: MonomialCI, module: Module, max_degree: int) -> Eisen
 
 def chi_self_extension(ops: EisenbudOperatorSet, j: int) -> ExtElement:
     """The class of the j-th operator (1-based) in Ext^2(M, M): compose it
-    with F_0 -> M on the generators of F_2."""
-    res = ops.resolution
+    with F_0 -> M on the generators of F_2, one sparse composite, whose
+    columns, one block of M-coordinates per generator, are its vector."""
+    res, M = ops.resolution, ops.module
     res.extend(3)
-    phi = compose_on_generators(ops.module, res.diff_images(0), ops.chi_images(j, 2))
-    return ExtElement(res, ops.module, 2, _vectors_of(phi, 1)[0], -ops.ci.exponents[j - 1])
+    phi = compose_sparse(M, res.diff_lifts(0), ops.chi_images(j, 2))
+    return ExtElement(res, M, 2, _dense(phi, M.dim).reshape(-1), -ops.ci.exponents[j - 1])
 
 
 def cut_by_chi(ops: EisenbudOperatorSet, j: int) -> PushoutExtension:

@@ -32,22 +32,19 @@ Sparse rows, dicts {coordinate: residue}, have the same product:
 `multiples_of_rows` is `multiples` on rows, plain loops over the same
 by-source form of the actions, so its work follows the nonzero entries:
 A's structure table on a free module, read off its stacked actions on any
-other module.  `action_rows` reads the same form.
+other module, once for a module that keeps them.  `action_rows` reads the
+same form.
 
-A matrix over A, a map F' -> F of free modules, has one form: its
-generator images, the dim F x rank F' matrix whose column g is the image of
-generator g, entry (r, g) in the rows of block r.  It is held dense, as a
-Mat, or sparse, as its columns, one dict {row: residue} per generator, the
-form a resolution keeps its differentials in; `extend_linearly` realizes
-the first and `multiples_of_rows` the second.  Its dense layout has one
-reading and one writing, both here: `coefficient_view` reads its
-coefficient array C[m, r, g] off it, without a copy, and `images_of`, the
-inverse, writes it from such an array; `entry_images` writes it from
-entries given as algebra elements through `images_of`.
-`compose_on_generators` composes a map into any module with it, and
-`action_rows` writes its action on N, block (r, g) entry (r, g) acting on
-N or, for Hom(-, N), block (g, r), as sparse rows straight from its sparse
-columns, with no dense array on the way.
+A matrix over A, a map F' -> F of free modules, has one form, the one a
+resolution keeps its differentials in and the Eisenbud operators theirs:
+its generator images as sparse columns, one dict {r dim A + m: c} per
+generator g, c x^m a term of entry (r, g); `multiples_of_rows` realizes
+it.  `entry_images` writes the same layout dense, dim F x rank F', from
+entries given as algebra elements, for `extend_linearly`.  `compose_sparse`
+composes a map into any module given by sparse columns with it, and
+`compose_on_generators` a dense one, or k side by side, writing it dense
+within the call; `action_rows` writes its action on N, block (r, g) entry
+(r, g) acting on N or, for Hom(-, N), block (g, r), as sparse rows.
 """
 from __future__ import annotations
 
@@ -61,7 +58,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InvariantError, check
-from .exactla import Field, Mat, _complement, _matmul_mod, rref
+from .exactla import Field, Mat, _complement, _dense, _matmul_mod, rref
 from .gralg import Algebra, AlgebraElement
 
 __all__ = [
@@ -69,10 +66,9 @@ __all__ = [
     "FreeModule",
     "free_module",
     "extend_linearly",
-    "coefficient_view",
-    "images_of",
     "entry_images",
     "compose_on_generators",
+    "compose_sparse",
     "action_rows",
     "column_degrees",
     "coker_presentation",
@@ -100,10 +96,13 @@ class Module:
         # _stacked), the variables' from the start; None for a module that
         # keeps no actions (a free module, a direct sum)
         self._stacks: Optional[Dict[str, np.ndarray]] = None
+        # the by-source table of each monomial list asked for (_by_source),
+        # read off the stacks once and kept beside them; None with them
+        self._sources: Optional[Dict[str, _Sources]] = None
         if actions is not None:
             stack = np.array([X.a for X in actions], dtype=np.int64).reshape(len(actions), self.dim, self.dim)
             stack.setflags(write=False)
-            self._stacks = {"variables": stack}
+            self._stacks, self._sources = {"variables": stack}, {}
 
     @property
     def actions(self) -> Tuple[Mat, ...]:
@@ -342,8 +341,8 @@ def _grouped(period: int, keys: np.ndarray, w: np.ndarray) -> _Sources:
     order: flat indices (j period + a) period + b and residues w, w on
     output a of x^e_j times source b."""
     # output (j, a) as j period + a; two entries of one output are side by
-    # side.  A module's stack is read on each call, mostly a few dozen
-    # entries, so the flag is found on lists: no small-array numpy calls
+    # side.  A stack is read once per module (a direct sum's per call), mostly
+    # a few dozen entries, so the flag is found on lists: no small-array calls
     out, ws = (keys // period).tolist(), w.tolist()
     lone = ws.count(1) == len(ws) and all(map(operator.ne, out, islice(out, 1, None)))
     entries: List[List[Tuple[int, int, int]]] = [[] for _ in range(period)]
@@ -354,12 +353,17 @@ def _grouped(period: int, keys: np.ndarray, w: np.ndarray) -> _Sources:
 
 def _by_source(m: Module, which: str) -> _Sources:
     """The _Sources of the monomial list `which` on m: A's structure table
-    on every block of a free module, the stacked actions of any other."""
+    on every block of a free module, the stacked actions of any other, read
+    once and kept beside them; a direct sum keeps neither, and reads its
+    table on each call."""
     if isinstance(m, FreeModule):
         return _structure_terms(m.algebra, which)
-    S = m._stacked(which)
-    keys = np.flatnonzero(S)
-    return _grouped(m.dim, keys, S.reshape(-1)[keys])
+    kept = {} if m._sources is None else m._sources
+    if which not in kept:
+        S = m._stacked(which)
+        keys = np.flatnonzero(S)
+        kept[which] = _grouped(m.dim, keys, S.reshape(-1)[keys])
+    return kept[which]
 
 
 def multiples_of_rows(m: Module, rows: Sequence[dict], which: str) -> List[dict]:
@@ -397,60 +401,57 @@ def extend_linearly(target: Module, gen_images: Mat) -> Mat:
     return target.multiples(gen_images, "basis")
 
 
-def coefficient_view(d: Mat, algebra: Algebra) -> np.ndarray:
-    """The coefficient array of a matrix over A given by its generator
-    images d, a (rows * dim A) x cols matrix whose column g holds entry
-    (r, g) in the rows of block r: C[m, r, g] is the coefficient of basis
-    monomial m in entry (r, g).  A view of d, no copy; C[0] holds the
-    constant coefficients, the generator rows of d."""
-    dA = algebra.dim
-    if d.rows % dA:
-        raise InputError(f"{d.rows} rows are not generator images over an algebra of dimension {dA}")
-    return d.a.reshape(d.rows // dA, dA, d.cols).transpose(1, 0, 2)
-
-
-def images_of(coeffs: np.ndarray, field: Field) -> Mat:
-    """The generator images of a matrix over A given by its coefficient
-    array, the inverse of coefficient_view: coeffs[m, r, g], an int64
-    residue mod p, is the coefficient of basis monomial m in entry (r, g)."""
-    dA, rows, cols = coeffs.shape
-    return Mat._trusted(field, coeffs.transpose(1, 0, 2).reshape(rows * dA, cols))
-
-
 def entry_images(algebra: Algebra, entries: Sequence[Sequence[AlgebraElement]], rows: int, cols: int) -> Mat:
     """The generator images of a rows x cols matrix over A given entry by
     entry: column j holds entries[i][j] in the rows of block i."""
     if any(a.algebra is not algebra for row in entries for a in row):
         raise InputError("entry over a different algebra")
     vecs = np.array([[a.vec for a in row] for row in entries], dtype=np.int64)
-    return images_of(vecs.reshape(rows, cols, algebra.dim).transpose(2, 0, 1), algebra.field)
+    return Mat._trusted(algebra.field, vecs.reshape(rows, cols, algebra.dim).transpose(0, 2, 1)
+                        .reshape(rows * algebra.dim, cols))
 
 
-def compose_on_generators(target: Module, images: Mat, d: Mat) -> Mat:
+def compose_on_generators(target: Module, images: Mat, d: Sequence[dict], rows: int) -> Mat:
     """Generator images of phi o d, where phi: F -> target is the A-linear
-    map sending generator r of F to column r of images, and d: F' -> F is a
-    matrix over A given by its generator images, dim F x rank F': phi
-    realized by extend_linearly, times d.
+    map sending generator r of F, of rank rows, to column r of images, and
+    d: F' -> F is a matrix over A given by its sparse columns: phi realized
+    by extend_linearly, times d written dense within the call.
 
-    images may hold k maps side by side: a width of k * rank F columns, for
-    any k >= 1, is read as k maps, map j in columns j * rank F ..
-    (j + 1) * rank F - 1, and block j of the result, its columns
-    j * rank F' .., is then phi_j o d, byte for byte the result for map j
-    alone; a width that is not a multiple of rank F raises InputError.  Column
-    (j, r, m) of the realization is x^m times generator r of map j, so each
-    row of it holds the k maps' blocks one after the other: read as k rows
-    (a reshape, no copy), it is multiplied by d in one product, whose rows,
-    read back, are the k results side by side.
+    images may hold k maps side by side, map j in columns j * rows ..
+    (j + 1) * rows - 1 (a width that is not a multiple of rows raises
+    InputError); block j of the result, its columns j * rank F' .., is
+    then phi_j o d, byte for byte the result for map j alone.  Column (j,
+    r, m) of the realization is x^m times generator r of map j, so each of
+    its rows, read as k rows (a reshape, no copy), holds the k maps'
+    blocks: one product by d gives the k results side by side.
     """
     dA, n = target.algebra.dim, target.dim
-    rows = d.rows // dA
     k = images.cols // rows if rows else 1
-    if d.rows != rows * dA or images.rows != n or images.cols != k * rows:
+    if images.rows != n or images.cols != k * rows:
         raise InputError(f"generator images of shape {images.shape} do not compose with "
-                         f"{d.shape} over A into dimension {n}")
-    realized = extend_linearly(target, images).a.reshape(n * k, d.rows)
-    out = _matmul_mod(realized, d.a, target.field.p)
-    return Mat._trusted(target.field, out.reshape(n, k * d.cols))
+                         f"{len(d)} columns over rank {rows} into dimension {n}")
+    realized = extend_linearly(target, images).a.reshape(n * k, rows * dA)
+    out = _matmul_mod(realized, _dense(d, rows * dA).T, target.field.p)
+    return Mat._trusted(target.field, out.reshape(n, k * len(d)))
+
+
+def _combination(columns: Sequence[dict], u: dict) -> dict:
+    """The sum of c columns[key] over the terms key: c of u, exact ints."""
+    acc: dict = {}
+    for key, c in u.items():
+        for r, w in columns[key].items():
+            acc[r] = acc.get(r, 0) + c * w
+    return acc
+
+
+def compose_sparse(target: Module, phi: Sequence[dict], d: Sequence[dict]) -> List[dict]:
+    """phi o d on generators, phi: F -> target and d: F' -> F both given by
+    sparse columns: phi[r], a dict on target, is the image of generator r.
+    Column g, a dict of nonzero residues, is the sum of c x^m phi[r] over
+    the terms c x^m of entry (r, g) of d, phi realized once by
+    multiples_of_rows and each sum reduced mod p once, at its end."""
+    realized, p = multiples_of_rows(target, phi, "basis"), target.field.p
+    return [{r: y for r, x in _combination(realized, u).items() if (y := x % p)} for u in d]
 
 
 def action_rows(n: Module, columns: Sequence[dict], rows: int, hom: bool = False) -> List[dict]:
@@ -529,8 +530,8 @@ def direct_sum(m: Module, n: Module) -> Module:
 def shift(m: Module, s: int) -> Module:
     """Relabel every degree by +s; nothing else changes.  A free module
     stays free and a direct sum is the sum of its summands' shifts; any
-    other module shares the stacked actions m keeps, also those built
-    later."""
+    other module shares the stacked actions m keeps and their by-source
+    tables, also those built later."""
     if isinstance(m, FreeModule):
         return FreeModule(m.algebra, [g + s for g in m.gen_degrees])
     if isinstance(m, _DirectSum):
@@ -538,7 +539,7 @@ def shift(m: Module, s: int) -> Module:
     # inherited: the actions are the same verified matrices
     out = Module(m.algebra, [d + s for d in m.degrees], None, provenance=m.provenance or "shift",
                  _skip_verify=True)
-    out._stacks = m._stacks
+    out._stacks, out._sources = m._stacks, m._sources
     return out
 
 

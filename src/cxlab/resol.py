@@ -27,16 +27,16 @@ kept.  A step builds no dense array.
 
 A resolution keeps each d_i as its matrix over A, the images of the
 generators of F_i, in the form its step built them: the lifts, one sparse
-column, a dict {row: residue}, per generator.  The dense generator images
-(diff_images) and the realized d_i (one extend_linearly of them) are
-written within each call that reads them, and not kept.  It keeps a span's
-rows only until the step that covers them has run, and their pivot
-columns for good, and the last step's realized columns until the
-next step has checked d o d = 0 against them.  Chain lifts solve d_i X = B
-through a factorization (Q, E) of Z_i made once, on the first lift through
-d_i; each solve realizes d_i to check its solution and drops it.
-Syzygy modules are built only when asked for.
-A resolution is cached on its module and extended incrementally;
+column, a dict {row: residue}, per generator, the one form in which the
+library reads a differential (diff_lifts).  The realized d_i is written
+within each call that reads it (diff_realized, one extend_linearly of the
+lifts written dense), and not kept.  It keeps a span's rows only until the
+step that covers them has run, and their pivot columns for good, and the
+last step's realized columns until the next step has checked d o d = 0
+against them.  Chain lifts solve d_i X = B through a factorization (Q, E)
+of Z_i made once, on the first lift through d_i; each solve realizes d_i to
+check its solution and drops it.  Syzygy modules are built only when asked
+for.  A resolution is cached on its module and extended incrementally;
 previously computed steps never change.
 """
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .gralg import Algebra, AlgebraElement
 from .gmod import (
     FreeModule,
     Module,
-    coefficient_view,
+    _combination,
     column_degrees,
     entry_images,
     extend_linearly,
@@ -87,21 +87,19 @@ class MinimalFreeResolution:
     """... -> F_2 -> F_1 -> F_0 -> M -> 0, minimal, computed step by step.
 
     Step i maps F_i onto an echelon span: ker d_{i-1} in F_{i-1}, or the
-    identity rows of M for i = 0.  What a step keeps of d_i is its matrix
-    over A, the images of the generators of F_i, as the lifts the step
-    built: one dict {row: residue} per generator, which diff_lifts hands
-    out as they are (the Ext and Tor tables read them so).  diff_images
-    writes them as the dense dim F_{i-1} x rank F_i array (dim M x rank F_0
-    for the augmentation d_0) on each call; diff_coefficients is its
-    coefficient view (gmod.coefficient_view), and diff_realized realizes
-    it; none of them is kept.  solve keeps only the factorization (Q, E)
-    of Z_i, the rows of d_i at the span's pivot columns.  The span's rows,
-    sparse, are kept until step i has covered them, their pivot columns
-    for good; syzygy_module re-derives a covered span by one _sparse_kernel
-    of Z_{i-1}, rebuilt from the lifts of d_{i-1}, and the reduced echelon
-    form of a row space is unique, so the span is the one the step
-    covered.  The syzygy module a span stands for is built, verified and
-    cached on the first request.
+    identity rows of M for i = 0.  What a step keeps of d_i is its matrix over
+    A, the images of the generators of F_i, as the lifts the step built: one
+    dict {row: residue} per generator, which diff_lifts hands out as they are,
+    to every reader.  diff_realized writes them dense, dim F_{i-1} x rank F_i
+    (dim M x rank F_0 for the augmentation d_0), and realizes them on each
+    call, and keeps neither.  solve keeps only the factorization (Q, E) of Z_i,
+    the rows of d_i at the span's pivot columns.  The span's rows, sparse, are
+    kept until step i has covered them, their pivot columns for good;
+    syzygy_module re-derives a covered span by one _sparse_kernel of Z_{i-1},
+    rebuilt from the lifts of d_{i-1}, and the reduced echelon form of a row
+    space is unique, so the span is the one the step covered.  The syzygy
+    module a span stands for is built, verified and cached on the first
+    request.
 
     Completed prefixes are immutable; extending the resolution only appends.
     Concurrent extension of the same resolution needs external locking.
@@ -158,7 +156,8 @@ class MinimalFreeResolution:
                 # both maps are A-linear, so d_{i-1} o d_i vanishes when it
                 # vanishes on the generators of F_i: d_{i-1} of each lift,
                 # read off the realized columns of d_{i-1}
-                check(all(_vanishes(self._columns, u, p) for u in lifts), f"d_{i-1} o d_{i} != 0")
+                check(not any(x % p for u in lifts for x in _combination(self._columns, u).values()),
+                      f"d_{i-1} o d_{i} != 0")
             # Exactness, as in verify_complex: Z_i, the rows of d_i at the
             # span's pivot columns, is made of rows of d_i and Z_{i-1} of rows
             # of d_{i-1}, so
@@ -200,9 +199,11 @@ class MinimalFreeResolution:
         return self.frees[n]
 
     def diff_realized(self, n: int) -> Mat:
-        """d_n realized, the augmentation F_0 -> M at n = 0: one
-        extend_linearly of its generator images, not kept."""
-        return extend_linearly(self._target(n), self.diff_images(n))
+        """d_n realized, the augmentation F_0 -> M at n = 0: its kept lifts
+        written dense, the generator images, and one extend_linearly of
+        them, not kept."""
+        lifts, target = self.diff_lifts(n), self._target(n)  # diff_lifts checks n and extends
+        return extend_linearly(target, Mat._trusted(target.field, _dense(lifts, target.dim).T))
 
     def solve(self, i: int, B: Mat) -> Mat:
         """X with d_i X = B, d_0 being the augmentation F_0 -> M: the
@@ -240,19 +241,6 @@ class MinimalFreeResolution:
         self.extend(n)
         return self._lifts[n]
 
-    def diff_images(self, n: int) -> Mat:
-        """d_n over A, its generator images written dense from the kept
-        lifts, not kept: dim F_{n-1} x rank F_n, the augmentation F_0 -> M
-        (dim M x rank F_0) at n = 0."""
-        return Mat._trusted(self.module.field, _dense(self.diff_lifts(n), self._target(n).dim).T)
-
-    def diff_coefficients(self, n: int) -> np.ndarray:
-        """d_n over A as a coefficient array: gmod.coefficient_view of its
-        generator images."""
-        if n < 1:
-            raise InputError("differentials are indexed from 1")
-        return coefficient_view(self.diff_images(n), self.module.algebra)
-
     def syzygy_module(self, i: int) -> Module:
         if i < 0:
             raise InputError("syzygy index must be nonnegative")
@@ -279,16 +267,6 @@ class MinimalFreeResolution:
 
     def __repr__(self):
         return f"MinimalFreeResolution(to {self.computed_to}, betti {[f.rank for f in self.frees]})"
-
-
-def _vanishes(columns: List[dict], u: dict, p: int) -> bool:
-    """Whether the map with the given realized columns, dicts {row:
-    residue}, sends the vector u, a dict {column: residue}, to 0."""
-    acc: dict = {}
-    for c, v in u.items():
-        for r, w in columns[c].items():
-            acc[r] = acc.get(r, 0) + v * w
-    return not any(x % p for x in acc.values())
 
 
 def _reversed_pivot_rows(columns: List[dict], pivots: List[int]) -> List[dict]:
@@ -537,7 +515,7 @@ def verify_complex(algebra: Algebra, matrices: Sequence[Sequence[Sequence[Algebr
 
     # both maps are A-linear, so d_n o d_{n+1} vanishes when it vanishes on
     # the generators of F_{n+2}: d_n times the generator images of d_{n+1};
-    # the units of d_n are its constant coefficients
+    # the units of d_n are its images' entries at the generator columns of F_n
     d2_ok = True
     for n in range(len(matrices) - 1):
         if not (realized[n] @ images[n + 1]).is_zero():
@@ -545,7 +523,7 @@ def verify_complex(algebra: Algebra, matrices: Sequence[Sequence[Sequence[Algebr
             failures.append({"kind": "d2_nonzero", "at": start_index + n})
     minimal = True
     for idx in range(len(matrices)):
-        for i, j in zip(*np.nonzero(coefficient_view(images[idx], algebra)[0])):
+        for i, j in zip(*np.nonzero(images[idx].a[frees[idx].generator_columns()])):
             minimal = False
             failures.append({"kind": "unit_entry", "matrix": start_index + idx, "row": int(i), "col": int(j)})
     exact_at = []

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InputError, check
 from .exactla import Mat, _dense, _sparse_rref, kernel_rref, rref
-from .gmod import (Module, action_rows, coefficient_view, compose_on_generators, direct_sum,
-                   extend_linearly, quotient_by_span, shift)
+from .gmod import (Module, action_rows, compose_on_generators, direct_sum, extend_linearly, quotient_by_span,
+                   shift)
 from .gralg import is_gorenstein
 from .resol import ComplexityEstimate, MinimalFreeResolution, estimate_complexity, resolve
 
@@ -172,8 +172,9 @@ class ExtElement:
             raise InputError(f"cocycle vector of shape {self.rep.shape}, expected ({size},)")
         # the images are one sum over the monomials of d_{t+1}; its terms
         # need not vanish one by one
-        images = compose_on_generators(self.target, self.on_generators(),
-                                       self.resolution.diff_images(self.degree + 1))
+        res = self.resolution
+        images = compose_on_generators(self.target, self.on_generators(), res.diff_lifts(self.degree + 1),
+                                       res.free(self.degree).rank)
         check(images.is_zero(), "not a cocycle")
 
     @property
@@ -257,12 +258,6 @@ def _side_by_side(reps: np.ndarray, rank: int, n: Module) -> Mat:
     return Mat._trusted(n.field, reps.reshape(k, rank, n.dim).transpose(2, 0, 1).reshape(n.dim, k * rank))
 
 
-def _vectors_of(images: Mat, k: int) -> np.ndarray:
-    """The inverse of _side_by_side: k maps' coordinate vectors, as rows."""
-    n, rank = images.rows, images.cols // k
-    return images.a.reshape(n, k, rank).transpose(1, 2, 0).reshape(k, rank * n)
-
-
 def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> List[Mat]:
     """Lift k cocycles of Ext^t(M, M), their generator images side by side
     in images, to chain maps theta_i: F_{t+i} -> F_i, i = 0..upto, each
@@ -272,11 +267,11 @@ def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> L
     and the chain identity d_i theta_i = theta_{i-1} d_{t+i} (eps theta_0 =
     eta at i = 0) holds because both sides agree on generators: U_i solves
     d_i U_i = theta_{i-1} d_{t+i} on generators, which compose_on_generators
-    reads off U_{i-1} and d_{t+i} over A.  solve works column by column and
-    compose_on_generators composes each block on its own, so block j of
-    every U_i is byte for byte the lift of class j alone: one solve per
-    step lifts the whole stack, and each solve checks d_i U_i on every
-    column.
+    reads off U_{i-1} and the kept lifts of d_{t+i}.  solve works column by
+    column and compose_on_generators composes each block on its own, so
+    block j of every U_i is byte for byte the lift of class j alone: one
+    solve per step lifts the whole stack, and each solve checks d_i U_i on
+    every column.
 
     The stack is the cocycle proof of its classes (upto >= 1): eps theta_0 =
     eta, so theta_0 d_{t+1} lies in im d_1 = ker eps exactly when eta d_{t+1}
@@ -285,7 +280,8 @@ def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> L
     res.extend(t + upto)
     images = [res.solve(0, images)]
     for i in range(1, upto + 1):
-        rhs = compose_on_generators(res.free(i - 1), images[i - 1], res.diff_images(t + i))
+        rank = res.free(t + i - 1).rank
+        rhs = compose_on_generators(res.free(i - 1), images[i - 1], res.diff_lifts(t + i), rank)
         images.append(res.solve(i, rhs))
     return images
 
@@ -295,11 +291,11 @@ def pushout(eta: ExtElement) -> "PushoutExtension":
 
     K is the quotient of N (+) F_{t-1} by the graph of (phi, -d_t) over F_t,
     phi the representing map: the image of the A-linear map F_t -> N (+)
-    F_{t-1} with those generator images, one extend_linearly into the sum,
-    as coker_presentation builds its span.  The copy of N is degree-shifted
-    so that the glued module is graded.  By construction K -> F_{t-1}/im d_t
-    is onto and kills N, and its kernel is the image of N, since (n, d_t x)
-    is (n + phi x, 0) modulo the graph.  So the sequence is exact exactly when
+    F_{t-1} with those generator images: phi extended linearly into N over
+    -d_t realized, as the direct sum multiplies.  The copy of N is
+    degree-shifted so that the glued module is graded.  By construction K ->
+    F_{t-1}/im d_t is onto and kills N, and its kernel is the image of N,
+    since (n, d_t x) is (n + phi x, 0) modulo the graph.  So the sequence is exact exactly when
     N embeds, i.e. when ker d_t lies in ker phi (the cocycle condition, as
     ker d_t = im d_{t+1}), and that holds exactly when the graph has
     dimension rank d_t: when dim K = dim N + dim F_{t-1} - rank d_t, the
@@ -308,9 +304,9 @@ def pushout(eta: ExtElement) -> "PushoutExtension":
     rank d_{i+1} = dim F_i - rank d_i.
     """
     res, t, N = eta.resolution, eta.degree, eta.target
-    F_prev = res.free(t - 1)
-    D = direct_sum(shift(N, -eta.shift), F_prev)
-    graph = extend_linearly(D, eta.on_generators().vstack(-res.diff_images(t)))
+    F_prev, N_shifted = res.free(t - 1), shift(N, -eta.shift)
+    D = direct_sum(N_shifted, F_prev)
+    graph = extend_linearly(N_shifted, eta.on_generators()).vstack(-res.diff_realized(t))
     K = quotient_by_span(D, graph.transpose(), provenance="pushout").module
     rank_d = res.module.dim
     for i in range(t):
@@ -337,11 +333,12 @@ def _estimate(module: Module, window: int) -> ComplexityEstimate:
 
 def _constant_stacks(res: MinimalFreeResolution, t: int, lifts: List[Mat]) -> List[np.ndarray]:
     """theta_n (x) k for each of the k classes of a stacked lift (_lift_stack),
-    n = 0..len(lifts) - 1: the constant coefficients of theta_n over A
-    (gmod.coefficient_view), as a (k, r_n, r_{t+n}) stack."""
+    n = 0..len(lifts) - 1: the constant coefficients of theta_n over A, the
+    rows of U_n at the generator columns of F_n, as a (k, r_n, r_{t+n})
+    stack."""
     out = []
     for n, U in enumerate(lifts):
-        G = coefficient_view(U, res.module.algebra)[0]
+        G = U.a[res.free(n).generator_columns()]
         out.append(G.reshape(G.shape[0], -1, res.free(t + n).rank).transpose(1, 0, 2))
     return out
 

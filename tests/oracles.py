@@ -29,8 +29,11 @@ library computes Ext without either.  kernel_basis reads a null space off
 the engine's rref, ext_from_realized reads an Ext class off a realized
 cocycle, the inverse of realized, and is_zero_class tests its
 class_residual.
-diff_algebra reads a differential of an engine resolution as a matrix of
-algebra elements.  monomial_action multiplies a module's variable actions
+diff_algebra reads a differential of an engine resolution, its kept lifts,
+as a matrix of algebra elements, and diff_images writes those lifts as
+dense generator images; columns_of writes a coefficient array as such
+lifts, and vectors_of reads k maps' coordinate vectors back off their
+generator images side by side.  monomial_action multiplies a module's variable actions
 with the engine's product, and held_arrays lists the arrays an object
 keeps.
 """
@@ -260,12 +263,43 @@ def solve_matrix(m, B):
 
 
 def diff_algebra(res, n):
-    """d_n of the resolution res as a matrix of algebra elements."""
+    """d_n of the resolution res, n >= 1, as a matrix of algebra elements,
+    read off its kept lifts: term r dim A + m: c of lift g is c x^m in
+    entry (r, g)."""
     from cxlab.gralg import AlgebraElement
 
-    C = res.diff_coefficients(n)
-    A = res.module.algebra
-    return [[AlgebraElement(A, C[:, r, g]) for g in range(C.shape[2])] for r in range(C.shape[1])]
+    A, lifts, rows = res.module.algebra, res.diff_lifts(n), res.free(n - 1).rank
+    vecs = [[np.zeros(A.dim, dtype=np.int64) for _ in lifts] for _ in range(rows)]
+    for g, u in enumerate(lifts):
+        for key, c in u.items():
+            r, m = divmod(key, A.dim)
+            vecs[r][g][m] = c
+    return [[AlgebraElement(A, v) for v in row] for row in vecs]
+
+
+def diff_images(res, n):
+    """The generator images of d_n of the resolution res, its kept lifts
+    written dense: dim F_{n-1} x rank F_n, dim M x rank F_0 at n = 0."""
+    from cxlab.exactla import Mat, _dense
+
+    lifts = res.diff_lifts(n)
+    return Mat(res.module.field, _dense(lifts, res.free(n - 1).dim if n else res.module.dim).T)
+
+
+def columns_of(coeffs):
+    """The matrix over A with coefficient array coeffs[m, r, g] (the
+    coefficient of basis monomial m in entry (r, g)) as a resolution keeps
+    one: a dict {r dim A + m: residue} of its nonzero terms per column g."""
+    dA, rows, cols = coeffs.shape
+    return [{r * dA + m: int(coeffs[m, r, g]) for r in range(rows) for m in range(dA) if coeffs[m, r, g]}
+            for g in range(cols)]
+
+
+def vectors_of(images, k):
+    """The coordinate vectors, as rows, of k maps F -> N whose generator
+    images sit side by side in images: the inverse of yoneda._side_by_side."""
+    n, rank = images.rows, images.cols // k
+    return images.a.reshape(n, k, rank).transpose(1, 2, 0).reshape(k, rank * n)
 
 
 def poly_mul(a, b, p):
@@ -720,7 +754,7 @@ def is_isomorphic(m, n, seed=0, attempts=64):
 def eisenbud_chi(ci, res, max_degree):
     """The degree-two chain operators over the monomial complete intersection
     ci, computed entry by entry from polynomials: the reference for
-    cioper._chi_images, which works on coefficient slices.
+    cioper._chi_images, which works on the terms of the kept lifts.
 
     Each d_i lifts to {exponent: coefficient} dicts over the standard
     monomials; each entry of the product of the lifts of d_{n-1} and d_n is

@@ -30,6 +30,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from cxlab.cxcli import RunOptions, _Workspace, parse_scenario, run  # noqa: E402
 from cxlab.resol import resolve  # noqa: E402
+from oracles import diff_images  # noqa: E402
 from scengen import WINDOW, generate  # noqa: E402
 
 PINNED = {
@@ -94,7 +95,7 @@ def resolutions_digest() -> str:
     for p, body, name, n in runs:
         res = resolve(_Workspace(parse_scenario(f"field p = {p}\n{body}"), RunOptions()).mods[name], n)
         for i in range(n + 1):
-            d = res.diff_images(i)
+            d = diff_images(res, i)
             digest.update(f"{d.shape}".encode())
             digest.update(d.a.tobytes())
     return digest.hexdigest()

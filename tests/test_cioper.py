@@ -9,7 +9,7 @@ from cxlab.exactla import Field, Mat
 from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
 from cxlab.gmod import coker_presentation, free_module, residue_field
 from cxlab.resol import estimate_complexity, resolve
-from cxlab.yoneda import _side_by_side, _vectors_of, ext_table, pushout
+from cxlab.yoneda import _side_by_side, ext_table, pushout
 import oracles
 from oracles import is_isomorphic
 from conftest import gasharov_algebra, gasharov_presentation
@@ -101,7 +101,8 @@ def test_operators_match_polynomial_reference(p, exps):
 
 
 def test_operators_build_no_algebra_elements(quadric, monkeypatch):
-    # the operators are computed on coefficient arrays, never entry by entry
+    # the operators are computed on the terms of the kept lifts, never entry
+    # by entry
     built = []
     init = AlgebraElement.__init__
 
@@ -117,20 +118,18 @@ def test_operators_build_no_algebra_elements(quadric, monkeypatch):
 
 def test_operator_checks_raise(quadric, monkeypatch):
     A = quadric.algebra
-    x, y = (np.eye(A.dim, dtype=np.int64)[:, A.basis_index[e]].reshape(A.dim, 1, 1) for e in [(1, 0), (0, 1)])
+    x, y = ([{A.basis_index[e]: 1}] for e in [(1, 0), (0, 1)])
     # residue: the square x*y of these 1x1 "differentials" is outside (x^2, y^2)
     with pytest.raises(InvariantError, match="outside the relation ideal"):
-        cioper._chi_images(quadric, x, y)
+        cioper._chi_images(quadric, x, y, 1)
     # chain identity: a unit added to chi_1 at degree 3 breaks d o chi = chi o d
     build = cioper._chi_images
 
-    def broken(ci, c_prev, c_cur):
-        chi = build(ci, c_prev, c_cur)
-        if c_cur.shape[2] == 4:  # n = 3, where F_3 of k has rank 4
-            # the constant coefficient of entry (0, 0): row 0 of column 0
-            a = chi[0].a.copy()
-            a[0, 0] += 1
-            chi[0] = Mat(ci.field, a)
+    def broken(ci, prev, cur, rank):
+        chi = build(ci, prev, cur, rank)
+        if len(cur) == 4:  # n = 3, where F_3 of k has rank 4
+            # the constant coefficient of entry (0, 0): key 0 of column 0
+            chi[0][0][0] = (chi[0][0].get(0, 0) + 1) % ci.field.p
         return chi
 
     monkeypatch.setattr(cioper, "_chi_images", broken)
@@ -170,8 +169,8 @@ def test_chi_classes_independent(quadric, k):
     # ways: side by side and back again, one class or both
     reps = np.vstack([e1.rep, e2.rep])
     images = _side_by_side(reps, ops.resolution.free(2).rank, k)
-    assert np.array_equal(_vectors_of(images, 2), reps)
-    assert np.array_equal(_vectors_of(e1.on_generators(), 1), reps[:1])
+    assert np.array_equal(oracles.vectors_of(images, 2), reps)
+    assert np.array_equal(oracles.vectors_of(e1.on_generators(), 1), reps[:1])
 
 
 def test_chi_class_zero_iff_finite_pd(cubic):

@@ -21,12 +21,11 @@ from cxlab.gmod import (
     action_rows,
     coker_presentation,
     compose_on_generators,
+    compose_sparse,
     direct_sum,
     extend_linearly,
     free_module,
-    coefficient_view,
     entry_images,
-    images_of,
     multiples_of_rows,
     quotient_by_span,
     residue_field,
@@ -390,7 +389,7 @@ def _action_dense(n, coeffs, hom=False):
     """action_rows of the matrix over A with the coefficient array coeffs,
     handed its sparse columns as a resolution keeps them, written dense."""
     _, rows, cols = coeffs.shape
-    columns = _dict_rows(images_of(coeffs, n.field).a.T)
+    columns = oracles.columns_of(coeffs)
     return _dense(action_rows(n, columns, rows, hom), (rows if hom else cols) * n.dim)
 
 
@@ -479,9 +478,9 @@ def test_block_actions_exact_at_large_prime():
 
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
 def test_compose_on_generators_matches_realized_product(p):
-    # phi o d on generators, read off the generator images of phi and of d,
-    # is the realized product on the generator columns; with dense
-    # coefficients every basis monomial occurs in d
+    # phi o d on generators, read off the generator images of phi and the
+    # sparse columns of d, is the realized product on the generator columns;
+    # with dense coefficients every basis monomial occurs in d
     F = Field(p)
     A = MonomialCI.build(F, [2, 2, 2]).algebra
     rng = np.random.default_rng(p % 1000)
@@ -491,29 +490,58 @@ def test_compose_on_generators_matches_realized_product(p):
     gens = src.generator_columns()
     for coeffs in (rng.integers(0, p, (A.dim, mid.rank, src.rank)),
                    np.zeros((A.dim, mid.rank, src.rank), dtype=np.int64)):
-        d = extend_linearly(mid, images_of(coeffs, F))
-        d_images = Mat(F, d.a[:, gens])
-        assert np.array_equal(coefficient_view(d_images, A), coeffs)
-        assert images_of(coeffs, F) == d_images
         entries = [[A.element(coeffs[:, r, g]) for g in range(src.rank)] for r in range(mid.rank)]
+        d = extend_linearly(mid, entry_images(A, entries, mid.rank, src.rank))
+        d_images, columns = Mat(F, d.a[:, gens]), oracles.columns_of(coeffs)
         assert entry_images(A, entries, mid.rank, src.rank) == d_images
-        got = compose_on_generators(tgt, images, d_images)
+        assert np.array_equal(_dense(columns, mid.dim).T, d_images.a)
+        got = compose_on_generators(tgt, images, columns, mid.rank)
         assert got.a.tobytes() == (phi @ d).a[:, gens].tobytes()
         # k maps side by side: block j is the result for map j alone
         maps = [images] + [Mat(F, rng.integers(0, p, (tgt.dim, mid.rank))) for _ in range(2)]
-        stacked = compose_on_generators(tgt, Mat(F, np.hstack([m.a for m in maps])), d_images)
+        stacked = compose_on_generators(tgt, Mat(F, np.hstack([m.a for m in maps])), columns, mid.rank)
         assert stacked.shape == (tgt.dim, 3 * src.rank)
         for j, m in enumerate(maps):
             block = stacked.a[:, j * src.rank:(j + 1) * src.rank]
-            assert block.tobytes() == compose_on_generators(tgt, m, d_images).a.tobytes(), j
+            assert block.tobytes() == compose_on_generators(tgt, m, columns, mid.rank).a.tobytes(), j
     with pytest.raises(InputError, match="do not compose"):
-        compose_on_generators(src, images, d_images)
+        compose_on_generators(src, images, columns, mid.rank)
     with pytest.raises(InputError, match="do not compose"):  # not a multiple of rank F
-        compose_on_generators(tgt, Mat(F, rng.integers(0, p, (tgt.dim, 3))), d_images)
-    with pytest.raises(InputError, match="do not compose"):  # rows not whole blocks over A
-        compose_on_generators(tgt, images, Mat(F, d_images.a[1:]))
-    with pytest.raises(InputError, match="not generator images"):
-        coefficient_view(Mat(F, d_images.a[1:]), A)
+        compose_on_generators(tgt, Mat(F, rng.integers(0, p, (tgt.dim, 3))), columns, mid.rank)
+    with pytest.raises(InputError, match="do not compose"):  # a rank F the images do not have
+        compose_on_generators(tgt, images, columns, mid.rank + 1)
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+def test_compose_sparse_matches_realized_product(p):
+    # phi o d on generators, phi and d both given by sparse columns, is the
+    # realized product realized(phi) realized(d) at the generator columns,
+    # into a free target and into modules that keep their actions (at the
+    # large prime one with large entries, whose sums overflow int64); every
+    # residue kept is nonzero, and an empty d or phi gives empty composites
+    F = Field(p)
+    A = MonomialCI.build(F, [2, 2, 2]).algebra
+    x, y, z = (A.variable(v) for v in range(3))
+    rng = np.random.default_rng(p % 997)
+    src, mid = free_module(A, [0, 0, 0]), free_module(A, [0, 0])
+    gens = src.generator_columns()
+    targets = [free_module(A, [0, 1]), coker_presentation(A, [[x + y, y * z], [A.zero(), z]], [0, 1])]
+    if p > 5:
+        targets.append(_dense_free_module(A, rng))
+    for tgt in targets:
+        phi = rng.integers(0, p, (tgt.dim, mid.rank)) * (rng.random((tgt.dim, mid.rank)) < 0.6)
+        phi_columns = _dict_rows(phi.T)
+        realized_phi = extend_linearly(tgt, Mat(F, phi))
+        for coeffs in (rng.integers(0, p, (A.dim, mid.rank, src.rank)),
+                       rng.integers(0, p, (A.dim, mid.rank, src.rank)) * (rng.random((A.dim, mid.rank, src.rank)) < 0.2),
+                       np.zeros((A.dim, mid.rank, src.rank), dtype=np.int64)):
+            columns = oracles.columns_of(coeffs)
+            d = extend_linearly(mid, Mat(F, _dense(columns, mid.dim).T))
+            got = compose_sparse(tgt, phi_columns, columns)
+            assert len(got) == src.rank and all(all(col.values()) for col in got)
+            assert np.array_equal(_dense(got, tgt.dim).T, (realized_phi @ d).a[:, gens]), tgt
+        assert compose_sparse(tgt, phi_columns, []) == []
+        assert compose_sparse(tgt, [], [{}, {}]) == [{}, {}]
 
 
 def _unit_row(M, idx):
@@ -621,13 +649,16 @@ def test_algebra_keeps_no_dense_array():
 def test_direct_sum_multiplies_through_its_summands(ring, p):
     # a direct sum keeps its summands and no array, and multiplies as the
     # block-diagonal actions of the reference would, a free summand through
-    # A's regular representation; a shift shares its module's stacks
+    # A's regular representation; a shift shares its module's stacks and
+    # by-source tables, each built once, while a direct sum, which keeps no
+    # stacks, reads its table off its products on each call
     F = Field(p)
     names, relations, _ = _RINGS[ring]
     A = build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=list(names))
     N = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
     free = free_module(A, [0, 1])
     assert shift(N, -2)._stacked("basis") is N._stacked("basis")
+    assert gmod._by_source(shift(N, -2), "basis") is gmod._by_source(N, "basis")
     rng = np.random.default_rng(p % 1000)
     for pair in ((free, N), (N, free), (shift(N, -2), free_module(A, [1])), (residue_field(A), N)):
         D, R = direct_sum(*pair), oracles.direct_sum(*pair)
@@ -637,6 +668,8 @@ def test_direct_sum_multiplies_through_its_summands(ring, p):
             assert D.multiples(cols, which) == R.multiples(cols, which), which
             got, want = D._stacked(which), R._stacked(which)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        table = gmod._by_source(D, "basis")
+        assert table == gmod._by_source(D, "basis") and table is not gmod._by_source(D, "basis")
         assert oracles.held_arrays(D) == []
         S = shift(D, 3)
         assert S.degrees == tuple(d + 3 for d in R.degrees) and S.actions == R.actions

@@ -11,8 +11,8 @@ from cxlab.errors import InputError, InvariantError
 from cxlab.exactla import Field, Mat
 from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
 from cxlab import resol
-from cxlab.gmod import (FreeModule, Module, coker_presentation, direct_sum, free_module, multiples_of_rows,
-                        residue_field, shift)
+from cxlab.gmod import (FreeModule, Module, coker_presentation, direct_sum, extend_linearly, free_module,
+                        multiples_of_rows, residue_field, shift)
 from cxlab.resol import estimate_complexity, resolve, syzygy, verify_complex
 from conftest import GASHAROV_VARS, gasharov_algebra, gasharov_presentation
 import oracles
@@ -433,8 +433,8 @@ def test_resolution_keeps_maps_over_A(A, gasharov, name):
     # dict {row: residue} per generator, the lifts its step built; the span
     # no step has covered keeps its rows, and the last step its realized
     # columns, which the next step checks d o d = 0 against, both as sparse
-    # rows.  The dense generator images and a realized d_i are written on
-    # request and never kept, also not by a solve through d_i
+    # rows.  A realized d_i is written on request and never kept, also not
+    # by a solve through d_i
     M = {"k": lambda: residue_field(A), "Ax": lambda: coker_presentation(A, [[A.variable(0)]], [0]),
          "gasharov": lambda: gasharov_presentation(gasharov)}[name]()
     n = 6
@@ -450,10 +450,12 @@ def test_resolution_keeps_maps_over_A(A, gasharov, name):
     for i in range(n + 1):
         lifts = res._lifts[i]
         assert type(lifts) is list and len(lifts) == res.free(i).rank and all(type(u) is dict for u in lifts)
-        images = res.diff_images(i)
+        images = oracles.diff_images(res, i)
         assert images.shape == (dims[i], res.free(i).rank) and np.array_equal(_dense_rows(lifts, dims[i]).T, images.a)
-        # each call writes the images anew, equal, and keeps nothing
-        assert res.diff_images(i) == images and sorted(_held_arrays(res)) == sorted(pivots)
+        # each realization is written anew, equal, and nothing is kept
+        realized = res.diff_realized(i)
+        assert realized == extend_linearly(res.free(i - 1) if i else M, images)
+        assert res.diff_realized(i) == realized and sorted(_held_arrays(res)) == sorted(pivots)
     span = Mat(M.field, _dense_rows(res._span, dims[n + 1]))
     assert span.rows == dims[n + 1] - ranks[n] and span.transpose() == res.syzygy_inclusion(n + 1)
     assert np.array_equal(_dense_rows(res._columns, dims[n]).T, res.diff_realized(n).a)
@@ -751,7 +753,7 @@ def test_differentials_are_pinned_at_depth():
     prod = np.array([[A.basis_index.get(tuple(map(sum, zip(x, y))), -1) for y in A.basis] for x in A.basis])
     shas = []
     for i in range(1, 13):
-        images = res.diff_images(i).a
+        images = oracles.diff_images(res, i).a
         shape = (images.shape[0], images.shape[1] * dA)
         r, g = images.nonzero()
         h, b = np.divmod(r, dA)

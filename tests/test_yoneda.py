@@ -13,6 +13,7 @@ from cxlab.gmod import (
     Module,
     coker_presentation,
     direct_sum,
+    extend_linearly,
     free_module,
     residue_field,
     shift,
@@ -116,9 +117,10 @@ def test_ext_table_builds_each_hom_differential_once(monkeypatch, quadric, k):
 
 
 def test_tables_write_no_dense_differential(monkeypatch, quadric, A):
-    # a table reads the kept lifts: neither the dense generator images nor
-    # the coefficient array of any differential is written, also for a
-    # resolution that is already there and for a free target
+    # a table reads the kept lifts: no differential is realized or written
+    # dense, also for a resolution that is already there and for a free
+    # target
+    from cxlab import gmod
     from cxlab.cioper import build_kchi
     from cxlab.resol import MinimalFreeResolution
 
@@ -127,11 +129,12 @@ def test_tables_write_no_dense_differential(monkeypatch, quadric, A):
     N, F = build_kchi(quadric, 1), free_module(A, [0, 1])
     resolve(M, 3)
 
-    def dense(self, n):
+    def dense(*args):
         raise AssertionError("a table wrote a dense differential")
 
-    monkeypatch.setattr(MinimalFreeResolution, "diff_images", dense)
-    monkeypatch.setattr(MinimalFreeResolution, "diff_coefficients", dense)
+    monkeypatch.setattr(MinimalFreeResolution, "diff_realized", dense)
+    for module in (gmod, yoneda):
+        monkeypatch.setattr(module, "compose_on_generators", dense)
     tables = [f(M, n, 8) for f in (ext_table, tor_table) for n in (M, N, F)]
     monkeypatch.undo()
     assert tables == [_dense_table(f, M, n, 8) for f in ("Ext", "Tor") for n in (M, N, F)]
@@ -301,7 +304,6 @@ def test_pushout_refuses_a_non_cocycle(F5):
     import copy
 
     from cxlab.cioper import MonomialCI
-    from cxlab.gmod import compose_on_generators
     from cxlab.yoneda import _hom_shifts
 
     B = MonomialCI.build(F5, [2, 3], varnames=["x", "y"]).algebra
@@ -316,7 +318,7 @@ def test_pushout_refuses_a_non_cocycle(F5):
             eta.rep = np.zeros_like(valid.rep)
             eta.rep[i] = 1
             eta.shift = int(shifts[i])
-            images = compose_on_generators(N, eta.on_generators(), res.diff_images(t + 1))
+            images = extend_linearly(N, eta.on_generators()) @ oracles.diff_images(res, t + 1)
             if images.is_zero():
                 continue
             with pytest.raises(InvariantError, match="N does not embed"):
