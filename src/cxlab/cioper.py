@@ -18,6 +18,7 @@ extension of its columns.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -185,12 +186,13 @@ class EisenbudOperatorSet:
                 lhs = compose_sparse(F, res.diff_lifts(n - 2), self._chi[n][j - 1])
                 rhs = compose_sparse(F, self._chi[n - 1][j - 1], res.diff_lifts(n))
                 check(lhs == rhs, f"chain identity fails for operator {j} at degree {n}")
-        # induced actions on Ext^*(M, k) must commute pairwise
+        # induced actions on Ext^*(M, k) must commute pairwise (each built once)
+        act = functools.cache(self.ext_action)
         for j in range(1, self.ci.codim + 1):
             for l in range(j + 1, self.ci.codim + 1):
                 for n in range(0, self.max_degree - 3):
-                    lhs = self.ext_action(l, n + 2) @ self.ext_action(j, n)
-                    rhs = self.ext_action(j, n + 2) @ self.ext_action(l, n)
+                    lhs = act(l, n + 2) @ act(j, n)
+                    rhs = act(j, n + 2) @ act(l, n)
                     check(lhs == rhs, f"Ext actions of operators {j} and {l} do not commute")
 
     def chi_images(self, j: int, n: int) -> List[dict]:

@@ -20,13 +20,14 @@ Mat._trusted wraps an array that is reduced by construction (a product, an
 echelon form, a transpose, a stack or slice of reduced arrays) without a
 copy.
 
-One elimination, _sparse_rref, is behind rref, kernel_rref, pivot_inverse,
-pivot_columns and Mat.rank, whatever the density of the input, and behind
-_sparse_kernel, the kernel of a matrix given as sparse rows, which
-kernel_rref reads.  Its reduction loop, _reduce_in_order, is the only one:
-a resolution step runs it on its own rows, degree by degree and in order,
-and then _back_substitute and _kernel_rows, as _sparse_kernel does, and
-checks its exactness rank with an echelon pass of _sparse_rref.  The
+One elimination, _sparse_rref, is behind rref, kernel_rref, pivot_columns
+and Mat.rank, whatever the density of the input, and behind _sparse_kernel
+and _sparse_factor, the kernel and the solve factor of a matrix given as
+sparse rows; kernel_rref reads the first.  Its reduction loop,
+_reduce_in_order, is the only one: a resolution step runs it on its own
+rows, degree by degree and in order, and then _back_substitute and
+_kernel_rows, as _sparse_kernel does, and checks its exactness rank with
+an echelon pass of _sparse_rref.  The
 matrices the engine eliminates are nearly empty: on the benchmark's inputs
 they hold at most 1.1 times as many nonzeros as their longer side.  Each is
 eliminated on sparse rows, dicts {column: residue} of Python ints, which
@@ -50,9 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check
 
-__all__ = ["Field", "Mat", "rref", "kernel_rref", "pivot_inverse", "pivot_columns"]
+__all__ = ["Field", "Mat", "rref", "kernel_rref", "pivot_columns"]
 
 
 @functools.lru_cache
@@ -430,18 +431,22 @@ def kernel_rref(m: Mat):
     return rank, Mat._trusted(m.field, _dense(K, m.cols)), np.array(lead, dtype=np.intp)
 
 
-def pivot_inverse(m: Mat):
-    """Factor m, of full row rank r, for repeated solves of m x = b.
-
-    Returns (Q, E): the pivot columns Q of rref(m) and E = m[:, Q]^-1, from
-    one elimination of [m | I_r].  The row operations that bring m to
-    rref(m) = E m bring I_r to E, and rref(m) is the identity at Q.  For b
-    in the column space, x with x[Q] = E b and zeros elsewhere solves m x = b:
-    it is the solution whose free coordinates (those off Q) are zero.
-    """
-    r = m.rows
-    R, pivots = _rref_array(np.hstack([m.a, np.eye(r, dtype=np.int64)]), m.field.p)
+def _sparse_factor(rows, n: int, p: int):
+    """Factor a matrix m of n columns and full row rank r, given as its
+    rows, dicts {column: residue} (consumed), for repeated solves of m x =
+    b: one elimination of [m | I_r] brings I_r to E = m[:, Q]^-1, Q the
+    pivot columns of rref(m) = E m.  Returns (Q, E), E as its columns, E[q]
+    a dict {Q[k]: residue}: for b in the column space, x = sum_q b_q E[q]
+    solves m x = b, the solution whose coordinates off Q are zero."""
+    for q, row in enumerate(rows):
+        row[n + q] = 1
+    pivot = _sparse_rref(rows, p)
+    Q = sorted(pivot)
     # [m | I_r] has rank r; m has it too exactly when no pivot falls in I_r
-    if len(pivots) != r or (r and pivots[-1] >= m.cols):
-        raise InputError("pivot_inverse needs a matrix of full row rank")
-    return np.array(pivots, dtype=np.int64), Mat._trusted(m.field, R[:, m.cols :].copy())
+    check(len(Q) == len(rows) and all(c < n for c in Q), "the solve factor needs a matrix of full row rank")
+    E: list = [{} for _ in rows]
+    for c in Q:
+        for j, v in pivot[c].items():
+            if j >= n:
+                E[j - n][c] = v
+    return Q, E

@@ -32,19 +32,18 @@ Sparse rows, dicts {coordinate: residue}, have the same product:
 `multiples_of_rows` is `multiples` on rows, plain loops over the same
 by-source form of the actions, so its work follows the nonzero entries:
 A's structure table on a free module, read off its stacked actions on any
-other module, once for a module that keeps them.  `action_rows` reads the
-same form.
+other module, once for a module that keeps them.
 
-A matrix over A, a map F' -> F of free modules, has one form, the one a
-resolution keeps its differentials in and the Eisenbud operators theirs:
-its generator images as sparse columns, one dict {r dim A + m: c} per
-generator g, c x^m a term of entry (r, g); `multiples_of_rows` realizes
-it.  `entry_images` writes the same layout dense, dim F x rank F', from
-entries given as algebra elements, for `extend_linearly`.  `compose_sparse`
-composes a map into any module given by sparse columns with it, and
-`compose_on_generators` a dense one, or k side by side, writing it dense
-within the call; `action_rows` writes its action on N, block (r, g) entry
-(r, g) acting on N or, for Hom(-, N), block (g, r), as sparse rows.
+A matrix over A, a map F' -> F of free modules, has one form, that of a
+resolution's differentials, the Eisenbud operators and the chain lifts: its
+generator images as sparse columns, one dict {r dim A + m: c} per generator
+g, c x^m a term of entry (r, g); `multiples_of_rows` realizes it.
+`entry_images` writes the same layout dense from entries given as algebra
+elements.  `compose_sparse` composes a map into any module, given by sparse
+columns, with it, and `action_rows` writes its action on N (block (r, g)
+entry (r, g), or block (g, r) for Hom(-, N)) as sparse rows; both apply
+each term c x^m directly, through the actions grouped by monomial
+(_Sources.monomials) kept beside the by-source table, and realize no map.
 """
 from __future__ import annotations
 
@@ -58,7 +57,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, InvariantError, check
-from .exactla import Field, Mat, _complement, _dense, _matmul_mod, rref
+from .exactla import Field, Mat, _complement, _matmul_mod, rref
 from .gralg import Algebra, AlgebraElement
 
 __all__ = [
@@ -67,7 +66,6 @@ __all__ = [
     "free_module",
     "extend_linearly",
     "entry_images",
-    "compose_on_generators",
     "compose_sparse",
     "action_rows",
     "column_degrees",
@@ -275,10 +273,12 @@ class _Sources(NamedTuple):
     (j, a, w) by which x^e_j times basis vector b of a block has coefficient
     w on vector a of the same block.  lone: every output (j, a) of a block
     has one entry, w = 1 (every output over a monomial algebra), so a
-    product writes each output once and sums nothing."""
+    product writes each output once and sums nothing.  monomials[j][b]: the
+    pairs (a, w) of the same triples, by monomial, then by source."""
     period: int
     entries: List[List[Tuple[int, int, int]]]
     lone: bool
+    monomials: List[Dict[int, List[Tuple[int, int]]]]
 
 
 # A's structure tables, once per algebra (see _structure_terms): lists of
@@ -324,7 +324,7 @@ def _structure_terms(algebra: Algebra, which: str) -> _Sources:
             sums = np.add.reduceat(terms, alike) % p
             # keys stay sorted: the basis lists its monomials degree by degree
             keys, w = np.concatenate((keys, new[alike][sums != 0])), np.concatenate((w, sums[sums != 0]))
-        tables = {"basis": _grouped(dA, keys, w), "variables": _grouped(dA, xk, x)}
+        tables = {"basis": _grouped(dA, keys, w, dA), "variables": _grouped(dA, xk, x, len(X))}
         _STRUCTURE[algebra] = tables
     if which not in tables:
         _list_length(algebra, which)  # raises InputError: no such list
@@ -336,19 +336,22 @@ def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
     return (lo - n.cumsum() + n).repeat(n) + np.arange(n.sum())
 
 
-def _grouped(period: int, keys: np.ndarray, w: np.ndarray) -> _Sources:
-    """The _Sources of a stack of actions given by its nonzero entries in
-    order: flat indices (j period + a) period + b and residues w, w on
-    output a of x^e_j times source b."""
+def _grouped(period: int, keys: np.ndarray, w: np.ndarray, count: int) -> _Sources:
+    """The _Sources of a stack of the actions of count monomials given by
+    its nonzero entries in order: flat indices (j period + a) period + b and
+    residues w, w on output a of x^e_j times source b."""
     # output (j, a) as j period + a; two entries of one output are side by
     # side.  A stack is read once per module (a direct sum's per call), mostly
     # a few dozen entries, so the flag is found on lists: no small-array calls
     out, ws = (keys // period).tolist(), w.tolist()
     lone = ws.count(1) == len(ws) and all(map(operator.ne, out, islice(out, 1, None)))
     entries: List[List[Tuple[int, int, int]]] = [[] for _ in range(period)]
+    monomials: List[Dict[int, List[Tuple[int, int]]]] = [{} for _ in range(count)]
     for o, b, ww in zip(out, (keys % period).tolist(), ws):
-        entries[b].append((o // period, o % period, ww))
-    return _Sources(period, entries, lone)
+        j, a = divmod(o, period)
+        entries[b].append((j, a, ww))
+        monomials[j].setdefault(b, []).append((a, ww))
+    return _Sources(period, entries, lone, monomials)
 
 
 def _by_source(m: Module, which: str) -> _Sources:
@@ -362,7 +365,7 @@ def _by_source(m: Module, which: str) -> _Sources:
     if which not in kept:
         S = m._stacked(which)
         keys = np.flatnonzero(S)
-        kept[which] = _grouped(m.dim, keys, S.reshape(-1)[keys])
+        kept[which] = _grouped(m.dim, keys, S.reshape(-1)[keys], len(S))
     return kept[which]
 
 
@@ -411,30 +414,6 @@ def entry_images(algebra: Algebra, entries: Sequence[Sequence[AlgebraElement]], 
                         .reshape(rows * algebra.dim, cols))
 
 
-def compose_on_generators(target: Module, images: Mat, d: Sequence[dict], rows: int) -> Mat:
-    """Generator images of phi o d, where phi: F -> target is the A-linear
-    map sending generator r of F, of rank rows, to column r of images, and
-    d: F' -> F is a matrix over A given by its sparse columns: phi realized
-    by extend_linearly, times d written dense within the call.
-
-    images may hold k maps side by side, map j in columns j * rows ..
-    (j + 1) * rows - 1 (a width that is not a multiple of rows raises
-    InputError); block j of the result, its columns j * rank F' .., is
-    then phi_j o d, byte for byte the result for map j alone.  Column (j,
-    r, m) of the realization is x^m times generator r of map j, so each of
-    its rows, read as k rows (a reshape, no copy), holds the k maps'
-    blocks: one product by d gives the k results side by side.
-    """
-    dA, n = target.algebra.dim, target.dim
-    k = images.cols // rows if rows else 1
-    if images.rows != n or images.cols != k * rows:
-        raise InputError(f"generator images of shape {images.shape} do not compose with "
-                         f"{len(d)} columns over rank {rows} into dimension {n}")
-    realized = extend_linearly(target, images).a.reshape(n * k, rows * dA)
-    out = _matmul_mod(realized, _dense(d, rows * dA).T, target.field.p)
-    return Mat._trusted(target.field, out.reshape(n, k * len(d)))
-
-
 def _combination(columns: Sequence[dict], u: dict) -> dict:
     """The sum of c columns[key] over the terms key: c of u, exact ints."""
     acc: dict = {}
@@ -448,10 +427,28 @@ def compose_sparse(target: Module, phi: Sequence[dict], d: Sequence[dict]) -> Li
     """phi o d on generators, phi: F -> target and d: F' -> F both given by
     sparse columns: phi[r], a dict on target, is the image of generator r.
     Column g, a dict of nonzero residues, is the sum of c x^m phi[r] over
-    the terms c x^m of entry (r, g) of d, phi realized once by
-    multiples_of_rows and each sum reduced mod p once, at its end."""
-    realized, p = multiples_of_rows(target, phi, "basis"), target.field.p
-    return [{r: y for r, x in _combination(realized, u).items() if (y := x % p)} for u in d]
+    the terms c x^m of entry (r, g) of d.  Each term is applied to phi[r]
+    directly, through the action of x^m by source (_Sources.monomials), so
+    no phi is realized and the work follows the nonzero entries of d, of
+    phi and of the actions; each sum is reduced mod p once, at its end."""
+    src, dA, p = _by_source(target, "basis"), target.algebra.dim, target.field.p
+    period, monomials = src.period, src.monomials
+    out: List[dict] = []
+    for u in d:
+        acc: dict = {}
+        for key, c in u.items():
+            r, m = divmod(key, dA)
+            act = monomials[m]
+            for k, v in phi[r].items():
+                b = k % period
+                pairs = act.get(b)
+                if pairs:
+                    base, cv = k - b, c * v
+                    for a, w in pairs:
+                        i = base + a
+                        acc[i] = acc.get(i, 0) + cv * w
+        out.append({i: y for i, x in acc.items() if (y := x % p)})
+    return out
 
 
 def action_rows(n: Module, columns: Sequence[dict], rows: int, hom: bool = False) -> List[dict]:
@@ -464,32 +461,30 @@ def action_rows(n: Module, columns: Sequence[dict], rows: int, hom: bool = False
     N^cols -> N^rows, as d (x) 1 on F (x) N.  With hom, block (g, r) is, as
     Hom(d, N): len(columns) dim N rows on rows dim N columns.
 
-    X_m is read off N's by-source table (_by_source, as multiples_of_rows
-    reads it), regrouped by monomial for this call, so the work follows the
-    nonzero terms of the matrix and of the actions.  Sums are reduced mod p
-    at each step, and an entry whose sum ends at 0 is dropped."""
+    X_m is read off N's table grouped by monomial (_Sources.monomials, kept
+    beside the by-source table that multiples_of_rows reads), on every block
+    of N, so the work follows the nonzero terms of the matrix and of the
+    actions.  Sums are reduced mod p at each step, and an entry whose sum
+    ends at 0 is dropped."""
     dA, dN, p = n.algebra.dim, n.dim, n.field.p
     out: List[dict] = [{} for _ in range((len(columns) if hom else rows) * dN)]
     if not (dN and columns):
         return out
     src = _by_source(n, "basis")
-    # X_m as triples (a, b, w): x^m times basis vector b has coefficient w
-    # on a, over every block of N (one, or dim N / dim A when N is free)
-    acts: List[List[Tuple[int, int, int]]] = [[] for _ in range(dA)]
-    for s in range(0, dN, src.period):
-        for b, triples in enumerate(src.entries, s):
-            for j, a, w in triples:
-                acts[j].append((s + a, b, w))
+    blocks = range(0, dN, src.period)  # one, or dim N / dim A when N is free
     cancelled = []  # the rows where some sum was 0 mod p on the way
     for g, col in enumerate(columns):
         for key, c in col.items():
             r, m = divmod(key, dA)
             row_at, col_at = (g * dN, r * dN) if hom else (r * dN, g * dN)
-            for a, b, w in acts[m]:
-                row, k = out[row_at + a], col_at + b
-                x = row[k] = (row.get(k, 0) + c * w) % p
-                if not x:
-                    cancelled.append(row)
+            for b, pairs in src.monomials[m].items():
+                for a, w in pairs:
+                    cw = c * w
+                    for s in blocks:
+                        row, k = out[row_at + s + a], col_at + s + b
+                        x = row[k] = (row.get(k, 0) + cw) % p
+                        if not x:
+                            cancelled.append(row)
     for row in cancelled:
         for k in [k for k, x in row.items() if not x]:
             del row[k]

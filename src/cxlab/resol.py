@@ -28,16 +28,15 @@ kept.  A step builds no dense array.
 A resolution keeps each d_i as its matrix over A, the images of the
 generators of F_i, in the form its step built them: the lifts, one sparse
 column, a dict {row: residue}, per generator, the one form in which the
-library reads a differential (diff_lifts).  The realized d_i is written
-within each call that reads it (diff_realized, one extend_linearly of the
-lifts written dense), and not kept.  It keeps a span's rows only until the
-step that covers them has run, and their pivot columns for good, and the
-last step's realized columns until the next step has checked d o d = 0
-against them.  Chain lifts solve d_i X = B through a factorization (Q, E)
-of Z_i made once, on the first lift through d_i; each solve realizes d_i to
-check its solution and drops it.  Syzygy modules are built only when asked
-for.  A resolution is cached on its module and extended incrementally;
-previously computed steps never change.
+library reads a differential (diff_lifts); no reader realizes d_i as an
+array.  It keeps a span's rows only until the step that covers them has
+run, and their pivot columns for good, and the last step's realized columns
+until the next step has checked d o d = 0 against them.  Chain lifts solve
+d_i X = B, B and X sparse columns, through a sparse factor of Z_i made
+once, on the first lift through d_i; each solve is one sparse product and
+is proven by one compose_sparse of the lifts of d_i with X.  Syzygy modules
+are built only when asked for.  A resolution is cached on its module and
+extended incrementally; previously computed steps never change.
 """
 from __future__ import annotations
 
@@ -55,9 +54,9 @@ from .exactla import (
     _dense,
     _kernel_rows,
     _reduce_in_order,
+    _sparse_factor,
     _sparse_kernel,
     _sparse_rref,
-    pivot_inverse,
 )
 from .gralg import Algebra, AlgebraElement
 from .gmod import (
@@ -65,6 +64,7 @@ from .gmod import (
     Module,
     _combination,
     column_degrees,
+    compose_sparse,
     entry_images,
     extend_linearly,
     free_module,
@@ -90,16 +90,14 @@ class MinimalFreeResolution:
     identity rows of M for i = 0.  What a step keeps of d_i is its matrix over
     A, the images of the generators of F_i, as the lifts the step built: one
     dict {row: residue} per generator, which diff_lifts hands out as they are,
-    to every reader.  diff_realized writes them dense, dim F_{i-1} x rank F_i
-    (dim M x rank F_0 for the augmentation d_0), and realizes them on each
-    call, and keeps neither.  solve keeps only the factorization (Q, E) of Z_i,
-    the rows of d_i at the span's pivot columns.  The span's rows, sparse, are
-    kept until step i has covered them, their pivot columns for good;
-    syzygy_module re-derives a covered span by one _sparse_kernel of Z_{i-1},
-    rebuilt from the lifts of d_{i-1}, and the reduced echelon form of a row
-    space is unique, so the span is the one the step covered.  The syzygy
-    module a span stands for is built, verified and cached on the first
-    request.
+    to every reader; no method realizes them.  solve keeps only the sparse
+    factor of Z_i, the rows of the realized d_i at the span's pivot columns,
+    as dicts.  The span's rows, sparse, are kept until step i has covered
+    them, their pivot columns for good; syzygy_module re-derives a covered
+    span by one _sparse_kernel of Z_{i-1}, rebuilt from the lifts of
+    d_{i-1}, and the reduced echelon form of a row space is unique, so the
+    span is the one the step covered.  The syzygy module a span stands for
+    is built, verified and cached on the first request.
 
     Completed prefixes are immutable; extending the resolution only appends.
     Concurrent extension of the same resolution needs external locking.
@@ -121,7 +119,7 @@ class MinimalFreeResolution:
         # the next step checks d o d = 0 against them
         self._columns: List[dict] = []
         self._syz = {}  # i >= 1: the gmod.Submodule of syzygy i, built on request
-        self._solvers = {}  # i: (Q, E), pivot_inverse of Z_i, built on the first solve
+        self._solvers = {}  # i: the sparse factor of Z_i (see solve), built on the first solve
 
     @property
     def computed_to(self) -> int:
@@ -198,37 +196,33 @@ class MinimalFreeResolution:
         self.extend(n)
         return self.frees[n]
 
-    def diff_realized(self, n: int) -> Mat:
-        """d_n realized, the augmentation F_0 -> M at n = 0: its kept lifts
-        written dense, the generator images, and one extend_linearly of
-        them, not kept."""
-        lifts, target = self.diff_lifts(n), self._target(n)  # diff_lifts checks n and extends
-        return extend_linearly(target, Mat._trusted(target.field, _dense(lifts, target.dim).T))
-
-    def solve(self, i: int, B: Mat) -> Mat:
-        """X with d_i X = B, d_0 being the augmentation F_0 -> M: the
-        particular solution whose coordinates off the pivot columns of d_i
-        are zero.  InvariantError when some column of B is not in the
-        image of d_i.
+    def solve(self, i: int, B: List[dict]) -> List[dict]:
+        """X with d_i X = B, d_0 being the augmentation F_0 -> M, B and X
+        sparse columns: dicts of nonzero residues, on the target of d_i and
+        on F_i.  X is the particular solution whose coordinates off the pivot
+        columns of d_i are zero.  InputError for a row outside the target,
+        InvariantError when some column of B is not in the image of d_i.
 
         The image lies in the span that step i covers, and Z, the span's
-        pivot rows of d_i, is d_i read in the span's coordinates, of full
-        row rank (the exactness check proves it), with the row space of
-        d_i.  The first solve through d_i factors Z with pivot_inverse and
-        keeps only (Q, E); each solve is then one product, X[Q] = E
-        B[pivots], proven by the product d_i X = B with d_i realized for
-        this call alone.
+        pivot rows of d_i, is d_i in the span's coordinates, of full row rank
+        (the exactness check proves it).  The first solve through d_i keeps
+        its sparse factor (_sparse_factor), column q of E = Z[:, Q]^-1 under
+        the q-th pivot row.  Each solve is one sparse product, X[Q] = E
+        B[pivots], proven by d_i X = B on generators (compose_sparse).
         """
-        d = self.diff_realized(i)
-        if B.rows != d.rows:
-            raise InputError(f"right-hand side has {B.rows} rows, expected {d.rows}")
+        lifts, target, p = self.diff_lifts(i), self._target(i), self.module.field.p  # diff_lifts checks i
+        if any(b and (min(b) < 0 or max(b) >= target.dim) for b in B):
+            raise InputError(f"right-hand side has an entry outside the {target.dim} rows of d_{i}")
         if i not in self._solvers:
-            self._solvers[i] = pivot_inverse(Mat._trusted(d.field, d.a[self._pivots[i]]))
-        Q, E = self._solvers[i]
-        X = np.zeros((d.cols, B.cols), dtype=np.int64)
-        X[Q] = (E @ Mat._trusted(d.field, B.a[self._pivots[i]])).a
-        X = Mat._trusted(d.field, X)
-        check(d @ X == B, f"right-hand side outside the image of d_{i}")
+            columns, pivots = multiples_of_rows(target, lifts, "basis"), self._pivots[i].tolist()
+            n = len(columns)
+            Z = [{n - 1 - f: w for f, w in row.items()} for row in _reversed_pivot_rows(columns, pivots)]
+            self._solvers[i] = dict(zip(pivots, _sparse_factor(Z, n, p)[1]))
+        E = self._solvers[i]
+        # B is read at the pivot rows only; the check proves it elsewhere
+        X = [{c: y for c, x in _combination(E, {r: v for r, v in b.items() if r in E}).items() if (y := x % p)}
+             for b in B]
+        check(compose_sparse(target, lifts, X) == list(B), f"right-hand side outside the image of d_{i}")
         return X
 
     def diff_lifts(self, n: int) -> List[dict]:

@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import InputError, check
-from .exactla import Mat, _dense, _sparse_rref, kernel_rref, rref
-from .gmod import (Module, action_rows, compose_on_generators, direct_sum, extend_linearly, quotient_by_span,
-                   shift)
+from .exactla import Mat, _dense, _dict_rows, _sparse_rref, kernel_rref, rref
+from .gmod import (Module, action_rows, compose_sparse, direct_sum, extend_linearly, multiples_of_rows,
+                   quotient_by_span, shift)
 from .gralg import is_gorenstein
 from .resol import ComplexityEstimate, MinimalFreeResolution, estimate_complexity, resolve
 
@@ -172,10 +172,9 @@ class ExtElement:
             raise InputError(f"cocycle vector of shape {self.rep.shape}, expected ({size},)")
         # the images are one sum over the monomials of d_{t+1}; its terms
         # need not vanish one by one
-        res = self.resolution
-        images = compose_on_generators(self.target, self.on_generators(), res.diff_lifts(self.degree + 1),
-                                       res.free(self.degree).rank)
-        check(images.is_zero(), "not a cocycle")
+        phi = _dict_rows(self.rep.reshape(self.resolution.free(self.degree).rank, self.target.dim))
+        check(not any(compose_sparse(self.target, phi, self.resolution.diff_lifts(self.degree + 1))),
+              "not a cocycle")
 
     @property
     def source(self) -> Module:
@@ -258,32 +257,33 @@ def _side_by_side(reps: np.ndarray, rank: int, n: Module) -> Mat:
     return Mat._trusted(n.field, reps.reshape(k, rank, n.dim).transpose(2, 0, 1).reshape(n.dim, k * rank))
 
 
-def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> List[Mat]:
+def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> List[List[dict]]:
     """Lift k cocycles of Ext^t(M, M), their generator images side by side
     in images, to chain maps theta_i: F_{t+i} -> F_i, i = 0..upto, each
-    given by its generator images U_i, the k classes side by side.
+    given by its generator images U_i, sparse columns on F_i, the k classes
+    side by side.
 
     theta_i is the A-linear map with those images, so it is a module map,
     and the chain identity d_i theta_i = theta_{i-1} d_{t+i} (eps theta_0 =
     eta at i = 0) holds because both sides agree on generators: U_i solves
-    d_i U_i = theta_{i-1} d_{t+i} on generators, which compose_on_generators
-    reads off U_{i-1} and the kept lifts of d_{t+i}.  solve works column by
-    column and compose_on_generators composes each block on its own, so
-    block j of every U_i is byte for byte the lift of class j alone: one
-    solve per step lifts the whole stack, and each solve checks d_i U_i on
-    every column.
+    d_i U_i = theta_{i-1} d_{t+i} on generators, one compose_sparse of
+    U_{i-1} with k copies of the kept lifts of d_{t+i}, copy j shifted to
+    read class j's block (keys + j rank F_{t+i-1} dim A).  Both work column
+    by column, so block j of every U_i is the lift of class j alone, and
+    each solve checks d_i U_i on every column.
 
     The stack is the cocycle proof of its classes (upto >= 1): eps theta_0 =
     eta, so theta_0 d_{t+1} lies in im d_1 = ker eps exactly when eta d_{t+1}
     = 0, and otherwise the solve through d_1 raises InvariantError.
     """
     res.extend(t + upto)
-    images = [res.solve(0, images)]
+    dA, k = res.module.algebra.dim, images.cols // max(res.free(t).rank, 1)
+    lifts = [res.solve(0, _dict_rows(images.a.T))]
     for i in range(1, upto + 1):
-        rank = res.free(t + i - 1).rank
-        rhs = compose_on_generators(res.free(i - 1), images[i - 1], res.diff_lifts(t + i), rank)
-        images.append(res.solve(i, rhs))
-    return images
+        width = res.free(t + i - 1).rank * dA
+        blocks = [{key + j * width: c for key, c in u.items()} for j in range(k) for u in res.diff_lifts(t + i)]
+        lifts.append(res.solve(i, compose_sparse(res.free(i - 1), lifts[-1], blocks)))
+    return lifts
 
 
 def pushout(eta: ExtElement) -> "PushoutExtension":
@@ -292,7 +292,7 @@ def pushout(eta: ExtElement) -> "PushoutExtension":
     K is the quotient of N (+) F_{t-1} by the graph of (phi, -d_t) over F_t,
     phi the representing map: the image of the A-linear map F_t -> N (+)
     F_{t-1} with those generator images: phi extended linearly into N over
-    -d_t realized, as the direct sum multiplies.  The copy of N is
+    -d_t (its lifts realized), as the direct sum multiplies.  The copy of N is
     degree-shifted so that the glued module is graded.  By construction K ->
     F_{t-1}/im d_t is onto and kills N, and its kernel is the image of N,
     since (n, d_t x) is (n + phi x, 0) modulo the graph.  So the sequence is exact exactly when
@@ -306,7 +306,8 @@ def pushout(eta: ExtElement) -> "PushoutExtension":
     res, t, N = eta.resolution, eta.degree, eta.target
     F_prev, N_shifted = res.free(t - 1), shift(N, -eta.shift)
     D = direct_sum(N_shifted, F_prev)
-    graph = extend_linearly(N_shifted, eta.on_generators()).vstack(-res.diff_realized(t))
+    d_t = Mat._trusted(N.field, _dense(multiples_of_rows(F_prev, res.diff_lifts(t), "basis"), F_prev.dim).T)
+    graph = extend_linearly(N_shifted, eta.on_generators()).vstack(-d_t)
     K = quotient_by_span(D, graph.transpose(), provenance="pushout").module
     rank_d = res.module.dim
     for i in range(t):
@@ -331,16 +332,15 @@ def _estimate(module: Module, window: int) -> ComplexityEstimate:
     return estimate_complexity(resolve(module, window).betti_list(window), DEFAULT_STAB)
 
 
-def _constant_stacks(res: MinimalFreeResolution, t: int, lifts: List[Mat]) -> List[np.ndarray]:
+def _constant_stacks(res: MinimalFreeResolution, t: int, lifts: List[List[dict]]) -> List[np.ndarray]:
     """theta_n (x) k for each of the k classes of a stacked lift (_lift_stack),
     n = 0..len(lifts) - 1: the constant coefficients of theta_n over A, the
-    rows of U_n at the generator columns of F_n, as a (k, r_n, r_{t+n})
-    stack."""
-    out = []
-    for n, U in enumerate(lifts):
-        G = U.a[res.free(n).generator_columns()]
-        out.append(G.reshape(G.shape[0], -1, res.free(t + n).rank).transpose(1, 0, 2))
-    return out
+    terms of U_n at the generator columns of F_n, the keys g dim A, as a (k,
+    r_n, r_{t+n}) stack."""
+    dA = res.module.algebra.dim
+    rows = ([{key // dA: c for key, c in u.items() if not key % dA} for u in U] for U in lifts)
+    return [_dense(G, res.free(n).rank).reshape(-1, res.free(t + n).rank, res.free(n).rank).transpose(0, 2, 1)
+            for n, G in enumerate(rows)]
 
 
 def _screen_combinations(res: MinimalFreeResolution, t: int, constants: List[np.ndarray],
@@ -360,7 +360,7 @@ def _screen_combinations(res: MinimalFreeResolution, t: int, constants: List[np.
     with theta_{-1} = 0.
 
     The canonical lift is linear in the class: solve returns X[Q] = E B[pivots]
-    with zeros elsewhere, and compose_on_generators is linear in its images.
+    with zeros elsewhere, and compose_sparse is linear in the map it composes.
     So theta_n (x) k of a combination is the same combination of the basis
     classes' layers, one exact product by coeffs per step.
     """

@@ -30,12 +30,15 @@ the engine's rref, ext_from_realized reads an Ext class off a realized
 cocycle, the inverse of realized, and is_zero_class tests its
 class_residual.
 diff_algebra reads a differential of an engine resolution, its kept lifts,
-as a matrix of algebra elements, and diff_images writes those lifts as
-dense generator images; columns_of writes a coefficient array as such
-lifts, and vectors_of reads k maps' coordinate vectors back off their
-generator images side by side.  monomial_action multiplies a module's variable actions
-with the engine's product, and held_arrays lists the arrays an object
-keeps.
+as a matrix of algebra elements, diff_images writes those lifts as dense
+generator images (dense_images writes any sparse columns so), and
+diff_realized realizes them with the engine's extend_linearly, the
+reference for the engine's readers of the lifts, none of which realizes a
+differential; columns_of writes a coefficient array as such lifts, and
+vectors_of reads k maps' coordinate vectors back off their generator
+images side by side.  monomial_action multiplies a module's variable
+actions with the engine's product, and held_arrays lists the arrays an
+object keeps.
 """
 from __future__ import annotations
 
@@ -277,13 +280,28 @@ def diff_algebra(res, n):
     return [[AlgebraElement(A, v) for v in row] for row in vecs]
 
 
+def dense_images(field, columns, n):
+    """The Mat with one column per sparse column, dicts {row: residue} on
+    n rows, written dense."""
+    from cxlab.exactla import Mat, _dense
+
+    return Mat(field, _dense(columns, n).T)
+
+
 def diff_images(res, n):
     """The generator images of d_n of the resolution res, its kept lifts
     written dense: dim F_{n-1} x rank F_n, dim M x rank F_0 at n = 0."""
-    from cxlab.exactla import Mat, _dense
-
     lifts = res.diff_lifts(n)
-    return Mat(res.module.field, _dense(lifts, res.free(n - 1).dim if n else res.module.dim).T)
+    return dense_images(res.module.field, lifts, res.free(n - 1).dim if n else res.module.dim)
+
+
+def diff_realized(res, n):
+    """d_n of the resolution res realized, the augmentation F_0 -> M at
+    n = 0: its generator images (diff_images) extended linearly."""
+    from cxlab.gmod import extend_linearly
+
+    images = diff_images(res, n)
+    return extend_linearly(res.free(n - 1) if n else res.module, images)
 
 
 def columns_of(coeffs):
@@ -571,10 +589,10 @@ def assert_matches_eager(module, n):
 
     res = resolve(module, n)
     frees, maps, syzygies = eager_resolution(module, n)
-    assert res.diff_realized(0) == maps[0]
+    assert diff_realized(res, 0) == maps[0]
     for i in range(1, n + 1):
         assert res.free(i).gen_degrees == frees[i].gen_degrees, i
-        assert res.diff_realized(i) == maps[i], i
+        assert diff_realized(res, i) == maps[i], i
         d = entry_images(module.algebra, diff_algebra(res, i), frees[i - 1].rank, frees[i].rank)
         assert extend_linearly(frees[i - 1], d) == maps[i], i
         S, ref = syzygy(module, i), syzygies[i]
@@ -640,8 +658,8 @@ def reference_lift(eta, upto):
     res.extend(t + upto)
     thetas = []
     for i in range(upto + 1):
-        rhs = realized(eta) if i == 0 else thetas[-1] @ res.diff_realized(t + i)
-        d = res.diff_realized(i)
+        rhs = realized(eta) if i == 0 else thetas[-1] @ diff_realized(res, t + i)
+        d = diff_realized(res, i)
         U = solve_matrix(d, Mat(field, rhs.a[:, res.free(t + i).generator_columns()]))
         assert U is not None, f"no lift through step {i}"
         thetas.append(extend_linearly(res.free(i), U))
@@ -661,7 +679,8 @@ def yoneda_power(eta, s):
     lifts = _lift_stack(res, t, eta.on_generators(), (s - 1) * t)
     comp = realized(eta)
     for j in range(1, s):
-        comp = comp @ extend_linearly(res.free(j * t), lifts[j * t])
+        F = res.free(j * t)
+        comp = comp @ extend_linearly(F, dense_images(F.field, lifts[j * t], F.dim))
     return ext_from_realized(res, eta.target, s * t, comp, s * eta.shift)
 
 

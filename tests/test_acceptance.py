@@ -28,7 +28,8 @@ from cxlab.cioper import testci_run as run_testci
 from cxlab.cxcli import RunOptions, parse_scenario, run
 
 from conftest import GASHAROV_VARS, SCENARIO_DIR
-from oracles import diff_algebra, is_isomorphic, kernel_basis, monomial_ci_structure, naive_betti_sequence
+from oracles import (diff_algebra, diff_realized, is_isomorphic, kernel_basis, monomial_ci_structure,
+                     naive_betti_sequence)
 from test_properties import random_module
 
 F5 = Field(5)
@@ -83,8 +84,8 @@ def test_criterion_4_operator_cuts(quadric, k):
     # actions are asserted during construction; re-check the identity here
     for j in (1, 2):
         for n in range(3, 10):
-            lhs = ops.resolution.diff_realized(n - 2) @ ops.chi_realized(j, n)
-            rhs = ops.chi_realized(j, n - 1) @ ops.resolution.diff_realized(n)
+            lhs = diff_realized(ops.resolution, n - 2) @ ops.chi_realized(j, n)
+            rhs = ops.chi_realized(j, n - 1) @ diff_realized(ops.resolution, n)
             assert lhs == rhs
     for n in range(0, 6):
         a12 = ops.ext_action(2, n + 2) @ ops.ext_action(1, n)
@@ -158,7 +159,7 @@ def test_criterion_7_property_suites(quadric, cubic, k, Ax, gasharov_module):
     for M in mods:
         res = resolve(M, 5)
         for i in range(1, 5):
-            assert (res.diff_realized(i) @ res.diff_realized(i + 1)).is_zero()
+            assert (diff_realized(res, i) @ diff_realized(res, i + 1)).is_zero()
             for row in diff_algebra(res, i):
                 for a in row:
                     assert a.constant_term() == 0
@@ -172,7 +173,7 @@ def test_criterion_7_property_suites(quadric, cubic, k, Ax, gasharov_module):
         res = resolve(M, t + 1)
         zero = ExtElement(res, M, t, np.zeros(res.free(t).rank * M.dim, dtype=np.int64), 0)
         P = pushout(zero)
-        assert P.module.dim == M.dim + res.free(t - 1).dim - res.diff_realized(t).rank()
+        assert P.module.dim == M.dim + res.free(t - 1).dim - diff_realized(res, t).rank()
         assert is_isomorphic(P.module, direct_sum(M, syzygy(M, t - 1)), seed=5).kind == "yes"
     # Tor symmetry on 100 pairs
     done = 0

@@ -95,7 +95,7 @@ def test_operators_match_polynomial_reference(p, exps):
                     ref_ext = ref[(j, n)].a[:: A.dim, :: A.dim].T
                     assert ops.ext_action(j, n - 2) == Mat(ci.field, ref_ext), (M, j, n)
             res.extend(3)
-            eta = oracles.ext_from_realized(res, M, 2, res.diff_realized(0) @ ref[(j, 2)], -exps[j - 1])
+            eta = oracles.ext_from_realized(res, M, 2, oracles.diff_realized(res, 0) @ ref[(j, 2)], -exps[j - 1])
             want, got = pushout(eta).module, cut_by_chi(ops, j).module
             assert (got.degrees, got.actions) == (want.degrees, want.actions), (M, j)
 
@@ -114,6 +114,23 @@ def test_operators_build_no_algebra_elements(quadric, monkeypatch):
     ops = eisenbud_operators(quadric, residue_field(quadric.algebra), 12)
     assert ops.ext_action(2, 10).shape == (ops.resolution.betti(12), 11) == (13, 11)
     assert built == []
+
+
+def test_operator_build_makes_each_ext_action_once(monkeypatch):
+    # the commutation check reads each Ext action it compares once: at codim
+    # 4 and degree 12, the 44 maps at n = 0..10 (216 calls when each pair of
+    # operators built its own)
+    ci = MonomialCI.build(F5, [2, 2, 2, 2])
+    calls = []
+    ext_action = cioper.EisenbudOperatorSet.ext_action
+
+    def counting(self, j, n):
+        calls.append((j, n))
+        return ext_action(self, j, n)
+
+    monkeypatch.setattr(cioper.EisenbudOperatorSet, "ext_action", counting)
+    eisenbud_operators(ci, residue_field(ci.algebra), 12)
+    assert len(calls) == len(set(calls)) == 44
 
 
 def test_operator_checks_raise(quadric, monkeypatch):

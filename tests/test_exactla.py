@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cxlab.errors import InputError
+from cxlab.errors import InputError, InvariantError
 from cxlab import exactla
-from cxlab.exactla import Field, Mat, kernel_rref, pivot_inverse, rref
+from cxlab.exactla import Field, Mat, _dict_rows, _sparse_factor, kernel_rref, rref
 from oracles import kernel_basis, solve, solve_matrix
 
 F5 = Field(5)
@@ -402,8 +402,27 @@ def test_rref_kernel_solve_match_oracle(p, case):
             assert X.a.tolist() == expected
 
 
+def _factor(m):
+    """_sparse_factor of m, a Mat, given as its rows: (Q, E)."""
+    return _sparse_factor(_dict_rows(m.a), m.cols, m.field.p)
+
+
+def _factored_solve(E, m, B):
+    """The solution of m X = B from the factor E of m: column j of X is the
+    sum of B[q, j] E[q], in Python integers."""
+    p = m.field.p
+    return np.array([[sum(int(B[q, j]) * E[q].get(c, 0) for q in range(m.rows)) % p for j in range(B.shape[1])]
+                     for c in range(m.cols)], dtype=np.int64).reshape(m.cols, B.shape[1])
+
+
+def _inverse_rows(Q, E):
+    """The factor's columns E[q], dicts keyed by Q, as the rows of the
+    inverse of m[:, Q]: entry (k, q) at key Q[k] of E[q]."""
+    return [[E[q].get(c, 0) for q in range(len(Q))] for c in Q]
+
+
 @pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
-def test_pivot_inverse_solves_like_solve_matrix(p):
+def test_sparse_factor_solves_like_solve_matrix(p):
     F = Field(p)
     rng = np.random.default_rng(p % 997)
     for rows in (0, 1, 4):
@@ -411,12 +430,11 @@ def test_pivot_inverse_solves_like_solve_matrix(p):
         m = Mat(F, np.hstack([rng.integers(0, p, (rows, 2)), np.eye(rows, dtype=np.int64),
                               rng.integers(0, p, (rows, 3))]))
         B = m @ Mat(F, rng.integers(0, p, (m.cols, 3)))
-        Q, E = pivot_inverse(m)
-        X = np.zeros((m.cols, 3), dtype=np.int64)
-        X[Q] = (E @ Mat(F, B.a)).a
-        assert np.array_equal(X, solve_matrix(m, B).a)
-    with pytest.raises(InputError, match="full row rank"):
-        pivot_inverse(Mat(F, [[1, 2, 3], [2, 4, 6]]))
+        Q, E = _factor(m)
+        assert type(Q) is list and type(E) is list and all(type(e) is dict for e in E)
+        assert np.array_equal(_factored_solve(E, m, B.a), solve_matrix(m, B).a)
+    with pytest.raises(InvariantError, match="full row rank"):
+        _factor(Mat(F, [[1, 2, 3], [2, 4, 6]]))
 
 
 @pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
@@ -472,7 +490,7 @@ def _interleaved_blocks(rng, p, blocks, zero_rows, zero_cols):
 
 _KINDS = ("generic", "deficient", "swap")
 # many blocks of a few shapes, two shapes that occur once, zero rows and
-# columns; the second list has full row rank (for pivot_inverse)
+# columns; the second list has full row rank (for _sparse_factor)
 _BATCHED = {
     "mixed": ([((2, 3), _KINDS[i % 3]) for i in range(30)] + [((3, 2), _KINDS[i % 3]) for i in range(24)]
               + [((1, 1), "generic")] * 20 + [((1, 3), "generic")] * 12 + [((2, 1), "generic")] * 10
@@ -500,7 +518,7 @@ def eliminations(monkeypatch):
 @pytest.mark.parametrize("p", [2, 5, 65521, 2**31 - 1])
 def test_batched_rref_matches_oracle(eliminations, p):
     # many small blocks of a few shapes, with zero rows and columns: rref,
-    # kernel_rref, pivot_columns, rank and pivot_inverse are one sparse pass
+    # kernel_rref, pivot_columns, rank and _sparse_factor are one sparse pass
     # each, and only pivot_columns and rank skip back substitution
     F = Field(p)
     rng = np.random.default_rng(p % 7919)
@@ -521,12 +539,10 @@ def test_batched_rref_matches_oracle(eliminations, p):
 
     b = _interleaved_blocks(rng, p, *_BATCHED["full_row_rank"])
     m = Mat(F, b)
-    Q, E = pivot_inverse(m)
+    Q, E = _factor(m)
     assert eliminations == [True, False, False, True, True]
     B = m @ Mat(F, rng.integers(0, p, (m.cols, 3)))
-    X = np.zeros((m.cols, 3), dtype=np.int64)
-    X[Q] = (E @ Mat(F, B.a[: m.rows])).a
-    assert np.array_equal(X, solve_matrix(m, B).a)
+    assert np.array_equal(_factored_solve(E, m, B.a), solve_matrix(m, B).a)
 
 
 def test_equal_blocks_take_one_batched_elimination(eliminations):
@@ -594,16 +610,16 @@ def test_peeled_rref_matches_oracle(p, kind):
     expected_null, expected_null_pivots = oracles.gauss_rref(null, p, cols)
     assert k_rank == rank and K.a.tolist() == expected_null and list(k_pivots) == expected_null_pivots
 
-    # pivot_inverse factors the rows that start the oracle's echelon form
+    # _sparse_factor factors the rows that start the oracle's echelon form
     # when those have full row rank, and refuses a rank-deficient input
     if rank < rows:
-        with pytest.raises(InputError, match="full row rank"):
-            pivot_inverse(m)
+        with pytest.raises(InvariantError, match="full row rank"):
+            _factor(m)
         return
-    Q, E = pivot_inverse(m)
-    assert Q.tolist() == expected_pivots
+    Q, E = _factor(m)
+    assert Q == expected_pivots
     inverse, _ = oracles.gauss_rref(np.hstack([a[:, Q], np.eye(rows, dtype=np.int64)]).tolist(), p, 2 * rows)
-    assert E.a.tolist() == [row[rows:] for row in inverse]
+    assert _inverse_rows(Q, E) == [row[rows:] for row in inverse]
 
 
 def test_unit_rows_pivot_before_any_arithmetic(monkeypatch, eliminations):

@@ -20,7 +20,6 @@ from cxlab.gmod import (
     Module,
     action_rows,
     coker_presentation,
-    compose_on_generators,
     compose_sparse,
     direct_sum,
     extend_linearly,
@@ -480,7 +479,9 @@ def test_block_actions_exact_at_large_prime():
 def test_compose_on_generators_matches_realized_product(p):
     # phi o d on generators, read off the generator images of phi and the
     # sparse columns of d, is the realized product on the generator columns;
-    # with dense coefficients every basis monomial occurs in d
+    # with dense coefficients every basis monomial occurs in d.  k maps side
+    # by side, with d laid out block-diagonally (copy j at keys + j rank F
+    # dim A), give the k composites side by side, each that of its map alone
     F = Field(p)
     A = MonomialCI.build(F, [2, 2, 2]).algebra
     rng = np.random.default_rng(p % 1000)
@@ -495,21 +496,15 @@ def test_compose_on_generators_matches_realized_product(p):
         d_images, columns = Mat(F, d.a[:, gens]), oracles.columns_of(coeffs)
         assert entry_images(A, entries, mid.rank, src.rank) == d_images
         assert np.array_equal(_dense(columns, mid.dim).T, d_images.a)
-        got = compose_on_generators(tgt, images, columns, mid.rank)
-        assert got.a.tobytes() == (phi @ d).a[:, gens].tobytes()
-        # k maps side by side: block j is the result for map j alone
+        got = compose_sparse(tgt, _dict_rows(images.a.T), columns)
+        assert np.array_equal(_dense(got, tgt.dim).T, (phi @ d).a[:, gens])
         maps = [images] + [Mat(F, rng.integers(0, p, (tgt.dim, mid.rank))) for _ in range(2)]
-        stacked = compose_on_generators(tgt, Mat(F, np.hstack([m.a for m in maps])), columns, mid.rank)
-        assert stacked.shape == (tgt.dim, 3 * src.rank)
+        blocks = [{key + j * mid.dim: c for key, c in u.items()} for j in range(len(maps)) for u in columns]
+        stacked = compose_sparse(tgt, [u for m in maps for u in _dict_rows(m.a.T)], blocks)
+        assert len(stacked) == 3 * src.rank
         for j, m in enumerate(maps):
-            block = stacked.a[:, j * src.rank:(j + 1) * src.rank]
-            assert block.tobytes() == compose_on_generators(tgt, m, columns, mid.rank).a.tobytes(), j
-    with pytest.raises(InputError, match="do not compose"):
-        compose_on_generators(src, images, columns, mid.rank)
-    with pytest.raises(InputError, match="do not compose"):  # not a multiple of rank F
-        compose_on_generators(tgt, Mat(F, rng.integers(0, p, (tgt.dim, 3))), columns, mid.rank)
-    with pytest.raises(InputError, match="do not compose"):  # a rank F the images do not have
-        compose_on_generators(tgt, images, columns, mid.rank + 1)
+            block = stacked[j * src.rank:(j + 1) * src.rank]
+            assert block == compose_sparse(tgt, _dict_rows(m.a.T), columns), j
 
 
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
@@ -518,7 +513,8 @@ def test_compose_sparse_matches_realized_product(p):
     # realized product realized(phi) realized(d) at the generator columns,
     # into a free target and into modules that keep their actions (at the
     # large prime one with large entries, whose sums overflow int64); every
-    # residue kept is nonzero, and an empty d or phi gives empty composites
+    # residue kept is nonzero, and an empty d or phi gives empty composites;
+    # a map with more generators than d reads composes as the map d reads
     F = Field(p)
     A = MonomialCI.build(F, [2, 2, 2]).algebra
     x, y, z = (A.variable(v) for v in range(3))
@@ -540,8 +536,32 @@ def test_compose_sparse_matches_realized_product(p):
             got = compose_sparse(tgt, phi_columns, columns)
             assert len(got) == src.rank and all(all(col.values()) for col in got)
             assert np.array_equal(_dense(got, tgt.dim).T, (realized_phi @ d).a[:, gens]), tgt
+            more = _dict_rows(rng.integers(0, p, (mid.rank, tgt.dim)))
+            assert compose_sparse(tgt, phi_columns + more, columns) == got
         assert compose_sparse(tgt, phi_columns, []) == []
         assert compose_sparse(tgt, [], [{}, {}]) == [{}, {}]
+
+
+def test_composites_read_the_kept_monomial_grouping(monkeypatch, A):
+    # compose_sparse and action_rows apply each term through the actions
+    # grouped by monomial, kept beside the by-source table: A's for a free
+    # target, built with A's structure table, and a module's on its first
+    # request; no later call groups again, and compose_sparse realizes no
+    # map (it calls no multiples_of_rows)
+    N, F = coker_presentation(A, [[A.variable(0)]], [0]), free_module(A, [0, 0])
+    grouped, real = [], gmod._grouped
+
+    def fail(*args):
+        raise AssertionError("compose_sparse realized a map")
+
+    monkeypatch.setattr(gmod, "_grouped", lambda *args: grouped.append(args[0]) or real(*args))
+    monkeypatch.setattr(gmod, "multiples_of_rows", fail)
+    d = [{0: 1, 1: 2}, {A.dim + 2: 3, A.dim + 3: 1}]  # 2 x 2 over A, entries 1 + 2x, 3y + xy at (1, 1)
+    for target in (N, F, N, F):
+        phi = [{0: 1}, {target.dim - 1: 4, 1: 2}]
+        assert len(compose_sparse(target, phi, d)) == 2
+        assert len(action_rows(target, d, 2)) == 2 * target.dim
+    assert grouped == [N.dim]
 
 
 def _unit_row(M, idx):

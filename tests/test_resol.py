@@ -8,7 +8,7 @@ import pytest
 
 from cxlab.cioper import MonomialCI
 from cxlab.errors import InputError, InvariantError
-from cxlab.exactla import Field, Mat
+from cxlab.exactla import Field, Mat, _dict_rows
 from cxlab.gralg import AlgebraElement, build_algebra, parse_polynomial
 from cxlab import resol
 from cxlab.gmod import (FreeModule, Module, coker_presentation, direct_sum, extend_linearly, free_module,
@@ -211,8 +211,8 @@ def test_resolution_minimality_and_d2(k, Ax, gasharov_module):
     for M in (k, Ax, gasharov_module):
         res = resolve(M, 8)
         for i in range(1, 8):
-            d_i = res.diff_realized(i)
-            d_next = res.diff_realized(i + 1)
+            d_i = oracles.diff_realized(res, i)
+            d_next = oracles.diff_realized(res, i + 1)
             assert (d_i @ d_next).is_zero()
             for row in diff_algebra(res, i):
                 for a in row:
@@ -227,15 +227,15 @@ def test_resolution_deterministic(A):
     r1, r2 = resolve(M1, 6), resolve(M2, 6)
     assert r1.betti_list(6) == r2.betti_list(6)
     for i in range(1, 7):
-        assert r1.diff_realized(i) == r2.diff_realized(i)
+        assert oracles.diff_realized(r1, i) == oracles.diff_realized(r2, i)
 
 
 def test_resolution_extension_preserves_prefix(A):
     M = coker_presentation(A, [[A.variable(0)]], [0])
     res = resolve(M, 4)
-    before = [res.diff_realized(i) for i in range(1, 5)]
+    before = [oracles.diff_realized(res, i) for i in range(1, 5)]
     resolve(M, 9)
-    after = [res.diff_realized(i) for i in range(1, 5)]
+    after = [oracles.diff_realized(res, i) for i in range(1, 5)]
     assert before == after
 
 
@@ -408,7 +408,7 @@ def test_syzygy_modules_built_on_request(A):
     for i in range(1, 5):
         F, inc = res.free(i - 1), res.syzygy_inclusion(i)
         assert ModuleMap(res.syzygy_module(i), F, inc).is_equivariant()
-        d_prev = res.diff_realized(i - 1)
+        d_prev = oracles.diff_realized(res, i - 1)
         assert inc.rank() == F.dim - d_prev.rank()
     assert res.computed_to == 3
 
@@ -433,14 +433,15 @@ def test_resolution_keeps_maps_over_A(A, gasharov, name):
     # dict {row: residue} per generator, the lifts its step built; the span
     # no step has covered keeps its rows, and the last step its realized
     # columns, which the next step checks d o d = 0 against, both as sparse
-    # rows.  A realized d_i is written on request and never kept, also not
-    # by a solve through d_i
+    # rows.  No d_i is realized as an array, also not by a solve through d_i,
+    # which keeps its factor as dicts: the spans' pivot columns are the only
+    # arrays a resolution holds
     M = {"k": lambda: residue_field(A), "Ax": lambda: coker_presentation(A, [[A.variable(0)]], [0]),
          "gasharov": lambda: gasharov_presentation(gasharov)}[name]()
     n = 6
     res = resolve(M, n)
     dims = [M.dim] + [res.free(i).dim for i in range(n + 1)]  # dims[i + 1] = dim F_i
-    ranks = [M.dim] + [res.diff_realized(i).rank() for i in range(1, n + 1)]
+    ranks = [M.dim] + [oracles.diff_realized(res, i).rank() for i in range(1, n + 1)]
     # the only arrays it holds: the pivot columns of the spans, 1-D; of Z_n
     # only its rank, an int
     pivots = [("_pivots", (len(q),)) for q in res._pivots]
@@ -452,18 +453,19 @@ def test_resolution_keeps_maps_over_A(A, gasharov, name):
         assert type(lifts) is list and len(lifts) == res.free(i).rank and all(type(u) is dict for u in lifts)
         images = oracles.diff_images(res, i)
         assert images.shape == (dims[i], res.free(i).rank) and np.array_equal(_dense_rows(lifts, dims[i]).T, images.a)
-        # each realization is written anew, equal, and nothing is kept
-        realized = res.diff_realized(i)
-        assert realized == extend_linearly(res.free(i - 1) if i else M, images)
-        assert res.diff_realized(i) == realized and sorted(_held_arrays(res)) == sorted(pivots)
+        assert oracles.diff_realized(res, i) == extend_linearly(res.free(i - 1) if i else M, images)
     span = Mat(M.field, _dense_rows(res._span, dims[n + 1]))
     assert span.rows == dims[n + 1] - ranks[n] and span.transpose() == res.syzygy_inclusion(n + 1)
-    assert np.array_equal(_dense_rows(res._columns, dims[n]).T, res.diff_realized(n).a)
-    res.solve(2, res.diff_realized(2))
-    # the solve keeps (Q, E) of Z_2, whose rows are those of ker d_1, and no
-    # dim F_1 x dim F_2 array: E is the one 2-D array a resolution holds
+    assert np.array_equal(_dense_rows(res._columns, dims[n]).T, oracles.diff_realized(res, n).a)
+    d2 = oracles.diff_realized(res, 2)
+    X = res.solve(2, _dict_rows(d2.a.T))
+    assert np.array_equal(_dense_rows(X, dims[3]).T, solve_matrix(d2, d2).a)
+    # the solve keeps the factor of Z_2, whose rows are those of ker d_1: one
+    # dict per pivot row, and no array
     r = dims[2] - ranks[1]
-    assert sorted(_held_arrays(res)) == sorted(pivots + [("_solvers", (r,)), ("_solvers", (r, r))])
+    assert sorted(_held_arrays(res)) == sorted(pivots) and list(res._solvers) == [2]
+    assert sorted(res._solvers[2]) == res._pivots[2].tolist() and len(res._solvers[2]) == r
+    assert all(type(column) is dict for column in res._solvers[2].values())
 
 
 @pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
@@ -619,15 +621,18 @@ def _residue_field_over(p, relations):
 @pytest.mark.parametrize("relations", [["x^2", "y^2", "z^2"], ["x^2", "y^2", "z^3", "x*y"]],
                          ids=["x2y2z2", "x2y2z3xy"])
 def test_solve_matches_solve_matrix(p, relations):
-    # the factored solve gives the particular solution of solve_matrix,
-    # byte for byte, on images of random columns and on d_i's own columns
+    # the factored solve, on sparse columns, gives the particular solution
+    # of solve_matrix, byte for byte, on images of random columns and on
+    # d_i's own columns, as dicts of nonzero residues
     res = resolve(_residue_field_over(p, relations), 7)
     rng = np.random.default_rng(p % 1000)
     for i in range(8):
-        d = res.diff_realized(i)
+        d = oracles.diff_realized(res, i)
         X = Mat(d.field, rng.integers(0, p, (d.cols, 3)))
         B = (d @ X).hstack(Mat(d.field, d.a[:, :: max(1, d.cols // 5)]))
-        got = res.solve(i, B)
+        got = res.solve(i, _dict_rows(B.a.T))
+        assert len(got) == B.cols and all(all(col.values()) for col in got)
+        got = oracles.dense_images(d.field, got, d.cols)
         assert got.a.tobytes() == solve_matrix(d, B).a.tobytes(), (p, i)
         assert d @ got == B
 
@@ -636,13 +641,14 @@ def test_solve_rejects_rhs_outside_image(k):
     res = resolve(k, 3)
     # generator 0 of F_1 is not a cycle (d_1 maps it to a variable), so it
     # lies outside the image of d_2
-    d2 = res.diff_realized(2)
+    d2 = oracles.diff_realized(res, 2)
     outside = Mat(d2.field, np.eye(d2.rows, dtype=np.int64)[:, :1])
     assert solve_matrix(d2, outside) is None
     with pytest.raises(InvariantError, match="outside the image of d_2"):
-        res.solve(2, outside)
+        res.solve(2, _dict_rows(outside.a.T))
+    # a row past the target of d_1, F_0
     with pytest.raises(InputError, match="rows"):
-        res.solve(1, outside)
+        res.solve(1, [{res.free(0).dim: 1}])
 
 
 def test_step_checks_d2_on_generator_columns(A, monkeypatch):
@@ -650,7 +656,7 @@ def test_step_checks_d2_on_generator_columns(A, monkeypatch):
     # a row of F_1 that d_1 does not kill makes d_1 o d_2 nonzero on that
     # generator
     res = resolve(residue_field(A), 1)  # a new module, so its resolution stops at 1
-    d1 = res.diff_realized(1)
+    d1 = oracles.diff_realized(res, 1)
     row = next(r for r in range(d1.cols) if r % A.dim and d1.a[:, r].any())
 
     def corrupt(gens):
@@ -722,7 +728,7 @@ def test_differentials_are_pinned(name):
     n, betti, shas = _PINNED_DIFFERENTIALS[name]
     res = resolve(M, n)
     assert res.betti_list(n) == betti
-    assert [hashlib.sha1(res.diff_realized(i).a.tobytes()).hexdigest() for i in range(1, n + 1)] == shas
+    assert [hashlib.sha1(oracles.diff_realized(res, i).a.tobytes()).hexdigest() for i in range(1, n + 1)] == shas
 
 
 # SHA-1 of each realized d_1..d_12 of k over F_5[x1..x4]/(x1^2, .., x4^2)
