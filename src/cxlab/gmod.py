@@ -11,28 +11,21 @@ axioms; each such construction checks the one fact its inheritance rests
 on.  Failed checks raise InvariantError, also under `python -O`: the
 engine checks, it never assumes.
 
-A module applies A to coordinates in one way: `Module.multiples` multiplies
-every column of a coordinate matrix by every monomial of a fixed list (the
-basis of A or its variables).  A module given by its actions keeps them
-once, as the stack of its variable actions, and a product is one exact
-product by its monomial actions, whose basis stack it builds from the
-variables' once and keeps; its `shift` shares them.  A free module keeps
-only its generator degrees and its rank, and multiplies as rank copies of
-A's regular module, kept once per algebra as one sparse structure table
-per monomial list, by source and the same over every ring (_Sources: for
-each coordinate of a block, the triples (j, a, w) of x^e_j times it).  Its
-product is a plain loop over the nonzero entries of the columns and the
-table's triples.  A direct sum keeps its two summands, and its products
-are theirs, one over the other.  A module that keeps no actions, free or
-a direct sum, reads its stacked actions and its variable actions off the
-multiples of the identity, on each request.  `extend_linearly` and the
-subquotients go through `multiples`.
-
-Sparse rows, dicts {coordinate: residue}, have the same product:
-`multiples_of_rows` is `multiples` on rows, plain loops over the same
-by-source form of the actions, so its work follows the nonzero entries:
-A's structure table on a free module, read off its stacked actions on any
-other module, once for a module that keeps them.
+A module applies A through one sparse table per monomial list (A's basis
+or its variables), by source (_Sources: for each source coordinate, the
+triples (j, a, w) of x^e_j times it).  A module that is not free keeps its
+variables' table and builds its basis table from it once, along the
+division chain, the builder that also makes A's structure table; `shift`
+shares both, and `Module.actions` writes the variable actions dense on
+request.  A free module keeps its generator degrees only, and multiplies
+as rank copies of A.  `Module(...)` keeps the table of the dense actions
+it verifies; `direct_sum` (the summands' tables side by side) and the
+subquotients of a span hand over a table.  `multiples_of_rows` multiplies
+sparse rows, dicts {coordinate: residue}, by every monomial of a list,
+plain loops over the triples; `FreeModule.multiples` does it on a dense
+matrix.  A subquotient eliminates its span, given as sparse rows, once,
+reads its actions off one `multiples_of_rows` by the variables reduced
+against the echelon rows, and writes its maps dense only on request.
 
 A matrix over A, a map F' -> F of free modules, has one form, that of a
 resolution's differentials, the Eisenbud operators and the chain lifts: its
@@ -49,15 +42,16 @@ from __future__ import annotations
 
 import operator
 import weakref
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InputError, InvariantError, check
-from .exactla import Field, Mat, _complement, _matmul_mod, rref
+from .exactla import Field, Mat, _complement, _dense, _dict_rows, _sparse_rref, _subtract
 from .gralg import Algebra, AlgebraElement
 
 __all__ = [
@@ -90,59 +84,26 @@ class Module:
         self._resolution = None
         if not _skip_verify:
             self._verify(actions)
-        # the stacked actions of each monomial list built so far (see
-        # _stacked), the variables' from the start; None for a module that
-        # keeps no actions (a free module, a direct sum)
-        self._stacks: Optional[Dict[str, np.ndarray]] = None
         # the by-source table of each monomial list asked for (_by_source),
-        # read off the stacks once and kept beside them; None with them
+        # the variables' from the start (_with_table); None on a free module
         self._sources: Optional[Dict[str, _Sources]] = None
         if actions is not None:
-            stack = np.array([X.a for X in actions], dtype=np.int64).reshape(len(actions), self.dim, self.dim)
-            stack.setflags(write=False)
-            self._stacks, self._sources = {"variables": stack}, {}
+            stack = np.array([X.a for X in actions], dtype=np.int64).reshape(-1)
+            keys = np.flatnonzero(stack)  # (v dim + a) dim + c: entry (a, c) of X_v
+            self._sources = {"variables": _grouped(self.dim, keys, stack[keys], len(actions))}
 
     @property
     def actions(self) -> Tuple[Mat, ...]:
-        """The matrix X_v of each variable on this module's basis, read off
-        its stacked variable actions."""
-        return tuple(Mat._trusted(self.field, X) for X in self._stacked("variables"))
+        """The matrix X_v of each variable, written dense from the table."""
+        s, n = self.algebra.nvars, self.dim
+        out = np.zeros(s * n * n, dtype=np.int64)
+        keys, w = _flat(self, "variables")
+        out[keys] = w
+        return tuple(Mat._trusted(self.field, X) for X in out.reshape(s, n, n))
 
     @property
     def dim(self) -> int:
         return len(self.degrees)
-
-    def multiples(self, cols: Mat, which: str) -> Mat:
-        """Every column of cols, a matrix of coordinates on this module,
-        times every monomial x^e of a list: `which` is "basis" (the basis
-        monomials of A, in order) or "variables".  The s products of
-        column c sit side by side, at columns c*s .. c*s + s - 1."""
-        if cols.rows != self.dim:
-            raise InputError(f"{cols.rows} coordinates on a module of dimension {self.dim}")
-        # one exact product by the monomial actions stacked on top of each other
-        X, n, k = self._stacked(which), self.dim, cols.cols
-        out = _matmul_mod(X.reshape(len(X) * n, n), cols.a, self.field.p).reshape(len(X), n, k)
-        return Mat._trusted(self.field, out.transpose(1, 2, 0).reshape(n, k * len(X)))
-
-    def _stacked(self, which: str) -> np.ndarray:
-        """The actions of the monomials of the list `which` (see
-        _list_length), an s x dim x dim array.  A module that keeps its
-        variable actions builds the basis stack from them once and keeps it;
-        a module that keeps none reads either off the multiples of the
-        identity, built on each call and not kept."""
-        if self._stacks is None:
-            n, s = self.dim, _list_length(self.algebra, which)
-            out = self.multiples(Mat.identity(self.field, n), which).a.reshape(n, n, s)
-            return np.ascontiguousarray(out.transpose(2, 0, 1))
-        if which not in self._stacks:
-            X = self._stacks["variables"]
-            out = np.empty((_list_length(self.algebra, which), self.dim, self.dim), dtype=np.int64)
-            out[0] = np.eye(self.dim, dtype=np.int64)  # basis[0] is 1
-            for j, v, below in _division_chain(self.algebra):
-                out[j] = _matmul_mod(X[v], out[below], self.field.p)
-            out.setflags(write=False)
-            self._stacks[which] = out
-        return self._stacks[which]
 
     @property
     def field(self) -> Field:
@@ -205,10 +166,8 @@ class FreeModule(Module):
         self.gen_degrees = tuple(int(d) for d in gen_degrees)
         # verifies A's regular representation, once per algebra
         _structure_terms(algebra, "basis")
-        # inherited: every block carries the verified regular representation.
-        # Given no actions and no verification, Module.__init__ reads neither
-        # degrees nor dim, so the degrees are set after it, built once from
-        # ints and not converted again
+        # inherited: every block carries the verified regular representation;
+        # Module.__init__ reads no degrees here, so they are set after it
         super().__init__(algebra, (), None, provenance="free", _skip_verify=True)
         basis = algebra.basis_degrees
         self.degrees = tuple([d + g for g in self.gen_degrees for d in basis])
@@ -218,10 +177,10 @@ class FreeModule(Module):
         return len(self.gen_degrees)
 
     def multiples(self, cols: Mat, which: str) -> Mat:
-        """Module.multiples through A's structure table on every block: a
-        plain loop over the nonzero entries of cols and the table's triples,
-        whose sums are written into a zeroed output, the one array of its
-        size."""
+        """Every column of cols, coordinates on this module, times every
+        monomial of the list `which` (see _list_length), at columns c*s ..
+        c*s + s - 1: a plain loop over the nonzero entries of cols and A's
+        triples, summed into a zeroed output, the one array of its size."""
         if cols.rows != self.dim:
             raise InputError(f"{cols.rows} coordinates on a free module of dimension {self.dim}")
         entries, s, p = _structure_terms(self.algebra, which).entries, _list_length(self.algebra, which), self.field.p
@@ -251,20 +210,26 @@ def free_module(algebra: Algebra, gen_degrees: Sequence[int]) -> FreeModule:
 
 
 def _list_length(algebra: Algebra, which: str) -> int:
-    """The length of the monomial list Module.multiples applies: "basis",
-    A's basis monomials in order, or "variables"."""
+    """The length of the monomial list a product applies: "basis", A's
+    basis monomials in order, or "variables"."""
     if which not in ("basis", "variables"):
         raise InputError(f"no monomial list named {which!r}: expected 'basis' or 'variables'")
     return algebra.dim if which == "basis" else algebra.nvars
 
 
-def _division_chain(algebra: Algebra) -> Iterator[Tuple[int, int, int]]:
+# The division chain of each algebra (see _division_chain), weakly.
+_CHAINS: "weakref.WeakKeyDictionary[Algebra, List[Tuple[int, int, int]]]" = weakref.WeakKeyDictionary()
+
+
+def _division_chain(algebra: Algebra) -> List[Tuple[int, int, int]]:
     """(j, v, below) for every basis monomial x^e_j but 1: x^e_j = x_v *
     x^e_below, v its first variable.  Standard monomials are closed under
     division and listed degree by degree, so below comes before j."""
-    for j, mono in enumerate(algebra.basis[1:], 1):
-        v = next(i for i, a in enumerate(mono) if a)
-        yield j, v, algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]]
+    if algebra not in _CHAINS:
+        _CHAINS[algebra] = [(j, v, algebra.basis_index[mono[:v] + (mono[v] - 1,) + mono[v + 1:]])
+                            for j, mono in enumerate(algebra.basis[1:], 1)
+                            for v in [next(i for i, a in enumerate(mono) if a)]]
+    return _CHAINS[algebra]
 
 
 class _Sources(NamedTuple):
@@ -287,62 +252,52 @@ _STRUCTURE: "weakref.WeakKeyDictionary[Algebra, Dict[str, _Sources]]" = weakref.
 
 
 def _structure_terms(algebra: Algebra, which: str) -> _Sources:
-    """A's structure table on the monomials of the list `which` (see
-    _list_length), by source.  The first call for an algebra builds A as a
-    module over itself, which verifies its axioms, and reads both tables off
-    its variable actions X_v.  The basis actions follow along the division
-    chain, one degree at a time and as entries only: x^e_j acts as x^e_below
-    times X_v (A is commutative), so an entry (below, a, b, w) and an entry
-    x at (b, src) of X_v give (j, a, src, w x), and entries alike are
-    summed; no dim A^3 stack is formed."""
+    """A's structure table on the monomials of the list `which`, by source:
+    the first call for an algebra builds A as a module over itself, which
+    verifies its axioms, and reads both tables off it (_by_source)."""
     tables = _STRUCTURE.get(algebra)
     if tables is None:
         regular = Module(algebra, algebra.basis_degrees,
                          [algebra.variable_action(i) for i in range(algebra.nvars)],
                          provenance="regular")
-        X, p, dA = regular._stacked("variables"), algebra.field.p, algebra.dim
-        # an entry of a stack of actions is its flat index (j dA + a) dA + src
-        # and its residue: xk, x those of X, row b of X_v from ptr[v dA + b]
-        xk = np.flatnonzero(X)
-        x, ptr = X.reshape(-1)[xk], np.searchsorted(xk // dA, np.arange(len(X) * dA + 1))
-        keys, w = np.arange(dA) * (dA + 1), np.ones(dA, dtype=np.int64)  # basis[0] is 1
-        chain = np.array(list(_division_chain(algebra)), dtype=np.intp).reshape(-1, 3)
-        degrees = np.array(algebra.basis_degrees)[chain[:, 0]]
-        for d in range(1, max(algebra.basis_degrees) + 1):
-            j, v, below = chain[degrees == d].T
-            lo = keys.searchsorted(below * dA * dA)
-            n = keys.searchsorted((below + 1) * dA * dA) - lo
-            e = _ranges(lo, n)  # the entries (below, a, b) of each x^e_below
-            ab = keys[e] % (dA * dA)
-            row = (v * dA).repeat(n) + ab % dA
-            m = ptr[row + 1] - ptr[row]
-            f = _ranges(ptr[row], m)  # and those (v, b, src) of row b of X_v
-            new = ((j.repeat(n) * dA + ab // dA) * dA).repeat(m) + xk[f] % dA
-            order = new.argsort()
-            new, terms = new[order], (x[f] * w[e].repeat(m) % p)[order]
-            alike = np.flatnonzero(new != np.append(-1, new[:-1]))  # each key's first entry
-            sums = np.add.reduceat(terms, alike) % p
-            # keys stay sorted: the basis lists its monomials degree by degree
-            keys, w = np.concatenate((keys, new[alike][sums != 0])), np.concatenate((w, sums[sums != 0]))
-        tables = {"basis": _grouped(dA, keys, w, dA), "variables": _grouped(dA, xk, x, len(X))}
+        tables = {name: _by_source(regular, name) for name in ("basis", "variables")}
         _STRUCTURE[algebra] = tables
     if which not in tables:
         _list_length(algebra, which)  # raises InputError: no such list
     return tables[which]
 
 
-def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """lo[i] .. lo[i] + n[i] - 1 for every i, one after the other."""
-    return (lo - n.cumsum() + n).repeat(n) + np.arange(n.sum())
+def _basis_table(m: Module) -> _Sources:
+    """The basis table of m from its variables', one source c at a time
+    along the division chain: x^e_j e_c = X_v (x^e_below e_c), as dicts,
+    for the x^e_j whose degree leaves e_c inside the degrees of m."""
+    n, p, X, A = m.dim, m.field.p, _by_source(m, "variables").monomials, m.algebra
+    chain, top = _division_chain(A), max(m.degrees, default=0)
+    keys, w = [], []
+    for c in range(n):
+        images = [{c: 1}]
+        # the chain lists x^e_j degree by degree, after 1
+        for j, v, below in chain[:bisect_right(A.basis_degrees, top - m.degrees[c]) - 1]:
+            acc, Xv = {}, X[v]
+            for b, x in images[below].items():
+                for a, y in Xv.get(b, ()):
+                    acc[a] = acc.get(a, 0) + x * y
+            images.append({a: z for a, y in acc.items() if (z := y % p)} if acc else acc)
+        for j, u in enumerate(images):
+            keys += [(j * n + a) * n + c for a in u]
+            w += u.values()
+    return _grouped(n, keys, w, A.dim)
 
 
-def _grouped(period: int, keys: np.ndarray, w: np.ndarray, count: int) -> _Sources:
-    """The _Sources of a stack of the actions of count monomials given by
-    its nonzero entries in order: flat indices (j period + a) period + b and
+def _grouped(period: int, keys, w, count: int) -> _Sources:
+    """The _Sources of the actions of count monomials given by their
+    nonzero entries in any order: flat indices (j period + a) period + b and
     residues w, w on output a of x^e_j times source b."""
+    keys, w = np.asarray(keys, dtype=np.int64), np.asarray(w, dtype=np.int64)
+    order = keys.argsort()
+    keys, w = keys[order], w[order]
     # output (j, a) as j period + a; two entries of one output are side by
-    # side.  A stack is read once per module (a direct sum's per call), mostly
-    # a few dozen entries, so the flag is found on lists: no small-array calls
+    # side.  Tables are mostly a few dozen entries: the flag is found on lists
     out, ws = (keys // period).tolist(), w.tolist()
     lone = ws.count(1) == len(ws) and all(map(operator.ne, out, islice(out, 1, None)))
     entries: List[List[Tuple[int, int, int]]] = [[] for _ in range(period)]
@@ -356,22 +311,44 @@ def _grouped(period: int, keys: np.ndarray, w: np.ndarray, count: int) -> _Sourc
 
 def _by_source(m: Module, which: str) -> _Sources:
     """The _Sources of the monomial list `which` on m: A's structure table
-    on every block of a free module, the stacked actions of any other, read
-    once and kept beside them; a direct sum keeps neither, and reads its
-    table on each call."""
+    on every block of a free module; on any other module the table it
+    keeps, the basis table built on the first request (_basis_table)."""
     if isinstance(m, FreeModule):
         return _structure_terms(m.algebra, which)
-    kept = {} if m._sources is None else m._sources
+    kept = m._sources
     if which not in kept:
-        S = m._stacked(which)
-        keys = np.flatnonzero(S)
-        kept[which] = _grouped(m.dim, keys, S.reshape(-1)[keys], len(S))
+        _list_length(m.algebra, which)  # raises InputError: no such list
+        kept[which] = _basis_table(m)
     return kept[which]
 
 
+def _flat(m: Module, which: str, dim: Optional[int] = None, at: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of the table `which` on each coordinate c of m (at
+    + c of dimension dim), sorted: flat indices (j dim + a) dim + c, and w."""
+    src, n = _by_source(m, which), m.dim if dim is None else dim
+    keys, w = [], []
+    for c in range(m.dim):
+        b = c % src.period
+        for j, a, x in src.entries[b]:
+            keys.append((j * n + at + c - b + a) * n + at + c)
+            w.append(x)
+    keys, w = np.array(keys, dtype=np.int64), np.array(w, dtype=np.int64)
+    order = keys.argsort()
+    return keys[order], w[order]
+
+
+def _with_table(algebra: Algebra, degrees: Sequence[int], keys, w, provenance: str) -> Module:
+    """The module whose variable actions have the nonzero entries keys (as
+    in _flat, in any order) and w: how the library's builders hand over
+    actions derived from verified ones, which the module inherits."""
+    out = Module(algebra, degrees, None, provenance=provenance, _skip_verify=True)
+    out._sources = {"variables": _grouped(out.dim, keys, w, algebra.nvars)}
+    return out
+
+
 def multiples_of_rows(m: Module, rows: Sequence[dict], which: str) -> List[dict]:
-    """Module.multiples on sparse rows: each row, a dict {coordinate on m:
-    residue}, times each monomial x^e_j of the list `which`, as a dict of
+    """Each of the sparse rows, a dict {coordinate on m: residue}, times
+    each monomial x^e_j of the list `which` (see _list_length), as a dict of
     nonzero residues; the s products of row r sit at r*s .. r*s + s - 1.
     Plain loops over the by-source entries (_Sources), so the work follows
     the nonzero entries and not the dimension of m."""
@@ -401,7 +378,12 @@ def multiples_of_rows(m: Module, rows: Sequence[dict], which: str) -> List[dict]
 def extend_linearly(target: Module, gen_images: Mat) -> Mat:
     """Matrix of the A-linear map from a free module into target that sends
     generator g to column g of gen_images; column (g, m) is m times it."""
-    return target.multiples(gen_images, "basis")
+    if gen_images.rows != target.dim:
+        raise InputError(f"{gen_images.rows} coordinates on a module of dimension {target.dim}")
+    if isinstance(target, FreeModule):
+        return target.multiples(gen_images, "basis")
+    rows = multiples_of_rows(target, _dict_rows(gen_images.a.T), "basis")
+    return Mat._trusted(target.field, _dense(rows, target.dim).T)
 
 
 def entry_images(algebra: Algebra, entries: Sequence[Sequence[AlgebraElement]], rows: int, cols: int) -> Mat:
@@ -497,52 +479,26 @@ def residue_field(algebra: Algebra) -> Module:
     return Module(algebra, [0], [z] * algebra.nvars, provenance="k")
 
 
-class _DirectSum(Module):
-    """M (+) N on the basis of M followed by that of N.  It keeps its two
-    summands and no array: its products are theirs, the rows of M's over
-    those of N's, so each summand multiplies in its own way, a free one
-    through A's regular representation."""
-
-    def __init__(self, m: Module, n: Module):
-        self.summands = (m, n)
-        # inherited: each summand carries verified actions
-        super().__init__(m.algebra, m.degrees + n.degrees, None, provenance="sum", _skip_verify=True)
-
-    def multiples(self, cols: Mat, which: str) -> Mat:
-        if cols.rows != self.dim:
-            raise InputError(f"{cols.rows} coordinates on a direct sum of dimension {self.dim}")
-        m, n = self.summands
-        top = m.multiples(Mat._trusted(self.field, cols.a[:m.dim]), which)
-        return top.vstack(n.multiples(Mat._trusted(self.field, cols.a[m.dim:]), which))
-
-
 def direct_sum(m: Module, n: Module) -> Module:
+    """M (+) N on the basis of M followed by that of N: the summands' variable
+    tables side by side, a free summand's A's on each of its blocks."""
     if m.algebra is not n.algebra:
         raise InputError("direct sum of modules over different algebras")
-    return _DirectSum(m, n)
+    (km, wm), (kn, wn) = (_flat(x, "variables", m.dim + n.dim, at) for x, at in ((m, 0), (n, m.dim)))
+    # inherited: each summand carries verified actions
+    return _with_table(m.algebra, m.degrees + n.degrees, np.append(km, kn), np.append(wm, wn), "sum")
 
 
 def shift(m: Module, s: int) -> Module:
-    """Relabel every degree by +s; nothing else changes.  A free module
-    stays free and a direct sum is the sum of its summands' shifts; any
-    other module shares the stacked actions m keeps and their by-source
-    tables, also those built later."""
+    """Relabel every degree by +s.  A free module stays free; any other
+    shares the tables m keeps, also those built later."""
     if isinstance(m, FreeModule):
         return FreeModule(m.algebra, [g + s for g in m.gen_degrees])
-    if isinstance(m, _DirectSum):
-        return _DirectSum(*(shift(x, s) for x in m.summands))
-    # inherited: the actions are the same verified matrices
+    # inherited: the actions are the same verified ones
     out = Module(m.algebra, [d + s for d in m.degrees], None, provenance=m.provenance or "shift",
                  _skip_verify=True)
-    out._stacks, out._sources = m._stacks, m._sources
+    out._sources = m._sources
     return out
-
-
-def _by_variable(m: Module, multiples: np.ndarray) -> List[Mat]:
-    """The products of Module.multiples(cols, "variables") on m split by
-    variable: entry v is X_v @ cols."""
-    s = m.algebra.nvars
-    return [Mat._trusted(m.field, multiples[:, v::s]) for v in range(s)]
 
 
 # -- subquotient machinery -------------------------------------------------
@@ -557,70 +513,102 @@ def _row_degree(m: Module, columns) -> int:
     return degs.pop()
 
 
+def _echelon(m: Module, span_rows: Sequence[dict]) -> Tuple[List[int], Dict[int, dict], List[int]]:
+    """The pivot columns of the span of span_rows (dicts, not changed), its
+    reduced echelon rows by pivot column, and their degrees, if homogeneous."""
+    p = m.field.p
+    if any(row and not 0 <= min(row) <= max(row) < m.dim for row in span_rows):
+        raise InputError("span vectors have the wrong length")
+    echelon = _sparse_rref([{c: y for c, v in row.items() if (y := v % p)} for row in span_rows], p)
+    pivots = sorted(echelon)
+    return pivots, echelon, [_row_degree(m, echelon[c]) for c in pivots]
+
+
+def _residue(u: dict, echelon: Dict[int, dict], p: int) -> dict:
+    """u, a dict of residues, minus u_c times the reduced echelon row of each
+    pivot column c (zero at the other pivot columns): u modulo their span."""
+    u = dict(u)
+    for c in [c for c in u if c in echelon]:
+        _subtract(u, u[c], echelon[c], p)
+    return u
+
+
 @dataclass
 class Quotient:
+    """M/S; echelon: the reduced echelon rows of S by pivot column."""
+
     module: Module
-    projection: Mat  # ambient coords -> quotient coords
-    lift: Mat        # quotient coords -> ambient coords (section)
+    ambient: Module
+    echelon: Dict[int, dict]
+
+    @property
+    def projection(self) -> Mat:
+        """ambient coords -> quotient coords, written dense: e_c to its residue."""
+        m = self.ambient
+        at = {c: q for q, c in enumerate(_complement(m.dim, list(self.echelon)).tolist())}
+        cols = [{at[j]: x for j, x in _residue({c: 1}, self.echelon, m.field.p).items()} for c in range(m.dim)]
+        return Mat._trusted(m.field, _dense(cols, self.module.dim).T)
+
+    @property
+    def lift(self) -> Mat:
+        """quotient coords -> ambient coords, the section, written dense."""
+        m = self.ambient
+        return Mat._trusted(m.field, _dense([{c: 1} for c in _complement(m.dim, list(self.echelon))], m.dim).T)
 
 
-def quotient_by_span(m: Module, span_rows: Mat, provenance: str = "quotient") -> Quotient:
-    """Quotient of M by the subspace spanned by the given homogeneous rows.
-
-    The rows must span an A-submodule (verified).  The quotient basis is the
-    set of non-pivot coordinates of the span's reduced echelon form, so the
-    construction is canonical.
-    """
-    if span_rows.cols != m.dim:
-        raise InputError("span vectors have the wrong length")
-    R, pivots, rank = rref(span_rows)
-    nonpivot = _complement(m.dim, pivots)
-    for r in range(rank):
-        _row_degree(m, R.a[r].nonzero()[0])
-    lift = np.zeros((m.dim, len(nonpivot)), dtype=np.int64)
-    lift[nonpivot, np.arange(len(nonpivot))] = 1
-    proj = lift.T.copy()
-    proj[:, list(pivots)] = -R.a[:rank, nonpivot].T
-    P = Mat(m.field, proj)
-    L = Mat(m.field, lift)
-    # invariance of the span: the induced actions are well defined; the
-    # products of the span's rows come first, then those of the lift
-    images = (P @ m.multiples(Mat._trusted(m.field, R.a[:rank].T).hstack(L), "variables")).a
-    split = rank * m.algebra.nvars
-    check(not images[:, :split].any(), "span is not an A-submodule")
-    actions = _by_variable(m, np.ascontiguousarray(images[:, split:]))
-    degrees = [m.degrees[j] for j in nonpivot]
+def quotient_by_span(m: Module, span_rows: Sequence[dict], provenance: str = "quotient") -> Quotient:
+    """Quotient of M by the span of the given homogeneous rows, dicts
+    {coordinate on M: residue}, an A-submodule (verified), on the non-pivot
+    coordinates of its reduced echelon form: the products of the echelon
+    rows and of those unit vectors with the variables, reduced against the
+    echelon rows, prove the invariance and give the actions."""
+    pivots, echelon, _ = _echelon(m, span_rows)
+    nonpivot = _complement(m.dim, pivots).tolist()
+    s, p, n, at = m.algebra.nvars, m.field.p, len(nonpivot), {c: q for q, c in enumerate(nonpivot)}
+    products = multiples_of_rows(m, [echelon[c] for c in pivots] + [{c: 1} for c in nonpivot], "variables")
+    # invariance of the span: the induced actions are well defined
+    check(not any(_residue(u, echelon, p) for u in products[:len(pivots) * s]), "span is not an A-submodule")
+    keys, w = [], []
+    for i, u in enumerate(products[len(pivots) * s:]):
+        (q, v), r = divmod(i, s), _residue(u, echelon, p)
+        keys += [(v * n + at[c]) * n + q for c in r]
+        w += r.values()
     # inherited: the rows are homogeneous and P X_i R^T = 0, so P X_i = X'_i P
     # with P onto; commutation, the relations and the grading pass down
-    q = Module(m.algebra, degrees, actions, provenance=provenance, _skip_verify=True)
-    return Quotient(q, P, L)
+    return Quotient(_with_table(m.algebra, [m.degrees[c] for c in nonpivot], keys, w, provenance), m, echelon)
 
 
 @dataclass
 class Submodule:
+    """S in M; echelon: the reduced echelon rows of S by pivot column."""
+
     module: Module
-    inclusion: Mat  # submodule coords -> ambient coords
+    ambient: Module
+    echelon: Dict[int, dict]
+
+    @property
+    def inclusion(self) -> Mat:
+        """submodule coords -> ambient coords, the echelon rows as columns."""
+        m = self.ambient
+        return Mat._trusted(m.field, _dense([self.echelon[c] for c in sorted(self.echelon)], m.dim).T)
 
 
-def submodule_from_span(m: Module, span_rows: Mat, provenance: str = "submodule") -> Submodule:
-    """The A-submodule spanned by the given homogeneous rows, as a module.
-
-    The basis is the reduced echelon form of the span; coordinates in the
-    span are read off the pivot columns.
-    """
-    if span_rows.cols != m.dim:
-        raise InputError("span vectors have the wrong length")
-    R, pivots, rank = rref(span_rows)
-    degrees = [_row_degree(m, R.a[r].nonzero()[0]) for r in range(rank)]
-    inc = Mat(m.field, R.a[:rank].T)
-    img = m.multiples(inc, "variables")  # ambient coords of X_i applied to each basis row
-    coords = Mat._trusted(m.field, img.a[list(pivots)])
-    # reconstruction check: the span is closed under the action
-    check(inc @ coords == img, "span is not closed under the action")
-    actions = _by_variable(m, coords.a)
+def submodule_from_span(m: Module, span_rows: Sequence[dict], provenance: str = "submodule") -> Submodule:
+    """The A-submodule spanned by the given homogeneous rows, dicts {coordinate
+    on M: residue}, on its reduced echelon rows: the products of the rows
+    with the variables, read at the pivot columns, give the actions."""
+    pivots, echelon, degrees = _echelon(m, span_rows)
+    s, p, r, at = m.algebra.nvars, m.field.p, len(pivots), {c: i for i, c in enumerate(pivots)}
+    keys, w = [], []
+    for k, u in enumerate(multiples_of_rows(m, [echelon[c] for c in pivots], "variables")):
+        # reconstruction check: each product is the combination of the rows
+        # it reads at the pivot columns, as its residue modulo them is zero
+        check(not _residue(u, echelon, p), "span is not closed under the action")
+        i, v = divmod(k, s)
+        keys += [(v * r + at[c]) * r + i for c in u if c in at]
+        w += [x for c, x in u.items() if c in at]
     # inherited: inc X'_i = X_i inc holds exactly and inc is injective
-    sub = Module(m.algebra, degrees, actions, provenance=provenance, _skip_verify=True)
-    return Submodule(sub, inc)
+    return Submodule(_with_table(m.algebra, degrees, keys, w, provenance), m, echelon)
 
 
 def column_degrees(algebra: Algebra, entries: Sequence[Sequence[AlgebraElement]],
@@ -663,5 +651,5 @@ def coker_presentation(algebra: Algebra, entries: Sequence[Sequence[AlgebraEleme
     rows = len(row_degrees)
     ncols = len(column_degrees(algebra, entries, row_degrees, "presentation"))
     F = free_module(algebra, row_degrees)
-    span_rows = extend_linearly(F, entry_images(algebra, entries, rows, ncols)).transpose()
-    return quotient_by_span(F, span_rows, provenance="coker").module
+    columns = _dict_rows(entry_images(algebra, entries, rows, ncols).a.T)
+    return quotient_by_span(F, multiples_of_rows(F, columns, "basis"), provenance="coker").module

@@ -51,7 +51,6 @@ from .errors import InputError, check
 from .exactla import (
     Mat,
     _back_substitute,
-    _dense,
     _kernel_rows,
     _reduce_in_order,
     _sparse_factor,
@@ -249,8 +248,7 @@ class MinimalFreeResolution:
                 # covered: ker d_{i-1} = ker Z_{i-1}, in reduced echelon form
                 columns = multiples_of_rows(self._target(i - 1), self._lifts[i - 1], "basis")
                 span = _sparse_kernel(_reversed_pivot_rows(columns, self._pivots[i - 1].tolist()), F.dim, F.field.p)[1]
-            self._syz[i] = submodule_from_span(F, Mat._trusted(F.field, _dense(span, F.dim)),
-                                               provenance=f"syzygy({i})")
+            self._syz[i] = submodule_from_span(F, span, provenance=f"syzygy({i})")
         return self._syz[i].module
 
     def syzygy_inclusion(self, i: int) -> Mat:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import InputError, check
 from .exactla import Mat, _dense, _dict_rows, _sparse_rref, kernel_rref, rref
-from .gmod import (Module, action_rows, compose_sparse, direct_sum, extend_linearly, multiples_of_rows,
-                   quotient_by_span, shift)
+from .gmod import Module, action_rows, compose_sparse, direct_sum, multiples_of_rows, quotient_by_span, shift
 from .gralg import is_gorenstein
 from .resol import ComplexityEstimate, MinimalFreeResolution, estimate_complexity, resolve
 
@@ -266,23 +265,22 @@ def _lift_stack(res: MinimalFreeResolution, t: int, images: Mat, upto: int) -> L
     theta_i is the A-linear map with those images, so it is a module map,
     and the chain identity d_i theta_i = theta_{i-1} d_{t+i} (eps theta_0 =
     eta at i = 0) holds because both sides agree on generators: U_i solves
-    d_i U_i = theta_{i-1} d_{t+i} on generators, one compose_sparse of
-    U_{i-1} with k copies of the kept lifts of d_{t+i}, copy j shifted to
-    read class j's block (keys + j rank F_{t+i-1} dim A).  Both work column
-    by column, so block j of every U_i is the lift of class j alone, and
-    each solve checks d_i U_i on every column.
+    d_i U_i = theta_{i-1} d_{t+i} on generators, the compose_sparse of each
+    class's block of U_{i-1} with the kept lifts of d_{t+i}, in class order,
+    so block j of every U_i is the lift of class j alone; each solve checks
+    d_i U_i on every column.
 
     The stack is the cocycle proof of its classes (upto >= 1): eps theta_0 =
     eta, so theta_0 d_{t+1} lies in im d_1 = ker eps exactly when eta d_{t+1}
     = 0, and otherwise the solve through d_1 raises InvariantError.
     """
     res.extend(t + upto)
-    dA, k = res.module.algebra.dim, images.cols // max(res.free(t).rank, 1)
+    k = images.cols // max(res.free(t).rank, 1)
     lifts = [res.solve(0, _dict_rows(images.a.T))]
     for i in range(1, upto + 1):
-        width = res.free(t + i - 1).rank * dA
-        blocks = [{key + j * width: c for key, c in u.items()} for j in range(k) for u in res.diff_lifts(t + i)]
-        lifts.append(res.solve(i, compose_sparse(res.free(i - 1), lifts[-1], blocks)))
+        r, d = res.free(t + i - 1).rank, res.diff_lifts(t + i)
+        lifts.append(res.solve(i, [u for j in range(k)
+                                   for u in compose_sparse(res.free(i - 1), lifts[-1][j * r:(j + 1) * r], d)]))
     return lifts
 
 
@@ -290,13 +288,12 @@ def pushout(eta: ExtElement) -> "PushoutExtension":
     """The extension 0 -> N -> K -> Omega^{t-1}(M) -> 0 classified by eta.
 
     K is the quotient of N (+) F_{t-1} by the graph of (phi, -d_t) over F_t,
-    phi the representing map: the image of the A-linear map F_t -> N (+)
-    F_{t-1} with those generator images: phi extended linearly into N over
-    -d_t (its lifts realized), as the direct sum multiplies.  The copy of N is
-    degree-shifted so that the glued module is graded.  By construction K ->
-    F_{t-1}/im d_t is onto and kills N, and its kernel is the image of N,
-    since (n, d_t x) is (n + phi x, 0) modulo the graph.  So the sequence is exact exactly when
-    N embeds, i.e. when ker d_t lies in ker phi (the cocycle condition, as
+    phi the representing map, as sparse rows: the multiples of phi's
+    generator images beside those of the kept lifts of d_t, negated; N is
+    shifted so that K is graded.  K -> F_{t-1}/im d_t is onto and kills N,
+    and its kernel is the image of N, since (n, d_t x) is (n + phi x, 0)
+    modulo the graph.  So the sequence is exact exactly when N embeds,
+    i.e. when ker d_t lies in ker phi (the cocycle condition, as
     ker d_t = im d_{t+1}), and that holds exactly when the graph has
     dimension rank d_t: when dim K = dim N + dim F_{t-1} - rank d_t, the
     one identity checked.  rank d_t is read off the exactness the
@@ -304,11 +301,13 @@ def pushout(eta: ExtElement) -> "PushoutExtension":
     rank d_{i+1} = dim F_i - rank d_i.
     """
     res, t, N = eta.resolution, eta.degree, eta.target
-    F_prev, N_shifted = res.free(t - 1), shift(N, -eta.shift)
-    D = direct_sum(N_shifted, F_prev)
-    d_t = Mat._trusted(N.field, _dense(multiples_of_rows(F_prev, res.diff_lifts(t), "basis"), F_prev.dim).T)
-    graph = extend_linearly(N_shifted, eta.on_generators()).vstack(-d_t)
-    K = quotient_by_span(D, graph.transpose(), provenance="pushout").module
+    F_prev, N_shifted, p = res.free(t - 1), shift(N, -eta.shift), N.field.p
+    phi = _dict_rows(eta.rep.reshape(res.free(t).rank, N.dim))
+    # the graph's rows: m phi(e_g) on N, over -m d_t(e_g) on F_{t-1}
+    graph = [{**top, **{N.dim + c: p - w for c, w in bottom.items()}}
+             for top, bottom in zip(multiples_of_rows(N_shifted, phi, "basis"),
+                                    multiples_of_rows(F_prev, res.diff_lifts(t), "basis"))]
+    K = quotient_by_span(direct_sum(N_shifted, F_prev), graph, provenance="pushout").module
     rank_d = res.module.dim
     for i in range(t):
         rank_d = res.free(i).dim - rank_d

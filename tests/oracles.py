@@ -37,8 +37,11 @@ reference for the engine's readers of the lifts, none of which realizes a
 differential; columns_of writes a coefficient array as such lifts, and
 vectors_of reads k maps' coordinate vectors back off their generator
 images side by side.  monomial_action multiplies a module's variable
-actions with the engine's product, and held_arrays lists the arrays an
-object keeps.
+actions with the engine's product, stacked and multiples read the
+products of a monomial list off them, the reference for the library's
+sparse products, dense_quotient and dense_submodule are the dense builders
+of subquotients that the sparse ones replaced, on top of multiples, and
+held_arrays lists the arrays an object keeps.
 """
 from __future__ import annotations
 
@@ -175,8 +178,8 @@ def held_arrays(obj, skip=()):
 
 def direct_sum(m, n):
     """M (+) N with the block-diagonal actions diag(X_v, Y_v) copied from
-    the summands' actions: the reference for gmod.direct_sum, which keeps
-    its summands and multiplies through theirs.  A verified module."""
+    the summands' actions: the reference for gmod.direct_sum, which lays
+    their tables side by side.  A verified module."""
     from cxlab.exactla import Mat
     from cxlab.gmod import Module
 
@@ -187,6 +190,94 @@ def direct_sum(m, n):
         arr[m.dim :, m.dim :] = Y.a
         actions.append(Mat(m.field, arr))
     return Module(m.algebra, m.degrees + n.degrees, actions, provenance="sum")
+
+
+def stacked(m, which):
+    """The actions of the monomials of the list which ("basis", A's basis in
+    order, or "variables") on m, an s x dim x dim array of monomial_action
+    products read off m.actions."""
+    A = m.algebra
+    monos = A.basis if which == "basis" else [tuple(int(i == v) for i in range(A.nvars)) for v in range(A.nvars)]
+    out = np.zeros((len(monos), m.dim, m.dim), dtype=np.int64)
+    for j, e in enumerate(monos):
+        out[j] = monomial_action(m, e).a
+    return out
+
+
+def multiples(m, cols, which):
+    """Every column of cols, a Mat of coordinates on m, times every monomial
+    of the list which, read off m.actions: the products of column c sit at
+    columns c*s .. c*s + s - 1, as FreeModule.multiples and
+    gmod.multiples_of_rows lay them out."""
+    from cxlab.exactla import Mat
+
+    X = stacked(m, which)
+    s, n, k = len(X), m.dim, cols.cols
+    out = np.zeros((n, k, s), dtype=np.int64)
+    for j in range(s):
+        out[:, :, j] = (Mat(m.field, X[j]) @ cols).a
+    return Mat(m.field, out.reshape(n, k * s))
+
+
+def dense_quotient(m, span_rows, provenance="quotient"):
+    """Quotient of m by the span of the rows of the Mat span_rows, on dense
+    matrices: the reference for gmod.quotient_by_span.  The projection and
+    its section are read off the rref of the span, and the induced actions
+    are the projection times the products of the section (multiples); the
+    span is checked to be an A-submodule.  Returns module, projection and
+    lift."""
+    from types import SimpleNamespace
+
+    from cxlab.errors import InputError, check
+    from cxlab.exactla import Mat, _complement, rref
+    from cxlab.gmod import Module, _row_degree
+
+    if span_rows.cols != m.dim:
+        raise InputError("span vectors have the wrong length")
+    R, pivots, rank = rref(span_rows)
+    nonpivot = _complement(m.dim, pivots)
+    for r in range(rank):
+        _row_degree(m, R.a[r].nonzero()[0])
+    lift = np.zeros((m.dim, len(nonpivot)), dtype=np.int64)
+    lift[nonpivot, np.arange(len(nonpivot))] = 1
+    proj = lift.T.copy()
+    proj[:, list(pivots)] = -R.a[:rank, nonpivot].T
+    P = Mat(m.field, proj)
+    L = Mat(m.field, lift)
+    images = (P @ multiples(m, Mat(m.field, R.a[:rank].T).hstack(L), "variables")).a
+    s = m.algebra.nvars
+    split = rank * s
+    check(not images[:, :split].any(), "span is not an A-submodule")
+    actions = [Mat(m.field, images[:, split + v::s]) for v in range(s)]
+    q = Module(m.algebra, [m.degrees[j] for j in nonpivot], actions, provenance=provenance, _skip_verify=True)
+    return SimpleNamespace(module=q, projection=P, lift=L)
+
+
+def dense_submodule(m, span_rows, provenance="submodule"):
+    """The A-submodule spanned by the rows of the Mat span_rows, on dense
+    matrices: the reference for gmod.submodule_from_span.  The basis is the
+    rref of the span, the induced actions are the products of its rows
+    (multiples) read at the pivot columns, and the span is checked to be
+    closed by reconstructing the products from them.  Returns module and
+    inclusion."""
+    from types import SimpleNamespace
+
+    from cxlab.errors import InputError, check
+    from cxlab.exactla import Mat, rref
+    from cxlab.gmod import Module, _row_degree
+
+    if span_rows.cols != m.dim:
+        raise InputError("span vectors have the wrong length")
+    R, pivots, rank = rref(span_rows)
+    degrees = [_row_degree(m, R.a[r].nonzero()[0]) for r in range(rank)]
+    inc = Mat(m.field, R.a[:rank].T)
+    img = multiples(m, inc, "variables")
+    coords = Mat(m.field, img.a[list(pivots)])
+    check(inc @ coords == img, "span is not closed under the action")
+    s = m.algebra.nvars
+    actions = [Mat(m.field, coords.a[:, v::s]) for v in range(s)]
+    sub = Module(m.algebra, degrees, actions, provenance=provenance, _skip_verify=True)
+    return SimpleNamespace(module=sub, inclusion=inc)
 
 
 def dual(m):
@@ -554,14 +645,14 @@ def min_generator_rows(m, span):
 def eager_resolution(module, n):
     """Minimal resolution to step n, one explicit syzygy module per step.
 
-    Step i takes min_generators of the syzygy K = Omega^i M, built as a
-    verified Module by submodule_from_span, and covers it entrywise: column
+    Step i takes min_generators of the syzygy K = Omega^i M, built by
+    dense_submodule, and covers it entrywise: column
     (g, m) is monomial_action(K, m) @ images[:, g].  Returns (frees, maps,
     syzygies): maps[0] is the augmentation F_0 -> M and maps[i] the
     realized d_i; syzygies[i] (i >= 1) is the Submodule of F_{i-1}.
     """
     from cxlab.exactla import Mat
-    from cxlab.gmod import free_module, submodule_from_span
+    from cxlab.gmod import free_module
 
     A = module.algebra
     K, inc = module, None
@@ -575,7 +666,7 @@ def eager_resolution(module, n):
         eps = Mat(A.field, cover.reshape(K.dim, len(gens) * A.dim))
         frees.append(free_module(A, [d for _, d in gens]))
         maps.append(eps if i == 0 else inc @ eps)
-        sub = submodule_from_span(frees[-1], kernel_basis(eps).transpose(), provenance=f"syzygy({i + 1})")
+        sub = dense_submodule(frees[-1], kernel_basis(eps).transpose(), provenance=f"syzygy({i + 1})")
         syzygies.append(sub)
         K, inc = sub.module, sub.inclusion
     return frees, maps, syzygies
@@ -821,7 +912,7 @@ def glued_kchi(ci, j):
     quotient fits the four-term sequence 0 -> k -> K -> A -> k -> 0, which is
     checked by ranks.
     """
-    from cxlab.exactla import Mat
+    from cxlab.exactla import Mat, _dict_rows
     from cxlab.gmod import Module, quotient_by_span
 
     A, p, c = ci.algebra, ci.field.p, ci.codim
@@ -851,7 +942,7 @@ def glued_kchi(ci, j):
         if i == j - 1:
             span[i, 0] = 1
         span[i, 1 + len(nonconst) + i] = (-1) % p
-    quot = quotient_by_span(D, Mat(ci.field, span), provenance=f"kchi_{j}")
+    quot = quotient_by_span(D, _dict_rows(span % p), provenance=f"kchi_{j}")
     K = quot.module
     assert K.dim == A.dim, "glued test module must have the dimension of the algebra"
     # four-term exactness 0 -> k -> K -> A -> k -> 0, checked by ranks

@@ -17,6 +17,7 @@ from cxlab.exactla import Field, Mat, _dense, _dict_rows, rref
 from cxlab.gralg import build_algebra, parse_polynomial, socle_dimension
 from cxlab import gmod
 from cxlab.gmod import (
+    FreeModule,
     Module,
     action_rows,
     coker_presentation,
@@ -295,7 +296,7 @@ def test_structure_terms_match_dense_stack(ring):
         assert peak < 8 * A.dim ** 3 / 4, (peak, A.dim)
     for which, t in got.items():
         assert type(t) is gmod._Sources and t.period == A.dim == len(t.entries), which
-        S = oracles.regular_module(A)._stacked(which)
+        S = oracles.stacked(oracles.regular_module(A), which)
         j, a, c = np.nonzero(S)
         assert _table_entries(t) == sorted(zip(j.tolist(), a.tolist(), c.tolist(), S[j, a, c].tolist())), which
         assert t.lone == lone, which
@@ -351,13 +352,15 @@ def test_multiples_match_monomial_actions(ring, p):
     N = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
     Z = coker_presentation(A, [[A.one()]], [0])  # zero-dimensional, and not free
     assert Z.dim == 0 and type(Z) is Module
-    # multiples_of_rows on the columns as dict rows is the same product
+    # multiples_of_rows on the columns as dict rows is the same product as
+    # FreeModule.multiples, and as the reference's on a module that is not free
     for target in (free_module(A, []), free_module(A, [0]), free_module(A, [0, 1, 1]), N, Z,
                    direct_sum(free_module(A, [1]), N)):
         for k in (0, 1, 4):
             cols = Mat(F, rng.integers(0, p, (target.dim, k)))
             for which, monomials in (("basis", A.basis), ("variables", variables)):
-                got = target.multiples(cols, which)
+                free = isinstance(target, FreeModule)
+                got = target.multiples(cols, which) if free else oracles.multiples(target, cols, which)
                 s = len(monomials)
                 assert got.shape == (target.dim, k * s)
                 for j, e in enumerate(monomials):
@@ -377,11 +380,16 @@ def test_multiples_match_monomial_actions(ring, p):
             transposed = [[entries[i][j] for i in range(rows)] for j in range(cols)]
             assert np.array_equal(_action_dense(n, coeffs, hom=True),
                                   oracles.block_action(n, transposed, cols, rows)), (n, rows, cols)
-    for target in (free_module(A, [0]), N):
+    F0 = free_module(A, [0])
+    with pytest.raises(InputError, match="no monomial list"):
+        F0.multiples(Mat.zeros(F, F0.dim, 1), "monomials")
+    with pytest.raises(InputError, match="coordinates"):
+        F0.multiples(Mat.zeros(F, F0.dim + 1, 1), "basis")
+    for target in (F0, N):
         with pytest.raises(InputError, match="no monomial list"):
-            target.multiples(Mat.zeros(F, target.dim, 1), "monomials")
+            multiples_of_rows(target, [{}], "monomials")
         with pytest.raises(InputError, match="coordinates"):
-            target.multiples(Mat.zeros(F, target.dim + 1, 1), "basis")
+            extend_linearly(target, Mat.zeros(F, target.dim + 1, 1))
 
 
 def _action_dense(n, coeffs, hom=False):
@@ -565,9 +573,9 @@ def test_composites_read_the_kept_monomial_grouping(monkeypatch, A):
 
 
 def _unit_row(M, idx):
-    row = np.zeros((1, M.dim), dtype=np.int64)
-    row[0, idx] = 1
-    return Mat(M.field, row)
+    """The span of the unit vector at idx on M, as one sparse row."""
+    assert 0 <= idx < M.dim
+    return [{idx: 1}]
 
 
 def test_span_not_closed_under_action_rejected(A):
@@ -578,6 +586,118 @@ def test_span_not_closed_under_action_rejected(A):
         quotient_by_span(F, x)
     with pytest.raises(InvariantError, match="not closed"):
         submodule_from_span(F, x)
+
+
+def _bytes(m):
+    """A Mat's dtype, shape and bytes."""
+    return m.a.dtype, m.a.shape, m.a.tobytes()
+
+
+def _assert_same_module(got, want, what):
+    """Equal degrees, and variable actions equal byte for byte."""
+    assert got.degrees == want.degrees, what
+    assert [_bytes(X) for X in got.actions] == [_bytes(X) for X in want.actions], what
+
+
+def _assert_same_quotient(m, span, what):
+    """quotient_by_span of the rows of the Mat span, handed over as sparse
+    rows, against the dense reference: module, projection and lift."""
+    got, want = quotient_by_span(m, _dict_rows(span.a)), oracles.dense_quotient(m, span)
+    _assert_same_module(got.module, want.module, what)
+    assert _bytes(got.projection) == _bytes(want.projection) and _bytes(got.lift) == _bytes(want.lift), what
+    return want.module
+
+
+def _dense_pushout_span(eta):
+    """The pushout's ambient module N(-s) (+) F_{t-1}, built as the
+    reference's block-diagonal one, and the rows of its graph: phi realized
+    over -d_t realized."""
+    res, t, N = eta.resolution, eta.degree, eta.target
+    D = oracles.direct_sum(shift(N, -eta.shift), res.free(t - 1))
+    graph = np.vstack([oracles.realized(eta).a, -oracles.diff_realized(res, t).a])
+    return D, Mat(N.field, graph.T)
+
+
+@pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+def test_subquotients_match_dense_builders(p):
+    # the builders on sparse rows give byte for byte the modules and maps of
+    # the dense builders they replaced (oracles.dense_quotient and
+    # dense_submodule): on cokernels, on the syzygies of their resolutions,
+    # on pushouts of cocycle classes and on operator cuts; and a cokernel, a
+    # syzygy, a pushout and a cut are those modules
+    from cxlab.cioper import chi_self_extension, cut_by_chi, eisenbud_operators
+    from cxlab.yoneda import cocycle_basis, pushout
+
+    F = Field(p)
+    ci = MonomialCI.build(F, [2, 2, 3])
+    A = ci.algebra
+    x, y, z = (A.variable(v) for v in range(3))
+    presentations = [([[x, y]], [0]), ([[x, y * z], [A.zero(), x]], [0, 1]), ([[z * z, x + y]], [0])]
+    modules = [residue_field(A)]
+    for entries, degrees in presentations:
+        free = free_module(A, degrees)
+        span = extend_linearly(free, entry_images(A, entries, len(degrees), len(entries[0]))).transpose()
+        want = _assert_same_quotient(free, span, ("coker", entries))
+        modules.append(coker_presentation(A, entries, degrees))
+        _assert_same_module(modules[-1], want, ("coker", entries))
+    pushouts = 0
+    for M in modules:
+        res = resolve(M, 4)
+        for i in range(1, 5):
+            ambient = res.free(i - 1)
+            span = oracles.kernel_basis(oracles.diff_realized(res, i - 1)).transpose()
+            got, want = submodule_from_span(ambient, _dict_rows(span.a)), oracles.dense_submodule(ambient, span)
+            _assert_same_module(got.module, want.module, (M, i))
+            assert _bytes(got.inclusion) == _bytes(want.inclusion), (M, i)
+            _assert_same_module(res.syzygy_module(i), want.module, (M, i))
+            assert _bytes(res.syzygy_inclusion(i)) == _bytes(want.inclusion), (M, i)
+        ops = eisenbud_operators(ci, M, 4)
+        classes = [(eta, pushout) for t in (1, 2) for eta in cocycle_basis(M, M, t)[:2]]
+        classes += [(chi_self_extension(ops, j), lambda eta, j=j: cut_by_chi(ops, j)) for j in (1, 3)]
+        for eta, push in classes:
+            want = _assert_same_quotient(*_dense_pushout_span(eta), (M, eta.degree, eta.shift))
+            _assert_same_module(push(eta).module, want, (M, eta.degree, eta.shift))
+            pushouts += 1
+    assert pushouts >= 20
+
+
+def test_module_builders_take_no_dense_path(monkeypatch):
+    # a cokernel, a syzygy and the pushouts of a cocycle class and of an
+    # operator class are built from sparse rows: with the dense product,
+    # the dense rref and the dense writer raising wherever the library
+    # holds them, each builds, and no module built holds an array.  The
+    # inputs are built first: A's tables, the resolution and both classes
+    # (an operator class writes its vector dense, its ExtElement's form)
+    from cxlab import exactla, resol, yoneda
+    from cxlab.cioper import chi_self_extension, eisenbud_operators
+    from cxlab.yoneda import cocycle_basis, pushout
+
+    ci = MonomialCI.build(F5, [2, 2, 3])
+    A = ci.algebra
+    x, y, z = (A.variable(v) for v in range(3))
+    entries, degrees = [[x, y * z], [A.zero(), x]], [0, 1]
+    M = coker_presentation(A, entries, degrees)
+    res = resolve(M, 4)
+    classes = [cocycle_basis(M, M, 1)[0], chi_self_extension(eisenbud_operators(ci, M, 4), 1)]
+
+    def dense(*args):
+        raise AssertionError("a module builder took the dense path")
+
+    patched = 0
+    for layer in (exactla, gmod, resol, yoneda):
+        for name in ("_matmul_mod", "rref", "_dense"):
+            if hasattr(layer, name):
+                monkeypatch.setattr(layer, name, dense)
+                patched += 1
+    built, init = [], Module.__init__
+    monkeypatch.setattr(Module, "__init__", lambda self, *args, **kw: (init(self, *args, **kw), built.append(self))[0])
+    K = coker_presentation(A, entries, degrees)
+    S = res.syzygy_module(3)
+    pushed = [pushout(eta).module for eta in classes]
+    monkeypatch.undo()
+    assert patched >= 4 and K.dim == M.dim and S.dim and all(P.dim for P in pushed)
+    assert K in built and S in built and all(P in built for P in pushed)
+    assert [m for m in built if oracles.held_arrays(m)] == []
 
 
 def _fresh_algebra(relations=("x^2", "x*y", "y^3")):
@@ -667,35 +787,39 @@ def test_algebra_keeps_no_dense_array():
 @pytest.mark.parametrize("p", [5, 2**31 - 1])
 @pytest.mark.parametrize("ring", ["monomial_ci", "gasharov"])
 def test_direct_sum_multiplies_through_its_summands(ring, p):
-    # a direct sum keeps its summands and no array, and multiplies as the
-    # block-diagonal actions of the reference would, a free summand through
-    # A's regular representation; a shift shares its module's stacks and
-    # by-source tables, each built once, while a direct sum, which keeps no
-    # stacks, reads its table off its products on each call
+    # a direct sum is a plain module whose variable table is its summands'
+    # side by side, a free summand's A's on each of its blocks, and it keeps
+    # no array: its actions, its tables and its products are those of the
+    # reference's block-diagonal actions, and its basis table is built once;
+    # a shift shares its module's tables, also those built later
     F = Field(p)
     names, relations, _ = _RINGS[ring]
     A = build_algebra(F, len(names), [parse_polynomial(r, names, F) for r in relations], varnames=list(names))
     N = coker_presentation(A, [[A.variable(0), A.variable(1)]], [0])
     free = free_module(A, [0, 1])
-    assert shift(N, -2)._stacked("basis") is N._stacked("basis")
+    assert shift(N, -2)._sources is N._sources
     assert gmod._by_source(shift(N, -2), "basis") is gmod._by_source(N, "basis")
     rng = np.random.default_rng(p % 1000)
     for pair in ((free, N), (N, free), (shift(N, -2), free_module(A, [1])), (residue_field(A), N)):
         D, R = direct_sum(*pair), oracles.direct_sum(*pair)
-        assert D.degrees == R.degrees and D.actions == R.actions
+        assert type(D) is Module and D.degrees == R.degrees and D.actions == R.actions
         cols = Mat(F, rng.integers(0, p, (D.dim, 3)))
         for which in ("basis", "variables"):
-            assert D.multiples(cols, which) == R.multiples(cols, which), which
-            got, want = D._stacked(which), R._stacked(which)
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            want = oracles.multiples(R, cols, which)
+            rows = multiples_of_rows(D, _dict_rows(cols.a.T), which)
+            assert np.array_equal(_dense(rows, D.dim).T, want.a), which
+            stack = oracles.stacked(R, which).reshape(-1)
+            keys, w = gmod._flat(D, which)
+            assert np.array_equal(keys, np.flatnonzero(stack)) and np.array_equal(w, stack[keys]), which
+        assert extend_linearly(D, cols) == oracles.multiples(R, cols, "basis")
         table = gmod._by_source(D, "basis")
-        assert table == gmod._by_source(D, "basis") and table is not gmod._by_source(D, "basis")
+        assert table is gmod._by_source(D, "basis")
         assert oracles.held_arrays(D) == []
         S = shift(D, 3)
         assert S.degrees == tuple(d + 3 for d in R.degrees) and S.actions == R.actions
-        assert oracles.held_arrays(S) == [] and all(type(x) is type(y) for x, y in zip(S.summands, pair))
+        assert oracles.held_arrays(S) == [] and gmod._by_source(S, "basis") is table
     with pytest.raises(InputError, match="coordinates"):
-        D.multiples(Mat.zeros(F, D.dim - 1, 1), "basis")
+        extend_linearly(D, Mat.zeros(F, D.dim - 1, 1))
 
 
 def test_regular_module_cache_keeps_no_algebra_alive():
@@ -723,10 +847,9 @@ F = Field(5)
 A = MonomialCI.build(F, [2, 2]).algebra
 bad = np.zeros((2, 2), dtype=np.int64)
 bad[0, 1] = 1
-x = np.zeros((1, A.dim), dtype=np.int64)
-x[0, A.basis_index[(1, 0)]] = 1
+x = [{A.basis_index[(1, 0)]: 1}]
 for build in (lambda: Module(A, [0, 1], [Mat(F, bad), Mat.zeros(F, 2, 2)]),
-              lambda: quotient_by_span(free_module(A, [0]), Mat(F, x))):
+              lambda: quotient_by_span(free_module(A, [0]), x)):
     try:
         build()
         print("accepted")
@@ -776,8 +899,11 @@ def test_free_module_matches_dense_twin(ring, gen_degrees, gasharov):
 
     assert F.actions == T.actions
     for which in ("variables", "basis"):
-        assert np.array_equal(F._stacked(which), T._stacked(which))
-        assert F.multiples(cols, which) == T.multiples(cols, which)
+        # A's tables on every block are the twin's, built from its dense actions
+        assert all(np.array_equal(x, y) for x, y in zip(gmod._flat(F, which), gmod._flat(T, which)))
+        assert F.multiples(cols, which) == oracles.multiples(T, cols, which)
+        rows = _dict_rows(cols.a.T)
+        assert multiples_of_rows(F, rows, which) == multiples_of_rows(T, rows, which)
     for mono in A.basis:
         assert oracles.monomial_action(F, mono) == oracles.monomial_action(T, mono)
     for rank in (0, 2):
@@ -796,10 +922,10 @@ def test_free_module_matches_dense_twin(ring, gen_degrees, gasharov):
     for pair in ((F, N), (N, F)):
         twin = tuple(T if x is F else x for x in pair)
         assert _same_module(direct_sum(*pair), direct_sum(*twin))
-    qF, qT = quotient_by_span(F, mF), quotient_by_span(T, mF)
+    qF, qT = quotient_by_span(F, _dict_rows(mF.a)), quotient_by_span(T, _dict_rows(mF.a))
     assert _same_module(qF.module, qT.module)
     assert qF.projection == qT.projection and qF.lift == qT.lift
-    sF, sT = submodule_from_span(F, mF), submodule_from_span(T, mF)
+    sF, sT = submodule_from_span(F, _dict_rows(mF.a)), submodule_from_span(T, _dict_rows(mF.a))
     assert _same_module(sF.module, sT.module) and sF.inclusion == sT.inclusion
 
     # N has small Betti numbers over both rings (k has not over Gasharov's)

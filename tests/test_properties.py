@@ -6,8 +6,8 @@ import pytest
 
 from cxlab.cioper import MonomialCI, build_kchi, cut_by_chi, eisenbud_operators, vartest_check
 from cxlab.exactla import Field, _dense
-from cxlab.gmod import (action_rows, coker_presentation, direct_sum, entry_images, extend_linearly, free_module,
-                        residue_field)
+from cxlab.gmod import (Module, action_rows, coker_presentation, direct_sum, entry_images, extend_linearly,
+                        free_module, residue_field)
 from cxlab.gralg import Algebra, build_algebra, is_gorenstein, parse_polynomial
 from cxlab.resol import estimate_complexity, resolve, syzygy
 from cxlab.errors import InvariantError
@@ -91,6 +91,18 @@ def test_resolutions_match_eager_reference_random(random_modules):
         if M.dim == 0:
             continue
         assert_matches_eager(M, 5)
+
+
+def test_rebuilt_syzygies_of_seeded_modules_shift_betti_numbers(random_modules):
+    # beta_n(Omega^i M) = beta_{n+i}(M), exactly, on the first 20 seeded
+    # modules, Omega^i M rebuilt over its own basis from its actions written
+    # dense, which Module(...) verifies
+    for M in random_modules[:20]:
+        betti = resolve(M, 7).betti_list(7)
+        for i in range(1, 5):
+            S = syzygy(M, i)
+            rebuilt = Module(M.algebra, S.degrees, S.actions)
+            assert resolve(rebuilt, 3).betti_list(3) == betti[i:i + 4], i
 
 
 def test_block_actions_match_entrywise_reference(random_modules):

@@ -120,7 +120,9 @@ def test_tables_write_no_dense_differential(monkeypatch, quadric, A):
     # a table reads the kept lifts: no differential is realized or written
     # dense, also for a resolution that is already there and for a free
     # target; the library has no realized differential to ask for, and
-    # yoneda realizes and extends maps only for a pushout's graph
+    # yoneda multiplies rows only for a pushout's graph and writes dense
+    # only the Hom differential of the cocycle classes and the constants of
+    # a stacked lift
     from cxlab.cioper import build_kchi
 
     x, y = A.variable(0), A.variable(1)
@@ -132,7 +134,7 @@ def test_tables_write_no_dense_differential(monkeypatch, quadric, A):
         raise AssertionError("a table wrote a dense differential")
 
     monkeypatch.setattr(oracles, "diff_realized", dense)
-    for name in ("multiples_of_rows", "extend_linearly"):
+    for name in ("multiples_of_rows", "_dense"):
         monkeypatch.setattr(yoneda, name, dense)
     tables = [f(M, n, 8) for f in (ext_table, tor_table) for n in (M, N, F)]
     monkeypatch.undo()
